@@ -70,7 +70,18 @@ class PushOutPolicy(Policy):
         # reserved + shared split it is the per-port admissibility test.
         if view.can_accept(packet.port):
             return ACCEPT
-        return self.congested(view, packet)
+        decision = self.congested(view, packet)
+        victim = decision.victim_port
+        if (
+            victim is not None
+            and victim != packet.port
+            and 0 < view.queue_len(victim) <= view.reserved(victim)
+        ):
+            # Under a reserved + shared split another port's queue can sit
+            # wholly inside its own reservation: pushing out its tail
+            # frees no slot this arrival may use, so drop the arrival.
+            return DROP
+        return decision
 
     @abstractmethod
     def congested(self, view: SwitchView, packet: Packet) -> Decision:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.columnar import VectorizedSwitch
@@ -507,6 +507,9 @@ DYNAMIC_FACTORIES = [
 )
 @settings(max_examples=25, deadline=None)
 @given(scenario=dynamic_scenario())
+# Uneven split, shared pool full, longest queue wholly inside its own
+# reservation: LQD's victim frees no slot the arrival to port 3 may use.
+@example(scenario=(4, 4, [[], [0, 0, 1, 2, 3]], "uneven", [[], []]))
 def test_dynamic_policies_decision_identical(factory, scenario):
     n, buffer_size, bursts, split, toggles = scenario
     config = _dynamic_config(n, buffer_size, split)
