@@ -45,11 +45,14 @@ try:  # pure-stdlib installs can still load the module and its gates
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     np = None  # type: ignore[assignment]
 
-from repro.analysis.competitive import PolicySystem, run_system
+from repro.analysis.competitive import AnyTrace, PolicySystem, run_system
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
+from repro.traffic.columnar import ColumnarTrace
+from repro.traffic.patterns import poisson_workload, saturating_workload
 from repro.traffic.trace import Trace
+from repro.traffic.workloads import processing_workload, value_uniform_workload
 
 #: Report schema version, bumped on incompatible layout changes.
 SCHEMA_VERSION = 1
@@ -109,24 +112,20 @@ class BenchPanel:
             buffer_model=model,
         )
 
-    def trace(self, slots_scale: float = 1.0) -> Trace:
+    def trace(self, slots_scale: float = 1.0) -> AnyTrace:
+        """The panel's pinned trace: columns for the generated
+        recipes, packet objects for the dynamic (churn) ones."""
         n_slots = max(1, int(round(self.n_slots * slots_scale)))
         config = self.config()
         if self.workload == "uniform":
-            from repro.traffic.patterns import poisson_workload
-
             return poisson_workload(
                 config, n_slots, load=self.load, seed=self.seed
             )
         if self.workload == "mmpp":
             if self.model == "processing":
-                from repro.traffic.workloads import processing_workload
-
                 return processing_workload(
                     config, n_slots, load=self.load, seed=self.seed
                 )
-            from repro.traffic.workloads import value_uniform_workload
-
             return value_uniform_workload(
                 config, n_slots, 16, load=self.load, seed=self.seed
             )
@@ -144,53 +143,6 @@ class BenchPanel:
             return port_flap_workload(
                 config, n_slots, load=self.load, seed=self.seed
             )
-        raise ConfigError(f"unknown bench workload {self.workload!r}")
-
-    def columnar_trace(self, slots_scale: float = 1.0):
-        """The panel's trace as flat columns — byte-identical twin.
-
-        Same recipe selection as :meth:`trace`, routed through the
-        columnar generators of :mod:`repro.traffic.columnar`; packet
-        order and content are pinned equal by the differential suite
-        and the golden trace digests.
-        """
-        n_slots = max(1, int(round(self.n_slots * slots_scale)))
-        config = self.config()
-        if self.workload == "uniform":
-            from repro.traffic.columnar import columnar_poisson_workload
-
-            return columnar_poisson_workload(
-                config, n_slots, load=self.load, seed=self.seed
-            )
-        if self.workload == "mmpp":
-            if self.model == "processing":
-                from repro.traffic.columnar import (
-                    columnar_processing_workload,
-                )
-
-                return columnar_processing_workload(
-                    config, n_slots, load=self.load, seed=self.seed
-                )
-            from repro.traffic.columnar import (
-                columnar_value_uniform_workload,
-            )
-
-            return columnar_value_uniform_workload(
-                config, n_slots, 16, load=self.load, seed=self.seed
-            )
-        if self.workload == "adversarial":
-            from repro.traffic.columnar import columnar_saturating_workload
-
-            return columnar_saturating_workload(
-                config, n_slots, seed=self.seed
-            )
-        if self.workload in ("spike", "flap"):
-            # The dynamic generators are pure-python slot loops with no
-            # vectorizable inner structure; the columnar twin is the
-            # exact conversion (byte-identical by construction).
-            from repro.traffic.columnar import ColumnarTrace
-
-            return ColumnarTrace.from_trace(self.trace(slots_scale))
         raise ConfigError(f"unknown bench workload {self.workload!r}")
 
     def trace_content_key(self, slots_scale: float = 1.0) -> str:
@@ -219,56 +171,6 @@ class BenchPanel:
             "reserved_per_port": self.reserved_per_port,
             "policies": list(self.policies),
         }
-
-
-def saturating_workload(
-    config: SwitchConfig, n_slots: int, *, seed: int = 0
-) -> Trace:
-    """Adversarial congestion: ~1.5n uniformly-addressed packets per slot.
-
-    Offered load is far above any service rate, so after a couple of
-    slots the buffer is permanently full and every single arrival goes
-    through the policy's congested-path victim search. Value-model
-    packets draw small integer values so exact value ties (the hard
-    tie-breaking cases) occur constantly.
-    """
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    if np is None:
-        raise ConfigError(
-            "the adversarial bench workload needs numpy (its packet "
-            "stream is pinned to numpy's PCG64); install numpy or pick "
-            "a different panel"
-        )
-    rng = np.random.default_rng(seed)
-    n = config.n_ports
-    per_slot = max(2, (3 * n) // 2)
-    works = config.works
-    values = config.values
-    by_value = config.discipline is QueueDiscipline.PRIORITY
-    from repro.core.packet import Packet
-
-    trace = Trace()
-    for slot in range(n_slots):
-        ports = rng.integers(0, n, size=per_slot)
-        if by_value:
-            vals = rng.integers(1, 17, size=per_slot)
-            burst = [
-                Packet(port=int(p), work=1, value=float(v), arrival_slot=slot)
-                for p, v in zip(ports, vals)
-            ]
-        else:
-            burst = [
-                Packet(
-                    port=int(p),
-                    work=works[int(p)],
-                    value=values[int(p)],
-                    arrival_slot=slot,
-                )
-                for p in ports
-            ]
-        trace.append_slot(burst)
-    return trace
 
 
 _PROC_POLICIES = ("LQD", "LWD", "BPD")
@@ -506,11 +408,12 @@ def run_panel_bench(
 ) -> PanelResult:
     """Time every pinned policy of one panel over its pinned trace.
 
-    Trace generation is excluded from the timed region; the timer wraps
-    exactly the slot loop (:func:`repro.analysis.competitive.run_system`)
+    Trace generation, packet materialization included, is excluded
+    from the timed region; the timer wraps exactly the slot loop
+    (:func:`repro.analysis.competitive.run_system`) over object traces
     — the quantity the fast-path work optimizes.
     """
-    trace = panel.trace(slots_scale)
+    trace = _object_trace(panel.trace(slots_scale))
     config = panel.config()
     by_value = config.discipline is QueueDiscipline.PRIORITY
     result = PanelResult(panel=panel, total_packets=trace.total_packets)
@@ -530,6 +433,11 @@ def run_panel_bench(
             )
         )
     return result
+
+
+def _object_trace(trace: AnyTrace) -> Trace:
+    """``trace`` as packet objects (materialized outside any timer)."""
+    return trace.to_trace() if isinstance(trace, ColumnarTrace) else trace
 
 
 def _make_system(config: SwitchConfig, policy, mode: str) -> PolicySystem:
@@ -641,12 +549,12 @@ def run_pipeline_panel_bench(
     (unlike :func:`run_panel_bench`, which times the slot loop alone),
     and every cell pays its own OPT run, as the real sweep does.
 
-    ``accelerated=False`` is the tracked baseline: object traces
-    regenerated per cell (what ``run_sweep`` did before the trace
-    store existed), the vectorized ALG engine (the pre-pipeline state
-    of the repo), and the reference ``bisect`` OPT surrogate.
-    ``accelerated=True`` swaps in the columnar trace pipeline:
-    columnar twin generators, cross-cell reuse through a
+    ``accelerated=False`` is the tracked baseline: traces regenerated
+    per cell and materialized to packet objects (what ``run_sweep``
+    did before the trace store existed), the vectorized ALG engine (the
+    pre-pipeline state of the repo), and the reference ``bisect`` OPT
+    surrogate. ``accelerated=True`` swaps in the columnar trace
+    pipeline: cross-cell reuse through a
     :class:`~repro.analysis.tracestore.TraceStore`, zero-copy columnar
     ingestion, and the vectorized OPT surrogate. Per-cell objectives
     (ALG and OPT) are recorded so any decision drift between the two
@@ -669,13 +577,14 @@ def run_pipeline_panel_bench(
         cell_panel = replace(panel, buffer_size=buffer_size)
         config = cell_panel.config()
         for policy_name in panel.policies:
+            trace: AnyTrace
             if store is not None:
                 trace = store.get_or_build(
                     panel.trace_content_key(slots_scale),
-                    lambda: cell_panel.columnar_trace(slots_scale),
+                    lambda: cell_panel.trace(slots_scale),
                 )
             else:
-                trace = cell_panel.trace(slots_scale)
+                trace = _object_trace(cell_panel.trace(slots_scale))
             system = PolicySystem(
                 config, make_policy(policy_name), engine="vectorized"
             )

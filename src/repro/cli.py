@@ -194,7 +194,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             journal=journal,
             fault_injector=injector,
             engine=args.engine,
-            trace_backend=args.trace_backend,
             trace_reuse=args.trace_reuse or None,
             farm=_farm_options(args),
         )
@@ -326,7 +325,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             else None
         ),
         engine=args.engine or "reference",
-        trace_backend=args.trace_backend or "object",
         trace_reuse=bool(args.trace_reuse),
         farm=_farm_options(args),
     )
@@ -594,7 +592,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         cache_dir=None,  # caching would hide the cost being measured
         progress=progress,
         engine=args.engine,
-        trace_backend=args.trace_backend,
         trace_reuse=args.trace_reuse or None,
     )
     if not isinstance(result, SweepResult):
@@ -733,7 +730,6 @@ def _cmd_farm_serve(args: argparse.Namespace) -> int:
         out=args.out,
         plot=False,
         engine=None,
-        trace_backend=None,
         trace_reuse=False,
         jobs=1,
         cache_dir=args.cache_dir,
@@ -1362,21 +1358,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    """Trace-pipeline knobs shared by ``run``/``report``/``profile``.
+    """Trace-pipeline knob shared by ``run``/``report``/``profile``.
 
-    Like ``--engine`` they are execution-only: the columnar generators
-    are byte-identical twins of the object generators, and trace reuse
-    only skips regenerating identical traces — output bytes never
-    change (docs/PIPELINE.md).
+    Like ``--engine`` it is execution-only: trace reuse only skips
+    regenerating identical traces — output bytes never change
+    (docs/PIPELINE.md).
     """
-    parser.add_argument(
-        "--trace-backend", choices=("object", "columnar"), default=None,
-        help=(
-            "MMPP trace generator family for Fig. 5 panels "
-            "(byte-identical streams; columnar feeds the vectorized "
-            "engine without packet objects; default object)"
-        ),
-    )
     parser.add_argument(
         "--trace-reuse", action="store_true",
         help=(

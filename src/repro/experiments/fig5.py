@@ -39,11 +39,6 @@ from repro.analysis.tracestore import TraceKeyFn, TraceStore
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ExperimentError
 from repro.resilience import FaultInjector, RunJournal, SupervisorOptions
-from repro.traffic.columnar import (
-    columnar_processing_workload,
-    columnar_value_port_workload,
-    columnar_value_uniform_workload,
-)
 from repro.traffic.workloads import (
     processing_capacity,
     processing_workload,
@@ -51,9 +46,6 @@ from repro.traffic.workloads import (
     value_port_workload,
     value_uniform_workload,
 )
-
-#: Trace representations a panel can generate (docs/PIPELINE.md).
-TRACE_BACKENDS = ("object", "columnar")
 
 #: Policy line-ups per traffic regime, mirroring the paper's legends,
 #: plus the two dynamic-threshold buffer-sharing policies (Harmonic,
@@ -220,14 +212,15 @@ def _panel_factories(
     spec: PanelSpec,
     n_slots: int,
     load: float,
-    columnar: bool = False,
 ) -> Tuple[Callable, Callable, TraceKeyFn]:
     """Build (config_factory, trace_factory, trace_key) for one panel.
 
-    ``columnar`` swaps each object MMPP generator for its byte-identical
-    columnar twin (:mod:`repro.traffic.columnar`). ``trace_key`` maps a
-    cell to its trace's *content key* — a string over exactly the inputs
-    the cell's generator consumes (recipe, slot count, effective rate,
+    The trace factories call the MMPP generators through this module's
+    global names when a cell runs, so a wrapper installed on
+    ``fig5.processing_workload`` (and its two siblings) sees every trace
+    a panel generates. ``trace_key`` maps a cell to its trace's
+    *content key* — a string over exactly the inputs the cell's
+    generator consumes (recipe, slot count, effective rate,
     port layout, seed), so cells whose keys match provably generate
     identical packet streams. Buffer size never enters a key (no MMPP
     generator reads ``B``), and speedup sweeps share one key across all
@@ -254,9 +247,6 @@ def _panel_factories(
     sweep_c = spec.param_name == "C"
 
     if spec.model == "processing":
-        generate = (
-            columnar_processing_workload if columnar else processing_workload
-        )
 
         def config_factory(v: float) -> SwitchConfig:
             k, b, c = dims(v)
@@ -269,10 +259,10 @@ def _panel_factories(
 
         def trace_factory(config: SwitchConfig, v: float, seed: int):
             if sweep_c:
-                return generate(
+                return processing_workload(
                     config, n_slots, absolute_rate=anchor_rate, seed=seed
                 )
-            return generate(config, n_slots, load=load, seed=seed)
+            return processing_workload(config, n_slots, load=load, seed=seed)
 
         def trace_key(
             config: SwitchConfig, v: float, seed: int
@@ -293,11 +283,6 @@ def _panel_factories(
         # switch: k output ports, values uniform on 1..k, and a *fixed*
         # offered rate, so growing k reduces congestion (Section V-C).
         anchor_rate = load * spec.fixed_k  # capacity at fixed k, C = 1
-        generate = (
-            columnar_value_uniform_workload
-            if columnar
-            else value_uniform_workload
-        )
 
         def config_factory(v: float) -> SwitchConfig:
             k, b, c = dims(v)
@@ -311,7 +296,7 @@ def _panel_factories(
 
         def trace_factory(config: SwitchConfig, v: float, seed: int):
             k, _b, _c = dims(v)
-            return generate(
+            return value_uniform_workload(
                 config,
                 n_slots,
                 max_value=k,
@@ -329,9 +314,6 @@ def _panel_factories(
             )
 
     elif spec.model == "value-port":
-        generate = (
-            columnar_value_port_workload if columnar else value_port_workload
-        )
 
         def config_factory(v: float) -> SwitchConfig:
             k, b, c = dims(v)
@@ -341,10 +323,10 @@ def _panel_factories(
 
         def trace_factory(config: SwitchConfig, v: float, seed: int):
             if sweep_c:
-                return generate(
+                return value_port_workload(
                     config, n_slots, absolute_rate=anchor_rate, seed=seed
                 )
-            return generate(config, n_slots, load=load, seed=seed)
+            return value_port_workload(config, n_slots, load=load, seed=seed)
 
         def trace_key(
             config: SwitchConfig, v: float, seed: int
@@ -402,7 +384,6 @@ def run_panel(
     journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
     engine: str = "reference",
-    trace_backend: str = "object",
     trace_reuse: bool = False,
     trace_store: Optional[TraceStore] = None,
     farm: Optional["FarmOptions"] = None,
@@ -421,12 +402,10 @@ def run_panel(
     selects the ALG-side simulation engine (``"reference"`` or
     ``"vectorized"``); the engines are decision-identical by contract,
     so the panel's numbers do not depend on the choice. The same
-    contract covers ``trace_backend`` (``"object"`` or ``"columnar"``
-    MMPP generators — byte-identical packet streams) and
-    ``trace_reuse`` (generate each distinct trace once per sweep via a
-    :class:`~repro.analysis.tracestore.TraceStore`; pass
-    ``trace_store`` to share one store — and its artifacts — across
-    panels): none of the three changes a single output byte, so none
+    contract covers ``trace_reuse`` (generate each distinct trace once
+    per sweep via a :class:`~repro.analysis.tracestore.TraceStore`;
+    pass ``trace_store`` to share one store — and its artifacts —
+    across panels): neither changes a single output byte, so neither
     is part of cache keys or journal identity (docs/PIPELINE.md).
     ``farm`` distributes the panel's cells over socket workers
     (:mod:`repro.farm`): the panel builds its own
@@ -438,13 +417,8 @@ def run_panel(
     spec = PANELS.get(panel)
     if spec is None:
         raise ExperimentError(f"Fig. 5 has panels 1-9, not {panel}")
-    if trace_backend not in TRACE_BACKENDS:
-        raise ExperimentError(
-            f"unknown trace backend {trace_backend!r}; "
-            f"expected one of {TRACE_BACKENDS}"
-        )
     config_factory, trace_factory, trace_key = _panel_factories(
-        spec, n_slots, load, columnar=trace_backend == "columnar"
+        spec, n_slots, load
     )
     if trace_reuse and trace_store is None:
         trace_store = TraceStore()
@@ -472,7 +446,6 @@ def run_panel(
                 "load": float(load),
                 "flush_every": flush_every,
                 "engine": engine,
-                "trace_backend": trace_backend,
                 "cache_dir": (
                     str(cache.root) if cache is not None else None
                 ),

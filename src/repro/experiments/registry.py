@@ -149,7 +149,6 @@ def run_experiment(
     journal=None,
     fault_injector=None,
     engine: Optional[str] = None,
-    trace_backend: Optional[str] = None,
     trace_reuse: Optional[bool] = None,
     farm=None,
 ):
@@ -163,11 +162,9 @@ def run_experiment(
     to Fig. 5 panels only (theorem replays are single deterministic
     traces — there is nothing to fan out, memoize, or resume).
     ``engine`` selects the ALG-side simulation engine for Fig. 5 panels
-    (``"reference"``/``"vectorized"``; decision-identical by contract),
-    ``trace_backend`` the MMPP generator family (``"object"``/
-    ``"columnar"``; byte-identical streams), and ``trace_reuse``
-    enables cross-cell trace reuse — all three execution-only knobs
-    (docs/PIPELINE.md), Fig. 5 panels only. ``farm`` (a
+    (``"reference"``/``"vectorized"``; decision-identical by contract)
+    and ``trace_reuse`` enables cross-cell trace reuse — both
+    execution-only knobs (docs/PIPELINE.md), Fig. 5 panels only. ``farm`` (a
     :class:`repro.farm.FarmOptions`) distributes Fig. 5 cells over the
     socket farm (docs/FARM.md) — also execution-only: farmed output is
     byte-identical to local output by contract.
@@ -199,8 +196,6 @@ def run_experiment(
             kwargs["fault_injector"] = fault_injector
         if engine is not None:
             kwargs["engine"] = engine
-        if trace_backend is not None:
-            kwargs["trace_backend"] = trace_backend
         if trace_reuse is not None:
             kwargs["trace_reuse"] = trace_reuse
         if farm is not None:

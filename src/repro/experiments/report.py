@@ -36,9 +36,9 @@ class ReportOptions:
     ``jobs`` and ``cache_dir`` configure the parallel sweep engine for
     the Fig. 5 panels (see :mod:`repro.analysis.sweep`); one cache is
     shared across all panels so an interrupted report resumes where it
-    stopped. ``engine``, ``trace_backend``, and ``trace_reuse`` pick
-    the simulation engine, MMPP generator family, and cross-cell trace
-    reuse (one store shared across panels) — see docs/PIPELINE.md.
+    stopped. ``engine`` and ``trace_reuse`` pick the simulation engine
+    and cross-cell trace reuse (one store shared across panels) — see
+    docs/PIPELINE.md.
     ``farm`` (a :class:`repro.farm.FarmOptions`) distributes panel
     cells over the socket farm (docs/FARM.md). None of these changes a
     single output byte of the tables.
@@ -53,7 +53,6 @@ class ReportOptions:
     cache_dir: Optional[str] = None
     progress: Optional[Callable[[str], None]] = None
     engine: str = "reference"
-    trace_backend: str = "object"
     trace_reuse: bool = False
     farm: Optional["FarmOptions"] = None
 
@@ -109,7 +108,6 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
                 cache=cache,
                 progress=options.progress,
                 engine=options.engine,
-                trace_backend=options.trace_backend,
                 trace_reuse=options.trace_reuse,
                 trace_store=trace_store,
                 farm=options.farm,

@@ -138,7 +138,6 @@ def _build_fig5_runner(
             else None
         )
         engine = str(spec.get("engine") or "reference")
-        trace_backend = str(spec.get("trace_backend") or "object")
         cache_dir = spec.get("cache_dir")
     except (KeyError, TypeError, ValueError) as exc:
         raise FarmError(f"malformed fig5 farm job spec: {exc}") from exc
@@ -146,7 +145,7 @@ def _build_fig5_runner(
     if panel_spec is None:
         raise FarmError(f"fig5 farm job names unknown panel {panel}")
     config_factory, trace_factory, _trace_key = _panel_factories(
-        panel_spec, n_slots, load, columnar=trace_backend == "columnar"
+        panel_spec, n_slots, load
     )
     by_value = panel_spec.model != "processing"
     ctx = _CellContext(

@@ -13,23 +13,17 @@ buffer type both column backends share and the fastest thing the
 ingestion loops (:meth:`repro.core.columnar.VectorizedSwitch.
 run_slot_columns`, the vectorized OPT surrogates) can index packet by
 packet. The :mod:`repro.core.columns` backend seam is used where arrays
-pay: the batched numpy sampling inside the generators below, and the
-typed int64/float64 buffers of :meth:`as_columns` that the on-disk trace
-store serializes.
+pay: the batched numpy sampling of the generators, whose per-slot
+:data:`Chunk` arrays :meth:`ColumnarTrace.from_chunks` concatenates,
+and the typed int64/float64 buffers of :meth:`as_columns` that the
+on-disk trace store serializes.
 
-**Byte-identity contract.** Every ``columnar_*_workload`` generator is a
-twin of an object generator (same module layout as
-:mod:`repro.traffic.workloads` / :mod:`repro.traffic.patterns` /
-``repro.bench.saturating_workload``) and performs *the identical
-sequence of RNG calls* — same ``default_rng(seed)``, same draw order,
-sizes, and dtypes — so the produced packet stream is equal in order and
-content to its twin's, packet for packet. The twins only differ in what
-they do with the sampled numbers: the object generators construct
-:class:`~repro.core.packet.Packet` instances (the dominant cost at
-paper scale), the columnar ones extend flat columns. The contract is
-pinned three ways: the Hypothesis differential suite
-(``tests/test_trace_columnar.py``), the golden per-panel trace digests
-(``repro golden``), and the sweep-level ``cmp`` identity checks in CI.
+The synthetic generators (:mod:`repro.traffic.workloads`,
+:func:`repro.traffic.patterns.poisson_workload` /
+:func:`~repro.traffic.patterns.saturating_workload`) return this shape;
+their packet streams are pinned by absolute trace digests
+(``tests/test_trace_columnar.py`` and the per-panel ``trace_sha256`` of
+``repro golden``).
 
 For consumers that need objects (the reference engine, observers,
 scripted-OPT replays) :meth:`ColumnarTrace.to_trace` materializes the
@@ -39,7 +33,7 @@ many reference systems pays materialization once.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 try:  # pure-stdlib installs can still import the module
     import numpy as np
@@ -47,33 +41,16 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     np = None  # type: ignore[assignment]
 
 from repro.core.config import QueueDiscipline, SwitchConfig
-from repro.core.errors import ConfigError, TraceError
+from repro.core.errors import TraceError
 from repro.core.packet import Packet
 from repro.traffic.trace import PortStateEvent, Trace
-from repro.traffic.workloads import (
-    DEFAULT_SOURCES,
-    _fleet,
-    processing_capacity,
-    value_capacity,
-)
 
-__all__ = [
-    "ColumnarTrace",
-    "columnar_processing_workload",
-    "columnar_value_uniform_workload",
-    "columnar_value_port_workload",
-    "columnar_poisson_workload",
-    "columnar_saturating_workload",
-]
+__all__ = ["Chunk", "ColumnarTrace"]
 
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ConfigError(
-            "the columnar MMPP workloads need numpy (their draws are "
-            "pinned to numpy.random.default_rng, identically to their "
-            "object twins); install numpy to use them"
-        )
+#: One slot's packets as equal-length numpy columns: int64 ports,
+#: int64 works, float64 values, in arrival order. The generators'
+#: column cores yield one per slot.
+Chunk = Tuple[Any, Any, Any]
 
 
 class ColumnarTrace:
@@ -206,6 +183,35 @@ class ColumnarTrace:
     # ------------------------------------------------------------------
 
     @classmethod
+    def from_chunks(cls, chunks: Iterable[Chunk]) -> "ColumnarTrace":
+        """Concatenate per-slot column chunks, one chunk per slot.
+
+        The concatenated arrays *are* the array view, so they are
+        donated to :meth:`array_columns` and array-preferring consumers
+        skip the list -> ndarray round trip.
+        """
+        offsets = [0]
+        kept: List[Chunk] = []
+        total = 0
+        for chunk in chunks:
+            if len(chunk[0]):
+                kept.append(chunk)
+                total += len(chunk[0])
+            offsets.append(total)
+        if kept:
+            arrays = tuple(np.concatenate(column) for column in zip(*kept))
+        else:
+            arrays = (
+                np.empty(0, np.int64),
+                np.empty(0, np.int64),
+                np.empty(0, np.float64),
+            )
+        ports, works, values = arrays
+        trace = cls(offsets, ports.tolist(), works.tolist(), values.tolist())
+        trace._arrays = (ports, works, values)
+        return trace
+
+    @classmethod
     def from_trace(cls, trace: Trace) -> "ColumnarTrace":
         """Convert an object trace; packet order and content preserved.
 
@@ -260,31 +266,25 @@ class ColumnarTrace:
         if self._trace is not None:
             return self._trace
         offsets = self.offsets
-        ports = self.ports
-        works = self.works
-        values = self.values
-        opts = self.opts
+        n_slots = self.n_slots
         arrivals = self.arrivals
-        trace = Trace()
-        for slot in range(self.n_slots):
-            lo, hi = offsets[slot], offsets[slot + 1]
-            burst = []
-            for i in range(lo, hi):
-                opt: Optional[bool] = None
-                if opts is not None and opts[i] >= 0:
-                    opt = bool(opts[i])
-                burst.append(
-                    Packet(
-                        port=ports[i],
-                        work=works[i],
-                        value=values[i],
-                        arrival_slot=(
-                            arrivals[i] if arrivals is not None else slot
-                        ),
-                        opt_accept=opt,
-                    )
-                )
-            trace.append_slot(burst)
+        if arrivals is None:
+            arrivals = [
+                slot
+                for slot in range(n_slots)
+                for _ in range(offsets[slot + 1] - offsets[slot])
+            ]
+        opts: List[Optional[bool]] = (
+            [None] * self.total_packets
+            if self.opts is None
+            else [None if tag < 0 else bool(tag) for tag in self.opts]
+        )
+        packets = list(
+            map(Packet, self.ports, self.works, self.values, arrivals, opts)
+        )
+        trace = Trace(
+            [packets[offsets[s]:offsets[s + 1]] for s in range(n_slots)]
+        )
         for slot, events in self.port_events.items():
             trace.port_events[slot] = list(events)
         self._trace = trace
@@ -294,6 +294,10 @@ class ColumnarTrace:
     def slots(self) -> List[List[Packet]]:
         """Materialized per-slot bursts (object-engine compatibility)."""
         return self.to_trace().slots
+
+    def __iter__(self) -> Iterator[List[Packet]]:
+        """Per-slot bursts, like iterating a :class:`Trace` (materializes)."""
+        return iter(self.slots)
 
     def packets(self) -> Iterator[Packet]:
         """All packets in arrival order (materializes)."""
@@ -399,277 +403,3 @@ class ColumnarTrace:
                         f"port event for port {event.port} out of range "
                         f"0..{n_ports - 1}"
                     )
-
-
-# ----------------------------------------------------------------------
-# Columnar generator twins
-# ----------------------------------------------------------------------
-
-
-def columnar_processing_workload(
-    config: SwitchConfig,
-    n_slots: int,
-    *,
-    load: float = 2.0,
-    absolute_rate: Optional[float] = None,
-    n_sources: int = DEFAULT_SOURCES,
-    mean_on_slots: float = 20.0,
-    mean_off_slots: float = 1980.0,
-    seed: int = 0,
-) -> ColumnarTrace:
-    """Columnar twin of :func:`repro.traffic.workloads.processing_workload`.
-
-    Identical RNG call sequence (port binding, fleet construction,
-    per-slot fleet steps); emission replaces the per-packet Python loop
-    with one ``np.repeat`` per slot — ports ascending with per-port
-    multiplicities, exactly the object generator's order.
-    """
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
-    mean_per_slot = (
-        absolute_rate
-        if absolute_rate is not None
-        else load * processing_capacity(config)
-    )
-    fleet = _fleet(
-        n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots
-    )
-
-    works_arr = np.asarray(config.works, dtype=np.int64)
-    port_ix = np.arange(config.n_ports)
-    offsets = [0]
-    chunks: List[Any] = []
-    total = 0
-    for _slot in range(n_slots):
-        counts = fleet.step()
-        per_port = np.bincount(
-            ports_of_source, weights=counts, minlength=config.n_ports
-        ).astype(np.int64)
-        slot_ports = np.repeat(port_ix, per_port)
-        if slot_ports.size:
-            chunks.append(slot_ports)
-            total += int(slot_ports.size)
-        offsets.append(total)
-    if chunks:
-        all_ports = np.concatenate(chunks)
-        works_col = works_arr[all_ports]
-        ports = all_ports.tolist()
-        works = works_col.tolist()
-    else:
-        all_ports = np.empty(0, dtype=np.int64)
-        works_col = np.empty(0, dtype=np.int64)
-        ports = []
-        works = []
-    trace = ColumnarTrace(offsets, ports, works, [1.0] * total)
-    # The sampled arrays *are* the array view — donate them so
-    # array-preferring consumers skip the list -> ndarray round trip.
-    trace._arrays = (all_ports, works_col, np.ones(total))
-    return trace
-
-
-def columnar_value_uniform_workload(
-    config: SwitchConfig,
-    n_slots: int,
-    max_value: int,
-    *,
-    load: float = 2.0,
-    absolute_rate: Optional[float] = None,
-    n_sources: int = DEFAULT_SOURCES,
-    mean_on_slots: float = 20.0,
-    mean_off_slots: float = 380.0,
-    seed: int = 0,
-    port_bound_sources: bool = True,
-) -> ColumnarTrace:
-    """Columnar twin of
-    :func:`repro.traffic.workloads.value_uniform_workload`.
-
-    The per-source value draws (``port_bound_sources``) are mandated by
-    RNG-stream identity, so the per-slot source loop remains; each
-    iteration extends the columns instead of building packets.
-    """
-    if max_value < 1:
-        raise ConfigError(f"max_value must be >= 1, got {max_value}")
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
-    mean_per_slot = (
-        absolute_rate
-        if absolute_rate is not None
-        else load * value_capacity(config)
-    )
-    fleet = _fleet(
-        n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots
-    )
-
-    offsets = [0]
-    ports: List[int] = []
-    values: List[float] = []
-    for _slot in range(n_slots):
-        counts = fleet.step()
-        if port_bound_sources:
-            for src in np.nonzero(counts)[0]:
-                port = int(ports_of_source[src])
-                count = int(counts[src])
-                drawn = rng.integers(1, max_value + 1, size=count)
-                ports.extend([port] * count)
-                values.extend(drawn.astype(np.float64).tolist())
-        else:
-            total = int(counts.sum())
-            if total:
-                drawn_ports = rng.integers(0, config.n_ports, size=total)
-                drawn = rng.integers(1, max_value + 1, size=total)
-                ports.extend(drawn_ports.tolist())
-                values.extend(drawn.astype(np.float64).tolist())
-        offsets.append(len(ports))
-    return ColumnarTrace(offsets, ports, [1] * len(ports), values)
-
-
-def columnar_value_port_workload(
-    config: SwitchConfig,
-    n_slots: int,
-    *,
-    load: float = 2.0,
-    absolute_rate: Optional[float] = None,
-    n_sources: int = DEFAULT_SOURCES,
-    mean_on_slots: float = 20.0,
-    mean_off_slots: float = 1980.0,
-    seed: int = 0,
-    port_weights: Optional[Any] = None,
-) -> ColumnarTrace:
-    """Columnar twin of :func:`repro.traffic.workloads.value_port_workload`."""
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    if port_weights is None:
-        ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
-    else:
-        weights = np.asarray(port_weights, dtype=float)
-        if weights.shape != (config.n_ports,) or weights.sum() <= 0:
-            raise ConfigError("port_weights must be positive, one per port")
-        probs = weights / weights.sum()
-        ports_of_source = rng.choice(config.n_ports, size=n_sources, p=probs)
-    mean_per_slot = (
-        absolute_rate
-        if absolute_rate is not None
-        else load * value_capacity(config)
-    )
-    fleet = _fleet(
-        n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots
-    )
-
-    values_arr = np.asarray(config.values, dtype=np.float64)
-    port_ix = np.arange(config.n_ports)
-    offsets = [0]
-    chunks: List[Any] = []
-    total = 0
-    for _slot in range(n_slots):
-        counts = fleet.step()
-        per_port = np.bincount(
-            ports_of_source, weights=counts, minlength=config.n_ports
-        ).astype(np.int64)
-        slot_ports = np.repeat(port_ix, per_port)
-        if slot_ports.size:
-            chunks.append(slot_ports)
-            total += int(slot_ports.size)
-        offsets.append(total)
-    if chunks:
-        all_ports = np.concatenate(chunks)
-        values_col = values_arr[all_ports]
-        ports = all_ports.tolist()
-        values = values_col.tolist()
-    else:
-        all_ports = np.empty(0, dtype=np.int64)
-        values_col = np.empty(0, dtype=np.float64)
-        ports = []
-        values = []
-    trace = ColumnarTrace(offsets, ports, [1] * total, values)
-    trace._arrays = (
-        all_ports,
-        np.ones(total, dtype=np.int64),
-        values_col,
-    )
-    return trace
-
-
-def columnar_poisson_workload(
-    config: SwitchConfig,
-    n_slots: int,
-    *,
-    load: float = 2.0,
-    seed: int = 0,
-) -> ColumnarTrace:
-    """Columnar twin of :func:`repro.traffic.patterns.poisson_workload`."""
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    per_port_rate = load * processing_capacity(config) / config.n_ports
-    works_arr = np.asarray(config.works, dtype=np.int64)
-    port_ix = np.arange(config.n_ports)
-    offsets = [0]
-    chunks: List[Any] = []
-    total = 0
-    for _slot in range(n_slots):
-        counts = rng.poisson(per_port_rate, size=config.n_ports)
-        slot_ports = np.repeat(port_ix, counts)
-        if slot_ports.size:
-            chunks.append(slot_ports)
-            total += int(slot_ports.size)
-        offsets.append(total)
-    if chunks:
-        all_ports = np.concatenate(chunks)
-        works_col = works_arr[all_ports]
-        ports = all_ports.tolist()
-        works = works_col.tolist()
-    else:
-        all_ports = np.empty(0, dtype=np.int64)
-        works_col = np.empty(0, dtype=np.int64)
-        ports = []
-        works = []
-    trace = ColumnarTrace(offsets, ports, works, [1.0] * total)
-    trace._arrays = (all_ports, works_col, np.ones(total))
-    return trace
-
-
-def columnar_saturating_workload(
-    config: SwitchConfig, n_slots: int, *, seed: int = 0
-) -> ColumnarTrace:
-    """Columnar twin of :func:`repro.bench.saturating_workload`."""
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    n = config.n_ports
-    per_slot = max(2, (3 * n) // 2)
-    by_value = config.discipline is QueueDiscipline.PRIORITY
-    works_arr = np.asarray(config.works, dtype=np.int64)
-    values_arr = np.asarray(config.values, dtype=np.float64)
-
-    offsets = [0]
-    port_chunks: List[Any] = []
-    value_chunks: List[Any] = []
-    total = 0
-    for _slot in range(n_slots):
-        slot_ports = rng.integers(0, n, size=per_slot)
-        port_chunks.append(slot_ports)
-        if by_value:
-            value_chunks.append(rng.integers(1, 17, size=per_slot))
-        total += per_slot
-        offsets.append(total)
-    all_ports = np.concatenate(port_chunks)
-    ports = all_ports.tolist()
-    if by_value:
-        works = [1] * total
-        works_col = np.ones(total, dtype=np.int64)
-        values_col = np.concatenate(value_chunks).astype(np.float64)
-        values = values_col.tolist()
-    else:
-        works_col = works_arr[all_ports]
-        values_col = values_arr[all_ports]
-        works = works_col.tolist()
-        values = values_col.tolist()
-    trace = ColumnarTrace(offsets, ports, works, values)
-    trace._arrays = (all_ports, works_col, values_col)
-    return trace

@@ -1,71 +1,47 @@
 """Streaming workload generation for paper-scale runs.
 
-The paper simulates 2*10^6 time slots. Materializing such a trace (a
-:class:`~repro.traffic.trace.Trace` holds every packet object) costs
-tens of millions of objects; the streaming generators below yield one
+The paper simulates 2*10^6 time slots. Materializing such a trace costs
+tens of millions of packets; the streaming generators below yield one
 slot's burst at a time instead, so a run's memory footprint is the
 switch state, not the trace. Paired with
 :func:`repro.analysis.streaming.stream_competitive` (which feeds ALG and
 the OPT surrogate lock-step from a single pass), full paper-scale
 replications fit comfortably in memory.
 
-Determinism contract: a streaming generator with a given seed produces
-exactly the same arrival sequence as its materializing counterpart in
-:mod:`repro.traffic.workloads` with the same parameters — the
-materializing functions are defined as ``Trace(list(stream))`` and the
-equivalence is tested.
+Determinism contract: a streaming generator and its materializing
+counterpart in :mod:`repro.traffic.workloads` are two views of the same
+private column core, so with the same seed and parameters they produce
+the same arrival sequence and reject the same inputs. The stream maps
+each slot's column chunk to a burst of packets; the materializing
+function concatenates the chunks into a
+:class:`~repro.traffic.columnar.ColumnarTrace`. Both forms are pinned to
+the same absolute trace digests (``tests/test_trace_columnar.py``).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-try:  # pure-stdlib installs can still import the module
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None  # type: ignore[assignment]
-
 from repro.core.config import SwitchConfig
-from repro.core.errors import ConfigError
 from repro.core.packet import Packet
-from repro.traffic.mmpp import MmppFleet, MmppParams
+from repro.traffic.columnar import Chunk
 from repro.traffic.workloads import (
     DEFAULT_SOURCES,
-    processing_capacity,
-    value_capacity,
+    _processing_chunks,
+    _value_port_chunks,
+    _value_uniform_chunks,
 )
 
 
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ConfigError(
-            "the streaming workloads needs numpy (its draws are pinned to "
-            "numpy.random.default_rng); install numpy to use it"
-        )
-
-def _make_fleet(
-    n_sources: int,
-    mean_per_slot: float,
-    rng: np.random.Generator,
-    mean_on_slots: float,
-    mean_off_slots: float,
-) -> MmppFleet:
-    probe = MmppParams(
-        rate_on=1.0,
-        mean_on_slots=mean_on_slots,
-        mean_off_slots=mean_off_slots,
-    )
-    rate_on = mean_per_slot / (n_sources * probe.stationary_on)
-    return MmppFleet(
-        n_sources,
-        MmppParams(
-            rate_on=rate_on,
-            mean_on_slots=mean_on_slots,
-            mean_off_slots=mean_off_slots,
-        ),
-        rng,
-    )
+def _bursts(chunks: Iterator[Chunk]) -> Iterator[List[Packet]]:
+    """Map each slot's column chunk to that slot's packet burst."""
+    for slot, (ports, works, values) in enumerate(chunks):
+        yield [
+            Packet(port=port, work=work, value=value, arrival_slot=slot)
+            for port, work, value in zip(
+                ports.tolist(), works.tolist(), values.tolist()
+            )
+        ]
 
 
 def stream_processing_workload(
@@ -79,34 +55,13 @@ def stream_processing_workload(
     mean_off_slots: float = 1980.0,
     seed: int = 0,
 ) -> Iterator[List[Packet]]:
-    """Streaming twin of :func:`repro.traffic.workloads.
+    """Stream form of :func:`repro.traffic.workloads.
     processing_workload`: yields each slot's burst."""
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
-    mean_per_slot = (
-        absolute_rate
-        if absolute_rate is not None
-        else load * processing_capacity(config)
-    )
-    fleet = _make_fleet(
-        n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots
-    )
-    works = config.works
-    for slot in range(n_slots):
-        counts = fleet.step()
-        per_port = np.bincount(
-            ports_of_source, weights=counts, minlength=config.n_ports
-        ).astype(np.int64)
-        burst: List[Packet] = []
-        for port in range(config.n_ports):
-            for _ in range(int(per_port[port])):
-                burst.append(
-                    Packet(port=port, work=works[port], arrival_slot=slot)
-                )
-        yield burst
+    return _bursts(_processing_chunks(
+        config, n_slots, load=load, absolute_rate=absolute_rate,
+        n_sources=n_sources, mean_on_slots=mean_on_slots,
+        mean_off_slots=mean_off_slots, seed=seed,
+    ))
 
 
 def stream_value_uniform_workload(
@@ -121,34 +76,13 @@ def stream_value_uniform_workload(
     mean_off_slots: float = 380.0,
     seed: int = 0,
 ) -> Iterator[List[Packet]]:
-    """Streaming twin of :func:`repro.traffic.workloads.
+    """Stream form of :func:`repro.traffic.workloads.
     value_uniform_workload` (port-bound sources regime)."""
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    if max_value < 1:
-        raise ConfigError(f"max_value must be >= 1, got {max_value}")
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
-    mean_per_slot = (
-        absolute_rate
-        if absolute_rate is not None
-        else load * value_capacity(config)
-    )
-    fleet = _make_fleet(
-        n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots
-    )
-    for slot in range(n_slots):
-        counts = fleet.step()
-        burst: List[Packet] = []
-        for src in np.nonzero(counts)[0]:
-            port = int(ports_of_source[src])
-            values = rng.integers(1, max_value + 1, size=int(counts[src]))
-            burst.extend(
-                Packet(port=port, work=1, value=float(v), arrival_slot=slot)
-                for v in values
-            )
-        yield burst
+    return _bursts(_value_uniform_chunks(
+        config, n_slots, max_value, load=load, absolute_rate=absolute_rate,
+        n_sources=n_sources, mean_on_slots=mean_on_slots,
+        mean_off_slots=mean_off_slots, seed=seed, port_bound_sources=True,
+    ))
 
 
 def stream_value_port_workload(
@@ -162,34 +96,10 @@ def stream_value_port_workload(
     mean_off_slots: float = 1980.0,
     seed: int = 0,
 ) -> Iterator[List[Packet]]:
-    """Streaming twin of :func:`repro.traffic.workloads.
+    """Stream form of :func:`repro.traffic.workloads.
     value_port_workload` (uniform source-to-port assignment)."""
-    if n_slots < 1:
-        raise ConfigError(f"need >= 1 slot, got {n_slots}")
-    _require_numpy()
-    rng = np.random.default_rng(seed)
-    ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
-    mean_per_slot = (
-        absolute_rate
-        if absolute_rate is not None
-        else load * value_capacity(config)
-    )
-    fleet = _make_fleet(
-        n_sources, mean_per_slot, rng, mean_on_slots, mean_off_slots
-    )
-    values = config.values
-    for slot in range(n_slots):
-        counts = fleet.step()
-        per_port = np.bincount(
-            ports_of_source, weights=counts, minlength=config.n_ports
-        ).astype(np.int64)
-        burst: List[Packet] = []
-        for port in range(config.n_ports):
-            for _ in range(int(per_port[port])):
-                burst.append(
-                    Packet(
-                        port=port, work=1, value=values[port],
-                        arrival_slot=slot,
-                    )
-                )
-        yield burst
+    return _bursts(_value_port_chunks(
+        config, n_slots, load=load, absolute_rate=absolute_rate,
+        n_sources=n_sources, mean_on_slots=mean_on_slots,
+        mean_off_slots=mean_off_slots, seed=seed, port_weights=None,
+    ))

@@ -213,7 +213,6 @@ class TestFarmJobs:
         "load": 0.9,
         "flush_every": None,
         "engine": None,
-        "trace_backend": None,
         "cache_dir": None,
     }
 

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.core.config import QueueDiscipline, SwitchConfig
+from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
+from repro.traffic.patterns import poisson_workload, saturating_workload
+from repro.traffic.streaming import (
+    stream_processing_workload,
+    stream_value_port_workload,
+    stream_value_uniform_workload,
+)
 from repro.traffic.workloads import (
     processing_capacity,
     processing_workload,
@@ -73,8 +79,27 @@ class TestProcessingWorkload:
         assert [len(s) for s in a.slots] != [len(s) for s in b.slots]
 
     def test_needs_positive_slots(self, proc_config):
-        with pytest.raises(ConfigError):
-            processing_workload(proc_config, 0)
+        # Every generator and stream form shares one validated core, so
+        # all of them reject a non-positive slot count the same way.
+        value_config = SwitchConfig.value_contiguous(4, 32)
+        generators = [
+            lambda n: processing_workload(proc_config, n),
+            lambda n: value_uniform_workload(value_config, n, max_value=4),
+            lambda n: value_port_workload(value_config, n),
+            lambda n: poisson_workload(proc_config, n),
+            lambda n: saturating_workload(proc_config, n),
+            lambda n: saturating_workload(value_config, n),
+            lambda n: list(stream_processing_workload(proc_config, n)),
+            lambda n: list(
+                stream_value_uniform_workload(value_config, n, max_value=4)
+            ),
+            lambda n: list(stream_value_port_workload(value_config, n)),
+        ]
+        for index, generate in enumerate(generators):
+            for n_slots in (0, -3):
+                with pytest.raises(ConfigError, match="need >= 1 slot"):
+                    generate(n_slots)
+                    pytest.fail(f"generator #{index} accepted {n_slots}")
 
     def test_validates_against_config(self, proc_config):
         trace = processing_workload(proc_config, 100, seed=3)
