@@ -29,7 +29,7 @@ def value_config():
 
 
 class TestStreamEquivalence:
-    """A streaming generator must reproduce its materializing twin's
+    """A streaming generator must reproduce its materializing form's
     arrivals exactly (same seed, same parameters)."""
 
     def test_processing_identical(self, proc_config):
