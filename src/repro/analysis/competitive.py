@@ -15,6 +15,7 @@ transient backlog cannot dominate long runs.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
@@ -39,6 +40,13 @@ AnyTrace = Union[Trace, ColumnarTrace]
 #: columnar batch-slot engine of :mod:`repro.core.columnar`, decision-
 #: identical by contract (see docs/VECTORIZED.md).
 ENGINES = ("reference", "vectorized")
+
+#: The engine the Fig. 5 sweep path runs when none is named: ``run_sweep``,
+#: ``run_panel``, ``ReportOptions``, the farm job spec and ``repro
+#: run/report/profile`` all read it. Oracle constructors
+#: (:class:`PolicySystem`, ``make_surrogate``, the golden fixtures) keep
+#: an explicit ``"reference"`` default.
+DEFAULT_ENGINE = "vectorized"
 
 
 class PolicySystem:
@@ -67,9 +75,14 @@ class PolicySystem:
         if engine == "vectorized":
             from repro.core.columnar import VectorizedSwitch
 
-            self.switch: Union[
-                SharedMemorySwitch, VectorizedSwitch
-            ] = VectorizedSwitch(config, observer=observer)
+            switch = VectorizedSwitch(config, observer=observer)
+            self.switch: Union[SharedMemorySwitch, VectorizedSwitch] = switch
+            # Advertised as instance attributes only on the engine that
+            # has a columnar ingestion path, so the runner's ``getattr``
+            # probes route reference systems through the materialized
+            # object loop.
+            self.run_slot_columns = self._run_slot_columns_vectorized
+            self.bind_columns = switch.bind_columns
         elif engine == "reference":
             self.switch = SharedMemorySwitch(
                 config, fast_path=fast_path, observer=observer
@@ -80,12 +93,6 @@ class PolicySystem:
             )
         self.engine = engine
         self.policy = policy
-        if engine == "vectorized":
-            # Advertised as an instance attribute only on the engine
-            # that has a columnar ingestion path, so the runner's
-            # ``getattr`` probe routes reference systems through the
-            # materialized object loop.
-            self.run_slot_columns = self._run_slot_columns_vectorized
 
     def _run_slot_columns_vectorized(
         self,
@@ -200,7 +207,8 @@ def run_system(
 
     A :class:`~repro.traffic.columnar.ColumnarTrace` is fed straight
     from its columns when the system exposes ``run_slot_columns`` (the
-    vectorized engines); otherwise — or when the trace carries
+    vectorized engines), after ``bind_columns`` (where exposed) has
+    validated it for the system; otherwise — or when the trace carries
     scripted-OPT tags, which need real packets — it is materialized
     once and replayed through the object loop. Flushout cadence, idle
     fast-forward, drain, and invariant checks are identical on both
@@ -239,6 +247,9 @@ def run_system(
         and run_cols is not None
         and trace.opts is None
     ):
+        bind = getattr(system, "bind_columns", None)
+        if bind is not None:
+            bind(trace)
         offsets = trace.offsets
         ports = trace.ports
         works = trace.works
@@ -344,10 +355,46 @@ def measure_competitive_ratio(
 ) -> CompetitiveResult:
     """Replay ``trace`` through ``policy`` and an OPT reference.
 
+    One-policy form of :func:`measure_policies`; see there for the
+    parameters.
+    """
+    return measure_policies(
+        [policy],
+        trace,
+        config,
+        by_value=by_value,
+        opt=opt,
+        flush_every=flush_every,
+        drain=drain,
+        registry=registry,
+        engine=engine,
+    )[0]
+
+
+def measure_policies(
+    policies: Sequence[AdmissionPolicy],
+    trace: AnyTrace,
+    config: SwitchConfig,
+    *,
+    by_value: Optional[bool] = None,
+    opt: Union[str, System] = "surrogate",
+    flush_every: Optional[int] = None,
+    drain: bool = False,
+    registry=None,
+    engine: str = "reference",
+) -> List[CompetitiveResult]:
+    """Replay ``trace`` through each of ``policies`` and, once, through
+    an OPT reference; one result per policy, in order.
+
+    The OPT replay depends only on (config, trace, flushouts, drain),
+    so every policy is scored against the same OPT metrics. Every
+    replay is a call to this module's :func:`run_system`.
+
     Parameters
     ----------
-    policy:
-        The online buffer-management policy under test.
+    policies:
+        The online buffer-management policies under test (none: no
+        replay at all).
     trace:
         The common arrival sequence.
     config:
@@ -367,8 +414,8 @@ def measure_competitive_ratio(
         by ``B * k`` slots), crediting buffered packets.
     registry:
         Optional :class:`~repro.obs.counters.CounterRegistry`; when
-        given, the ALG replay is charged to the ``policy_run`` stage and
-        the OPT replay to ``opt_run`` — the split the sweep engine
+        given, the ALG replays are charged to the ``policy_run`` stage
+        and the OPT replay to ``opt_run`` — the split the sweep engine
         surfaces through :class:`~repro.analysis.sweep.SweepStats`.
     engine:
         Simulation engine (``"reference"`` or ``"vectorized"``) for the
@@ -378,6 +425,8 @@ def measure_competitive_ratio(
         measured ratio is engine-independent by contract, so ``engine``
         is deliberately excluded from cache keys and journal identity.
     """
+    if not policies:
+        return []
     if by_value is None:
         by_value = config.discipline is QueueDiscipline.PRIORITY
 
@@ -398,37 +447,41 @@ def measure_competitive_ratio(
 
     drain_slots = config.buffer_size * config.max_work if drain else 0
 
-    alg_system = PolicySystem(config, policy, engine=engine)
-    if registry is None:
-        alg_metrics = run_system(
-            alg_system, trace,
-            flush_every=flush_every, drain_slots=drain_slots,
-        )
+    alg_metrics: List[SwitchMetrics] = []
+    for policy in policies:
+        alg_system = PolicySystem(config, policy, engine=engine)
+        with _stage(registry, "policy_run"):
+            alg_metrics.append(
+                run_system(
+                    alg_system, trace,
+                    flush_every=flush_every, drain_slots=drain_slots,
+                )
+            )
+    with _stage(registry, "opt_run"):
         opt_metrics = run_system(
             opt_system, trace,
             flush_every=flush_every, drain_slots=drain_slots,
         )
-    else:
-        with registry.timer("policy_run"):
-            alg_metrics = run_system(
-                alg_system, trace,
-                flush_every=flush_every, drain_slots=drain_slots,
-            )
-        with registry.timer("opt_run"):
-            opt_metrics = run_system(
-                opt_system, trace,
-                flush_every=flush_every, drain_slots=drain_slots,
-            )
+    opt_objective = opt_metrics.objective(by_value)
+    return [
+        CompetitiveResult(
+            policy_name=getattr(policy, "name", type(policy).__name__),
+            opt_name=opt_name,
+            alg_objective=metrics.objective(by_value),
+            opt_objective=opt_objective,
+            by_value=by_value,
+            alg_metrics=metrics,
+            opt_metrics=opt_metrics,
+        )
+        for policy, metrics in zip(policies, alg_metrics)
+    ]
 
-    return CompetitiveResult(
-        policy_name=getattr(policy, "name", type(policy).__name__),
-        opt_name=opt_name,
-        alg_objective=alg_metrics.objective(by_value),
-        opt_objective=opt_metrics.objective(by_value),
-        by_value=by_value,
-        alg_metrics=alg_metrics,
-        opt_metrics=opt_metrics,
-    )
+
+def _stage(registry, name: str):
+    """``registry``'s timer for stage ``name``, or a no-op without one."""
+    if registry is None:
+        return contextlib.nullcontext()
+    return registry.timer(name)
 
 
 def run_scenario(scenario, drain: bool = False) -> CompetitiveResult:

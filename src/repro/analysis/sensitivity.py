@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.competitive import measure_competitive_ratio
+from repro.analysis.competitive import measure_policies
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
@@ -137,12 +137,12 @@ def _measure(point: OperatingPoint, policies: Tuple[str, str]) -> Dict[str, floa
         mean_on_slots=point.mean_on_slots,
         mean_off_slots=point.mean_off_slots,
     )
+    outcomes = measure_policies(
+        [make_policy(name) for name in policies], trace, config,
+        by_value=False, flush_every=point.flush_every,
+    )
     return {
-        name: measure_competitive_ratio(
-            make_policy(name), trace, config,
-            by_value=False, flush_every=point.flush_every,
-        ).ratio
-        for name in policies
+        name: outcome.ratio for name, outcome in zip(policies, outcomes)
     }
 
 

@@ -65,9 +65,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.analysis.cache import SweepCache
 from repro.analysis.competitive import (
+    DEFAULT_ENGINE,
     ENGINES,
     AnyTrace,
-    measure_competitive_ratio,
+    measure_policies,
 )
 from repro.analysis.tracestore import TraceKeyFn, TraceStore
 from repro.obs.counters import CounterRegistry
@@ -299,7 +300,7 @@ class _CellContext:
     #: decision-identical by contract (docs/VECTORIZED.md), so a cached
     #: reference measurement is a valid vectorized measurement and
     #: vice versa.
-    engine: str = "reference"
+    engine: str = DEFAULT_ENGINE
     #: Optional cross-cell trace reuse (docs/PIPELINE.md). Like the
     #: engine, reuse is pure execution mechanics — it changes *when* a
     #: trace is generated, never *what* it contains — so neither field
@@ -322,7 +323,9 @@ def _execute_cell(
 
     The trace is derived deterministically from (config, value, seed) and
     generated exactly once, so every policy in the cell sees identical
-    arrivals — the invariant all ratio comparisons rest on. Serial and
+    arrivals — the invariant all ratio comparisons rest on. The OPT
+    surrogate depends on the trace and config only, so it is replayed
+    once per cell and every policy is scored against it. Serial and
     parallel runs both funnel through this function, which is what makes
     their outputs bit-for-bit identical.
 
@@ -353,30 +356,28 @@ def _execute_cell(
             trace = ctx.trace_store.get_or_build(
                 key, lambda: ctx.trace_factory(config, value, seed)
             )
-    points: List[SweepPoint] = []
-    for policy_name in policy_names:
-        policy = make_policy(policy_name)
-        outcome = measure_competitive_ratio(
-            policy,
-            trace,
-            config,
-            by_value=ctx.by_value,
-            opt="surrogate",
-            flush_every=ctx.flush_every,
-            drain=ctx.drain,
-            registry=registry,
-            engine=ctx.engine,
+    outcomes = measure_policies(
+        [make_policy(name) for name in policy_names],
+        trace,
+        config,
+        by_value=ctx.by_value,
+        opt="surrogate",
+        flush_every=ctx.flush_every,
+        drain=ctx.drain,
+        registry=registry,
+        engine=ctx.engine,
+    )
+    points = [
+        SweepPoint(
+            param_value=float(value),
+            policy=policy_name,
+            seed=seed,
+            ratio=outcome.ratio,
+            alg_objective=outcome.alg_objective,
+            opt_objective=outcome.opt_objective,
         )
-        points.append(
-            SweepPoint(
-                param_value=float(value),
-                policy=policy_name,
-                seed=seed,
-                ratio=outcome.ratio,
-                alg_objective=outcome.alg_objective,
-                opt_objective=outcome.opt_objective,
-            )
-        )
+        for policy_name, outcome in zip(policy_names, outcomes)
+    ]
     if ctx.injector is not None and ctx.injector.should(
         "corrupt", cell_index, attempt
     ):
@@ -602,7 +603,7 @@ def run_sweep(
     resilience: Optional[SupervisorOptions] = None,
     journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     trace_store: Optional[TraceStore] = None,
     trace_key: Optional[TraceKeyFn] = None,
     farm: Optional["FarmOptions"] = None,
@@ -653,12 +654,12 @@ def run_sweep(
         so a chaos run's output is byte-identical to a clean run's.
     engine:
         Simulation engine for the ALG side of every cell
-        (``"reference"`` or ``"vectorized"``; see
-        :data:`repro.analysis.competitive.ENGINES`). Excluded from the
-        cache key and the journal identity on purpose: the engines are
-        decision-identical by contract, so measurements interchange —
-        switching engines must not invalidate a cache or block a
-        journal resume.
+        (``"reference"`` or ``"vectorized"``, by default
+        :data:`repro.analysis.competitive.DEFAULT_ENGINE`). Excluded
+        from the cache key and the journal identity on purpose: the
+        engines are decision-identical by contract, so measurements
+        interchange — switching engines must not invalidate a cache or
+        block a journal resume.
     trace_store / trace_key:
         Cross-cell trace reuse (:mod:`repro.analysis.tracestore`).
         ``trace_key`` maps each cell's ``(config, value, seed)`` to a

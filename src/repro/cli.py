@@ -55,7 +55,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.competitive import run_scenario
+from repro.analysis.competitive import DEFAULT_ENGINE, ENGINES, run_scenario
 from repro.analysis.sweep import SweepResult
 from repro.core.errors import (
     ConfigError,
@@ -324,7 +324,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             if args.progress
             else None
         ),
-        engine=args.engine or "reference",
+        engine=args.engine or DEFAULT_ENGINE,
         trace_reuse=bool(args.trace_reuse),
         farm=_farm_options(args),
     )
@@ -505,7 +505,7 @@ def _cmd_golden(args: argparse.Namespace) -> int:
         path = update_goldens(args.path, panel_names=args.panels)
         print(f"# wrote {path}")
         return 0
-    engines = ("reference", "vectorized")
+    engines = ENGINES
     if args.engine:
         engines = (args.engine,)
     problems = check_goldens(
@@ -890,10 +890,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the sweep as an ASCII chart after the table",
     )
     run_parser.add_argument(
-        "--engine", choices=("reference", "vectorized"), default=None,
+        "--engine", choices=ENGINES, default=None,
         help=(
             "ALG-side simulation engine for Fig. 5 panels "
-            "(decision-identical by contract; default reference)"
+            f"(decision-identical by contract; default {DEFAULT_ENGINE})"
         ),
     )
     _add_pipeline_flags(run_parser)
@@ -1012,8 +1012,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to these Fig. 5 panels (default: all nine)",
     )
     report_parser.add_argument(
-        "--engine", choices=("reference", "vectorized"), default=None,
-        help="ALG-side simulation engine for the Fig. 5 panels",
+        "--engine", choices=ENGINES, default=None,
+        help=(
+            "ALG-side simulation engine for the Fig. 5 panels "
+            f"(default {DEFAULT_ENGINE})"
+        ),
     )
     _add_pipeline_flags(report_parser)
     _add_sweep_engine_flags(report_parser)
@@ -1132,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to these bench panels (default: all committed)",
     )
     golden_parser.add_argument(
-        "--engine", choices=("reference", "vectorized"), default=None,
+        "--engine", choices=ENGINES, default=None,
         help="check a single engine instead of both",
     )
     golden_parser.set_defaults(func=_cmd_golden)
@@ -1187,8 +1190,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="report per-cell progress on stderr",
     )
     profile_parser.add_argument(
-        "--engine", choices=("reference", "vectorized"), default=None,
-        help="ALG-side simulation engine (default reference)",
+        "--engine", choices=ENGINES, default=None,
+        help=f"ALG-side simulation engine (default {DEFAULT_ENGINE})",
     )
     _add_pipeline_flags(profile_parser)
     profile_parser.set_defaults(func=_cmd_profile)

@@ -36,6 +36,26 @@ ascending ``(w_p, p)`` order, so comparing ranks compares the paper's
 ``(w_j, j)`` tie-break exactly; ranks are unique, hence no kernel ever
 faces an unresolved tie.
 
+The value model's priority-queue layout has one more kernel, shared by
+its four push-out policies and bound on the column ingestion path
+(``run_slot_columns``) only. It keeps a sorted list of per-port victim
+keys, built with the reference's own keys and float operations, whose
+last element is the victim:
+
+* **LQD-V** — ``(|Q_j|, -tail_j, j)``; the arrival's own queue counts
+  virtually one longer, and a virtual key above the top means DROP.
+* **MVD / MVD₁** — ``(-min_j, |Q_j|, j)`` over queues of at least
+  ``min_victim_len`` packets: the reference's minimum of
+  ``(min_j, -|Q_j|, -j)``, negated exactly. Push out iff the victim's
+  minimum is below the arrival's value.
+* **MRD** — ``(|Q_j| / (V_j / |Q_j|), -min_j, j)``, gated on the global
+  buffer minimum, which a sorted list of per-port minima holds.
+
+A push-out re-files two keys (the victim's and the arrival's) and a
+drop none; the bulk-accepted run of a slot and each transmission phase
+that completes a packet rebuild the list once. Object bursts
+(``run_slot``) run these policies through generic dispatch instead.
+
 The transmission phase is batched as well. Single-core FIFO heads
 decrement uniformly, so on narrow switches the engine keeps an
 *expiry-tick calendar*: each armed head is scheduled once at the
@@ -45,10 +65,11 @@ instead of O(active ports). Wide switches (``ARRAY_TRANSMIT_MIN_PORTS``
 and up, with numpy) use the whole-array decrement over the
 head-residual column instead.
 
-Every other policy (value-model, thresholds, extensions) runs its own
-*naive* selector unmodified against :class:`ColumnarView`, a
-``SwitchView``-compatible facade over the columns — decision parity is
-then automatic rather than re-proved per policy.
+Every other policy (thresholds, extensions, BPD₁, and the value
+policies on object bursts) runs its own *naive* selector unmodified
+against :class:`ColumnarView`, a ``SwitchView``-compatible facade over
+the columns — decision parity is then automatic rather than re-proved
+per policy.
 
 Oracle contract and deviations
 ------------------------------
@@ -59,9 +80,9 @@ reference. Two documented deviations exist:
   transmitted packets are accounted in metrics but not materialized as
   objects. ``repro.analysis.competitive.run_system`` ignores the
   return value; attach an observer to capture per-packet streams.
-* Trace validation is batched per burst (and cached across replays of
-  the same burst object), so an *invalid* trace raises before any
-  packet of the offending burst is processed, whereas the reference
+* Trace validation is batched per burst, or per whole trace on the
+  column path, so an *invalid* trace raises before any packet of the
+  offending burst (or trace) is processed, whereas the reference
   raises mid-burst. Valid traces are unaffected.
 * Fast-mode admissions do not draw global packet sequence numbers
   (their store entries carry ``seq 0``); the reference consumes one
@@ -77,9 +98,10 @@ order identical to the reference), at reference-like speed.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import OrderedDict, deque
+from collections import deque
 from itertools import islice
 from typing import (
+    TYPE_CHECKING,
     Any,
     Deque,
     Dict,
@@ -99,11 +121,21 @@ from repro.core.metrics import SwitchMetrics
 from repro.core.packet import Packet, packet_seq_source
 from repro.obs.observer import PacketEvent, SlotObserver
 
-#: Kernel identifiers (0 = generic per-packet policy dispatch).
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.traffic.columnar import ColumnarTrace
+
+#: Kernel identifiers (0 = generic per-packet policy dispatch). Kinds
+#: from ``K_LQDV`` up are the value-model kernels, which run on the
+#: column ingestion path only.
 K_GENERIC = 0
 K_LQD = 1
 K_LWD = 2
 K_BPD = 3
+K_LQDV = 4
+K_MVD = 5
+K_MRD = 6
+
+_NEG_INF = float("-inf")
 
 #: Minimum switch width at which the whole-array transmission update
 #: (ndarray ``hr -= amask`` + ``flatnonzero``) is used instead of the
@@ -112,24 +144,28 @@ K_BPD = 3
 #: O(completions) per slot plus a small per-(re)arm constant.
 ARRAY_TRANSMIT_MIN_PORTS = 128
 
-#: Burst-validation memo: (id(burst), id(config)) -> strong refs.
-#: Strong references pin both objects, so ids cannot be recycled while
-#: an entry lives; bursts are treated as immutable (they are replayed
-#: verbatim across policies, never edited in place).
-_VALIDATED: "OrderedDict[Tuple[int, int], Tuple[Any, Any]]" = OrderedDict()
-_VALIDATED_CAP = 1024
-
-_policy_classes: Optional[Tuple[type, type, type, type, type]] = None
+_policy_classes: Optional[Dict[type, int]] = None
 
 
-def _load_policy_classes() -> Tuple[type, type, type, type, type]:
-    """Late import of policy classes (avoids a core->policies cycle)."""
+def _load_policy_classes() -> Dict[type, int]:
+    """Late import of the kernel-bound policy classes, by exact type
+    (avoids a core->policies cycle). Subclasses that change the
+    selection rule (e.g. BPD1's min-victim-length refinement) are not
+    keys, so they take the generic path and run their own selector."""
     global _policy_classes
     if _policy_classes is None:
-        from repro.policies.base import PushOutPolicy, ThresholdPolicy
         from repro.policies.processing import BPD, LQD, LWD
+        from repro.policies.value import MRD, MVD, MVD1, LQDValue
 
-        _policy_classes = (LQD, LWD, BPD, PushOutPolicy, ThresholdPolicy)
+        _policy_classes = {
+            LQD: K_LQD,
+            LWD: K_LWD,
+            BPD: K_BPD,
+            LQDValue: K_LQDV,
+            MVD: K_MVD,
+            MVD1: K_MVD,
+            MRD: K_MRD,
+        }
     return _policy_classes
 
 
@@ -443,6 +479,15 @@ class VectorizedSwitch:
         self._off = 0
         # BPD kernel state.
         self._nm = 0
+        # Value kernel state: the ascending victim-key list, each port's
+        # filed key (None when not a candidate), MRD's sorted per-port
+        # minima, and MVD's minimum victim-queue length.
+        self._vkeys: List[Tuple[Any, ...]] = []
+        self._vkey: List[Any] = [None] * n
+        self._vmins: List[float] = []
+        self._mvl = 1
+        # The ports column last validated for this switch (identity).
+        self._valid_ports: Optional[Sequence[int]] = None
 
         # Buffer-model and churn state (mirrors the reference switch).
         # ``_shared_occupancy`` is computed on demand from the length
@@ -574,9 +619,6 @@ class VectorizedSwitch:
         """
         if not burst:
             return
-        key = (id(burst), id(self.config))
-        if key in _VALIDATED:
-            return
         pk: Optional[Packet] = None
         if self._by_value:
             n = self._nr
@@ -602,9 +644,21 @@ class VectorizedSwitch:
                     f"packet destined to port {pk.port}, switch has "
                     f"{self._nr} ports"
                 ) from None
-        _VALIDATED[key] = (burst, self.config)
-        if len(_VALIDATED) > _VALIDATED_CAP:
-            _VALIDATED.popitem(last=False)
+
+    def bind_columns(self, trace: "ColumnarTrace") -> None:
+        """Validate ``trace`` for this switch before its replay.
+
+        The check runs once per (trace, config shape): the trace keeps
+        the shapes it passed in its ``validated`` set, so the other
+        replays of one sweep cell skip it, and the memo dies with the
+        trace. The switch then trusts ``trace.ports`` in
+        :meth:`run_slot_columns` for its own lifetime only.
+        """
+        shape = (self._by_value, tuple(self._works))
+        if shape not in trace.validated:
+            self._validate_columns(trace.ports, trace.works, trace.values)
+            trace.validated.add(shape)
+        self._valid_ports = trace.ports
 
     @hot_path
     def _validate_columns(
@@ -618,13 +672,10 @@ class VectorizedSwitch:
         The columnar ingestion path has no ``Packet.__post_init__``
         guarding field ranges, so this also enforces the lower bounds
         the object path gets for free (``port >= 0``, ``work >= 1``,
-        ``value > 0``). Memoized on the ``ports`` column identity like
-        burst validation, so replays of one trace validate once.
+        ``value > 0``). Columns arriving without :meth:`bind_columns`
+        are checked on first sight and then trusted by identity.
         """
         if not ports:
-            return
-        key = (id(ports), id(self.config))
-        if key in _VALIDATED:
             return
         n = self._nr
         if self._by_value:
@@ -666,39 +717,37 @@ class VectorizedSwitch:
                     f"packet destined to port {p}, switch has "
                     f"{n} ports"
                 ) from None
-        _VALIDATED[key] = (ports, self.config)
-        if len(_VALIDATED) > _VALIDATED_CAP:
-            _VALIDATED.popitem(last=False)
 
     def _classify(self, policy: Any) -> int:
-        lqd, lwd, bpd, pushout, threshold = _load_policy_classes()
-        self._greedy = isinstance(policy, pushout)
-        self._threshold = isinstance(policy, threshold)
+        from repro.policies.base import PushOutPolicy, ThresholdPolicy
+
+        self._greedy = isinstance(policy, PushOutPolicy)
+        self._threshold = isinstance(policy, ThresholdPolicy)
         if self._reserved is not None or self._n_down:
             # Split buffer models and active churn change admissibility
             # per port; the specialized kernels assume the purely shared
             # full-buffer predicate, so everything runs generically.
             return K_GENERIC
-        if not self._fast_fifo:
-            return K_GENERIC
-        # Exact types only: subclasses (e.g. BPD1's min-victim-length
-        # refinement) change the selection rule and take the generic
-        # path, which runs their own naive selector.
-        kind = type(policy)
-        if kind is lqd:
-            return K_LQD
-        if kind is lwd:
-            return K_LWD
-        if kind is bpd:
-            return K_BPD
-        return K_GENERIC
+        kind = _load_policy_classes().get(type(policy), K_GENERIC)
+        if kind >= K_LQDV:
+            if not self._by_value:
+                return K_GENERIC
+            if kind == K_MVD:
+                self._mvl = policy.min_victim_len
+            return kind
+        return kind if self._fast_fifo else K_GENERIC
 
-    def _kernel_for(self, policy: Any) -> int:
+    def _kernel_for(self, policy: Any, columns: bool) -> int:
         if policy is not self._kpolicy:
             self._kkind = self._classify(policy)
             self._kpolicy = policy
             self._kclean = False
         kind = self._kkind
+        if kind >= K_LQDV and not columns:
+            # The value kernels exist on the column path only; generic
+            # dispatch over an object burst leaves their keys stale.
+            self._kclean = False
+            return K_GENERIC
         if kind != K_GENERIC and not self._kclean:
             self._rebuild_kernel(kind)
             self._kclean = True
@@ -746,6 +795,60 @@ class VectorizedSwitch:
             for p in self._active:
                 nm |= bit[rank[p]]
             self._nm = nm
+        else:
+            self._vkeys, self._vkey, self._vmins = self._value_keys(kind)
+
+    def _value_key(self, kind: int, port: int) -> Optional[Tuple[Any, ...]]:
+        """``port``'s victim key under value kernel ``kind`` (``None``
+        when the port is not a candidate), from the primary columns."""
+        length = self._lens[port]
+        if kind == K_MVD:
+            if length < self._mvl:
+                return None
+            return (-self._vals[port][0], length, port)
+        if not length:
+            return None
+        if kind == K_LQDV:
+            return (length, -self._vals[port][0], port)
+        return (
+            length / (self._tv[port] / length),
+            -self._vals[port][0],
+            port,
+        )
+
+    def _value_keys(
+        self, kind: int
+    ) -> Tuple[List[Tuple[Any, ...]], List[Any], List[float]]:
+        """From-scratch value-kernel state: the sorted key list, each
+        port's key, and (MRD only) the sorted per-port minima."""
+        key_of: List[Any] = [None] * self._nr
+        keys = []
+        for p in self._active:
+            key = self._value_key(kind, p)
+            key_of[p] = key
+            if key is not None:
+                keys.append(key)
+        keys.sort()
+        mins: List[float] = []
+        if kind == K_MRD:
+            mins = sorted(self._vals[p][0] for p in self._active)
+        return keys, key_of, mins
+
+    def _rekey(self, kind: int, port: int) -> None:
+        """Re-file ``port``'s value-kernel key after its queue changed."""
+        keys = self._vkeys
+        old = self._vkey[port]
+        if old is not None:
+            del keys[bisect_left(keys, old)]
+            if kind == K_MRD:
+                mins = self._vmins
+                del mins[bisect_left(mins, -old[1])]
+        key = self._value_key(kind, port)
+        self._vkey[port] = key
+        if key is not None:
+            insort(keys, key)
+            if kind == K_MRD:
+                insort(self._vmins, -key[1])
 
     # ------------------------------------------------------------------
     # Whole slots
@@ -766,7 +869,7 @@ class VectorizedSwitch:
         self._validate_burst(arrivals)
         if arrivals:
             self.metrics.arrived += len(arrivals)
-            kind = self._kernel_for(policy)
+            kind = self._kernel_for(policy, False)
             if kind == K_LQD:
                 self._arrive_lqd(arrivals)
             elif kind == K_LWD:
@@ -836,16 +939,22 @@ class VectorizedSwitch:
                 for i in range(lo, hi)
             ]
             return self._run_slot_slow(burst, policy)
-        self._validate_columns(ports, works, values)
+        if ports is not self._valid_ports:
+            self._validate_columns(ports, works, values)
+            self._valid_ports = ports
         if hi > lo:
             self.metrics.arrived += hi - lo
-            kind = self._kernel_for(policy)
+            kind = self._kernel_for(policy, True)
             if kind == K_LQD:
                 self._arrive_lqd_cols(ports, values, arrivals, lo, hi)
             elif kind == K_LWD:
                 self._arrive_lwd_cols(ports, values, arrivals, lo, hi)
             elif kind == K_BPD:
                 self._arrive_bpd_cols(ports, values, arrivals, lo, hi)
+            elif kind != K_GENERIC:
+                self._arrive_value_cols(
+                    kind, ports, works, values, arrivals, lo, hi
+                )
             else:
                 self._arrive_generic_cols(
                     policy, ports, works, values, arrivals, lo, hi
@@ -2169,6 +2278,123 @@ class VectorizedSwitch:
         metrics.pushed_out += pushed
 
     @hot_path
+    def _arrive_value_cols(
+        self,
+        kind: int,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        lo: int,
+        hi: int,
+    ) -> None:
+        """Batched value-model arrival phase over the victim-key list.
+
+        Bulk-accepts the run that fits like the processing kernels and
+        rebuilds the keys once after it. Each congested arrival then
+        reads the top key (and, for MRD, the smallest buffered minimum)
+        to decide, and a push-out re-files the victim's and the
+        arrival's keys. A priority queue's tail is its least valuable
+        packet: index 0 of the ascending per-port stores.
+        """
+        metrics = self.metrics
+        dropped_by_port = metrics.dropped_by_port
+        lens = self._lens
+        tv = self._tv
+        tw = self._tw
+        assert tw is not None
+        all_vals = self._vals
+        all_recs = self._recs
+        active = self._active
+        is_act = self._is_act
+        occ = self.occupancy
+        cap = self._B
+        slot = self.current_slot
+        accepted = 0
+        dropped = 0
+        pushed = 0
+        free = cap - occ
+        split = lo
+        if free > 0:
+            nb = hi - lo
+            take = free if free < nb else nb
+            split = lo + take
+            occ += take
+            accepted += take
+            for i in range(lo, split):
+                p = ports[i]
+                v = values[i]
+                w = works[i]
+                vals = all_vals[p]
+                pos = bisect_left(vals, v)
+                vals.insert(pos, v)
+                a = arrivals[i] if arrivals is not None else slot
+                all_recs[p].insert(pos, [v, a, 0, w, w])
+                tw[p] += w
+                tv[p] += v
+                if not lens[p]:
+                    insort(active, p)
+                    is_act[p] = True
+                lens[p] += 1
+            self._rebuild_kernel(kind)
+        keys = self._vkeys
+        mins = self._vmins
+        rekey = self._rekey
+        for i in range(split, hi):
+            p = ports[i]
+            v = values[i]
+            if kind == K_LQDV:
+                top = keys[-1]
+                ol = lens[p]
+                own = (ol + 1, -all_vals[p][0] if ol else _NEG_INF, p)
+                if own > top:
+                    dropped += 1
+                    dropped_by_port[p] += 1
+                    continue
+            elif kind == K_MVD:
+                if not keys or -keys[-1][0] >= v:
+                    dropped += 1
+                    dropped_by_port[p] += 1
+                    continue
+                top = keys[-1]
+            else:
+                if mins[0] >= v:
+                    dropped += 1
+                    dropped_by_port[p] += 1
+                    continue
+                top = keys[-1]
+            t = top[2]
+            vv = all_vals[t].pop(0)
+            tw[t] -= all_recs[t].pop(0)[3]
+            tv[t] -= vv
+            vl = lens[t] - 1
+            lens[t] = vl
+            if not vl:
+                del active[bisect_left(active, t)]
+                is_act[t] = False
+            pushed += 1
+            dropped_by_port[t] += 1
+            rekey(kind, t)
+            w = works[i]
+            vals = all_vals[p]
+            pos = bisect_left(vals, v)
+            vals.insert(pos, v)
+            a = arrivals[i] if arrivals is not None else slot
+            all_recs[p].insert(pos, [v, a, 0, w, w])
+            tw[p] += w
+            tv[p] += v
+            if not lens[p]:
+                insort(active, p)
+                is_act[p] = True
+            lens[p] += 1
+            accepted += 1
+            rekey(kind, p)
+        self.occupancy = occ
+        metrics.accepted += accepted
+        metrics.dropped += dropped
+        metrics.pushed_out += pushed
+
+    @hot_path
     def _arrive_generic_cols(
         self,
         policy: Any,
@@ -2406,7 +2632,7 @@ class VectorizedSwitch:
         txv_by_port = metrics.transmitted_value_by_port
         delay_sum = metrics.delay_sum_by_port
         delay_count = metrics.delay_count_by_port
-        occ = self.occupancy
+        occ = start = self.occupancy
         for p in tuple(active):
             recs = all_recs[p]
             vals = all_vals[p]
@@ -2436,6 +2662,10 @@ class VectorizedSwitch:
                 if amask is not None:
                     amask[p] = 0
         self.occupancy = occ
+        if occ != start and self._kclean and self._kkind >= K_LQDV:
+            # Completions moved the lengths (and value totals) every
+            # value key is built from: re-file them all at once.
+            self._rebuild_kernel(self._kkind)
 
     @hot_path
     def _transmit_fifo_generic(self) -> None:
@@ -2643,6 +2873,11 @@ class VectorizedSwitch:
             assert self._nm == expect_nm, (
                 f"BPD bitmask {self._nm:b} != {expect_nm:b}"
             )
+        elif kind != K_GENERIC:
+            keys, key_of, mins = self._value_keys(kind)
+            assert self._vkey == key_of, "value kernel per-port keys stale"
+            assert self._vkeys == keys, "value kernel key list stale"
+            assert self._vmins == mins, "MRD minimum list stale"
         _ = n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

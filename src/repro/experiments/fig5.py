@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.farm.coordinator import FarmOptions
 
 from repro.analysis.cache import SweepCache
+from repro.analysis.competitive import DEFAULT_ENGINE
 from repro.analysis.sweep import ProgressCallback, SweepResult, run_sweep
 from repro.analysis.tracestore import TraceKeyFn, TraceStore
 from repro.core.config import QueueDiscipline, SwitchConfig
@@ -383,7 +384,7 @@ def run_panel(
     resilience: Optional[SupervisorOptions] = None,
     journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     trace_reuse: bool = False,
     trace_store: Optional[TraceStore] = None,
     farm: Optional["FarmOptions"] = None,
@@ -400,8 +401,10 @@ def run_panel(
     ``fault_injector`` configure the supervised executor — see
     :mod:`repro.resilience` and ``docs/RESILIENCE.md``. ``engine``
     selects the ALG-side simulation engine (``"reference"`` or
-    ``"vectorized"``); the engines are decision-identical by contract,
-    so the panel's numbers do not depend on the choice. The same
+    ``"vectorized"``, by default
+    :data:`~repro.analysis.competitive.DEFAULT_ENGINE`); the engines
+    are decision-identical by contract, so the panel's numbers do not
+    depend on the choice. The same
     contract covers ``trace_reuse`` (generate each distinct trace once
     per sweep via a :class:`~repro.analysis.tracestore.TraceStore`;
     pass ``trace_store`` to share one store — and its artifacts —

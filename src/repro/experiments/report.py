@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.farm.coordinator import FarmOptions
 
 from repro.analysis.cache import SweepCache
-from repro.analysis.competitive import run_scenario
+from repro.analysis.competitive import DEFAULT_ENGINE, run_scenario
 from repro.analysis.tracestore import TraceStore
 from repro.resilience import ResilienceStats, atomic_write_text
 from repro.experiments.architecture import run_architecture_comparison
@@ -52,7 +52,7 @@ class ReportOptions:
     jobs: Optional[int] = None
     cache_dir: Optional[str] = None
     progress: Optional[Callable[[str], None]] = None
-    engine: str = "reference"
+    engine: str = DEFAULT_ENGINE
     trace_reuse: bool = False
     farm: Optional["FarmOptions"] = None
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.competitive import AnyTrace, measure_competitive_ratio
+from repro.analysis.competitive import AnyTrace, measure_policies
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
@@ -102,11 +102,11 @@ def run_robustness_study(
     families = _traffic_families(config, n_slots, load, seed)
     ratios: Dict[str, Dict[str, float]] = {}
     for family, trace in families.items():
+        outcomes = measure_policies(
+            [make_policy(name) for name in policies], trace, config,
+            by_value=False, flush_every=flush_every,
+        )
         ratios[family] = {
-            name: measure_competitive_ratio(
-                make_policy(name), trace, config,
-                by_value=False, flush_every=flush_every,
-            ).ratio
-            for name in policies
+            name: outcome.ratio for name, outcome in zip(policies, outcomes)
         }
     return RobustnessResult(config=config, ratios=ratios)

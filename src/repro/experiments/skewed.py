@@ -20,7 +20,7 @@ try:  # pure-stdlib installs can still import the module
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     np = None  # type: ignore[assignment]
 
-from repro.analysis.competitive import measure_competitive_ratio
+from repro.analysis.competitive import measure_policies
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
@@ -116,12 +116,12 @@ def run_skew_sweep(
             seed=seed,
             port_weights=skew_weights(config, skew),
         )
+        outcomes = measure_policies(
+            [make_policy(name) for name in names], trace, config,
+            by_value=True, flush_every=flush_every,
+        )
         ratios = {
-            name: measure_competitive_ratio(
-                make_policy(name), trace, config,
-                by_value=True, flush_every=flush_every,
-            ).ratio
-            for name in names
+            name: outcome.ratio for name, outcome in zip(names, outcomes)
         }
         points.append(SkewPoint(skew=float(skew), ratios=ratios))
     return SkewSweepResult(k=k, buffer_size=buffer_size, points=points)

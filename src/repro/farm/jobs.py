@@ -116,6 +116,7 @@ def _build_fig5_runner(
 ) -> CellRunner:
     """Rebuild a Fig. 5 panel cell, mirroring ``run_panel`` exactly."""
     from repro.analysis.cache import SweepCache
+    from repro.analysis.competitive import DEFAULT_ENGINE
     from repro.analysis.sweep import (
         _CellContext,
         _execute_cell,
@@ -137,7 +138,7 @@ def _build_fig5_runner(
             if spec.get("flush_every") is not None
             else None
         )
-        engine = str(spec.get("engine") or "reference")
+        engine = str(spec.get("engine") or DEFAULT_ENGINE)
         cache_dir = spec.get("cache_dir")
     except (KeyError, TypeError, ValueError) as exc:
         raise FarmError(f"malformed fig5 farm job spec: {exc}") from exc

@@ -33,7 +33,16 @@ many reference systems pays materialization once.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 try:  # pure-stdlib installs can still import the module
     import numpy as np
@@ -87,6 +96,7 @@ class ColumnarTrace:
         "opts",
         "arrivals",
         "port_events",
+        "validated",
         "_trace",
         "_arrays",
     )
@@ -123,6 +133,11 @@ class ColumnarTrace:
         self.port_events: Dict[int, List[PortStateEvent]] = (
             port_events if port_events is not None else {}
         )
+        #: Switch shapes these columns passed an engine's validation
+        #: for (see ``VectorizedSwitch.bind_columns``): the other
+        #: replays of the trace skip the check, and the memo dies with
+        #: the trace.
+        self.validated: Set[Tuple[Any, ...]] = set()
         self._trace: Optional[Trace] = None
         self._arrays: Optional[Tuple[Any, Any, Any]] = None
 

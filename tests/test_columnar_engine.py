@@ -18,7 +18,9 @@ narrow expiry-calendar path.
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
 
 import pytest
 
@@ -26,9 +28,11 @@ from repro.analysis.competitive import PolicySystem, run_system
 from repro.core import columns as columns_mod
 from repro.core.columnar import ARRAY_TRANSMIT_MIN_PORTS, VectorizedSwitch
 from repro.core.config import SwitchConfig
+from repro.core.errors import TraceError
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
 from repro.policies import make_policy
+from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
 
 
@@ -120,15 +124,46 @@ def test_corrupt_transmission_calendar_caught():
         switch.check_invariants()
 
 
-@pytest.mark.parametrize("policy_name", ["LQD", "LWD", "BPD"])
+def _warm_value_switch(policy_name: str) -> VectorizedSwitch:
+    """A small priority-queue switch after a few congested slots fed
+    through the column path, where the value kernels are bound."""
+    config = SwitchConfig.value_contiguous(4, 8)
+    switch = VectorizedSwitch(config)
+    policy = make_policy(policy_name)
+    trace = ColumnarTrace.from_trace(
+        _congested_trace(config, 12, seed=5, per_slot=10)
+    )
+    for slot in range(trace.n_slots):
+        lo, hi = trace.slot_bounds(slot)
+        switch.run_slot_columns(
+            policy, trace.ports, trace.works, trace.values, None, lo, hi
+        )
+    assert switch.occupancy > 0 and switch._kclean and switch._vkeys
+    switch.check_invariants()
+    return switch
+
+
+@pytest.mark.parametrize(
+    "policy_name", ["LQD", "LWD", "BPD", "LQD-V", "MVD", "MVD1", "MRD"]
+)
 def test_corrupt_kernel_structures_caught(policy_name):
-    switch = _warm_switch(policy_name)
+    if policy_name in ("LQD", "LWD", "BPD"):
+        switch = _warm_switch(policy_name)
+    else:
+        switch = _warm_value_switch(policy_name)
     if policy_name == "LQD":
         switch._maxl += 1
     elif policy_name == "LWD":
         switch._ncode[switch._active[0]] += 1
-    else:
+    elif policy_name == "BPD":
         switch._nm ^= 1
+    elif policy_name == "MVD":
+        # The victim's filed key goes missing from the per-port column.
+        switch._vkey[switch._vkeys[-1][2]] = None
+    elif policy_name == "MRD":
+        switch._vmins[0] += 0.5
+    else:
+        switch._vkeys.pop()
     with pytest.raises(AssertionError):
         switch.check_invariants()
 
@@ -166,6 +201,67 @@ def test_periodic_check_passes_clean_vectorized_run(monkeypatch):
     vec_metrics = run_system(vec, trace, flush_every=11)
     ref_metrics = run_system(ref, trace, flush_every=11)
     assert vec_metrics.snapshot() == ref_metrics.snapshot()
+
+
+# ----------------------------------------------------------------------
+# Column validation: once per (trace, config), pinned by nothing else
+# ----------------------------------------------------------------------
+
+
+def test_column_validation_runs_once_per_trace_and_config(monkeypatch):
+    calls = []
+    original = VectorizedSwitch._validate_columns
+
+    def counting(self, ports, works, values):
+        calls.append(len(ports))
+        return original(self, ports, works, values)
+
+    monkeypatch.setattr(VectorizedSwitch, "_validate_columns", counting)
+    config = SwitchConfig.value_contiguous(4, 8)
+    trace = ColumnarTrace.from_trace(
+        _congested_trace(config, 12, seed=5, per_slot=10)
+    )
+    for name in ("LQD-V", "MVD", "MRD", "NEST"):
+        system = PolicySystem(config, make_policy(name), engine="vectorized")
+        run_system(system, trace)
+    assert calls == [trace.total_packets]
+    wider = SwitchConfig.value_contiguous(5, 8)
+    run_system(
+        PolicySystem(wider, make_policy("MVD"), engine="vectorized"), trace
+    )
+    assert len(calls) == 2
+
+
+def test_column_validation_pins_nothing_past_the_replay():
+    config = SwitchConfig.value_contiguous(4, 8)
+    trace = ColumnarTrace.from_trace(
+        _congested_trace(config, 12, seed=5, per_slot=10)
+    )
+    before = sys.getrefcount(trace.ports)
+    run_system(
+        PolicySystem(config, make_policy("MRD"), engine="vectorized"), trace
+    )
+    # The switch (a reference cycle with its view) trusted the column
+    # for its own lifetime only; once collected, nothing else holds it.
+    gc.collect()
+    after = sys.getrefcount(trace.ports)
+    assert after == before
+    assert trace.validated
+
+
+def test_invalid_columns_still_rejected():
+    config = SwitchConfig.value_contiguous(2, 4)
+    trace = ColumnarTrace([0, 2], [0, 2], [1, 1], [1.0, 1.0])
+    system = PolicySystem(config, make_policy("MVD"), engine="vectorized")
+    with pytest.raises(TraceError):
+        run_system(system, trace)
+    assert not trace.validated
+    switch = VectorizedSwitch(config)
+    with pytest.raises(TraceError):
+        switch.run_slot_columns(
+            make_policy("MVD"), trace.ports, trace.works, trace.values,
+            None, 0, 2,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,8 @@ from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
 from repro.policies import available_policies, make_policy
 from repro.policies.base import PushOutPolicy
+from repro.traffic.columnar import ColumnarTrace
+from repro.traffic.trace import Trace
 
 
 def _pushout_names(model: str) -> List[str]:
@@ -73,24 +75,31 @@ def _drive_trio(
     slot_bursts: Sequence[Sequence[Packet]],
     flush_every: int | None = None,
 ) -> Tuple[SharedMemorySwitch, SharedMemorySwitch, VectorizedSwitch,
-           VectorizedSwitch]:
+           VectorizedSwitch, VectorizedSwitch]:
     """Run all engines in lock-step, asserting equal decision streams.
 
     Three implementations see each packet as an individual ``offer``
     (naive scan, fast-path index, vectorized slow path) and their
-    Decisions are compared pointwise. A fourth instance — the
-    vectorized engine in batched fast mode — consumes each slot's burst
-    through ``run_slot`` and is compared on end state only.
+    Decisions are compared pointwise. Two more instances run the
+    vectorized engine in batched fast mode and are compared on end
+    state only: one consumes each slot's burst through ``run_slot``,
+    the other the same slot's column span of the trace through
+    ``run_slot_columns`` — the production ingestion path, where the
+    value-model kernels live.
     """
     fast = SharedMemorySwitch(config, fast_path=True)
     naive = SharedMemorySwitch(config, fast_path=False)
     vec = VectorizedSwitch(config)
     batch = VectorizedSwitch(config)
+    cols = VectorizedSwitch(config)
     assert fast.index is not None and naive.index is None
     fast_policy = make_policy(policy_name)
     naive_policy = make_policy(policy_name)
     vec_policy = make_policy(policy_name)
     batch_policy = make_policy(policy_name)
+    cols_policy = make_policy(policy_name)
+    trace = ColumnarTrace.from_trace(Trace([list(b) for b in slot_bursts]))
+    assert trace.arrivals is None
     for slot, burst in enumerate(slot_bursts):
         for packet in burst:
             d_fast = fast.offer(packet, fast_policy)
@@ -110,12 +119,17 @@ def _drive_trio(
             system.metrics.record_slot(system.occupancy)
             system.current_slot += 1
         batch.run_slot(burst, batch_policy)
+        lo, hi = trace.slot_bounds(slot)
+        cols.run_slot_columns(
+            cols_policy, trace.ports, trace.works, trace.values, None, lo, hi
+        )
         if flush_every is not None and (slot + 1) % flush_every == 0:
             fast.flush()
             naive.flush()
             vec.flush()
             batch.flush()
-    return fast, naive, vec, batch
+            cols.flush()
+    return fast, naive, vec, batch, cols
 
 
 def _vec_state(vec: VectorizedSwitch, port: int) -> List[Tuple]:
@@ -126,12 +140,13 @@ def _assert_same_outcome(
     fast: SharedMemorySwitch,
     naive: SharedMemorySwitch,
     vec: VectorizedSwitch,
-    batch: VectorizedSwitch,
+    *batched: VectorizedSwitch,
 ) -> None:
     fast.check_invariants()
     naive.check_invariants()
     vec.check_invariants()
-    batch.check_invariants()
+    for batch in batched:
+        batch.check_invariants()
     # Sequence numbers differ (interleaved fresh copies draw from one
     # global counter; fast-mode columnar admissions draw none), so
     # compare the observable packet state instead.
@@ -140,7 +155,8 @@ def _assert_same_outcome(
         state_naive = [(p.port, p.value, p.residual) for p in q_naive]
         assert state_fast == state_naive
         assert _vec_state(vec, port) == state_fast
-        assert _vec_state(batch, port) == state_fast
+        for batch in batched:
+            assert _vec_state(batch, port) == state_fast
     m_fast, m_naive = fast.metrics, naive.metrics
     assert m_fast.accepted == m_naive.accepted
     assert m_fast.dropped == m_naive.dropped
@@ -151,7 +167,8 @@ def _assert_same_outcome(
     # flat export — every counter, per-port lists included.
     reference_snapshot = m_fast.snapshot()
     assert vec.metrics.snapshot() == reference_snapshot
-    assert batch.metrics.snapshot() == reference_snapshot
+    for batch in batched:
+        assert batch.metrics.snapshot() == reference_snapshot
 
 
 @st.composite
@@ -221,10 +238,9 @@ def test_processing_policies_decision_identical(policy_name, scenario):
         ]
         for slot, burst in enumerate(bursts)
     ]
-    fast, naive, vec, batch = _drive_trio(
-        policy_name, config, slot_bursts, flush_every=flush_every
+    _assert_same_outcome(
+        *_drive_trio(policy_name, config, slot_bursts, flush_every)
     )
-    _assert_same_outcome(fast, naive, vec, batch)
 
 
 @pytest.mark.parametrize("policy_name", VALUE_PUSHOUT)
@@ -240,10 +256,9 @@ def test_value_policies_decision_identical(policy_name, scenario):
         ]
         for slot, burst in enumerate(bursts)
     ]
-    fast, naive, vec, batch = _drive_trio(
-        policy_name, config, slot_bursts, flush_every=flush_every
+    _assert_same_outcome(
+        *_drive_trio(policy_name, config, slot_bursts, flush_every)
     )
-    _assert_same_outcome(fast, naive, vec, batch)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +287,8 @@ def _tie_case(
 ) -> None:
     """The engineered tie must resolve identically on all three
     implementations — and, for the vectorized engine, identically again
-    when the whole scenario arrives as one batched slot."""
+    when the whole scenario arrives as one batched slot, as a burst and
+    as a column span."""
     fast = SharedMemorySwitch(config, fast_path=True)
     naive = SharedMemorySwitch(config, fast_path=False)
     vec = VectorizedSwitch(config)
@@ -291,11 +307,19 @@ def _tie_case(
     batch = VectorizedSwitch(config)
     batch.run_slot(list(setup) + [arrival], make_policy(policy_name))
     batch.check_invariants()
+    trace = ColumnarTrace.from_trace(Trace([list(setup) + [arrival]]))
+    cols = VectorizedSwitch(config)
+    cols.run_slot_columns(
+        make_policy(policy_name), trace.ports, trace.works, trace.values,
+        None, 0, trace.total_packets,
+    )
+    cols.check_invariants()
     # run_slot also ran one transmission phase; apply it to the
     # offer-driven instance to compare final states.
     vec.transmission_phase()
     for port in range(config.n_ports):
         assert batch.queue_state(port) == vec.queue_state(port)
+        assert cols.queue_state(port) == vec.queue_state(port)
 
 
 def test_lqd_length_tie_prefers_heavier_then_higher_port():
@@ -336,6 +360,37 @@ def test_mvd_min_value_tie_prefers_longer_queue():
     _tie_case(
         "MVD", config, setup,
         Packet(port=1, work=1, value=2.0), push_out(0),
+    )
+
+
+def test_lqdv_length_tie_prefers_cheapest_tail():
+    # Queues 0 and 2 tied at length 2; queue 0's tail (1.0) is cheaper
+    # than queue 2's (2.0) -> victim 0, although 2 is the higher port.
+    config = SwitchConfig.value_contiguous(3, 4)
+    setup = [
+        Packet(port=0, work=1, value=1.0),
+        Packet(port=0, work=1, value=3.0),
+        Packet(port=2, work=1, value=2.0),
+        Packet(port=2, work=1, value=3.0),
+    ]
+    _tie_case(
+        "LQD-V", config, setup,
+        Packet(port=1, work=1, value=2.0), push_out(0),
+    )
+
+
+def test_lqdv_equal_tails_prefer_higher_port():
+    # Equal lengths and equal tails: the higher port is the victim.
+    config = SwitchConfig.value_contiguous(3, 4)
+    setup = [
+        Packet(port=0, work=1, value=1.0),
+        Packet(port=0, work=1, value=3.0),
+        Packet(port=2, work=1, value=1.0),
+        Packet(port=2, work=1, value=2.0),
+    ]
+    _tie_case(
+        "LQD-V", config, setup,
+        Packet(port=1, work=1, value=2.0), push_out(2),
     )
 
 
