@@ -205,14 +205,15 @@ def run_system(
     for the duration of the run; the system must expose
     ``attach_observer`` (the OPT surrogates do not).
 
-    A :class:`~repro.traffic.columnar.ColumnarTrace` is fed straight
-    from its columns when the system exposes ``run_slot_columns`` (the
-    vectorized engines), after ``bind_columns`` (where exposed) has
-    validated it for the system; otherwise — or when the trace carries
-    scripted-OPT tags, which need real packets — it is materialized
-    once and replayed through the object loop. Flushout cadence, idle
-    fast-forward, drain, and invariant checks are identical on both
-    paths, so the produced metrics are too.
+    A system that exposes ``run_slot_columns`` (the vectorized engines)
+    always replays columns: a :class:`~repro.traffic.columnar.
+    ColumnarTrace` as it is, an object :class:`Trace` through its
+    cached :meth:`~Trace.to_columnar` view, after ``bind_columns``
+    (where exposed) has validated the columns for the system and handed
+    it their scripted-OPT tags. Every other system replays packet
+    objects, materialized once for a columnar trace. Flushout cadence,
+    idle fast-forward, drain, and invariant checks are identical on
+    both paths, so the produced metrics are too.
     """
     if flush_every is not None and flush_every < 1:
         raise ConfigError(f"flush_every must be >= 1, got {flush_every}")
@@ -242,11 +243,9 @@ def run_system(
             )
 
     run_cols = getattr(system, "run_slot_columns", None)
-    if (
-        isinstance(trace, ColumnarTrace)
-        and run_cols is not None
-        and trace.opts is None
-    ):
+    if run_cols is not None:
+        if not isinstance(trace, ColumnarTrace):
+            trace = trace.to_columnar()
         bind = getattr(system, "bind_columns", None)
         if bind is not None:
             bind(trace)

@@ -411,7 +411,9 @@ def run_panel_bench(
     Trace generation, packet materialization included, is excluded
     from the timed region; the timer wraps exactly the slot loop
     (:func:`repro.analysis.competitive.run_system`) over object traces
-    — the quantity the fast-path work optimizes.
+    — the quantity the fast-path work optimizes. In vectorized mode the
+    first policy's replay also converts the trace to its cached
+    columnar view and validates it; the other policies reuse both.
     """
     trace = _object_trace(panel.trace(slots_scale))
     config = panel.config()
@@ -445,9 +447,7 @@ def _make_system(config: SwitchConfig, policy, mode: str) -> PolicySystem:
 
     ``fast``/``naive`` pick the reference engine's selector mode
     (``naive`` is the O(n)-scan oracle); ``vectorized`` picks the
-    columnar batch-slot engine. On engines that predate the fast path
-    (the seed baseline) the keywords do not exist and the only mode is
-    the naive one.
+    columnar batch-slot engine.
     """
     if mode == "vectorized":
         return PolicySystem(config, policy, engine="vectorized")
@@ -455,10 +455,7 @@ def _make_system(config: SwitchConfig, policy, mode: str) -> PolicySystem:
         raise ConfigError(
             f"bench mode must be fast|naive|vectorized, got {mode!r}"
         )
-    try:
-        return PolicySystem(config, policy, fast_path=(mode == "fast"))
-    except TypeError:
-        return PolicySystem(config, policy)
+    return PolicySystem(config, policy, fast_path=(mode == "fast"))
 
 
 def run_bench(

@@ -11,6 +11,14 @@ differential and golden-stream suites enforce.
 
 Batching structure
 ------------------
+The engine has one fast arrival path, :meth:`VectorizedSwitch.
+run_slot_columns`, which ingests a slot as a column span of a
+:class:`~repro.traffic.columnar.ColumnarTrace`. An object ``Trace``
+replayed through :func:`repro.analysis.competitive.run_system` goes in
+through its cached columnar view, and :meth:`VectorizedSwitch.run_slot`
+turns a single burst into a one-slot span, so every policy binds the
+same kernels whichever trace form it is fed.
+
 The arrival phase is processed per slot as one batch. While the buffer
 has free space every push-out policy is greedy (``PushOutPolicy.admit``
 returns ``ACCEPT`` without consulting ``congested``), so the leading
@@ -37,8 +45,7 @@ ascending ``(w_p, p)`` order, so comparing ranks compares the paper's
 faces an unresolved tie.
 
 The value model's priority-queue layout has one more kernel, shared by
-its four push-out policies and bound on the column ingestion path
-(``run_slot_columns``) only. It keeps a sorted list of per-port victim
+its four push-out policies. It keeps a sorted list of per-port victim
 keys, built with the reference's own keys and float operations, whose
 last element is the victim:
 
@@ -53,8 +60,7 @@ last element is the victim:
 
 A push-out re-files two keys (the victim's and the arrival's) and a
 drop none; the bulk-accepted run of a slot and each transmission phase
-that completes a packet rebuild the list once. Object bursts
-(``run_slot``) run these policies through generic dispatch instead.
+that completes a packet rebuild the list once.
 
 The transmission phase is batched as well. Single-core FIFO heads
 decrement uniformly, so on narrow switches the engine keeps an
@@ -65,25 +71,26 @@ instead of O(active ports). Wide switches (``ARRAY_TRANSMIT_MIN_PORTS``
 and up, with numpy) use the whole-array decrement over the
 head-residual column instead.
 
-Every other policy (thresholds, extensions, BPD₁, and the value
-policies on object bursts) runs its own *naive* selector unmodified
-against :class:`ColumnarView`, a ``SwitchView``-compatible facade over
-the columns — decision parity is then automatic rather than re-proved
-per policy.
+Every other policy (thresholds, extensions, BPD₁, scripted OPT) runs
+its own *naive* selector unmodified against :class:`ColumnarView`, a
+``SwitchView``-compatible facade over the columns — decision parity is
+then automatic rather than re-proved per policy. The transient packet
+such a policy sees carries the trace's scripted-OPT tag.
 
 Oracle contract and deviations
 ------------------------------
 On valid traces the engine is observationally identical to the
-reference. Two documented deviations exist:
+reference. Three documented deviations exist:
 
 * ``run_slot`` returns ``[]`` in fast mode (no observer attached):
   transmitted packets are accounted in metrics but not materialized as
   objects. ``repro.analysis.competitive.run_system`` ignores the
   return value; attach an observer to capture per-packet streams.
-* Trace validation is batched per burst, or per whole trace on the
-  column path, so an *invalid* trace raises before any packet of the
-  offending burst (or trace) is processed, whereas the reference
-  raises mid-burst. Valid traces are unaffected.
+* Trace validation is batched per whole trace (once per trace and
+  switch shape, see :meth:`VectorizedSwitch.bind_columns`), or per
+  burst through ``run_slot``, so an *invalid* trace raises before any
+  of its packets is processed, whereas the reference raises mid-burst.
+  Valid traces are unaffected.
 * Fast-mode admissions do not draw global packet sequence numbers
   (their store entries carry ``seq 0``); the reference consumes one
   per admitted copy. Sequence numbers are debugging identity only —
@@ -105,7 +112,6 @@ from typing import (
     Any,
     Deque,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -125,8 +131,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traffic.columnar import ColumnarTrace
 
 #: Kernel identifiers (0 = generic per-packet policy dispatch). Kinds
-#: from ``K_LQDV`` up are the value-model kernels, which run on the
-#: column ingestion path only.
+#: from ``K_LQDV`` up are the value-model kernels (priority queues).
 K_GENERIC = 0
 K_LQD = 1
 K_LWD = 2
@@ -136,6 +141,10 @@ K_MVD = 5
 K_MRD = 6
 
 _NEG_INF = float("-inf")
+
+#: ``opt_accept`` of a trace ``opts`` tag: 0 -> False, 1 -> True, and
+#: the untagged -1 indexes the last entry, None.
+_TAGS: Tuple[Optional[bool], ...] = (False, True, None)
 
 #: Minimum switch width at which the whole-array transmission update
 #: (ndarray ``hr -= amask`` + ``flatnonzero``) is used instead of the
@@ -176,6 +185,7 @@ def _new_packet(
     arrival_slot: int,
     seq: int,
     residual: int,
+    opt_accept: Optional[bool] = None,
 ) -> Packet:
     """Materialize a Packet from column fields without re-validation."""
     packet = object.__new__(Packet)
@@ -183,7 +193,7 @@ def _new_packet(
     packet.work = work
     packet.value = value
     packet.arrival_slot = arrival_slot
-    packet.opt_accept = None
+    packet.opt_accept = opt_accept
     packet.seq = seq
     packet.residual = residual
     return packet
@@ -486,8 +496,10 @@ class VectorizedSwitch:
         self._vkey: List[Any] = [None] * n
         self._vmins: List[float] = []
         self._mvl = 1
-        # The ports column last validated for this switch (identity).
+        # The ports column last validated for this switch (identity),
+        # and its scripted-OPT tags column when it carries one.
         self._valid_ports: Optional[Sequence[int]] = None
+        self._opts: Optional[Sequence[int]] = None
 
         # Buffer-model and churn state (mirrors the reference switch).
         # ``_shared_occupancy`` is computed on demand from the length
@@ -607,44 +619,6 @@ class VectorizedSwitch:
     # Validation and kernel binding
     # ------------------------------------------------------------------
 
-    @hot_path
-    def _validate_burst(self, burst: Sequence[Packet]) -> None:
-        """Validate a whole burst before any of it is processed.
-
-        ``Packet.__post_init__`` already guarantees ``port >= 0`` and
-        ``work >= 1``, so only the upper port bound and (FIFO) the
-        per-port work requirement remain; the work-column index doubles
-        as the range check. Unlike the reference (which validates as it
-        offers), an invalid burst raises before any packet of it lands.
-        """
-        if not burst:
-            return
-        pk: Optional[Packet] = None
-        if self._by_value:
-            n = self._nr
-            for pk in burst:
-                if pk.port >= n:
-                    raise TraceError(
-                        f"packet destined to port {pk.port}, switch has "
-                        f"{n} ports"
-                    )
-        else:
-            works = self._works
-            try:
-                for pk in burst:
-                    if pk.work != works[pk.port]:
-                        raise TraceError(
-                            f"packet work {pk.work} violates per-port "
-                            f"requirement w_{pk.port}={works[pk.port]} "
-                            "(Section III model constraint)"
-                        )
-            except IndexError:
-                assert pk is not None
-                raise TraceError(
-                    f"packet destined to port {pk.port}, switch has "
-                    f"{self._nr} ports"
-                ) from None
-
     def bind_columns(self, trace: "ColumnarTrace") -> None:
         """Validate ``trace`` for this switch before its replay.
 
@@ -652,13 +626,15 @@ class VectorizedSwitch:
         the shapes it passed in its ``validated`` set, so the other
         replays of one sweep cell skip it, and the memo dies with the
         trace. The switch then trusts ``trace.ports`` in
-        :meth:`run_slot_columns` for its own lifetime only.
+        :meth:`run_slot_columns` for its own lifetime only, and hands
+        the trace's scripted-OPT tags to the packets its policy sees.
         """
         shape = (self._by_value, tuple(self._works))
         if shape not in trace.validated:
             self._validate_columns(trace.ports, trace.works, trace.values)
             trace.validated.add(shape)
         self._valid_ports = trace.ports
+        self._opts = trace.opts
 
     @hot_path
     def _validate_columns(
@@ -669,11 +645,14 @@ class VectorizedSwitch:
     ) -> None:
         """Validate whole trace columns before the first ingested slot.
 
-        The columnar ingestion path has no ``Packet.__post_init__``
-        guarding field ranges, so this also enforces the lower bounds
-        the object path gets for free (``port >= 0``, ``work >= 1``,
-        ``value > 0``). Columns arriving without :meth:`bind_columns`
-        are checked on first sight and then trusted by identity.
+        Columns carry no ``Packet.__post_init__`` guarding field ranges,
+        so this also enforces the lower bounds (``port >= 0``,
+        ``work >= 1``, ``value > 0``) besides the port range and the
+        per-port work requirement. Columns arriving without
+        :meth:`bind_columns` are checked on first sight and then
+        trusted by identity. Unlike the reference (which validates as
+        it offers), invalid columns raise before any packet of them
+        lands.
         """
         if not ports:
             return
@@ -737,17 +716,12 @@ class VectorizedSwitch:
             return kind
         return kind if self._fast_fifo else K_GENERIC
 
-    def _kernel_for(self, policy: Any, columns: bool) -> int:
+    def _kernel_for(self, policy: Any) -> int:
         if policy is not self._kpolicy:
             self._kkind = self._classify(policy)
             self._kpolicy = policy
             self._kclean = False
         kind = self._kkind
-        if kind >= K_LQDV and not columns:
-            # The value kernels exist on the column path only; generic
-            # dispatch over an object burst leaves their keys stale.
-            self._kclean = False
-            return K_GENERIC
         if kind != K_GENERIC and not self._kclean:
             self._rebuild_kernel(kind)
             self._kclean = True
@@ -857,36 +831,36 @@ class VectorizedSwitch:
     def run_slot(
         self, arrivals: Sequence[Packet], policy: Any
     ) -> List[Packet]:
-        """One full time slot: batched arrival phase then transmission.
+        """One full time slot from a burst of packet objects.
 
-        Fast mode (no observer) returns ``[]``; transmissions are
-        accounted in metrics only. With an observer attached, falls
-        back to the per-packet slow path and returns the transmitted
-        packets like the reference engine.
+        A thin adapter over :meth:`run_slot_columns`: the burst becomes
+        one validated column span, tags included. Replaying a whole
+        trace through :func:`repro.analysis.competitive.run_system`
+        converts it once instead of once per burst. With an observer
+        attached the packets themselves take the per-packet slow path,
+        which returns the transmitted packets like the reference engine.
         """
         if self.observer is not None:
             return self._run_slot_slow(arrivals, policy)
-        self._validate_burst(arrivals)
-        if arrivals:
-            self.metrics.arrived += len(arrivals)
-            kind = self._kernel_for(policy, False)
-            if kind == K_LQD:
-                self._arrive_lqd(arrivals)
-            elif kind == K_LWD:
-                self._arrive_lwd(arrivals)
-            elif kind == K_BPD:
-                self._arrive_bpd(arrivals)
-            else:
-                self._arrive_generic(arrivals, policy)
-        if self._fast_fifo:
-            self._transmit_fifo_fast()
-        elif self._by_value:
-            self._transmit_priority()
-        else:
-            self._transmit_fifo_generic()
-        self.metrics.record_slot(self.occupancy)
-        self.current_slot += 1
-        return []
+        ports = [pk.port for pk in arrivals]
+        works = [pk.work for pk in arrivals]
+        values = [pk.value for pk in arrivals]
+        if ports:
+            self._validate_columns(ports, works, values)
+            self._valid_ports = ports
+            self._opts = [
+                -1 if pk.opt_accept is None else int(pk.opt_accept)
+                for pk in arrivals
+            ]
+        return self.run_slot_columns(
+            policy,
+            ports,
+            works,
+            values,
+            [pk.arrival_slot for pk in arrivals],
+            0,
+            len(ports),
+        )
 
     def _run_slot_slow(
         self, arrivals: Sequence[Packet], policy: Any
@@ -920,13 +894,15 @@ class VectorizedSwitch:
         objects are constructed on the fast path (the generic kernel
         materializes one transient template per *policy-consulted*
         arrival only). ``arrivals`` is ``None`` when every packet's
-        arrival slot is the current slot. Decision/metrics parity with
-        :meth:`run_slot` over the materialized burst is exact; with an
-        observer attached the burst is materialized and run through the
-        per-packet slow path.
+        arrival slot is the current slot. This is the engine's one
+        fast arrival path; :meth:`run_slot` feeds it too. With an
+        observer attached the burst is materialized (tags included,
+        when :meth:`bind_columns` bound these columns) and run through
+        the per-packet slow path.
         """
         if self.observer is not None:
             slot = self.current_slot
+            opts = self._opts if ports is self._valid_ports else None
             burst = [
                 _new_packet(
                     ports[i],
@@ -935,16 +911,18 @@ class VectorizedSwitch:
                     arrivals[i] if arrivals is not None else slot,
                     next(self._seq),
                     works[i],
+                    None if opts is None else _TAGS[opts[i]],
                 )
                 for i in range(lo, hi)
             ]
             return self._run_slot_slow(burst, policy)
-        if ports is not self._valid_ports:
-            self._validate_columns(ports, works, values)
-            self._valid_ports = ports
         if hi > lo:
+            if ports is not self._valid_ports:
+                self._validate_columns(ports, works, values)
+                self._valid_ports = ports
+                self._opts = None
             self.metrics.arrived += hi - lo
-            kind = self._kernel_for(policy, True)
+            kind = self._kernel_for(policy)
             if kind == K_LQD:
                 self._arrive_lqd_cols(ports, values, arrivals, lo, hi)
             elif kind == K_LWD:
@@ -1115,7 +1093,13 @@ class VectorizedSwitch:
                 f"shared={self._shared_occupancy()}/"
                 f"{self._shared_pool + self._down_reserved})"
             )
-        self._admit(packet)
+        self._admit_cols(
+            packet.port,
+            packet.work,
+            packet.value,
+            packet.arrival_slot,
+            next(self._seq),
+        )
         self.occupancy += 1
         metrics.record_accept(packet)
 
@@ -1224,54 +1208,30 @@ class VectorizedSwitch:
             self._deactivate(port)
         return victim
 
-    def _admit(self, packet: Packet) -> None:
-        """Enqueue a fresh copy of ``packet`` into the columns."""
-        port = packet.port
-        seq = next(self._seq)
-        value = packet.value
-        was_empty = self._lens[port] == 0
-        if self._by_value:
-            vals = self._vals[port]
-            pos = bisect_left(vals, value)
-            vals.insert(pos, value)
-            self._recs[port].insert(
-                pos,
-                [value, packet.arrival_slot, seq, packet.work, packet.work],
-            )
-            self._tw[port] += packet.work  # type: ignore[index]
-        elif not self._fast_fifo:
-            self._stores[port].append(
-                [value, packet.arrival_slot, seq, packet.work]
-            )
-            self._tw[port] += packet.work  # type: ignore[index]
-        else:
-            self._stores[port].append((value, packet.arrival_slot, seq))
-            if was_empty:
-                self._rearm_head(port, self._works[port])
-        self._tv[port] += value
-        self._lens[port] += 1
-        if was_empty:
-            self._activate(port)
-
     @hot_path
     def _admit_cols(
-        self, port: int, work: int, value: float, arrival_slot: int
+        self,
+        port: int,
+        work: int,
+        value: float,
+        arrival_slot: int,
+        seq: int = 0,
     ) -> None:
-        """Enqueue a packet given as column fields (no object, seq 0)."""
+        """Enqueue a packet given as column fields (fast mode: seq 0)."""
         was_empty = self._lens[port] == 0
         if self._by_value:
             vals = self._vals[port]
             pos = bisect_left(vals, value)
             vals.insert(pos, value)
             self._recs[port].insert(
-                pos, [value, arrival_slot, 0, work, work]
+                pos, [value, arrival_slot, seq, work, work]
             )
             self._tw[port] += work  # type: ignore[index]
         elif not self._fast_fifo:
-            self._stores[port].append([value, arrival_slot, 0, work])
+            self._stores[port].append([value, arrival_slot, seq, work])
             self._tw[port] += work  # type: ignore[index]
         else:
-            self._stores[port].append((value, arrival_slot, 0))
+            self._stores[port].append((value, arrival_slot, seq))
             if was_empty:
                 self._rearm_head(port, self._works[port])
         self._tv[port] += value
@@ -1385,11 +1345,37 @@ class VectorizedSwitch:
         return transmitted
 
     # ------------------------------------------------------------------
-    # Fast arrival kernels (no observer attached)
+    # Fast arrival kernels (trace columns in, no Packet objects)
     # ------------------------------------------------------------------
 
+    def _pop_tail_fast(self, port: int) -> None:
+        """Drop the tail of ``port``'s queue without materializing it."""
+        lens = self._lens
+        length = lens[port]
+        if self._by_value:
+            value = self._vals[port].pop(0)
+            rec = self._recs[port].pop(0)
+            self._tw[port] -= rec[3]  # type: ignore[index]
+        elif not self._fast_fifo:
+            rec = self._stores[port].pop()
+            value = rec[0]
+            self._tw[port] -= rec[3]  # type: ignore[index]
+        else:
+            value = self._stores[port].pop()[0]
+        self._tv[port] -= value
+        lens[port] = length - 1
+        if length == 1:
+            self._deactivate(port)
+
     @hot_path
-    def _arrive_lqd(self, burst: Sequence[Packet]) -> None:
+    def _arrive_lqd_cols(
+        self,
+        ports: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        lo: int,
+        hi: int,
+    ) -> None:
         """Batched LQD arrival phase over the length columns.
 
         Victim key: ``(|Q_j| + [j = i], w_j, j)`` argmax, realized as
@@ -1419,6 +1405,7 @@ class VectorizedSwitch:
         topr = self._topr
         occ = self.occupancy
         cap = self._B
+        slot = self.current_slot
         accepted = 0
         dropped = 0
         pushed = 0
@@ -1426,493 +1413,6 @@ class VectorizedSwitch:
         # push-out policy is greedy below capacity, and a congested
         # kernel never shrinks occupancy, so the split needs no
         # per-packet occupancy check in either loop.
-        free = cap - occ
-        if free > 0:
-            nb = len(burst)
-            take = free if free < nb else nb
-            head = burst[:take]
-            burst = burst[take:] if take < nb else ()
-            occ += take
-            accepted += take
-            for pk in head:
-                p = pk.port
-                r = rank[p]
-                ol = lens[p]
-                nl = ol + 1
-                stores[p].append((pk.value, pk.arrival_slot, 0))
-                tv[p] += pk.value
-                lens[p] = nl
-                if ol:
-                    masks[ol] ^= bit[r]
-                else:
-                    insort(active, p)
-                    is_act[p] = True
-                    if sched is None:
-                        hr[p] = works[p]
-                        amask[p] = 1
-                    else:
-                        e = tick + works[p]
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
-                masks[nl] |= bit[r]
-                # No queue shrank: the maximum can only move up to nl
-                # (then the arrival's rank is alone there) or gain the
-                # arrival's bit at the same level.
-                if nl > maxl:
-                    maxl = nl
-                    topr = r
-                elif nl == maxl and r > topr:
-                    topr = r
-        for pk in burst:
-            p = pk.port
-            r = rank[p]
-            ol = lens[p]
-            nl = ol + 1
-            if nl > maxl or (nl == maxl and r > topr):
-                dropped += 1
-                dropped_by_port[p] += 1
-                continue
-            # Push out the tail of the max-key queue. The own queue
-            # cannot be the victim here: had (nl, r) matched
-            # (maxl, topr) the arrival would have been dropped above.
-            t = porder[topr]
-            masks[maxl] ^= bit[topr]
-            vl = maxl - 1
-            lens[t] = vl
-            vv = stores[t].pop()[0]
-            tv[t] -= vv
-            if vl:
-                masks[vl] |= bit[topr]
-            else:
-                del active[bisect_left(active, t)]
-                is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
-            pushed += 1
-            dropped_by_port[t] += 1
-            stores[p].append((pk.value, pk.arrival_slot, 0))
-            tv[p] += pk.value
-            lens[p] = nl
-            accepted += 1
-            if ol:
-                masks[ol] ^= bit[r]
-            else:
-                insort(active, p)
-                is_act[p] = True
-                if sched is None:
-                    hr[p] = works[p]
-                    amask[p] = 1
-                else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
-            masks[nl] |= bit[r]
-            # The old maximum lost its top rank and the arrival
-            # entered at nl <= maxl; recompute downward (the own
-            # bit at nl bounds the scan, so maxl stays >= 1).
-            while not masks[maxl]:
-                maxl -= 1
-            topr = masks[maxl].bit_length() - 1
-        self.occupancy = occ
-        self._maxl = maxl
-        self._topr = topr
-        metrics.accepted += accepted
-        metrics.dropped += dropped
-        metrics.pushed_out += pushed
-
-    @hot_path
-    def _arrive_lwd(self, burst: Sequence[Packet]) -> None:
-        """Batched LWD arrival phase over integer work codes.
-
-        Victim key: ``(W_j + [j = i] w_i, w_j, j)`` argmax. Codes
-        ``(W_j + off) * n + r_j`` preserve the lexicographic order
-        because ranks are unique below ``n``; ``codes`` stays sorted
-        ascending so its last element is the current victim key.
-        """
-        metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
-        lens = self._lens
-        tv = self._tv
-        stores = self._stores
-        hr = self._hr
-        amask = self._amask
-        sched = self._sched
-        hexp = self._hexp
-        tick = self._tick
-        active = self._active
-        is_act = self._is_act
-        works = self._works
-        rank = self._rank
-        porder = self._porder
-        codes = self._codes
-        pcode = self._pcode
-        ncode = self._ncode
-        off = self._off
-        nr = self._nr
-        occ = self.occupancy
-        cap = self._B
-        accepted = 0
-        dropped = 0
-        pushed = 0
-        # Split exactly like the LQD kernel: greedy bulk-accept of the
-        # run that fits, then a congested loop with no occupancy check.
-        free = cap - occ
-        if free > 0:
-            nb = len(burst)
-            take = free if free < nb else nb
-            head = burst[:take]
-            burst = burst[take:] if take < nb else ()
-            occ += take
-            accepted += take
-            for pk in head:
-                p = pk.port
-                w = works[p]
-                ol = lens[p]
-                if ol:
-                    nc = ncode[p]
-                    del codes[bisect_left(codes, pcode[p])]
-                else:
-                    nc = (w + off) * nr + rank[p]
-                    insort(active, p)
-                    is_act[p] = True
-                    if sched is None:
-                        hr[p] = w
-                        amask[p] = 1
-                    else:
-                        e = tick + w
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
-                insort(codes, nc)
-                pcode[p] = nc
-                ncode[p] = nc + w * nr
-                stores[p].append((pk.value, pk.arrival_slot, 0))
-                tv[p] += pk.value
-                lens[p] = ol + 1
-        for pk in burst:
-            p = pk.port
-            ol = lens[p]
-            if ol:
-                nc = ncode[p]
-            else:
-                nc = (works[p] + off) * nr + rank[p]
-            top = codes[-1]
-            if nc > top:
-                dropped += 1
-                dropped_by_port[p] += 1
-                continue
-            t = porder[top % nr]
-            codes.pop()
-            vl = lens[t] - 1
-            lens[t] = vl
-            vv = stores[t].pop()[0]
-            tv[t] -= vv
-            if vl:
-                tc = top - works[t] * nr
-                pcode[t] = tc
-                # tc + works[t]*nr == top: the popped key is exactly
-                # the victim queue's next-accept code.
-                ncode[t] = top
-                insort(codes, tc)
-            else:
-                del active[bisect_left(active, t)]
-                is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
-            pushed += 1
-            dropped_by_port[t] += 1
-            w = works[p]
-            if ol:
-                del codes[bisect_left(codes, pcode[p])]
-            else:
-                insort(active, p)
-                is_act[p] = True
-                if sched is None:
-                    hr[p] = w
-                    amask[p] = 1
-                else:
-                    e = tick + w
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
-            insort(codes, nc)
-            pcode[p] = nc
-            ncode[p] = nc + w * nr
-            stores[p].append((pk.value, pk.arrival_slot, 0))
-            tv[p] += pk.value
-            lens[p] = ol + 1
-            accepted += 1
-        self.occupancy = occ
-        metrics.accepted += accepted
-        metrics.dropped += dropped
-        metrics.pushed_out += pushed
-
-    @hot_path
-    def _arrive_bpd(self, burst: Sequence[Packet]) -> None:
-        """Batched BPD arrival phase over the non-empty rank bitmask.
-
-        Victim key: ``(w_j, j)`` argmax over non-empty queues — the
-        highest set rank bit. Accept iff the arrival's own static key
-        is <= the victim's (equality means the arrival raids its own
-        queue's tail, exactly like the reference).
-        """
-        metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
-        lens = self._lens
-        tv = self._tv
-        stores = self._stores
-        hr = self._hr
-        amask = self._amask
-        sched = self._sched
-        hexp = self._hexp
-        tick = self._tick
-        active = self._active
-        is_act = self._is_act
-        works = self._works
-        rank = self._rank
-        porder = self._porder
-        bit = self._bit
-        nm = self._nm
-        occ = self.occupancy
-        cap = self._B
-        accepted = 0
-        dropped = 0
-        pushed = 0
-        # Split exactly like the LQD kernel: greedy bulk-accept of the
-        # run that fits, then a congested loop with no occupancy check.
-        free = cap - occ
-        if free > 0:
-            nb = len(burst)
-            take = free if free < nb else nb
-            head = burst[:take]
-            burst = burst[take:] if take < nb else ()
-            occ += take
-            accepted += take
-            for pk in head:
-                p = pk.port
-                ol = lens[p]
-                stores[p].append((pk.value, pk.arrival_slot, 0))
-                tv[p] += pk.value
-                lens[p] = ol + 1
-                if not ol:
-                    nm |= bit[rank[p]]
-                    insort(active, p)
-                    is_act[p] = True
-                    if sched is None:
-                        hr[p] = works[p]
-                        amask[p] = 1
-                    else:
-                        e = tick + works[p]
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
-        for pk in burst:
-            p = pk.port
-            r = rank[p]
-            vr = nm.bit_length() - 1
-            if r > vr:
-                dropped += 1
-                dropped_by_port[p] += 1
-                continue
-            t = porder[vr]
-            vl = lens[t] - 1
-            lens[t] = vl
-            vv = stores[t].pop()[0]
-            tv[t] -= vv
-            if not vl:
-                nm ^= bit[vr]
-                del active[bisect_left(active, t)]
-                is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
-            pushed += 1
-            dropped_by_port[t] += 1
-            # Read the own length only now: when r == vr the arrival
-            # raided its own queue's tail, shortening it by one.
-            ol = lens[p]
-            stores[p].append((pk.value, pk.arrival_slot, 0))
-            tv[p] += pk.value
-            lens[p] = ol + 1
-            accepted += 1
-            if not ol:
-                nm |= bit[r]
-                insort(active, p)
-                is_act[p] = True
-                if sched is None:
-                    hr[p] = works[p]
-                    amask[p] = 1
-                else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
-        self.occupancy = occ
-        self._nm = nm
-        metrics.accepted += accepted
-        metrics.dropped += dropped
-        metrics.pushed_out += pushed
-
-    @hot_path
-    def _arrive_generic(
-        self, burst: Sequence[Packet], policy: Any
-    ) -> None:
-        """Batched arrival phase for policies without a kernel.
-
-        Greedy (push-out) policies bulk-accept while space remains —
-        their ``admit`` returns ``ACCEPT`` without touching policy
-        state when the buffer is not full, and the occupancy never
-        shrinks during an arrival phase. Threshold policies bulk-drop
-        once full for the symmetric reason. Everything else (and every
-        congested arrival) runs the policy's own ``admit`` against the
-        columnar view, so decisions match the reference by
-        construction.
-        """
-        view = self.view
-        metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
-        simple = self._reserved is None
-        # Split models gate admissibility per port, so the greedy
-        # bulk-accept shortcut only holds on the purely shared model
-        # (churn alone is fine: down-port arrivals are filtered first).
-        greedy = self._greedy and simple
-        threshold = self._threshold
-        n_down = self._n_down
-        port_up = self._port_up
-        cap = self._B
-        for pk in burst:
-            if n_down and not port_up[pk.port]:
-                metrics.dropped += 1
-                dropped_by_port[pk.port] += 1
-                continue
-            if self.occupancy < cap:
-                if greedy:
-                    self._admit(pk)
-                    self.occupancy += 1
-                    metrics.accepted += 1
-                    continue
-            elif threshold:
-                # Full buffer: can_accept is false for every up port
-                # under both models, so thresholds drop unconditionally.
-                metrics.dropped += 1
-                dropped_by_port[pk.port] += 1
-                continue
-            decision = policy.admit(view, pk)
-            action = decision.action
-            if action is Action.DROP:
-                metrics.dropped += 1
-                dropped_by_port[pk.port] += 1
-                continue
-            if action is Action.PUSH_OUT:
-                victim_port = decision.victim_port
-                assert victim_port is not None  # enforced by Decision
-                if not 0 <= victim_port < self._nr:
-                    raise PolicyError(
-                        f"push-out victim port {victim_port} out of range"
-                    )
-                if self._lens[victim_port] == 0:
-                    raise PolicyError(
-                        f"policy pushed out from empty queue {victim_port}"
-                    )
-                self._pop_tail_fast(victim_port)
-                self.occupancy -= 1
-                metrics.pushed_out += 1
-                dropped_by_port[victim_port] += 1
-            if simple:
-                if self.occupancy >= cap:
-                    raise PolicyError(
-                        "policy accepted a packet into a full buffer "
-                        f"(occupancy={self.occupancy}, B={cap})"
-                    )
-            elif not self._fits(pk.port):
-                raise PolicyError(
-                    f"policy accepted a packet for port {pk.port} with no "
-                    "usable slot"
-                )
-            self._admit(pk)
-            self.occupancy += 1
-            metrics.accepted += 1
-
-    def _pop_tail_fast(self, port: int) -> None:
-        """Drop the tail of ``port``'s queue without materializing it."""
-        lens = self._lens
-        length = lens[port]
-        if self._by_value:
-            value = self._vals[port].pop(0)
-            rec = self._recs[port].pop(0)
-            self._tw[port] -= rec[3]  # type: ignore[index]
-        elif not self._fast_fifo:
-            rec = self._stores[port].pop()
-            value = rec[0]
-            self._tw[port] -= rec[3]  # type: ignore[index]
-        else:
-            value = self._stores[port].pop()[0]
-        self._tv[port] -= value
-        lens[port] = length - 1
-        if length == 1:
-            self._deactivate(port)
-
-    # ------------------------------------------------------------------
-    # Columnar arrival kernels (trace columns in, no Packet objects)
-    # ------------------------------------------------------------------
-
-    @hot_path
-    def _arrive_lqd_cols(
-        self,
-        ports: Sequence[int],
-        values: Sequence[float],
-        arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Columnar twin of :meth:`_arrive_lqd` over trace columns."""
-        metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
-        lens = self._lens
-        tv = self._tv
-        stores = self._stores
-        hr = self._hr
-        amask = self._amask
-        sched = self._sched
-        hexp = self._hexp
-        tick = self._tick
-        active = self._active
-        is_act = self._is_act
-        works = self._works
-        rank = self._rank
-        porder = self._porder
-        bit = self._bit
-        masks = self._masks
-        maxl = self._maxl
-        topr = self._topr
-        occ = self.occupancy
-        cap = self._B
-        slot = self.current_slot
-        accepted = 0
-        dropped = 0
-        pushed = 0
         free = cap - occ
         split = lo
         if free > 0:
@@ -1948,6 +1448,9 @@ class VectorizedSwitch:
                         else:
                             b.append(p)
                 masks[nl] |= bit[r]
+                # No queue shrank: the maximum can only move up to nl
+                # (then the arrival's rank is alone there) or gain the
+                # arrival's bit at the same level.
                 if nl > maxl:
                     maxl = nl
                     topr = r
@@ -1962,6 +1465,9 @@ class VectorizedSwitch:
                 dropped += 1
                 dropped_by_port[p] += 1
                 continue
+            # Push out the tail of the max-key queue. The own queue
+            # cannot be the victim here: had (nl, r) matched
+            # (maxl, topr) the arrival would have been dropped above.
             t = porder[topr]
             masks[maxl] ^= bit[topr]
             vl = maxl - 1
@@ -2001,6 +1507,9 @@ class VectorizedSwitch:
                     else:
                         b.append(p)
             masks[nl] |= bit[r]
+            # The old maximum lost its top rank and the arrival
+            # entered at nl <= maxl; recompute downward (the own
+            # bit at nl bounds the scan, so maxl stays >= 1).
             while not masks[maxl]:
                 maxl -= 1
             topr = masks[maxl].bit_length() - 1
@@ -2020,7 +1529,13 @@ class VectorizedSwitch:
         lo: int,
         hi: int,
     ) -> None:
-        """Columnar twin of :meth:`_arrive_lwd` over trace columns."""
+        """Batched LWD arrival phase over integer work codes.
+
+        Victim key: ``(W_j + [j = i] w_i, w_j, j)`` argmax. Codes
+        ``(W_j + off) * n + r_j`` preserve the lexicographic order
+        because ranks are unique below ``n``; ``codes`` stays sorted
+        ascending so its last element is the current victim key.
+        """
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
@@ -2047,6 +1562,8 @@ class VectorizedSwitch:
         accepted = 0
         dropped = 0
         pushed = 0
+        # Split exactly like the LQD kernel: greedy bulk-accept of the
+        # run that fits, then a congested loop with no occupancy check.
         free = cap - occ
         split = lo
         if free > 0:
@@ -2110,6 +1627,8 @@ class VectorizedSwitch:
             if vl:
                 tc = top - works[t] * nr
                 pcode[t] = tc
+                # tc + works[t]*nr == top: the popped key is exactly
+                # the victim queue's next-accept code.
                 ncode[t] = top
                 insort(codes, tc)
             else:
@@ -2164,7 +1683,13 @@ class VectorizedSwitch:
         lo: int,
         hi: int,
     ) -> None:
-        """Columnar twin of :meth:`_arrive_bpd` over trace columns."""
+        """Batched BPD arrival phase over the non-empty rank bitmask.
+
+        Victim key: ``(w_j, j)`` argmax over non-empty queues — the
+        highest set rank bit. Accept iff the arrival's own static key
+        is <= the victim's (equality means the arrival raids its own
+        queue's tail, exactly like the reference).
+        """
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
@@ -2188,6 +1713,8 @@ class VectorizedSwitch:
         accepted = 0
         dropped = 0
         pushed = 0
+        # Split exactly like the LQD kernel: greedy bulk-accept of the
+        # run that fits, then a congested loop with no occupancy check.
         free = cap - occ
         split = lo
         if free > 0:
@@ -2245,6 +1772,8 @@ class VectorizedSwitch:
                     amask[t] = 0
             pushed += 1
             dropped_by_port[t] += 1
+            # Read the own length only now: when r == vr the arrival
+            # raided its own queue's tail, shortening it by one.
             ol = lens[p]
             stores[p].append(
                 (
@@ -2405,18 +1934,29 @@ class VectorizedSwitch:
         lo: int,
         hi: int,
     ) -> None:
-        """Columnar twin of :meth:`_arrive_generic`.
+        """Batched arrival phase for policies without a kernel.
 
-        Bulk greedy accepts and bulk threshold drops never build a
-        packet; only arrivals that actually consult ``policy.admit``
-        materialize a transient template for the call.
+        Greedy (push-out) policies bulk-accept while space remains —
+        their ``admit`` returns ``ACCEPT`` without touching policy
+        state when the buffer is not full, and the occupancy never
+        shrinks during an arrival phase. Threshold policies bulk-drop
+        once full for the symmetric reason. Everything else (and every
+        congested arrival) runs the policy's own ``admit`` against the
+        columnar view, so decisions match the reference by
+        construction. Only those consulted arrivals materialize a
+        transient template packet, carrying the bound columns'
+        scripted-OPT tag.
         """
         view = self.view
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         simple = self._reserved is None
+        # Split models gate admissibility per port, so the greedy
+        # bulk-accept shortcut only holds on the purely shared model
+        # (churn alone is fine: down-port arrivals are filtered first).
         greedy = self._greedy and simple
         threshold = self._threshold
+        opts = self._opts
         n_down = self._n_down
         port_up = self._port_up
         cap = self._B
@@ -2439,13 +1979,23 @@ class VectorizedSwitch:
                     metrics.accepted += 1
                     continue
             elif threshold:
+                # Full buffer: can_accept is false for every up port
+                # under both models, so thresholds drop unconditionally.
                 metrics.dropped += 1
                 dropped_by_port[p] += 1
                 continue
             w = works[i]
             v = values[i]
             a = arrivals[i] if arrivals is not None else slot
-            pk = _new_packet(p, w, v, a, 0, w)
+            # _new_packet inlined: its call costs more than the packet.
+            pk = object.__new__(Packet)
+            pk.port = p
+            pk.work = w
+            pk.value = v
+            pk.arrival_slot = a
+            pk.opt_accept = None if opts is None else _TAGS[opts[i]]
+            pk.seq = 0
+            pk.residual = w
             decision = policy.admit(view, pk)
             action = decision.action
             if action is Action.DROP:

@@ -72,15 +72,19 @@ class PushOutPolicy(Policy):
             return ACCEPT
         decision = self.congested(view, packet)
         victim = decision.victim_port
-        if (
-            victim is not None
-            and victim != packet.port
-            and 0 < view.queue_len(victim) <= view.reserved(victim)
-        ):
-            # Under a reserved + shared split another port's queue can sit
-            # wholly inside its own reservation: pushing out its tail
-            # frees no slot this arrival may use, so drop the arrival.
-            return DROP
+        if victim is not None:
+            length = view.queue_len(victim)
+            if length > view.reserved(victim):
+                # The victim's tail holds a shared slot. A port that came
+                # back up can leave the shared pool over-committed, and
+                # then freeing one shared slot still leaves it full.
+                if view.shared_free < 0:
+                    return DROP
+            elif victim != packet.port and length:
+                # Under a reserved + shared split another port's queue can
+                # sit wholly inside its own reservation: pushing out its
+                # tail frees no slot this arrival may use.
+                return DROP
         return decision
 
     @abstractmethod

@@ -25,10 +25,12 @@ their packet streams are pinned by absolute trace digests
 (``tests/test_trace_columnar.py`` and the per-panel ``trace_sha256`` of
 ``repro golden``).
 
-For consumers that need objects (the reference engine, observers,
-scripted-OPT replays) :meth:`ColumnarTrace.to_trace` materializes the
-packets lazily and caches the result, so replaying one trace through
-many reference systems pays materialization once.
+For consumers that need objects (the reference engine and the other
+systems without a column path) :meth:`ColumnarTrace.to_trace`
+materializes the packets lazily and caches the result, so replaying one
+trace through many reference systems pays materialization once. The
+other direction, :meth:`Trace.to_columnar`, caches this shape on an
+object trace for the vectorized engines.
 """
 
 from __future__ import annotations
@@ -171,7 +173,13 @@ class ColumnarTrace:
     def _canonical(
         self,
     ) -> Tuple[
-        List[int], List[int], List[int], List[float], List[int], List[int]
+        List[int],
+        List[int],
+        List[int],
+        List[float],
+        List[int],
+        List[int],
+        Dict[int, List[PortStateEvent]],
     ]:
         total = self.total_packets
         opts = self.opts if self.opts is not None else [-1] * total

@@ -16,11 +16,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import TraceError
 from repro.core.packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.traffic.columnar import ColumnarTrace
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,10 +48,17 @@ class Trace:
     index to the :class:`PortStateEvent` list applied at that slot's
     start. Static traces (the common case) leave it empty, and every
     consumer treats an absent/empty mapping as "no churn".
+
+    :meth:`to_columnar` caches the trace's column form; the mutators
+    below drop that cache, so grow a trace through them rather than by
+    editing ``slots`` in place.
     """
 
     slots: List[List[Packet]] = field(default_factory=list)
     port_events: Dict[int, List[PortStateEvent]] = field(default_factory=dict)
+    _columnar: Optional["ColumnarTrace"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -56,16 +66,19 @@ class Trace:
 
     def append_slot(self, packets: Sequence[Packet] = ()) -> None:
         """Append one slot with the given (possibly empty) burst."""
+        self._columnar = None
         self.slots.append(list(packets))
 
     def add_packet(self, slot: int, packet: Packet) -> None:
         """Add a packet to ``slot``, growing the trace as needed."""
+        self._columnar = None
         while len(self.slots) <= slot:
             self.slots.append([])
         self.slots[slot].append(packet)
 
     def add_port_event(self, slot: int, port: int, up: bool) -> None:
         """Record a churn event at ``slot``, growing the trace as needed."""
+        self._columnar = None
         while len(self.slots) <= slot:
             self.slots.append([])
         self.port_events.setdefault(slot, []).append(
@@ -75,6 +88,7 @@ class Trace:
     def extend(self, other: "Trace") -> None:
         """Append another trace's slots (and churn events) after this
         one's; the other trace's event slots shift accordingly."""
+        self._columnar = None
         offset = len(self.slots)
         for packets in other.slots:
             self.slots.append(list(packets))
@@ -104,6 +118,22 @@ class Trace:
         for _ in range(extra_slots):
             result.append_slot()
         return result
+
+    def to_columnar(self) -> "ColumnarTrace":
+        """The trace as CSR columns, converted once and cached.
+
+        The mirror of :meth:`ColumnarTrace.to_trace`: the vectorized
+        engines replay an object trace through this view, so the
+        policies of one sweep cell share a single conversion (and a
+        single validation, which the view remembers). The mutators
+        above drop the cache.
+        """
+        view = self._columnar
+        if view is None:
+            from repro.traffic.columnar import ColumnarTrace
+
+            view = self._columnar = ColumnarTrace.from_trace(self)
+        return view
 
     # ------------------------------------------------------------------
     # Inspection

@@ -26,7 +26,13 @@ import pytest
 
 from repro.analysis.competitive import PolicySystem, run_system
 from repro.core import columns as columns_mod
-from repro.core.columnar import ARRAY_TRANSMIT_MIN_PORTS, VectorizedSwitch
+from repro.core.columnar import (
+    ARRAY_TRANSMIT_MIN_PORTS,
+    K_LQDV,
+    K_MRD,
+    K_MVD,
+    VectorizedSwitch,
+)
 from repro.core.config import SwitchConfig
 from repro.core.errors import TraceError
 from repro.core.packet import Packet
@@ -124,20 +130,30 @@ def test_corrupt_transmission_calendar_caught():
         switch.check_invariants()
 
 
-def _warm_value_switch(policy_name: str) -> VectorizedSwitch:
-    """A small priority-queue switch after a few congested slots fed
-    through the column path, where the value kernels are bound."""
+#: How a warm-up trace reaches the switch: as trace column spans, or
+#: as packet bursts through the ``run_slot`` adapter.
+FEEDS = ("columns", "run_slot")
+
+
+def _warm_value_switch(
+    policy_name: str, feed: str = "columns"
+) -> VectorizedSwitch:
+    """A small priority-queue switch after a few congested slots, with
+    its value kernel bound and in sync."""
     config = SwitchConfig.value_contiguous(4, 8)
     switch = VectorizedSwitch(config)
     policy = make_policy(policy_name)
-    trace = ColumnarTrace.from_trace(
-        _congested_trace(config, 12, seed=5, per_slot=10)
-    )
-    for slot in range(trace.n_slots):
-        lo, hi = trace.slot_bounds(slot)
-        switch.run_slot_columns(
-            policy, trace.ports, trace.works, trace.values, None, lo, hi
-        )
+    objects = _congested_trace(config, 12, seed=5, per_slot=10)
+    if feed == "run_slot":
+        for burst in objects.slots:
+            switch.run_slot(burst, policy)
+    else:
+        trace = ColumnarTrace.from_trace(objects)
+        for slot in range(trace.n_slots):
+            lo, hi = trace.slot_bounds(slot)
+            switch.run_slot_columns(
+                policy, trace.ports, trace.works, trace.values, None, lo, hi
+            )
     assert switch.occupancy > 0 and switch._kclean and switch._vkeys
     switch.check_invariants()
     return switch
@@ -148,24 +164,37 @@ def _warm_value_switch(policy_name: str) -> VectorizedSwitch:
 )
 def test_corrupt_kernel_structures_caught(policy_name):
     if policy_name in ("LQD", "LWD", "BPD"):
-        switch = _warm_switch(policy_name)
+        switches = [_warm_switch(policy_name)]
     else:
-        switch = _warm_value_switch(policy_name)
-    if policy_name == "LQD":
-        switch._maxl += 1
-    elif policy_name == "LWD":
-        switch._ncode[switch._active[0]] += 1
-    elif policy_name == "BPD":
-        switch._nm ^= 1
-    elif policy_name == "MVD":
-        # The victim's filed key goes missing from the per-port column.
-        switch._vkey[switch._vkeys[-1][2]] = None
-    elif policy_name == "MRD":
-        switch._vmins[0] += 0.5
-    else:
-        switch._vkeys.pop()
-    with pytest.raises(AssertionError):
-        switch.check_invariants()
+        switches = [_warm_value_switch(policy_name, feed) for feed in FEEDS]
+    for switch in switches:
+        if policy_name == "LQD":
+            switch._maxl += 1
+        elif policy_name == "LWD":
+            switch._ncode[switch._active[0]] += 1
+        elif policy_name == "BPD":
+            switch._nm ^= 1
+        elif policy_name == "MVD":
+            # The victim's filed key goes missing from the per-port column.
+            switch._vkey[switch._vkeys[-1][2]] = None
+        elif policy_name == "MRD":
+            switch._vmins[0] += 0.5
+        else:
+            switch._vkeys.pop()
+        with pytest.raises(AssertionError):
+            switch.check_invariants()
+
+
+@pytest.mark.parametrize(
+    "policy_name, kind",
+    [("LQD-V", K_LQDV), ("MVD", K_MVD), ("MRD", K_MRD)],
+    ids=["LQD-V", "MVD", "MRD"],
+)
+def test_object_bursts_bind_value_kernel(policy_name, kind):
+    # run_slot is an adapter over the column path, so packet bursts
+    # reach the value kernels too (no generic-dispatch fallback).
+    switch = _warm_value_switch(policy_name, "run_slot")
+    assert switch._kkind == kind
 
 
 def test_corrupt_occupancy_caught():
@@ -218,18 +247,22 @@ def test_column_validation_runs_once_per_trace_and_config(monkeypatch):
 
     monkeypatch.setattr(VectorizedSwitch, "_validate_columns", counting)
     config = SwitchConfig.value_contiguous(4, 8)
-    trace = ColumnarTrace.from_trace(
-        _congested_trace(config, 12, seed=5, per_slot=10)
-    )
-    for name in ("LQD-V", "MVD", "MRD", "NEST"):
-        system = PolicySystem(config, make_policy(name), engine="vectorized")
-        run_system(system, trace)
-    assert calls == [trace.total_packets]
-    wider = SwitchConfig.value_contiguous(5, 8)
-    run_system(
-        PolicySystem(wider, make_policy("MVD"), engine="vectorized"), trace
-    )
-    assert len(calls) == 2
+    objects = _congested_trace(config, 12, seed=5, per_slot=10)
+    # An object trace is validated through its cached columnar view.
+    for trace in (ColumnarTrace.from_trace(objects), objects):
+        calls.clear()
+        for name in ("LQD-V", "MVD", "MRD", "NEST"):
+            system = PolicySystem(
+                config, make_policy(name), engine="vectorized"
+            )
+            run_system(system, trace)
+        assert calls == [trace.total_packets]
+        wider = SwitchConfig.value_contiguous(5, 8)
+        run_system(
+            PolicySystem(wider, make_policy("MVD"), engine="vectorized"),
+            trace,
+        )
+        assert len(calls) == 2
 
 
 def test_column_validation_pins_nothing_past_the_replay():
@@ -262,6 +295,55 @@ def test_invalid_columns_still_rejected():
             make_policy("MVD"), trace.ports, trace.works, trace.values,
             None, 0, 2,
         )
+
+
+# ----------------------------------------------------------------------
+# Object traces replay through a cached columnar view
+# ----------------------------------------------------------------------
+
+
+def _replay_both(config: SwitchConfig, trace: Trace, policy_name: str):
+    """Fresh vectorized and reference replays of ``trace``; the
+    vectorized one goes through the trace's columnar view."""
+    vec = PolicySystem(config, make_policy(policy_name), engine="vectorized")
+    ref = PolicySystem(config, make_policy(policy_name), engine="reference")
+    return run_system(vec, trace), run_system(ref, trace)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda trace, more: trace.append_slot(more.slots[0]),
+        lambda trace, more: trace.add_packet(2, more.slots[0][0]),
+        lambda trace, more: trace.add_port_event(3, 1, False),
+        lambda trace, more: trace.extend(more),
+    ],
+    ids=["append_slot", "add_packet", "add_port_event", "extend"],
+)
+def test_replay_after_mutation_sees_new_content(mutate):
+    config = SwitchConfig.contiguous(4, 8)
+    trace = _congested_trace(config, 12, seed=5, per_slot=10)
+    more = _congested_trace(config, 6, seed=6, per_slot=10)
+    vec_before, _ = _replay_both(config, trace, "LQD")
+    view = trace.to_columnar()
+    mutate(trace, more)
+    assert trace.to_columnar() is not view
+    assert trace.to_columnar() == ColumnarTrace.from_trace(trace)
+    vec_after, ref_after = _replay_both(config, trace, "LQD")
+    assert vec_after.snapshot() == ref_after.snapshot()
+    assert vec_after.snapshot() != vec_before.snapshot()
+
+
+def test_cached_view_is_reused_and_invisible():
+    config = SwitchConfig.contiguous(4, 8)
+    trace = _congested_trace(config, 12, seed=5, per_slot=10)
+    twin = Trace([list(burst) for burst in trace.slots])
+    before = repr(trace)
+    _replay_both(config, trace, "LWD")
+    view = trace.to_columnar()
+    assert trace.to_columnar() is view and view.validated
+    assert trace == twin and twin == trace
+    assert repr(trace) == before == repr(twin)
 
 
 # ----------------------------------------------------------------------

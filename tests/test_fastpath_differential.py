@@ -82,10 +82,10 @@ def _drive_trio(
     (naive scan, fast-path index, vectorized slow path) and their
     Decisions are compared pointwise. Two more instances run the
     vectorized engine in batched fast mode and are compared on end
-    state only: one consumes each slot's burst through ``run_slot``,
-    the other the same slot's column span of the trace through
-    ``run_slot_columns`` — the production ingestion path, where the
-    value-model kernels live.
+    state only: one consumes each slot's burst through ``run_slot``
+    (the adapter that turns a burst into columns), the other the same
+    slot's column span of the trace through ``run_slot_columns``, the
+    engine's one fast ingestion path.
     """
     fast = SharedMemorySwitch(config, fast_path=True)
     naive = SharedMemorySwitch(config, fast_path=False)
@@ -565,6 +565,13 @@ DYNAMIC_FACTORIES = [
 # Uneven split, shared pool full, longest queue wholly inside its own
 # reservation: LQD's victim frees no slot the arrival to port 3 may use.
 @example(scenario=(4, 4, [[], [0, 0, 1, 2, 3]], "uneven", [[], []]))
+# Ports 0 and 2 go down and port 1 fills the pool they lent it; once they
+# are back up the shared pool is over-committed, so LQD's push-out of a
+# shared packet still leaves no slot for the second arrival to port 0.
+@example(
+    scenario=(3, 4, [[], [], [], [1, 1, 1, 1], [0, 0]], "even",
+              [[], [], [], [0, 2], [0, 2]])
+)
 def test_dynamic_policies_decision_identical(factory, scenario):
     n, buffer_size, bursts, split, toggles = scenario
     config = _dynamic_config(n, buffer_size, split)

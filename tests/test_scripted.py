@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.analysis.competitive import PolicySystem, run_system
 from repro.core.config import SwitchConfig
 from repro.core.errors import TraceError
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
+from repro.goldens import DecisionStreamHasher
 from repro.opt.scripted import ScriptedPolicy
+from repro.traffic.adversarial import thm4_lqd, thm9_lqd_value
+from repro.traffic.columnar import ColumnarTrace
 
 
 def tagged(port, accept, work=1):
@@ -56,3 +60,51 @@ class TestLenientMode:
         for _ in range(5):
             switch.offer(tagged(0, True), policy)
         assert switch.metrics.pushed_out == 0
+
+
+#: Fully tagged adversarial traces; their repeated rounds also give them
+#: out-of-line arrival slots.
+TAGGED_SCENARIOS = pytest.mark.parametrize(
+    "scenario",
+    [thm4_lqd(k=9, buffer_size=108), thm9_lqd_value(k=8, buffer_size=64)],
+    ids=["thm4", "thm9"],
+)
+
+
+class TestVectorizedEngine:
+    """The scripted plan replays on the vectorized engine's column path:
+    the packets the policy sees there carry the trace's tags."""
+
+    @staticmethod
+    def _replay(scenario, engine, trace, observed):
+        system = PolicySystem(
+            scenario.config, ScriptedPolicy(), engine=engine
+        )
+        hasher = DecisionStreamHasher() if observed else None
+        metrics = run_system(system, trace, observer=hasher)
+        return metrics.snapshot(), hasher and hasher.hexdigest()
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @TAGGED_SCENARIOS
+    def test_matches_reference(self, scenario, observed):
+        reference = self._replay(
+            scenario, "reference", scenario.trace, observed
+        )
+        assert reference[0]["accepted"] > 0
+        columnar = ColumnarTrace.from_trace(scenario.trace)
+        assert columnar.opts is not None and columnar.arrivals is not None
+        for trace in (scenario.trace, columnar):
+            got = self._replay(scenario, "vectorized", trace, observed)
+            assert got == reference
+
+    @TAGGED_SCENARIOS
+    def test_run_slot_bursts_match_reference(self, scenario):
+        snapshots = []
+        for engine in ("reference", "vectorized"):
+            system = PolicySystem(
+                scenario.config, ScriptedPolicy(), engine=engine
+            )
+            for burst in scenario.trace.slots:
+                system.run_slot(burst)
+            snapshots.append(system.metrics.snapshot())
+        assert snapshots[0] == snapshots[1]
