@@ -1,21 +1,24 @@
-"""Regression gate for the fast-path simulation core.
+"""Regression gate for the production (vectorized) simulation engine.
 
 Three layers of protection, from machine-independent to absolute:
 
-1. **Head-to-head** — the indexed fast path must beat the naive O(n)
-   reference selectors on the adversarial large-``n`` panel by a wide
-   margin *on the same machine in the same process*. This catches a
-   fast path that silently degenerates to the scan, regardless of host
-   speed.
-2. **Determinism drift** — every panel's per-policy objectives must
-   equal the values recorded in the committed ``BENCH_seed.json``
-   (produced by the pre-fast-path naive engine). Any mismatch means the
-   fast path changed simulation *decisions*, not just speed.
-3. **Absolute throughput** — the small panels must stay within 25% of
-   the committed baseline rates, and the adversarial large-``n`` panel
-   must hold the 2x speedup the fast path was built for. These compare
-   against numbers recorded on the development machine; on much slower
-   hardware rerun ``repro bench --tag seed --mode naive`` to re-pin.
+1. **Head-to-head** — the vectorized engine must beat the naive O(n)
+   reference engine on the adversarial large-``n`` panel by a wide
+   margin *on the same machine in the same process*. This catches an
+   engine that silently degenerates to per-packet scans, regardless of
+   host speed.
+2. **Determinism drift** — every panel's per-policy objectives on the
+   vectorized engine must equal the values recorded in the committed
+   ``BENCH_seed.json`` (produced by the naive engine before any
+   acceleration existed). Any mismatch means the production engine
+   changed simulation *decisions*, not just speed.
+3. **Absolute throughput** — on the vectorized engine the small panels
+   must stay within 25% of the committed baseline rates, and the
+   adversarial large-``n`` panel must hold a 2x speedup over them; the
+   naive engine with no observer attached must hold 97% of them. These
+   compare against numbers recorded on the development machine; on much
+   slower hardware rerun ``repro bench --tag seed --mode naive`` to
+   re-pin.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ from repro.bench import (
 from conftest import run_once
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_seed.json"
-FASTPATH_BASELINE_PATH = (
-    Path(__file__).resolve().parent / "BENCH_fastpath.json"
-)
 
 
 @pytest.fixture(scope="module")
@@ -47,31 +47,29 @@ def seed_report():
     return load_report(BASELINE_PATH)
 
 
-@pytest.fixture(scope="module")
-def fastpath_report():
-    return load_report(FASTPATH_BASELINE_PATH)
-
-
 def test_fast_beats_naive_head_to_head(benchmark):
     panel = PANELS["adversarial-proc-large"]
     naive = run_panel_bench(panel, mode="naive", slots_scale=0.2)
-    fast = run_once(
+    vectorized = run_once(
         benchmark,
-        lambda: run_panel_bench(panel, mode="fast", slots_scale=0.2),
+        lambda: run_panel_bench(panel, mode="vectorized", slots_scale=0.2),
     )
-    benchmark.extra_info["fast_slots_per_s"] = round(fast.slots_per_s, 1)
+    benchmark.extra_info["vectorized_slots_per_s"] = round(
+        vectorized.slots_per_s, 1
+    )
     benchmark.extra_info["naive_slots_per_s"] = round(naive.slots_per_s, 1)
-    # Measured ~9x on the development machine; 1.5x leaves room for noise
-    # while still catching an index that stopped being used.
-    assert fast.slots_per_s >= 1.5 * naive.slots_per_s
+    # Measured 66-127x on a 2-vCPU VM; 10x leaves room for noise while
+    # still catching column kernels that stopped binding.
+    assert vectorized.slots_per_s >= 10 * naive.slots_per_s
 
 
 def test_objectives_match_seed_recordings(seed_report):
-    # The seed report was produced by the pre-fast-path engine: equal
-    # objectives here prove the rewrite is decision-identical across
-    # engine versions, not merely self-consistent.
+    # The seed report was produced by the naive engine before any
+    # acceleration existed: equal objectives here prove the production
+    # engine is decision-identical across engine versions, not merely
+    # self-consistent.
     for name, base_panel in seed_report["panels"].items():
-        result = run_panel_bench(PANELS[name], mode="fast")
+        result = run_panel_bench(PANELS[name], mode="vectorized")
         expected = {
             t["policy"]: t["objective"] for t in base_panel["per_policy"]
         }
@@ -82,7 +80,9 @@ def test_objectives_match_seed_recordings(seed_report):
 def test_no_regression_vs_seed_on_small_panels(benchmark, seed_report):
     report = run_once(
         benchmark,
-        lambda: run_bench(select_panels(["small"]), tag="gate", mode="fast"),
+        lambda: run_bench(
+            select_panels(["small"]), tag="gate", mode="vectorized"
+        ),
     )
     regressions = compare_reports(report, seed_report, max_regression=0.25)
     assert not regressions, "; ".join(str(r) for r in regressions)
@@ -91,7 +91,7 @@ def test_no_regression_vs_seed_on_small_panels(benchmark, seed_report):
 def test_adversarial_large_holds_2x_speedup(benchmark, seed_report):
     panel = PANELS["adversarial-proc-large"]
     result = run_once(
-        benchmark, lambda: run_panel_bench(panel, mode="fast")
+        benchmark, lambda: run_panel_bench(panel, mode="vectorized")
     )
     base = float(
         seed_report["panels"]["adversarial-proc-large"]["slots_per_s"]
@@ -101,27 +101,27 @@ def test_adversarial_large_holds_2x_speedup(benchmark, seed_report):
     assert result.slots_per_s >= 2.0 * base
 
 
-def test_disabled_observer_holds_fastpath_rates(benchmark, fastpath_report):
-    """The observability fence: with no observer attached, the engine
-    must stay within 3% of the pre-observer fast-path baseline
-    (``BENCH_fastpath.json``). The disabled path adds exactly one
-    ``is None`` check per arrival; anything slower than 3% means hot-path
-    work crept in. Best-of-5 per panel absorbs scheduler noise — single
-    runs on this hardware already wander by ~3%.
+def test_disabled_observer_holds_fastpath_rates(benchmark, seed_report):
+    """The observability fence: with no observer attached, the naive
+    reference engine must stay within 3% of ``BENCH_seed.json``, the
+    same engine mode recorded before the observer existed. The disabled
+    path adds exactly one ``is None`` check per arrival; anything slower
+    than 3% means hot-path work crept in. Best-of-5 per panel absorbs
+    scheduler noise — single runs on this hardware already wander by ~3%.
     """
 
     def best_of_five():
         best = {}
-        for name in fastpath_report["panels"]:
+        for name in seed_report["panels"]:
             best[name] = max(
-                run_panel_bench(PANELS[name], mode="fast").slots_per_s
+                run_panel_bench(PANELS[name], mode="naive").slots_per_s
                 for _ in range(5)
             )
         return best
 
     rates = run_once(benchmark, best_of_five)
     failures = []
-    for name, base_panel in fastpath_report["panels"].items():
+    for name, base_panel in seed_report["panels"].items():
         base = float(base_panel["slots_per_s"])
         rate = rates[name]
         benchmark.extra_info[name] = round(rate, 1)

@@ -57,10 +57,10 @@ class PolicySystem:
     treat every contender uniformly.
 
     ``engine`` selects the simulation engine: ``"reference"`` (the
-    per-packet oracle; ``fast_path`` picks its selector mode) or
-    ``"vectorized"`` (the columnar batch-slot engine, where
-    ``fast_path`` is ignored — victim selection is always the kernel
-    or the policy's naive selector over the columnar view).
+    per-packet oracle, where policies run their naive selectors) or
+    ``"vectorized"`` (the columnar batch-slot engine, where victim
+    selection is the kernel or the policy's naive selector over the
+    columnar view).
     """
 
     def __init__(
@@ -68,7 +68,6 @@ class PolicySystem:
         config: SwitchConfig,
         policy: AdmissionPolicy,
         *,
-        fast_path: bool = True,
         observer: Optional[SlotObserver] = None,
         engine: str = "reference",
     ) -> None:
@@ -84,9 +83,7 @@ class PolicySystem:
             self.run_slot_columns = self._run_slot_columns_vectorized
             self.bind_columns = switch.bind_columns
         elif engine == "reference":
-            self.switch = SharedMemorySwitch(
-                config, fast_path=fast_path, observer=observer
-            )
+            self.switch = SharedMemorySwitch(config, observer=observer)
         else:
             raise ConfigError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"

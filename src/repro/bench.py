@@ -24,9 +24,11 @@ comparable run-to-run and machine-to-machine modulo hardware. Per-policy
 timings: any drift between two reports' objectives means the two runs
 simulated different decisions, i.e. a determinism bug, not a perf delta.
 
-``BENCH_seed.json`` (committed) is the pre-fast-path baseline recorded
-on the naive O(n)-scan engine; :func:`compare_reports` implements the
-CI regression gate against it. See ``repro bench --help`` for the CLI.
+Two modes are timed: ``vectorized``, the columnar engine every
+``repro run`` uses, and ``naive``, the reference engine whose policies
+scan all queues per arrival (the oracle). ``BENCH_seed.json``
+(committed) was recorded in naive mode; :func:`compare_reports`
+implements the regression gate. See ``repro bench --help`` for the CLI.
 """
 
 from __future__ import annotations
@@ -403,17 +405,17 @@ def _environment() -> Dict[str, object]:
 def run_panel_bench(
     panel: BenchPanel,
     *,
-    mode: str = "fast",
+    mode: str = "vectorized",
     slots_scale: float = 1.0,
 ) -> PanelResult:
     """Time every pinned policy of one panel over its pinned trace.
 
     Trace generation, packet materialization included, is excluded
     from the timed region; the timer wraps exactly the slot loop
-    (:func:`repro.analysis.competitive.run_system`) over object traces
-    — the quantity the fast-path work optimizes. In vectorized mode the
-    first policy's replay also converts the trace to its cached
-    columnar view and validates it; the other policies reuse both.
+    (:func:`repro.analysis.competitive.run_system`) over object traces.
+    In vectorized mode the first policy's replay also converts the trace
+    to its cached columnar view and validates it; the other policies
+    reuse both.
     """
     trace = _object_trace(panel.trace(slots_scale))
     config = panel.config()
@@ -443,26 +445,22 @@ def _object_trace(trace: AnyTrace) -> Trace:
 
 
 def _make_system(config: SwitchConfig, policy, mode: str) -> PolicySystem:
-    """Build the simulated system in one of the benchmarkable modes.
-
-    ``fast``/``naive`` pick the reference engine's selector mode
-    (``naive`` is the O(n)-scan oracle); ``vectorized`` picks the
-    columnar batch-slot engine.
-    """
-    if mode == "vectorized":
-        return PolicySystem(config, policy, engine="vectorized")
-    if mode not in ("fast", "naive"):
+    """Build the simulated system in one of the benchmarkable modes:
+    ``naive`` is the reference engine (the O(n)-scan oracle),
+    ``vectorized`` the columnar batch-slot engine."""
+    if mode not in ("naive", "vectorized"):
         raise ConfigError(
-            f"bench mode must be fast|naive|vectorized, got {mode!r}"
+            f"bench mode must be naive|vectorized, got {mode!r}"
         )
-    return PolicySystem(config, policy, fast_path=(mode == "fast"))
+    engine = "vectorized" if mode == "vectorized" else "reference"
+    return PolicySystem(config, policy, engine=engine)
 
 
 def run_bench(
     panels: Sequence[BenchPanel],
     *,
     tag: str = "local",
-    mode: str = "fast",
+    mode: str = "vectorized",
     slots_scale: float = 1.0,
     repeats: int = 1,
     progress=None,
@@ -721,7 +719,7 @@ def run_obs_bench(
         "schema": SCHEMA_VERSION,
         "kind": "observer-overhead",
         "tag": tag,
-        "mode": "fast",
+        "mode": "naive",
         "slots_scale": slots_scale,
         "created": datetime.now(timezone.utc).isoformat(),
         "environment": _environment(),
@@ -908,11 +906,10 @@ def compare_speedup(
 
     The vectorized-engine acceptance gate: ``current`` (a vectorized
     report) must be at least ``min_speedup * (1 - tolerance)`` times the
-    ``baseline`` (the committed fast-path report) on every selected
-    panel. The tolerance term is the same 25%-fence style as
-    :func:`compare_reports` — committed baselines were recorded on
-    different hardware, so an exact multiplier would gate on machine
-    identity rather than on the engine.
+    ``baseline`` (a naive-mode report, measured on the same runner for
+    the CI gates) on every selected panel. The tolerance term is the
+    same 25%-fence style as :func:`compare_reports`, absorbing run-to-run
+    noise rather than gating on scheduler luck.
 
     With ``panels=None`` every panel present in both reports is gated.
     A selected panel missing from either report is itself a failure

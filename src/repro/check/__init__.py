@@ -3,11 +3,11 @@
 The engine's headline guarantees are *contracts*, not code: sweeps are
 byte-identical across serial/parallel/faulted execution, policies touch
 switch state only through the public :class:`~repro.core.switch.
-SwitchView` surface, observers receive frozen snapshots, and the PR 2
-fast path must stay allocation-lean. Every one of those contracts used
-to be enforced only dynamically — a stray ``time.time()`` or a direct
-queue mutation in a new policy broke determinism in ways the
-differential suites caught late or never.
+SwitchView` surface, observers receive frozen snapshots, and the
+per-packet hot paths must stay allocation-lean. Every one of those
+contracts used to be enforced only dynamically — a stray
+``time.time()`` or a direct queue mutation in a new policy broke
+determinism in ways the differential suites caught late or never.
 
 This package is the static analogue: an AST-based analyzer (stdlib
 ``ast`` only, no third-party dependencies) with a small rule framework

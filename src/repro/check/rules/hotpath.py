@@ -1,7 +1,7 @@
-"""Hot-path allocation audit (RC2xx): keep the fast path lean.
+"""Hot-path allocation audit (RC2xx): keep the per-packet paths lean.
 
-PR 2's fast path earns its ~9x by *not allocating*: victim selection is
-a tuple read off an incremental ordering, ``fresh_copy`` skips
+The engines' per-packet paths are fast because they *do not allocate*:
+the column kernels update preallocated arrays, ``fresh_copy`` skips
 ``__init__``, and the transmission phase walks a cached active set.
 Those wins erode one innocent-looking allocation at a time — a closure
 captured per call, a comprehension temporary per loop iteration, an

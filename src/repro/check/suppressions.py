@@ -7,8 +7,8 @@ above it (for lines too long to hold both code and justification)::
 
     handle = path.open("a")  # repro: allow[RCnnn] -- appends are flushed per record
 
-    # repro: allow[RCnnn] -- the differential test reaches into the index on purpose
-    orderings = view.index.registered_kinds
+    # repro: allow[RCnnn] -- the differential test reads columns on purpose
+    lens = vectorized._lens
 
 Multiple codes separate with commas: ``allow[RC301,RC302]``. The
 justification is mandatory — a pragma without one is reported as

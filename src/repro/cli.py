@@ -1040,11 +1040,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="panel names, or small / large / all (default all)",
     )
     bench_parser.add_argument(
-        "--mode", choices=("fast", "naive", "vectorized"), default="fast",
+        "--mode", choices=("naive", "vectorized"), default="vectorized",
         help=(
-            "engine/selector to time: the reference engine's fast or "
-            "naive selector, or the columnar vectorized engine "
-            "(default fast)"
+            "engine to time: the columnar vectorized engine that "
+            "'repro run' uses, or the naive reference oracle "
+            "(default vectorized)"
         ),
     )
     bench_parser.add_argument(

@@ -1,6 +1,5 @@
 """Core model: packets, queues, configuration, and the switch engine."""
 
-from repro.core.aggregates import AggregateIndex, Ordering
 from repro.core.config import BufferModel, PortSpec, QueueDiscipline, SwitchConfig
 from repro.core.decisions import ACCEPT, DROP, Action, Decision, push_out
 from repro.core.errors import (
@@ -21,12 +20,10 @@ from repro.core.switch import AdmissionPolicy, SharedMemorySwitch, SwitchView
 
 __all__ = [
     "ACCEPT",
-    "AggregateIndex",
     "DROP",
     "Action",
     "AdmissionPolicy",
     "BufferModel",
-    "Ordering",
     "ConfigError",
     "Decision",
     "ExperimentError",

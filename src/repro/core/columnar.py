@@ -202,11 +202,10 @@ def _new_packet(
 class ColumnarView:
     """``SwitchView``-compatible read facade over columnar state.
 
-    Policies treat it exactly like a ``fast_path=False`` view: ``index``
-    is ``None``, so every policy runs its naive reference selector. All
-    aggregate reads return the same values (bit-for-bit for the floats,
-    which are maintained with the reference operation order) as a
-    ``SwitchView`` over a reference switch in the same state.
+    Policies run their naive reference selectors over it. All aggregate
+    reads return the same values (bit-for-bit for the floats, which are
+    maintained with the reference operation order) as a ``SwitchView``
+    over a reference switch in the same state.
     """
 
     __slots__ = ("_s",)
@@ -282,11 +281,6 @@ class ColumnarView:
 
     def is_port_up(self, port: int) -> bool:
         return self._s._port_up[port]
-
-    @property
-    def index(self) -> None:
-        """Always ``None``: policies use their naive selectors here."""
-        return None
 
     def queue_len(self, port: int) -> int:
         return self._s._lens[port]

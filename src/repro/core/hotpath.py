@@ -1,8 +1,9 @@
 """The ``@hot_path`` marker: declare a function allocation-audited.
 
-The PR 2 fast path is a performance *contract* — ``fresh_copy`` skips
-``__init__``, victim selection is an O(log n) ordering read, the
-transmission phase walks only active ports. The contract erodes one
+The engines' per-packet paths are a performance *contract* —
+``fresh_copy`` skips ``__init__``, the column kernels update
+preallocated arrays, the transmission phase walks only active ports.
+The contract erodes one
 innocent allocation at a time, so functions on the contract are marked
 with this decorator and ``repro check`` audits their bodies statically
 (rules RC201–RC204: no closures, no comprehension temporaries in

@@ -21,25 +21,14 @@ frees space — and raises :class:`~repro.core.errors.PolicyError` when a
 policy violates the contract, rather than silently producing wrong
 competitive ratios.
 
-Fast path
----------
-The switch maintains two acceleration structures, both invisible at the
-model level (simulation output is decision-for-decision identical with
-them on or off):
-
-* an **active set** — the sorted list of non-empty ports. The
-  transmission phase walks only active queues, so a large-``n`` switch
-  with a handful of busy ports pays for the busy ports, not for ``n``.
-* an :class:`~repro.core.aggregates.AggregateIndex` of incremental
-  per-port aggregate orderings, which turns the push-out policies'
-  O(n) victim rescans into O(log n) top-of-ordering reads. Constructing
-  the switch with ``fast_path=False`` omits the index; policies then
-  fall back to their naive :class:`SwitchView`-only reference scans —
-  the configuration the differential test suite compares against.
-
-Every queue mutation funnels through :meth:`SharedMemorySwitch.
-_queue_changed`, which updates the active set, invalidates the cached
-read views handed to policies, and notifies the index.
+This is the reference engine: policies select victims with their naive
+O(n) scans over :class:`SwitchView`, the literal definitions the
+vectorized engine (:mod:`repro.core.columnar`) must match decision for
+decision. The one acceleration kept is the **active set**, the sorted
+list of non-empty ports, so the transmission phase walks only busy
+queues. Every queue mutation funnels through :meth:`SharedMemorySwitch.
+_queue_changed`, which updates the active set and invalidates the cached
+read views handed to policies.
 
 Observability
 -------------
@@ -59,7 +48,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
 
-from repro.core.aggregates import AggregateIndex
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.decisions import DROP, Action, Decision
 from repro.core.errors import PolicyError, TraceError
@@ -75,10 +63,7 @@ class SwitchView:
 
     Policies must base decisions only on observable state: queue contents,
     occupancy, and the static configuration. The view exposes exactly
-    that — it holds the switch privately and forwards queries. On
-    fast-path switches it additionally exposes the aggregate index
-    (:attr:`index`); policies treat it as an accelerated way to read the
-    same observable state.
+    that — it holds the switch privately and forwards queries.
     """
 
     __slots__ = ("_switch",)
@@ -171,11 +156,6 @@ class SwitchView:
         dropped by the engine before the policy is consulted)."""
         return self._switch._port_up[port]
 
-    @property
-    def index(self) -> Optional[AggregateIndex]:
-        """The switch's aggregate index, or ``None`` on naive switches."""
-        return self._switch.index
-
     def _queue(self, port: int) -> OutputQueue:
         """The queue at ``port``; :class:`PolicyError` when out of range."""
         queues = self._switch.queues
@@ -252,10 +232,6 @@ class SwitchView:
     def buffer_min_value(self) -> Optional[float]:
         """The minimal value over all buffered packets, or ``None`` when
         the buffer is empty. Used by MVD/MRD admission tests."""
-        index = self._switch.index
-        if index is not None:
-            top = index.ordering("min_value").best()
-            return None if top is None else -top[0]
         best: Optional[float] = None
         for queue in self._switch.queues:
             if len(queue) == 0:
@@ -283,18 +259,12 @@ class SharedMemorySwitch:
     metrics) and mechanics (arrival application, transmission), while all
     admission intelligence lives in the policy object passed to
     :meth:`arrival_phase` / :meth:`run_slot`.
-
-    ``fast_path`` controls the aggregate index behind indexed victim
-    selection. ``False`` builds a reference switch on which policies use
-    their naive O(n) scans; simulation output is identical either way
-    (the differential suite enforces this).
     """
 
     def __init__(
         self,
         config: SwitchConfig,
         *,
-        fast_path: bool = True,
         observer: Optional[SlotObserver] = None,
     ) -> None:
         self.config = config
@@ -311,10 +281,6 @@ class SharedMemorySwitch:
         self.metrics = SwitchMetrics(n_ports=config.n_ports)
         self.view = SwitchView(self)
         self.current_slot = 0
-        self.fast_path = fast_path
-        self.index: Optional[AggregateIndex] = (
-            AggregateIndex(self.queues, config.works) if fast_path else None
-        )
         # Acceleration state, maintained by _queue_changed: the sorted
         # active (non-empty) port list, and the cached read views.
         self._active_ports: List[int] = []
@@ -374,8 +340,6 @@ class SharedMemorySwitch:
                 del self._active_ports[bisect_left(self._active_ports, port)]
             self._nonempty_cache = None
         self._packets_cache[port] = None
-        if self.index is not None:
-            self.index.update(port)
 
     def _reset_runtime_state(self) -> None:
         """Rebuild acceleration state from scratch (after a flush)."""
@@ -391,8 +355,6 @@ class SharedMemorySwitch:
                 max(0, len(q) - r) for q, r in zip(self.queues, reserved)
             ]
             self._shared_occ = sum(self._shared_used)
-        if self.index is not None:
-            self.index.rebuild()
 
     # ------------------------------------------------------------------
     # Arrival phase
@@ -712,8 +674,6 @@ class SharedMemorySwitch:
                 r for r, port_up in zip(reserved, self._port_up) if not port_up
             )
             assert self._down_reserved == expect_down
-        if self.index is not None:
-            self.index.check()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         lens = ",".join(str(len(q)) for q in self.queues)

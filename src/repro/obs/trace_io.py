@@ -310,7 +310,6 @@ def record_trace(
     *,
     flush_every: Optional[int] = None,
     drain_slots: int = 0,
-    fast_path: bool = True,
     header: Optional[Mapping[str, object]] = None,
 ) -> SwitchMetrics:
     """Run ``policy`` over ``trace`` while recording a JSONL event trace.
@@ -335,7 +334,7 @@ def record_trace(
         head.update(header)
     writer = JsonlTraceWriter(sink, header=head)
     try:
-        system = PolicySystem(config, policy, fast_path=fast_path)
+        system = PolicySystem(config, policy)
         metrics = run_system(
             system,
             trace,

@@ -109,9 +109,6 @@ class LWD1(LWD):
     ) -> Optional[Tuple[int, int, int]]:
         """Max ``(W_j, w_j, j)`` over queues with ``j != own_port`` and
         at least two packets, or ``None`` when no queue qualifies."""
-        index = view.index
-        if index is not None:
-            return index.ordering("work", 2).best_excluding(own_port)
         best_key: Optional[Tuple[int, int, int]] = None
         for port in range(view.n_ports):
             if port == own_port or view.queue_len(port) < 2:
@@ -142,10 +139,6 @@ class MRD1(MRD):
 
     @staticmethod
     def _max_ratio_multi_packet_queue(view: SwitchView) -> Optional[int]:
-        index = view.index
-        if index is not None:
-            top = index.ordering("ratio", 2).best()
-            return None if top is None else top[-1]
         best_key: Optional[Tuple[float, float, int]] = None
         best_port: Optional[int] = None
         for port in range(view.n_ports):

@@ -25,14 +25,11 @@ Tie-breaking follows the paper where specified (largest required work) and
 is completed deterministically by the largest port index otherwise, so runs
 are reproducible bit-for-bit.
 
-Each selector has two implementations with identical decisions: a naive
-O(n) scan over the :class:`~repro.core.switch.SwitchView` (the reference,
-used when the switch was built with ``fast_path=False``) and an indexed
-O(log n) read of the switch's :class:`~repro.core.aggregates.
-AggregateIndex`. Because every ordering key ends with the port number,
-keys are unique and the ordering's maximum coincides with the reference
-scan's first-strict-maximum — the differential suite in
-``tests/test_fastpath_differential.py`` locks this equivalence down.
+Each selector is the literal O(n) argmax of its definition, scanned
+over the :class:`~repro.core.switch.SwitchView`. Every key ends with the
+port number, so keys are unique and the argmax is well defined. These
+scans are the reference the vectorized engine's column kernels must
+match decision for decision (``tests/test_fastpath_differential.py``).
 """
 
 from __future__ import annotations
@@ -65,22 +62,6 @@ class LQD(PushOutPolicy):
 
     @staticmethod
     def _longest_queue(view: SwitchView, packet: Packet) -> int:
-        index = view.index
-        if index is None:
-            return LQD._longest_queue_naive(view, packet)
-        # Indexed: the arrival's own queue competes with its virtual key
-        # (|Q_i| + 1, w_i, i); an empty queue's key starts with 0 < 1, so
-        # no empty port can out-rank it and the non-empty-only ordering
-        # is sufficient.
-        own = packet.port
-        own_key = (view.queue_len(own) + 1, view.work_of(own), own)
-        top = index.ordering("length").best_excluding(own)
-        if top is None or top < own_key:
-            return own
-        return top[-1]
-
-    @staticmethod
-    def _longest_queue_naive(view: SwitchView, packet: Packet) -> int:
         best_key: Optional[Tuple[int, int, int]] = None
         best_port = packet.port
         for port in range(view.n_ports):
@@ -119,13 +100,6 @@ class BPD(PushOutPolicy):
         return DROP
 
     def _biggest_queue(self, view: SwitchView) -> Optional[int]:
-        index = view.index
-        if index is None:
-            return self._biggest_queue_naive(view)
-        top = index.ordering("static_work", self.min_victim_len).best()
-        return None if top is None else top[-1]
-
-    def _biggest_queue_naive(self, view: SwitchView) -> Optional[int]:
         best_key: Optional[Tuple[int, int]] = None
         best_port: Optional[int] = None
         for port in range(view.n_ports):
@@ -175,22 +149,6 @@ class LWD(PushOutPolicy):
 
     @staticmethod
     def _longest_work_queue(view: SwitchView, packet: Packet) -> int:
-        index = view.index
-        if index is None:
-            return LWD._longest_work_queue_naive(view, packet)
-        # Own virtual key (W_i + w_i, w_i, i) has first component >= 1, so
-        # empty ports (key starting with 0) can never beat it — the
-        # non-empty-only ordering decides exactly like the full scan.
-        own = packet.port
-        own_work = view.work_of(own)
-        own_key = (view.total_work(own) + own_work, own_work, own)
-        top = index.ordering("work").best_excluding(own)
-        if top is None or top < own_key:
-            return own
-        return top[-1]
-
-    @staticmethod
-    def _longest_work_queue_naive(view: SwitchView, packet: Packet) -> int:
         own_work = view.work_of(packet.port)
         best_key: Optional[Tuple[int, int, int]] = None
         best_port = packet.port

@@ -28,11 +28,10 @@ its proposed hybrid:
 Push-out always evicts a queue's *tail*, which for value-model priority
 queues is its least valuable packet.
 
-As in the processing model, each selector keeps a naive O(n) reference
-scan (used on ``fast_path=False`` switches) next to an indexed O(log n)
-read of the switch's aggregate index; the two are decision-identical by
-construction (port-last unique keys, exact float negation for the
-min-orderings) and by the differential test suite.
+As in the processing model, each selector is the literal O(n) argmax of
+its definition over the view, with the port number last in every key so
+ties resolve uniquely. The vectorized engine's column kernels must match
+these scans decision for decision (the differential test suite).
 """
 
 from __future__ import annotations
@@ -64,25 +63,6 @@ class LQDValue(PushOutPolicy):
 
     @staticmethod
     def _longest_queue(view: SwitchView, packet: Packet) -> int:
-        index = view.index
-        if index is None:
-            return LQDValue._longest_queue_naive(view, packet)
-        # Own virtual key starts with |Q_i| + 1 >= 1; empty ports' keys
-        # start with 0, so the non-empty-only ordering suffices.
-        own = packet.port
-        own_len = view.queue_len(own)
-        own_key = (
-            (own_len + 1, -view.tail_value(own), own)
-            if own_len > 0
-            else (1, float("-inf"), own)
-        )
-        top = index.ordering("length_cheap").best_excluding(own)
-        if top is None or top < own_key:
-            return own
-        return top[-1]
-
-    @staticmethod
-    def _longest_queue_naive(view: SwitchView, packet: Packet) -> int:
         best_key: Optional[Tuple[int, float, int]] = None
         best_port = packet.port
         for port in range(view.n_ports):
@@ -122,16 +102,6 @@ class MVD(PushOutPolicy):
         return DROP
 
     def _min_value_queue(self, view: SwitchView) -> Optional[int]:
-        index = view.index
-        if index is None:
-            return self._min_value_queue_naive(view)
-        # The "min_value" ordering stores (-min value, |Q|, port), whose
-        # maximum is exactly the minimum of (min value, -|Q|, -port) —
-        # IEEE negation is exact, so ties transfer bit-for-bit.
-        top = index.ordering("min_value", self.min_victim_len).best()
-        return None if top is None else top[-1]
-
-    def _min_value_queue_naive(self, view: SwitchView) -> Optional[int]:
         best_key: Optional[Tuple[float, int, int]] = None
         best_port: Optional[int] = None
         for port in range(view.n_ports):
@@ -185,16 +155,6 @@ class MRD(PushOutPolicy):
 
     @staticmethod
     def _max_ratio_queue(view: SwitchView) -> Optional[int]:
-        index = view.index
-        if index is None:
-            return MRD._max_ratio_queue_naive(view)
-        # The "ratio" key computes len/avg with the same float operations
-        # as the naive scan, so the ratios — and the ties — are identical.
-        top = index.ordering("ratio").best()
-        return None if top is None else top[-1]
-
-    @staticmethod
-    def _max_ratio_queue_naive(view: SwitchView) -> Optional[int]:
         best_key: Optional[Tuple[float, float, int]] = None
         best_port: Optional[int] = None
         for port in range(view.n_ports):

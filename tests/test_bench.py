@@ -58,16 +58,19 @@ class TestModes:
     )
     def test_fast_and_naive_modes_agree_on_objectives(self, panel_name):
         # The report records per-policy objectives exactly so that any
-        # fast/naive divergence shows up as drift, not just as perf noise.
+        # divergence of the vectorized engine from the naive oracle shows
+        # up as drift, not just as perf noise.
         panel = PANELS[panel_name]
-        fast = run_panel_bench(panel, mode="fast", slots_scale=SMALL_SCALE)
+        vectorized = run_panel_bench(
+            panel, mode="vectorized", slots_scale=SMALL_SCALE
+        )
         naive = run_panel_bench(panel, mode="naive", slots_scale=SMALL_SCALE)
-        assert [(t.policy, t.objective) for t in fast.timings] == [
+        assert [(t.policy, t.objective) for t in vectorized.timings] == [
             (t.policy, t.objective) for t in naive.timings
         ]
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError, match="fast|naive"):
+        with pytest.raises(ConfigError, match="naive|vectorized"):
             run_panel_bench(
                 PANELS["adversarial-proc-small"], mode="turbo"
             )
@@ -85,7 +88,7 @@ class TestReports:
         loaded = load_report(path)
         assert loaded["schema"] == SCHEMA_VERSION
         assert loaded["tag"] == "unit"
-        assert loaded["mode"] == "fast"
+        assert loaded["mode"] == "vectorized"
         panel = loaded["panels"]["adversarial-proc-small"]
         assert panel["spec"]["n_ports"] == 8
         assert panel["slots_per_s"] > 0
@@ -134,7 +137,7 @@ class TestCli:
         baseline = {
             "schema": SCHEMA_VERSION,
             "tag": "impossible",
-            "mode": "fast",
+            "mode": "naive",
             "slots_scale": 1.0,
             "panels": {
                 "adversarial-proc-small": {"slots_per_s": 1e12},

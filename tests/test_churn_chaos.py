@@ -46,11 +46,9 @@ def _flap_trace(config: SwitchConfig, *, load: float = 0.9, seed: int = 3):
     )
 
 
-def _record(policy_name, trace, config, *, fast_path=True):
+def _record(policy_name, trace, config):
     buffer = io.StringIO()
-    live = record_trace(
-        make_policy(policy_name), trace, config, buffer, fast_path=fast_path
-    )
+    live = record_trace(make_policy(policy_name), trace, config, buffer)
     buffer.seek(0)
     return live, buffer
 
@@ -62,13 +60,10 @@ def _record(policy_name, trace, config, *, fast_path=True):
 
 class TestChurnReplay:
     @pytest.mark.parametrize("policy_name", CHURN_POLICIES)
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_flap_replay_byte_equal(self, policy_name, fast_path):
+    def test_flap_replay_byte_equal(self, policy_name):
         config = _flap_config()
         trace = _flap_trace(config)
-        live, buffer = _record(
-            policy_name, trace, config, fast_path=fast_path
-        )
+        live, buffer = _record(policy_name, trace, config)
         result = replay_trace(buffer)
         result.verify()
         assert result.metrics == live

@@ -353,7 +353,7 @@ def test_cached_view_is_reused_and_invisible():
 
 def _drive_both(config: SwitchConfig, trace: Trace, policy_name: str):
     vec = VectorizedSwitch(config)
-    ref = SharedMemorySwitch(config, fast_path=True)
+    ref = SharedMemorySwitch(config)
     vec_policy = make_policy(policy_name)
     ref_policy = make_policy(policy_name)
     for burst in trace.slots:
@@ -417,7 +417,7 @@ def test_wide_switch_uses_array_path_and_matches_reference():
         "switch this wide should take the whole-array transmission path"
     )
     trace = _congested_trace(config, 30, seed=31, per_slot=3 * n)
-    ref = SharedMemorySwitch(config, fast_path=True)
+    ref = SharedMemorySwitch(config)
     policy_vec, policy_ref = make_policy("LQD"), make_policy("LQD")
     for burst in trace.slots:
         switch.run_slot(burst, policy_vec)

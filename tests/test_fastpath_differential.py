@@ -1,29 +1,25 @@
-"""Differential suite: naive vs. fast-path vs. vectorized engines.
+"""Differential suite: the naive reference engine vs. the vectorized engine.
 
-The correctness contract has two layers:
+The reference :class:`~repro.core.switch.SharedMemorySwitch`, whose
+policies select victims with the naive O(n) scans of their
+definitions, is the oracle. The columnar batch-slot engine of
+:mod:`repro.core.columnar` must reproduce its decision stream
+byte-identically (the vectorized oracle contract, see
+docs/VECTORIZED.md): on its per-packet slow path (offer-driven,
+compared decision by decision) *and* in its batched fast mode, fed as
+bursts and as column spans (compared on final queue contents and the
+full metrics snapshot, since fast mode by design emits no per-decision
+stream).
 
-* **Selector parity** (PR 2): a switch built with ``fast_path=True``
-  (aggregate-index selectors) produces *byte-identical* simulation
-  output to one built with ``fast_path=False`` (the naive O(n)
-  reference scans) — every Decision, including the paper's
-  tie-breaking orders, must match.
-* **Engine parity** (the vectorized oracle contract, see
-  docs/VECTORIZED.md): the columnar batch-slot engine of
-  :mod:`repro.core.columnar` must reproduce the reference engine's
-  decision stream byte-identically — on its per-packet slow path
-  (offer-driven, compared decision by decision) *and* in its batched
-  fast mode (compared on final queue contents and the full metrics
-  snapshot, since fast mode by design emits no per-decision stream).
-
-This suite drives all engines in lock-step over hypothesis-generated
+This suite drives the engines in lock-step over hypothesis-generated
 traces for every registered push-out policy in both disciplines.
 Values are drawn from a tiny set so exact-value ties occur constantly,
 and processing-model configs flip between distinct and *uniform* works
 — under uniform works aggregate keys (queue length, queue work) tie on
 every congested arrival, which is exactly where victim tie-breaking
 order is the whole behavior. Dedicated regression tests additionally
-pin the engineered tie cases from the paper's definitions on all three
-implementations.
+pin the engineered tie cases from the paper's definitions on every
+engine leg.
 """
 
 from __future__ import annotations
@@ -69,31 +65,28 @@ VALUE_PUSHOUT = _pushout_names("value")
 TIE_VALUES = (1.0, 2.0, 3.0)
 
 
-def _drive_trio(
+def _drive_lockstep(
     policy_name: str,
     config: SwitchConfig,
     slot_bursts: Sequence[Sequence[Packet]],
     flush_every: int | None = None,
-) -> Tuple[SharedMemorySwitch, SharedMemorySwitch, VectorizedSwitch,
-           VectorizedSwitch, VectorizedSwitch]:
+) -> Tuple[SharedMemorySwitch, VectorizedSwitch, VectorizedSwitch,
+           VectorizedSwitch]:
     """Run all engines in lock-step, asserting equal decision streams.
 
-    Three implementations see each packet as an individual ``offer``
-    (naive scan, fast-path index, vectorized slow path) and their
-    Decisions are compared pointwise. Two more instances run the
-    vectorized engine in batched fast mode and are compared on end
-    state only: one consumes each slot's burst through ``run_slot``
-    (the adapter that turns a burst into columns), the other the same
-    slot's column span of the trace through ``run_slot_columns``, the
-    engine's one fast ingestion path.
+    Two instances see each packet as an individual ``offer`` (the
+    naive reference and the vectorized slow path) and their Decisions
+    are compared pointwise. Two more instances run the vectorized
+    engine in batched fast mode and are compared on end state only:
+    one consumes each slot's burst through ``run_slot`` (the adapter
+    that turns a burst into columns), the other the same slot's column
+    span of the trace through ``run_slot_columns``, the engine's one
+    fast ingestion path.
     """
-    fast = SharedMemorySwitch(config, fast_path=True)
-    naive = SharedMemorySwitch(config, fast_path=False)
+    naive = SharedMemorySwitch(config)
     vec = VectorizedSwitch(config)
     batch = VectorizedSwitch(config)
     cols = VectorizedSwitch(config)
-    assert fast.index is not None and naive.index is None
-    fast_policy = make_policy(policy_name)
     naive_policy = make_policy(policy_name)
     vec_policy = make_policy(policy_name)
     batch_policy = make_policy(policy_name)
@@ -102,20 +95,18 @@ def _drive_trio(
     assert trace.arrivals is None
     for slot, burst in enumerate(slot_bursts):
         for packet in burst:
-            d_fast = fast.offer(packet, fast_policy)
             d_naive = naive.offer(packet, naive_policy)
             d_vec = vec.offer(packet, vec_policy)
-            assert d_fast == d_naive == d_vec, (
+            assert d_naive == d_vec, (
                 f"{policy_name} diverged at slot {slot} on {packet}: "
-                f"fast={d_fast}, naive={d_naive}, vectorized={d_vec}"
+                f"naive={d_naive}, vectorized={d_vec}"
             )
-        fast.transmission_phase()
         naive.transmission_phase()
         vec.transmission_phase()
         # run_slot owns slot accounting; the offer-driven loop must do
         # it by hand for the metrics snapshots to stay comparable with
         # the batch instance.
-        for system in (fast, naive, vec):
+        for system in (naive, vec):
             system.metrics.record_slot(system.occupancy)
             system.current_slot += 1
         batch.run_slot(burst, batch_policy)
@@ -124,12 +115,11 @@ def _drive_trio(
             cols_policy, trace.ports, trace.works, trace.values, None, lo, hi
         )
         if flush_every is not None and (slot + 1) % flush_every == 0:
-            fast.flush()
             naive.flush()
             vec.flush()
             batch.flush()
             cols.flush()
-    return fast, naive, vec, batch, cols
+    return naive, vec, batch, cols
 
 
 def _vec_state(vec: VectorizedSwitch, port: int) -> List[Tuple]:
@@ -137,38 +127,23 @@ def _vec_state(vec: VectorizedSwitch, port: int) -> List[Tuple]:
 
 
 def _assert_same_outcome(
-    fast: SharedMemorySwitch,
-    naive: SharedMemorySwitch,
-    vec: VectorizedSwitch,
-    *batched: VectorizedSwitch,
+    naive: SharedMemorySwitch, *vectorized: VectorizedSwitch
 ) -> None:
-    fast.check_invariants()
     naive.check_invariants()
-    vec.check_invariants()
-    for batch in batched:
-        batch.check_invariants()
+    for vec in vectorized:
+        vec.check_invariants()
     # Sequence numbers differ (interleaved fresh copies draw from one
     # global counter; fast-mode columnar admissions draw none), so
     # compare the observable packet state instead.
-    for port, (q_fast, q_naive) in enumerate(zip(fast.queues, naive.queues)):
-        state_fast = [(p.port, p.value, p.residual) for p in q_fast]
-        state_naive = [(p.port, p.value, p.residual) for p in q_naive]
-        assert state_fast == state_naive
-        assert _vec_state(vec, port) == state_fast
-        for batch in batched:
-            assert _vec_state(batch, port) == state_fast
-    m_fast, m_naive = fast.metrics, naive.metrics
-    assert m_fast.accepted == m_naive.accepted
-    assert m_fast.dropped == m_naive.dropped
-    assert m_fast.pushed_out == m_naive.pushed_out
-    assert m_fast.transmitted_packets == m_naive.transmitted_packets
-    assert m_fast.transmitted_value == m_naive.transmitted_value
+    for port, queue in enumerate(naive.queues):
+        state = [(p.port, p.value, p.residual) for p in queue]
+        for vec in vectorized:
+            assert _vec_state(vec, port) == state
     # The vectorized instances must match the reference on the *full*
     # flat export — every counter, per-port lists included.
-    reference_snapshot = m_fast.snapshot()
-    assert vec.metrics.snapshot() == reference_snapshot
-    for batch in batched:
-        assert batch.metrics.snapshot() == reference_snapshot
+    reference_snapshot = naive.metrics.snapshot()
+    for vec in vectorized:
+        assert vec.metrics.snapshot() == reference_snapshot
 
 
 @st.composite
@@ -239,7 +214,7 @@ def test_processing_policies_decision_identical(policy_name, scenario):
         for slot, burst in enumerate(bursts)
     ]
     _assert_same_outcome(
-        *_drive_trio(policy_name, config, slot_bursts, flush_every)
+        *_drive_lockstep(policy_name, config, slot_bursts, flush_every)
     )
 
 
@@ -257,7 +232,7 @@ def test_value_policies_decision_identical(policy_name, scenario):
         for slot, burst in enumerate(bursts)
     ]
     _assert_same_outcome(
-        *_drive_trio(policy_name, config, slot_bursts, flush_every)
+        *_drive_lockstep(policy_name, config, slot_bursts, flush_every)
     )
 
 
@@ -285,21 +260,19 @@ def _tie_case(
     arrival: Packet,
     expected: Decision,
 ) -> None:
-    """The engineered tie must resolve identically on all three
-    implementations — and, for the vectorized engine, identically again
-    when the whole scenario arrives as one batched slot, as a burst and
-    as a column span."""
-    fast = SharedMemorySwitch(config, fast_path=True)
-    naive = SharedMemorySwitch(config, fast_path=False)
+    """The engineered tie must resolve identically on the naive reference
+    and the vectorized slow path — and, for the vectorized engine,
+    identically again when the whole scenario arrives as one batched
+    slot, as a burst and as a column span."""
+    naive = SharedMemorySwitch(config)
     vec = VectorizedSwitch(config)
-    policies = [make_policy(policy_name) for _ in range(3)]
-    _fill((fast, naive, vec), policies, setup)
-    assert fast.view.is_full and naive.view.is_full and vec.view.is_full
-    d_fast = fast.offer(arrival, policies[0])
-    d_naive = naive.offer(arrival, policies[1])
-    d_vec = vec.offer(arrival, policies[2])
-    assert d_fast == d_naive == d_vec == expected
-    fast.check_invariants()
+    policies = [make_policy(policy_name) for _ in range(2)]
+    _fill((naive, vec), policies, setup)
+    assert naive.view.is_full and vec.view.is_full
+    d_naive = naive.offer(arrival, policies[0])
+    d_vec = vec.offer(arrival, policies[1])
+    assert d_naive == d_vec == expected
+    naive.check_invariants()
     vec.check_invariants()
 
     # Batched replay: the same packets as one slot through the fast
@@ -412,20 +385,18 @@ def test_mrd_ratio_tie_prefers_higher_port():
 
 def test_lqd_arrival_queue_wins_tie_and_drops():
     # The arrival's own queue (virtually one longer) is the unique
-    # argmax -> DROP, on both paths.
+    # argmax -> DROP, on both engines.
     config = SwitchConfig.contiguous(2, 2)
     setup = [Packet(port=1, work=2), Packet(port=1, work=2)]
-    fast = SharedMemorySwitch(config, fast_path=True)
-    naive = SharedMemorySwitch(config, fast_path=False)
+    naive = SharedMemorySwitch(config)
     vec = VectorizedSwitch(config)
-    policies = [make_policy("LQD") for _ in range(3)]
-    _fill((fast, naive, vec), policies, setup)
+    policies = [make_policy("LQD") for _ in range(2)]
+    _fill((naive, vec), policies, setup)
     arrival = Packet(port=1, work=2)
-    d_fast = fast.offer(arrival, policies[0])
-    d_naive = naive.offer(arrival, policies[1])
-    d_vec = vec.offer(arrival, policies[2])
-    assert d_fast == d_naive == d_vec
-    assert d_fast.victim_port is None
+    d_naive = naive.offer(arrival, policies[0])
+    d_vec = vec.offer(arrival, policies[1])
+    assert d_naive == d_vec
+    assert d_naive.victim_port is None
 
 
 # ----------------------------------------------------------------------
@@ -443,48 +414,42 @@ def _drive_dynamic(
     config: SwitchConfig,
     slot_bursts: Sequence[Sequence[Packet]],
     events_by_slot: Sequence[Sequence[Tuple[int, bool]]],
-) -> Tuple[SharedMemorySwitch, SharedMemorySwitch, VectorizedSwitch,
-           VectorizedSwitch]:
+) -> Tuple[SharedMemorySwitch, VectorizedSwitch, VectorizedSwitch]:
     """Lock-step drive with mid-run ``set_port_state`` churn.
 
-    Port events apply at slot start on all four instances, and the
+    Port events apply at slot start on all three instances, and the
     reclaim counts must agree — a down event flushes the same queue on
     every engine or the buffer accounting has already diverged.
     """
-    fast = SharedMemorySwitch(config, fast_path=True)
-    naive = SharedMemorySwitch(config, fast_path=False)
+    naive = SharedMemorySwitch(config)
     vec = VectorizedSwitch(config)
     batch = VectorizedSwitch(config)
-    fast_policy = policy_factory()
     naive_policy = policy_factory()
     vec_policy = policy_factory()
     batch_policy = policy_factory()
     for slot, burst in enumerate(slot_bursts):
         for port, up in events_by_slot[slot]:
-            r_fast = fast.set_port_state(port, up)
             r_naive = naive.set_port_state(port, up)
             r_vec = vec.set_port_state(port, up)
             r_batch = batch.set_port_state(port, up)
-            assert r_fast == r_naive == r_vec == r_batch, (
+            assert r_naive == r_vec == r_batch, (
                 f"reclaim mismatch at slot {slot} port {port}: "
-                f"{r_fast}/{r_naive}/{r_vec}/{r_batch}"
+                f"{r_naive}/{r_vec}/{r_batch}"
             )
         for packet in burst:
-            d_fast = fast.offer(packet, fast_policy)
             d_naive = naive.offer(packet, naive_policy)
             d_vec = vec.offer(packet, vec_policy)
-            assert d_fast == d_naive == d_vec, (
+            assert d_naive == d_vec, (
                 f"dynamic diverged at slot {slot} on {packet}: "
-                f"fast={d_fast}, naive={d_naive}, vectorized={d_vec}"
+                f"naive={d_naive}, vectorized={d_vec}"
             )
-        fast.transmission_phase()
         naive.transmission_phase()
         vec.transmission_phase()
-        for system in (fast, naive, vec):
+        for system in (naive, vec):
             system.metrics.record_slot(system.occupancy)
             system.current_slot += 1
         batch.run_slot(burst, batch_policy)
-    return fast, naive, vec, batch
+    return naive, vec, batch
 
 
 @st.composite
@@ -579,7 +544,8 @@ def test_dynamic_policies_decision_identical(factory, scenario):
         [Packet(port=p, work=1, arrival_slot=slot) for p in burst]
         for slot, burst in enumerate(bursts)
     ]
-    fast, naive, vec, batch = _drive_dynamic(
-        factory, config, slot_bursts, _dynamic_events(n, toggles)
+    _assert_same_outcome(
+        *_drive_dynamic(
+            factory, config, slot_bursts, _dynamic_events(n, toggles)
+        )
     )
-    _assert_same_outcome(fast, naive, vec, batch)
