@@ -42,8 +42,8 @@ AnyTrace = Union[Trace, ColumnarTrace]
 ENGINES = ("reference", "vectorized")
 
 #: The engine the Fig. 5 sweep path runs when none is named: ``run_sweep``,
-#: ``run_panel``, ``ReportOptions``, the farm job spec and ``repro
-#: run/report/profile`` all read it. Oracle constructors
+#: ``run_panel``, ``ReportOptions`` and ``repro run/report/profile``
+#: all read it. Oracle constructors
 #: (:class:`PolicySystem`, ``make_surrogate``, the golden fixtures) keep
 #: an explicit ``"reference"`` default.
 DEFAULT_ENGINE = "vectorized"

@@ -47,7 +47,6 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -57,11 +56,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.farm.coordinator import FarmOptions
-    from repro.farm.jobs import FarmJob
-    from repro.farm.ledger import FarmStats
 
 from repro.analysis.cache import SweepCache
 from repro.analysis.competitive import (
@@ -128,11 +122,6 @@ class SweepStats:
     #: pool rebuilds, journal-resumed cells, ...). All zero on a clean
     #: run.
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
-    #: The farm ledger when the sweep ran distributed (``None`` on
-    #: purely local runs): leases issued/reissued/expired, heartbeats
-    #: missed, duplicates verified, fallback cells, per-worker stage
-    #: seconds. See :class:`repro.farm.ledger.FarmStats`.
-    farm: Optional["FarmStats"] = None
 
     @property
     def cells_per_second(self) -> float:
@@ -176,8 +165,6 @@ class SweepStats:
                 text += f"; dominant: {ranked[0][0]}"
         if self.resilience.any():
             text += f"; resilience: {self.resilience.summary()}"
-        if self.farm is not None and self.farm.any():
-            text += f"; farm: {self.farm.summary()}"
         return text
 
 
@@ -606,8 +593,6 @@ def run_sweep(
     engine: str = DEFAULT_ENGINE,
     trace_store: Optional[TraceStore] = None,
     trace_key: Optional[TraceKeyFn] = None,
-    farm: Optional["FarmOptions"] = None,
-    farm_job: Optional["FarmJob"] = None,
 ) -> SweepResult:
     """Measure every policy at every parameter value over every seed.
 
@@ -671,15 +656,6 @@ def run_sweep(
         change any cell's arrivals, only skip regenerating them —
         output is byte-identical with reuse on or off, serial or
         parallel.
-    farm / farm_job:
-        Distributed execution (:mod:`repro.farm`). ``farm`` carries the
-        coordinator knobs (worker count, lease TTL, heartbeat cadence,
-        reissue budget); ``farm_job`` is the declarative recipe remote
-        workers use to rebuild this sweep's cell function — required
-        because the factories here may be unpicklable closures. Cells
-        the farm cannot finish degrade to the local pool → serial
-        chain. Like every other execution knob, farming never changes
-        output bytes; the farm ledger lands on ``stats.farm``.
     """
     if not param_values:
         raise ConfigError("sweep needs at least one parameter value")
@@ -693,11 +669,6 @@ def run_sweep(
         raise ConfigError(
             "caching a sweep requires a cache_token describing the "
             "workload (see repro.analysis.cache)"
-        )
-    if farm is not None and farm_job is None:
-        raise ConfigError(
-            "farm execution needs a farm_job describing how workers "
-            "rebuild the cell context (see repro.farm.jobs)"
         )
     n_jobs = resolve_jobs(jobs)
     injector = (
@@ -746,8 +717,7 @@ def run_sweep(
     res_stats = ResilienceStats()
 
     # The identity pins everything that determines cell results;
-    # resuming against a journal from a different sweep raises, and
-    # farm workers receive it so their journals merge with ours.
+    # resuming against a journal from a different sweep raises.
     identity = {
         "name": name,
         "param_name": param_name,
@@ -858,7 +828,9 @@ def run_sweep(
                 cell_index=index, attempt=attempt, in_worker=False,
             )
 
-        supervisor_kwargs: Dict[str, Any] = dict(
+        executor = SupervisedExecutor(
+            _run_cell_in_worker,
+            local_fn,
             n_jobs=n_jobs,
             mp_context=mp_context,
             options=resilience,
@@ -871,26 +843,6 @@ def run_sweep(
             ),
             injector=injector,
         )
-        farm_stats: Optional["FarmStats"] = None
-        if farm is not None:
-            from repro.farm.executor import FarmExecutor
-            from repro.farm.ledger import FarmStats as _FarmStats
-
-            farm_stats = _FarmStats()
-            executor: SupervisedExecutor = FarmExecutor(
-                _run_cell_in_worker,
-                local_fn,
-                farm_options=farm,
-                farm_job=farm_job,
-                farm_stats=farm_stats,
-                sweep_identity=identity,
-                experiment=name,
-                **supervisor_kwargs,
-            )
-        else:
-            executor = SupervisedExecutor(
-                _run_cell_in_worker, local_fn, **supervisor_kwargs
-            )
 
         failures: List = []
         if tasks:
@@ -922,8 +874,6 @@ def run_sweep(
             result.points.append(point)
 
     res_stats.merge_into(stage_registry)
-    if farm_stats is not None:
-        farm_stats.merge_into(stage_registry)
     result.stats = SweepStats(
         cells_total=len(plans),
         cells_executed=len(to_run),
@@ -935,7 +885,6 @@ def run_sweep(
         jobs=n_jobs,
         stage_seconds=stage_registry.stage_seconds(),
         resilience=res_stats,
-        farm=farm_stats,
     )
     if failures:
         preview = "; ".join(str(failure) for failure in failures[:3])

@@ -29,22 +29,14 @@ and a rule pack encoding the repo's real invariants:
 * **Exception / IO hygiene** (``RC4xx``) — no bare ``except``, no
   swallowed ``BaseException`` outside the resilience supervisor, and
   all result-file writes go through :mod:`repro.resilience.atomic`.
-* **Concurrency discipline** (``RC5xx``) — a static lock-set race
-  detector over the farm's declared lock ownership
-  (``# repro: guarded-by[attr]=_lock`` + ``@guarded_by``), blocking
-  calls in ``@event_loop`` methods, explicit thread ``daemon=`` flags,
-  and no unbounded ``.wait()``/``.join()``.
-* **Wire/schema conformance** (``RC6xx``) — the farm NDJSON protocol
-  checked against the single ``MESSAGE_KINDS`` declaration (kind and
-  key-set agreement between producer and consumer sites), JSONL
-  writer/replayer symmetry, and schema-version consistency.
+* **Trace-schema conformance** (``RC6xx``) — JSONL writer/replayer
+  symmetry in ``repro.obs`` and schema-version consistency.
 
-The RC1xx–RC4xx packs are *module* rules (one file at a time); RC5xx's
-lock-set analysis and all of RC6xx are *project* rules: the analyzer
-runs in two phases — per-module fact collection
-(:mod:`repro.check.facts`), then cross-module rules over the merged
-fact table — so a producer in one file and its missing consumer in
-another is a finding with no runtime test required.
+The RC1xx–RC4xx packs are *module* rules (one file at a time); RC6xx
+are *project* rules: the analyzer runs in two phases — per-module fact
+collection (:mod:`repro.check.facts`), then cross-module rules over
+the merged fact table — so a writer in one file and its missing reader
+in another is a finding with no runtime test required.
 
 Findings can be suppressed per line with a justified pragma::
 
@@ -78,7 +70,6 @@ from repro.check.runner import (
 
 # Importing the rule modules registers the rule pack.
 from repro.check.rules import (  # noqa: F401
-    concurrency,
     conformance,
     determinism,
     hotpath,

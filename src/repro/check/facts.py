@@ -1,67 +1,31 @@
 """Phase-1 fact collection for project-scope (cross-module) rules.
 
-Module rules see one file at a time; the RC5xx/RC6xx families need to
-relate *sites in different files* — a dict literal produced in
-``repro.farm.protocol`` against a ``message.get("t") == ...`` test in
-``repro.farm.coordinator``, or an attribute written from a thread
-target in one method and read bare in another. This module extracts
-those per-module facts into plain frozen records
-(:func:`collect_facts`), and :class:`ProjectContext` holds the merged
-table that phase 2's project rules query.
+Module rules see one file at a time; the RC6xx family needs to relate
+*sites in different files* — an event dict written in
+``repro.obs.trace_io`` against a ``event["t"] == ...`` dispatch in
+``repro.obs.replay``, or a schema version declared in one module and
+its supported set in another. This module extracts those per-module
+facts into plain frozen records (:func:`collect_facts`), and
+:class:`ProjectContext` holds the merged table that phase 2's project
+rules query.
 
-Facts are deliberately shallow — syntactic sites plus just enough
-context (enclosing class/function, the lock set held at the access,
-import-resolved call targets) for the rules to be useful without
-simulating execution. The collectors here are the single source of
-truth for what the annotations mean:
-
-* lock context: an access is "under L" when it is textually inside
-  ``with self.L:`` in the *same* function, or the enclosing function is
-  decorated ``@guarded_by("L")``. Entering a nested ``def`` clears the
-  lock set — closures outlive the ``with`` block they were defined in.
-* the class-body pragma ``# repro: guarded-by[_attr]=_lock`` declares
-  which lock guards which attribute (parsed here into
-  :class:`GuardDecl`).
-* wire facts: dict literals with a ``"t": "<kind>"`` entry are
-  producers; ``var["t"] == "kind"`` / ``var.get("t") == "kind"``
-  comparisons (including through a single local alias like
-  ``kind = message.get("t")``) are consumer-side kind tests; string
-  subscripts/`.get`/`.pop` on the same variables are key reads.
+Facts are deliberately shallow — syntactic sites plus the enclosing
+function — so the rules stay useful without simulating execution:
+dict literals with a ``"t": "<kind>"`` entry and ``var["t"] = "<kind>"``
+stores are producers; ``var["t"] == "kind"`` / ``var.get("t") ==
+"kind"`` comparisons (including through a single local alias like
+``kind = event.get("t")``) are consumer-side kind tests.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.check.context import ModuleContext
 
-_GUARDED_BY_PRAGMA = re.compile(
-    r"#\s*repro:\s*guarded-by\[(\w+)\]\s*=\s*(\w+)"
-)
-
-#: Decorator names recognized by their final dotted segment, so both
-#: ``@guarded_by("x")`` and ``@concurrency.guarded_by("x")`` match.
-_GUARDED_BY_NAMES = ("guarded_by",)
-_EVENT_LOOP_NAMES = ("event_loop",)
-_CONSUMES_NAMES = ("consumes",)
-
-#: The single declaration table RC601/RC602 check wire sites against.
-KIND_TABLE_NAME = "MESSAGE_KINDS"
-
-#: The NDJSON/JSONL discriminator key ("t" on both the farm wire
-#: protocol and the repro.obs trace schema).
+#: The JSONL discriminator key of the repro.obs trace schema.
 WIRE_KIND_KEY = "t"
 
 
@@ -71,55 +35,11 @@ WIRE_KIND_KEY = "t"
 
 
 @dataclass(frozen=True)
-class AttrAccess:
-    """One ``self.<attr>`` load or store inside a class method."""
-
-    cls: str
-    #: Root method name (closure accesses attribute to the outermost
-    #: enclosing method — that is the thread the code runs on).
-    method: str
-    attr: str
-    is_write: bool
-    #: Lock names held at the access site (``with self.L:`` blocks in
-    #: the same function plus an enclosing ``@guarded_by`` declaration).
-    locks: FrozenSet[str]
-    line: int
-    col: int
-    in_init: bool
-
-
-@dataclass(frozen=True)
-class GuardDecl:
-    """A ``# repro: guarded-by[attr]=_lock`` class-body pragma."""
-
-    cls: str
-    attr: str
-    lock: str
-    line: int
-
-
-@dataclass(frozen=True)
-class ThreadSite:
-    """A ``threading.Thread(...)`` construction site."""
-
-    cls: str
-    method: str
-    #: Method name for ``target=self.<m>`` (``""`` otherwise).
-    target_method: str
-    has_daemon: bool
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
 class WireLiteral:
-    """A dict literal carrying ``"t": "<kind>"`` (a message producer)."""
+    """A dict literal carrying ``"t": "<kind>"`` (an event producer)."""
 
     func: str
     kind: str
-    #: Payload keys beside ``"t"``; ``None`` when not statically known
-    #: (non-constant key or ``**`` splat) — key checks then skip it.
-    keys: Optional[FrozenSet[str]]
     line: int
     col: int
 
@@ -145,57 +65,13 @@ class KindTest:
     col: int
 
 
-@dataclass(frozen=True)
-class KeyRead:
-    """A constant-string key access on a local dict variable."""
-
-    func: str
-    var: str
-    key: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class ConsumesDecl:
-    """An ``@consumes("kind", ...)`` handler declaration."""
-
-    func: str
-    kinds: Tuple[str, ...]
-    #: The handler's parameter names — key-read checking applies only
-    #: to reads on these variables (a handler may touch other dicts).
-    params: Tuple[str, ...]
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class KindTable:
-    """A module-level ``MESSAGE_KINDS = {...}`` declaration table."""
-
-    mapping: Tuple[Tuple[str, FrozenSet[str]], ...]
-    line: int
-    col: int
-
-    def as_dict(self) -> Dict[str, FrozenSet[str]]:
-        return dict(self.mapping)
-
-
 @dataclass
 class ModuleFacts:
     """Everything phase 1 extracted from one module."""
 
-    attr_accesses: List[AttrAccess] = field(default_factory=list)
-    guard_decls: List[GuardDecl] = field(default_factory=list)
-    thread_sites: List[ThreadSite] = field(default_factory=list)
-    #: Per class: method names registered as ``target=self.<m>``.
-    thread_targets: Dict[str, Set[str]] = field(default_factory=dict)
     wire_literals: List[WireLiteral] = field(default_factory=list)
     kind_stores: List[KindStore] = field(default_factory=list)
     kind_tests: List[KindTest] = field(default_factory=list)
-    key_reads: List[KeyRead] = field(default_factory=list)
-    consumes_decls: List[ConsumesDecl] = field(default_factory=list)
-    kind_tables: List[KindTable] = field(default_factory=list)
     #: Module-level ``NAME = <int>`` constants (name -> (value, line)).
     int_constants: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     #: Module-level ``NAME = (<int>, ...)`` constants.
@@ -205,76 +81,8 @@ class ModuleFacts:
 
 
 # ----------------------------------------------------------------------
-# Decorator recognition (syntactic, like the @hot_path rules)
+# Expression helpers
 # ----------------------------------------------------------------------
-
-
-def _decorator_tail(ctx: ModuleContext, node: ast.expr) -> str:
-    """Final dotted segment of a decorator expression (``""`` if none)."""
-    target = node.func if isinstance(node, ast.Call) else node
-    dotted = ctx.dotted_name(target)
-    if dotted is None:
-        return ""
-    return dotted.rsplit(".", 1)[-1]
-
-
-def guarded_by_lock(
-    ctx: ModuleContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
-) -> str:
-    """Lock named by an ``@guarded_by("L")`` decorator (``""`` if none)."""
-    for dec in fn.decorator_list:
-        if _decorator_tail(ctx, dec) in _GUARDED_BY_NAMES:
-            if isinstance(dec, ast.Call) and dec.args:
-                arg = dec.args[0]
-                if isinstance(arg, ast.Constant) and isinstance(
-                    arg.value, str
-                ):
-                    return arg.value
-    return ""
-
-
-def is_event_loop_marked(
-    ctx: ModuleContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
-) -> bool:
-    """Whether ``fn`` carries the ``@event_loop`` marker."""
-    return any(
-        _decorator_tail(ctx, dec) in _EVENT_LOOP_NAMES
-        for dec in fn.decorator_list
-    )
-
-
-def consumes_kinds(
-    ctx: ModuleContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
-) -> Tuple[str, ...]:
-    """Kinds declared by an ``@consumes(...)`` decorator (``()`` if none)."""
-    for dec in fn.decorator_list:
-        if _decorator_tail(ctx, dec) in _CONSUMES_NAMES:
-            if isinstance(dec, ast.Call):
-                kinds = tuple(
-                    arg.value
-                    for arg in dec.args
-                    if isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                )
-                if kinds:
-                    return kinds
-    return ()
-
-
-# ----------------------------------------------------------------------
-# Expression helpers shared with the rule modules
-# ----------------------------------------------------------------------
-
-
-def _self_attr(node: ast.expr) -> str:
-    """``self.<attr>`` -> attr name; anything else -> ``""``."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return ""
 
 
 def _const_str(node: ast.expr) -> Optional[str]:
@@ -315,20 +123,6 @@ def dict_literal_kind(node: ast.Dict) -> Optional[str]:
     return None
 
 
-def dict_literal_keys(node: ast.Dict) -> Optional[FrozenSet[str]]:
-    """Non-``"t"`` keys of a dict literal; ``None`` when not static."""
-    keys: Set[str] = set()
-    for key in node.keys:
-        if key is None:  # ** splat
-            return None
-        text = _const_str(key)
-        if text is None:
-            return None
-        if text != WIRE_KIND_KEY:
-            keys.add(text)
-    return frozenset(keys)
-
-
 # ----------------------------------------------------------------------
 # The collector
 # ----------------------------------------------------------------------
@@ -342,19 +136,10 @@ class _Collector:
         self.facts = ModuleFacts()
         self._class_stack: List[str] = []
         self._func_stack: List[str] = []
-        self._lock_stack: List[str] = []
         #: Per-function ``alias -> var`` map for ``k = msg.get("t")``.
         self._kind_aliases: Dict[str, str] = {}
 
     # -- naming helpers ------------------------------------------------
-
-    @property
-    def _cls(self) -> str:
-        return self._class_stack[-1] if self._class_stack else ""
-
-    @property
-    def _root_method(self) -> str:
-        return self._func_stack[0] if self._func_stack else ""
 
     @property
     def _qualname(self) -> str:
@@ -364,7 +149,6 @@ class _Collector:
     # -- traversal -----------------------------------------------------
 
     def run(self) -> ModuleFacts:
-        self._collect_guard_pragmas()
         self._collect_module_constants()
         for node in self.ctx.tree.body:
             self._visit(node)
@@ -374,18 +158,13 @@ class _Collector:
         if isinstance(node, ast.ClassDef):
             self._class_stack.append(node.name)
             saved_funcs, self._func_stack = self._func_stack, []
-            saved_locks, self._lock_stack = self._lock_stack, []
             for child in node.body:
                 self._visit(child)
             self._class_stack.pop()
             self._func_stack = saved_funcs
-            self._lock_stack = saved_locks
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self._visit_function(node)
-            return
-        if isinstance(node, ast.With):
-            self._visit_with(node)
             return
         self._visit_expr_facts(node)
         for child in ast.iter_child_nodes(node):
@@ -397,50 +176,13 @@ class _Collector:
         for dec in node.decorator_list:
             self._visit(dec)
         self._func_stack.append(node.name)
-        # Closures outlive the `with` block they were defined inside;
-        # only an explicit @guarded_by carries a lock across a def.
-        saved_locks = self._lock_stack
         saved_aliases = self._kind_aliases
         self._kind_aliases = dict(saved_aliases)
-        lock = guarded_by_lock(self.ctx, node)
-        self._lock_stack = [lock] if lock else []
-        kinds = consumes_kinds(self.ctx, node)
-        if kinds:
-            arg_nodes = (
-                list(node.args.posonlyargs)
-                + list(node.args.args)
-                + list(node.args.kwonlyargs)
-            )
-            self.facts.consumes_decls.append(
-                ConsumesDecl(
-                    func=self._qualname,
-                    kinds=kinds,
-                    params=tuple(a.arg for a in arg_nodes),
-                    line=node.lineno,
-                    col=node.col_offset,
-                )
-            )
         self._prescan_kind_aliases(node)
         for child in node.body:
             self._visit(child)
         self._func_stack.pop()
-        self._lock_stack = saved_locks
         self._kind_aliases = saved_aliases
-
-    def _visit_with(self, node: ast.With) -> None:
-        held: List[str] = []
-        for item in node.items:
-            self._visit(item.context_expr)
-            if item.optional_vars is not None:
-                self._visit(item.optional_vars)
-            lock = _self_attr(item.context_expr)
-            if lock:
-                held.append(lock)
-                self._lock_stack.append(lock)
-        for child in node.body:
-            self._visit(child)
-        for _ in held:
-            self._lock_stack.pop()
 
     def _prescan_kind_aliases(
         self, fn: ast.FunctionDef | ast.AsyncFunctionDef
@@ -465,61 +207,12 @@ class _Collector:
     # -- per-node facts ------------------------------------------------
 
     def _visit_expr_facts(self, node: ast.AST) -> None:
-        if isinstance(node, ast.Attribute):
-            self._fact_attr_access(node)
-        elif isinstance(node, ast.Call):
-            self._fact_thread_site(node)
-            self._fact_key_read_call(node)
-        elif isinstance(node, ast.Dict):
+        if isinstance(node, ast.Dict):
             self._fact_wire_literal(node)
         elif isinstance(node, ast.Compare):
             self._fact_kind_test(node)
-        elif isinstance(node, ast.Subscript):
-            self._fact_subscript(node)
         elif isinstance(node, ast.Assign):
             self._fact_kind_store(node)
-
-    def _fact_attr_access(self, node: ast.Attribute) -> None:
-        attr = _self_attr(node)
-        if not attr or not self._cls or not self._func_stack:
-            return
-        self.facts.attr_accesses.append(
-            AttrAccess(
-                cls=self._cls,
-                method=self._root_method,
-                attr=attr,
-                is_write=isinstance(node.ctx, (ast.Store, ast.Del)),
-                locks=frozenset(self._lock_stack),
-                line=node.lineno,
-                col=node.col_offset,
-                in_init=self._root_method == "__init__",
-            )
-        )
-
-    def _fact_thread_site(self, node: ast.Call) -> None:
-        if self.ctx.call_target(node) != "threading.Thread":
-            return
-        target_method = ""
-        has_daemon = False
-        for kw in node.keywords:
-            if kw.arg == "daemon":
-                has_daemon = True
-            elif kw.arg == "target":
-                target_method = _self_attr(kw.value)
-        self.facts.thread_sites.append(
-            ThreadSite(
-                cls=self._cls,
-                method=self._root_method,
-                target_method=target_method,
-                has_daemon=has_daemon,
-                line=node.lineno,
-                col=node.col_offset,
-            )
-        )
-        if self._cls and target_method:
-            self.facts.thread_targets.setdefault(self._cls, set()).add(
-                target_method
-            )
 
     def _fact_wire_literal(self, node: ast.Dict) -> None:
         kind = dict_literal_kind(node)
@@ -529,7 +222,6 @@ class _Collector:
             WireLiteral(
                 func=self._qualname,
                 kind=kind,
-                keys=dict_literal_keys(node),
                 line=node.lineno,
                 col=node.col_offset,
             )
@@ -589,70 +281,7 @@ class _Collector:
                 )
             )
 
-    def _fact_subscript(self, node: ast.Subscript) -> None:
-        if not isinstance(node.ctx, ast.Load):
-            return
-        if not isinstance(node.value, ast.Name):
-            return
-        key = _const_str(node.slice)
-        if key is None:
-            return
-        self.facts.key_reads.append(
-            KeyRead(
-                func=self._qualname,
-                var=node.value.id,
-                key=key,
-                line=node.lineno,
-                col=node.col_offset,
-            )
-        )
-
-    def _fact_key_read_call(self, node: ast.Call) -> None:
-        if not (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("get", "pop")
-            and isinstance(node.func.value, ast.Name)
-            and node.args
-        ):
-            return
-        key = _const_str(node.args[0])
-        if key is None:
-            return
-        self.facts.key_reads.append(
-            KeyRead(
-                func=self._qualname,
-                var=node.func.value.id,
-                key=key,
-                line=node.lineno,
-                col=node.col_offset,
-            )
-        )
-
     # -- module-level scans --------------------------------------------
-
-    def _collect_guard_pragmas(self) -> None:
-        spans: List[Tuple[str, int, int]] = []
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                end = getattr(node, "end_lineno", node.lineno) or node.lineno
-                spans.append((node.name, node.lineno, end))
-        for lineno, line in enumerate(self.ctx.lines, start=1):
-            match = _GUARDED_BY_PRAGMA.search(line)
-            if not match:
-                continue
-            owner = ""
-            best_span = -1
-            for name, start, end in spans:
-                if start <= lineno <= end and start > best_span:
-                    owner, best_span = name, start
-            self.facts.guard_decls.append(
-                GuardDecl(
-                    cls=owner,
-                    attr=match.group(1),
-                    lock=match.group(2),
-                    line=lineno,
-                )
-            )
 
     def _collect_module_constants(self) -> None:
         for node in self.ctx.tree.body:
@@ -686,48 +315,6 @@ class _Collector:
                         tuple(ints),
                         node.lineno,
                     )
-            if name == KIND_TABLE_NAME and isinstance(value, ast.Dict):
-                table = self._parse_kind_table(value)
-                if table is not None:
-                    self.facts.kind_tables.append(
-                        KindTable(
-                            mapping=table,
-                            line=node.lineno,
-                            col=node.col_offset,
-                        )
-                    )
-
-    def _parse_kind_table(
-        self, node: ast.Dict
-    ) -> Optional[Tuple[Tuple[str, FrozenSet[str]], ...]]:
-        entries: List[Tuple[str, FrozenSet[str]]] = []
-        for key, value in zip(node.keys, node.values):
-            if key is None:
-                return None
-            kind = _const_str(key)
-            if kind is None:
-                return None
-            keys = self._parse_key_set(value)
-            if keys is None:
-                return None
-            entries.append((kind, keys))
-        return tuple(entries)
-
-    def _parse_key_set(self, node: ast.expr) -> Optional[FrozenSet[str]]:
-        if isinstance(node, ast.Call) and node.args:
-            # frozenset({...}) / frozenset((...))
-            return self._parse_key_set(node.args[0])
-        if isinstance(node, ast.Call) and not node.args:
-            return frozenset()
-        if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
-            keys: Set[str] = set()
-            for elt in node.elts:
-                text = _const_str(elt)
-                if text is None:
-                    return None
-                keys.add(text)
-            return frozenset(keys)
-        return None
 
 
 def collect_facts(ctx: ModuleContext) -> ModuleFacts:

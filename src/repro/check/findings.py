@@ -22,8 +22,8 @@ JSON schema (``schema`` = 2)::
 
 Schema history: v1 (PR 5) had no ``scope`` field — every rule was
 per-module. v2 (this PR) adds ``scope: "module" | "project"`` to each
-finding; ``project`` marks findings from cross-module rules (RC5xx
-lock-set analysis, RC6xx wire conformance) whose evidence spans files.
+finding; ``project`` marks findings from cross-module rules (RC6xx
+trace-schema conformance) whose evidence spans files.
 All v1 fields are unchanged, so v1 consumers that ignore unknown keys
 keep working.
 """

@@ -12,9 +12,7 @@ Code blocks
 * ``RC2xx`` hot-path allocation audit
 * ``RC3xx`` policy-API conformance
 * ``RC4xx`` exception / IO hygiene
-* ``RC5xx`` concurrency discipline (lock-set races, event-loop
-  blocking, thread lifecycle)
-* ``RC6xx`` wire-protocol / schema conformance
+* ``RC6xx`` trace-schema conformance
 * ``RC9xx`` analyzer meta findings (parse errors, suppression misuse);
   these are emitted by the runner itself, not by registered rules, and
   are **not suppressible**.
@@ -29,8 +27,8 @@ see one :class:`ModuleContext` at a time and yield
 :func:`project_rule` — run once over the whole analyzed tree: they
 receive the phase-2 :class:`~repro.check.facts.ProjectContext` and
 yield ``(module_ctx, node_or_line, message)`` triples, so one rule can
-anchor findings in several files (a producer in ``protocol.py`` and
-its missing consumer in ``coordinator.py``). Project findings carry
+anchor findings in several files (a writer in ``trace_io.py`` and
+its missing reader in ``replay.py``). Project findings carry
 ``scope: "project"`` in the v2 JSON report and participate in the same
 per-file suppression machinery as module findings.
 """

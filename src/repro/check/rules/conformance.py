@@ -1,28 +1,12 @@
-"""RC6xx: wire-protocol and trace-schema conformance.
+"""RC6xx: trace-schema conformance.
 
-The farm's NDJSON protocol and the observer's JSONL trace schema are
-producer/consumer contracts whose two sides live in different modules:
-``repro.farm.protocol`` builds the dicts that
-``repro.farm.coordinator`` / ``repro.farm.worker`` / ``repro.cli``
-dispatch on, and ``repro.obs.trace_io`` writes the events that
-``repro.obs.replay`` re-derives metrics from. A key renamed on one
-side is a silent runtime failure (an ignored message, a replay
-mismatch); these project rules turn it into a static finding by
-checking every site against a single declaration — the
-``MESSAGE_KINDS`` table in ``repro.farm.protocol`` for the wire, the
-writer/replayer symmetry itself for the trace.
+The observer's JSONL trace schema is a producer/consumer contract whose
+two sides live in different modules: ``repro.obs.trace_io`` writes the
+events that ``repro.obs.replay`` re-derives metrics from. A kind
+renamed on one side is a silent runtime failure (a replay mismatch);
+these project rules turn it into a static finding by checking the
+writer/replayer symmetry itself.
 
-* **RC601 message-kind-conformance** — every kind produced (a dict
-  literal with ``"t": "<kind>"`` or a ``var["t"] = "<kind>"`` store)
-  and every kind consumed (a ``== "<kind>"`` test on ``var["t"]`` /
-  ``var.get("t")``, or an ``@consumes`` declaration) must appear in
-  ``MESSAGE_KINDS``, and every declared kind must have at least one
-  producer and one consumer. Exactly one table must exist.
-* **RC602 message-key-agreement** — a producer literal's payload keys
-  must equal the declared key set for its kind exactly; a consumer's
-  constant-string key reads on a kind-tested (or ``@consumes``-
-  declared) variable must stay within the union of its possible
-  kinds' key sets.
 * **RC603 trace-event-conformance** — JSONL event kinds written in
   ``repro.obs`` must exactly match the kinds dispatched on in
   ``repro.obs`` (writer/replayer symmetry, both directions).
@@ -32,213 +16,14 @@ writer/replayer symmetry itself for the trace.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.check.context import ModuleContext
-from repro.check.facts import (
-    KindTable,
-    KindTest,
-    ModuleFacts,
-    ProjectContext,
-)
+from repro.check.facts import ProjectContext
 from repro.check.registry import Location, project_rule
 
-#: Modules taking part in the farm wire protocol.
-_WIRE = ("repro.farm", "repro.cli")
 #: Modules taking part in the JSONL trace schema.
 _TRACE = ("repro.obs",)
-
-_Unit = Tuple[ModuleContext, ModuleFacts]
-
-
-def _wire_tables(
-    units: List[_Unit],
-) -> List[Tuple[ModuleContext, KindTable]]:
-    return [
-        (ctx, table)
-        for ctx, facts in units
-        for table in facts.kind_tables
-    ]
-
-
-def _has_wire_sites(facts: ModuleFacts) -> bool:
-    return bool(
-        facts.wire_literals or facts.kind_stores or facts.kind_tests
-    )
-
-
-@project_rule(
-    "RC601",
-    "message-kind-conformance",
-    "every produced/consumed wire kind must appear in MESSAGE_KINDS, "
-    "and vice versa",
-)
-def message_kind_conformance(
-    project: ProjectContext,
-) -> Iterator[Tuple[ModuleContext, Location, str]]:
-    units = list(project.in_packages(*_WIRE))
-    tables = _wire_tables(units)
-    if not tables:
-        for ctx, facts in units:
-            if _has_wire_sites(facts):
-                site = min(
-                    facts.wire_literals
-                    + facts.kind_stores
-                    + facts.kind_tests,
-                    key=lambda s: s.line,
-                )
-                yield (
-                    ctx,
-                    site.line,
-                    "wire messages are used but no MESSAGE_KINDS "
-                    "declaration table exists under repro.farm",
-                )
-                return
-        return
-    if len(tables) > 1:
-        for ctx, table in tables[1:]:
-            yield (
-                ctx,
-                table.line,
-                "duplicate MESSAGE_KINDS table; the wire contract "
-                "must have exactly one declaration "
-                f"(first one in {tables[0][0].module})",
-            )
-    table_ctx, table = tables[0]
-    declared = table.as_dict()
-
-    produced: Set[str] = set()
-    consumed: Set[str] = set()
-    for ctx, facts in units:
-        for lit in facts.wire_literals:
-            produced.add(lit.kind)
-            if lit.kind not in declared:
-                yield (
-                    ctx,
-                    lit.line,
-                    f'message kind "{lit.kind}" is produced but not '
-                    f"declared in {table_ctx.module}.MESSAGE_KINDS",
-                )
-        for store in facts.kind_stores:
-            produced.add(store.kind)
-            if store.kind not in declared:
-                yield (
-                    ctx,
-                    store.line,
-                    f'message kind "{store.kind}" is produced '
-                    "(subscript store) but not declared in "
-                    f"{table_ctx.module}.MESSAGE_KINDS",
-                )
-        for test in facts.kind_tests:
-            consumed.add(test.kind)
-            if test.kind not in declared:
-                yield (
-                    ctx,
-                    test.line,
-                    f'message kind "{test.kind}" is tested for but '
-                    "not declared in "
-                    f"{table_ctx.module}.MESSAGE_KINDS",
-                )
-        for decl in facts.consumes_decls:
-            for kind in decl.kinds:
-                consumed.add(kind)
-                if kind not in declared:
-                    yield (
-                        ctx,
-                        decl.line,
-                        f'@consumes("{kind}") declares a kind missing '
-                        f"from {table_ctx.module}.MESSAGE_KINDS",
-                    )
-
-    for kind in declared:
-        if kind not in produced:
-            yield (
-                table_ctx,
-                table.line,
-                f'declared message kind "{kind}" is never produced '
-                "(no dict literal or subscript store builds it)",
-            )
-        if kind not in consumed:
-            yield (
-                table_ctx,
-                table.line,
-                f'declared message kind "{kind}" is never consumed '
-                "(no kind test or @consumes handler dispatches on it)",
-            )
-
-
-def _consumer_kinds(
-    facts: ModuleFacts, declared: Dict[str, FrozenSet[str]]
-) -> Dict[Tuple[str, str], Set[str]]:
-    """Possible declared kinds per ``(function, variable)`` pair."""
-    kinds: Dict[Tuple[str, str], Set[str]] = {}
-    for test in facts.kind_tests:
-        if test.kind in declared:
-            kinds.setdefault((test.func, test.var), set()).add(test.kind)
-    for decl in facts.consumes_decls:
-        for param in decl.params:
-            key = (decl.func, param)
-            if key not in kinds:
-                kinds[key] = {
-                    kind for kind in decl.kinds if kind in declared
-                }
-    return kinds
-
-
-@project_rule(
-    "RC602",
-    "message-key-agreement",
-    "producer payload keys and consumer key reads must agree with "
-    "MESSAGE_KINDS",
-)
-def message_key_agreement(
-    project: ProjectContext,
-) -> Iterator[Tuple[ModuleContext, Location, str]]:
-    units = list(project.in_packages(*_WIRE))
-    tables = _wire_tables(units)
-    if len(tables) != 1:
-        return  # RC601 reports missing/duplicate tables
-    table_ctx, table = tables[0]
-    declared = table.as_dict()
-
-    for ctx, facts in units:
-        for lit in facts.wire_literals:
-            expected = declared.get(lit.kind)
-            if expected is None or lit.keys is None:
-                continue
-            missing = sorted(expected - lit.keys)
-            extra = sorted(lit.keys - expected)
-            if not missing and not extra:
-                continue
-            parts = []
-            if missing:
-                parts.append(f"missing {missing}")
-            if extra:
-                parts.append(f"extra {extra}")
-            yield (
-                ctx,
-                lit.line,
-                f'producer of "{lit.kind}" disagrees with '
-                f"MESSAGE_KINDS[{lit.kind!r}]: {'; '.join(parts)}",
-            )
-
-        consumer_kinds = _consumer_kinds(facts, declared)
-        for read in facts.key_reads:
-            kinds = consumer_kinds.get((read.func, read.var))
-            if not kinds:
-                continue
-            allowed: Set[str] = {"t"}
-            for kind in kinds:
-                allowed.update(declared[kind])
-            if read.key not in allowed:
-                kind_list = ", ".join(sorted(kinds))
-                yield (
-                    ctx,
-                    read.line,
-                    f'consumer reads key "{read.key}" from a message '
-                    f"of kind {kind_list}, but no such key is "
-                    "declared in MESSAGE_KINDS",
-                )
 
 
 @project_rule(
@@ -252,7 +37,6 @@ def trace_event_conformance(
     units = list(project.in_packages(*_TRACE))
     written: Dict[str, Tuple[ModuleContext, int]] = {}
     tested: Dict[str, Tuple[ModuleContext, int]] = {}
-    test_sites: List[Tuple[ModuleContext, KindTest]] = []
     for ctx, facts in units:
         for lit in facts.wire_literals:
             written.setdefault(lit.kind, (ctx, lit.line))
@@ -260,7 +44,6 @@ def trace_event_conformance(
             written.setdefault(store.kind, (ctx, store.line))
         for test in facts.kind_tests:
             tested.setdefault(test.kind, (ctx, test.line))
-            test_sites.append((ctx, test))
     if not written or not tested:
         return  # one side absent: not a whole-schema analysis
     for kind, (ctx, line) in sorted(written.items()):

@@ -9,7 +9,7 @@ suite, and CI. Since PR 10 the run has **two phases**:
    (:mod:`repro.check.facts`);
 2. project-kind rules run once over the merged
    :class:`~repro.check.facts.ProjectContext`, relating sites across
-   files (lock-set races, wire-protocol producer/consumer agreement).
+   files (trace writer/replayer symmetry, schema versions).
 
 Project findings route back through the *owning file's* suppression
 index, so a justified ``allow[RCnnn]`` pragma works exactly like it
@@ -144,7 +144,7 @@ def run_check_sources(
     """Two-phase analysis over in-memory modules (test entry point).
 
     ``sources`` maps a display path (used for module-name derivation,
-    e.g. ``"src/repro/farm/coordinator.py"``) to source text.
+    e.g. ``"src/repro/obs/replay.py"``) to source text.
     """
     return _run(
         {Path(path): text for path, text in sources.items()},

@@ -32,21 +32,12 @@ Subcommands
     Run the contract-aware static analyzer (determinism lint, hot-path
     allocation audit, policy-API conformance, IO hygiene) over source
     paths. See ``docs/STATIC_ANALYSIS.md``.
-``farm``
-    The distributed sweep farm (``docs/FARM.md``): ``serve`` runs a
-    coordinator waiting for external workers, ``work`` attaches a
-    worker to a coordinator, ``status`` snapshots a running farm
-    (``--format json`` for machines), ``merge`` folds coordinator and
-    worker journals into one canonical journal.
 
 Resilience (see ``docs/RESILIENCE.md``): ``run`` accepts
 ``--timeout/--retries`` (supervised worker execution), ``--journal``
 (checkpointed progress; an interrupted run exits 130 and drops a
 resume manifest), ``--resume MANIFEST`` (continue where it stopped),
 and ``--inject-faults SPEC`` (deterministic chaos for testing).
-``run --farm N`` distributes Fig. 5 cells over N spawned socket
-workers (plus any that attach); farmed output is byte-identical to a
-local run by contract.
 """
 
 from __future__ import annotations
@@ -108,37 +99,6 @@ def _resilience_options(args: argparse.Namespace):
     return options
 
 
-def _farm_options(args: argparse.Namespace):
-    """FarmOptions from the --farm flag family (None = no farm)."""
-    if getattr(args, "farm", None) is None:
-        return None
-    from repro.farm import FarmOptions
-
-    options = FarmOptions(workers=args.farm)
-    if getattr(args, "farm_bind", None):
-        options.host = args.farm_bind
-    if getattr(args, "farm_port", None) is not None:
-        options.port = args.farm_port
-    if getattr(args, "farm_lease_ttl", None) is not None:
-        options.lease_ttl = args.farm_lease_ttl
-    if getattr(args, "farm_heartbeat", None) is not None:
-        options.heartbeat_interval = args.farm_heartbeat
-    if getattr(args, "farm_heartbeat_timeout", None) is not None:
-        options.heartbeat_timeout = args.farm_heartbeat_timeout
-    if getattr(args, "farm_join_grace", None) is not None:
-        options.join_grace = args.farm_join_grace
-    if getattr(args, "farm_max_reissues", None) is not None:
-        options.max_reissues = args.farm_max_reissues
-    if getattr(args, "farm_worker_journals", None):
-        options.worker_journal_dir = args.farm_worker_journals
-    options.announce = lambda host, port: print(
-        f"# farm: coordinating on {host}:{port} (attach workers with: "
-        f"repro farm work --connect {host}:{port})",
-        file=sys.stderr,
-    )
-    return options
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.resilience import (
         FaultInjector,
@@ -195,7 +155,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             fault_injector=injector,
             engine=args.engine,
             trace_reuse=args.trace_reuse or None,
-            farm=_farm_options(args),
         )
     except SweepInterrupted as exc:
         print(f"# interrupted: {exc}", file=sys.stderr)
@@ -326,7 +285,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         ),
         engine=args.engine or DEFAULT_ENGINE,
         trace_reuse=bool(args.trace_reuse),
-        farm=_farm_options(args),
     )
     write_report(args.out, options)
     print(f"# wrote {args.out}")
@@ -700,160 +658,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_endpoint(text: str) -> tuple:
-    """Split ``HOST:PORT`` (the --connect argument)."""
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise ConfigError(
-            f"expected HOST:PORT, got {text!r} (e.g. 127.0.0.1:7787)"
-        )
-    try:
-        return host, int(port)
-    except ValueError as exc:
-        raise ConfigError(
-            f"bad port in {text!r}: {port!r} is not an integer"
-        ) from exc
-
-
-def _cmd_farm_serve(args: argparse.Namespace) -> int:
-    """Run a coordinator that waits for externally attached workers.
-
-    Sugar over ``repro run --farm``: binds a fixed, announceable port,
-    spawns no local workers by default, and waits ``--join-grace``
-    seconds for a fleet before falling back to local execution.
-    """
-    run_args = argparse.Namespace(
-        experiment=args.experiment,
-        resume=None,
-        slots=args.slots,
-        seeds=args.seeds,
-        out=args.out,
-        plot=False,
-        engine=None,
-        trace_reuse=False,
-        jobs=1,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        progress=args.progress,
-        timeout=None,
-        retries=args.retries,
-        journal=args.journal,
-        inject_faults=args.inject_faults,
-        farm=args.workers,
-        farm_bind=args.bind,
-        farm_port=args.port,
-        farm_lease_ttl=args.lease_ttl,
-        farm_heartbeat=None,
-        farm_heartbeat_timeout=None,
-        farm_join_grace=args.join_grace,
-        farm_max_reissues=args.max_reissues,
-        farm_worker_journals=args.worker_journals,
-    )
-    return _cmd_run(run_args)
-
-
-def _cmd_farm_work(args: argparse.Namespace) -> int:
-    """Attach one worker to a running coordinator and serve leases."""
-    from repro.farm import FarmWorker
-    from repro.resilience import FaultInjector
-
-    host, port = _parse_endpoint(args.connect)
-    injector = (
-        FaultInjector.parse(args.inject_faults)
-        if args.inject_faults
-        else FaultInjector.from_env()
-    )
-    worker = FarmWorker(
-        host,
-        port,
-        name=args.name,
-        injector=injector,
-        journal_path=args.journal,
-    )
-    cells = worker.run()
-    print(f"# worker {worker.name}: {cells} cells computed", file=sys.stderr)
-    return 0
-
-
-def _cmd_farm_status(args: argparse.Namespace) -> int:
-    """Snapshot a running farm over its own socket."""
-    import json
-    import socket
-
-    from repro.farm import protocol
-
-    host, port = _parse_endpoint(args.connect)
-    try:
-        sock = socket.create_connection((host, port), timeout=args.timeout)
-    except OSError as exc:
-        print(
-            f"error: no farm at {host}:{port}: {exc}", file=sys.stderr
-        )
-        return 1
-    stream = protocol.MessageStream(sock)
-    try:
-        stream.send(protocol.status_query())
-        try:
-            reply = stream.recv(timeout=args.timeout)
-        except socket.timeout:
-            reply = None
-    finally:
-        stream.close()
-    if reply is None or reply.get("t") != "status":
-        print(
-            f"error: {host}:{port} did not answer the status query "
-            f"(not a farm coordinator?)",
-            file=sys.stderr,
-        )
-        return 1
-    reply.pop("t", None)
-    if args.format == "json":
-        print(json.dumps(reply, indent=2, sort_keys=True))
-        return 0
-    cells = reply.get("cells") or {}
-    print(
-        f"# farm {reply.get('endpoint', args.connect)}: "
-        f"{reply.get('experiment') or '?'} [{reply.get('state', '?')}] "
-        f"{cells.get('done', 0)}/{cells.get('total', '?')} cells"
-    )
-    for worker in reply.get("workers") or []:
-        state = "live" if worker.get("live") else "LOST"
-        busy = "busy" if worker.get("busy") else "idle"
-        print(
-            f"worker {worker.get('name'):16s} {state:4s} {busy:4s} "
-            f"last beat {worker.get('beat_age', '?')}s ago"
-        )
-    ledger = reply.get("ledger") or {}
-    interesting = {k: v for k, v in ledger.items() if v}
-    if interesting:
-        print(
-            "# ledger: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(interesting.items()))
-        )
-    return 0
-
-
-def _cmd_farm_merge(args: argparse.Namespace) -> int:
-    """Fold coordinator + worker journals into one canonical journal."""
-    from repro.farm import merge_run_journals
-
-    report = merge_run_journals(args.journals, out=args.out)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print(
-        f"# merged {len(report['sources'])} journals: "
-        f"{report['cells']} cells, {report['duplicates']} duplicate "
-        f"recordings (all digest-equal)"
-    )
-    print(f"# canonical digest: {report['digest']}")
-    if report["out"]:
-        print(f"# wrote {report['out']}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shmem-switch",
@@ -899,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(run_parser)
     _add_sweep_engine_flags(run_parser)
     _add_resilience_flags(run_parser)
-    _add_farm_flags(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
     cache_parser = sub.add_parser(
@@ -925,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help=(
             "static analysis: determinism/hot-path/policy-API/IO/"
-            "concurrency/wire-conformance rules"
+            "trace-schema rules"
         ),
     )
     check_parser.add_argument(
@@ -939,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument(
         "--project", action=argparse.BooleanOptionalAction, default=True,
         help=(
-            "run the cross-module phase (RC5xx lock-set + RC6xx wire "
+            "run the cross-module phase (RC6xx trace-schema "
             "conformance) over the whole analyzed tree (default on; "
             "--no-project = per-module rules only)"
         ),
@@ -1020,7 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_pipeline_flags(report_parser)
     _add_sweep_engine_flags(report_parser)
-    _add_farm_flags(report_parser)
     report_parser.set_defaults(func=_cmd_report)
 
     bench_parser = sub.add_parser(
@@ -1196,167 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(profile_parser)
     profile_parser.set_defaults(func=_cmd_profile)
 
-    farm_parser = sub.add_parser(
-        "farm",
-        help=(
-            "distributed sweep farm: serve a coordinator, attach "
-            "workers, query status, merge journals (docs/FARM.md)"
-        ),
-    )
-    farm_sub = farm_parser.add_subparsers(dest="farm_command", required=True)
-
-    serve_parser = farm_sub.add_parser(
-        "serve",
-        help=(
-            "run a coordinator on a fixed port and wait for external "
-            "workers (repro farm work --connect HOST:PORT)"
-        ),
-    )
-    serve_parser.add_argument(
-        "experiment", help="a sweep experiment id, e.g. fig5-1"
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=7787,
-        help="listen port for workers (default 7787)",
-    )
-    serve_parser.add_argument(
-        "--bind", default="0.0.0.0",
-        help="listen address (default 0.0.0.0: accept remote workers)",
-    )
-    serve_parser.add_argument(
-        "--workers", type=int, default=0,
-        help=(
-            "local worker subprocesses to spawn alongside external "
-            "ones (default 0: external only)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--join-grace", type=float, default=60.0,
-        help=(
-            "seconds to wait for a first/replacement worker before "
-            "falling back to local execution (default 60)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--lease-ttl", type=float, default=None,
-        help="per-lease completion deadline in seconds (default 30)",
-    )
-    serve_parser.add_argument(
-        "--max-reissues", type=int, default=None,
-        help=(
-            "replacement leases per cell before local fallback "
-            "(default 4)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--worker-journals", default=None, metavar="DIR",
-        help=(
-            "directory for per-worker journals of *spawned* workers "
-            "(merge with: repro farm merge)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--slots", type=int, default=None,
-        help="simulation length in slots",
-    )
-    serve_parser.add_argument(
-        "--seeds", type=int, nargs="+", default=None,
-        help="replication seeds",
-    )
-    serve_parser.add_argument("--out", default=None, help="CSV output path")
-    serve_parser.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="coordinator journal (as repro run --journal)",
-    )
-    serve_parser.add_argument(
-        "--retries", type=int, default=None,
-        help="extra attempts per cell before quarantine (default 2)",
-    )
-    serve_parser.add_argument(
-        "--inject-faults", default=None, metavar="SPEC",
-        help=(
-            "deterministic chaos spec, forwarded to spawned workers "
-            "(see docs/RESILIENCE.md)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--cache-dir", default=None,
-        help="sweep result cache directory",
-    )
-    serve_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the sweep result cache",
-    )
-    serve_parser.add_argument(
-        "--progress", action="store_true",
-        help="report per-cell progress on stderr",
-    )
-    serve_parser.set_defaults(func=_cmd_farm_serve)
-
-    work_parser = farm_sub.add_parser(
-        "work", help="attach one worker to a running coordinator"
-    )
-    work_parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator endpoint printed by serve/run --farm",
-    )
-    work_parser.add_argument(
-        "--name", default=None,
-        help="registration name (default worker-<pid>); reconnects "
-        "reuse it",
-    )
-    work_parser.add_argument(
-        "--inject-faults", default=None, metavar="SPEC",
-        help=(
-            "deterministic chaos spec for this worker (default: "
-            "$REPRO_FAULTS)"
-        ),
-    )
-    work_parser.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help=(
-            "per-worker journal of computed cells, under the sweep "
-            "identity from the coordinator (repro farm merge)"
-        ),
-    )
-    work_parser.set_defaults(func=_cmd_farm_work)
-
-    status_parser = farm_sub.add_parser(
-        "status", help="snapshot a running farm (workers, cells, ledger)"
-    )
-    status_parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator endpoint",
-    )
-    status_parser.add_argument(
-        "--format", choices=("human", "json"), default="human",
-        help="output format (json prints the raw snapshot)",
-    )
-    status_parser.add_argument(
-        "--timeout", type=float, default=5.0,
-        help="connect/read timeout in seconds (default 5)",
-    )
-    status_parser.set_defaults(func=_cmd_farm_status)
-
-    merge_parser = farm_sub.add_parser(
-        "merge",
-        help=(
-            "fold coordinator + worker journals into one canonical "
-            "journal, verifying duplicate cells are digest-equal"
-        ),
-    )
-    merge_parser.add_argument(
-        "journals", nargs="+", help="journal files to merge"
-    )
-    merge_parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the canonical merged journal here (atomic)",
-    )
-    merge_parser.add_argument(
-        "--format", choices=("human", "json"), default="human",
-        help="report format",
-    )
-    merge_parser.set_defaults(func=_cmd_farm_merge)
     return parser
 
 
@@ -1445,68 +1086,6 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
             "deterministic chaos spec for testing, e.g. "
             "'crash@0;hang@2;delay=0.2' (also: $REPRO_FAULTS; see "
             "docs/RESILIENCE.md)"
-        ),
-    )
-
-
-def _add_farm_flags(parser: argparse.ArgumentParser) -> None:
-    """Farm knobs of ``run``/``report`` (docs/FARM.md).
-
-    ``--farm N`` turns the sweep farm on; like ``--jobs`` it is
-    execution-only — farmed output is byte-identical to a local run.
-    """
-    parser.add_argument(
-        "--farm", type=int, default=None, metavar="N",
-        help=(
-            "distribute sweep cells over N spawned socket workers "
-            "(0 = externally attached workers only; default: no farm)"
-        ),
-    )
-    parser.add_argument(
-        "--farm-bind", default=None, metavar="HOST",
-        help="coordinator listen address (default 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--farm-port", type=int, default=None,
-        help=(
-            "coordinator listen port for external workers "
-            "(default: ephemeral)"
-        ),
-    )
-    parser.add_argument(
-        "--farm-lease-ttl", type=float, default=None,
-        help="per-lease completion deadline in seconds (default 30)",
-    )
-    parser.add_argument(
-        "--farm-heartbeat", type=float, default=None,
-        help="worker heartbeat interval in seconds (default 0.5)",
-    )
-    parser.add_argument(
-        "--farm-heartbeat-timeout", type=float, default=None,
-        help=(
-            "silence that declares a worker lost, in seconds "
-            "(default 5)"
-        ),
-    )
-    parser.add_argument(
-        "--farm-join-grace", type=float, default=None,
-        help=(
-            "seconds to run with zero live workers before local "
-            "fallback (default 10)"
-        ),
-    )
-    parser.add_argument(
-        "--farm-max-reissues", type=int, default=None,
-        help=(
-            "replacement leases per cell before local fallback "
-            "(default 4)"
-        ),
-    )
-    parser.add_argument(
-        "--farm-worker-journals", default=None, metavar="DIR",
-        help=(
-            "directory for per-worker journals of spawned workers "
-            "(merge with: repro farm merge)"
         ),
     )
 

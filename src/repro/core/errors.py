@@ -45,20 +45,6 @@ class ResilienceError(ReproError):
     """A malformed fault-injection spec, journal, or resume manifest."""
 
 
-class FarmError(ReproError):
-    """A sweep-farm contract violation that retrying cannot fix.
-
-    Raised by the farm coordinator for protocol breakage and — most
-    importantly — for a *determinism violation*: duplicate results for
-    the same cell (from a reissued lease) that are not digest-equal.
-    Divergent duplicates mean some worker computed different bytes for
-    the same ``(value, seed)``, which poisons the byte-identity
-    contract; the sweep fails loudly instead of picking a winner.
-    Deriving from :class:`ReproError` places it in the supervisor's
-    *deterministic* bucket: it propagates immediately.
-    """
-
-
 class SweepInterrupted(ReproError):
     """A sweep was stopped by SIGINT/SIGTERM (or an injected interrupt).
 

@@ -22,16 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Optional,
     Sequence,
     Tuple,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.farm.coordinator import FarmOptions
 
 from repro.analysis.cache import SweepCache
 from repro.analysis.competitive import DEFAULT_ENGINE
@@ -387,7 +383,6 @@ def run_panel(
     engine: str = DEFAULT_ENGINE,
     trace_reuse: bool = False,
     trace_store: Optional[TraceStore] = None,
-    farm: Optional["FarmOptions"] = None,
 ) -> SweepResult:
     """Execute one Fig. 5 panel and return its sweep result.
 
@@ -410,12 +405,6 @@ def run_panel(
     pass ``trace_store`` to share one store — and its artifacts —
     across panels): neither changes a single output byte, so neither
     is part of cache keys or journal identity (docs/PIPELINE.md).
-    ``farm`` distributes the panel's cells over socket workers
-    (:mod:`repro.farm`): the panel builds its own
-    :class:`~repro.farm.jobs.FarmJob` — the declarative twin of the
-    closures below — so remote workers rebuild bit-identical cell
-    functions, and a shared ``cache``/``cache_dir`` doubles as the
-    farm's artifact store.
     """
     spec = PANELS.get(panel)
     if spec is None:
@@ -436,23 +425,6 @@ def run_panel(
         raise ExperimentError(
             f"panel {panel} has no parameter values {sorted(unknown)}; "
             f"grid is {spec.param_values}"
-        )
-    farm_job = None
-    if farm is not None:
-        from repro.farm.jobs import FarmJob
-
-        farm_job = FarmJob(
-            kind="fig5",
-            spec={
-                "panel": int(panel),
-                "n_slots": int(n_slots),
-                "load": float(load),
-                "flush_every": flush_every,
-                "engine": engine,
-                "cache_dir": (
-                    str(cache.root) if cache is not None else None
-                ),
-            },
         )
     return run_sweep(
         name=spec.experiment_id,
@@ -478,6 +450,4 @@ def run_panel(
         engine=engine,
         trace_store=trace_store if trace_reuse else None,
         trace_key=trace_key if trace_reuse else None,
-        farm=farm,
-        farm_job=farm_job,
     )

@@ -150,7 +150,6 @@ def run_experiment(
     fault_injector=None,
     engine: Optional[str] = None,
     trace_reuse: Optional[bool] = None,
-    farm=None,
 ):
     """Run an experiment by id.
 
@@ -164,17 +163,8 @@ def run_experiment(
     ``engine`` selects the ALG-side simulation engine for Fig. 5 panels
     (``"reference"``/``"vectorized"``; decision-identical by contract)
     and ``trace_reuse`` enables cross-cell trace reuse — both
-    execution-only knobs (docs/PIPELINE.md), Fig. 5 panels only. ``farm`` (a
-    :class:`repro.farm.FarmOptions`) distributes Fig. 5 cells over the
-    socket farm (docs/FARM.md) — also execution-only: farmed output is
-    byte-identical to local output by contract.
+    execution-only knobs (docs/PIPELINE.md), Fig. 5 panels only.
     """
-    if farm is not None and not experiment_id.startswith("fig5-"):
-        raise ExperimentError(
-            f"--farm applies to Fig. 5 panels only, not "
-            f"{experiment_id!r} (theorem replays and studies are "
-            f"single deterministic traces)"
-        )
     if experiment_id.startswith("fig5-"):
         panel = _panel_number(experiment_id)
         kwargs = {}
@@ -198,8 +188,6 @@ def run_experiment(
             kwargs["engine"] = engine
         if trace_reuse is not None:
             kwargs["trace_reuse"] = trace_reuse
-        if farm is not None:
-            kwargs["farm"] = farm
         return run_panel(panel, **kwargs)
     if experiment_id == "skew":
         from repro.experiments.skewed import run_skew_sweep

@@ -13,10 +13,7 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.farm.coordinator import FarmOptions
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.cache import SweepCache
 from repro.analysis.competitive import DEFAULT_ENGINE, run_scenario
@@ -38,10 +35,8 @@ class ReportOptions:
     shared across all panels so an interrupted report resumes where it
     stopped. ``engine`` and ``trace_reuse`` pick the simulation engine
     and cross-cell trace reuse (one store shared across panels) — see
-    docs/PIPELINE.md.
-    ``farm`` (a :class:`repro.farm.FarmOptions`) distributes panel
-    cells over the socket farm (docs/FARM.md). None of these changes a
-    single output byte of the tables.
+    docs/PIPELINE.md. None of these changes a single output byte of the
+    tables.
     """
 
     n_slots: int = 1000
@@ -54,7 +49,6 @@ class ReportOptions:
     progress: Optional[Callable[[str], None]] = None
     engine: str = DEFAULT_ENGINE
     trace_reuse: bool = False
-    farm: Optional["FarmOptions"] = None
 
 
 def generate_report(options: Optional[ReportOptions] = None) -> str:
@@ -110,7 +104,6 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
                 engine=options.engine,
                 trace_reuse=options.trace_reuse,
                 trace_store=trace_store,
-                farm=options.farm,
             )
             panel_stats.append((panel, result.stats))
             out.write(f"### Panel ({panel}): {spec.title}\n\n")
@@ -159,18 +152,6 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
             out.write(
                 f"Resilience: {totals.summary()} across "
                 f"{len(panel_stats)} panels (see docs/RESILIENCE.md).\n\n"
-            )
-        # Same treatment for the farm ledger when panels ran farmed.
-        from repro.farm.ledger import FarmStats
-
-        farm_totals = FarmStats()
-        for _, stats in panel_stats:
-            if stats.farm is not None:
-                farm_totals.merge_from(stats.farm)
-        if farm_totals.any():
-            out.write(
-                f"Farm: {farm_totals.summary()} across "
-                f"{len(panel_stats)} panels (see docs/FARM.md).\n\n"
             )
 
     if options.include_extensions:

@@ -18,7 +18,6 @@ A spec is a ``;``-separated list of clauses (whitespace ignored)::
              | "delay=" seconds                 -- hang duration (s)
     target  := int ("," int)* | "*"
     mode    := crash | die | hang | corrupt | torn | interrupt
-             | disconnect | delay | dup | partition | stale-heartbeat
 
 Examples::
 
@@ -30,25 +29,6 @@ Examples::
     torn@0              the first cache write is torn mid-file
     interrupt@3         the run is interrupted after 3 completed cells
     crash%0.1;seed=7    ~10% of cells crash on their first attempt
-
-The last five modes are *network* faults, consumed by the farm worker
-(:mod:`repro.farm.worker`); outside a farm they parse but never fire.
-All reuse ``delay=`` as their duration where one applies::
-
-    disconnect@0        the worker computes cell 0, then drops its TCP
-                        connection without sending the result and
-                        re-registers (lease reissued elsewhere)
-    delay@1;delay=2     the worker completes cell 1 but sits on the
-                        result for 2 s before sending it (the lease
-                        expires, is reissued, and the late result must
-                        be digest-equal with the reissued one)
-    dup@2               the worker sends cell 2's result twice
-    partition@3;delay=2 the worker goes fully silent — heartbeats
-                        included — for 2 s before computing cell 3,
-                        then sends the (now late) result and rejoins
-    stale-heartbeat@4   the worker keeps heartbeating but silently
-                        drops cell 4's lease: heartbeats alone must
-                        not count as progress (lease TTL catches it)
 
 Determinism contract
 --------------------
@@ -77,22 +57,9 @@ from repro.core.errors import ResilienceError
 #: ``--inject-faults``; inherited by forked pool workers).
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Recognized fault modes. The first six act inside cell execution and
-#: cache writes; the last five are network faults interpreted by farm
-#: workers (:mod:`repro.farm.worker`).
-FAULT_MODES = (
-    "crash",
-    "die",
-    "hang",
-    "corrupt",
-    "torn",
-    "interrupt",
-    "disconnect",
-    "delay",
-    "dup",
-    "partition",
-    "stale-heartbeat",
-)
+#: Recognized fault modes; all act inside cell execution and cache
+#: writes.
+FAULT_MODES = ("crash", "die", "hang", "corrupt", "torn", "interrupt")
 
 
 class InjectedFault(RuntimeError):
@@ -143,16 +110,10 @@ class FaultInjector:
         *,
         seed: int = 0,
         delay: float = 3600.0,
-        spec: Optional[str] = None,
     ) -> None:
         self.clauses = tuple(clauses)
         self.seed = seed
         self.delay = delay
-        #: The source spec string when built via :meth:`parse` /
-        #: :meth:`from_env`; lets the farm hand the *same* injector to
-        #: spawned workers through ``REPRO_FAULTS`` so both sides of a
-        #: network fault agree on when it fires.
-        self.spec = spec
 
     # ------------------------------------------------------------------
     # Construction
@@ -220,7 +181,7 @@ class FaultInjector:
                     f"fault spec {spec!r}: clause {clause!r} is neither "
                     f"'mode@indices', 'mode%prob', 'seed=', nor 'delay='"
                 )
-        return cls(tuple(clauses), seed=seed, delay=delay, spec=spec)
+        return cls(tuple(clauses), seed=seed, delay=delay)
 
     @classmethod
     def from_env(cls, env: str = FAULTS_ENV) -> Optional["FaultInjector"]:

@@ -267,9 +267,8 @@ def canonical_journal_lines(
     Header first, then cells sorted by ``(value, seed)``, with the
     wall-clock ``stages`` timings excluded — everything left is a pure
     function of the sweep identity, so two journals for the same sweep
-    (serial vs farmed, faulted vs clean, resumed vs one-shot) project
-    to identical lines. This is what ``repro farm merge`` writes and
-    what the chaos wall compares.
+    (serial vs pooled, faulted vs clean, resumed vs one-shot) project
+    to identical lines.
     """
     lines = [
         _canonical(

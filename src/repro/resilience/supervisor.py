@@ -261,9 +261,26 @@ class SupervisedExecutor:
         results: Dict[Any, Any] = {}
         failures: List[CellFailure] = []
         queue: List[CellTask] = list(tasks)
+        use_pool = (
+            self._n_jobs > 1 and self._mp_context is not None and queue
+        )
         with _term_as_interrupt():
             try:
-                self._execute(queue, results, failures)
+                # Pool rounds with rebuilds, then a serial sweep of
+                # whatever remains.
+                while use_pool and queue:
+                    try:
+                        self._pool_round(queue, results, failures)
+                    except _PoolDied:
+                        self.stats.pool_rebuilds += 1
+                        if (
+                            self.stats.pool_rebuilds
+                            > self.options.max_pool_rebuilds
+                        ):
+                            self.stats.serial_fallbacks = 1
+                            use_pool = False
+                if queue:
+                    self._serial_round(queue, results, failures)
             except KeyboardInterrupt:
                 raise SweepInterrupted(
                     f"sweep interrupted after {self._completed} of "
@@ -272,37 +289,6 @@ class SupervisedExecutor:
                     total=self._total,
                 ) from None
         return results, failures
-
-    def _execute(
-        self,
-        queue: List[CellTask],
-        results: Dict[Any, Any],
-        failures: List[CellFailure],
-    ) -> None:
-        """One supervision strategy: pool rounds with rebuilds, then a
-        serial sweep of whatever remains.
-
-        Subclasses (the farm executor) override this to prepend their
-        own round and fall back here with the leftover ``queue`` — the
-        degradation chain is farm → pool → serial, each stage draining
-        what it can and handing the rest down.
-        """
-        use_pool = (
-            self._n_jobs > 1 and self._mp_context is not None and queue
-        )
-        while use_pool and queue:
-            try:
-                self._pool_round(queue, results, failures)
-            except _PoolDied:
-                self.stats.pool_rebuilds += 1
-                if (
-                    self.stats.pool_rebuilds
-                    > self.options.max_pool_rebuilds
-                ):
-                    self.stats.serial_fallbacks = 1
-                    use_pool = False
-        if queue:
-            self._serial_round(queue, results, failures)
 
     # ------------------------------------------------------------------
     # Completion / failure bookkeeping (shared by both rounds)

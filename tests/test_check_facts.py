@@ -1,12 +1,9 @@
 """Unit tests for :mod:`repro.check.facts` — phase 1 of the analyzer.
 
-The project rules (RC5xx/RC6xx) are only as good as the facts they run
-over, so the collector gets its own pinning: lock-context extraction
-(including the subtleties — nested defs reset the lock stack,
-``@guarded_by`` seeds it), wire-literal key harvesting (``**splat``
-means unknowable), kind-test alias resolution, thread-target
-registration, and the module-constant scrapers the conformance rules
-read (``MESSAGE_KINDS``, schema versions).
+The project rules (RC6xx) are only as good as the facts they run over,
+so the collector gets its own pinning: event-literal and subscript-store
+producers, kind-test alias resolution, and the module-constant scrapers
+the conformance rules read (schema versions).
 """
 
 from pathlib import Path
@@ -15,168 +12,26 @@ from repro.check.context import ModuleContext
 from repro.check.facts import ProjectContext, collect_facts
 
 
-def facts_of(source, module="repro.farm.x"):
+def facts_of(source, module="repro.obs.x"):
     pragma = f"# repro: module={module}\n"
     ctx = ModuleContext.from_source(pragma + source, path=Path("x.py"))
     return collect_facts(ctx)
 
 
-CLS = "import threading\nclass Box:\n"
-
-
 # ----------------------------------------------------------------------
-# Attribute accesses and lock context
-# ----------------------------------------------------------------------
-
-
-class TestAttrAccesses:
-    def test_read_write_and_lockset(self):
-        facts = facts_of(
-            CLS + "    def f(self):\n"
-            "        with self._lock:\n"
-            "            self.n = self.m\n"
-        )
-        by_attr = {a.attr: a for a in facts.attr_accesses}
-        assert by_attr["n"].is_write and not by_attr["m"].is_write
-        assert by_attr["n"].locks == frozenset({"_lock"})
-        assert by_attr["m"].locks == frozenset({"_lock"})
-        assert by_attr["n"].cls == "Box" and by_attr["n"].method == "f"
-
-    def test_lock_attr_own_load_is_bare(self):
-        # The lock is acquired by evaluating self._lock — that load
-        # cannot itself hold the lock it produces.
-        facts = facts_of(
-            CLS + "    def f(self):\n"
-            "        with self._lock:\n"
-            "            pass\n"
-        )
-        (access,) = [a for a in facts.attr_accesses if a.attr == "_lock"]
-        assert access.locks == frozenset()
-
-    def test_nested_locks_accumulate(self):
-        facts = facts_of(
-            CLS + "    def f(self):\n"
-            "        with self._a:\n"
-            "            with self._b:\n"
-            "                self.n = 1\n"
-        )
-        (access,) = [a for a in facts.attr_accesses if a.attr == "n"]
-        assert access.locks == frozenset({"_a", "_b"})
-
-    def test_nested_def_resets_lock_stack(self):
-        # A closure defined under a lock does not RUN under the lock.
-        facts = facts_of(
-            CLS + "    def f(self):\n"
-            "        with self._lock:\n"
-            "            def cb():\n"
-            "                self.n = 1\n"
-            "            return cb\n"
-        )
-        (access,) = [a for a in facts.attr_accesses if a.attr == "n"]
-        assert access.locks == frozenset()
-        # ... but it is attributed to the defining method.
-        assert access.method == "f"
-
-    def test_guarded_by_decorator_seeds_lockset(self):
-        facts = facts_of(
-            "from repro.core.concurrency import guarded_by\n"
-            + CLS
-            + '    @guarded_by("_lock")\n'
-            "    def f(self):\n"
-            "        self.n = 1\n"
-        )
-        (access,) = [a for a in facts.attr_accesses if a.attr == "n"]
-        assert access.locks == frozenset({"_lock"})
-
-    def test_init_flagged_as_init(self):
-        facts = facts_of(
-            CLS + "    def __init__(self):\n        self.n = 0\n"
-            "    def f(self):\n        self.n = 1\n"
-        )
-        flags = {
-            (a.method, a.in_init)
-            for a in facts.attr_accesses
-            if a.attr == "n"
-        }
-        assert flags == {("__init__", True), ("f", False)}
-
-    def test_augassign_is_write(self):
-        facts = facts_of(CLS + "    def f(self):\n        self.n += 1\n")
-        (access,) = [a for a in facts.attr_accesses if a.attr == "n"]
-        assert access.is_write
-
-
-# ----------------------------------------------------------------------
-# Guard declarations and thread sites
-# ----------------------------------------------------------------------
-
-
-class TestGuardsAndThreads:
-    def test_class_pragma_binds_to_innermost_class(self):
-        facts = facts_of(
-            "class Outer:\n"
-            "    class Inner:\n"
-            "        # repro: guarded-by[_items]=_lock\n"
-            "        def f(self):\n"
-            "            pass\n"
-        )
-        (decl,) = facts.guard_decls
-        assert (decl.cls, decl.attr, decl.lock) == (
-            "Inner", "_items", "_lock",
-        )
-
-    def test_thread_target_registration(self):
-        facts = facts_of(
-            CLS + "    def start(self):\n"
-            "        threading.Thread(target=self._run).start()\n"
-            "    def _run(self):\n        pass\n"
-        )
-        assert facts.thread_targets == {"Box": {"_run"}}
-        (site,) = facts.thread_sites
-        assert site.target_method == "_run" and not site.has_daemon
-
-    def test_daemon_kwarg_recorded(self):
-        facts = facts_of(
-            CLS + "    def start(self):\n"
-            "        threading.Thread(\n"
-            "            target=self._run, daemon=True\n"
-            "        ).start()\n"
-            "    def _run(self):\n        pass\n"
-        )
-        (site,) = facts.thread_sites
-        assert site.has_daemon
-
-    def test_foreign_target_not_registered(self):
-        facts = facts_of(
-            CLS + "    def start(self, fn):\n"
-            "        threading.Thread(target=fn, daemon=True).start()\n"
-        )
-        assert facts.thread_targets == {}
-
-
-# ----------------------------------------------------------------------
-# Wire facts: literals, stores, tests, reads, tables
+# Event facts: literals, stores, tests
 # ----------------------------------------------------------------------
 
 
 class TestWireFacts:
-    def test_literal_kind_and_keys(self):
+    def test_literal_kind_and_function(self):
         facts = facts_of(
             "def make(seq):\n"
             '    return {"t": "ping", "seq": seq, "hop": 1}\n'
         )
         (lit,) = facts.wire_literals
         assert lit.kind == "ping"
-        assert lit.keys == frozenset({"seq", "hop"})
         assert lit.func == "make"
-
-    def test_splat_literal_keys_unknowable(self):
-        facts = facts_of(
-            "def make(extra):\n"
-            '    return {"t": "ping", "seq": 0, **extra}\n'
-        )
-        (lit,) = facts.wire_literals
-        assert lit.kind == "ping" and lit.keys is None
 
     def test_subscript_store_is_a_producer(self):
         facts = facts_of(
@@ -204,44 +59,6 @@ class TestWireFacts:
         (test,) = facts.kind_tests
         assert (test.var, test.kind) == ("m", "a")
 
-    def test_key_reads_collected(self):
-        facts = facts_of(
-            "def handle(m):\n"
-            '    if m.get("t") == "a":\n'
-            '        return m["x"], m.get("y")\n'
-        )
-        keys = {(r.var, r.key) for r in facts.key_reads}
-        assert ("m", "x") in keys and ("m", "y") in keys
-
-    def test_consumes_decl_kinds_and_params(self):
-        facts = facts_of(
-            "from repro.core.concurrency import consumes\n"
-            '@consumes("lease", "shutdown")\n'
-            "def on_msg(stream, message):\n"
-            "    return message\n"
-        )
-        (decl,) = facts.consumes_decls
-        assert decl.kinds == ("lease", "shutdown")
-        assert "message" in decl.params and decl.func == "on_msg"
-
-    def test_message_kinds_table_parsed(self):
-        facts = facts_of(
-            "MESSAGE_KINDS = {\n"
-            '    "ping": frozenset({"seq"}),\n'
-            '    "bye": frozenset(),\n'
-            "}\n"
-        )
-        (table,) = facts.kind_tables
-        assert table.as_dict() == {
-            "ping": frozenset({"seq"}),
-            "bye": frozenset(),
-        }
-
-    def test_non_table_dicts_ignored(self):
-        facts = facts_of('OTHER = {"ping": frozenset({"seq"})}\n')
-        assert facts.kind_tables == []
-
-
 # ----------------------------------------------------------------------
 # Module constants and project merge
 # ----------------------------------------------------------------------
@@ -267,16 +84,18 @@ class TestConstantsAndProject:
 
         project = ProjectContext.build(
             [
-                ctx_for("repro.farm.a", "a.py"),
+                ctx_for("repro.analysis.a", "a.py"),
                 ctx_for("repro.obs.b", "b.py"),
                 ctx_for("repro.core.c", "c.py"),
             ]
         )
         assert len(project.units) == 3
-        farm = [c.module for c, _ in project.in_packages("repro.farm")]
-        assert farm == ["repro.farm.a"]
+        analysis = [
+            c.module for c, _ in project.in_packages("repro.analysis")
+        ]
+        assert analysis == ["repro.analysis.a"]
         both = [
             c.module
-            for c, _ in project.in_packages("repro.farm", "repro.obs")
+            for c, _ in project.in_packages("repro.analysis", "repro.obs")
         ]
-        assert both == ["repro.farm.a", "repro.obs.b"]
+        assert both == ["repro.analysis.a", "repro.obs.b"]

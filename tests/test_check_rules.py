@@ -14,9 +14,8 @@ Three layers:
 * **Meta.** The analyzer holds at HEAD: ``repro check src/`` is clean,
   and the CLI's exit codes / JSON schema are stable.
 * **Demolition.** Take the real tree, break one invariant in memory
-  (delete a lock, rename a wire kind, rename a trace event) and assert
-  the project phase reports it — the analyzer guards the contracts it
-  claims to guard.
+  (rename a trace event) and assert the project phase reports it — the
+  analyzer guards the contracts it claims to guard.
 """
 
 import json
@@ -44,12 +43,11 @@ EXPECTED_CODES = {
     "RC201", "RC202", "RC203", "RC204",
     "RC301", "RC302", "RC303",
     "RC401", "RC402", "RC403",
-    "RC501", "RC502", "RC503", "RC504", "RC505",
-    "RC601", "RC602", "RC603", "RC604",
+    "RC603", "RC604",
 }
 
 #: Rules that need the project phase (cross-module facts).
-PROJECT_CODES = {"RC501", "RC505", "RC601", "RC602", "RC603", "RC604"}
+PROJECT_CODES = {"RC603", "RC604"}
 
 
 def codes_of(report):
@@ -68,7 +66,7 @@ def check_snippet(source, module, *, rules=None):
 
 
 class TestRegistry:
-    def test_all_twenty_four_rules_registered(self):
+    def test_all_seventeen_rules_registered(self):
         assert {r.code for r in all_rules()} == EXPECTED_CODES
 
     def test_rule_kinds(self):
@@ -134,10 +132,10 @@ class TestGoldenCorpus:
         assert {"RC900", "RC901", "RC902"} <= fired
 
     def test_suppressed_count(self, golden, report):
-        assert report.suppressed == golden["suppressed"] == 2
+        assert report.suppressed == golden["suppressed"] == 1
 
     def test_files_scanned(self, golden, report):
-        assert report.files_scanned == golden["files_scanned"] == 10
+        assert report.files_scanned == golden["files_scanned"] == 8
 
     def test_golden_scope_matches_rule_kind(self, golden):
         for finding in golden["findings"]:
@@ -590,7 +588,7 @@ class TestHygieneRules:
 
 
 # ----------------------------------------------------------------------
-# Concurrency rules (RC5xx)
+# Trace conformance rules (RC6xx)
 # ----------------------------------------------------------------------
 
 
@@ -600,198 +598,6 @@ def check_project_snippet(source, module):
     pragma = f"# repro: module={module}\n"
     return run_check_sources({"snippet.py": pragma + source})
 
-
-GUARDED = (
-    "import threading\n"
-    "class Box:\n"
-    "    # repro: guarded-by[_items]=_lock\n"
-    "    def __init__(self):\n"
-    "        self._lock = threading.Lock()\n"
-    "        self._items = []\n"
-)
-
-RACY = (
-    "import threading\n"
-    "class Box:\n"
-    "    def __init__(self):\n"
-    "        self.n = 0\n"
-    "    def start(self):\n"
-    "        threading.Thread(target=self._run, daemon=True).start()\n"
-    "    def _run(self):\n"
-    "        self.n += 1\n"
-    "    def bump(self):\n"
-    "        self.n += 1\n"
-)
-
-LOOP = "from repro.core.concurrency import event_loop\n"
-
-
-class TestConcurrencyRules:
-    def test_unlocked_guarded_access_flagged(self):
-        report = check_project_snippet(
-            GUARDED + "    def poke(self):\n"
-            "        self._items.append(1)\n",
-            "repro.farm.x",
-        )
-        assert "RC501" in codes_of(report)
-
-    def test_locked_access_ok(self):
-        report = check_project_snippet(
-            GUARDED + "    def poke(self):\n"
-            "        with self._lock:\n"
-            "            self._items.append(1)\n",
-            "repro.farm.x",
-        )
-        assert report.clean
-
-    def test_guarded_by_decorated_method_ok(self):
-        report = check_project_snippet(
-            "from repro.core.concurrency import guarded_by\n"
-            + GUARDED
-            + '    @guarded_by("_lock")\n'
-            "    def poke(self):\n"
-            "        self._items.append(1)\n",
-            "repro.farm.x",
-        )
-        assert report.clean
-
-    def test_init_is_exempt_from_rc501(self):
-        # GUARDED itself writes self._items in __init__ bare.
-        report = check_project_snippet(GUARDED, "repro.farm.x")
-        assert report.clean
-
-    def test_no_project_skips_rc501(self):
-        pragma = "# repro: module=repro.farm.x\n"
-        source = (
-            pragma + GUARDED + "    def poke(self):\n"
-            "        self._items.append(1)\n"
-        )
-        report = run_check_sources({"snippet.py": source}, project=False)
-        assert report.clean
-
-    def test_sleep_in_event_loop_flagged(self):
-        report = check_snippet(
-            LOOP + "import time\n"
-            "@event_loop\n"
-            "def run(q):\n    time.sleep(1)\n",
-            "repro.farm.x",
-        )
-        assert "RC502" in codes_of(report)
-
-    def test_unbounded_queue_get_in_event_loop_flagged(self):
-        report = check_snippet(
-            LOOP + "@event_loop\ndef run(q):\n    return q.get()\n",
-            "repro.farm.x",
-        )
-        assert "RC502" in codes_of(report)
-
-    def test_bounded_get_in_event_loop_ok(self):
-        report = check_snippet(
-            LOOP + "@event_loop\n"
-            "def run(q):\n    return q.get(timeout=0.1)\n",
-            "repro.farm.x",
-        )
-        assert report.clean
-
-    def test_nested_closure_runs_on_loop_thread(self):
-        report = check_snippet(
-            LOOP + "import time\n"
-            "@event_loop\n"
-            "def run(q):\n"
-            "    def later():\n        time.sleep(1)\n"
-            "    return later\n",
-            "repro.farm.x",
-        )
-        assert "RC502" in codes_of(report)
-
-    def test_unmarked_function_may_block(self):
-        report = check_snippet(
-            "import time\ndef run(q):\n    time.sleep(1)\n",
-            "repro.farm.x",
-        )
-        assert "RC502" not in codes_of(report)
-
-    def test_thread_without_daemon_flagged(self):
-        report = check_snippet(
-            "import threading\n"
-            "def go(fn):\n"
-            "    threading.Thread(target=fn).start()\n",
-            "repro.farm.x",
-        )
-        assert "RC503" in codes_of(report)
-
-    def test_thread_with_daemon_ok(self):
-        report = check_snippet(
-            "import threading\n"
-            "def go(fn):\n"
-            "    threading.Thread(target=fn, daemon=False).start()\n",
-            "repro.farm.x",
-        )
-        assert report.clean
-
-    def test_rc503_scope_limited_to_farm(self):
-        report = check_snippet(
-            "import threading\n"
-            "def go(fn):\n"
-            "    threading.Thread(target=fn).start()\n",
-            "repro.analysis.x",
-        )
-        assert "RC503" not in codes_of(report)
-
-    def test_unbounded_wait_flagged(self):
-        report = check_snippet(
-            "def f(ev):\n    ev.wait()\n", "repro.farm.x"
-        )
-        assert "RC504" in codes_of(report)
-
-    def test_bounded_wait_and_join_ok(self):
-        report = check_snippet(
-            "def f(ev, t):\n"
-            "    ev.wait(0.5)\n"
-            "    t.join(timeout=1.0)\n",
-            "repro.farm.x",
-        )
-        assert report.clean
-
-    def test_lockset_race_flagged(self):
-        report = check_project_snippet(RACY, "repro.farm.x")
-        assert "RC505" in codes_of(report)
-
-    def test_common_lock_defuses_race(self):
-        safe = RACY.replace(
-            "        self.n += 1\n",
-            "        with self.lk:\n            self.n += 1\n",
-        ).replace(
-            "        self.n = 0\n",
-            "        self.lk = threading.Lock()\n        self.n = 0\n",
-        )
-        report = check_project_snippet(safe, "repro.farm.x")
-        assert report.clean
-
-    def test_no_thread_no_race(self):
-        # Same shape, but nothing ever spawns a thread.
-        solo = RACY.replace(
-            "        threading.Thread(target=self._run, "
-            "daemon=True).start()\n",
-            "        self._run()\n",
-        )
-        report = check_project_snippet(solo, "repro.farm.x")
-        assert "RC505" not in codes_of(report)
-
-
-# ----------------------------------------------------------------------
-# Wire/trace conformance rules (RC6xx)
-# ----------------------------------------------------------------------
-
-WIRE_OK = (
-    'MESSAGE_KINDS = {"ping": frozenset({"seq"})}\n'
-    "def make(seq):\n"
-    '    return {"t": "ping", "seq": seq}\n'
-    "def handle(m):\n"
-    '    if m.get("t") == "ping":\n'
-    '        return m["seq"]\n'
-    "    return None\n"
-)
 
 TRACE_OK = (
     "def emit(out, slot):\n"
@@ -804,71 +610,6 @@ TRACE_OK = (
 
 
 class TestConformanceRules:
-    def test_conforming_wire_module_clean(self):
-        report = check_project_snippet(WIRE_OK, "repro.farm.x")
-        assert report.clean
-
-    def test_undeclared_producer_flagged(self):
-        report = check_project_snippet(
-            WIRE_OK + 'def rogue():\n    return {"t": "rogue"}\n',
-            "repro.farm.x",
-        )
-        assert "RC601" in codes_of(report)
-
-    def test_missing_table_flagged(self):
-        report = check_project_snippet(
-            'def make(seq):\n    return {"t": "ping", "seq": seq}\n',
-            "repro.farm.x",
-        )
-        assert "RC601" in codes_of(report)
-
-    def test_duplicate_table_flagged(self):
-        second = (
-            "# repro: module=repro.farm.y\n"
-            'MESSAGE_KINDS = {"pong": frozenset()}\n'
-        )
-        report = run_check_sources(
-            {
-                "a.py": "# repro: module=repro.farm.x\n" + WIRE_OK,
-                "b.py": second,
-            }
-        )
-        assert "RC601" in codes_of(report)
-
-    def test_producer_missing_key_flagged(self):
-        report = check_project_snippet(
-            WIRE_OK + 'def make2():\n    return {"t": "ping"}\n',
-            "repro.farm.x",
-        )
-        assert "RC602" in codes_of(report)
-
-    def test_consumer_undeclared_key_read_flagged(self):
-        report = check_project_snippet(
-            WIRE_OK + "def handle2(m):\n"
-            '    if m.get("t") == "ping":\n'
-            '        return m["nope"]\n',
-            "repro.farm.x",
-        )
-        assert "RC602" in codes_of(report)
-
-    def test_splat_literal_skips_key_check(self):
-        # **extra makes the key set unknowable; RC602 must not guess.
-        report = check_project_snippet(
-            WIRE_OK + "def make3(extra):\n"
-            '    return {"t": "ping", "seq": 0, **extra}\n',
-            "repro.farm.x",
-        )
-        assert "RC602" not in codes_of(report)
-
-    def test_wire_rules_scope_limited(self):
-        # The same rogue literal outside repro.farm/repro.cli is not
-        # part of the wire contract.
-        report = check_project_snippet(
-            'def rogue():\n    return {"t": "rogue"}\n',
-            "repro.analysis.x",
-        )
-        assert report.clean
-
     def test_conforming_trace_module_clean(self):
         report = check_project_snippet(TRACE_OK, "repro.obs.x")
         assert report.clean
@@ -1074,8 +815,8 @@ class TestReport:
     def test_project_findings_carry_project_scope(self):
         report = run_check([CORPUS])
         by_code = {f.code: f for f in report.findings}
-        assert by_code["RC505"].scope == "project"
-        assert by_code["RC601"].scope == "project"
+        assert by_code["RC603"].scope == "project"
+        assert by_code["RC604"].scope == "project"
         assert by_code["RC403"].scope == "module"
 
     def test_findings_sorted_by_location(self):
@@ -1153,15 +894,14 @@ class TestCli:
         assert main(["check", "does/not/exist"]) == 2
 
     def test_check_no_project_flag(self, tmp_path, capsys):
-        target = tmp_path / "racy.py"
+        target = tmp_path / "schema.py"
         target.write_text(
-            "# repro: module=repro.farm.x\n"
-            + GUARDED
-            + "    def poke(self):\n"
-            "        self._items.append(1)\n"
+            "# repro: module=repro.obs.x\n"
+            "EVENT_SCHEMA_VERSION = 3\n"
+            "SUPPORTED_SCHEMA_VERSIONS = (1, 2)\n"
         )
         assert main(["check", str(target)]) == 1
-        assert "RC501" in capsys.readouterr().out
+        assert "RC604" in capsys.readouterr().out
         assert main(["check", "--no-project", str(target)]) == 0
 
     def test_check_fix_suppressions_cli(self, tmp_path, capsys):
@@ -1196,18 +936,11 @@ class TestHead:
     def test_src_tree_has_justified_suppressions(self):
         # Every suppression at HEAD is enumerable and justified:
         #   3 RC403 — the hand-rolled atomic writers (cache torn-write
-        #     fixture, cache tmp protocol, trace writer tmp protocol);
-        #   4 RC501 — MessageStream's recv (x2) and close (x2) touch
-        #     _sock without _send_lock by design (single reader owns
-        #     recv; close is teardown and racing senders see OSError);
-        #   2 RC502 — the coordinator's event loop sends small frames
-        #     (welcome, lease) inline, bounded by the heartbeat beat;
-        #   2 RC505 — monotonic one-shot flag (_closing) and the
-        #     worker's single-writer mute deadline (_mute_until).
+        #     fixture, cache tmp protocol, trace writer tmp protocol).
         # A new suppression anywhere in src/ must update this pin and
         # say why it is safe.
         report = run_check([REPO / "src"])
-        assert report.suppressed == 11
+        assert report.suppressed == 3
 
     def test_cli_entry_point(self):
         result = subprocess.run(
@@ -1222,10 +955,9 @@ class TestDemolition:
     """Break one real invariant in memory; the analyzer must see it.
 
     These are the acceptance tests for the project phase: take the
-    tree as it is at HEAD, delete a lock / rename a wire kind / rename
-    a trace event in the in-memory copy, and assert the corresponding
-    project rule fires. If a refactor ever weakens fact collection,
-    these fail before the runtime race or protocol drift ships.
+    tree as it is at HEAD, rename a trace event in the in-memory copy,
+    and assert the corresponding project rule fires. If a refactor ever
+    weakens fact collection, these fail before the schema drift ships.
     """
 
     @pytest.fixture(scope="class")
@@ -1247,34 +979,6 @@ class TestDemolition:
 
     def test_unmutated_tree_is_clean(self, src_sources):
         assert run_check_sources(dict(src_sources)).clean
-
-    def test_removing_coordinator_lock_is_found(self, src_sources):
-        sources = self._mutated(
-            src_sources,
-            "src/repro/farm/coordinator.py",
-            "with self._streams_lock:",
-            "if True:",
-        )
-        report = run_check_sources(sources)
-        rc501 = [f for f in report.findings if f.code == "RC501"]
-        assert rc501
-        assert all("coordinator" in f.path for f in rc501)
-
-    def test_renaming_wire_kind_is_found(self, src_sources):
-        sources = self._mutated(
-            src_sources,
-            "src/repro/farm/protocol.py",
-            '"t": "result",',
-            '"t": "result_v2",',
-        )
-        report = run_check_sources(sources)
-        rc601 = [f for f in report.findings if f.code == "RC601"]
-        assert any("result_v2" in f.message for f in rc601)
-        assert any(
-            'declared message kind "result" is never produced'
-            in f.message
-            for f in rc601
-        )
 
     def test_renaming_trace_event_is_found(self, src_sources):
         sources = self._mutated(

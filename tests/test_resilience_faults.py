@@ -79,6 +79,7 @@ class TestGrammar:
             "delay=-1",           # negative delay
             "seed=abc",           # bad seed
             "justnonsense",       # no @ or %
+            "partition@0",        # unknown mode: no network faults
         ],
     )
     def test_malformed_specs_raise(self, spec):
@@ -147,61 +148,3 @@ class TestHash01:
             _hash01(s, "m", i) for s in range(5) for i in range(5)
         ]
         assert len(set(values)) == len(values)  # no trivial collisions
-
-
-class TestNetworkModes:
-    """The farm's wire-level faults ride the same grammar as the cell
-    faults: pure decisions, indexed clauses, one shared duration knob.
-    docs/RESILIENCE.md is their single documentation home."""
-
-    def test_network_modes_are_plain_indexed_clauses(self):
-        injector = FaultInjector.parse("disconnect@2;partition@0x3")
-        assert injector.should("disconnect", 2)
-        assert not injector.should("disconnect", 2, attempt=1)
-        assert not injector.should("disconnect", 0)
-        # x3 covers the reissue attempts 0..2, nothing beyond.
-        assert all(injector.should("partition", 0, attempt=a) for a in range(3))
-        assert not injector.should("partition", 0, attempt=3)
-
-    def test_decisions_are_pure(self):
-        spec = "stale-heartbeat@1;dup%0.5;seed=7"
-        first = FaultInjector.parse(spec)
-        second = FaultInjector.parse(spec)
-        probes = [
-            (mode, index, attempt)
-            for mode in ("stale-heartbeat", "dup", "delay")
-            for index in range(6)
-            for attempt in range(3)
-        ]
-        for _ in range(2):  # repeated queries must not drift either
-            assert [first.should(*p) for p in probes] == [
-                second.should(*p) for p in probes
-            ]
-
-    def test_delay_clause_and_delay_knob_are_distinct(self):
-        # "delay@1" is the late-result fault on cell 1; "delay=2.5" is
-        # the shared duration knob. The parser must not conflate them.
-        injector = FaultInjector.parse("delay@1;delay=2.5")
-        assert injector.should("delay", 1)
-        assert not injector.should("delay", 0)
-        assert injector.delay == 2.5
-        knob_only = FaultInjector.parse("delay=2.5")
-        assert not any(knob_only.should("delay", i) for i in range(8))
-
-    def test_spec_attribute_round_trips(self, monkeypatch):
-        # Workers are spawned in fresh processes: the coordinator
-        # forwards injector.spec verbatim, and re-parsing it must yield
-        # the same injector decisions.
-        spec = "disconnect@3;delay@5;dup@7;seed=9;delay=4"
-        injector = FaultInjector.parse(spec)
-        assert injector.spec == spec
-        clone = FaultInjector.parse(injector.spec)
-        assert clone.delay == injector.delay
-        for mode in ("disconnect", "delay", "dup"):
-            for index in range(10):
-                assert clone.should(mode, index) == injector.should(
-                    mode, index
-                )
-        monkeypatch.setenv("REPRO_FAULTS", spec)
-        from_env = FaultInjector.from_env()
-        assert from_env is not None and from_env.spec == spec

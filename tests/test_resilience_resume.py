@@ -180,6 +180,30 @@ class TestInterruptAndResume:
         resumed.to_csv(resumed_csv)
         assert clean_csv.read_bytes() == resumed_csv.read_bytes()
 
+    def test_resumed_journal_projects_like_one_shot(self, tmp_path):
+        """A pooled run interrupted and resumed leaves a journal whose
+        canonical projection equals a one-shot serial run's."""
+        from repro.resilience.journal import (
+            canonical_journal_digest,
+            read_journal,
+        )
+
+        one_shot = tmp_path / "one-shot.jsonl"
+        run_panel(4, **PANEL_KW, journal=RunJournal(one_shot))
+        resumed = tmp_path / "resumed.jsonl"
+        with pytest.raises(SweepInterrupted):
+            run_panel(
+                4,
+                **PANEL_KW,
+                jobs=2,
+                journal=RunJournal(resumed),
+                fault_injector=FaultInjector.parse("interrupt@2"),
+            )
+        run_panel(4, **PANEL_KW, jobs=2, journal=RunJournal(resumed))
+        assert canonical_journal_digest(
+            *read_journal(one_shot)
+        ) == canonical_journal_digest(*read_journal(resumed))
+
     def test_fully_journaled_sweep_recomputes_nothing(self, tmp_path):
         journal_path = tmp_path / "run.jsonl"
         first = run_panel(4, **PANEL_KW, journal=RunJournal(journal_path))
