@@ -36,8 +36,9 @@ arrival using integer victim codes with the tie-break baked in:
   ``off`` counter absorbs the uniform one-unit work decrement every
   active queue receives per transmission phase, so codes stay valid
   without per-slot rewrites.
-* **BPD** — a single bitmask of the static ranks of non-empty ports;
-  the victim is its highest bit.
+* **BPD / BPD₁** — a single bitmask of the static ranks of the ports
+  holding at least ``min_victim_len`` packets (1, or 2 for BPD₁); the
+  victim is its highest bit.
 
 The *static rank* ``r_p`` of port ``p`` is its position in the
 ascending ``(w_p, p)`` order, so comparing ranks compares the paper's
@@ -71,11 +72,23 @@ instead of O(active ports). Wide switches (``ARRAY_TRANSMIT_MIN_PORTS``
 and up, with numpy) use the whole-array decrement over the
 head-residual column instead.
 
-Every other policy (thresholds, extensions, BPD₁, scripted OPT) runs
-its own *naive* selector unmodified against :class:`ColumnarView`, a
-``SwitchView``-compatible facade over the columns — decision parity is
-then automatic rather than re-proved per policy. The transient packet
-such a policy sees carries the trace's scripted-OPT tag.
+The non-push-out threshold policies (NHST, NEST, NHDT, NHST-V, Greedy,
+NHDT-W, Harmonic, DT) share one more kernel, on every queue layout.
+Each policy states its rule once, as a pure function of the arrival's
+queue length and one statistic (a static per-port cap, the free space,
+the number of strictly longer queues, or the count and total of the
+queues at least as long). The kernel computes the statistic by a plain
+scan of the length column and calls that same function, or reads the
+per-port cap table it built at bind time, so no threshold formula is
+restated here.
+
+Every other policy (the extensions LWD₁, MRD₁ and Random, scripted
+OPT), and every policy on a split buffer model or while a port is
+down, runs its own *naive* selector unmodified against
+:class:`ColumnarView`, a ``SwitchView``-compatible facade over the
+columns — decision parity is then automatic rather than re-proved per
+policy. The transient packet such a policy sees carries the trace's
+scripted-OPT tag.
 
 Oracle contract and deviations
 ------------------------------
@@ -125,6 +138,7 @@ from repro.core.errors import PolicyError, TraceError
 from repro.core.hotpath import hot_path
 from repro.core.metrics import SwitchMetrics
 from repro.core.packet import Packet, packet_seq_source
+from repro.core.switch import STAT_AT_LEAST, STAT_CAP, STAT_FREE, STAT_LONGER
 from repro.obs.observer import PacketEvent, SlotObserver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,9 +150,10 @@ K_GENERIC = 0
 K_LQD = 1
 K_LWD = 2
 K_BPD = 3
-K_LQDV = 4
-K_MVD = 5
-K_MRD = 6
+K_THRESHOLD = 4
+K_LQDV = 5
+K_MVD = 6
+K_MRD = 7
 
 _NEG_INF = float("-inf")
 
@@ -158,22 +173,40 @@ _policy_classes: Optional[Dict[type, int]] = None
 
 def _load_policy_classes() -> Dict[type, int]:
     """Late import of the kernel-bound policy classes, by exact type
-    (avoids a core->policies cycle). Subclasses that change the
-    selection rule (e.g. BPD1's min-victim-length refinement) are not
-    keys, so they take the generic path and run their own selector."""
+    (avoids a core->policies cycle). Every registered policy except the
+    extensions LWD1, MRD1 and Random is a key; a subclass that is not
+    a key takes the generic path and runs its own selector."""
     global _policy_classes
     if _policy_classes is None:
-        from repro.policies.processing import BPD, LQD, LWD
+        from repro.policies.dynamic import DynamicThreshold, Harmonic
+        from repro.policies.extensions import NHDTW
+        from repro.policies.nonpushout import (
+            NEST,
+            NHDT,
+            NHST,
+            GreedyNonPushOut,
+            NHSTValue,
+        )
+        from repro.policies.processing import BPD, BPD1, LQD, LWD
         from repro.policies.value import MRD, MVD, MVD1, LQDValue
 
         _policy_classes = {
             LQD: K_LQD,
             LWD: K_LWD,
             BPD: K_BPD,
+            BPD1: K_BPD,
             LQDValue: K_LQDV,
             MVD: K_MVD,
             MVD1: K_MVD,
             MRD: K_MRD,
+            NHST: K_THRESHOLD,
+            NEST: K_THRESHOLD,
+            NHDT: K_THRESHOLD,
+            NHSTValue: K_THRESHOLD,
+            GreedyNonPushOut: K_THRESHOLD,
+            NHDTW: K_THRESHOLD,
+            Harmonic: K_THRESHOLD,
+            DynamicThreshold: K_THRESHOLD,
         }
     return _policy_classes
 
@@ -481,14 +514,20 @@ class VectorizedSwitch:
         self._pcode: List[int] = _columns.scalar_int_column(n)
         self._ncode: List[int] = _columns.scalar_int_column(n)
         self._off = 0
-        # BPD kernel state.
+        # BPD kernel state: the rank bitmask of victim candidates.
         self._nm = 0
+        # Threshold kernel state: the policy's statistic, its rule, and
+        # (static caps only) the per-port cap table built at bind time.
+        self._tstat = STAT_CAP
+        self._trule: Any = None
+        self._tcaps: List[float] = []
         # Value kernel state: the ascending victim-key list, each port's
-        # filed key (None when not a candidate), MRD's sorted per-port
-        # minima, and MVD's minimum victim-queue length.
+        # filed key (None when not a candidate), and MRD's sorted
+        # per-port minima.
         self._vkeys: List[Tuple[Any, ...]] = []
         self._vkey: List[Any] = [None] * n
         self._vmins: List[float] = []
+        # BPD's and MVD's minimum victim-queue length (2 for BPD1/MVD1).
         self._mvl = 1
         # The ports column last validated for this switch (identity),
         # and its scripted-OPT tags column when it carries one.
@@ -702,12 +741,23 @@ class VectorizedSwitch:
             # full-buffer predicate, so everything runs generically.
             return K_GENERIC
         kind = _load_policy_classes().get(type(policy), K_GENERIC)
-        if kind >= K_LQDV:
-            if not self._by_value:
-                return K_GENERIC
-            if kind == K_MVD:
-                self._mvl = policy.min_victim_len
+        if kind == K_THRESHOLD:
+            # Thresholds admit through _admit_cols: any queue layout.
+            stat = policy.statistic
+            self._tstat = stat
+            if stat == STAT_CAP:
+                self._trule = None
+                self._tcaps = [
+                    policy.cap(self.config, p) for p in range(self._nr)
+                ]
+            else:
+                self._trule = policy.admits
+                self._tcaps = []
             return kind
+        if kind in (K_BPD, K_MVD):
+            self._mvl = policy.min_victim_len
+        if kind >= K_LQDV:
+            return kind if self._by_value else K_GENERIC
         return kind if self._fast_fifo else K_GENERIC
 
     def _kernel_for(self, policy: Any) -> int:
@@ -759,12 +809,22 @@ class VectorizedSwitch:
             codes.sort()
             self._codes = codes
         elif kind == K_BPD:
-            nm = 0
-            for p in self._active:
-                nm |= bit[rank[p]]
-            self._nm = nm
-        else:
+            self._nm = self._bpd_mask()
+        elif kind >= K_LQDV:
             self._vkeys, self._vkey, self._vmins = self._value_keys(kind)
+
+    def _bpd_mask(self) -> int:
+        """The rank bitmask of the queues holding at least
+        ``min_victim_len`` packets, from the primary columns."""
+        lens = self._lens
+        rank = self._rank
+        bit = self._bit
+        mvl = self._mvl
+        nm = 0
+        for p in self._active:
+            if lens[p] >= mvl:
+                nm |= bit[rank[p]]
+        return nm
 
     def _value_key(self, kind: int, port: int) -> Optional[Tuple[Any, ...]]:
         """``port``'s victim key under value kernel ``kind`` (``None``
@@ -923,6 +983,10 @@ class VectorizedSwitch:
                 self._arrive_lwd_cols(ports, values, arrivals, lo, hi)
             elif kind == K_BPD:
                 self._arrive_bpd_cols(ports, values, arrivals, lo, hi)
+            elif kind == K_THRESHOLD:
+                self._arrive_threshold_cols(
+                    ports, works, values, arrivals, lo, hi
+                )
             elif kind != K_GENERIC:
                 self._arrive_value_cols(
                     kind, ports, works, values, arrivals, lo, hi
@@ -1677,12 +1741,13 @@ class VectorizedSwitch:
         lo: int,
         hi: int,
     ) -> None:
-        """Batched BPD arrival phase over the non-empty rank bitmask.
+        """Batched BPD/BPD₁ arrival phase over the candidate bitmask.
 
-        Victim key: ``(w_j, j)`` argmax over non-empty queues — the
-        highest set rank bit. Accept iff the arrival's own static key
-        is <= the victim's (equality means the arrival raids its own
-        queue's tail, exactly like the reference).
+        Victim key: ``(w_j, j)`` argmax over the queues holding at least
+        ``min_victim_len`` packets (1 for BPD, 2 for BPD₁) — the highest
+        set rank bit. Accept iff the arrival's own static key is <= the
+        victim's (equality means the arrival raids its own queue's tail,
+        exactly like the reference); no candidate at all means DROP.
         """
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
@@ -1701,6 +1766,9 @@ class VectorizedSwitch:
         porder = self._porder
         bit = self._bit
         nm = self._nm
+        # A queue joins the candidate mask when it grows from ``below``
+        # to mvl packets and leaves it when it shrinks back to ``below``.
+        below = self._mvl - 1
         occ = self.occupancy
         cap = self._B
         slot = self.current_slot
@@ -1729,8 +1797,9 @@ class VectorizedSwitch:
                 )
                 tv[p] += values[i]
                 lens[p] = ol + 1
-                if not ol:
+                if ol == below:
                     nm |= bit[rank[p]]
+                if not ol:
                     insort(active, p)
                     is_act[p] = True
                     if sched is None:
@@ -1757,8 +1826,9 @@ class VectorizedSwitch:
             lens[t] = vl
             vv = stores[t].pop()[0]
             tv[t] -= vv
-            if not vl:
+            if vl == below:
                 nm ^= bit[vr]
+            if not vl:
                 del active[bisect_left(active, t)]
                 is_act[t] = False
                 if sched is None:
@@ -1779,8 +1849,9 @@ class VectorizedSwitch:
             tv[p] += values[i]
             lens[p] = ol + 1
             accepted += 1
-            if not ol:
+            if ol == below:
                 nm |= bit[r]
+            if not ol:
                 insort(active, p)
                 is_act[p] = True
                 if sched is None:
@@ -1916,6 +1987,91 @@ class VectorizedSwitch:
         metrics.accepted += accepted
         metrics.dropped += dropped
         metrics.pushed_out += pushed
+
+    @hot_path
+    def _arrive_threshold_cols(
+        self,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        lo: int,
+        hi: int,
+    ) -> None:
+        """Batched arrival phase for the non-push-out threshold policies.
+
+        While the buffer has space, each arrival reads its own queue
+        length and the one statistic the policy's rule names, computed
+        here by a plain scan of the length column (``n`` is at most 64
+        on every Fig. 5 panel), and calls the policy's own ``admits``;
+        a static-cap policy reads the ``cap`` table it built at bind
+        time instead. Once the buffer is full every later arrival of
+        the slot drops, like ``ThresholdPolicy.admit``'s
+        ``can_accept`` test. Admission goes through ``_admit_cols``, so
+        the kernel serves every queue layout.
+        """
+        metrics = self.metrics
+        dropped_by_port = metrics.dropped_by_port
+        lens = self._lens
+        stat = self._tstat
+        caps = self._tcaps
+        rule = self._trule
+        config = self.config
+        admit = self._admit_cols
+        queue_work = self.queue_work
+        n = self._nr
+        cap = self._B
+        occ = self.occupancy
+        slot = self.current_slot
+        accepted = 0
+        dropped = 0
+        for i in range(lo, hi):
+            p = ports[i]
+            if occ < cap:
+                own = lens[p]
+                if stat == STAT_CAP:
+                    ok = own < caps[p]
+                elif stat == STAT_FREE:
+                    ok = rule(config, cap, own, cap - occ)
+                elif stat == STAT_LONGER:
+                    longer = 0
+                    for length in lens:
+                        if length > own:
+                            longer += 1
+                    ok = rule(config, cap, own, longer)
+                elif stat == STAT_AT_LEAST:
+                    m = 0
+                    joint = 0
+                    for length in lens:
+                        if length >= own:
+                            m += 1
+                            joint += length
+                    ok = rule(config, cap, own, (m, joint))
+                else:  # STAT_WORK_AT_LEAST
+                    own = queue_work(p)
+                    m = 0
+                    joint = 0
+                    for q in range(n):
+                        work = queue_work(q)
+                        if work >= own:
+                            m += 1
+                            joint += work
+                    ok = rule(config, cap, own, (m, joint))
+                if ok:
+                    admit(
+                        p,
+                        works[i],
+                        values[i],
+                        arrivals[i] if arrivals is not None else slot,
+                    )
+                    occ += 1
+                    accepted += 1
+                    continue
+            dropped += 1
+            dropped_by_port[p] += 1
+        self.occupancy = occ
+        metrics.accepted += accepted
+        metrics.dropped += dropped
 
     @hot_path
     def _arrive_generic_cols(
@@ -2097,6 +2253,7 @@ class VectorizedSwitch:
         delay_sum = metrics.delay_sum_by_port
         delay_count = metrics.delay_count_by_port
         nm = self._nm
+        below = self._mvl - 1
         drained: List[int] = []
         for p in done:
             value, arr, _sq = stores[p].popleft()
@@ -2135,7 +2292,7 @@ class VectorizedSwitch:
                 if not nl:
                     drained.append(p)
             elif kind == K_BPD:
-                if not nl:
+                if nl == below:
                     nm ^= bit[rank[p]]
         metrics.transmitted_packets += len(done)
         self.occupancy -= len(done)
@@ -2411,18 +2568,28 @@ class VectorizedSwitch:
             expect_codes.sort()
             assert self._codes == expect_codes, "LWD code list stale"
         elif kind == K_BPD:
-            expect_nm = 0
-            for p in self._active:
-                expect_nm |= bit[rank[p]]
+            expect_nm = self._bpd_mask()
             assert self._nm == expect_nm, (
                 f"BPD bitmask {self._nm:b} != {expect_nm:b}"
             )
+        elif kind == K_THRESHOLD:
+            policy: Any = self._kpolicy
+            assert self._tstat == policy.statistic, (
+                f"threshold kernel bound to statistic {self._tstat!r}, "
+                f"policy reads {policy.statistic!r}"
+            )
+            if self._tstat == STAT_CAP:
+                expect_caps = [
+                    policy.cap(self.config, p) for p in range(n)
+                ]
+                assert self._tcaps == expect_caps, "threshold caps stale"
+            else:
+                assert self._trule == policy.admits, "threshold rule stale"
         elif kind != K_GENERIC:
             keys, key_of, mins = self._value_keys(kind)
             assert self._vkey == key_of, "value kernel per-port keys stale"
             assert self._vkeys == keys, "value kernel key list stale"
             assert self._vmins == mins, "MRD minimum list stale"
-        _ = n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         lens = ",".join(str(length) for length in self._lens)

@@ -58,6 +58,24 @@ from repro.core.queues import FifoQueue, OutputQueue, ValuePriorityQueue
 from repro.obs.observer import PacketEvent, SlotObserver
 
 
+#: The switch statistic a :class:`~repro.policies.base.ThresholdPolicy`
+#: rule reads besides the arrival's own queue length ``own``:
+#:
+#: * ``STAT_CAP`` — none: a static per-port cap
+#:   (:class:`~repro.policies.base.StaticThresholdPolicy`).
+#: * ``STAT_FREE`` — the free (shared) buffer space.
+#: * ``STAT_LONGER`` — how many queues are strictly longer than ``own``.
+#: * ``STAT_AT_LEAST`` — ``(count, total length)`` of the queues at least
+#:   ``own`` long, the arrival's own included.
+#: * ``STAT_WORK_AT_LEAST`` — the same over total residual work, with
+#:   ``own`` the arrival's queue work.
+STAT_CAP = "cap"
+STAT_FREE = "free"
+STAT_LONGER = "longer"
+STAT_AT_LEAST = "at_least"
+STAT_WORK_AT_LEAST = "work_at_least"
+
+
 class SwitchView:
     """Read-only facade over a switch, handed to policies.
 

@@ -11,6 +11,7 @@ from repro.policies.base import (
     Policy,
     PolicyEntry,
     PushOutPolicy,
+    StaticThresholdPolicy,
     ThresholdPolicy,
     available_policies,
     make_policy,
@@ -52,6 +53,7 @@ __all__ = [
     "Policy",
     "PolicyEntry",
     "PushOutPolicy",
+    "StaticThresholdPolicy",
     "ThresholdPolicy",
     "available_policies",
     "make_policy",

@@ -26,10 +26,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
+from repro.core.config import SwitchConfig
 from repro.core.decisions import ACCEPT, DROP, Decision
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
-from repro.core.switch import SwitchView
+from repro.core.switch import STAT_CAP, SwitchView
 
 
 class Policy(ABC):
@@ -93,9 +94,26 @@ class PushOutPolicy(Policy):
 
 
 class ThresholdPolicy(Policy):
-    """Non-push-out template: accept iff below threshold and not full."""
+    """Non-push-out template: accept iff below threshold and not full.
+
+    Each threshold policy states its rule once, as a pure function of
+    the arrival's queue length and the one switch statistic named by
+    :attr:`statistic`. A :class:`StaticThresholdPolicy` defines
+    ``cap(config, port)`` and admits while ``|Q_i| < cap``; every other
+    policy defines ``admits(config, capacity, own, stat)``, where
+    ``capacity`` is the (shared) buffer space its thresholds divide.
+    ``within_threshold`` computes the statistic by a naive ``SwitchView``
+    scan, the oracle. The vectorized engine's threshold kernel computes
+    it from its columns and calls the same function (or a per-port
+    table of ``cap``), so both engines evaluate identical float
+    expressions.
+    """
 
     is_push_out = False
+
+    #: Which statistic the rule reads, one of the ``STAT_*`` names of
+    #: :mod:`repro.core.switch`; every registered threshold policy sets it.
+    statistic: str
 
     def admit(self, view: SwitchView, packet: Packet) -> Decision:
         if not view.can_accept(packet.port):
@@ -107,6 +125,20 @@ class ThresholdPolicy(Policy):
     @abstractmethod
     def within_threshold(self, view: SwitchView, packet: Packet) -> bool:
         """Whether the packet's queue may grow under the policy threshold."""
+
+
+class StaticThresholdPolicy(ThresholdPolicy):
+    """Threshold policy with a static per-port cap: accept iff the buffer
+    has space and ``|Q_i| < cap(config, i)``."""
+
+    statistic = STAT_CAP
+
+    @abstractmethod
+    def cap(self, config: SwitchConfig, port: int) -> float:
+        """The most packets (exclusive bound) queue ``port`` may hold."""
+
+    def within_threshold(self, view: SwitchView, packet: Packet) -> bool:
+        return view.queue_len(packet.port) < self.cap(view.config, packet.port)
 
 
 # ---------------------------------------------------------------------------

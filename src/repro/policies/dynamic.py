@@ -3,8 +3,12 @@
 Two policies from the dynamic shared-buffer literature, both non-push-out
 threshold policies implemented purely against the public
 :class:`~repro.core.switch.SwitchView` API (they pass ``repro check``
-RC301-303 by construction, and fall back to the vectorized engine's
-generic per-packet path because they are not exact fast-kernel types):
+RC301-303 by construction). Each states its rule once, as ``admits``
+over one statistic; on the purely shared model with every port up the
+vectorized engine's threshold kernel computes that statistic from its
+columns and calls the same ``admits``, and split buffer models and port
+churn run the policy's own ``within_threshold`` through generic
+dispatch:
 
 * :class:`DynamicThreshold` — the classic alpha-threshold ("Dynamic
   Threshold") scheme of Choudhury & Hahne: a packet for queue ``i`` is
@@ -31,9 +35,10 @@ quantities degenerate to plain queue lengths and free space.
 from __future__ import annotations
 
 from repro._math import harmonic_number
+from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
-from repro.core.switch import SwitchView
+from repro.core.switch import STAT_FREE, STAT_LONGER, SwitchView
 from repro.policies.base import ThresholdPolicy
 
 
@@ -50,15 +55,24 @@ class DynamicThreshold(ThresholdPolicy):
     """
 
     name = "DT"
+    statistic = STAT_FREE
 
     def __init__(self, alpha: float = 1.0) -> None:
         if not alpha > 0:
             raise ConfigError(f"DT needs alpha > 0, got {alpha}")
         self.alpha = float(alpha)
 
+    def admits(
+        self, config: SwitchConfig, capacity: int, own: int, stat: int
+    ) -> bool:
+        return own < self.alpha * stat
+
     def within_threshold(self, view: SwitchView, packet: Packet) -> bool:
-        return view.shared_queue_len(packet.port) < (
-            self.alpha * view.shared_free
+        return self.admits(
+            view.config,
+            view.shared_capacity,
+            view.shared_queue_len(packet.port),
+            view.shared_free,
         )
 
     def describe(self) -> str:
@@ -86,18 +100,24 @@ class Harmonic(ThresholdPolicy):
     """
 
     name = "Harmonic"
+    statistic = STAT_LONGER
+
+    def admits(
+        self, config: SwitchConfig, capacity: int, own: int, stat: int
+    ) -> bool:
+        # Rank r = 1 + the number of strictly longer queues.
+        rank = stat + 1
+        return (own + 1) * rank * harmonic_number(config.n_ports) <= capacity
 
     def within_threshold(self, view: SwitchView, packet: Packet) -> bool:
         own = view.shared_queue_len(packet.port)
-        # Rank r = 1 + number of strictly longer queues. Empty queues
-        # never outrank (own >= 0), so scanning the non-empty ports is
-        # exact and costs O(active), not O(n).
-        rank = 1
+        # Empty queues never outrank (own >= 0), so scanning the
+        # non-empty ports is exact and costs O(active), not O(n).
+        longer = 0
         for port in view.nonempty_ports():
             if port != packet.port and view.shared_queue_len(port) > own:
-                rank += 1
-        h_n = harmonic_number(view.n_ports)
-        return (own + 1) * rank * h_n <= view.shared_capacity
+                longer += 1
+        return self.admits(view.config, view.shared_capacity, own, longer)
 
     def describe(self) -> str:
         return "Harmonic (non-push-out, rank-harmonic thresholds)"

@@ -31,10 +31,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro._math import harmonic_number
+from repro.core.config import SwitchConfig
 from repro.core.decisions import DROP, Decision, push_out
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
-from repro.core.switch import SwitchView
+from repro.core.switch import STAT_WORK_AT_LEAST, SwitchView
 from repro.policies.base import PushOutPolicy, ThresholdPolicy
 from repro.policies.processing import LWD
 from repro.policies.value import MRD
@@ -63,9 +64,25 @@ class NHDTW(ThresholdPolicy):
     """
 
     name = "NHDT-W"
+    statistic = STAT_WORK_AT_LEAST
+
+    def admits(
+        self,
+        config: SwitchConfig,
+        capacity: int,
+        own: int,
+        stat: Tuple[int, int],
+    ) -> bool:
+        m, joint_work = stat
+        work_capacity = (
+            config.buffer_size * config.n_ports / config.inverse_work_sum
+        )
+        budget = (
+            work_capacity / harmonic_number(config.n_ports)
+        ) * harmonic_number(m)
+        return joint_work < budget
 
     def within_threshold(self, view: SwitchView, packet: Packet) -> bool:
-        config = view.config
         own_work = view.total_work(packet.port)
         joint_work = 0
         m = 0
@@ -73,13 +90,9 @@ class NHDTW(ThresholdPolicy):
             if view.total_work(port) >= own_work or port == packet.port:
                 joint_work += view.total_work(port)
                 m += 1
-        work_capacity = (
-            config.buffer_size * config.n_ports / config.inverse_work_sum
+        return self.admits(
+            view.config, view.buffer_size, own_work, (m, joint_work)
         )
-        budget = (
-            work_capacity / harmonic_number(view.n_ports)
-        ) * harmonic_number(m)
-        return joint_work < budget
 
 
 class LWD1(LWD):

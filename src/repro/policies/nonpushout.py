@@ -27,13 +27,16 @@ reversed thresholds (Section V-C) is :class:`NHSTValue`.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro._math import harmonic_number
+from repro.core.config import SwitchConfig
 from repro.core.packet import Packet
-from repro.core.switch import SwitchView
-from repro.policies.base import ThresholdPolicy
+from repro.core.switch import STAT_AT_LEAST, SwitchView
+from repro.policies.base import StaticThresholdPolicy, ThresholdPolicy
 
 
-class NHST(ThresholdPolicy):
+class NHST(StaticThresholdPolicy):
     """Static thresholds inversely proportional to required processing.
 
     Accept an arriving packet for port ``i`` iff the buffer has space and
@@ -42,14 +45,12 @@ class NHST(ThresholdPolicy):
 
     name = "NHST"
 
-    def within_threshold(self, view: SwitchView, packet: Packet) -> bool:
-        config = view.config
+    def cap(self, config: SwitchConfig, port: int) -> float:
         z = config.inverse_work_sum
-        threshold = config.buffer_size / (config.work_of(packet.port) * z)
-        return view.queue_len(packet.port) < threshold
+        return config.buffer_size / (config.work_of(port) * z)
 
 
-class NEST(ThresholdPolicy):
+class NEST(StaticThresholdPolicy):
     """Equal static thresholds: complete buffer partitioning.
 
     Accept iff the buffer has space and ``|Q_i| < B / n``. Each queue
@@ -59,9 +60,8 @@ class NEST(ThresholdPolicy):
 
     name = "NEST"
 
-    def within_threshold(self, view: SwitchView, packet: Packet) -> bool:
-        threshold = view.buffer_size / view.n_ports
-        return view.queue_len(packet.port) < threshold
+    def cap(self, config: SwitchConfig, port: int) -> float:
+        return config.buffer_size / config.n_ports
 
 
 class NHDT(ThresholdPolicy):
@@ -78,6 +78,20 @@ class NHDT(ThresholdPolicy):
     """
 
     name = "NHDT"
+    statistic = STAT_AT_LEAST
+
+    def admits(
+        self,
+        config: SwitchConfig,
+        capacity: int,
+        own: int,
+        stat: Tuple[int, int],
+    ) -> bool:
+        m, joint = stat
+        budget = (
+            config.buffer_size / harmonic_number(config.n_ports)
+        ) * harmonic_number(m)
+        return joint < budget
 
     def within_threshold(self, view: SwitchView, packet: Packet) -> bool:
         own_len = view.queue_len(packet.port)
@@ -86,14 +100,15 @@ class NHDT(ThresholdPolicy):
             for port in range(view.n_ports)
             if view.queue_len(port) >= own_len or port == packet.port
         ]
-        m = len(lens_at_least)
-        budget = (
-            view.buffer_size / harmonic_number(view.n_ports)
-        ) * harmonic_number(m)
-        return sum(lens_at_least) < budget
+        return self.admits(
+            view.config,
+            view.buffer_size,
+            own_len,
+            (len(lens_at_least), sum(lens_at_least)),
+        )
 
 
-class NHSTValue(ThresholdPolicy):
+class NHSTValue(StaticThresholdPolicy):
     """NHST with reversed thresholds for the port-determined value model.
 
     Section V-C: when a packet's value is uniquely determined by its output
@@ -109,21 +124,17 @@ class NHSTValue(ThresholdPolicy):
 
     name = "NHST-V"
 
-    def within_threshold(self, view: SwitchView, packet: Packet) -> bool:
-        config = view.config
+    def cap(self, config: SwitchConfig, port: int) -> float:
         values = config.values
         k = config.n_ports
         # Rank r in 1..k of this port's value among all ports (ties broken
         # by port index so every port gets a distinct rank).
-        me = (values[packet.port], packet.port)
+        me = (values[port], port)
         rank = sum(1 for j in range(k) if (values[j], j) <= me)
-        threshold = config.buffer_size / (
-            (k - rank + 1) * harmonic_number(k)
-        )
-        return view.queue_len(packet.port) < threshold
+        return config.buffer_size / ((k - rank + 1) * harmonic_number(k))
 
 
-class GreedyNonPushOut(ThresholdPolicy):
+class GreedyNonPushOut(StaticThresholdPolicy):
     """Accept whenever the buffer has space; never evict.
 
     Section IV-B's strawman: a greedy non-push-out policy is at least
@@ -134,5 +145,5 @@ class GreedyNonPushOut(ThresholdPolicy):
 
     name = "Greedy"
 
-    def within_threshold(self, view: SwitchView, packet: Packet) -> bool:
-        return True
+    def cap(self, config: SwitchConfig, port: int) -> float:
+        return float("inf")

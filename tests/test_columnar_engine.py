@@ -28,6 +28,7 @@ from repro.analysis.competitive import PolicySystem, run_system
 from repro.core import columns as columns_mod
 from repro.core.columnar import (
     ARRAY_TRANSMIT_MIN_PORTS,
+    K_GENERIC,
     K_LQDV,
     K_MRD,
     K_MVD,
@@ -37,6 +38,7 @@ from repro.core.config import SwitchConfig
 from repro.core.errors import TraceError
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
+from repro.experiments.fig5 import PANELS, _panel_factories
 from repro.policies import make_policy
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
@@ -160,10 +162,11 @@ def _warm_value_switch(
 
 
 @pytest.mark.parametrize(
-    "policy_name", ["LQD", "LWD", "BPD", "LQD-V", "MVD", "MVD1", "MRD"]
+    "policy_name",
+    ["LQD", "LWD", "BPD", "BPD1", "NHST", "LQD-V", "MVD", "MVD1", "MRD"],
 )
 def test_corrupt_kernel_structures_caught(policy_name):
-    if policy_name in ("LQD", "LWD", "BPD"):
+    if policy_name in ("LQD", "LWD", "BPD", "BPD1", "NHST"):
         switches = [_warm_switch(policy_name)]
     else:
         switches = [_warm_value_switch(policy_name, feed) for feed in FEEDS]
@@ -172,8 +175,10 @@ def test_corrupt_kernel_structures_caught(policy_name):
             switch._maxl += 1
         elif policy_name == "LWD":
             switch._ncode[switch._active[0]] += 1
-        elif policy_name == "BPD":
+        elif policy_name in ("BPD", "BPD1"):
             switch._nm ^= 1
+        elif policy_name == "NHST":
+            switch._tcaps[0] += 1.0
         elif policy_name == "MVD":
             # The victim's filed key goes missing from the per-port column.
             switch._vkey[switch._vkeys[-1][2]] = None
@@ -195,6 +200,22 @@ def test_object_bursts_bind_value_kernel(policy_name, kind):
     # reach the value kernels too (no generic-dispatch fallback).
     switch = _warm_value_switch(policy_name, "run_slot")
     assert switch._kkind == kind
+
+
+@pytest.mark.parametrize("panel", [1, 4, 7], ids=["proc", "vu", "vp"])
+def test_every_fig5_policy_binds_a_kernel(panel):
+    # Each Fig. 5 line-up on its panels' fixed configuration (C = 1):
+    # no policy of the figure runs on generic per-packet dispatch.
+    spec = PANELS[panel]
+    config_factory, _, _ = _panel_factories(spec, n_slots=10, load=1.0)
+    fixed = {"k": spec.fixed_k, "B": spec.fixed_b, "C": spec.fixed_c}
+    config = config_factory(fixed[spec.param_name])
+    generic = []
+    for name in spec.policies:
+        switch = VectorizedSwitch(config)
+        if switch._kernel_for(make_policy(name)) == K_GENERIC:
+            generic.append(name)
+    assert generic == []
 
 
 def test_corrupt_occupancy_caught():
@@ -221,12 +242,15 @@ def test_periodic_check_catches_corruption(monkeypatch):
         run_system(system, trace)
 
 
-def test_periodic_check_passes_clean_vectorized_run(monkeypatch):
+@pytest.mark.parametrize("policy_name", ["LWD", "BPD1", "NHDT"])
+def test_periodic_check_passes_clean_vectorized_run(monkeypatch, policy_name):
+    # LWD's code list, BPD1's min-length-2 candidate mask and the
+    # threshold kernel's binding all go through the periodic audit.
     monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "3")
     config = SwitchConfig.contiguous(4, 8)
     trace = _congested_trace(config, 30, seed=10, per_slot=8)
-    vec = PolicySystem(config, make_policy("LWD"), engine="vectorized")
-    ref = PolicySystem(config, make_policy("LWD"), engine="reference")
+    vec = PolicySystem(config, make_policy(policy_name), engine="vectorized")
+    ref = PolicySystem(config, make_policy(policy_name), engine="reference")
     vec_metrics = run_system(vec, trace, flush_every=11)
     ref_metrics = run_system(ref, trace, flush_every=11)
     assert vec_metrics.snapshot() == ref_metrics.snapshot()

@@ -12,7 +12,8 @@ full metrics snapshot, since fast mode by design emits no per-decision
 stream).
 
 This suite drives the engines in lock-step over hypothesis-generated
-traces for every registered push-out policy in both disciplines.
+traces for every registered policy in both disciplines: the push-out
+policies' victim kernels and the threshold policies' admission kernel.
 Values are drawn from a tiny set so exact-value ties occur constantly,
 and processing-model configs flip between distinct and *uniform* works
 — under uniform works aggregate keys (queue length, queue work) tie on
@@ -37,29 +38,25 @@ from repro.core.errors import ConfigError
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
 from repro.policies import available_policies, make_policy
-from repro.policies.base import PushOutPolicy
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
 
 
-def _pushout_names(model: str) -> List[str]:
+def _policy_names(model: str) -> List[str]:
     names = []
-    for entry in available_policies():
-        if model not in entry.models:
-            continue
+    for entry in available_policies(model):
         try:
-            policy = make_policy(entry.name)
+            make_policy(entry.name)
         except ConfigError:
             # Policies gated on optional deps (Random without numpy)
             # simply drop out of the differential matrix.
             continue
-        if isinstance(policy, PushOutPolicy):
-            names.append(entry.name)
+        names.append(entry.name)
     return names
 
 
-PROC_PUSHOUT = _pushout_names("processing")
-VALUE_PUSHOUT = _pushout_names("value")
+PROC_POLICIES = _policy_names("processing")
+VALUE_POLICIES = _policy_names("value")
 
 #: Small tie-prone value alphabet for the value-model traces.
 TIE_VALUES = (1.0, 2.0, 3.0)
@@ -169,7 +166,10 @@ def fifo_scenario(draw):
     # weighted orderings instead. Both shapes must agree across all
     # engines.
     uniform_work = draw(st.sampled_from([None, 1, 2]))
-    return n, buffer_size, bursts, flush_every, uniform_work
+    # Speedup > 1 leaves the single-core FIFO layout: the threshold
+    # kernel serves it too, the victim kernels fall back to generic.
+    speedup = draw(st.sampled_from([1, 2]))
+    return n, buffer_size, bursts, flush_every, uniform_work, speedup
 
 
 @st.composite
@@ -192,19 +192,20 @@ def value_scenario(draw):
         )
     )
     flush_every = draw(st.sampled_from([None, 3]))
-    return n, buffer_size, bursts, flush_every
+    speedup = draw(st.sampled_from([1, 2]))
+    return n, buffer_size, bursts, flush_every, speedup
 
 
-@pytest.mark.parametrize("policy_name", PROC_PUSHOUT)
+@pytest.mark.parametrize("policy_name", PROC_POLICIES)
 @settings(max_examples=25, deadline=None)
 @given(scenario=fifo_scenario())
 def test_processing_policies_decision_identical(policy_name, scenario):
-    n, buffer_size, bursts, flush_every, uniform_work = scenario
+    n, buffer_size, bursts, flush_every, uniform_work, speedup = scenario
     if uniform_work is None:
-        config = SwitchConfig.contiguous(n, buffer_size)
+        config = SwitchConfig.contiguous(n, buffer_size, speedup=speedup)
     else:
         config = SwitchConfig.from_works(
-            [uniform_work] * n, buffer_size=buffer_size
+            [uniform_work] * n, buffer_size=buffer_size, speedup=speedup
         )
     slot_bursts = [
         [
@@ -218,12 +219,12 @@ def test_processing_policies_decision_identical(policy_name, scenario):
     )
 
 
-@pytest.mark.parametrize("policy_name", VALUE_PUSHOUT)
+@pytest.mark.parametrize("policy_name", VALUE_POLICIES)
 @settings(max_examples=25, deadline=None)
 @given(scenario=value_scenario())
 def test_value_policies_decision_identical(policy_name, scenario):
-    n, buffer_size, bursts, flush_every = scenario
-    config = SwitchConfig.value_contiguous(n, buffer_size)
+    n, buffer_size, bursts, flush_every, speedup = scenario
+    config = SwitchConfig.value_contiguous(n, buffer_size, speedup=speedup)
     slot_bursts = [
         [
             Packet(port=p, work=1, value=v, arrival_slot=slot)
