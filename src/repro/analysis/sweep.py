@@ -44,6 +44,7 @@ import math
 import multiprocessing
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -288,12 +289,13 @@ class _CellContext:
     #: reference measurement is a valid vectorized measurement and
     #: vice versa.
     engine: str = DEFAULT_ENGINE
-    #: Optional cross-cell trace reuse (docs/PIPELINE.md). Like the
+    #: Cross-cell trace reuse (docs/PIPELINE.md): the content-key
+    #: function and the store :func:`run_sweep` plans from it. Like the
     #: engine, reuse is pure execution mechanics — it changes *when* a
     #: trace is generated, never *what* it contains — so neither field
     #: joins any cache key or journal identity.
-    trace_store: Optional[TraceStore] = None
     trace_key: Optional[TraceKeyFn] = None
+    trace_store: Optional[TraceStore] = None
 
 
 def _execute_cell(
@@ -331,16 +333,13 @@ def _execute_cell(
     registry = CounterRegistry()
     config = ctx.config_factory(value)
     with registry.timer("trace_gen"):
-        key = (
-            ctx.trace_key(config, value, seed)
-            if ctx.trace_store is not None and ctx.trace_key is not None
-            else None
-        )
-        if key is None:
+        store, key = ctx.trace_store, None
+        if store is not None and ctx.trace_key is not None:
+            key = ctx.trace_key(config, value, seed)
+        if store is None or key is None:
             trace = ctx.trace_factory(config, value, seed)
         else:
-            assert ctx.trace_store is not None
-            trace = ctx.trace_store.get_or_build(
+            trace = store.get_or_build(
                 key, lambda: ctx.trace_factory(config, value, seed)
             )
     outcomes = measure_policies(
@@ -474,6 +473,23 @@ class _CellPlan:
         self.keys = keys
 
 
+def _plan_trace_store(
+    to_run: Sequence[_CellPlan],
+    config_factory: ConfigFactory,
+    trace_key: Optional[TraceKeyFn],
+) -> Optional[TraceStore]:
+    """The trace store for the cells that will run: each content key
+    counted once per cell that uses it (``None`` keys opt out)."""
+    if trace_key is None:
+        return None
+    uses = Counter(
+        trace_key(config_factory(plan.value), plan.value, plan.seed)
+        for plan in to_run
+    )
+    uses.pop(None, None)
+    return TraceStore(uses)
+
+
 def _plan_cells(
     param_values: Sequence[float],
     seeds: Sequence[int],
@@ -591,7 +607,6 @@ def run_sweep(
     journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
     engine: str = DEFAULT_ENGINE,
-    trace_store: Optional[TraceStore] = None,
     trace_key: Optional[TraceKeyFn] = None,
 ) -> SweepResult:
     """Measure every policy at every parameter value over every seed.
@@ -645,17 +660,24 @@ def run_sweep(
         engines are decision-identical by contract, so measurements
         interchange — switching engines must not invalidate a cache or
         block a journal resume.
-    trace_store / trace_key:
+    trace_key:
         Cross-cell trace reuse (:mod:`repro.analysis.tracestore`).
         ``trace_key`` maps each cell's ``(config, value, seed)`` to a
         content key covering everything its generator consumes (a
         ``None`` key opts the cell out); cells sharing a key generate
-        their trace once and replay the stored columns. Both must be
-        provided for reuse to engage. Like ``engine``, reuse is
+        their trace once and replay the stored columns. The sweep owns
+        its :class:`~repro.analysis.tracestore.TraceStore`: after the
+        cache and journal skips it counts each key's uses over the
+        cells that will run, and the store drops a trace at its key's
+        last use, so no trace outlives the cells that share it and a
+        single-use key is never held. A cell retried after its key's
+        last use rebuilds the trace. Forked ``jobs=N`` workers inherit
+        the whole plan and count down their own copy, so a worker may
+        hold a shared trace until it exits. Like ``engine``, reuse is
         excluded from cache keys and journal identity: it cannot
         change any cell's arrivals, only skip regenerating them —
-        output is byte-identical with reuse on or off, serial or
-        parallel.
+        output is byte-identical to regenerating every trace, serial
+        or parallel.
     """
     if not param_values:
         raise ConfigError("sweep needs at least one parameter value")
@@ -688,17 +710,6 @@ def run_sweep(
     # one); snapshot its counters so stats reflect this sweep only.
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
-    ctx = _CellContext(
-        config_factory=config_factory,
-        trace_factory=trace_factory,
-        by_value=by_value,
-        flush_every=flush_every,
-        drain=drain,
-        injector=injector,
-        engine=engine,
-        trace_store=trace_store,
-        trace_key=trace_key,
-    )
     plans = _plan_cells(
         param_values,
         seeds,
@@ -762,6 +773,18 @@ def run_sweep(
                         )
                 res_stats.resumed_cells += 1
             to_run = remaining
+
+        ctx = _CellContext(
+            config_factory=config_factory,
+            trace_factory=trace_factory,
+            by_value=by_value,
+            flush_every=flush_every,
+            drain=drain,
+            injector=injector,
+            engine=engine,
+            trace_key=trace_key,
+            trace_store=_plan_trace_store(to_run, config_factory, trace_key),
+        )
 
         def finish_cell(
             plan: _CellPlan,

@@ -550,10 +550,12 @@ def run_pipeline_panel_bench(
     pre-pipeline state of the repo), and the reference ``bisect`` OPT
     surrogate. ``accelerated=True`` swaps in the columnar trace
     pipeline: cross-cell reuse through a
-    :class:`~repro.analysis.tracestore.TraceStore`, zero-copy columnar
-    ingestion, and the vectorized OPT surrogate. Per-cell objectives
-    (ALG and OPT) are recorded so any decision drift between the two
-    modes shows up as a diff, not a silent wrong speedup.
+    :class:`~repro.analysis.tracestore.TraceStore` planned for the
+    panel's own cells (its one trace is dropped after the last),
+    zero-copy columnar ingestion, and the vectorized OPT surrogate.
+    Per-cell objectives (ALG and OPT) are recorded so any decision
+    drift between the two modes shows up as a diff, not a silent wrong
+    speedup.
     """
     from dataclasses import replace
 
@@ -562,7 +564,12 @@ def run_pipeline_panel_bench(
 
     by_value = panel.model != "processing"
     buffers = _pipeline_buffers(panel)
-    store = TraceStore() if accelerated else None
+    trace_key = panel.trace_content_key(slots_scale)
+    store = (
+        TraceStore({trace_key: len(buffers) * len(panel.policies)})
+        if accelerated
+        else None
+    )
     opt_engine = "vectorized" if accelerated else "reference"
     n_slots = max(1, int(round(panel.n_slots * slots_scale)))
 
@@ -575,8 +582,7 @@ def run_pipeline_panel_bench(
             trace: AnyTrace
             if store is not None:
                 trace = store.get_or_build(
-                    panel.trace_content_key(slots_scale),
-                    lambda: cell_panel.trace(slots_scale),
+                    trace_key, lambda: cell_panel.trace(slots_scale)
                 )
             else:
                 trace = _object_trace(cell_panel.trace(slots_scale))

@@ -154,7 +154,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             journal=journal,
             fault_injector=injector,
             engine=args.engine,
-            trace_reuse=args.trace_reuse or None,
         )
     except SweepInterrupted as exc:
         print(f"# interrupted: {exc}", file=sys.stderr)
@@ -284,7 +283,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             else None
         ),
         engine=args.engine or DEFAULT_ENGINE,
-        trace_reuse=bool(args.trace_reuse),
     )
     write_report(args.out, options)
     print(f"# wrote {args.out}")
@@ -550,7 +548,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         cache_dir=None,  # caching would hide the cost being measured
         progress=progress,
         engine=args.engine,
-        trace_reuse=args.trace_reuse or None,
     )
     if not isinstance(result, SweepResult):
         print(
@@ -700,7 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"(decision-identical by contract; default {DEFAULT_ENGINE})"
         ),
     )
-    _add_pipeline_flags(run_parser)
     _add_sweep_engine_flags(run_parser)
     _add_resilience_flags(run_parser)
     run_parser.set_defaults(func=_cmd_run)
@@ -821,7 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"(default {DEFAULT_ENGINE})"
         ),
     )
-    _add_pipeline_flags(report_parser)
     _add_sweep_engine_flags(report_parser)
     report_parser.set_defaults(func=_cmd_report)
 
@@ -995,26 +990,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=ENGINES, default=None,
         help=f"ALG-side simulation engine (default {DEFAULT_ENGINE})",
     )
-    _add_pipeline_flags(profile_parser)
     profile_parser.set_defaults(func=_cmd_profile)
 
     return parser
-
-
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    """Trace-pipeline knob shared by ``run``/``report``/``profile``.
-
-    Like ``--engine`` it is execution-only: trace reuse only skips
-    regenerating identical traces — output bytes never change
-    (docs/PIPELINE.md).
-    """
-    parser.add_argument(
-        "--trace-reuse", action="store_true",
-        help=(
-            "generate each distinct trace once per sweep and replay it "
-            "across cells that provably share it (B/C sweeps)"
-        ),
-    )
 
 
 def _add_sweep_engine_flags(parser: argparse.ArgumentParser) -> None:

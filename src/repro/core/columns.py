@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from typing import Any, List, Sequence
+from typing import Any, List
 
 from repro.core.errors import ConfigError
 
@@ -110,20 +110,6 @@ def scalar_int_column(n: int, fill: int = 0) -> List[int]:
 def scalar_float_column(n: int, fill: float = 0.0) -> List[float]:
     """A list-backed float column for scalar-hot access patterns."""
     return [fill] * n
-
-
-def int_column_from(values: Sequence[int]) -> Any:
-    """A signed 64-bit column holding ``values`` on the active backend."""
-    if backend() == "numpy":
-        return _np.asarray(values, dtype=_np.int64)
-    return array("q", values)
-
-
-def float_column_from(values: Sequence[float]) -> Any:
-    """A float64 column holding ``values`` on the active backend."""
-    if backend() == "numpy":
-        return _np.asarray(values, dtype=_np.float64)
-    return array("d", values)
 
 
 def column_list(col: Any) -> List[Any]:

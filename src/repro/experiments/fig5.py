@@ -32,7 +32,7 @@ from typing import (
 from repro.analysis.cache import SweepCache
 from repro.analysis.competitive import DEFAULT_ENGINE
 from repro.analysis.sweep import ProgressCallback, SweepResult, run_sweep
-from repro.analysis.tracestore import TraceKeyFn, TraceStore
+from repro.analysis.tracestore import TraceKeyFn
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ExperimentError
 from repro.resilience import FaultInjector, RunJournal, SupervisorOptions
@@ -222,8 +222,10 @@ def _panel_factories(
     identical packet streams. Buffer size never enters a key (no MMPP
     generator reads ``B``), and speedup sweeps share one key across all
     ``C`` because their offered rate is anchored — which is what lets
-    the trace store collapse a whole B- or C-sweep row to one
-    generation per seed.
+    the sweep's plan-scoped trace store collapse a whole B- or C-sweep
+    row to one generation per seed, held only until the row's last
+    cell. A ``k``-sweep changes the key in every cell, so its traces
+    are single-use and never held.
     """
 
     def dims(v: float) -> Tuple[int, int, int]:
@@ -381,8 +383,6 @@ def run_panel(
     journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
     engine: str = DEFAULT_ENGINE,
-    trace_reuse: bool = False,
-    trace_store: Optional[TraceStore] = None,
 ) -> SweepResult:
     """Execute one Fig. 5 panel and return its sweep result.
 
@@ -399,12 +399,12 @@ def run_panel(
     ``"vectorized"``, by default
     :data:`~repro.analysis.competitive.DEFAULT_ENGINE`); the engines
     are decision-identical by contract, so the panel's numbers do not
-    depend on the choice. The same
-    contract covers ``trace_reuse`` (generate each distinct trace once
-    per sweep via a :class:`~repro.analysis.tracestore.TraceStore`;
-    pass ``trace_store`` to share one store — and its artifacts —
-    across panels): neither changes a single output byte, so neither
-    is part of cache keys or journal identity (docs/PIPELINE.md).
+    depend on the choice. The panel always passes its ``trace_key``, so
+    the sweep generates each distinct trace once and drops it after
+    the last cell that shares it — a B- or C-sweep row costs one
+    generation per seed. Like the engine, reuse changes no output byte
+    and is part of no cache key or journal identity
+    (docs/PIPELINE.md).
     """
     spec = PANELS.get(panel)
     if spec is None:
@@ -412,8 +412,6 @@ def run_panel(
     config_factory, trace_factory, trace_key = _panel_factories(
         spec, n_slots, load
     )
-    if trace_reuse and trace_store is None:
-        trace_store = TraceStore()
     by_value = spec.model != "processing"
     if cache is None and cache_dir is not None:
         cache = SweepCache(cache_dir)
@@ -448,6 +446,5 @@ def run_panel(
         journal=journal,
         fault_injector=fault_injector,
         engine=engine,
-        trace_store=trace_store if trace_reuse else None,
-        trace_key=trace_key if trace_reuse else None,
+        trace_key=trace_key,
     )

@@ -149,7 +149,6 @@ def run_experiment(
     journal=None,
     fault_injector=None,
     engine: Optional[str] = None,
-    trace_reuse: Optional[bool] = None,
 ):
     """Run an experiment by id.
 
@@ -162,8 +161,7 @@ def run_experiment(
     traces — there is nothing to fan out, memoize, or resume).
     ``engine`` selects the ALG-side simulation engine for Fig. 5 panels
     (``"reference"``/``"vectorized"``; decision-identical by contract)
-    and ``trace_reuse`` enables cross-cell trace reuse — both
-    execution-only knobs (docs/PIPELINE.md), Fig. 5 panels only.
+    — an execution-only knob (docs/PIPELINE.md), Fig. 5 panels only.
     """
     if experiment_id.startswith("fig5-"):
         panel = _panel_number(experiment_id)
@@ -186,8 +184,6 @@ def run_experiment(
             kwargs["fault_injector"] = fault_injector
         if engine is not None:
             kwargs["engine"] = engine
-        if trace_reuse is not None:
-            kwargs["trace_reuse"] = trace_reuse
         return run_panel(panel, **kwargs)
     if experiment_id == "skew":
         from repro.experiments.skewed import run_skew_sweep

@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 
 from repro.analysis.cache import SweepCache
 from repro.analysis.competitive import DEFAULT_ENGINE, run_scenario
-from repro.analysis.tracestore import TraceStore
 from repro.resilience import ResilienceStats, atomic_write_text
 from repro.experiments.architecture import run_architecture_comparison
 from repro.experiments.fig5 import PANELS, run_panel
@@ -33,8 +32,7 @@ class ReportOptions:
     ``jobs`` and ``cache_dir`` configure the parallel sweep engine for
     the Fig. 5 panels (see :mod:`repro.analysis.sweep`); one cache is
     shared across all panels so an interrupted report resumes where it
-    stopped. ``engine`` and ``trace_reuse`` pick the simulation engine
-    and cross-cell trace reuse (one store shared across panels) — see
+    stopped. ``engine`` picks the simulation engine — see
     docs/PIPELINE.md. None of these changes a single output byte of the
     tables.
     """
@@ -48,7 +46,6 @@ class ReportOptions:
     cache_dir: Optional[str] = None
     progress: Optional[Callable[[str], None]] = None
     engine: str = DEFAULT_ENGINE
-    trace_reuse: bool = False
 
 
 def generate_report(options: Optional[ReportOptions] = None) -> str:
@@ -89,7 +86,6 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
             if options.cache_dir is not None
             else None
         )
-        trace_store = TraceStore() if options.trace_reuse else None
         out.write("## Fig. 5 panels\n\n")
         panel_stats = []
         for panel in panels:
@@ -102,8 +98,6 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
                 cache=cache,
                 progress=options.progress,
                 engine=options.engine,
-                trace_reuse=options.trace_reuse,
-                trace_store=trace_store,
             )
             panel_stats.append((panel, result.stats))
             out.write(f"### Panel ({panel}): {spec.title}\n\n")
@@ -140,8 +134,6 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
             "`dominant` names the stage the sweep actually spends its "
             "time in. Cached cells contribute nothing.\n\n"
         )
-        if trace_store is not None:
-            out.write(f"{trace_store.summary()}.\n\n")
         # Resilience totals across all panels — only worth a line when
         # the supervised executor actually had to absorb something.
         totals = ResilienceStats()

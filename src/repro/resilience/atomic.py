@@ -51,29 +51,6 @@ def atomic_write_text(
     return path
 
 
-def atomic_write_bytes(path: Path | str, data: bytes) -> Path:
-    """Write ``data`` to ``path`` atomically; returns the final path.
-
-    Binary sibling of :func:`atomic_write_text` with the same
-    guarantee: fsynced temp file + ``os.replace``, so readers see the
-    old bytes or the new bytes, never a truncated mix. Used for the
-    trace store's columnar artifacts (``*.cols``).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = tmp_path_for(path)
-    try:
-        with tmp.open("wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on write failure
-            tmp.unlink()
-    return path
-
-
 def atomic_write_json(
     path: Path | str,
     payload: Mapping[str, Any],

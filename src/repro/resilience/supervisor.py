@@ -412,6 +412,7 @@ class SupervisedExecutor:
             queue.extend(task for _, _, task in retry_heap)
             retry_heap.clear()
 
+        drained = False
         try:
             while queue or retry_heap or inflight:
                 now = time.monotonic()
@@ -495,48 +496,65 @@ class SupervisedExecutor:
                         )
                     # Untimed in-flight cells are requeued uncharged.
                     requeue_unfinished()
-                    _kill_pool(pool)
                     raise _PoolDied
-        except KeyboardInterrupt:
-            # Interrupt: cells still running in workers are abandoned —
-            # kill them so a hung cell cannot stall the clean exit.
-            _kill_pool(pool)
-            raise
-        except _PoolDied:
+            drained = True
+        except (KeyboardInterrupt, _PoolDied):
+            # Cells still running in workers are abandoned; the
+            # shutdown below kills them, so a hung cell cannot stall
+            # the rebuild or the clean exit.
             raise
         except BaseException:
             requeue_unfinished()
             raise
         finally:
-            _shutdown_pool(pool)
+            _shutdown_pool(pool, drained)
 
 
 class _CorruptResult(RuntimeError):
     """A result payload that failed validation (transient: retried)."""
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcibly terminate a pool's worker processes (hung cells).
+#: Seconds an idle worker of a drained pool gets to exit on the
+#: shutdown sentinel before it is killed.
+_EXIT_GRACE = 5.0
 
-    ``ProcessPoolExecutor`` has no public kill-one-worker API; for a
-    hung worker the only safe move is to kill the processes and rebuild
-    the pool. Reaches into ``_processes`` deliberately — the private
-    attribute is stable across the supported CPython versions, and the
-    fallback is merely a slower (blocking) shutdown.
+
+def _shutdown_pool(pool: ProcessPoolExecutor, drained: bool) -> None:
+    """Tear a pool down completely: workers, then its threads.
+
+    The next pool forks its workers from this process, and a fork taken
+    while another thread holds a lock leaves the child blocked on that
+    lock forever. So this returns only once the pool's management and
+    queue-feeder threads have ended, and that needs every worker gone.
+    A pool that did not drain still has cells running (hung, abandoned
+    by an interrupt or an error) and its workers are killed at once;
+    idle workers of a drained pool exit on the shutdown sentinel, and
+    any that has not within :data:`_EXIT_GRACE` is killed too.
+
+    ``ProcessPoolExecutor`` has no public API for either, so this
+    reaches into ``_processes`` and ``_executor_manager_thread``
+    deliberately; both are stable across the supported CPython
+    versions. SIGKILL, not SIGTERM: workers fork with
+    :class:`_term_as_interrupt`'s handler installed, and a worker
+    blocked inside C code never runs it.
     """
-    processes = list(getattr(pool, "_processes", {}).values())
-    for process in processes:
-        try:
-            process.terminate()
-        except OSError:  # pragma: no cover - already dead
-            pass
-
-
-def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
+    if not drained:
+        for process in processes:
+            process.kill()
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - broken pools may object
         pass
+    deadline = time.monotonic() + _EXIT_GRACE
+    for process in processes:
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.is_alive():
+            process.kill()
+            process.join()
+    if manager is not None:
+        manager.join()
 
 
 class _term_as_interrupt:

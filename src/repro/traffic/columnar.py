@@ -14,9 +14,7 @@ ingestion loops (:meth:`repro.core.columnar.VectorizedSwitch.
 run_slot_columns`, the vectorized OPT surrogates) can index packet by
 packet. The :mod:`repro.core.columns` backend seam is used where arrays
 pay: the batched numpy sampling of the generators, whose per-slot
-:data:`Chunk` arrays :meth:`ColumnarTrace.from_chunks` concatenates,
-and the typed int64/float64 buffers of :meth:`as_columns` that the
-on-disk trace store serializes.
+:data:`Chunk` arrays :meth:`ColumnarTrace.from_chunks` concatenates.
 
 The synthetic generators (:mod:`repro.traffic.workloads`,
 :func:`repro.traffic.patterns.poisson_workload` /
@@ -352,22 +350,6 @@ class ColumnarTrace:
             )
             self._arrays = cached
         return cached
-
-    def as_columns(self) -> Dict[str, Any]:
-        """Typed int64/float64 backend columns (artifact serialization)."""
-        from repro.core import columns
-
-        out: Dict[str, Any] = {
-            "offsets": columns.int_column_from(self.offsets),
-            "ports": columns.int_column_from(self.ports),
-            "works": columns.int_column_from(self.works),
-            "values": columns.float_column_from(self.values),
-        }
-        if self.opts is not None:
-            out["opts"] = columns.int_column_from(self.opts)
-        if self.arrivals is not None:
-            out["arrivals"] = columns.int_column_from(self.arrivals)
-        return out
 
     # ------------------------------------------------------------------
     # Inspection / validation (Trace-compatible)

@@ -216,17 +216,13 @@ def _value_uniform_chunks(
         for _slot in range(n_slots):
             counts = fleet.step()
             if port_bound_sources:
-                # One value draw per ON source, in source order: the
-                # draw sizes are part of the pinned RNG stream.
-                active = np.nonzero(counts)[0]
-                draws = [
-                    rng.integers(1, max_value + 1, size=int(counts[src]))
-                    for src in active
-                ]
-                ports = np.repeat(ports_of_source[active], counts[active])
-                drawn = (
-                    np.concatenate(draws) if draws else np.empty(0, np.int64)
-                )
+                # One value draw for the whole slot, in source order.
+                # numpy's bounded-integer draws consume the bit stream
+                # element by element, so this equals one draw per ON
+                # source concatenated (pinned against that loop in
+                # tests/test_workloads.py).
+                ports = np.repeat(ports_of_source, counts)
+                drawn = rng.integers(1, max_value + 1, size=len(ports))
             else:
                 total = int(counts.sum())
                 if total:

@@ -10,10 +10,18 @@ across serial/parallel execution and cache-on/cache-off, while the
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+import time
+
 import pytest
 
 from repro.analysis.cache import SweepCache
-from repro.core.errors import ConfigError, SweepExecutionError
+from repro.core.errors import (
+    ConfigError,
+    SweepExecutionError,
+    SweepInterrupted,
+)
 from repro.experiments.fig5 import run_panel
 from repro.resilience import (
     CellTask,
@@ -21,6 +29,7 @@ from repro.resilience import (
     SupervisedExecutor,
     SupervisorOptions,
 )
+from repro.resilience import supervisor
 
 #: Same small panel slice as test_sweep_parallel.py: 4 cells, fast.
 PANEL_KW = dict(
@@ -149,6 +158,78 @@ class TestWorkerDeath:
         assert result.points == clean_result.points
         assert result.stats.resilience.timeouts == 1
         assert result.stats.resilience.pool_rebuilds >= 1
+
+
+def _leave_a_thread_behind(index, attempt):
+    """Pool task whose worker cannot exit: a non-daemon thread it
+    started outlives the shutdown sentinel for a minute."""
+    threading.Thread(target=time.sleep, args=(60,)).start()
+    return index
+
+
+class TestPoolTeardown:
+    """A pool round returns only after its workers and its threads are
+    gone: the next round forks from this process, and a fork taken
+    while a pool thread holds a lock can leave a worker blocked on it
+    for good."""
+
+    @pytest.mark.parametrize(
+        "spec, timeout",
+        [("", None), ("die@1", None), ("hang@0;delay=60", 0.5)],
+    )
+    def test_nothing_outlives_a_pooled_sweep(
+        self, clean_result, spec, timeout
+    ):
+        threads_before = threading.active_count()
+        options = SupervisorOptions(
+            timeout=timeout, backoff_base=0.001, backoff_max=0.01
+        )
+        result = run_panel(
+            4,
+            **PANEL_KW,
+            jobs=2,
+            resilience=options,
+            fault_injector=FaultInjector.parse(spec) if spec else None,
+        )
+        assert result.points == clean_result.points
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads_before
+
+    def test_interrupt_kills_running_cells(self):
+        threads_before = threading.active_count()
+        started = time.monotonic()
+        with pytest.raises(SweepInterrupted):
+            run_panel(
+                4,
+                **PANEL_KW,
+                jobs=2,
+                resilience=FAST,
+                fault_injector=FaultInjector.parse(
+                    "interrupt@1;hang@1;delay=60"
+                ),
+            )
+        assert time.monotonic() - started < 30
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads_before
+
+    def test_worker_stuck_after_drain_is_killed(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "_EXIT_GRACE", 0.2)
+        threads_before = threading.active_count()
+        executor = SupervisedExecutor(
+            _leave_a_thread_behind,
+            _leave_a_thread_behind,
+            n_jobs=2,
+            mp_context=multiprocessing.get_context("fork"),
+            options=FAST,
+        )
+        started = time.monotonic()
+        results, failures = executor.run(
+            [CellTask(index=i, key=i, args=()) for i in range(2)]
+        )
+        assert time.monotonic() - started < 30
+        assert (results, failures) == ({0: 0, 1: 1}, [])
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads_before
 
 
 class TestQuarantine:

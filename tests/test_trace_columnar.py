@@ -12,11 +12,12 @@ Three contracts are pinned here (see docs/PIPELINE.md):
   both its materialised and its stream form, reproduces an absolute
   :func:`repro.goldens.trace_digest`: same ports, works, values, order,
   slot framing.
-* **Reuse is not identity** — a :class:`TraceStore` round-trips traces
-  exactly through its memo and on-disk artifact tiers, degrades every
-  corruption to a rebuild, and a sweep with reuse enabled produces
-  byte-identical results to the same sweep without it, serial and
-  parallel.
+* **Reuse is not identity** — a :class:`TraceStore` hands back the
+  trace it was given and drops it at its key's last planned use; the
+  default sweep path, which reuses each trace across the cells that
+  share it, produces byte-identical results to a sweep regenerating
+  every trace, serial and parallel, with a warm cache and with
+  retried cells.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ class TestArrayColumns:
 
 
 # ----------------------------------------------------------------------
-# TraceStore: memo + artifact tiers
+# TraceStore: use-counted, plan-scoped memo
 # ----------------------------------------------------------------------
 
 
@@ -301,126 +302,196 @@ def _small_trace() -> Trace:
     return trace
 
 
+class _CountingBuilder:
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self) -> Trace:
+        self.calls += 1
+        return _small_trace()
+
+
 class TestTraceStore:
     def test_builds_once_then_memo_hits(self):
         from repro.analysis.tracestore import TraceStore
 
-        store = TraceStore()
-        calls = []
-
-        def builder():
-            calls.append(1)
-            return _small_trace()
-
+        store = TraceStore({"k": 2})
+        builder = _CountingBuilder()
         first = store.get_or_build("k", builder)
         second = store.get_or_build("k", builder)
         assert first is second
-        assert len(calls) == 1
-        assert store.builds == 1 and store.memo_hits == 1
+        assert builder.calls == 1
+        assert trace_digest(first) == trace_digest(_small_trace())
 
-    def test_disk_artifact_round_trip(self, tmp_path):
+    def test_drops_trace_at_last_use(self):
         from repro.analysis.tracestore import TraceStore
 
-        built = TraceStore(tmp_path).get_or_build("k2", _small_trace)
-        fresh = TraceStore(tmp_path)
-        loaded = fresh.get_or_build(
-            "k2", lambda: pytest.fail("should load from disk")
-        )
-        assert fresh.disk_hits == 1
-        assert trace_digest(loaded) == trace_digest(built)
-        _assert_same_trace(loaded.to_trace(), built.to_trace())
+        store = TraceStore({"a": 3})
+        builder = _CountingBuilder()
+        held = []
+        for _ in range(3):
+            store.get_or_build("a", builder)
+            held.append(len(store))
+        assert held == [1, 1, 0]
+        assert builder.calls == 1
+        store.get_or_build("a", builder)  # a use beyond the plan
+        assert builder.calls == 2 and len(store) == 0
 
-    def test_corrupt_artifact_degrades_to_rebuild(self, tmp_path):
+    def test_single_use_key_is_never_held(self):
         from repro.analysis.tracestore import TraceStore
 
-        TraceStore(tmp_path).get_or_build("k3", _small_trace)
-        (artifact,) = tmp_path.glob("*.cols")
-        blob = bytearray(artifact.read_bytes())
-        blob[-1] ^= 0xFF  # flip one payload byte: checksum must catch it
-        artifact.write_bytes(bytes(blob))
-        fresh = TraceStore(tmp_path)
-        rebuilt = fresh.get_or_build("k3", _small_trace)
-        assert fresh.disk_hits == 0 and fresh.builds == 1
-        assert trace_digest(rebuilt) == trace_digest(_small_trace())
-
-    def test_wrong_key_in_artifact_is_a_miss(self, tmp_path):
-        from repro.analysis import tracestore as ts
-
-        ts.TraceStore(tmp_path).get_or_build("k4", _small_trace)
-        (artifact,) = tmp_path.glob("*.cols")
-        # Simulate a hash-prefix collision: same file name, other key.
-        artifact.rename(tmp_path / ts._artifact_name("other"))
-        fresh = ts.TraceStore(tmp_path)
-        fresh.get_or_build("other", _small_trace)
-        assert fresh.disk_hits == 0 and fresh.builds == 1
+        store = TraceStore({"once": 1})
+        builder = _CountingBuilder()
+        store.get_or_build("once", builder)
+        store.get_or_build("unplanned", builder)
+        assert len(store) == 0 and builder.calls == 2
 
     def test_empty_key_rejected(self):
         from repro.analysis.tracestore import TraceStore
 
         with pytest.raises(ConfigError):
-            TraceStore().get_or_build("", _small_trace)
-
-    def test_memo_is_bounded(self):
-        from repro.analysis.tracestore import TraceStore
-
-        store = TraceStore(memo_size=2)
-        for key in ("a", "b", "c"):
-            store.get_or_build(key, _small_trace)
-        store.get_or_build("a", _small_trace)  # evicted: rebuilt
-        assert store.builds == 4
-
-    def test_summary_mentions_counts(self):
-        from repro.analysis.tracestore import TraceStore
-
-        store = TraceStore()
-        store.get_or_build("k", _small_trace)
-        assert "1 built" in store.summary()
+            TraceStore({}).get_or_build("", _small_trace)
 
 
 # ----------------------------------------------------------------------
-# Reuse is not identity: sweeps with and without a store agree
+# Reuse is not identity: the default sweep path against regeneration
 # ----------------------------------------------------------------------
+
+
+def _buffer_panel(**kwargs):
+    from repro.experiments.fig5 import run_panel
+
+    kwargs.setdefault("seeds", (0, 1))
+    return run_panel(
+        2, n_slots=60, policies=("LWD", "LQD", "NHDT"), **kwargs
+    )
+
+
+class _StoreSpy:
+    """Wraps the sweep's TraceStore: records every store a sweep
+    plans and how many traces it holds after each cell's fetch."""
+
+    def __init__(self, monkeypatch) -> None:
+        from repro.analysis import sweep
+        from repro.analysis.tracestore import TraceStore
+
+        self.stores = []
+        self.held_after_fetch = []
+        spy = self
+
+        class SpyStore(TraceStore):
+            def __init__(self, uses):
+                super().__init__(uses)
+                spy.stores.append(self)
+
+            def get_or_build(self, key, builder):
+                trace = super().get_or_build(key, builder)
+                spy.held_after_fetch.append(len(self))
+                return trace
+
+        monkeypatch.setattr(sweep, "TraceStore", SpyStore)
+
+
+def _count_generator(monkeypatch, name):
+    """Count calls of one ``fig5`` generator global (see
+    ``fig5._panel_factories``: cells resolve it when they run)."""
+    from repro.experiments import fig5
+
+    calls = []
+    original = getattr(fig5, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fig5, name, counted)
+    return calls
 
 
 @needs_numpy
 class TestSweepReuseIdentity:
     @staticmethod
-    def _sweep(jobs=None, with_store=False, store_dir=None):
-        from repro.analysis.sweep import run_sweep
-        from repro.analysis.tracestore import TraceStore
-        from repro.traffic.workloads import processing_workload
+    def _regenerating(monkeypatch, **kwargs):
+        """The panel with every trace key opted out: one generation per
+        cell, as before reuse existed."""
+        from repro.experiments import fig5
 
-        def trace_key(config, value, seed):
-            return f"test|n={config.n_ports}|seed={seed}"
+        original = fig5._panel_factories
 
-        kwargs = {}
-        if with_store:
-            kwargs["trace_store"] = TraceStore(store_dir)
-            kwargs["trace_key"] = trace_key
-        return run_sweep(
-            name="reuse",
-            param_name="B",
-            param_values=(6, 9, 12),
-            config_factory=lambda v: SwitchConfig.contiguous(3, int(v)),
-            trace_factory=lambda config, v, seed: processing_workload(
-                config, 60, load=3.0, seed=seed,
-                mean_on_slots=5, mean_off_slots=45, n_sources=20,
-            ),
-            policy_names=("LWD", "LQD"),
-            seeds=(0, 1),
-            by_value=False,
-            jobs=jobs,
-            **kwargs,
+        def no_keys(*args):
+            config_factory, trace_factory, _key = original(*args)
+            return config_factory, trace_factory, lambda c, v, s: None
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fig5, "_panel_factories", no_keys)
+            calls = _count_generator(patch, "processing_workload")
+            result = _buffer_panel(**kwargs)
+        assert len(calls) == 12  # six B values x two seeds
+        return result
+
+    def test_serial_reuse_identity(self, monkeypatch):
+        plain = self._regenerating(monkeypatch)
+        reused = _buffer_panel()
+        assert reused.points == plain.points
+
+    def test_parallel_reuse_identity(self, monkeypatch):
+        plain = self._regenerating(monkeypatch)
+        reused = _buffer_panel(jobs=2)
+        assert reused.points == plain.points
+
+
+@needs_numpy
+class TestPlanScopedReuse:
+    def test_buffer_sweep_generates_once_per_seed(self, monkeypatch):
+        calls = _count_generator(monkeypatch, "processing_workload")
+        _buffer_panel()
+        assert sorted(calls) == [0, 1]
+
+    def test_k_sweep_never_holds_a_trace(self, monkeypatch):
+        from repro.experiments.fig5 import run_panel
+
+        spy = _StoreSpy(monkeypatch)
+        calls = _count_generator(monkeypatch, "value_uniform_workload")
+        run_panel(4, n_slots=40, seeds=(0, 1), policies=("LQD-V", "MVD"))
+        assert len(calls) == 12  # every (k, seed) cell is its own trace
+        assert spy.held_after_fetch == [0] * 12
+
+    def test_warm_cache_builds_each_remaining_trace_once(
+        self, monkeypatch, tmp_path
+    ):
+        _buffer_panel(param_values=(24, 48), cache_dir=tmp_path)
+        spy = _StoreSpy(monkeypatch)
+        calls = _count_generator(monkeypatch, "processing_workload")
+        result = _buffer_panel(cache_dir=tmp_path)
+        assert result.stats.cells_executed == 8
+        assert sorted(calls) == [0, 1]
+        (store,) = spy.stores
+        assert len(store) == 0
+        assert result.points == _buffer_panel().points
+
+    @pytest.mark.parametrize(
+        "fault, generations",
+        [
+            # A crash fires before the cell fetches its trace, so it
+            # spends no use: the deferred retry finds the trace held.
+            ("crash@0", 1),
+            # A corrupt result is rejected after the fetch; the retry
+            # runs after the key's last use and rebuilds the trace.
+            ("corrupt@0", 2),
+        ],
+    )
+    def test_retried_cell_replays_identical_bytes(
+        self, monkeypatch, fault, generations
+    ):
+        from repro.resilience import FaultInjector
+
+        clean = _buffer_panel(seeds=(0,))
+        spy = _StoreSpy(monkeypatch)
+        calls = _count_generator(monkeypatch, "processing_workload")
+        chaos = _buffer_panel(
+            seeds=(0,), fault_injector=FaultInjector.parse(fault)
         )
-
-    def test_serial_reuse_identity(self, tmp_path):
-        plain = self._sweep()
-        reused = self._sweep(with_store=True, store_dir=tmp_path)
-        assert plain.points == reused.points
-
-    def test_parallel_reuse_identity(self, tmp_path):
-        plain = self._sweep()
-        reused = self._sweep(
-            jobs=2, with_store=True, store_dir=tmp_path
-        )
-        assert plain.points == reused.points
+        assert chaos.stats.resilience.retries == 1
+        assert len(calls) == generations
+        assert len(spy.stores[0]) == 0
+        assert chaos.points == clean.points

@@ -154,6 +154,59 @@ class TestValueUniformWorkload:
         assert counts.min() > 0.7 * counts.max()
 
 
+def _per_source_value_draws(config, n_slots, max_value, *, seed, load):
+    """Oracle: the port-bound value-uniform recipe with one value draw
+    per ON source, in source order. Returns ``(slots, burst_sizes)``:
+    each slot's ``(port, value)`` pairs and every ON source's count."""
+    from repro.traffic import workloads
+
+    rng = workloads._recipe_rng(n_slots, seed)
+    ports_of_source = rng.integers(0, config.n_ports, size=500)
+    fleet = workloads._fleet(
+        rng, 500, None, load * value_capacity(config), 20.0, 380.0
+    )
+    slots, burst_sizes = [], []
+    for _slot in range(n_slots):
+        counts = fleet.step()
+        burst = []
+        for src in np.nonzero(counts)[0]:
+            burst_sizes.append(int(counts[src]))
+            drawn = rng.integers(1, max_value + 1, size=int(counts[src]))
+            burst += [(int(ports_of_source[src]), float(v)) for v in drawn]
+        slots.append(burst)
+    return slots, burst_sizes
+
+
+class TestValueUniformDrawOracle:
+    """One value draw per slot must equal one draw per ON source,
+    concatenated: numpy's bounded integers consume the PCG64 stream
+    element by element. A numpy that breaks this fails here first."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 64])
+    @pytest.mark.parametrize("seed", [0, 5, 21])
+    def test_both_forms_match_per_source_draws(self, k, seed):
+        config = SwitchConfig.uniform(k, 96)
+        expected, burst_sizes = _per_source_value_draws(
+            config, 150, k, seed=seed, load=3.0
+        )
+        assert any(size % 2 for size in burst_sizes)
+        assert any(size > 1 for size in burst_sizes)
+        trace = value_uniform_workload(
+            config, 150, max_value=k, seed=seed, load=3.0
+        )
+        materialised = [
+            [(p.port, p.value) for p in slot] for slot in trace.to_trace()
+        ]
+        streamed = [
+            [(p.port, p.value) for p in slot]
+            for slot in stream_value_uniform_workload(
+                config, 150, max_value=k, seed=seed, load=3.0
+            )
+        ]
+        assert materialised == expected
+        assert streamed == expected
+
+
 class TestValuePortWorkload:
     def test_value_equals_port_value(self, value_config):
         trace = value_port_workload(value_config, 300, seed=0)
