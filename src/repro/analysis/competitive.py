@@ -60,7 +60,10 @@ class PolicySystem:
     per-packet oracle, where policies run their naive selectors) or
     ``"vectorized"`` (the columnar batch-slot engine, where victim
     selection is the kernel or the policy's naive selector over the
-    columnar view).
+    columnar view). Observers attach to the reference engine only: it
+    is the one that runs packet by packet, and the vectorized engine
+    makes the same decisions by contract. Passing ``observer`` with
+    ``engine="vectorized"`` raises :class:`ConfigError`.
     """
 
     def __init__(
@@ -74,7 +77,13 @@ class PolicySystem:
         if engine == "vectorized":
             from repro.core.columnar import VectorizedSwitch
 
-            switch = VectorizedSwitch(config, observer=observer)
+            if observer is not None:
+                raise ConfigError(
+                    "observers attach to the reference engine only; "
+                    "build this system with engine='reference' to "
+                    "record per-packet events"
+                )
+            switch = VectorizedSwitch(config)
             self.switch: Union[SharedMemorySwitch, VectorizedSwitch] = switch
             # Advertised as instance attributes only on the engine that
             # has a columnar ingestion path, so the runner's ``getattr``
@@ -83,7 +92,12 @@ class PolicySystem:
             self.run_slot_columns = self._run_slot_columns_vectorized
             self.bind_columns = switch.bind_columns
         elif engine == "reference":
-            self.switch = SharedMemorySwitch(config, observer=observer)
+            reference = SharedMemorySwitch(config, observer=observer)
+            self.switch = reference
+            # Only the per-packet engine emits observer events, so only
+            # reference systems advertise ``attach_observer``;
+            # ``run_system`` rejects an observer for any other system.
+            self.attach_observer = reference.attach_observer
         else:
             raise ConfigError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
@@ -103,10 +117,6 @@ class PolicySystem:
         return self.switch.run_slot_columns(  # type: ignore[union-attr]
             self.policy, ports, works, values, arrivals, lo, hi
         )
-
-    def attach_observer(self, observer: Optional[SlotObserver]) -> None:
-        """Forward to the switch's nullable observer slot."""
-        self.switch.attach_observer(observer)
 
     @property
     def metrics(self) -> SwitchMetrics:
@@ -200,7 +210,8 @@ def run_system(
     every K slots (see :func:`invariant_check_interval`). Passing
     ``observer`` attaches a :class:`~repro.obs.observer.SlotObserver`
     for the duration of the run; the system must expose
-    ``attach_observer`` (the OPT surrogates do not).
+    ``attach_observer`` (reference-engine systems do; vectorized ones
+    and the OPT surrogates do not).
 
     A system that exposes ``run_slot_columns`` (the vectorized engines)
     always replays columns: a :class:`~repro.traffic.columnar.

@@ -17,8 +17,9 @@ Subcommands
     gates on regression; with ``--min-speedup`` it gates on a speedup
     floor instead — the vectorized-engine acceptance check).
 ``golden``
-    Check the committed golden decision-stream fixture on both engines
-    (``--check``, the default) or regenerate it (``--update``).
+    Check the committed golden fixture (``--check``, the default):
+    decision streams on the reference engine, metrics on both engines.
+    ``--update`` regenerates it.
 ``trace``
     Record a pinned bench panel as a JSONL event trace, or replay-verify
     a recorded trace (conservation laws + byte-equal metrics).
@@ -473,8 +474,8 @@ def _cmd_golden(args: argparse.Namespace) -> int:
             print(f"#   {problem}", file=sys.stderr)
         return 1
     print(
-        f"# goldens hold on {'/'.join(engines)} "
-        f"(fixture {args.path})"
+        f"# goldens hold: streams on reference, metrics on "
+        f"{'/'.join(engines)} (fixture {args.path})"
     )
     return 0
 
@@ -911,8 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
     golden_parser = sub.add_parser(
         "golden",
         help=(
-            "check the committed decision-stream goldens on both "
-            "engines, or regenerate them"
+            "check the committed goldens (streams on the reference "
+            "engine, metrics on both engines), or regenerate them"
         ),
     )
     golden_parser.add_argument(
@@ -933,7 +934,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     golden_parser.add_argument(
         "--engine", choices=ENGINES, default=None,
-        help="check a single engine instead of both",
+        help=(
+            "check metrics on a single engine instead of both "
+            "(streams are always rendered on the reference engine)"
+        ),
     )
     golden_parser.set_defaults(func=_cmd_golden)
 

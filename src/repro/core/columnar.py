@@ -1,17 +1,18 @@
 """Vectorized batch-slot switch engine over flat per-port columns.
 
-:class:`VectorizedSwitch` is a drop-in replacement for
-:class:`repro.core.switch.SharedMemorySwitch` that keeps switch state as
-struct-of-arrays columns indexed by output port (queue length, head
-residual, value total, static work) instead of per-packet objects in
-per-queue containers. The reference engine stays the *oracle*: for every
-valid trace the two engines produce byte-identical decision streams,
-metrics, and buffer contents — including every tie-break — which the
-differential and golden-stream suites enforce.
+:class:`VectorizedSwitch` replaces
+:class:`repro.core.switch.SharedMemorySwitch` for unobserved replays. It
+keeps switch state as struct-of-arrays columns indexed by output port
+(queue length, head residual, value total, static work) instead of
+per-packet objects in per-queue containers. The reference engine stays
+the *oracle*: for every valid trace the two engines make the same
+decisions, tie-breaks included, and reach identical metrics and buffer
+contents, which the differential suite and the golden metrics digests
+enforce.
 
 Batching structure
 ------------------
-The engine has one fast arrival path, :meth:`VectorizedSwitch.
+The engine has one way to run a slot, :meth:`VectorizedSwitch.
 run_slot_columns`, which ingests a slot as a column span of a
 :class:`~repro.traffic.columnar.ColumnarTrace`. An object ``Trace``
 replayed through :func:`repro.analysis.competitive.run_system` goes in
@@ -64,13 +65,10 @@ drop none; the bulk-accepted run of a slot and each transmission phase
 that completes a packet rebuild the list once.
 
 The transmission phase is batched as well. Single-core FIFO heads
-decrement uniformly, so on narrow switches the engine keeps an
-*expiry-tick calendar*: each armed head is scheduled once at the
-absolute phase tick where it completes, advancing the tick is the
-whole decrement, and a phase costs O(completions) — one dict pop —
-instead of O(active ports). Wide switches (``ARRAY_TRANSMIT_MIN_PORTS``
-and up, with numpy) use the whole-array decrement over the
-head-residual column instead.
+decrement uniformly, so the engine keeps an *expiry-tick calendar*:
+each armed head is scheduled once at the absolute phase tick where it
+completes, advancing the tick is the whole decrement, and a phase
+costs O(completions) — one dict pop — instead of O(active ports).
 
 The non-push-out threshold policies (NHST, NEST, NHDT, NHST-V, Greedy,
 NHDT-W, Harmonic, DT) share one more kernel, on every queue layout.
@@ -92,27 +90,22 @@ scripted-OPT tag.
 
 Oracle contract and deviations
 ------------------------------
-On valid traces the engine is observationally identical to the
-reference. Three documented deviations exist:
+On valid traces the engine reaches the reference's decisions, metrics
+and buffer contents. It runs whole slots only and emits no per-packet
+events; a per-packet stream comes from the reference engine, which is
+the one that accepts an observer. Documented deviations:
 
-* ``run_slot`` returns ``[]`` in fast mode (no observer attached):
-  transmitted packets are accounted in metrics but not materialized as
-  objects. ``repro.analysis.competitive.run_system`` ignores the
-  return value; attach an observer to capture per-packet streams.
+* ``run_slot`` returns ``[]``: transmitted packets are accounted in
+  metrics but not materialized as objects.
+  ``repro.analysis.competitive.run_system`` ignores the return value.
 * Trace validation is batched per whole trace (once per trace and
   switch shape, see :meth:`VectorizedSwitch.bind_columns`), or per
   burst through ``run_slot``, so an *invalid* trace raises before any
   of its packets is processed, whereas the reference raises mid-burst.
   Valid traces are unaffected.
-* Fast-mode admissions do not draw global packet sequence numbers
-  (their store entries carry ``seq 0``); the reference consumes one
-  per admitted copy. Sequence numbers are debugging identity only —
-  every decision-relevant and metrics-relevant quantity is seq-free —
-  and the slow path keeps drawing real ones.
-
-With an observer attached the engine switches to a per-packet slow
-path with full event parity (arrival/decision/push-out/transmit/flush
-order identical to the reference), at reference-like speed.
+* Admissions draw no global packet sequence numbers (store entries
+  carry ``seq 0``). Sequence numbers are debugging identity only:
+  every decision-relevant and metrics-relevant quantity is seq-free.
 """
 
 from __future__ import annotations
@@ -133,13 +126,12 @@ from typing import (
 
 from repro.core import columns as _columns
 from repro.core.config import QueueDiscipline, SwitchConfig
-from repro.core.decisions import DROP, Action, Decision
+from repro.core.decisions import Action
 from repro.core.errors import PolicyError, TraceError
 from repro.core.hotpath import hot_path
 from repro.core.metrics import SwitchMetrics
-from repro.core.packet import Packet, packet_seq_source
+from repro.core.packet import Packet
 from repro.core.switch import STAT_AT_LEAST, STAT_CAP, STAT_FREE, STAT_LONGER
-from repro.obs.observer import PacketEvent, SlotObserver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traffic.columnar import ColumnarTrace
@@ -160,13 +152,6 @@ _NEG_INF = float("-inf")
 #: ``opt_accept`` of a trace ``opts`` tag: 0 -> False, 1 -> True, and
 #: the untagged -1 indexes the last entry, None.
 _TAGS: Tuple[Optional[bool], ...] = (False, True, None)
-
-#: Minimum switch width at which the whole-array transmission update
-#: (ndarray ``hr -= amask`` + ``flatnonzero``) is used instead of the
-#: expiry-tick calendar. The array form costs a fixed few microseconds
-#: of numpy dispatch per slot regardless of width; the calendar costs
-#: O(completions) per slot plus a small per-(re)arm constant.
-ARRAY_TRANSMIT_MIN_PORTS = 128
 
 _policy_classes: Optional[Dict[type, int]] = None
 
@@ -396,13 +381,10 @@ class VectorizedSwitch:
 
     State lives in flat per-port columns:
 
-    * ``_lens`` — queue lengths (list; scalar-hot).
-    * ``_hr`` / ``_amask`` — FIFO head residual work and 0/1 active
-      mask (wide switches only: ndarray columns consumed by the
-      whole-array transmission decrement).
-    * ``_hexp`` / ``_sched`` / ``_tick`` — head expiry-tick column and
-      transmission calendar (narrow switches): the head of port ``p``
-      completes during the transmission phase whose tick equals
+    * ``_lens`` — queue lengths.
+    * ``_hexp`` / ``_sched`` / ``_tick`` — single-core FIFO head
+      expiry-tick column and transmission calendar: the head of port
+      ``p`` completes during the transmission phase whose tick equals
       ``_hexp[p]``, so advancing ``_tick`` decrements every active
       head at once and a phase costs O(completions).
     * ``_tv`` — per-port buffered value totals, maintained with the
@@ -417,14 +399,8 @@ class VectorizedSwitch:
     payload and metrics need per-packet value/delay on transmit.
     """
 
-    def __init__(
-        self,
-        config: SwitchConfig,
-        *,
-        observer: Optional[SlotObserver] = None,
-    ) -> None:
+    def __init__(self, config: SwitchConfig) -> None:
         self.config = config
-        self.observer = observer
         self.metrics = SwitchMetrics(n_ports=config.n_ports)
         self.current_slot = 0
         self.occupancy = 0
@@ -441,38 +417,16 @@ class VectorizedSwitch:
         self._tv: List[float] = _columns.scalar_float_column(n)
         self._active: List[int] = []
         self._is_act: List[bool] = [False] * n
-        self._seq = packet_seq_source()
 
-        self._np = _columns.numpy_module()
+        # Single-core FIFO keeps head residuals on the expiry-tick
+        # calendar; every other layout keeps explicit per-port work
+        # totals instead.
         self._tick = 0
-        if self._fast_fifo:
-            # Two head-residual representations, fixed per instance:
-            # wide switches use ndarray columns so the transmission
-            # decrement is one whole-array op (hr -= amask); narrow
-            # switches keep an expiry-tick calendar (_hexp/_sched), so
-            # a transmission phase costs O(completions) — one dict pop
-            # — instead of O(active ports). The whole-array form only
-            # amortizes its fixed numpy dispatch cost past ~128 ports.
-            wide = (
-                self._np is not None and n >= ARRAY_TRANSMIT_MIN_PORTS
-            )
-            if wide:
-                self._hr: Any = _columns.int_column(n, fill=1)
-                self._amask: Any = _columns.int_column(n)
-                self._hexp: Optional[List[int]] = None
-                self._sched: Optional[Dict[int, List[int]]] = None
-            else:
-                self._hr = None
-                self._amask = None
-                self._hexp = _columns.scalar_int_column(n)
-                self._sched = {}
-            self._tw: Optional[List[int]] = None
-        else:
-            self._hr = None
-            self._amask = None
-            self._hexp = None
-            self._sched = None
-            self._tw = _columns.scalar_int_column(n)
+        self._hexp: List[int] = _columns.scalar_int_column(n)
+        self._sched: Dict[int, List[int]] = {}
+        self._tw: Optional[List[int]] = (
+            None if self._fast_fifo else _columns.scalar_int_column(n)
+        )
 
         if self._by_value:
             self._vals: List[List[float]] = [[] for _ in range(n)]
@@ -550,35 +504,18 @@ class VectorizedSwitch:
         self._down_reserved = 0
 
     # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    def attach_observer(self, observer: Optional[SlotObserver]) -> None:
-        """Set (or clear, with ``None``) the switch's observer slot."""
-        self.observer = observer
-
-    # ------------------------------------------------------------------
     # Column reads shared by the view, diagnostics, and tests
     # ------------------------------------------------------------------
 
     def _head_residual(self, port: int) -> int:
-        """Residual work of the head packet of a non-empty FIFO queue.
-
-        Reads whichever head representation this instance uses: the
-        residual column directly (wide switches) or the head's expiry
-        tick relative to the current phase tick (narrow switches).
-        """
-        if self._sched is None:
-            return int(self._hr[port])
-        return self._hexp[port] - self._tick  # type: ignore[index]
+        """Residual work of the head packet of a non-empty single-core
+        FIFO queue: its expiry tick relative to the current phase tick."""
+        return self._hexp[port] - self._tick
 
     def _rearm_head(self, port: int, residual: int) -> None:
-        """(Re)arm ``port``'s head residual after an admit/completion."""
-        if self._sched is None:
-            self._hr[port] = residual
-            return
+        """(Re)arm ``port``'s head residual after an admit."""
         expiry = self._tick + residual
-        self._hexp[port] = expiry  # type: ignore[index]
+        self._hexp[port] = expiry
         bucket = self._sched.get(expiry)
         if bucket is None:
             self._sched[expiry] = [port]
@@ -774,9 +711,9 @@ class VectorizedSwitch:
     def _rebuild_kernel(self, kind: int) -> None:
         """Recompute derived kernel structures from the primary columns.
 
-        Runs after any slow-path mutation (``offer``, public
-        ``transmission_phase``, ``flush``) or a policy change; the fast
-        path keeps the structures incrementally synchronized.
+        Runs after a ``flush``, a port-state change or a policy change;
+        the arrival kernels and transmission phases keep the structures
+        incrementally synchronized.
         """
         lens = self._lens
         rank = self._rank
@@ -890,12 +827,8 @@ class VectorizedSwitch:
         A thin adapter over :meth:`run_slot_columns`: the burst becomes
         one validated column span, tags included. Replaying a whole
         trace through :func:`repro.analysis.competitive.run_system`
-        converts it once instead of once per burst. With an observer
-        attached the packets themselves take the per-packet slow path,
-        which returns the transmitted packets like the reference engine.
+        converts it once instead of once per burst.
         """
-        if self.observer is not None:
-            return self._run_slot_slow(arrivals, policy)
         ports = [pk.port for pk in arrivals]
         works = [pk.work for pk in arrivals]
         values = [pk.value for pk in arrivals]
@@ -916,20 +849,6 @@ class VectorizedSwitch:
             len(ports),
         )
 
-    def _run_slot_slow(
-        self, arrivals: Sequence[Packet], policy: Any
-    ) -> List[Packet]:
-        observer = self.observer
-        assert observer is not None
-        observer.on_slot_begin(self.current_slot, len(arrivals))
-        for packet in arrivals:
-            self.offer(packet, policy)
-        transmitted = self.transmission_phase()
-        self.metrics.record_slot(self.occupancy)
-        observer.on_slot_end(self.current_slot, self.occupancy)
-        self.current_slot += 1
-        return transmitted
-
     @hot_path
     def run_slot_columns(
         self,
@@ -945,31 +864,12 @@ class VectorizedSwitch:
 
         The burst is the column span ``[lo, hi)`` of a
         :class:`repro.traffic.columnar.ColumnarTrace`: no ``Packet``
-        objects are constructed on the fast path (the generic kernel
+        objects are constructed (the generic kernel
         materializes one transient template per *policy-consulted*
         arrival only). ``arrivals`` is ``None`` when every packet's
         arrival slot is the current slot. This is the engine's one
-        fast arrival path; :meth:`run_slot` feeds it too. With an
-        observer attached the burst is materialized (tags included,
-        when :meth:`bind_columns` bound these columns) and run through
-        the per-packet slow path.
+        way to run a slot; :meth:`run_slot` feeds it too.
         """
-        if self.observer is not None:
-            slot = self.current_slot
-            opts = self._opts if ports is self._valid_ports else None
-            burst = [
-                _new_packet(
-                    ports[i],
-                    works[i],
-                    values[i],
-                    arrivals[i] if arrivals is not None else slot,
-                    next(self._seq),
-                    works[i],
-                    None if opts is None else _TAGS[opts[i]],
-                )
-                for i in range(lo, hi)
-            ]
-            return self._run_slot_slow(burst, policy)
         if hi > lo:
             if ports is not self._valid_ports:
                 self._validate_columns(ports, works, values)
@@ -1014,20 +914,12 @@ class VectorizedSwitch:
                 "fast_forward requires an empty buffer "
                 f"(occupancy={self.occupancy})"
             )
-        if self.observer is not None:
-            self.observer.on_idle(self.current_slot, n_slots)
         self.metrics.record_idle_slots(n_slots)
         self.current_slot += n_slots
 
     def flush(self) -> int:
         """Clear all queues without transmission credit; returns count."""
         count = self.occupancy
-        events: Optional[List[PacketEvent]] = None
-        if self.observer is not None:
-            events = []
-            for port in range(self.config.n_ports):
-                for packet in self.queue_packets(port):
-                    events.append(PacketEvent.of(packet))
         # Reset every port, not just active ones: the reference flush
         # clears all queues, zeroing float value totals exactly even on
         # queues that drained earlier and carry rounding residue.
@@ -1042,124 +934,14 @@ class VectorizedSwitch:
                 self._recs[port].clear()
             else:
                 self._stores[port].clear()
-            if self._amask is not None:
-                self._amask[port] = 0
-                self._hr[port] = 1
-        # Narrow fast-FIFO calendar entries are left in place: every
-        # flushed port is now inactive, so its entries fail the
-        # validity check when their tick pops.
+        # Calendar entries are left in place: every flushed port is
+        # now inactive, so its entries fail the validity check when
+        # their tick pops.
         self._active = []
         self.occupancy = 0
         self._kclean = False
         self.metrics.flushed += count
-        if self.observer is not None and events is not None:
-            self.observer.on_flush(self.current_slot, tuple(events))
         return count
-
-    # ------------------------------------------------------------------
-    # Slow path: per-packet offers with full event parity
-    # ------------------------------------------------------------------
-
-    def offer(self, packet: Packet, policy: Any) -> Decision:
-        """Process a single arrival through the policy (slow path).
-
-        Mirrors the reference ``offer`` exactly — per-packet
-        validation, metrics, observer events, and decision application
-        — over columnar state. Marks derived kernel structures dirty;
-        the next fast ``run_slot`` rebuilds them.
-        """
-        self._validate_one(packet)
-        self.metrics.record_arrival(packet)
-        self._kclean = False
-        observer = self.observer
-        if self._n_down and not self._port_up[packet.port]:
-            # Engine-level drop for admin-down ports, before the policy
-            # is consulted (mirrors the reference ``offer``).
-            self.metrics.record_drop(packet)
-            if observer is not None:
-                observer.on_arrival(self.current_slot, PacketEvent.of(packet))
-                observer.on_decision(
-                    self.current_slot, Action.DROP.value, None
-                )
-            return DROP
-        if observer is None:
-            decision: Decision = policy.admit(self.view, packet)
-            self.apply(packet, decision)
-            return decision
-        observer.on_arrival(self.current_slot, PacketEvent.of(packet))
-        decision = policy.admit(self.view, packet)
-        self.apply(packet, decision)
-        observer.on_decision(
-            self.current_slot, decision.action.value, decision.victim_port
-        )
-        return decision
-
-    def _validate_one(self, packet: Packet) -> None:
-        config = self.config
-        if not 0 <= packet.port < config.n_ports:
-            raise TraceError(
-                f"packet destined to port {packet.port}, switch has "
-                f"{config.n_ports} ports"
-            )
-        if (
-            config.discipline is QueueDiscipline.FIFO
-            and packet.work != config.work_of(packet.port)
-        ):
-            raise TraceError(
-                f"packet work {packet.work} violates per-port requirement "
-                f"w_{packet.port}={config.work_of(packet.port)} "
-                "(Section III model constraint)"
-            )
-
-    def apply(self, packet: Packet, decision: Decision) -> None:
-        """Validate and execute a policy decision (slow path)."""
-        self._kclean = False
-        metrics = self.metrics
-        if decision.action is Action.DROP:
-            metrics.record_drop(packet)
-            return
-        if decision.action is Action.PUSH_OUT:
-            victim_port = decision.victim_port
-            assert victim_port is not None  # enforced by Decision
-            if not 0 <= victim_port < self.config.n_ports:
-                raise PolicyError(
-                    f"push-out victim port {victim_port} out of range"
-                )
-            if self._lens[victim_port] == 0:
-                raise PolicyError(
-                    f"policy pushed out from empty queue {victim_port}"
-                )
-            victim = self._pop_tail(victim_port)
-            self.occupancy -= 1
-            metrics.record_push_out(victim)
-            if self.observer is not None:
-                self.observer.on_push_out(
-                    self.current_slot, PacketEvent.of(victim)
-                )
-        if self._reserved is None:
-            if self.occupancy >= self.config.buffer_size:
-                raise PolicyError(
-                    "policy accepted a packet into a full buffer "
-                    f"(occupancy={self.occupancy}, "
-                    f"B={self.config.buffer_size})"
-                )
-        elif not self._fits(packet.port):
-            raise PolicyError(
-                f"policy accepted a packet for port {packet.port} with no "
-                f"usable slot (queue={self._lens[packet.port]}, "
-                f"reserved={self._reserved[packet.port]}, "
-                f"shared={self._shared_occupancy()}/"
-                f"{self._shared_pool + self._down_reserved})"
-            )
-        self._admit_cols(
-            packet.port,
-            packet.work,
-            packet.value,
-            packet.arrival_slot,
-            next(self._seq),
-        )
-        self.occupancy += 1
-        metrics.record_accept(packet)
 
     def _shared_occupancy(self) -> int:
         """Packets in shared slots, from the length columns (O(active))."""
@@ -1204,25 +986,17 @@ class VectorizedSwitch:
             )
         self._kpolicy = None
         self._kclean = False
-        observer = self.observer
         if up:
             self._port_up[port] = True
             self._n_down -= 1
             if self._reserved is not None:
                 self._down_reserved -= self._reserved[port]
-            if observer is not None:
-                observer.on_port_state(self.current_slot, port, True, ())
             return 0
         self._port_up[port] = False
         self._n_down += 1
         if self._reserved is not None:
             self._down_reserved += self._reserved[port]
         count = self._lens[port]
-        events: Optional[Tuple[PacketEvent, ...]] = None
-        if observer is not None:
-            events = tuple(
-                PacketEvent.of(packet) for packet in self.queue_packets(port)
-            )
         if count:
             self._lens[port] = 0
             self._tv[port] = 0.0
@@ -1236,35 +1010,7 @@ class VectorizedSwitch:
             self._deactivate(port)
             self.occupancy -= count
         self.metrics.flushed += count
-        if observer is not None:
-            assert events is not None
-            observer.on_port_state(self.current_slot, port, False, events)
         return count
-
-    def _pop_tail(self, port: int) -> Packet:
-        """Remove the tail of ``port``'s queue; returns the victim."""
-        lens = self._lens
-        length = lens[port]
-        if self._by_value:
-            value = self._vals[port].pop(0)
-            rec = self._recs[port].pop(0)
-            victim = _new_packet(port, rec[4], value, rec[1], rec[2], rec[3])
-            self._tw[port] -= rec[3]  # type: ignore[index]
-        elif not self._fast_fifo:
-            rec = self._stores[port].pop()
-            work = self._works[port]
-            victim = _new_packet(port, work, rec[0], rec[1], rec[2], rec[3])
-            self._tw[port] -= rec[3]  # type: ignore[index]
-        else:
-            rec = self._stores[port].pop()
-            work = self._works[port]
-            residual = self._head_residual(port) if length == 1 else work
-            victim = _new_packet(port, work, rec[0], rec[1], rec[2], residual)
-        self._tv[port] -= victim.value
-        lens[port] = length - 1
-        if length == 1:
-            self._deactivate(port)
-        return victim
 
     @hot_path
     def _admit_cols(
@@ -1273,23 +1019,22 @@ class VectorizedSwitch:
         work: int,
         value: float,
         arrival_slot: int,
-        seq: int = 0,
     ) -> None:
-        """Enqueue a packet given as column fields (fast mode: seq 0)."""
+        """Enqueue a packet given as column fields (seq 0)."""
         was_empty = self._lens[port] == 0
         if self._by_value:
             vals = self._vals[port]
             pos = bisect_left(vals, value)
             vals.insert(pos, value)
             self._recs[port].insert(
-                pos, [value, arrival_slot, seq, work, work]
+                pos, [value, arrival_slot, 0, work, work]
             )
             self._tw[port] += work  # type: ignore[index]
         elif not self._fast_fifo:
-            self._stores[port].append([value, arrival_slot, seq, work])
+            self._stores[port].append([value, arrival_slot, 0, work])
             self._tw[port] += work  # type: ignore[index]
         else:
-            self._stores[port].append((value, arrival_slot, seq))
+            self._stores[port].append((value, arrival_slot, 0))
             if was_empty:
                 self._rearm_head(port, self._works[port])
         self._tv[port] += value
@@ -1300,110 +1045,15 @@ class VectorizedSwitch:
     def _activate(self, port: int) -> None:
         insort(self._active, port)
         self._is_act[port] = True
-        if self._amask is not None:
-            self._amask[port] = 1
 
     def _deactivate(self, port: int) -> None:
+        # Stale calendar entries of a deactivated port fail the
+        # is-active/expiry validity check when their tick pops.
         del self._active[bisect_left(self._active, port)]
         self._is_act[port] = False
-        if self._amask is not None:
-            # Wide fast-FIFO: park the residual at 1 so the whole-array
-            # decrement of inactive ports never reaches zero. Narrow
-            # fast-FIFO needs nothing — stale calendar entries fail the
-            # is-active/expiry validity check when their tick pops.
-            self._amask[port] = 0
-            self._hr[port] = 1
-
-    def transmission_phase(self) -> List[Packet]:
-        """Process every non-empty queue once (slow path).
-
-        Returns the transmitted packets in the reference order and
-        fires observer events; marks kernel structures dirty.
-        """
-        self._kclean = False
-        transmitted: List[Packet] = []
-        speedup = self.config.speedup
-        works = self._works
-        if self._active:
-            tick = 0
-            if self._sched is not None:
-                # Narrow fast-FIFO: one tick advance decrements every
-                # active head at once; heads complete when their stored
-                # expiry equals the new tick.
-                tick = self._tick + 1
-                self._tick = tick
-            for port in tuple(self._active):
-                if self._by_value:
-                    recs = self._recs[port]
-                    vals = self._vals[port]
-                    active = min(speedup, len(recs))
-                    for idx in range(len(recs) - active, len(recs)):
-                        recs[idx][3] -= 1
-                    self._tw[port] -= active  # type: ignore[index]
-                    while recs and recs[-1][3] == 0:
-                        rec = recs.pop()
-                        vals.pop()
-                        self._tv[port] -= rec[0]
-                        self._lens[port] -= 1
-                        self.occupancy -= 1
-                        transmitted.append(
-                            _new_packet(
-                                port, rec[4], rec[0], rec[1], rec[2], 0
-                            )
-                        )
-                    if not recs:
-                        self._deactivate(port)
-                elif not self._fast_fifo:
-                    store = self._stores[port]
-                    active = min(speedup, len(store))
-                    for rec in islice(store, active):
-                        rec[3] -= 1
-                    self._tw[port] -= active  # type: ignore[index]
-                    while store and store[0][3] == 0:
-                        rec = store.popleft()
-                        self._tv[port] -= rec[0]
-                        self._lens[port] -= 1
-                        self.occupancy -= 1
-                        transmitted.append(
-                            _new_packet(
-                                port, works[port], rec[0], rec[1], rec[2], 0
-                            )
-                        )
-                    if not store:
-                        self._deactivate(port)
-                else:
-                    if self._sched is not None:
-                        complete = self._hexp[port] == tick  # type: ignore[index]
-                    else:
-                        self._hr[port] -= 1
-                        complete = not self._hr[port]
-                    if complete:
-                        rec = self._stores[port].popleft()
-                        self._tv[port] -= rec[0]
-                        length = self._lens[port] - 1
-                        self._lens[port] = length
-                        self.occupancy -= 1
-                        transmitted.append(
-                            _new_packet(
-                                port, works[port], rec[0], rec[1], rec[2], 0
-                            )
-                        )
-                        if length:
-                            self._rearm_head(port, works[port])
-                        else:
-                            self._deactivate(port)
-        self.metrics.record_transmissions(
-            transmitted, slot=self.current_slot
-        )
-        observer = self.observer
-        if observer is not None and transmitted:
-            slot = self.current_slot
-            for packet in transmitted:
-                observer.on_transmit(slot, PacketEvent.of(packet))
-        return transmitted
 
     # ------------------------------------------------------------------
-    # Fast arrival kernels (trace columns in, no Packet objects)
+    # Arrival kernels (trace columns in, no Packet objects)
     # ------------------------------------------------------------------
 
     def _pop_tail_fast(self, port: int) -> None:
@@ -1447,8 +1097,6 @@ class VectorizedSwitch:
         lens = self._lens
         tv = self._tv
         stores = self._stores
-        hr = self._hr
-        amask = self._amask
         sched = self._sched
         hexp = self._hexp
         tick = self._tick
@@ -1494,17 +1142,13 @@ class VectorizedSwitch:
                 else:
                     insort(active, p)
                     is_act[p] = True
-                    if sched is None:
-                        hr[p] = works[p]
-                        amask[p] = 1
+                    e = tick + works[p]
+                    hexp[p] = e
+                    b = sched.get(e)
+                    if b is None:
+                        sched[e] = [p]
                     else:
-                        e = tick + works[p]
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
+                        b.append(p)
                 masks[nl] |= bit[r]
                 # No queue shrank: the maximum can only move up to nl
                 # (then the arrival's rank is alone there) or gain the
@@ -1537,9 +1181,6 @@ class VectorizedSwitch:
             else:
                 del active[bisect_left(active, t)]
                 is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
             pushed += 1
             dropped_by_port[t] += 1
             v = values[i]
@@ -1553,17 +1194,13 @@ class VectorizedSwitch:
             else:
                 insort(active, p)
                 is_act[p] = True
-                if sched is None:
-                    hr[p] = works[p]
-                    amask[p] = 1
+                e = tick + works[p]
+                hexp[p] = e
+                b = sched.get(e)
+                if b is None:
+                    sched[e] = [p]
                 else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
+                    b.append(p)
             masks[nl] |= bit[r]
             # The old maximum lost its top rank and the arrival
             # entered at nl <= maxl; recompute downward (the own
@@ -1599,8 +1236,6 @@ class VectorizedSwitch:
         lens = self._lens
         tv = self._tv
         stores = self._stores
-        hr = self._hr
-        amask = self._amask
         sched = self._sched
         hexp = self._hexp
         tick = self._tick
@@ -1641,17 +1276,13 @@ class VectorizedSwitch:
                     nc = (w + off) * nr + rank[p]
                     insort(active, p)
                     is_act[p] = True
-                    if sched is None:
-                        hr[p] = w
-                        amask[p] = 1
+                    e = tick + w
+                    hexp[p] = e
+                    b = sched.get(e)
+                    if b is None:
+                        sched[e] = [p]
                     else:
-                        e = tick + w
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
+                        b.append(p)
                 insort(codes, nc)
                 pcode[p] = nc
                 ncode[p] = nc + w * nr
@@ -1692,9 +1323,6 @@ class VectorizedSwitch:
             else:
                 del active[bisect_left(active, t)]
                 is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
             pushed += 1
             dropped_by_port[t] += 1
             w = works[p]
@@ -1703,17 +1331,13 @@ class VectorizedSwitch:
             else:
                 insort(active, p)
                 is_act[p] = True
-                if sched is None:
-                    hr[p] = w
-                    amask[p] = 1
+                e = tick + w
+                hexp[p] = e
+                b = sched.get(e)
+                if b is None:
+                    sched[e] = [p]
                 else:
-                    e = tick + w
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
+                    b.append(p)
             insort(codes, nc)
             pcode[p] = nc
             ncode[p] = nc + w * nr
@@ -1754,8 +1378,6 @@ class VectorizedSwitch:
         lens = self._lens
         tv = self._tv
         stores = self._stores
-        hr = self._hr
-        amask = self._amask
         sched = self._sched
         hexp = self._hexp
         tick = self._tick
@@ -1802,17 +1424,13 @@ class VectorizedSwitch:
                 if not ol:
                     insort(active, p)
                     is_act[p] = True
-                    if sched is None:
-                        hr[p] = works[p]
-                        amask[p] = 1
+                    e = tick + works[p]
+                    hexp[p] = e
+                    b = sched.get(e)
+                    if b is None:
+                        sched[e] = [p]
                     else:
-                        e = tick + works[p]
-                        hexp[p] = e
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
+                        b.append(p)
         for i in range(split, hi):
             p = ports[i]
             r = rank[p]
@@ -1831,9 +1449,6 @@ class VectorizedSwitch:
             if not vl:
                 del active[bisect_left(active, t)]
                 is_act[t] = False
-                if sched is None:
-                    hr[t] = 1
-                    amask[t] = 0
             pushed += 1
             dropped_by_port[t] += 1
             # Read the own length only now: when r == vr the arrival
@@ -1854,17 +1469,13 @@ class VectorizedSwitch:
             if not ol:
                 insort(active, p)
                 is_act[p] = True
-                if sched is None:
-                    hr[p] = works[p]
-                    amask[p] = 1
+                e = tick + works[p]
+                hexp[p] = e
+                b = sched.get(e)
+                if b is None:
+                    sched[e] = [p]
                 else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
+                    b.append(p)
         self.occupancy = occ
         self._nm = nm
         metrics.accepted += accepted
@@ -2183,58 +1794,48 @@ class VectorizedSwitch:
             metrics.accepted += 1
 
     # ------------------------------------------------------------------
-    # Fast transmission phases
+    # Transmission phases
     # ------------------------------------------------------------------
 
     @hot_path
     def _transmit_fifo_fast(self) -> None:
-        """Single-core FIFO transmission phase, fast mode.
+        """Single-core FIFO transmission phase over the calendar.
 
-        Narrow switches pop the current tick's calendar bucket: the
-        phase costs O(completions), because advancing the tick *is* the
-        uniform head decrement. Bucket entries can be stale (the head
-        they were armed for was pushed out or flushed), so each is
-        validated against the port's live expiry before completing;
-        survivors are processed in ascending port order exactly like
-        the reference's active-set walk. Wide switches decrement the
-        whole residual column at once (``hr -= amask``) and complete
-        the zero entries.
+        Pops the current tick's calendar bucket: the phase costs
+        O(completions), because advancing the tick *is* the uniform
+        head decrement. Bucket entries can be stale (the head they were
+        armed for was pushed out or flushed), so each is validated
+        against the port's live expiry before completing; survivors are
+        processed in ascending port order exactly like the reference's
+        active-set walk.
         """
         active = self._active
         if not active:
             return
         kind = self._kkind if self._kclean else K_GENERIC
-        hr = self._hr
-        amask = self._amask
         sched = self._sched
         hexp = self._hexp
         is_act = self._is_act
-        tick = 0
+        tick = self._tick + 1
+        self._tick = tick
+        bucket = sched.pop(tick, None)
         done: List[int]
-        if sched is None:
-            np = self._np
-            hr -= amask
-            done = np.flatnonzero(hr == 0).tolist()
-        else:
-            tick = self._tick + 1
-            self._tick = tick
-            bucket = sched.pop(tick, None)
-            if bucket is None:
-                done = []
-            elif len(bucket) == 1:
-                p = bucket[0]
-                if is_act[p] and hexp[p] == tick:
-                    done = bucket
-                else:
-                    done = []
+        if bucket is None:
+            done = []
+        elif len(bucket) == 1:
+            p = bucket[0]
+            if is_act[p] and hexp[p] == tick:
+                done = bucket
             else:
-                bucket.sort()
                 done = []
-                last = -1
-                for p in bucket:
-                    if p != last and is_act[p] and hexp[p] == tick:
-                        done.append(p)
-                    last = p
+        else:
+            bucket.sort()
+            done = []
+            last = -1
+            for p in bucket:
+                if p != last and is_act[p] and hexp[p] == tick:
+                    done.append(p)
+                last = p
         if not done:
             if kind == K_LWD:
                 self._off += 1
@@ -2267,22 +1868,16 @@ class VectorizedSwitch:
                 delay_sum[p] += slot - arr
                 delay_count[p] += 1
             if nl:
-                if sched is None:
-                    hr[p] = works[p]
+                e = tick + works[p]
+                hexp[p] = e
+                b = sched.get(e)
+                if b is None:
+                    sched[e] = [p]
                 else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
+                    b.append(p)
             else:
                 del active[bisect_left(active, p)]
                 is_act[p] = False
-                if sched is None:
-                    hr[p] = 1
-                    amask[p] = 0
             if kind == K_LQD:
                 r = rank[p]
                 masks[nl + 1] ^= bit[r]
@@ -2315,7 +1910,7 @@ class VectorizedSwitch:
 
     @hot_path
     def _transmit_priority(self) -> None:
-        """Priority-queue transmission phase (value model), fast mode."""
+        """Priority-queue transmission phase (value model)."""
         active = self._active
         if not active:
             return
@@ -2328,7 +1923,6 @@ class VectorizedSwitch:
         tv = self._tv
         tw = self._tw
         is_act = self._is_act
-        amask = self._amask
         tx_by_port = metrics.transmitted_by_port
         txv_by_port = metrics.transmitted_value_by_port
         delay_sum = metrics.delay_sum_by_port
@@ -2360,8 +1954,6 @@ class VectorizedSwitch:
             if not recs:
                 del active[bisect_left(active, p)]
                 is_act[p] = False
-                if amask is not None:
-                    amask[p] = 0
         self.occupancy = occ
         if occ != start and self._kclean and self._kkind >= K_LQDV:
             # Completions moved the lengths (and value totals) every
@@ -2370,7 +1962,7 @@ class VectorizedSwitch:
 
     @hot_path
     def _transmit_fifo_generic(self) -> None:
-        """Multi-core FIFO transmission phase, fast mode."""
+        """Multi-core FIFO transmission phase."""
         active = self._active
         if not active:
             return
@@ -2381,9 +1973,7 @@ class VectorizedSwitch:
         lens = self._lens
         tv = self._tv
         tw = self._tw
-        works = self._works
         is_act = self._is_act
-        amask = self._amask
         tx_by_port = metrics.transmitted_by_port
         txv_by_port = metrics.transmitted_value_by_port
         delay_sum = metrics.delay_sum_by_port
@@ -2413,9 +2003,6 @@ class VectorizedSwitch:
             if not store:
                 del active[bisect_left(active, p)]
                 is_act[p] = False
-                if amask is not None:
-                    amask[p] = 0
-            _ = works
         self.occupancy = occ
 
     # ------------------------------------------------------------------
@@ -2472,12 +2059,11 @@ class VectorizedSwitch:
                             f"outside 1..{work}"
                         )
                         expect_work = head_residual + (length - 1) * work
-                        if self._sched is not None:
-                            expiry = self._hexp[port]  # type: ignore[index]
-                            assert port in self._sched.get(expiry, ()), (
-                                f"port {port}: head expiry {expiry} not "
-                                "on the transmission calendar"
-                            )
+                        expiry = self._hexp[port]
+                        assert port in self._sched.get(expiry, ()), (
+                            f"port {port}: head expiry {expiry} not "
+                            "on the transmission calendar"
+                        )
                     for rec in store:
                         expect_value += rec[0]
                 else:
@@ -2503,11 +2089,6 @@ class VectorizedSwitch:
             f"active set {self._active} != {expect_active}"
         )
         assert self._is_act == [self._lens[p] > 0 for p in range(n)]
-        if self._amask is not None:
-            mask_list = [int(self._amask[p]) for p in range(n)]
-            assert mask_list == [
-                1 if self._lens[p] > 0 else 0 for p in range(n)
-            ], f"active mask {mask_list} diverged from length column"
         # Buffer-model and churn accounting (mirrors the reference).
         assert self._n_down == self._port_up.count(False)
         for port, port_up in enumerate(self._port_up):

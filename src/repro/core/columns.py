@@ -1,23 +1,19 @@
-"""Flat per-port column storage for the vectorized batch-slot engine.
+"""Column layout helpers and the numpy backend seam.
 
 The vectorized engine (:mod:`repro.core.columnar`) keeps switch state as
 struct-of-arrays columns indexed by output port instead of per-packet
-objects. Two backends provide the columns:
+objects. Every engine column is a plain Python list: the hot arrival
+and transmission loops touch one element at a time, and CPython list
+indexing beats ndarray scalar access by ~5x.
+:func:`scalar_int_column` / :func:`scalar_float_column` build them so
+the layout is defined in one place.
 
-* ``numpy`` — ``int64``/``float64`` ndarrays; enables whole-array
-  transmission updates (``head_residual -= active_mask``).
-* ``python`` — :class:`array.array` typecodes ``'q'``/``'d'``; a pure
-  stdlib fallback used when numpy is unavailable (or forced via
-  ``REPRO_VECTOR_BACKEND=python``), with a per-port loop in the
-  transmission phase.
-
-Columns whose access pattern is scalar-per-arrival (queue lengths, value
-totals, cached victim codes) are deliberately plain Python lists —
-CPython list indexing beats ndarray scalar access by ~5x, and the hot
-arrival loops touch one element at a time. Only columns consumed by
-whole-array operations (head residuals, the active-port mask) use the
-backend arrays. :func:`scalar_int_column` / :func:`scalar_float_column`
-build the list-backed columns so the layout is defined in one place.
+The backend seam decides whether trace columns are handed out as numpy
+arrays. Its one consumer is :meth:`repro.traffic.columnar.ColumnarTrace.
+array_columns`, which gives the vectorized OPT surrogates
+(:mod:`repro.opt.vectorized`) a trace's cached ndarray view. Under the
+``python`` backend it returns ``None`` and the surrogates read the list
+columns instead.
 
 Backend selection happens once per process, controlled by the
 ``REPRO_VECTOR_BACKEND`` environment variable: ``auto`` (default; numpy
@@ -28,7 +24,6 @@ when importable), ``numpy`` (require numpy, raise otherwise), or
 from __future__ import annotations
 
 import os
-from array import array
 from typing import Any, List
 
 from repro.core.errors import ConfigError
@@ -88,20 +83,6 @@ def numpy_module() -> Any:
     return _np
 
 
-def int_column(n: int, fill: int = 0) -> Any:
-    """A length-``n`` signed 64-bit column on the active backend."""
-    if backend() == "numpy":
-        return _np.full(n, fill, dtype=_np.int64)
-    return array("q", [fill]) * n if n else array("q")
-
-
-def float_column(n: int, fill: float = 0.0) -> Any:
-    """A length-``n`` float64 column on the active backend."""
-    if backend() == "numpy":
-        return _np.full(n, fill, dtype=_np.float64)
-    return array("d", [fill]) * n if n else array("d")
-
-
 def scalar_int_column(n: int, fill: int = 0) -> List[int]:
     """A list-backed integer column for scalar-hot access patterns."""
     return [fill] * n
@@ -110,8 +91,3 @@ def scalar_int_column(n: int, fill: int = 0) -> List[int]:
 def scalar_float_column(n: int, fill: float = 0.0) -> List[float]:
     """A list-backed float column for scalar-hot access patterns."""
     return [fill] * n
-
-
-def column_list(col: Any) -> List[Any]:
-    """Materialize any column as a plain list (for invariant checks)."""
-    return [col[i] for i in range(len(col))]

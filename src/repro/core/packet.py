@@ -35,17 +35,6 @@ from repro.core.hotpath import hot_path
 _PACKET_SEQ = count()
 
 
-def packet_seq_source() -> "count[int]":
-    """The global sequence counter (hot paths bind it to a local).
-
-    The columnar engine draws from it only on its per-packet slow path;
-    fast-mode batch admissions record sequence number 0 instead — seqs
-    are debugging identity, not model state, and nothing observable
-    compares them (see ``docs/VECTORIZED.md``).
-    """
-    return _PACKET_SEQ
-
-
 @dataclass(slots=True)
 class Packet:
     """A unit-sized packet with a destination port, required work and value.

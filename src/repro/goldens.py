@@ -8,19 +8,19 @@ reduced to two sha256 digests per pinned policy:
 
 * ``stream_sha256`` — a canonical rendering of the full observer event
   stream (slot framing, arrivals, decisions, push-outs, transmissions,
-  idle fast-forwards). This is the engine's *decision stream*: any
-  change to admission, victim selection (tie-breaks included),
-  transmission order, or idle handling changes the digest.
+  idle fast-forwards). This is the *decision stream*: any change to
+  admission, victim selection (tie-breaks included), transmission
+  order, or idle handling changes the digest. Observers attach to the
+  reference engine only, so the stream is always rendered there.
 * ``metrics_sha256`` — the canonical JSON of the final
-  :meth:`~repro.core.metrics.SwitchMetrics.snapshot`. Fast-mode runs
-  carry no observer (an attached observer routes the vectorized engine
-  onto its per-packet slow path), so this is the digest that pins the
-  *batched* hot path.
+  :meth:`~repro.core.metrics.SwitchMetrics.snapshot` of an unobserved
+  replay. It is computed on every checked engine, so on the vectorized
+  engine this is the digest that pins the batched hot path, and it
+  must equal the metrics of the reference engine's observed run.
 
 Sequence numbers are deliberately excluded from every token: they
-depend on process-global draw interleaving and (in the vectorized fast
-path) are not drawn at all — they are debugging identity, not model
-state.
+depend on process-global draw interleaving — they are debugging
+identity, not model state.
 
 The committed fixture lives at :data:`DEFAULT_GOLDEN_PATH` and is
 managed by ``repro golden --check`` / ``--update`` and by
@@ -199,19 +199,21 @@ def metrics_digest(metrics: SwitchMetrics) -> str:
 def _run_hashed(
     panel, policy_name: str, slots_scale: float, engine: str
 ) -> Tuple[str, str, str]:
-    """One observed run plus one fast-mode run of a panel policy.
+    """One observed run plus one unobserved run of a panel policy.
 
-    Returns ``(stream_sha256, metrics_sha256, fast_metrics_sha256)``.
-    The observed run renders the decision stream (on the vectorized
-    engine this takes its per-packet slow path); the unobserved run
-    exercises the engine's fast mode, whose final metrics must digest
-    identically — that equality is itself part of the check.
+    Returns ``(stream_sha256, observed_metrics_sha256,
+    metrics_sha256)``. The observed run renders the decision stream on
+    the reference engine, the one that takes an observer; the
+    unobserved run replays on ``engine``, and its final metrics must
+    digest like the observed run's. On the vectorized engine that
+    equality is a cross-engine check, and it is part of the golden
+    check.
     """
     config = panel.config()
     trace = panel.trace(slots_scale)
 
     hasher = DecisionStreamHasher()
-    observed = PolicySystem(config, make_policy(policy_name), engine=engine)
+    observed = PolicySystem(config, make_policy(policy_name))
     observed_metrics = run_system(observed, trace, observer=hasher)
 
     fast = PolicySystem(config, make_policy(policy_name), engine=engine)
@@ -233,9 +235,9 @@ def compute_goldens(
     """Compute the golden document for the selected bench panels.
 
     The committed fixture is computed on the reference engine (the
-    oracle); ``engine="vectorized"`` recomputes the same document on the
-    columnar engine, which :func:`check_goldens` uses to assert the
-    engines' streams are byte-identical to the committed one.
+    oracle). ``engine="vectorized"`` recomputes the metrics digests on
+    the columnar engine; the decision streams are rendered on the
+    reference engine either way.
     """
     from repro.bench import PANELS
 
@@ -258,14 +260,14 @@ def compute_goldens(
         digest = trace_digest(panel.trace(slots_scale))
         policies: Dict[str, Dict[str, str]] = {}
         for policy_name in panel.policies:
-            stream, metrics, fast_metrics = _run_hashed(
+            stream, observed, metrics = _run_hashed(
                 panel, policy_name, slots_scale, engine
             )
-            if fast_metrics != metrics:
+            if metrics != observed:
                 raise ConfigError(
-                    f"{name}/{policy_name}: fast-mode metrics diverge "
-                    f"from the observed run on engine {engine!r} "
-                    f"({fast_metrics[:12]} != {metrics[:12]})"
+                    f"{name}/{policy_name}: {engine} engine metrics "
+                    "diverge from the observed reference run "
+                    f"({metrics[:12]} != {observed[:12]})"
                 )
             policies[policy_name] = {
                 "stream_sha256": stream,
@@ -284,31 +286,36 @@ def check_goldens(
     panel_names: Optional[Sequence[str]] = None,
     engines: Sequence[str] = ("reference", "vectorized"),
 ) -> List[str]:
-    """Recompute digests on every engine and diff against the fixture.
+    """Recompute digests and diff them against the fixture.
 
     Returns human-readable mismatch lines (empty means the fixture
-    holds). Every engine in ``engines`` must reproduce the committed
-    stream and metrics digests exactly — this is the absolute half of
-    the oracle contract (the differential suites are the relative
-    half).
+    holds). The trace and decision-stream digests are checked once, as
+    rendered on the reference engine; every engine in ``engines`` must
+    reproduce the committed metrics digests exactly. This is the
+    absolute half of the oracle contract (the differential suites are
+    the relative half).
     """
     committed = load_goldens(path)
     scale = float(committed["slots_scale"])
     want_panels: Mapping[str, Mapping] = committed["panels"]
     names = list(want_panels) if panel_names is None else list(panel_names)
     problems: List[str] = []
-    for engine in engines:
+    for index, engine in enumerate(engines):
+        # Streams (and traces) do not depend on ``engine``: compare
+        # them on the first pass only.
+        first = index == 0
         got = compute_goldens(names, slots_scale=scale, engine=engine)
         got_panels: Mapping[str, Mapping] = got["panels"]
         for name in names:
             want = want_panels.get(name)
             if want is None:
-                problems.append(f"{name}: not in committed fixture")
+                if first:
+                    problems.append(f"{name}: not in committed fixture")
                 continue
             have_trace = got_panels[name]["trace_sha256"]
-            if have_trace != want["trace_sha256"]:
+            if first and have_trace != want["trace_sha256"]:
                 problems.append(
-                    f"{name} [{engine}]: trace_sha256 "
+                    f"{name}: trace_sha256 "
                     f"{have_trace[:16]}... != committed "
                     f"{want['trace_sha256'][:16]}..."
                 )
@@ -319,10 +326,13 @@ def check_goldens(
                         f"{name}/{policy} [{engine}]: policy missing"
                     )
                     continue
-                for key in ("stream_sha256", "metrics_sha256"):
+                checks = [("metrics_sha256", engine)]
+                if first:
+                    checks.insert(0, ("stream_sha256", "reference"))
+                for key, label in checks:
                     if have[key] != want_digests[key]:
                         problems.append(
-                            f"{name}/{policy} [{engine}]: {key} "
+                            f"{name}/{policy} [{label}]: {key} "
                             f"{have[key][:16]}... != committed "
                             f"{want_digests[key][:16]}..."
                         )

@@ -27,7 +27,7 @@ Both are selected through ``make_surrogate(..., engine="vectorized")``
 and expose the same :class:`~repro.opt.surrogate.System` surface plus a
 ``run_slot_columns`` entry point that ingests
 :class:`~repro.traffic.columnar.ColumnarTrace` spans without packet
-materialization. Like fast-mode :class:`~repro.core.columnar.
+materialization. Like :class:`~repro.core.columnar.
 VectorizedSwitch`, ``run_slot`` returns ``[]``: transmissions are
 accounted in metrics only (the competitive runner ignores the return
 value), and admitted entries carry no sequence numbers. All

@@ -1,4 +1,4 @@
-"""Columnar-engine state audits: self-checks, backends, wide path.
+"""Columnar-engine state audits: self-checks, backends, wide switches.
 
 The vectorized engine keeps two representations of the same buffer —
 flat per-port columns for the hot path and per-packet record stores as
@@ -9,11 +9,10 @@ derived kernel structures and the transmission calendar), and
 audit has teeth: a deliberately corrupted column must be caught, from a
 direct call and from the periodic driver alike.
 
-The suite also pins the engine's backend seams: the pure-``array``
-fallback (``REPRO_VECTOR_BACKEND=python``) must be decision-identical
-to numpy columns, and the wide-switch whole-array transmission path
-(``n >= ARRAY_TRANSMIT_MIN_PORTS``) must be decision-identical to the
-narrow expiry-calendar path.
+The suite also pins the engine at the edges of its environment: under
+``REPRO_VECTOR_BACKEND=python`` it must still match the reference, and
+a switch far wider than any Fig. 5 panel must too, on the same
+expiry-tick transmission calendar every width uses.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import pytest
 from repro.analysis.competitive import PolicySystem, run_system
 from repro.core import columns as columns_mod
 from repro.core.columnar import (
-    ARRAY_TRANSMIT_MIN_PORTS,
     K_GENERIC,
     K_LQDV,
     K_MRD,
@@ -66,7 +64,7 @@ def _congested_trace(
 
 
 def _warm_switch(policy_name: str = "LQD") -> VectorizedSwitch:
-    """A small switch after a few congested fast-mode slots."""
+    """A small switch after a few congested slots."""
     config = SwitchConfig.contiguous(4, 8)
     switch = VectorizedSwitch(config)
     policy = make_policy(policy_name)
@@ -371,7 +369,7 @@ def test_cached_view_is_reused_and_invisible():
 
 
 # ----------------------------------------------------------------------
-# Backend forcing: the pure-python column fallback
+# Backend forcing: REPRO_VECTOR_BACKEND=python
 # ----------------------------------------------------------------------
 
 
@@ -425,32 +423,27 @@ def test_backend_env_validation(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Wide switches: the whole-array transmission path
+# Every width transmits on the expiry-tick calendar
 # ----------------------------------------------------------------------
 
 
-def test_wide_switch_uses_array_path_and_matches_reference():
-    if columns_mod.backend() != "numpy":
-        pytest.skip("wide path requires the numpy backend")
-    n = ARRAY_TRANSMIT_MIN_PORTS + 2
+def test_wide_switch_runs_calendar_and_matches_reference():
+    # 130 ports, twice the widest Fig. 5 panel, under dense bursts of
+    # up to 3n arrivals a slot.
+    n = 130
     config = SwitchConfig.from_works(
         [1 + (p % 3) for p in range(n)], buffer_size=2 * n
     )
-    switch = VectorizedSwitch(config)
-    assert switch._sched is None and switch._hr is not None, (
-        "switch this wide should take the whole-array transmission path"
-    )
     trace = _congested_trace(config, 30, seed=31, per_slot=3 * n)
-    ref = SharedMemorySwitch(config)
-    policy_vec, policy_ref = make_policy("LQD"), make_policy("LQD")
-    for burst in trace.slots:
-        switch.run_slot(burst, policy_vec)
-        ref.run_slot(burst, policy_ref)
-    switch.check_invariants()
-    _assert_matches_reference(switch, ref)
+    vec, ref = _drive_both(config, trace, "LQD")
+    assert vec.metrics.pushed_out > 0, "trace should congest the buffer"
+    _assert_matches_reference(vec, ref)
 
 
 def test_narrow_switch_uses_calendar():
     config = SwitchConfig.contiguous(8, 32)
     switch = VectorizedSwitch(config)
-    assert switch._sched is not None and switch._hr is None
+    switch.run_slot([Packet(port=3, work=4)], make_policy("LQD"))
+    # Work 4, one phase done: the head is armed three ticks ahead.
+    assert switch._head_residual(3) == 3
+    assert 3 in switch._sched[switch._hexp[3]]

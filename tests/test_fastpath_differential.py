@@ -3,13 +3,13 @@
 The reference :class:`~repro.core.switch.SharedMemorySwitch`, whose
 policies select victims with the naive O(n) scans of their
 definitions, is the oracle. The columnar batch-slot engine of
-:mod:`repro.core.columnar` must reproduce its decision stream
-byte-identically (the vectorized oracle contract, see
-docs/VECTORIZED.md): on its per-packet slow path (offer-driven,
-compared decision by decision) *and* in its batched fast mode, fed as
-bursts and as column spans (compared on final queue contents and the
-full metrics snapshot, since fast mode by design emits no per-decision
-stream).
+:mod:`repro.core.columnar` must make the same decisions (the vectorized
+oracle contract, see docs/VECTORIZED.md). It runs whole slots only and
+emits no per-decision stream, so two instances of it, one fed each
+slot as a burst and one as a column span, are compared to the
+reference after *every* slot on their queue contents and the full
+metrics snapshot: a single divergent decision changes a queue or a
+counter in the slot it is made.
 
 This suite drives the engines in lock-step over hypothesis-generated
 traces for every registered policy in both disciplines: the push-out
@@ -19,8 +19,9 @@ and processing-model configs flip between distinct and *uniform* works
 — under uniform works aggregate keys (queue length, queue work) tie on
 every congested arrival, which is exactly where victim tie-breaking
 order is the whole behavior. Dedicated regression tests additionally
-pin the engineered tie cases from the paper's definitions on every
-engine leg.
+pin the engineered tie cases from the paper's definitions: the
+reference's decision against the expected one, and both vectorized
+legs against the reference's resulting state.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.core.columnar import VectorizedSwitch
 from repro.core.config import SwitchConfig
-from repro.core.decisions import Decision, push_out
+from repro.core.decisions import DROP, Decision, push_out
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
@@ -62,65 +63,62 @@ VALUE_POLICIES = _policy_names("value")
 TIE_VALUES = (1.0, 2.0, 3.0)
 
 
+def _assert_fast_legs_match(
+    naive: SharedMemorySwitch, fast: Sequence[VectorizedSwitch], where: str
+) -> None:
+    """Every vectorized leg holds the reference's queues and metrics."""
+    # Sequence numbers differ (the vectorized engine draws none), so
+    # compare the observable packet state instead.
+    for port, queue in enumerate(naive.queues):
+        state = [(p.port, p.value, p.residual) for p in queue]
+        for vec in fast:
+            assert vec.queue_state(port) == state, (
+                f"port {port} diverged {where}"
+            )
+    reference_snapshot = naive.metrics.snapshot()
+    for vec in fast:
+        assert vec.metrics.snapshot() == reference_snapshot, (
+            f"metrics diverged {where}"
+        )
+
+
 def _drive_lockstep(
     policy_name: str,
     config: SwitchConfig,
     slot_bursts: Sequence[Sequence[Packet]],
     flush_every: int | None = None,
-) -> Tuple[SharedMemorySwitch, VectorizedSwitch, VectorizedSwitch,
-           VectorizedSwitch]:
-    """Run all engines in lock-step, asserting equal decision streams.
+) -> Tuple[SharedMemorySwitch, VectorizedSwitch, VectorizedSwitch]:
+    """Run the engines in lock-step, comparing them after every slot.
 
-    Two instances see each packet as an individual ``offer`` (the
-    naive reference and the vectorized slow path) and their Decisions
-    are compared pointwise. Two more instances run the vectorized
-    engine in batched fast mode and are compared on end state only:
-    one consumes each slot's burst through ``run_slot`` (the adapter
-    that turns a burst into columns), the other the same slot's column
-    span of the trace through ``run_slot_columns``, the engine's one
-    fast ingestion path.
+    The naive reference runs each slot packet by packet. Two vectorized
+    instances run the same slot: one consumes the burst through
+    ``run_slot`` (the adapter that turns a burst into columns), the
+    other the slot's column span of the trace through
+    ``run_slot_columns``, the engine's one way to run a slot.
     """
     naive = SharedMemorySwitch(config)
-    vec = VectorizedSwitch(config)
     batch = VectorizedSwitch(config)
     cols = VectorizedSwitch(config)
     naive_policy = make_policy(policy_name)
-    vec_policy = make_policy(policy_name)
     batch_policy = make_policy(policy_name)
     cols_policy = make_policy(policy_name)
     trace = ColumnarTrace.from_trace(Trace([list(b) for b in slot_bursts]))
     assert trace.arrivals is None
     for slot, burst in enumerate(slot_bursts):
-        for packet in burst:
-            d_naive = naive.offer(packet, naive_policy)
-            d_vec = vec.offer(packet, vec_policy)
-            assert d_naive == d_vec, (
-                f"{policy_name} diverged at slot {slot} on {packet}: "
-                f"naive={d_naive}, vectorized={d_vec}"
-            )
-        naive.transmission_phase()
-        vec.transmission_phase()
-        # run_slot owns slot accounting; the offer-driven loop must do
-        # it by hand for the metrics snapshots to stay comparable with
-        # the batch instance.
-        for system in (naive, vec):
-            system.metrics.record_slot(system.occupancy)
-            system.current_slot += 1
+        naive.run_slot(burst, naive_policy)
         batch.run_slot(burst, batch_policy)
         lo, hi = trace.slot_bounds(slot)
         cols.run_slot_columns(
             cols_policy, trace.ports, trace.works, trace.values, None, lo, hi
         )
+        _assert_fast_legs_match(
+            naive, (batch, cols), f"under {policy_name} at slot {slot}"
+        )
         if flush_every is not None and (slot + 1) % flush_every == 0:
             naive.flush()
-            vec.flush()
             batch.flush()
             cols.flush()
-    return naive, vec, batch, cols
-
-
-def _vec_state(vec: VectorizedSwitch, port: int) -> List[Tuple]:
-    return [(p, v, r) for (p, v, r) in vec.queue_state(port)]
+    return naive, batch, cols
 
 
 def _assert_same_outcome(
@@ -129,18 +127,7 @@ def _assert_same_outcome(
     naive.check_invariants()
     for vec in vectorized:
         vec.check_invariants()
-    # Sequence numbers differ (interleaved fresh copies draw from one
-    # global counter; fast-mode columnar admissions draw none), so
-    # compare the observable packet state instead.
-    for port, queue in enumerate(naive.queues):
-        state = [(p.port, p.value, p.residual) for p in queue]
-        for vec in vectorized:
-            assert _vec_state(vec, port) == state
-    # The vectorized instances must match the reference on the *full*
-    # flat export — every counter, per-port lists included.
-    reference_snapshot = naive.metrics.snapshot()
-    for vec in vectorized:
-        assert vec.metrics.snapshot() == reference_snapshot
+    _assert_fast_legs_match(naive, vectorized, "at the end of the run")
 
 
 @st.composite
@@ -243,15 +230,12 @@ def test_value_policies_decision_identical(policy_name, scenario):
 
 
 def _fill(
-    switches: Sequence,
-    policies: Sequence,
-    packets: Sequence[Packet],
+    switch: SharedMemorySwitch, policy, packets: Sequence[Packet]
 ) -> None:
     """Offer setup packets (buffer has room, so they are all accepted)."""
     for packet in packets:
-        for switch, policy in zip(switches, policies):
-            decision = switch.offer(packet, policy)
-            assert decision.victim_port is None
+        decision = switch.offer(packet, policy)
+        assert decision.victim_port is None
 
 
 def _tie_case(
@@ -261,23 +245,21 @@ def _tie_case(
     arrival: Packet,
     expected: Decision,
 ) -> None:
-    """The engineered tie must resolve identically on the naive reference
-    and the vectorized slow path — and, for the vectorized engine,
-    identically again when the whole scenario arrives as one batched
-    slot, as a burst and as a column span."""
+    """The engineered tie must resolve to ``expected`` on the naive
+    reference, and the vectorized engine, given the whole scenario as
+    one slot (as a burst and as a column span), must end that slot in
+    the reference's state."""
     naive = SharedMemorySwitch(config)
-    vec = VectorizedSwitch(config)
-    policies = [make_policy(policy_name) for _ in range(2)]
-    _fill((naive, vec), policies, setup)
-    assert naive.view.is_full and vec.view.is_full
-    d_naive = naive.offer(arrival, policies[0])
-    d_vec = vec.offer(arrival, policies[1])
-    assert d_naive == d_vec == expected
+    policy = make_policy(policy_name)
+    _fill(naive, policy, setup)
+    assert naive.view.is_full
+    assert naive.offer(arrival, policy) == expected
     naive.check_invariants()
-    vec.check_invariants()
+    # Close the slot by hand, as ``run_slot`` does on the fast legs.
+    naive.transmission_phase()
+    naive.metrics.record_slot(naive.occupancy)
+    naive.current_slot += 1
 
-    # Batched replay: the same packets as one slot through the fast
-    # arrival kernels must leave the same buffer state.
     batch = VectorizedSwitch(config)
     batch.run_slot(list(setup) + [arrival], make_policy(policy_name))
     batch.check_invariants()
@@ -288,12 +270,9 @@ def _tie_case(
         None, 0, trace.total_packets,
     )
     cols.check_invariants()
-    # run_slot also ran one transmission phase; apply it to the
-    # offer-driven instance to compare final states.
-    vec.transmission_phase()
-    for port in range(config.n_ports):
-        assert batch.queue_state(port) == vec.queue_state(port)
-        assert cols.queue_state(port) == vec.queue_state(port)
+    _assert_fast_legs_match(
+        naive, (batch, cols), f"in the {policy_name} tie case"
+    )
 
 
 def test_lqd_length_tie_prefers_heavier_then_higher_port():
@@ -386,18 +365,10 @@ def test_mrd_ratio_tie_prefers_higher_port():
 
 def test_lqd_arrival_queue_wins_tie_and_drops():
     # The arrival's own queue (virtually one longer) is the unique
-    # argmax -> DROP, on both engines.
+    # argmax -> DROP.
     config = SwitchConfig.contiguous(2, 2)
     setup = [Packet(port=1, work=2), Packet(port=1, work=2)]
-    naive = SharedMemorySwitch(config)
-    vec = VectorizedSwitch(config)
-    policies = [make_policy("LQD") for _ in range(2)]
-    _fill((naive, vec), policies, setup)
-    arrival = Packet(port=1, work=2)
-    d_naive = naive.offer(arrival, policies[0])
-    d_vec = vec.offer(arrival, policies[1])
-    assert d_naive == d_vec
-    assert d_naive.victim_port is None
+    _tie_case("LQD", config, setup, Packet(port=1, work=2), DROP)
 
 
 # ----------------------------------------------------------------------
@@ -415,42 +386,30 @@ def _drive_dynamic(
     config: SwitchConfig,
     slot_bursts: Sequence[Sequence[Packet]],
     events_by_slot: Sequence[Sequence[Tuple[int, bool]]],
-) -> Tuple[SharedMemorySwitch, VectorizedSwitch, VectorizedSwitch]:
+) -> Tuple[SharedMemorySwitch, VectorizedSwitch]:
     """Lock-step drive with mid-run ``set_port_state`` churn.
 
-    Port events apply at slot start on all three instances, and the
-    reclaim counts must agree — a down event flushes the same queue on
-    every engine or the buffer accounting has already diverged.
+    Port events apply at slot start on both instances, and the reclaim
+    counts must agree — a down event flushes the same queue on every
+    engine or the buffer accounting has already diverged. The engines
+    are compared after every slot.
     """
     naive = SharedMemorySwitch(config)
-    vec = VectorizedSwitch(config)
     batch = VectorizedSwitch(config)
     naive_policy = policy_factory()
-    vec_policy = policy_factory()
     batch_policy = policy_factory()
     for slot, burst in enumerate(slot_bursts):
         for port, up in events_by_slot[slot]:
             r_naive = naive.set_port_state(port, up)
-            r_vec = vec.set_port_state(port, up)
             r_batch = batch.set_port_state(port, up)
-            assert r_naive == r_vec == r_batch, (
+            assert r_naive == r_batch, (
                 f"reclaim mismatch at slot {slot} port {port}: "
-                f"{r_naive}/{r_vec}/{r_batch}"
+                f"{r_naive}/{r_batch}"
             )
-        for packet in burst:
-            d_naive = naive.offer(packet, naive_policy)
-            d_vec = vec.offer(packet, vec_policy)
-            assert d_naive == d_vec, (
-                f"dynamic diverged at slot {slot} on {packet}: "
-                f"naive={d_naive}, vectorized={d_vec}"
-            )
-        naive.transmission_phase()
-        vec.transmission_phase()
-        for system in (naive, vec):
-            system.metrics.record_slot(system.occupancy)
-            system.current_slot += 1
+        naive.run_slot(burst, naive_policy)
         batch.run_slot(burst, batch_policy)
-    return naive, vec, batch
+        _assert_fast_legs_match(naive, (batch,), f"at slot {slot}")
+    return naive, batch
 
 
 @st.composite

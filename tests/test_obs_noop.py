@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.competitive import PolicySystem, run_system
 from repro.bench import PANELS
+from repro.core.errors import ConfigError
 from repro.core.switch import QueueDiscipline
 from repro.obs import SlotObserver
 from repro.policies import make_policy
@@ -116,3 +117,26 @@ def test_observer_attach_after_construction_matches():
     system.attach_observer(None)
     detached = run_system(system, panel.trace(SLOTS_SCALE))
     assert detached == baseline
+
+
+def test_vectorized_system_rejects_observers():
+    """Observers attach to the reference engine only: a vectorized
+    system refuses one loudly, at construction and in ``run_system``,
+    and never falls back to the other engine."""
+    panel = PANELS["uniform-proc-small"]
+    policy = panel.policies[0]
+    with pytest.raises(ConfigError, match="reference engine"):
+        PolicySystem(
+            panel.config(),
+            make_policy(policy),
+            engine="vectorized",
+            observer=DecisionRecorder(),
+        )
+    system = PolicySystem(
+        panel.config(), make_policy(policy), engine="vectorized"
+    )
+    assert not hasattr(system, "attach_observer")
+    with pytest.raises(ConfigError, match="does not support observers"):
+        run_system(
+            system, panel.trace(SLOTS_SCALE), observer=DecisionRecorder()
+        )
