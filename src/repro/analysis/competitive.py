@@ -59,10 +59,12 @@ class PolicySystem:
     ``engine`` selects the simulation engine: ``"reference"`` (the
     per-packet oracle, where policies run their naive selectors) or
     ``"vectorized"`` (the columnar batch-slot engine, where victim
-    selection is the kernel or the policy's naive selector over the
-    columnar view). Observers attach to the reference engine only: it
-    is the one that runs packet by packet, and the vectorized engine
-    makes the same decisions by contract. Passing ``observer`` with
+    selection is a column kernel). The vectorized engine serves the
+    purely shared buffer model with a policy that has a kernel
+    (:meth:`VectorizedSwitch.serves`); any other pair is built on the
+    reference engine, which makes the same decisions by contract, and
+    :attr:`engine` names the engine actually built. Observers attach
+    to the reference engine only: passing ``observer`` with
     ``engine="vectorized"`` raises :class:`ConfigError`.
     """
 
@@ -74,6 +76,10 @@ class PolicySystem:
         observer: Optional[SlotObserver] = None,
         engine: str = "reference",
     ) -> None:
+        if engine not in ENGINES:
+            raise ConfigError(
+                f"unknown engine {engine!r}; expected one of {ENGINES}"
+            )
         if engine == "vectorized":
             from repro.core.columnar import VectorizedSwitch
 
@@ -83,6 +89,9 @@ class PolicySystem:
                     "build this system with engine='reference' to "
                     "record per-packet events"
                 )
+            if not VectorizedSwitch.serves(config, policy):
+                engine = "reference"
+        if engine == "vectorized":
             switch = VectorizedSwitch(config)
             self.switch: Union[SharedMemorySwitch, VectorizedSwitch] = switch
             # Advertised as instance attributes only on the engine that
@@ -91,17 +100,14 @@ class PolicySystem:
             # object loop.
             self.run_slot_columns = self._run_slot_columns_vectorized
             self.bind_columns = switch.bind_columns
-        elif engine == "reference":
+        else:
             reference = SharedMemorySwitch(config, observer=observer)
             self.switch = reference
             # Only the per-packet engine emits observer events, so only
             # reference systems advertise ``attach_observer``;
             # ``run_system`` rejects an observer for any other system.
             self.attach_observer = reference.attach_observer
-        else:
-            raise ConfigError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+        #: The engine this system runs on (see the class docstring).
         self.engine = engine
         self.policy = policy
 

@@ -324,9 +324,12 @@ def select_panels(selector: Sequence[str]) -> List[BenchPanel]:
 
 @dataclass
 class PolicyTiming:
-    """Throughput of one policy over one panel's trace."""
+    """Throughput of one policy over one panel's trace, and the engine
+    that ran it (``PolicySystem.engine``: a vectorized-mode pair with no
+    kernel runs on the reference engine)."""
 
     policy: str
+    engine: str
     elapsed_s: float
     n_slots: int
     n_packets: int
@@ -343,6 +346,7 @@ class PolicyTiming:
     def as_dict(self) -> Dict[str, object]:
         return {
             "policy": self.policy,
+            "engine": self.engine,
             "elapsed_s": round(self.elapsed_s, 6),
             "slots_per_s": round(self.slots_per_s, 2),
             "packets_per_s": round(self.packets_per_s, 2),
@@ -430,6 +434,7 @@ def run_panel_bench(
         result.timings.append(
             PolicyTiming(
                 policy=policy_name,
+                engine=system.engine,
                 elapsed_s=elapsed,
                 n_slots=trace.n_slots,
                 n_packets=trace.total_packets,

@@ -64,11 +64,24 @@ A push-out re-files two keys (the victim's and the arrival's) and a
 drop none; the bulk-accepted run of a slot and each transmission phase
 that completes a packet rebuild the list once.
 
-The transmission phase is batched as well. Single-core FIFO heads
-decrement uniformly, so the engine keeps an *expiry-tick calendar*:
-each armed head is scheduled once at the absolute phase tick where it
-completes, advancing the tick is the whole decrement, and a phase
-costs O(completions) — one dict pop — instead of O(active ports).
+The transmission phase is batched as well. A FIFO queue of length
+``L`` at speedup ``C`` serves its first ``min(C, L)`` packets one cycle
+each per slot, and since all its packets need the same work, each of
+those *armed* packets completes at a tick fixed when it is armed. The
+engine keeps a *multi-core expiry-tick calendar*: every packet is
+scheduled once, at the absolute phase tick where it completes, when it
+enters the first ``C`` positions (on admission to a queue shorter than
+``C``, or when a completion ahead of it moves it up). Per port the
+calendar holds the head's tick and a window of the ``min(C, L) - 1``
+non-decreasing ticks behind it, empty at ``C = 1``. Advancing the tick
+is the whole decrement, and a phase costs O(completions) — one dict
+pop — instead of O(active ports). A push-out of an armed tail pops the
+window's last tick, whose calendar entry goes stale.
+
+LWD keys on total residual work, which every queue loses uniformly
+(one unit a phase) only at ``C = 1``; there an offset absorbs the
+decrement. At ``C > 1`` its code list is rebuilt before each arrival
+phase instead.
 
 The non-push-out threshold policies (NHST, NEST, NHDT, NHST-V, Greedy,
 NHDT-W, Harmonic, DT) share one more kernel, on every queue layout.
@@ -80,13 +93,16 @@ scan of the length column and calls that same function, or reads the
 per-port cap table it built at bind time, so no threshold formula is
 restated here.
 
-Every other policy (the extensions LWD₁, MRD₁ and Random, scripted
-OPT), and every policy on a split buffer model or while a port is
-down, runs its own *naive* selector unmodified against
-:class:`ColumnarView`, a ``SwitchView``-compatible facade over the
-columns — decision parity is then automatic rather than re-proved per
-policy. The transient packet such a policy sees carries the trace's
-scripted-OPT tag.
+Every replay runs a kernel. On the purely shared model a down port
+changes no admission predicate (its queue is empty and the buffer
+predicates read only ``B`` and the occupancy), so port churn keeps the
+kernel bound: a slot's arrivals to down ports are dropped up front.
+Anything else — a split buffer model, the extensions LWD₁, MRD₁ and
+Random, scripted OPT, a policy subclass the kernel table does not know
+— has no kernel: :meth:`VectorizedSwitch.serves` says so,
+:class:`repro.analysis.competitive.PolicySystem` builds the reference
+engine for it, and the switch itself raises :class:`ConfigError`
+rather than run a slow path.
 
 Oracle contract and deviations
 ------------------------------
@@ -112,7 +128,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -126,8 +141,7 @@ from typing import (
 
 from repro.core import columns as _columns
 from repro.core.config import QueueDiscipline, SwitchConfig
-from repro.core.decisions import Action
-from repro.core.errors import PolicyError, TraceError
+from repro.core.errors import ConfigError, PolicyError, TraceError
 from repro.core.hotpath import hot_path
 from repro.core.metrics import SwitchMetrics
 from repro.core.packet import Packet
@@ -136,9 +150,10 @@ from repro.core.switch import STAT_AT_LEAST, STAT_CAP, STAT_FREE, STAT_LONGER
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traffic.columnar import ColumnarTrace
 
-#: Kernel identifiers (0 = generic per-packet policy dispatch). Kinds
-#: from ``K_LQDV`` up are the value-model kernels (priority queues).
-K_GENERIC = 0
+#: Kernel identifiers. Kinds from ``K_LQDV`` up are the value-model
+#: kernels (priority queues); ``_UNBOUND`` marks a switch whose derived
+#: structures are not in sync with any policy yet.
+_UNBOUND = 0
 K_LQD = 1
 K_LWD = 2
 K_BPD = 3
@@ -149,10 +164,6 @@ K_MRD = 7
 
 _NEG_INF = float("-inf")
 
-#: ``opt_accept`` of a trace ``opts`` tag: 0 -> False, 1 -> True, and
-#: the untagged -1 indexes the last entry, None.
-_TAGS: Tuple[Optional[bool], ...] = (False, True, None)
-
 _policy_classes: Optional[Dict[type, int]] = None
 
 
@@ -160,7 +171,7 @@ def _load_policy_classes() -> Dict[type, int]:
     """Late import of the kernel-bound policy classes, by exact type
     (avoids a core->policies cycle). Every registered policy except the
     extensions LWD1, MRD1 and Random is a key; a subclass that is not
-    a key takes the generic path and runs its own selector."""
+    a key has no kernel and runs on the reference engine."""
     global _policy_classes
     if _policy_classes is None:
         from repro.policies.dynamic import DynamicThreshold, Harmonic
@@ -196,6 +207,29 @@ def _load_policy_classes() -> Dict[type, int]:
     return _policy_classes
 
 
+def _purely_shared(config: SwitchConfig) -> bool:
+    model = config.buffer_model
+    return model is None or model.is_purely_shared
+
+
+def _kernel_kind(config: SwitchConfig, policy: Any) -> Optional[int]:
+    """The kernel that serves ``policy`` on ``config``, or ``None``.
+
+    Kernels assume the purely shared model's full-buffer predicate and
+    the queue layout of their model: the push-out kernels of the
+    processing model need FIFO queues, the value kernels priority
+    queues. The threshold kernel admits through ``_admit_cols`` and so
+    serves both layouts.
+    """
+    if not _purely_shared(config):
+        return None
+    kind = _load_policy_classes().get(type(policy))
+    if kind is None or kind == K_THRESHOLD:
+        return kind
+    by_value = config.discipline is QueueDiscipline.PRIORITY
+    return kind if (kind >= K_LQDV) == by_value else None
+
+
 def _new_packet(
     port: int,
     work: int,
@@ -203,7 +237,6 @@ def _new_packet(
     arrival_slot: int,
     seq: int,
     residual: int,
-    opt_accept: Optional[bool] = None,
 ) -> Packet:
     """Materialize a Packet from column fields without re-validation."""
     packet = object.__new__(Packet)
@@ -211,169 +244,10 @@ def _new_packet(
     packet.work = work
     packet.value = value
     packet.arrival_slot = arrival_slot
-    packet.opt_accept = opt_accept
+    packet.opt_accept = None
     packet.seq = seq
     packet.residual = residual
     return packet
-
-
-class ColumnarView:
-    """``SwitchView``-compatible read facade over columnar state.
-
-    Policies run their naive reference selectors over it. All aggregate
-    reads return the same values (bit-for-bit for the floats, which are
-    maintained with the reference operation order) as a ``SwitchView``
-    over a reference switch in the same state.
-    """
-
-    __slots__ = ("_s",)
-
-    def __init__(self, switch: "VectorizedSwitch") -> None:
-        self._s = switch
-
-    @property
-    def config(self) -> SwitchConfig:
-        return self._s.config
-
-    @property
-    def n_ports(self) -> int:
-        return self._s.config.n_ports
-
-    @property
-    def buffer_size(self) -> int:
-        return self._s.config.buffer_size
-
-    @property
-    def occupancy(self) -> int:
-        return self._s.occupancy
-
-    @property
-    def is_full(self) -> bool:
-        return self._s.occupancy >= self._s.config.buffer_size
-
-    @property
-    def free_space(self) -> int:
-        return self._s.config.buffer_size - self._s.occupancy
-
-    def can_accept(self, port: int) -> bool:
-        """Whether an arrival to ``port`` has a usable free slot
-        (mirrors ``SwitchView.can_accept`` exactly)."""
-        s = self._s
-        reserved = s._reserved
-        if reserved is None:
-            return s.occupancy < s._B
-        if s._lens[port] < reserved[port]:
-            return True
-        return s._shared_occupancy() < s._shared_pool + s._down_reserved
-
-    @property
-    def shared_occupancy(self) -> int:
-        s = self._s
-        if s._reserved is None:
-            return s.occupancy
-        return s._shared_occupancy()
-
-    @property
-    def shared_capacity(self) -> int:
-        s = self._s
-        if s._reserved is None:
-            return s.config.buffer_size
-        return s._shared_pool + s._down_reserved
-
-    @property
-    def shared_free(self) -> int:
-        return self.shared_capacity - self.shared_occupancy
-
-    def reserved(self, port: int) -> int:
-        reserved = self._s._reserved
-        return 0 if reserved is None else reserved[port]
-
-    def shared_queue_len(self, port: int) -> int:
-        s = self._s
-        qlen = s._lens[port]
-        reserved = s._reserved
-        if reserved is None:
-            return qlen
-        over = qlen - reserved[port]
-        return over if over > 0 else 0
-
-    def is_port_up(self, port: int) -> bool:
-        return self._s._port_up[port]
-
-    def queue_len(self, port: int) -> int:
-        return self._s._lens[port]
-
-    def total_work(self, port: int) -> int:
-        return self._s.queue_work(port)
-
-    def total_value(self, port: int) -> float:
-        return self._s._tv[port]
-
-    def avg_value(self, port: int) -> float:
-        n = self._s._lens[port]
-        if n == 0:
-            raise PolicyError(f"avg_value of empty queue {port}")
-        return self._s._tv[port] / n
-
-    def min_value(self, port: int) -> float:
-        s = self._s
-        if s._lens[port] == 0:
-            raise PolicyError(f"min_value of empty queue {port}")
-        if s._by_value:
-            return s._vals[port][0]
-        best: Optional[float] = None
-        for rec in s._stores[port]:
-            value = rec[0]
-            if best is None or value < best:
-                best = value
-        assert best is not None
-        return best
-
-    def peek_tail(self, port: int) -> Packet:
-        s = self._s
-        length = s._lens[port]
-        if length == 0:
-            raise PolicyError(f"peek_tail of empty queue {port}")
-        if s._by_value:
-            # Tail = least valuable packet = index 0 of the ascending
-            # record store (mirrors ValuePriorityQueue.peek_tail).
-            rec = s._recs[port][0]
-            return _new_packet(port, rec[4], rec[0], rec[1], rec[2], rec[3])
-        work = s._works[port]
-        if s._fast_fifo:
-            value, arr, seq = s._stores[port][-1]
-            residual = s._head_residual(port) if length == 1 else work
-            return _new_packet(port, work, value, arr, seq, residual)
-        rec = s._stores[port][-1]
-        return _new_packet(port, work, rec[0], rec[1], rec[2], rec[3])
-
-    def tail_value(self, port: int) -> float:
-        s = self._s
-        if s._lens[port] == 0:
-            raise PolicyError(f"peek_tail of empty queue {port}")
-        if s._by_value:
-            return s._vals[port][0]
-        return s._stores[port][-1][0]
-
-    def work_of(self, port: int) -> int:
-        return self._s.config.work_of(port)
-
-    def nonempty_ports(self) -> Tuple[int, ...]:
-        return tuple(self._s._active)
-
-    def queue_packets(self, port: int) -> Tuple[Packet, ...]:
-        return tuple(self._s.queue_packets(port))
-
-    def buffer_min_value(self) -> Optional[float]:
-        s = self._s
-        best: Optional[float] = None
-        for port in range(s.config.n_ports):
-            if s._lens[port] == 0:
-                continue
-            candidate = self.min_value(port)
-            if best is None or candidate < best:
-                best = candidate
-        return best
 
 
 class VectorizedSwitch:
@@ -382,60 +256,72 @@ class VectorizedSwitch:
     State lives in flat per-port columns:
 
     * ``_lens`` — queue lengths.
-    * ``_hexp`` / ``_sched`` / ``_tick`` — single-core FIFO head
-      expiry-tick column and transmission calendar: the head of port
-      ``p`` completes during the transmission phase whose tick equals
-      ``_hexp[p]``, so advancing ``_tick`` decrements every active
-      head at once and a phase costs O(completions).
+    * ``_hexp`` / ``_wins`` / ``_sched`` / ``_tick`` — the FIFO
+      multi-core calendar. A queue of length ``L`` has ``min(C, L)``
+      armed packets, each scheduled once at the absolute phase tick
+      where it completes: ``_hexp[p]`` is the head's tick and
+      ``_wins[p]`` the non-decreasing ticks of the ``min(C, L) - 1``
+      armed packets behind it (always empty at ``C = 1``). Advancing
+      ``_tick`` serves every armed packet at once, so a phase costs
+      O(completions).
     * ``_tv`` — per-port buffered value totals, maintained with the
       reference float operation order.
     * ``_works`` — static per-port work requirements.
-    * ``_tw`` — per-port residual work totals (only where it cannot be
-      derived: generic FIFO with speedup > 1, and priority queues).
+    * ``_tw`` — per-port residual work totals of the priority queues
+      (FIFO totals derive from the calendar).
 
-    Packet payloads (value, arrival slot, sequence number, and — off
-    the single-core FIFO fast representation — residual) live in flat
-    per-port record stores, because push-out needs the victim's tail
-    payload and metrics need per-packet value/delay on transmit.
+    Packet payloads (value, arrival slot, sequence number, and — on
+    priority queues — residual) live in flat per-port record stores,
+    because push-out needs the victim's tail payload and metrics need
+    per-packet value/delay on transmit.
+
+    Only the purely shared buffer model is served, and binding a policy
+    with no kernel raises :class:`ConfigError`: :meth:`serves` says
+    which (config, policy) pairs run here, and
+    :class:`repro.analysis.competitive.PolicySystem` builds the
+    reference engine for the rest.
     """
 
     def __init__(self, config: SwitchConfig) -> None:
+        if not _purely_shared(config):
+            raise ConfigError(
+                "the vectorized engine serves the purely shared buffer "
+                "model only; run split buffer models on the reference "
+                "engine (engine='reference')"
+            )
         self.config = config
         self.metrics = SwitchMetrics(n_ports=config.n_ports)
         self.current_slot = 0
         self.occupancy = 0
-        self.view = ColumnarView(self)
 
         n = config.n_ports
         self._B = config.buffer_size
         self._by_value = config.discipline is QueueDiscipline.PRIORITY
-        # Single-core FIFO admits the compact head-residual layout:
-        # only the head of a FIFO queue ever holds partial work.
-        self._fast_fifo = not self._by_value and config.speedup == 1
+        self._cores = config.speedup
         self._works: List[int] = list(config.works)
         self._lens: List[int] = _columns.scalar_int_column(n)
         self._tv: List[float] = _columns.scalar_float_column(n)
         self._active: List[int] = []
         self._is_act: List[bool] = [False] * n
 
-        # Single-core FIFO keeps head residuals on the expiry-tick
-        # calendar; every other layout keeps explicit per-port work
-        # totals instead.
+        # FIFO queues keep their armed packets on the expiry-tick
+        # calendar; priority queues keep explicit work totals instead.
         self._tick = 0
         self._hexp: List[int] = _columns.scalar_int_column(n)
         self._sched: Dict[int, List[int]] = {}
-        self._tw: Optional[List[int]] = (
-            None if self._fast_fifo else _columns.scalar_int_column(n)
-        )
 
         if self._by_value:
+            self._tw: List[int] = _columns.scalar_int_column(n)
             self._vals: List[List[float]] = [[] for _ in range(n)]
             self._recs: List[List[List[Any]]] = [[] for _ in range(n)]
             self._stores: List[Deque[Any]] = []
+            self._wins: List[List[int]] = []
         else:
+            self._tw = []
             self._vals = []
             self._recs = []
             self._stores = [deque() for _ in range(n)]
+            self._wins = [[] for _ in range(n)]
 
         # Static rank r_p = position of p in ascending (w_p, p) order;
         # comparing ranks compares the paper's (w_j, j) tie-break.
@@ -451,10 +337,8 @@ class VectorizedSwitch:
         # active for the current policy object, and whether its derived
         # structures are in sync with the columns.
         self._kpolicy: Optional[Any] = None
-        self._kkind = K_GENERIC
+        self._kkind = _UNBOUND
         self._kclean = False
-        self._greedy = False
-        self._threshold = False
 
         # LQD kernel state.
         self._masks: List[int] = []
@@ -483,58 +367,79 @@ class VectorizedSwitch:
         self._vmins: List[float] = []
         # BPD's and MVD's minimum victim-queue length (2 for BPD1/MVD1).
         self._mvl = 1
-        # The ports column last validated for this switch (identity),
-        # and its scripted-OPT tags column when it carries one.
+        # The ports column last validated for this switch (identity).
         self._valid_ports: Optional[Sequence[int]] = None
-        self._opts: Optional[Sequence[int]] = None
 
-        # Buffer-model and churn state (mirrors the reference switch).
-        # ``_shared_occupancy`` is computed on demand from the length
-        # columns: split mode always classifies to the generic kernel,
-        # so no incremental accounting is threaded through the kernels.
-        model = config.buffer_model
-        if model is None or model.is_purely_shared:
-            self._reserved: Optional[Tuple[int, ...]] = None
-            self._shared_pool = config.buffer_size
-        else:
-            self._reserved = model.reserved
-            self._shared_pool = model.shared_pool
+        # Churn state. On the purely shared model a down port changes
+        # no admission predicate: its arrivals are dropped before the
+        # kernel runs and its queue stays empty.
         self._port_up: List[bool] = [True] * n
         self._n_down = 0
-        self._down_reserved = 0
+
+    @staticmethod
+    def serves(config: SwitchConfig, policy: Any) -> bool:
+        """Whether ``policy`` on ``config`` runs on this engine: a
+        purely shared buffer model and a policy type with a kernel for
+        the config's queue layout. Everything else runs on the
+        reference engine."""
+        return _kernel_kind(config, policy) is not None
 
     # ------------------------------------------------------------------
-    # Column reads shared by the view, diagnostics, and tests
+    # Column reads shared by diagnostics and tests
     # ------------------------------------------------------------------
 
     def _head_residual(self, port: int) -> int:
-        """Residual work of the head packet of a non-empty single-core
-        FIFO queue: its expiry tick relative to the current phase tick."""
+        """Residual work of the head packet of a non-empty FIFO queue:
+        its expiry tick relative to the current phase tick."""
         return self._hexp[port] - self._tick
 
-    def _rearm_head(self, port: int, residual: int) -> None:
-        """(Re)arm ``port``'s head residual after an admit."""
-        expiry = self._tick + residual
-        self._hexp[port] = expiry
+    def _arm(self, port: int, position: int) -> None:
+        """Arm the packet at ``position < C`` of ``port``'s queue (the
+        head at 0, else the window's new last entry): it completes
+        ``w_p`` phases after the current one."""
+        expiry = self._tick + self._works[port]
+        if position:
+            self._wins[port].append(expiry)
+        else:
+            self._hexp[port] = expiry
         bucket = self._sched.get(expiry)
         if bucket is None:
             self._sched[expiry] = [port]
         else:
             bucket.append(port)
 
+    def _fifo_residuals(self, port: int) -> List[int]:
+        """Per-packet residual work of a FIFO queue, head to tail: the
+        armed packets' expiry ticks relative to the current tick, then
+        the full work of every packet no core has reached yet."""
+        length = self._lens[port]
+        if not length:
+            return []
+        tick = self._tick
+        win = self._wins[port]
+        out = [self._hexp[port] - tick]
+        out.extend(e - tick for e in win)
+        out.extend([self._works[port]] * (length - 1 - len(win)))
+        return out
+
     def queue_work(self, port: int) -> int:
         """The paper's ``W_i`` for ``port``, from columns.
 
-        On the single-core FIFO layout only the head packet holds
-        partial work, so the total derives from the length column and
-        the head residual; elsewhere an explicit total is maintained.
+        A FIFO total derives from the calendar: the armed packets'
+        residuals plus the full work of the unarmed rest. Priority
+        queues maintain an explicit total.
         """
-        length = self._lens[port]
-        if self._tw is not None:
+        if self._by_value:
             return self._tw[port]
+        length = self._lens[port]
         if length == 0:
             return 0
-        return self._head_residual(port) + (length - 1) * self._works[port]
+        tick = self._tick
+        win = self._wins[port]
+        work = self._hexp[port] - tick
+        for e in win:
+            work += e - tick
+        return work + (length - 1 - len(win)) * self._works[port]
 
     def queue_state(self, port: int) -> List[Tuple[int, float, int]]:
         """Queue contents head-to-tail as ``(port, value, residual)``.
@@ -545,45 +450,31 @@ class VectorizedSwitch:
         """
         if not 0 <= port < self.config.n_ports:
             raise PolicyError(f"queue_state of invalid port {port}")
-        out: List[Tuple[int, float, int]] = []
         if self._by_value:
-            for rec in reversed(self._recs[port]):
-                out.append((port, rec[0], rec[3]))
-            return out
-        if not self._fast_fifo:
-            for rec in self._stores[port]:
-                out.append((port, rec[0], rec[3]))
-            return out
-        work = self._works[port]
-        residual = self._head_residual(port) if self._lens[port] else 0
-        for rec in self._stores[port]:
-            out.append((port, rec[0], residual))
-            residual = work
-        return out
+            return [
+                (port, rec[0], rec[3]) for rec in reversed(self._recs[port])
+            ]
+        return [
+            (port, rec[0], residual)
+            for rec, residual in zip(
+                self._stores[port], self._fifo_residuals(port)
+            )
+        ]
 
     def queue_packets(self, port: int) -> List[Packet]:
         """Materialized queue contents head-to-tail (tests, debugging)."""
-        out: List[Packet] = []
         if self._by_value:
-            for rec in reversed(self._recs[port]):
-                out.append(
-                    _new_packet(port, rec[4], rec[0], rec[1], rec[2], rec[3])
-                )
-            return out
+            return [
+                _new_packet(port, rec[4], rec[0], rec[1], rec[2], rec[3])
+                for rec in reversed(self._recs[port])
+            ]
         work = self._works[port]
-        if not self._fast_fifo:
-            for rec in self._stores[port]:
-                out.append(
-                    _new_packet(port, work, rec[0], rec[1], rec[2], rec[3])
-                )
-            return out
-        residual = self._head_residual(port) if self._lens[port] else 0
-        for rec in self._stores[port]:
-            out.append(
-                _new_packet(port, work, rec[0], rec[1], rec[2], residual)
+        return [
+            _new_packet(port, work, rec[0], rec[1], rec[2], residual)
+            for rec, residual in zip(
+                self._stores[port], self._fifo_residuals(port)
             )
-            residual = work
-        return out
+        ]
 
     # ------------------------------------------------------------------
     # Validation and kernel binding
@@ -596,15 +487,13 @@ class VectorizedSwitch:
         the shapes it passed in its ``validated`` set, so the other
         replays of one sweep cell skip it, and the memo dies with the
         trace. The switch then trusts ``trace.ports`` in
-        :meth:`run_slot_columns` for its own lifetime only, and hands
-        the trace's scripted-OPT tags to the packets its policy sees.
+        :meth:`run_slot_columns` for its own lifetime only.
         """
         shape = (self._by_value, tuple(self._works))
         if shape not in trace.validated:
             self._validate_columns(trace.ports, trace.works, trace.values)
             trace.validated.add(shape)
         self._valid_ports = trace.ports
-        self._opts = trace.opts
 
     @hot_path
     def _validate_columns(
@@ -667,19 +556,18 @@ class VectorizedSwitch:
                     f"{n} ports"
                 ) from None
 
-    def _classify(self, policy: Any) -> int:
-        from repro.policies.base import PushOutPolicy, ThresholdPolicy
-
-        self._greedy = isinstance(policy, PushOutPolicy)
-        self._threshold = isinstance(policy, ThresholdPolicy)
-        if self._reserved is not None or self._n_down:
-            # Split buffer models and active churn change admissibility
-            # per port; the specialized kernels assume the purely shared
-            # full-buffer predicate, so everything runs generically.
-            return K_GENERIC
-        kind = _load_policy_classes().get(type(policy), K_GENERIC)
+    def _bind(self, policy: Any) -> int:
+        """The kernel kind for ``policy``, with its bind-time state."""
+        kind = _kernel_kind(self.config, policy)
+        if kind is None:
+            layout = "priority" if self._by_value else "FIFO"
+            raise ConfigError(
+                f"the vectorized engine has no kernel for policy "
+                f"{type(policy).__name__} on {layout} queues; run it on "
+                "the reference engine (engine='reference', which "
+                "PolicySystem selects for it)"
+            )
         if kind == K_THRESHOLD:
-            # Thresholds admit through _admit_cols: any queue layout.
             stat = policy.statistic
             self._tstat = stat
             if stat == STAT_CAP:
@@ -690,20 +578,17 @@ class VectorizedSwitch:
             else:
                 self._trule = policy.admits
                 self._tcaps = []
-            return kind
-        if kind in (K_BPD, K_MVD):
+        elif kind in (K_BPD, K_MVD):
             self._mvl = policy.min_victim_len
-        if kind >= K_LQDV:
-            return kind if self._by_value else K_GENERIC
-        return kind if self._fast_fifo else K_GENERIC
+        return kind
 
     def _kernel_for(self, policy: Any) -> int:
         if policy is not self._kpolicy:
-            self._kkind = self._classify(policy)
+            self._kkind = self._bind(policy)
             self._kpolicy = policy
             self._kclean = False
         kind = self._kkind
-        if kind != K_GENERIC and not self._kclean:
+        if not self._kclean:
             self._rebuild_kernel(kind)
             self._kclean = True
         return kind
@@ -825,9 +710,9 @@ class VectorizedSwitch:
         """One full time slot from a burst of packet objects.
 
         A thin adapter over :meth:`run_slot_columns`: the burst becomes
-        one validated column span, tags included. Replaying a whole
-        trace through :func:`repro.analysis.competitive.run_system`
-        converts it once instead of once per burst.
+        one validated column span. Replaying a whole trace through
+        :func:`repro.analysis.competitive.run_system` converts it once
+        instead of once per burst.
         """
         ports = [pk.port for pk in arrivals]
         works = [pk.work for pk in arrivals]
@@ -835,10 +720,6 @@ class VectorizedSwitch:
         if ports:
             self._validate_columns(ports, works, values)
             self._valid_ports = ports
-            self._opts = [
-                -1 if pk.opt_accept is None else int(pk.opt_accept)
-                for pk in arrivals
-            ]
         return self.run_slot_columns(
             policy,
             ports,
@@ -864,19 +745,21 @@ class VectorizedSwitch:
 
         The burst is the column span ``[lo, hi)`` of a
         :class:`repro.traffic.columnar.ColumnarTrace`: no ``Packet``
-        objects are constructed (the generic kernel
-        materializes one transient template per *policy-consulted*
-        arrival only). ``arrivals`` is ``None`` when every packet's
-        arrival slot is the current slot. This is the engine's one
-        way to run a slot; :meth:`run_slot` feeds it too.
+        objects are constructed. ``arrivals`` is ``None`` when every
+        packet's arrival slot is the current slot. This is the engine's
+        one way to run a slot; :meth:`run_slot` feeds it too.
         """
         if hi > lo:
             if ports is not self._valid_ports:
                 self._validate_columns(ports, works, values)
                 self._valid_ports = ports
-                self._opts = None
-            self.metrics.arrived += hi - lo
             kind = self._kernel_for(policy)
+            self.metrics.arrived += hi - lo
+            if self._n_down:
+                ports, works, values, arrivals, hi = self._drop_down_arrivals(
+                    ports, works, values, arrivals, lo, hi
+                )
+                lo = 0
             if kind == K_LQD:
                 self._arrive_lqd_cols(ports, values, arrivals, lo, hi)
             elif kind == K_LWD:
@@ -887,23 +770,52 @@ class VectorizedSwitch:
                 self._arrive_threshold_cols(
                     ports, works, values, arrivals, lo, hi
                 )
-            elif kind != K_GENERIC:
+            else:
                 self._arrive_value_cols(
                     kind, ports, works, values, arrivals, lo, hi
                 )
-            else:
-                self._arrive_generic_cols(
-                    policy, ports, works, values, arrivals, lo, hi
-                )
-        if self._fast_fifo:
-            self._transmit_fifo_fast()
-        elif self._by_value:
+        if self._by_value:
             self._transmit_priority()
         else:
-            self._transmit_fifo_generic()
+            self._transmit_fifo()
         self.metrics.record_slot(self.occupancy)
         self.current_slot += 1
         return []
+
+    def _drop_down_arrivals(
+        self,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        lo: int,
+        hi: int,
+    ) -> Tuple[
+        List[int], List[int], List[float], Optional[List[int]], int
+    ]:
+        """Drop a slot's arrivals to admin-down ports up front.
+
+        The reference drops them before its policy sees them, and a
+        down port changes no admission predicate of the purely shared
+        model, so only the arrival order of the survivors matters: they
+        come back as fresh columns spanning ``[0, hi')``.
+        """
+        port_up = self._port_up
+        dropped_by_port = self.metrics.dropped_by_port
+        keep = []
+        for i in range(lo, hi):
+            if port_up[ports[i]]:
+                keep.append(i)
+            else:
+                dropped_by_port[ports[i]] += 1
+        self.metrics.dropped += hi - lo - len(keep)
+        return (
+            [ports[i] for i in keep],
+            [works[i] for i in keep],
+            [values[i] for i in keep],
+            None if arrivals is None else [arrivals[i] for i in keep],
+            len(keep),
+        )
 
     def fast_forward(self, n_slots: int) -> None:
         """Advance over ``n_slots`` idle slots (empty buffer required)."""
@@ -924,16 +836,7 @@ class VectorizedSwitch:
         # clears all queues, zeroing float value totals exactly even on
         # queues that drained earlier and carry rounding residue.
         for port in range(self.config.n_ports):
-            self._lens[port] = 0
-            self._tv[port] = 0.0
-            self._is_act[port] = False
-            if self._tw is not None:
-                self._tw[port] = 0
-            if self._by_value:
-                self._vals[port].clear()
-                self._recs[port].clear()
-            else:
-                self._stores[port].clear()
+            self._clear_port(port)
         # Calendar entries are left in place: every flushed port is
         # now inactive, so its entries fail the validity check when
         # their tick pops.
@@ -943,35 +846,26 @@ class VectorizedSwitch:
         self.metrics.flushed += count
         return count
 
-    def _shared_occupancy(self) -> int:
-        """Packets in shared slots, from the length columns (O(active))."""
-        reserved = self._reserved
-        assert reserved is not None
-        lens = self._lens
-        total = 0
-        for port in self._active:
-            over = lens[port] - reserved[port]
-            if over > 0:
-                total += over
-        return total
-
-    def _fits(self, port: int) -> bool:
-        """Whether an arrival to ``port`` has a usable free slot."""
-        reserved = self._reserved
-        if reserved is None:
-            return self.occupancy < self._B
-        if self._lens[port] < reserved[port]:
-            return True
-        return self._shared_occupancy() < self._shared_pool + self._down_reserved
+    def _clear_port(self, port: int) -> None:
+        self._lens[port] = 0
+        self._tv[port] = 0.0
+        self._is_act[port] = False
+        if self._by_value:
+            self._tw[port] = 0
+            self._vals[port].clear()
+            self._recs[port].clear()
+        else:
+            self._stores[port].clear()
+            self._wins[port].clear()
 
     def set_port_state(self, port: int, up: bool) -> int:
         """Admin-up/down ``port``; returns the packets reclaimed.
 
         Mirrors the reference engine exactly: down flushes the port's
-        queue (accounted as flushed), reclaims its reserved slots into
-        the shared pool, and engine-drops subsequent arrivals; redundant
-        transitions are trace errors. Invalidates the kernel binding —
-        churn changes per-port admissibility, so classification reruns.
+        queue (accounted as flushed) and engine-drops subsequent
+        arrivals (see :meth:`run_slot_columns`); redundant transitions
+        are trace errors. A reclaimed queue invalidates the derived
+        kernel structures, which the next slot rebuilds.
         """
         if not 0 <= port < self.config.n_ports:
             raise TraceError(
@@ -984,30 +878,16 @@ class VectorizedSwitch:
             raise TraceError(
                 f"port {port} is already {state} at slot {self.current_slot}"
             )
-        self._kpolicy = None
         self._kclean = False
+        self._port_up[port] = up
         if up:
-            self._port_up[port] = True
             self._n_down -= 1
-            if self._reserved is not None:
-                self._down_reserved -= self._reserved[port]
             return 0
-        self._port_up[port] = False
         self._n_down += 1
-        if self._reserved is not None:
-            self._down_reserved += self._reserved[port]
         count = self._lens[port]
         if count:
-            self._lens[port] = 0
-            self._tv[port] = 0.0
-            if self._tw is not None:
-                self._tw[port] = 0
-            if self._by_value:
-                self._vals[port].clear()
-                self._recs[port].clear()
-            else:
-                self._stores[port].clear()
-            self._deactivate(port)
+            self._clear_port(port)
+            del self._active[bisect_left(self._active, port)]
             self.occupancy -= count
         self.metrics.flushed += count
         return count
@@ -1021,7 +901,7 @@ class VectorizedSwitch:
         arrival_slot: int,
     ) -> None:
         """Enqueue a packet given as column fields (seq 0)."""
-        was_empty = self._lens[port] == 0
+        length = self._lens[port]
         if self._by_value:
             vals = self._vals[port]
             pos = bisect_left(vals, value)
@@ -1029,51 +909,23 @@ class VectorizedSwitch:
             self._recs[port].insert(
                 pos, [value, arrival_slot, 0, work, work]
             )
-            self._tw[port] += work  # type: ignore[index]
-        elif not self._fast_fifo:
-            self._stores[port].append([value, arrival_slot, 0, work])
-            self._tw[port] += work  # type: ignore[index]
+            self._tw[port] += work
         else:
             self._stores[port].append((value, arrival_slot, 0))
-            if was_empty:
-                self._rearm_head(port, self._works[port])
+            if length < self._cores:
+                self._arm(port, length)
         self._tv[port] += value
-        self._lens[port] += 1
-        if was_empty:
+        self._lens[port] = length + 1
+        if not length:
             self._activate(port)
 
     def _activate(self, port: int) -> None:
         insort(self._active, port)
         self._is_act[port] = True
 
-    def _deactivate(self, port: int) -> None:
-        # Stale calendar entries of a deactivated port fail the
-        # is-active/expiry validity check when their tick pops.
-        del self._active[bisect_left(self._active, port)]
-        self._is_act[port] = False
-
     # ------------------------------------------------------------------
     # Arrival kernels (trace columns in, no Packet objects)
     # ------------------------------------------------------------------
-
-    def _pop_tail_fast(self, port: int) -> None:
-        """Drop the tail of ``port``'s queue without materializing it."""
-        lens = self._lens
-        length = lens[port]
-        if self._by_value:
-            value = self._vals[port].pop(0)
-            rec = self._recs[port].pop(0)
-            self._tw[port] -= rec[3]  # type: ignore[index]
-        elif not self._fast_fifo:
-            rec = self._stores[port].pop()
-            value = rec[0]
-            self._tw[port] -= rec[3]  # type: ignore[index]
-        else:
-            value = self._stores[port].pop()[0]
-        self._tv[port] -= value
-        lens[port] = length - 1
-        if length == 1:
-            self._deactivate(port)
 
     @hot_path
     def _arrive_lqd_cols(
@@ -1109,6 +961,9 @@ class VectorizedSwitch:
         masks = self._masks
         maxl = self._maxl
         topr = self._topr
+        wins = self._wins
+        cores = self._cores
+        arm = self._arm
         occ = self.occupancy
         cap = self._B
         slot = self.current_slot
@@ -1139,6 +994,8 @@ class VectorizedSwitch:
                 lens[p] = nl
                 if ol:
                     masks[ol] ^= bit[r]
+                    if ol < cores:
+                        arm(p, ol)
                 else:
                     insort(active, p)
                     is_act[p] = True
@@ -1178,6 +1035,9 @@ class VectorizedSwitch:
             tv[t] -= vv
             if vl:
                 masks[vl] |= bit[topr]
+                if vl < cores:
+                    # The victim was armed: its calendar entry goes stale.
+                    wins[t].pop()
             else:
                 del active[bisect_left(active, t)]
                 is_act[t] = False
@@ -1191,6 +1051,8 @@ class VectorizedSwitch:
             accepted += 1
             if ol:
                 masks[ol] ^= bit[r]
+                if ol < cores:
+                    arm(p, ol)
             else:
                 insort(active, p)
                 is_act[p] = True
@@ -1249,6 +1111,9 @@ class VectorizedSwitch:
         ncode = self._ncode
         off = self._off
         nr = self._nr
+        wins = self._wins
+        cores = self._cores
+        arm = self._arm
         occ = self.occupancy
         cap = self._B
         slot = self.current_slot
@@ -1272,6 +1137,8 @@ class VectorizedSwitch:
                 if ol:
                     nc = ncode[p]
                     del codes[bisect_left(codes, pcode[p])]
+                    if ol < cores:
+                        arm(p, ol)
                 else:
                     nc = (w + off) * nr + rank[p]
                     insort(active, p)
@@ -1314,11 +1181,16 @@ class VectorizedSwitch:
             vv = stores[t].pop()[0]
             tv[t] -= vv
             if vl:
-                tc = top - works[t] * nr
+                if vl < cores:
+                    # An armed tail takes only its residual with it.
+                    tc = top - (wins[t].pop() - tick) * nr
+                    ncode[t] = tc + works[t] * nr
+                else:
+                    tc = top - works[t] * nr
+                    # tc + works[t]*nr == top: the popped key is exactly
+                    # the victim queue's next-accept code.
+                    ncode[t] = top
                 pcode[t] = tc
-                # tc + works[t]*nr == top: the popped key is exactly
-                # the victim queue's next-accept code.
-                ncode[t] = top
                 insort(codes, tc)
             else:
                 del active[bisect_left(active, t)]
@@ -1328,6 +1200,8 @@ class VectorizedSwitch:
             w = works[p]
             if ol:
                 del codes[bisect_left(codes, pcode[p])]
+                if ol < cores:
+                    arm(p, ol)
             else:
                 insort(active, p)
                 is_act[p] = True
@@ -1388,6 +1262,9 @@ class VectorizedSwitch:
         porder = self._porder
         bit = self._bit
         nm = self._nm
+        wins = self._wins
+        cores = self._cores
+        arm = self._arm
         # A queue joins the candidate mask when it grows from ``below``
         # to mvl packets and leaves it when it shrinks back to ``below``.
         below = self._mvl - 1
@@ -1421,7 +1298,10 @@ class VectorizedSwitch:
                 lens[p] = ol + 1
                 if ol == below:
                     nm |= bit[rank[p]]
-                if not ol:
+                if ol:
+                    if ol < cores:
+                        arm(p, ol)
+                else:
                     insort(active, p)
                     is_act[p] = True
                     e = tick + works[p]
@@ -1449,6 +1329,8 @@ class VectorizedSwitch:
             if not vl:
                 del active[bisect_left(active, t)]
                 is_act[t] = False
+            elif vl < cores:
+                wins[t].pop()
             pushed += 1
             dropped_by_port[t] += 1
             # Read the own length only now: when r == vr the arrival
@@ -1466,7 +1348,10 @@ class VectorizedSwitch:
             accepted += 1
             if ol == below:
                 nm |= bit[r]
-            if not ol:
+            if ol:
+                if ol < cores:
+                    arm(p, ol)
+            else:
                 insort(active, p)
                 is_act[p] = True
                 e = tick + works[p]
@@ -1507,7 +1392,6 @@ class VectorizedSwitch:
         lens = self._lens
         tv = self._tv
         tw = self._tw
-        assert tw is not None
         all_vals = self._vals
         all_recs = self._recs
         active = self._active
@@ -1684,135 +1568,36 @@ class VectorizedSwitch:
         metrics.accepted += accepted
         metrics.dropped += dropped
 
-    @hot_path
-    def _arrive_generic_cols(
-        self,
-        policy: Any,
-        ports: Sequence[int],
-        works: Sequence[int],
-        values: Sequence[float],
-        arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Batched arrival phase for policies without a kernel.
-
-        Greedy (push-out) policies bulk-accept while space remains —
-        their ``admit`` returns ``ACCEPT`` without touching policy
-        state when the buffer is not full, and the occupancy never
-        shrinks during an arrival phase. Threshold policies bulk-drop
-        once full for the symmetric reason. Everything else (and every
-        congested arrival) runs the policy's own ``admit`` against the
-        columnar view, so decisions match the reference by
-        construction. Only those consulted arrivals materialize a
-        transient template packet, carrying the bound columns'
-        scripted-OPT tag.
-        """
-        view = self.view
-        metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
-        simple = self._reserved is None
-        # Split models gate admissibility per port, so the greedy
-        # bulk-accept shortcut only holds on the purely shared model
-        # (churn alone is fine: down-port arrivals are filtered first).
-        greedy = self._greedy and simple
-        threshold = self._threshold
-        opts = self._opts
-        n_down = self._n_down
-        port_up = self._port_up
-        cap = self._B
-        slot = self.current_slot
-        for i in range(lo, hi):
-            p = ports[i]
-            if n_down and not port_up[p]:
-                metrics.dropped += 1
-                dropped_by_port[p] += 1
-                continue
-            if self.occupancy < cap:
-                if greedy:
-                    self._admit_cols(
-                        p,
-                        works[i],
-                        values[i],
-                        arrivals[i] if arrivals is not None else slot,
-                    )
-                    self.occupancy += 1
-                    metrics.accepted += 1
-                    continue
-            elif threshold:
-                # Full buffer: can_accept is false for every up port
-                # under both models, so thresholds drop unconditionally.
-                metrics.dropped += 1
-                dropped_by_port[p] += 1
-                continue
-            w = works[i]
-            v = values[i]
-            a = arrivals[i] if arrivals is not None else slot
-            # _new_packet inlined: its call costs more than the packet.
-            pk = object.__new__(Packet)
-            pk.port = p
-            pk.work = w
-            pk.value = v
-            pk.arrival_slot = a
-            pk.opt_accept = None if opts is None else _TAGS[opts[i]]
-            pk.seq = 0
-            pk.residual = w
-            decision = policy.admit(view, pk)
-            action = decision.action
-            if action is Action.DROP:
-                metrics.dropped += 1
-                dropped_by_port[p] += 1
-                continue
-            if action is Action.PUSH_OUT:
-                victim_port = decision.victim_port
-                assert victim_port is not None  # enforced by Decision
-                if not 0 <= victim_port < self._nr:
-                    raise PolicyError(
-                        f"push-out victim port {victim_port} out of range"
-                    )
-                if self._lens[victim_port] == 0:
-                    raise PolicyError(
-                        f"policy pushed out from empty queue {victim_port}"
-                    )
-                self._pop_tail_fast(victim_port)
-                self.occupancy -= 1
-                metrics.pushed_out += 1
-                dropped_by_port[victim_port] += 1
-            if simple:
-                if self.occupancy >= cap:
-                    raise PolicyError(
-                        "policy accepted a packet into a full buffer "
-                        f"(occupancy={self.occupancy}, B={cap})"
-                    )
-            elif not self._fits(p):
-                raise PolicyError(
-                    f"policy accepted a packet for port {p} with no "
-                    "usable slot"
-                )
-            self._admit_cols(p, w, v, a)
-            self.occupancy += 1
-            metrics.accepted += 1
-
     # ------------------------------------------------------------------
     # Transmission phases
     # ------------------------------------------------------------------
 
     @hot_path
-    def _transmit_fifo_fast(self) -> None:
-        """Single-core FIFO transmission phase over the calendar.
+    def _transmit_fifo(self) -> None:
+        """FIFO transmission phase over the multi-core calendar.
 
         Pops the current tick's calendar bucket: the phase costs
-        O(completions), because advancing the tick *is* the uniform
-        head decrement. Bucket entries can be stale (the head they were
-        armed for was pushed out or flushed), so each is validated
-        against the port's live expiry before completing; survivors are
-        processed in ascending port order exactly like the reference's
-        active-set walk.
+        O(completions), because advancing the tick *is* the decrement
+        of every armed packet. Bucket entries can be stale (the packet
+        they were armed for was pushed out or flushed), so each port is
+        validated against its live head expiry; survivors are processed
+        once each, in ascending port order exactly like the reference's
+        active-set walk, completing heads while the head's expiry is
+        this tick (same-tick completions happen at ``C > 1``). Each
+        completion promotes the next armed packet to the head and arms
+        the packet that enters the first ``C`` positions.
         """
         active = self._active
         if not active:
             return
-        kind = self._kkind if self._kclean else K_GENERIC
+        kind = self._kkind if self._kclean else _UNBOUND
+        cores = self._cores
+        if kind == K_LWD and cores > 1:
+            # The uniform decrement behind LWD's offset holds at C = 1
+            # only: every queue loses min(C, L) work here, so the code
+            # list is rebuilt before the next arrival phase instead.
+            self._kclean = False
+            kind = _UNBOUND
         sched = self._sched
         hexp = self._hexp
         is_act = self._is_act
@@ -1843,6 +1628,7 @@ class VectorizedSwitch:
         metrics = self.metrics
         slot = self.current_slot
         stores = self._stores
+        wins = self._wins
         lens = self._lens
         tv = self._tv
         works = self._works
@@ -1856,41 +1642,63 @@ class VectorizedSwitch:
         nm = self._nm
         below = self._mvl - 1
         drained: List[int] = []
+        count = 0
         for p in done:
-            value, arr, _sq = stores[p].popleft()
-            tv[p] -= value
-            nl = lens[p] - 1
-            lens[p] = nl
-            metrics.transmitted_value += value
-            tx_by_port[p] += 1
-            txv_by_port[p] += value
-            if slot >= arr:
-                delay_sum[p] += slot - arr
-                delay_count[p] += 1
-            if nl:
-                e = tick + works[p]
-                hexp[p] = e
-                b = sched.get(e)
-                if b is None:
-                    sched[e] = [p]
-                else:
-                    b.append(p)
-            else:
-                del active[bisect_left(active, p)]
-                is_act[p] = False
-            if kind == K_LQD:
-                r = rank[p]
-                masks[nl + 1] ^= bit[r]
-                if nl:
-                    masks[nl] |= bit[r]
-            elif kind == K_LWD:
+            store = stores[p]
+            nl = lens[p]
+            while True:
+                value, arr, _sq = store.popleft()
+                tv[p] -= value
+                nl -= 1
+                count += 1
+                metrics.transmitted_value += value
+                tx_by_port[p] += 1
+                txv_by_port[p] += value
+                if slot >= arr:
+                    delay_sum[p] += slot - arr
+                    delay_count[p] += 1
+                if kind == K_LQD:
+                    r = rank[p]
+                    masks[nl + 1] ^= bit[r]
+                    if nl:
+                        masks[nl] |= bit[r]
+                elif kind == K_BPD:
+                    if nl == below:
+                        nm ^= bit[rank[p]]
                 if not nl:
-                    drained.append(p)
-            elif kind == K_BPD:
-                if nl == below:
-                    nm ^= bit[rank[p]]
-        metrics.transmitted_packets += len(done)
-        self.occupancy -= len(done)
+                    del active[bisect_left(active, p)]
+                    is_act[p] = False
+                    if kind == K_LWD:
+                        drained.append(p)
+                    break
+                win = wins[p]
+                if win:
+                    # C > 1: the next armed packet becomes the head, and
+                    # the packet now at position C - 1 is armed.
+                    if nl >= cores:
+                        e = tick + works[p]
+                        win.append(e)
+                        b = sched.get(e)
+                        if b is None:
+                            sched[e] = [p]
+                        else:
+                            b.append(p)
+                    e = win.pop(0)
+                    hexp[p] = e
+                    if e == tick:
+                        continue
+                else:
+                    e = tick + works[p]
+                    hexp[p] = e
+                    b = sched.get(e)
+                    if b is None:
+                        sched[e] = [p]
+                    else:
+                        b.append(p)
+                break
+            lens[p] = nl
+        metrics.transmitted_packets += count
+        self.occupancy -= count
         if kind == K_LQD:
             maxl = self._maxl
             while maxl and not masks[maxl]:
@@ -1960,51 +1768,6 @@ class VectorizedSwitch:
             # value key is built from: re-file them all at once.
             self._rebuild_kernel(self._kkind)
 
-    @hot_path
-    def _transmit_fifo_generic(self) -> None:
-        """Multi-core FIFO transmission phase."""
-        active = self._active
-        if not active:
-            return
-        metrics = self.metrics
-        slot = self.current_slot
-        speedup = self.config.speedup
-        stores = self._stores
-        lens = self._lens
-        tv = self._tv
-        tw = self._tw
-        is_act = self._is_act
-        tx_by_port = metrics.transmitted_by_port
-        txv_by_port = metrics.transmitted_value_by_port
-        delay_sum = metrics.delay_sum_by_port
-        delay_count = metrics.delay_count_by_port
-        occ = self.occupancy
-        for p in tuple(active):
-            store = stores[p]
-            n = len(store)
-            cores = speedup if speedup < n else n
-            for rec in islice(store, cores):
-                rec[3] -= 1
-            tw[p] -= cores  # type: ignore[index]
-            while store and store[0][3] == 0:
-                rec = store.popleft()
-                value = rec[0]
-                tv[p] -= value
-                lens[p] -= 1
-                occ -= 1
-                metrics.transmitted_packets += 1
-                metrics.transmitted_value += value
-                tx_by_port[p] += 1
-                txv_by_port[p] += value
-                arr = rec[1]
-                if slot >= arr:
-                    delay_sum[p] += slot - arr
-                    delay_count[p] += 1
-            if not store:
-                del active[bisect_left(active, p)]
-                is_act[p] = False
-        self.occupancy = occ
-
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
@@ -2014,10 +1777,10 @@ class VectorizedSwitch:
 
         Validates the columnar state against the per-packet record
         stores (the object view): lengths, occupancy, value and work
-        totals, active-set/mask coherence, residual bounds, priority
-        ordering — and, when a kernel is bound and clean, the derived
-        victim-selection structures against a from-scratch rebuild.
-        This is the check that ``REPRO_CHECK_INVARIANTS`` runs
+        totals, active-set/mask coherence, the calendar's armed windows,
+        priority ordering — and, when a kernel is bound and clean, the
+        derived victim-selection structures against a from-scratch
+        rebuild. This is the check that ``REPRO_CHECK_INVARIANTS`` runs
         periodically through ``run_system``.
         """
         config = self.config
@@ -2048,29 +1811,11 @@ class VectorizedSwitch:
                     f"port {port}: length column {length} != store "
                     f"{len(store)}"
                 )
-                expect_work = 0
+                self._check_window(port)
+                expect_work = sum(self._fifo_residuals(port))
                 expect_value = 0.0
-                if self._fast_fifo:
-                    work = self._works[port]
-                    if length:
-                        head_residual = self._head_residual(port)
-                        assert 1 <= head_residual <= work, (
-                            f"port {port}: head residual {head_residual} "
-                            f"outside 1..{work}"
-                        )
-                        expect_work = head_residual + (length - 1) * work
-                        expiry = self._hexp[port]
-                        assert port in self._sched.get(expiry, ()), (
-                            f"port {port}: head expiry {expiry} not "
-                            "on the transmission calendar"
-                        )
-                    for rec in store:
-                        expect_value += rec[0]
-                else:
-                    for rec in store:
-                        assert rec[3] >= 1, f"port {port}: residual < 1"
-                        expect_work += rec[3]
-                        expect_value += rec[0]
+                for rec in store:
+                    expect_value += rec[0]
             tracked_work = self.queue_work(port)
             assert tracked_work == expect_work, (
                 f"port {port}: tracked work {tracked_work} != "
@@ -2089,25 +1834,44 @@ class VectorizedSwitch:
             f"active set {self._active} != {expect_active}"
         )
         assert self._is_act == [self._lens[p] > 0 for p in range(n)]
-        # Buffer-model and churn accounting (mirrors the reference).
+        # Churn accounting (mirrors the reference).
         assert self._n_down == self._port_up.count(False)
         for port, port_up in enumerate(self._port_up):
             if not port_up:
                 assert self._lens[port] == 0, (
                     f"admin-down port {port} has buffered packets"
                 )
-        reserved = self._reserved
-        if reserved is not None:
-            expect_down = sum(
-                r for r, port_up in zip(reserved, self._port_up) if not port_up
-            )
-            assert self._down_reserved == expect_down
-            shared = self._shared_occupancy()
-            assert shared <= self._shared_pool + self._down_reserved, (
-                f"shared occupancy {shared} exceeds usable shared slots"
-            )
         if self._kclean:
             self._check_kernel_invariants()
+
+    def _check_window(self, port: int) -> None:
+        """A FIFO queue's armed packets: ``min(C, L)`` of them, head
+        first, with non-decreasing expiry ticks in ``(tick, tick + w]``,
+        each on the calendar."""
+        length = self._lens[port]
+        win = self._wins[port]
+        armed = min(self._cores, length)
+        assert len(win) == max(armed - 1, 0), (
+            f"port {port}: armed window holds {len(win)} ticks, "
+            f"expected {max(armed - 1, 0)}"
+        )
+        if not length:
+            return
+        ticks = [self._hexp[port]] + win
+        assert ticks == sorted(ticks), (
+            f"port {port}: armed expiry ticks {ticks} not non-decreasing"
+        )
+        tick = self._tick
+        work = self._works[port]
+        for expiry in ticks:
+            assert tick < expiry <= tick + work, (
+                f"port {port}: residual {expiry - tick} outside 1..{work}"
+            )
+            on_calendar = self._sched.get(expiry, ()).count(port)
+            assert on_calendar >= ticks.count(expiry), (
+                f"port {port}: expiry {expiry} not on the transmission "
+                "calendar"
+            )
 
     def _check_kernel_invariants(self) -> None:
         """Derived kernel structures must match a from-scratch rebuild."""
@@ -2166,7 +1930,7 @@ class VectorizedSwitch:
                 assert self._tcaps == expect_caps, "threshold caps stale"
             else:
                 assert self._trule == policy.admits, "threshold rule stale"
-        elif kind != K_GENERIC:
+        elif kind >= K_LQDV:
             keys, key_of, mins = self._value_keys(kind)
             assert self._vkey == key_of, "value kernel per-port keys stale"
             assert self._vkeys == keys, "value kernel key list stale"
@@ -2181,4 +1945,4 @@ class VectorizedSwitch:
         )
 
 
-__all__ = ["ColumnarView", "VectorizedSwitch", "K_GENERIC"]
+__all__ = ["VectorizedSwitch"]

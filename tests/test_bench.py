@@ -1,6 +1,7 @@
 """The perf-benchmark harness: panels, reports, CLI, regression gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.cli import main
 from repro.core.errors import ConfigError
 
 SMALL_SCALE = 0.02  # keep harness tests fast; timing accuracy is not at stake
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 class TestPanels:
@@ -69,6 +71,25 @@ class TestModes:
             (t.policy, t.objective) for t in naive.timings
         ]
 
+    @pytest.mark.parametrize(
+        "panel_name, mode, engine",
+        [
+            ("dynamic-flap-small", "vectorized", "vectorized"),
+            ("dynamic-split-small", "vectorized", "reference"),
+            ("dynamic-split-small", "naive", "reference"),
+        ],
+    )
+    def test_timings_name_the_engine_that_ran(self, panel_name, mode, engine):
+        # Split buffer models have no kernel: a vectorized-mode number
+        # for them is a reference-engine number, and says so.
+        result = run_panel_bench(
+            PANELS[panel_name], mode=mode, slots_scale=SMALL_SCALE
+        )
+        assert {t.engine for t in result.timings} == {engine}
+        assert {
+            t["engine"] for t in result.as_dict()["per_policy"]
+        } == {engine}
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="naive|vectorized"):
             run_panel_bench(
@@ -96,6 +117,23 @@ class TestReports:
             "LQD", "LWD", "BPD"
         }
         assert "python" in loaded["environment"]
+
+    @pytest.mark.parametrize(
+        "name", ["BENCH_seed.json", "BENCH_vectorized.json"]
+    )
+    def test_committed_reports_without_engine_keys_compare(self, name):
+        # Reports recorded before timings named their engine still
+        # load and gate against a fresh report, which has the key.
+        committed = load_report(BENCHMARKS / name)
+        fresh = run_bench(
+            select_panels(["adversarial-proc-small"]),
+            slots_scale=SMALL_SCALE,
+        )
+        assert "engine" in fresh["panels"]["adversarial-proc-small"][
+            "per_policy"
+        ][0]
+        assert compare_reports(committed, committed) == []
+        compare_reports(fresh, committed, max_regression=0.99)
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "BENCH_bad.json"

@@ -12,7 +12,10 @@ direct call and from the periodic driver alike.
 The suite also pins the engine at the edges of its environment: under
 ``REPRO_VECTOR_BACKEND=python`` it must still match the reference, and
 a switch far wider than any Fig. 5 panel must too, on the same
-expiry-tick transmission calendar every width uses.
+expiry-tick transmission calendar every width uses. Last, it pins which
+engine runs what: every Fig. 5 cell binds a kernel, port churn keeps
+the kernel bound, and every pair with no kernel is built on the
+reference engine, visibly.
 """
 
 from __future__ import annotations
@@ -26,18 +29,23 @@ import pytest
 from repro.analysis.competitive import PolicySystem, run_system
 from repro.core import columns as columns_mod
 from repro.core.columnar import (
-    K_GENERIC,
+    K_BPD,
+    K_LQD,
     K_LQDV,
+    K_LWD,
     K_MRD,
     K_MVD,
+    K_THRESHOLD,
     VectorizedSwitch,
 )
-from repro.core.config import SwitchConfig
-from repro.core.errors import TraceError
+from repro.core.config import BufferModel, SwitchConfig
+from repro.core.errors import ConfigError, TraceError
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
 from repro.experiments.fig5 import PANELS, _panel_factories
+from repro.opt.scripted import ScriptedPolicy
 from repro.policies import make_policy
+from repro.policies.processing import LQD
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
 
@@ -63,9 +71,16 @@ def _congested_trace(
     return trace
 
 
-def _warm_switch(policy_name: str = "LQD") -> VectorizedSwitch:
-    """A small switch after a few congested slots."""
-    config = SwitchConfig.contiguous(4, 8)
+def _warm_switch(
+    policy_name: str = "LQD", speedup: int = 1
+) -> VectorizedSwitch:
+    """A small switch after a few congested slots; at ``C > 1`` the
+    works start at 2, so queues still hold armed packets at the end."""
+    config = SwitchConfig.from_works(
+        [p + (1 if speedup == 1 else 2) for p in range(4)],
+        buffer_size=8,
+        speedup=speedup,
+    )
     switch = VectorizedSwitch(config)
     policy = make_policy(policy_name)
     trace = _congested_trace(config, 12, seed=5, per_slot=10)
@@ -159,17 +174,50 @@ def _warm_value_switch(
     return switch
 
 
+def _armed_switch() -> VectorizedSwitch:
+    """C = 3, work 4: one packet a slot to port 0 for three slots, so
+    the head and two packets behind it are armed at distinct ticks."""
+    config = SwitchConfig.from_works([4, 1], buffer_size=8, speedup=3)
+    switch = VectorizedSwitch(config)
+    policy = make_policy("LWD")
+    for slot in range(3):
+        switch.run_slot([Packet(port=0, work=4, arrival_slot=slot)], policy)
+    assert switch._hexp[0] == 4 and switch._wins[0] == [5, 6]
+    switch.check_invariants()
+    return switch
+
+
 @pytest.mark.parametrize(
     "policy_name",
-    ["LQD", "LWD", "BPD", "BPD1", "NHST", "LQD-V", "MVD", "MVD1", "MRD"],
+    [
+        "LQD", "LWD", "BPD", "BPD1", "NHST", "LQD-V", "MVD", "MVD1", "MRD",
+        "C3-LQD", "C3-LWD", "C3-BPD", "C3-window-off-calendar",
+        "C3-window-unsorted",
+    ],
 )
 def test_corrupt_kernel_structures_caught(policy_name):
-    if policy_name in ("LQD", "LWD", "BPD", "BPD1", "NHST"):
+    if policy_name.startswith("C3-window"):
+        switches = [_armed_switch()]
+    elif policy_name.startswith("C3-"):
+        policy_name = policy_name[3:]
+        switch = _warm_switch(policy_name, speedup=3)
+        assert any(switch._wins), "C = 3 should arm packets behind heads"
+        # At C > 1 LWD rebuilds its codes before each arrival phase:
+        # bring them in sync, as the next slot would.
+        switch._kernel_for(switch._kpolicy)
+        switches = [switch]
+    elif policy_name in ("LQD", "LWD", "BPD", "BPD1", "NHST"):
         switches = [_warm_switch(policy_name)]
     else:
         switches = [_warm_value_switch(policy_name, feed) for feed in FEEDS]
     for switch in switches:
-        if policy_name == "LQD":
+        if policy_name == "C3-window-off-calendar":
+            # An armed packet behind the head loses its calendar entry.
+            switch._sched[switch._wins[0][0]].remove(0)
+        elif policy_name == "C3-window-unsorted":
+            win = switch._wins[0]
+            win[0], win[1] = win[1], win[0]
+        elif policy_name == "LQD":
             switch._maxl += 1
         elif policy_name == "LWD":
             switch._ncode[switch._active[0]] += 1
@@ -200,20 +248,30 @@ def test_object_bursts_bind_value_kernel(policy_name, kind):
     assert switch._kkind == kind
 
 
-@pytest.mark.parametrize("panel", [1, 4, 7], ids=["proc", "vu", "vp"])
-def test_every_fig5_policy_binds_a_kernel(panel):
-    # Each Fig. 5 line-up on its panels' fixed configuration (C = 1):
-    # no policy of the figure runs on generic per-packet dispatch.
-    spec = PANELS[panel]
-    config_factory, _, _ = _panel_factories(spec, n_slots=10, load=1.0)
-    fixed = {"k": spec.fixed_k, "B": spec.fixed_b, "C": spec.fixed_c}
-    config = config_factory(fixed[spec.param_name])
-    generic = []
-    for name in spec.policies:
-        switch = VectorizedSwitch(config)
-        if switch._kernel_for(make_policy(name)) == K_GENERIC:
-            generic.append(name)
-    assert generic == []
+KERNELS = (K_LQD, K_LWD, K_BPD, K_THRESHOLD, K_LQDV, K_MVD, K_MRD)
+
+
+@pytest.mark.parametrize(
+    "panels", [(1, 2, 3), (4, 5, 6), (7, 8, 9)], ids=["proc", "vu", "vp"]
+)
+def test_every_fig5_policy_binds_a_kernel(panels):
+    # Every (panel, grid value, policy) cell of Fig. 5, the speedup
+    # sweeps included, runs a kernel on the vectorized engine.
+    unserved = []
+    for panel in panels:
+        spec = PANELS[panel]
+        config_factory, _, _ = _panel_factories(spec, n_slots=10, load=1.0)
+        for value in spec.param_values:
+            config = config_factory(value)
+            for name in spec.policies:
+                policy = make_policy(name)
+                system = PolicySystem(config, policy, engine="vectorized")
+                if (
+                    system.engine != "vectorized"
+                    or system.switch._kernel_for(policy) not in KERNELS
+                ):
+                    unserved.append((panel, value, name))
+    assert unserved == []
 
 
 def test_corrupt_occupancy_caught():
@@ -296,8 +354,8 @@ def test_column_validation_pins_nothing_past_the_replay():
     run_system(
         PolicySystem(config, make_policy("MRD"), engine="vectorized"), trace
     )
-    # The switch (a reference cycle with its view) trusted the column
-    # for its own lifetime only; once collected, nothing else holds it.
+    # The switch trusted the column for its own lifetime only; once
+    # collected, nothing else holds it.
     gc.collect()
     after = sys.getrefcount(trace.ports)
     assert after == before
@@ -447,3 +505,136 @@ def test_narrow_switch_uses_calendar():
     # Work 4, one phase done: the head is armed three ticks ahead.
     assert switch._head_residual(3) == 3
     assert 3 in switch._sched[switch._hexp[3]]
+
+
+# ----------------------------------------------------------------------
+# Which engine runs what
+# ----------------------------------------------------------------------
+
+
+class _LQDVariant(LQD):
+    """A subclass the kernel table does not know."""
+
+
+def _split_config() -> SwitchConfig:
+    return SwitchConfig.uniform(
+        4, 8, buffer_model=BufferModel.split((1, 1, 1, 1), 4)
+    )
+
+
+def _proc_config() -> SwitchConfig:
+    return SwitchConfig.contiguous(4, 8)
+
+
+def _value_config() -> SwitchConfig:
+    return SwitchConfig.value_contiguous(4, 8)
+
+
+def _random_available() -> bool:
+    try:
+        make_policy("Random")
+    except ConfigError:
+        return False
+    return True
+
+
+_NEEDS_NUMPY = pytest.mark.skipif(
+    not _random_available(), reason="the Random policy needs numpy"
+)
+
+#: (config, policy) pairs with no kernel: a split buffer model, the
+#: extensions LWD1, MRD1 and Random, scripted OPT, a policy subclass
+#: the kernel table does not know, and a processing kernel's policy on
+#: priority queues.
+UNSERVED = [
+    pytest.param(
+        _value_config, lambda: make_policy("LQD"), id="LQD-priority-queues"
+    ),
+    pytest.param(_split_config, lambda: make_policy("LQD"), id="split-LQD"),
+    pytest.param(_proc_config, lambda: make_policy("LWD1"), id="LWD1"),
+    pytest.param(_value_config, lambda: make_policy("MRD1"), id="MRD1"),
+    pytest.param(
+        _proc_config, lambda: make_policy("Random"), id="Random",
+        marks=_NEEDS_NUMPY,
+    ),
+    pytest.param(
+        _value_config, lambda: make_policy("Random"), id="Random-value",
+        marks=_NEEDS_NUMPY,
+    ),
+    pytest.param(
+        _proc_config, lambda: ScriptedPolicy(strict=False), id="Scripted"
+    ),
+    pytest.param(_proc_config, _LQDVariant, id="LQD-subclass"),
+]
+
+
+def _tagged_trace(config: SwitchConfig) -> Trace:
+    """A congested trace whose packets carry alternating OPT tags."""
+    trace = _congested_trace(config, 30, seed=12, per_slot=8)
+    return Trace(
+        [
+            [
+                Packet(
+                    port=pk.port,
+                    work=pk.work,
+                    value=pk.value,
+                    arrival_slot=pk.arrival_slot,
+                    opt_accept=i % 2 == 0,
+                )
+                for i, pk in enumerate(burst)
+            ]
+            for burst in trace.slots
+        ]
+    )
+
+
+@pytest.mark.parametrize("config_factory, policy_factory", UNSERVED)
+def test_unserved_pair_runs_on_reference(config_factory, policy_factory):
+    config = config_factory()
+    policy = policy_factory()
+    assert not VectorizedSwitch.serves(config, policy)
+    system = PolicySystem(config, policy, engine="vectorized")
+    assert system.engine == "reference"
+    assert isinstance(system.switch, SharedMemorySwitch)
+    assert not hasattr(system, "run_slot_columns")
+    trace = _tagged_trace(config)
+    reference = PolicySystem(config, policy_factory(), engine="reference")
+    assert (
+        run_system(system, trace).snapshot()
+        == run_system(reference, trace).snapshot()
+    )
+    # A bare vectorized switch refuses the pair instead of running a
+    # slow path: at construction for a split model, else at binding,
+    # before any of the slot's packets is counted.
+    with pytest.raises(ConfigError, match="reference"):
+        switch = VectorizedSwitch(config)
+        try:
+            switch.run_slot(
+                next(burst for burst in trace.slots if burst),
+                policy_factory(),
+            )
+        finally:
+            assert switch.metrics.arrived == 0
+
+
+@pytest.mark.parametrize(
+    "policy_name, kind", [("LQD", K_LQD), ("Harmonic", K_THRESHOLD)]
+)
+def test_port_down_keeps_kernel_bound(policy_name, kind):
+    config = SwitchConfig.contiguous(4, 8)
+    trace = _congested_trace(config, 24, seed=14, per_slot=10)
+    vec = VectorizedSwitch(config)
+    ref = SharedMemorySwitch(config)
+    vec_policy = make_policy(policy_name)
+    ref_policy = make_policy(policy_name)
+    for slot, burst in enumerate(trace.slots):
+        if slot in (4, 12):
+            assert vec.set_port_state(3, False) == ref.set_port_state(3, False)
+        elif slot in (8, 16):
+            assert vec.set_port_state(3, True) == ref.set_port_state(3, True)
+        vec.run_slot(burst, vec_policy)
+        ref.run_slot(burst, ref_policy)
+        assert vec._kkind == kind and vec._kpolicy is vec_policy
+        vec.check_invariants()
+    assert vec.metrics.flushed > 0
+    _assert_matches_reference(vec, ref)

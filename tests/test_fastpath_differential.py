@@ -12,8 +12,11 @@ metrics snapshot: a single divergent decision changes a queue or a
 counter in the slot it is made.
 
 This suite drives the engines in lock-step over hypothesis-generated
-traces for every registered policy in both disciplines: the push-out
-policies' victim kernels and the threshold policies' admission kernel.
+traces for every registered policy the vectorized engine serves, in
+both disciplines and at speedups C from 1 to 4: the push-out policies'
+victim kernels and the threshold policies' admission kernel. Policies
+with no kernel run on the reference engine only (see the engine
+selection tests in ``tests/test_columnar_engine.py``).
 Values are drawn from a tiny set so exact-value ties occur constantly,
 and processing-model configs flip between distinct and *uniform* works
 — under uniform works aggregate keys (queue length, queue work) tie on
@@ -44,15 +47,23 @@ from repro.traffic.trace import Trace
 
 
 def _policy_names(model: str) -> List[str]:
+    """The registered policies of ``model`` that bind a kernel on its
+    purely shared configuration."""
+    config = (
+        SwitchConfig.contiguous(2, 4)
+        if model == "processing"
+        else SwitchConfig.value_contiguous(2, 4)
+    )
     names = []
     for entry in available_policies(model):
         try:
-            make_policy(entry.name)
+            policy = make_policy(entry.name)
         except ConfigError:
             # Policies gated on optional deps (Random without numpy)
             # simply drop out of the differential matrix.
             continue
-        names.append(entry.name)
+        if VectorizedSwitch.serves(config, policy):
+            names.append(entry.name)
     return names
 
 
@@ -153,9 +164,9 @@ def fifo_scenario(draw):
     # weighted orderings instead. Both shapes must agree across all
     # engines.
     uniform_work = draw(st.sampled_from([None, 1, 2]))
-    # Speedup > 1 leaves the single-core FIFO layout: the threshold
-    # kernel serves it too, the victim kernels fall back to generic.
-    speedup = draw(st.sampled_from([1, 2]))
+    # Speedup > 1 arms up to C packets per queue on the calendar:
+    # same-tick completions, and push-outs of partly served tails.
+    speedup = draw(st.sampled_from([1, 2, 3, 4]))
     return n, buffer_size, bursts, flush_every, uniform_work, speedup
 
 
@@ -179,13 +190,20 @@ def value_scenario(draw):
         )
     )
     flush_every = draw(st.sampled_from([None, 3]))
-    speedup = draw(st.sampled_from([1, 2]))
+    speedup = draw(st.sampled_from([1, 2, 3, 4]))
     return n, buffer_size, bursts, flush_every, speedup
 
 
 @pytest.mark.parametrize("policy_name", PROC_POLICIES)
 @settings(max_examples=25, deadline=None)
 @given(scenario=fifo_scenario())
+# C = 3, work 3: port 1's three packets are all armed and one cycle in
+# when port 0's arrival meets a full buffer, so LWD pushes out an armed,
+# partly served tail (its code drops by the residual 2, not by w = 3).
+@example(scenario=(2, 3, [[1, 1, 1], [0, 0], [1], []], None, 3, 3))
+# C = 2, work 2: both packets of port 0 are armed on admission and
+# complete in the same transmission phase.
+@example(scenario=(2, 4, [[0, 0], [], [0, 0, 0]], None, 2, 2))
 def test_processing_policies_decision_identical(policy_name, scenario):
     n, buffer_size, bursts, flush_every, uniform_work, speedup = scenario
     if uniform_work is None:
@@ -372,12 +390,12 @@ def test_lqd_arrival_queue_wins_tie_and_drops():
 
 
 # ----------------------------------------------------------------------
-# Dynamic scenarios: churn events, reserved/shared splits, alpha
-# admission — the same lock-step contract under the buffer-model seam
+# Dynamic scenarios: churn events and alpha admission on the purely
+# shared model — the same lock-step contract while ports go down and up
+# (split buffer models run on the reference engine only)
 # ----------------------------------------------------------------------
 
 
-from repro.core.config import BufferModel  # noqa: E402
 from repro.policies.dynamic import DynamicThreshold, Harmonic  # noqa: E402
 
 
@@ -428,10 +446,6 @@ def dynamic_scenario(draw):
             max_size=n_slots,
         )
     )
-    # Reserved/shared split: None keeps the purely shared model; the
-    # split variants reserve 1 slot per port (even) or front-load the
-    # reservations onto port 0 (uneven).
-    split = draw(st.sampled_from([None, "even", "uneven"]))
     # Churn plan: per slot, up to two valid toggles (validity is
     # tracked, so redundant-transition errors cannot occur).
     toggles = draw(
@@ -445,19 +459,7 @@ def dynamic_scenario(draw):
             max_size=n_slots,
         )
     )
-    return n, buffer_size, bursts, split, toggles
-
-
-def _dynamic_config(n: int, buffer_size: int, split) -> SwitchConfig:
-    if split is None:
-        model = None
-    elif split == "even":
-        model = BufferModel.split((1,) * n, buffer_size - n)
-    else:
-        model = BufferModel.split(
-            (2,) + (0,) * (n - 1), buffer_size - 2
-        )
-    return SwitchConfig.uniform(n, buffer_size, buffer_model=model)
+    return n, buffer_size, bursts, toggles
 
 
 def _dynamic_events(n, toggles):
@@ -487,19 +489,15 @@ DYNAMIC_FACTORIES = [
 )
 @settings(max_examples=25, deadline=None)
 @given(scenario=dynamic_scenario())
-# Uneven split, shared pool full, longest queue wholly inside its own
-# reservation: LQD's victim frees no slot the arrival to port 3 may use.
-@example(scenario=(4, 4, [[], [0, 0, 1, 2, 3]], "uneven", [[], []]))
-# Ports 0 and 2 go down and port 1 fills the pool they lent it; once they
-# are back up the shared pool is over-committed, so LQD's push-out of a
-# shared packet still leaves no slot for the second arrival to port 0.
+# Port 1 goes down with a full queue while port 0 keeps arriving: its
+# arrivals drop before the kernel runs, and the reclaimed slots free
+# room for port 0 without re-binding the kernel.
 @example(
-    scenario=(3, 4, [[], [], [], [1, 1, 1, 1], [0, 0]], "even",
-              [[], [], [], [0, 2], [0, 2]])
+    scenario=(2, 4, [[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 0]], [[], [1], [1]])
 )
 def test_dynamic_policies_decision_identical(factory, scenario):
-    n, buffer_size, bursts, split, toggles = scenario
-    config = _dynamic_config(n, buffer_size, split)
+    n, buffer_size, bursts, toggles = scenario
+    config = SwitchConfig.uniform(n, buffer_size)
     slot_bursts = [
         [Packet(port=p, work=1, arrival_slot=slot) for p in burst]
         for slot, burst in enumerate(bursts)

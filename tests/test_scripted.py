@@ -72,21 +72,23 @@ TAGGED_SCENARIOS = pytest.mark.parametrize(
 
 
 class TestVectorizedEngine:
-    """The scripted plan replays on the vectorized engine's column path:
-    the packets the policy sees there carry the trace's tags."""
+    """Scripted OPT has no vectorized kernel: asking for the vectorized
+    engine builds the reference one, visibly, and the replays of object
+    and column traces match the reference run."""
 
     @staticmethod
     def _replay(scenario, engine, trace, observer=None):
         system = PolicySystem(
             scenario.config, ScriptedPolicy(), engine=engine
         )
+        assert system.engine == "reference"
         return run_system(system, trace, observer=observer).snapshot()
 
     @pytest.mark.parametrize("observed", [False, True])
     @TAGGED_SCENARIOS
     def test_matches_reference(self, scenario, observed):
-        # Observers attach to the reference engine only; observing it
-        # must not change what the unobserved vectorized replay matches.
+        # Observing the reference replay must not change what the
+        # unobserved replays match.
         hasher = DecisionStreamHasher() if observed else None
         reference = self._replay(
             scenario, "reference", scenario.trace, hasher
@@ -107,6 +109,7 @@ class TestVectorizedEngine:
             system = PolicySystem(
                 scenario.config, ScriptedPolicy(), engine=engine
             )
+            assert system.engine == "reference"
             for burst in scenario.trace.slots:
                 system.run_slot(burst)
             snapshots.append(system.metrics.snapshot())
