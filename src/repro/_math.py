@@ -12,8 +12,9 @@ EULER_GAMMA = 0.5772156649015329
 def harmonic_number(m: int) -> float:
     """The m-th harmonic number ``H_m = 1 + 1/2 + ... + 1/m`` (``H_0 = 0``).
 
-    Cached because the NHDT threshold evaluates harmonic numbers on every
-    arrival; the recursion keeps the cache warm incrementally.
+    Each value is a plain left-to-right loop, cached per ``m`` because
+    the reference engine's NHDT and Harmonic rules read harmonic
+    numbers on every arrival.
     """
     if m < 0:
         raise ValueError(f"harmonic number of negative m={m}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Union
 
 from repro.core.config import QueueDiscipline, SwitchConfig
@@ -97,8 +98,10 @@ class PolicySystem:
             # Advertised as instance attributes only on the engine that
             # has a columnar ingestion path, so the runner's ``getattr``
             # probes route reference systems through the materialized
-            # object loop.
-            self.run_slot_columns = self._run_slot_columns_vectorized
+            # object loop. Both refer to the switch, never to this
+            # system, so no reference cycle keeps a replayed switch
+            # alive until the next cyclic garbage collection.
+            self.run_slot_columns = partial(switch.run_slot_columns, policy)
             self.bind_columns = switch.bind_columns
         else:
             reference = SharedMemorySwitch(config, observer=observer)
@@ -110,19 +113,6 @@ class PolicySystem:
         #: The engine this system runs on (see the class docstring).
         self.engine = engine
         self.policy = policy
-
-    def _run_slot_columns_vectorized(
-        self,
-        ports: Sequence[int],
-        works: Sequence[int],
-        values: Sequence[float],
-        arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> List[Packet]:
-        return self.switch.run_slot_columns(  # type: ignore[union-attr]
-            self.policy, ports, works, values, arrivals, lo, hi
-        )
 
     @property
     def metrics(self) -> SwitchMetrics:

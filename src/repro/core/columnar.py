@@ -60,9 +60,11 @@ last element is the victim:
 * **MRD** — ``(|Q_j| / (V_j / |Q_j|), -min_j, j)``, gated on the global
   buffer minimum, which a sorted list of per-port minima holds.
 
-A push-out re-files two keys (the victim's and the arrival's) and a
-drop none; the bulk-accepted run of a slot and each transmission phase
-that completes a packet rebuild the list once.
+A push-out re-files two keys (the victim's and the arrival's, one when
+they are the same port) and a drop none. The bulk-accepted run of a
+slot re-files the keys of the ports it touched, and each transmission
+phase that completes a packet rebuilds the list once, so the keys are
+in sync at every slot end.
 
 The transmission phase is batched as well. A FIFO queue of length
 ``L`` at speedup ``C`` serves its first ``min(C, L)`` packets one cycle
@@ -88,10 +90,16 @@ NHDT-W, Harmonic, DT) share one more kernel, on every queue layout.
 Each policy states its rule once, as a pure function of the arrival's
 queue length and one statistic (a static per-port cap, the free space,
 the number of strictly longer queues, or the count and total of the
-queues at least as long). The kernel computes the statistic by a plain
-scan of the length column and calls that same function, or reads the
-per-port cap table it built at bind time, so no threshold formula is
-restated here.
+queues at least as long). The two length statistics come from a
+sorted copy of the length column taken at the start of each arrival
+phase: no queue shrinks in a non-push-out phase, and an admission
+bumps one entry of the copy, so each statistic is a bisection. For
+them the kernel calls the policy's own function through a memo keyed
+by (own length, statistic) that lives as long as the policy's binding:
+the function is pure and its capacity is the constant ``B`` here. DT
+(free space) and NHDT-W (a scan of the queue works) call their rule
+directly, and a static cap is read from the per-port table built at
+bind time. No threshold formula is restated here.
 
 Every replay runs a kernel. On the purely shared model a down port
 changes no admission predicate (its queue is empty and the buffer
@@ -126,7 +134,7 @@ the one that accepts an observer. Documented deviations:
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import (
     TYPE_CHECKING,
@@ -354,10 +362,13 @@ class VectorizedSwitch:
         self._off = 0
         # BPD kernel state: the rank bitmask of victim candidates.
         self._nm = 0
-        # Threshold kernel state: the policy's statistic, its rule, and
-        # (static caps only) the per-port cap table built at bind time.
+        # Threshold kernel state: the policy's statistic, its rule, the
+        # rule's results by packed (own, statistic) for the bound
+        # policy, and (static caps only) the per-port cap table built
+        # at bind time.
         self._tstat = STAT_CAP
         self._trule: Any = None
+        self._tmemo: Dict[int, bool] = {}
         self._tcaps: List[float] = []
         # Value kernel state: the ascending victim-key list, each port's
         # filed key (None when not a candidate), and MRD's sorted
@@ -578,6 +589,15 @@ class VectorizedSwitch:
             else:
                 self._trule = policy.admits
                 self._tcaps = []
+            # admits is pure and its capacity is the constant B here, so
+            # a result holds for the rest of this binding only. The
+            # length statistics key it by (own, statistic) packed into
+            # one int: own * n + longer for STAT_LONGER, and
+            # (own * n + m - 1) * (B + 1) + joint for STAT_AT_LEAST. The
+            # parts are bounded (longer < n, 1 <= m <= n, joint <= B),
+            # so the packing is one-to-one and the kernel audit unpacks
+            # every key to recompute its entry.
+            self._tmemo = {}
         elif kind in (K_BPD, K_MVD):
             self._mvl = policy.min_victim_len
         return kind
@@ -685,16 +705,40 @@ class VectorizedSwitch:
         return keys, key_of, mins
 
     def _rekey(self, kind: int, port: int) -> None:
-        """Re-file ``port``'s value-kernel key after its queue changed."""
+        """Re-file ``port``'s value-kernel key after its queue changed.
+
+        The key is :meth:`_value_key`'s, built inline: this runs up to
+        twice per push-out, and the saved call measured 3-5% of the
+        value kernels' replay time on fig5-4. The kernel audit compares
+        every filed key with a rebuild through :meth:`_value_key`.
+        """
         keys = self._vkeys
-        old = self._vkey[port]
+        key_of = self._vkey
+        old = key_of[port]
         if old is not None:
             del keys[bisect_left(keys, old)]
             if kind == K_MRD:
                 mins = self._vmins
                 del mins[bisect_left(mins, -old[1])]
-        key = self._value_key(kind, port)
-        self._vkey[port] = key
+        length = self._lens[port]
+        key: Optional[Tuple[Any, ...]]
+        if kind == K_MVD:
+            key = (
+                (-self._vals[port][0], length, port)
+                if length >= self._mvl
+                else None
+            )
+        elif not length:
+            key = None
+        elif kind == K_LQDV:
+            key = (length, -self._vals[port][0], port)
+        else:
+            key = (
+                length / (self._tv[port] / length),
+                -self._vals[port][0],
+                port,
+            )
+        key_of[port] = key
         if key is not None:
             insort(keys, key)
             if kind == K_MRD:
@@ -1381,11 +1425,12 @@ class VectorizedSwitch:
         """Batched value-model arrival phase over the victim-key list.
 
         Bulk-accepts the run that fits like the processing kernels and
-        rebuilds the keys once after it. Each congested arrival then
-        reads the top key (and, for MRD, the smallest buffered minimum)
-        to decide, and a push-out re-files the victim's and the
-        arrival's keys. A priority queue's tail is its least valuable
-        packet: index 0 of the ascending per-port stores.
+        then re-files the keys of the ports it touched. Each congested
+        arrival then reads the top key (and, for MRD, the smallest
+        buffered minimum) to decide, and a push-out re-files the
+        victim's and the arrival's keys. A priority queue's tail is its
+        least valuable packet: index 0 of the ascending per-port
+        stores.
         """
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
@@ -1425,7 +1470,9 @@ class VectorizedSwitch:
                     insort(active, p)
                     is_act[p] = True
                 lens[p] += 1
-            self._rebuild_kernel(kind)
+            # Re-file each touched port once, in first-arrival order.
+            for p in dict.fromkeys(ports[lo:split]):
+                self._rekey(kind, p)
         keys = self._vkeys
         mins = self._vmins
         rekey = self._rekey
@@ -1463,7 +1510,9 @@ class VectorizedSwitch:
                 is_act[t] = False
             pushed += 1
             dropped_by_port[t] += 1
-            rekey(kind, t)
+            if t != p:
+                # The arrival's own re-file below covers t == p.
+                rekey(kind, t)
             w = works[i]
             vals = all_vals[p]
             pos = bisect_left(vals, v)
@@ -1496,14 +1545,18 @@ class VectorizedSwitch:
         """Batched arrival phase for the non-push-out threshold policies.
 
         While the buffer has space, each arrival reads its own queue
-        length and the one statistic the policy's rule names, computed
-        here by a plain scan of the length column (``n`` is at most 64
-        on every Fig. 5 panel), and calls the policy's own ``admits``;
-        a static-cap policy reads the ``cap`` table it built at bind
-        time instead. Once the buffer is full every later arrival of
-        the slot drops, like ``ThresholdPolicy.admit``'s
-        ``can_accept`` test. Admission goes through ``_admit_cols``, so
-        the kernel serves every queue layout.
+        length and the one statistic the policy's rule names, and the
+        policy's own ``admits`` decides; a static-cap policy reads the
+        ``cap`` table built at bind time instead. The length statistics
+        come from a sorted copy of the length column taken at the start
+        of the phase: no queue shrinks in a non-push-out arrival phase,
+        and an admission bumps the last copy entry equal to the old
+        length, which keeps the copy sorted. Their rule results go
+        through the per-bind memo ``_tmemo`` (see :meth:`_bind`). Once
+        the buffer is full every later arrival of the slot drops, like
+        ``ThresholdPolicy.admit``'s ``can_accept`` test. Admission goes
+        through ``_admit_cols``, so the kernel serves every queue
+        layout.
         """
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
@@ -1511,15 +1564,23 @@ class VectorizedSwitch:
         stat = self._tstat
         caps = self._tcaps
         rule = self._trule
+        memo = self._tmemo
         config = self.config
         admit = self._admit_cols
         queue_work = self.queue_work
         n = self._nr
         cap = self._B
+        radix = cap + 1
         occ = self.occupancy
         slot = self.current_slot
         accepted = 0
         dropped = 0
+        srt = (
+            sorted(lens)
+            if stat == STAT_LONGER or stat == STAT_AT_LEAST
+            else []
+        )
+        ok: Optional[bool]
         for i in range(lo, hi):
             p = ports[i]
             if occ < cap:
@@ -1529,19 +1590,26 @@ class VectorizedSwitch:
                 elif stat == STAT_FREE:
                     ok = rule(config, cap, own, cap - occ)
                 elif stat == STAT_LONGER:
-                    longer = 0
-                    for length in lens:
-                        if length > own:
-                            longer += 1
-                    ok = rule(config, cap, own, longer)
+                    j = bisect_right(srt, own)
+                    key = own * n + n - j
+                    ok = memo.get(key)
+                    if ok is None:
+                        ok = memo[key] = rule(config, cap, own, n - j)
+                    if ok:
+                        # The admission below: bump the last entry
+                        # equal to own.
+                        srt[j - 1] += 1
                 elif stat == STAT_AT_LEAST:
-                    m = 0
-                    joint = 0
-                    for length in lens:
-                        if length >= own:
-                            m += 1
-                            joint += length
-                    ok = rule(config, cap, own, (m, joint))
+                    j = bisect_left(srt, own)
+                    joint = sum(srt[j:])
+                    key = (own * n + n - 1 - j) * radix + joint
+                    ok = memo.get(key)
+                    if ok is None:
+                        ok = memo[key] = rule(
+                            config, cap, own, (n - j, joint)
+                        )
+                    if ok:
+                        srt[bisect_right(srt, own) - 1] += 1
                 else:  # STAT_WORK_AT_LEAST
                     own = queue_work(p)
                     m = 0
@@ -1718,52 +1786,84 @@ class VectorizedSwitch:
 
     @hot_path
     def _transmit_priority(self) -> None:
-        """Priority-queue transmission phase (value model)."""
+        """Priority-queue transmission phase (value model).
+
+        Each active queue serves its ``min(C, L)`` most valuable packets
+        one cycle each (at ``C = 1`` only the top record is touched),
+        and completed packets leave from the top. Float accumulators
+        are updated per packet in the reference's order; integer
+        counters once per port and per phase.
+        """
         active = self._active
         if not active:
             return
         metrics = self.metrics
         slot = self.current_slot
-        speedup = self.config.speedup
+        cores = self._cores
         all_vals = self._vals
         all_recs = self._recs
         lens = self._lens
         tv = self._tv
         tw = self._tw
-        is_act = self._is_act
         tx_by_port = metrics.transmitted_by_port
         txv_by_port = metrics.transmitted_value_by_port
         delay_sum = metrics.delay_sum_by_port
         delay_count = metrics.delay_count_by_port
-        occ = start = self.occupancy
-        for p in tuple(active):
+        txv = metrics.transmitted_value
+        count = 0
+        drained: List[int] = []
+        for p in active:
             recs = all_recs[p]
+            rec = recs[-1]
+            if cores == 1:
+                tw[p] -= 1
+                if rec[3] > 1:
+                    rec[3] -= 1
+                    continue
+            else:
+                length = lens[p]
+                c = cores if cores < length else length
+                for idx in range(length - c, length):
+                    recs[idx][3] -= 1
+                tw[p] -= c
+                if rec[3]:
+                    continue
+            # The top record completed; those below it may too (C > 1).
             vals = all_vals[p]
-            n = len(recs)
-            cores = speedup if speedup < n else n
-            for idx in range(n - cores, n):
-                recs[idx][3] -= 1
-            tw[p] -= cores  # type: ignore[index]
-            while recs and recs[-1][3] == 0:
-                rec = recs.pop()
+            length = lens[p]
+            nl = length
+            while True:
+                recs.pop()
                 vals.pop()
                 value = rec[0]
                 tv[p] -= value
-                lens[p] -= 1
-                occ -= 1
-                metrics.transmitted_packets += 1
-                metrics.transmitted_value += value
-                tx_by_port[p] += 1
+                txv += value
                 txv_by_port[p] += value
                 arr = rec[1]
                 if slot >= arr:
                     delay_sum[p] += slot - arr
                     delay_count[p] += 1
-            if not recs:
-                del active[bisect_left(active, p)]
-                is_act[p] = False
-        self.occupancy = occ
-        if occ != start and self._kclean and self._kkind >= K_LQDV:
+                nl -= 1
+                if not nl:
+                    break
+                rec = recs[-1]
+                if rec[3]:
+                    break
+            lens[p] = nl
+            tx_by_port[p] += length - nl
+            count += length - nl
+            if not nl:
+                drained.append(p)
+        metrics.transmitted_value = txv
+        if not count:
+            return
+        metrics.transmitted_packets += count
+        self.occupancy -= count
+        is_act = self._is_act
+        for p in drained:
+            del active[bisect_left(active, p)]
+            is_act[p] = False
+        if self._kclean and self._kkind >= K_LQDV:
             # Completions moved the lengths (and value totals) every
             # value key is built from: re-file them all at once.
             self._rebuild_kernel(self._kkind)
@@ -1930,6 +2030,19 @@ class VectorizedSwitch:
                 assert self._tcaps == expect_caps, "threshold caps stale"
             else:
                 assert self._trule == policy.admits, "threshold rule stale"
+                for key, ok in self._tmemo.items():
+                    stat: Any
+                    if self._tstat == STAT_LONGER:
+                        own, stat = divmod(key, n)
+                    else:
+                        rest, joint = divmod(key, self._B + 1)
+                        own, m = divmod(rest, n)
+                        stat = (m + 1, joint)
+                    expect = policy.admits(self.config, self._B, own, stat)
+                    assert ok == expect, (
+                        f"threshold memo at own={own}, stat={stat}: "
+                        f"{ok} != {expect}"
+                    )
         elif kind >= K_LQDV:
             keys, key_of, mins = self._value_keys(kind)
             assert self._vkey == key_of, "value kernel per-port keys stale"

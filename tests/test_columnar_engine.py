@@ -45,6 +45,7 @@ from repro.core.switch import SharedMemorySwitch
 from repro.experiments.fig5 import PANELS, _panel_factories
 from repro.opt.scripted import ScriptedPolicy
 from repro.policies import make_policy
+from repro.policies.dynamic import DynamicThreshold
 from repro.policies.processing import LQD
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
@@ -192,7 +193,7 @@ def _armed_switch() -> VectorizedSwitch:
     [
         "LQD", "LWD", "BPD", "BPD1", "NHST", "LQD-V", "MVD", "MVD1", "MRD",
         "C3-LQD", "C3-LWD", "C3-BPD", "C3-window-off-calendar",
-        "C3-window-unsorted",
+        "C3-window-unsorted", "threshold-memo",
     ],
 )
 def test_corrupt_kernel_structures_caught(policy_name):
@@ -208,6 +209,8 @@ def test_corrupt_kernel_structures_caught(policy_name):
         switches = [switch]
     elif policy_name in ("LQD", "LWD", "BPD", "BPD1", "NHST"):
         switches = [_warm_switch(policy_name)]
+    elif policy_name == "threshold-memo":
+        switches = [_warm_switch("NHDT")]
     else:
         switches = [_warm_value_switch(policy_name, feed) for feed in FEEDS]
     for switch in switches:
@@ -225,6 +228,11 @@ def test_corrupt_kernel_structures_caught(policy_name):
             switch._nm ^= 1
         elif policy_name == "NHST":
             switch._tcaps[0] += 1.0
+        elif policy_name == "threshold-memo":
+            # One remembered NHDT decision is flipped.
+            memo = switch._tmemo
+            key = next(iter(memo))
+            memo[key] = not memo[key]
         elif policy_name == "MVD":
             # The victim's filed key goes missing from the per-port column.
             switch._vkey[switch._vkeys[-1][2]] = None
@@ -234,6 +242,36 @@ def test_corrupt_kernel_structures_caught(policy_name):
             switch._vkeys.pop()
         with pytest.raises(AssertionError):
             switch.check_invariants()
+
+
+def test_threshold_memo_dies_with_its_binding():
+    # One switch replays five threshold policies in turn, so each
+    # replay starts from the last one's buffer, and each must match the
+    # reference. DT and NHDT-W call their rules directly, so their
+    # memo must be empty; NHDT and Harmonic pack (own, statistic) into
+    # int keys of one key space, which their rules read differently, so
+    # an NHDT entry that outlived its binding fails the audit of
+    # check_invariants after the Harmonic replay.
+    config = SwitchConfig.from_works([2] * 8, buffer_size=16)
+    trace = _congested_trace(config, 40, seed=9, per_slot=12)
+    vec = VectorizedSwitch(config)
+    ref = SharedMemorySwitch(config)
+    for make, memoized in (
+        (lambda: DynamicThreshold(alpha=0.5), False),
+        (lambda: DynamicThreshold(alpha=2.0), False),
+        (lambda: make_policy("NHDT"), True),
+        (lambda: make_policy("NHDT-W"), False),
+        (lambda: make_policy("Harmonic"), True),
+    ):
+        vec_policy = make()
+        ref_policy = make()
+        for burst in trace.slots:
+            vec.run_slot(burst, vec_policy)
+            ref.run_slot(burst, ref_policy)
+        assert vec._kpolicy is vec_policy
+        assert bool(vec._tmemo) == memoized
+        vec.check_invariants()
+        _assert_matches_reference(vec, ref)
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,12 @@ counter in the slot it is made.
 This suite drives the engines in lock-step over hypothesis-generated
 traces for every registered policy the vectorized engine serves, in
 both disciplines and at speedups C from 1 to 4: the push-out policies'
-victim kernels and the threshold policies' admission kernel. Policies
-with no kernel run on the reference engine only (see the engine
-selection tests in ``tests/test_columnar_engine.py``).
+victim kernels and the threshold policies' admission kernel. Those
+traces are narrow and short, so a seeded lock-step on 16 and 64 ports
+adds long congested MMPP runs: many queues of equal length at once,
+and threshold rules decided again and again for the same statistic.
+Policies with no kernel run on the reference engine only (see the
+engine selection tests in ``tests/test_columnar_engine.py``).
 Values are drawn from a tiny set so exact-value ties occur constantly,
 and processing-model configs flip between distinct and *uniform* works
 — under uniform works aggregate keys (queue length, queue work) tie on
@@ -36,7 +39,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.columnar import VectorizedSwitch
-from repro.core.config import SwitchConfig
+from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.decisions import DROP, Decision, push_out
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
@@ -44,6 +47,7 @@ from repro.core.switch import SharedMemorySwitch
 from repro.policies import available_policies, make_policy
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
+from repro.traffic.workloads import processing_workload, value_uniform_workload
 
 
 def _policy_names(model: str) -> List[str]:
@@ -507,3 +511,81 @@ def test_dynamic_policies_decision_identical(factory, scenario):
             factory, config, slot_bursts, _dynamic_events(n, toggles)
         )
     )
+
+
+# ----------------------------------------------------------------------
+# Wide switches under long congested MMPP runs
+# ----------------------------------------------------------------------
+
+#: The value-model policies with a kernel whose cost grows with the
+#: port count, and the threshold policies on the processing model too.
+WIDE_POLICIES = [
+    ("value", name)
+    for name in ("NHDT", "Harmonic", "DT", "LQD-V", "MVD", "MVD1", "MRD")
+] + [("processing", name) for name in ("NHDT", "Harmonic", "DT")]
+WIDE_SLOTS = 400
+#: One periodic flushout, at the end of slot 249.
+WIDE_FLUSH_EVERY = 250
+#: Port 1 goes down at slot 120 and comes back up at slot 150.
+WIDE_PORT_EVENTS = {120: False, 150: True}
+
+
+def _wide_case(
+    model: str, n: int, speedup: int
+) -> Tuple[SwitchConfig, ColumnarTrace]:
+    """An ``n``-port switch and a congested MMPP trace. The value model
+    runs Fig. 5 panel 4's regime (``B = 96``, 48 arrivals a slot on
+    average); the processing model has ``B = n`` and works ``1..n``."""
+    if model == "value":
+        config = SwitchConfig.uniform(
+            n, 96, speedup=speedup, discipline=QueueDiscipline.PRIORITY
+        )
+        trace = value_uniform_workload(
+            config, WIDE_SLOTS, max_value=8, absolute_rate=48.0,
+            seed=n + speedup,
+        )
+    else:
+        config = SwitchConfig.contiguous(n, n, speedup=speedup)
+        trace = processing_workload(
+            config, WIDE_SLOTS, load=3.0, seed=n + speedup
+        )
+    return config, trace
+
+
+@pytest.mark.parametrize("speedup", [1, 2])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize(
+    "model, policy_name", WIDE_POLICIES,
+    ids=[f"{model}-{name}" for model, name in WIDE_POLICIES],
+)
+def test_wide_switch_lockstep(model, policy_name, n, speedup):
+    config, trace = _wide_case(model, n, speedup)
+    naive = SharedMemorySwitch(config)
+    vec = VectorizedSwitch(config)
+    naive_policy = make_policy(policy_name)
+    vec_policy = make_policy(policy_name)
+    vec.bind_columns(trace)
+    congested = 0
+    for slot, burst in enumerate(trace.slots):
+        up = WIDE_PORT_EVENTS.get(slot)
+        if up is not None:
+            assert vec.set_port_state(1, up) == naive.set_port_state(1, up)
+        before = naive.metrics.dropped + naive.metrics.pushed_out
+        naive.run_slot(burst, naive_policy)
+        lo, hi = trace.slot_bounds(slot)
+        vec.run_slot_columns(
+            vec_policy, trace.ports, trace.works, trace.values,
+            trace.arrivals, lo, hi,
+        )
+        vec.check_invariants()
+        _assert_fast_legs_match(naive, (vec,), f"at slot {slot}")
+        if naive.metrics.dropped + naive.metrics.pushed_out > before:
+            congested += 1
+        if (slot + 1) % WIDE_FLUSH_EVERY == 0:
+            assert vec.flush() == naive.flush() > 0
+    naive.check_invariants()
+    assert congested >= 300, f"only {congested} congested slots"
+    if policy_name in ("NHDT", "Harmonic"):
+        # The threshold rule was read from the memo far more often than
+        # it was evaluated.
+        assert 0 < len(vec._tmemo) < vec.metrics.arrived // 4
