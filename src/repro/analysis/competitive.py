@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Union
@@ -96,12 +97,12 @@ class PolicySystem:
             switch = VectorizedSwitch(config)
             self.switch: Union[SharedMemorySwitch, VectorizedSwitch] = switch
             # Advertised as instance attributes only on the engine that
-            # has a columnar ingestion path, so the runner's ``getattr``
+            # has a columnar span path, so the runner's ``getattr``
             # probes route reference systems through the materialized
             # object loop. Both refer to the switch, never to this
             # system, so no reference cycle keeps a replayed switch
             # alive until the next cyclic garbage collection.
-            self.run_slot_columns = partial(switch.run_slot_columns, policy)
+            self.run_span = partial(switch.run_span, policy)
             self.bind_columns = switch.bind_columns
         else:
             reference = SharedMemorySwitch(config, observer=observer)
@@ -209,15 +210,21 @@ def run_system(
     ``attach_observer`` (reference-engine systems do; vectorized ones
     and the OPT surrogates do not).
 
-    A system that exposes ``run_slot_columns`` (the vectorized engines)
-    always replays columns: a :class:`~repro.traffic.columnar.
-    ColumnarTrace` as it is, an object :class:`Trace` through its
-    cached :meth:`~Trace.to_columnar` view, after ``bind_columns``
-    (where exposed) has validated the columns for the system and handed
-    it their scripted-OPT tags. Every other system replays packet
-    objects, materialized once for a columnar trace. Flushout cadence,
-    idle fast-forward, drain, and invariant checks are identical on
-    both paths, so the produced metrics are too.
+    A system that exposes ``run_span`` (the vectorized engines) always
+    replays columns: a :class:`~repro.traffic.columnar.ColumnarTrace`
+    as it is, an object :class:`Trace` through its cached
+    :meth:`~Trace.to_columnar` view, after ``bind_columns`` (where
+    exposed) has validated the columns for the system. It gets whole
+    spans of slots: the trace is cut at the flushout and invariant-check
+    boundaries and at churn-event slots, and ``run_span(ports, works,
+    values, arrivals, offsets, s0, s1)`` runs each piece and returns
+    the first slot it did not run. It stops early at an arrival-free
+    slot that starts on an empty buffer, and that idle stretch is
+    fast-forwarded exactly as on the object path, flushout boundaries
+    inside it included. Every other system replays packet objects,
+    materialized once for a columnar trace, slot by slot. Flushout
+    cadence, idle fast-forward, drain, and invariant checks are
+    identical on both paths, so the produced metrics are too.
     """
     if flush_every is not None and flush_every < 1:
         raise ConfigError(f"flush_every must be >= 1, got {flush_every}")
@@ -246,8 +253,8 @@ def run_system(
                 "(trace carries port_events)"
             )
 
-    run_cols = getattr(system, "run_slot_columns", None)
-    if run_cols is not None:
+    run_span = getattr(system, "run_span", None)
+    if run_span is not None:
         if not isinstance(trace, ColumnarTrace):
             trace = trace.to_columnar()
         bind = getattr(system, "bind_columns", None)
@@ -267,6 +274,7 @@ def run_system(
                 ports, works, values = arrays
         arrs = trace.arrivals
         n_slots = trace.n_slots
+        event_slots = sorted(port_events) if port_events is not None else []
         slot = 0
         while slot < n_slots:
             if port_events is not None:
@@ -275,25 +283,36 @@ def run_system(
                     assert set_port_state is not None
                     for event in events:
                         set_port_state(event.port, event.up)
-            lo = offsets[slot]
-            hi = offsets[slot + 1]
-            if lo == hi and fast_forward is not None and system.backlog == 0:
-                end = slot + 1
+            # The span ends at the next flushout, invariant check or
+            # churn-event slot, whichever comes first.
+            end = n_slots
+            if flush_every is not None:
+                end = min(end, (slot // flush_every + 1) * flush_every)
+            if check_every:
+                end = min(end, (slot // check_every + 1) * check_every)
+            k = bisect_right(event_slots, slot)
+            if k < len(event_slots):
+                end = min(end, event_slots[k])
+            stop = run_span(ports, works, values, arrs, offsets, slot, end)
+            if stop < end:
+                # An arrival-free slot on an empty buffer: skip the
+                # idle stretch up to the next slot with arrivals or
+                # churn events, flushout boundaries inside it included,
+                # exactly like the object loop below.
+                slot = stop + 1
                 while (
-                    end < n_slots
-                    and offsets[end + 1] == offsets[end]
-                    and (port_events is None or end not in port_events)
+                    slot < n_slots
+                    and offsets[slot + 1] == offsets[slot]
+                    and (port_events is None or slot not in port_events)
                 ):
-                    end += 1
-                fast_forward(end - slot)
-                slot = end
+                    slot += 1
+                system.fast_forward(slot - stop)
                 continue
-            run_cols(ports, works, values, arrs, lo, hi)
-            if flush_every is not None and (slot + 1) % flush_every == 0:
+            slot = end
+            if flush_every is not None and slot % flush_every == 0:
                 system.flush()
-            if check_every and (slot + 1) % check_every == 0:
+            if check_every and slot % check_every == 0:
                 system.check_invariants()
-            slot += 1
         return _drain(system, drain_slots, check_every)
 
     slots = trace.slots
@@ -308,10 +327,12 @@ def run_system(
                     set_port_state(event.port, event.up)
         arrivals = slots[slot]
         if not arrivals and fast_forward is not None and system.backlog == 0:
-            # Skip the whole idle stretch at once. Any flushouts inside
-            # it would clear an empty buffer (a metrics no-op), so
-            # jumping over their boundaries changes nothing; the scan
-            # stops short of the next churn-event slot.
+            # Skip the whole idle stretch at once, and the flushouts
+            # inside it: they would clear an empty buffer, which counts
+            # nothing, though it would zero the float rounding residue
+            # a drained queue's value total keeps (MRD's key reads it).
+            # Both engines skip the same boundaries, so they agree. The
+            # scan stops short of the next churn-event slot.
             end = slot + 1
             while (
                 end < n_slots

@@ -12,13 +12,20 @@ enforce.
 
 Batching structure
 ------------------
-The engine has one way to run a slot, :meth:`VectorizedSwitch.
-run_slot_columns`, which ingests a slot as a column span of a
-:class:`~repro.traffic.columnar.ColumnarTrace`. An object ``Trace``
-replayed through :func:`repro.analysis.competitive.run_system` goes in
-through its cached columnar view, and :meth:`VectorizedSwitch.run_slot`
-turns a single burst into a one-slot span, so every policy binds the
-same kernels whichever trace form it is fed.
+The engine has one way to run slots, :meth:`VectorizedSwitch.run_span`,
+which runs consecutive slots of a
+:class:`~repro.traffic.columnar.ColumnarTrace`, each slot a column span
+of the trace. :func:`repro.analysis.competitive.run_system` cuts a
+replay into spans at its flushouts, its invariant checks and its
+churn-event slots; an object ``Trace`` goes in through its cached
+columnar view. A span binds the policy's kernel, then the transmission
+state, once, and keeps the per-slot metrics in locals until it ends.
+It stops early at an arrival-free slot that starts on an empty buffer,
+which ``run_system`` fast-forwards, skipping any flushout inside the idle
+stretch exactly as the reference replay does.
+:meth:`VectorizedSwitch.run_slot_columns` and
+:meth:`VectorizedSwitch.run_slot` (a single burst) are one-slot spans,
+so every policy binds the same kernels whichever trace form it is fed.
 
 The arrival phase is processed per slot as one batch. While the buffer
 has free space every push-out policy is greedy (``PushOutPolicy.admit``
@@ -46,6 +53,12 @@ ascending ``(w_p, p)`` order, so comparing ranks compares the paper's
 ``(w_j, j)`` tie-break exactly; ranks are unique, hence no kernel ever
 faces an unresolved tie.
 
+A slot's arrivals come in same-port runs, and a drop changes nothing
+these three kernels' drop tests read; the tests read no packet field
+but the port (a FIFO packet's work is its port's, validated). So when
+an arrival drops, the rest of its same-port run drops with it, counted
+in one step. A run broken by another port's arrival is two runs.
+
 The value model's priority-queue layout has one more kernel, shared by
 its four push-out policies. It keeps a sorted list of per-port victim
 keys, built with the reference's own keys and float operations, whose
@@ -64,21 +77,25 @@ A push-out re-files two keys (the victim's and the arrival's, one when
 they are the same port) and a drop none. The bulk-accepted run of a
 slot re-files the keys of the ports it touched, and each transmission
 phase that completes a packet rebuilds the list once, so the keys are
-in sync at every slot end.
+in sync at every slot end. Each congested arrival is decided on its
+own: MVD, MVD₁ and MRD compare its value, and LQD-V, whose test reads
+no arrival field but the port, shares their loop (see
+docs/VECTORIZED.md, "Drop runs").
 
-The transmission phase is batched as well. A FIFO queue of length
-``L`` at speedup ``C`` serves its first ``min(C, L)`` packets one cycle
-each per slot, and since all its packets need the same work, each of
-those *armed* packets completes at a tick fixed when it is armed. The
-engine keeps a *multi-core expiry-tick calendar*: every packet is
-scheduled once, at the absolute phase tick where it completes, when it
-enters the first ``C`` positions (on admission to a queue shorter than
-``C``, or when a completion ahead of it moves it up). Per port the
-calendar holds the head's tick and a window of the ``min(C, L) - 1``
-non-decreasing ticks behind it, empty at ``C = 1``. Advancing the tick
-is the whole decrement, and a phase costs O(completions) — one dict
-pop — instead of O(active ports). A push-out of an armed tail pops the
-window's last tick, whose calendar entry goes stale.
+The transmission phase is batched as well, inside the span loop. A
+FIFO queue of length ``L`` at speedup ``C`` serves its first
+``min(C, L)`` packets one cycle each per slot, and since all its
+packets need the same work, each of those *armed* packets completes at
+a tick fixed when it is armed. The engine keeps a *multi-core expiry-tick
+calendar*: every packet is scheduled once, at the absolute phase tick
+where it completes, when it enters the first ``C`` positions (on
+admission to a queue shorter than ``C``, or when a completion ahead of
+it moves it up). Per port the calendar holds the head's tick and a
+window of the ``min(C, L) - 1`` non-decreasing ticks behind it, empty
+at ``C = 1``. Advancing the tick is the whole decrement, and a phase
+costs O(completions) — one dict pop — instead of O(active ports). A
+push-out of an armed tail pops the window's last tick, whose calendar
+entry goes stale.
 
 LWD keys on total residual work, which every queue loses uniformly
 (one unit a phase) only at ``C = 1``; there an offset absorbs the
@@ -99,7 +116,9 @@ by (own length, statistic) that lives as long as the policy's binding:
 the function is pure and its capacity is the constant ``B`` here. DT
 (free space) and NHDT-W (a scan of the queue works) call their rule
 directly, and a static cap is read from the per-port table built at
-bind time. No threshold formula is restated here.
+bind time. No threshold formula is restated here. A drop moves neither
+the own length, the statistic nor the occupancy, so a dropped
+arrival's same-port run drops in one step here too.
 
 Every replay runs a kernel. On the purely shared model a down port
 changes no admission predicate (its queue is empty and the buffer
@@ -498,7 +517,7 @@ class VectorizedSwitch:
         the shapes it passed in its ``validated`` set, so the other
         replays of one sweep cell skip it, and the memo dies with the
         trace. The switch then trusts ``trace.ports`` in
-        :meth:`run_slot_columns` for its own lifetime only.
+        :meth:`run_span` for its own lifetime only.
         """
         shape = (self._by_value, tuple(self._works))
         if shape not in trace.validated:
@@ -774,7 +793,6 @@ class VectorizedSwitch:
             len(ports),
         )
 
-    @hot_path
     def run_slot_columns(
         self,
         policy: Any,
@@ -785,46 +803,310 @@ class VectorizedSwitch:
         lo: int,
         hi: int,
     ) -> List[Packet]:
-        """One full slot ingested straight from flat trace columns.
-
-        The burst is the column span ``[lo, hi)`` of a
-        :class:`repro.traffic.columnar.ColumnarTrace`: no ``Packet``
-        objects are constructed. ``arrivals`` is ``None`` when every
-        packet's arrival slot is the current slot. This is the engine's
-        one way to run a slot; :meth:`run_slot` feeds it too.
-        """
-        if hi > lo:
-            if ports is not self._valid_ports:
-                self._validate_columns(ports, works, values)
-                self._valid_ports = ports
-            kind = self._kernel_for(policy)
-            self.metrics.arrived += hi - lo
-            if self._n_down:
-                ports, works, values, arrivals, hi = self._drop_down_arrivals(
-                    ports, works, values, arrivals, lo, hi
-                )
-                lo = 0
-            if kind == K_LQD:
-                self._arrive_lqd_cols(ports, values, arrivals, lo, hi)
-            elif kind == K_LWD:
-                self._arrive_lwd_cols(ports, values, arrivals, lo, hi)
-            elif kind == K_BPD:
-                self._arrive_bpd_cols(ports, values, arrivals, lo, hi)
-            elif kind == K_THRESHOLD:
-                self._arrive_threshold_cols(
-                    ports, works, values, arrivals, lo, hi
-                )
-            else:
-                self._arrive_value_cols(
-                    kind, ports, works, values, arrivals, lo, hi
-                )
-        if self._by_value:
-            self._transmit_priority()
-        else:
-            self._transmit_fifo()
-        self.metrics.record_slot(self.occupancy)
-        self.current_slot += 1
+        """One full slot from the column span ``[lo, hi)``: a one-slot
+        :meth:`run_span`. The arrival-free slot on an empty buffer that
+        the span loop leaves to its caller is one idle slot, so it is
+        fast-forwarded here."""
+        if not self.run_span(
+            policy, ports, works, values, arrivals, (lo, hi), 0, 1
+        ):
+            self.fast_forward(1)
         return []
+
+    @hot_path
+    def run_span(
+        self,
+        policy: Any,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        offsets: Sequence[int],
+        s0: int,
+        s1: int,
+    ) -> int:
+        """Run the trace slots ``[s0, s1)`` straight from flat columns.
+
+        Slot ``s`` is the column span ``[offsets[s], offsets[s + 1])``
+        of a :class:`repro.traffic.columnar.ColumnarTrace`: no
+        ``Packet`` objects are constructed. ``arrivals`` is ``None``
+        when every packet's arrival slot is the slot it arrives in.
+        This is the engine's one way to run slots;
+        :meth:`run_slot_columns` and :meth:`run_slot` are one-slot
+        spans.
+
+        Returns the first slot not run. The loop stops early at an
+        arrival-free slot that starts on an empty buffer: the caller
+        fast-forwards such a stretch (:func:`repro.analysis.competitive.
+        run_system` skips the flushouts inside it).
+
+        The policy's kernel is bound first, which leaves its derived
+        structures clean, and only then is the transmission state bound,
+        once per span. Inside a span nothing replaces those structures
+        except the value kernels' per-phase key rebuild, which the
+        arrival kernels re-read; flushes, port events and policy
+        changes fall between spans. LWD at ``C > 1`` is the one kernel
+        whose transmission phase leaves its codes stale: every queue
+        loses ``min(C, L)`` work a phase, so the codes are rebuilt
+        before the next arrival phase instead. The slot count, the
+        occupancy integral and peak, ``arrived`` and the transmission
+        totals accumulate in locals, in the reference's order, and are
+        written once per span (the slot accounting through
+        :meth:`SwitchMetrics.record_slots`).
+        """
+        lo = offsets[s0]
+        if offsets[s1] > lo and ports is not self._valid_ports:
+            self._validate_columns(ports, works, values)
+            self._valid_ports = ports
+        kind = self._kernel_for(policy)
+        cores = self._cores
+        by_value = self._by_value
+        lwd_stale = kind == K_LWD and cores > 1
+        tkind = _UNBOUND if lwd_stale else kind
+        metrics = self.metrics
+        lens = self._lens
+        tv = self._tv
+        active = self._active
+        is_act = self._is_act
+        tx_by_port = metrics.transmitted_by_port
+        txv_by_port = metrics.transmitted_value_by_port
+        delay_sum = metrics.delay_sum_by_port
+        delay_count = metrics.delay_count_by_port
+        # FIFO transmission state (the multi-core calendar).
+        sched = self._sched
+        hexp = self._hexp
+        stores = self._stores
+        wins = self._wins
+        wcol = self._works
+        rank = self._rank
+        bit = self._bit
+        masks = self._masks
+        codes = self._codes
+        pcode = self._pcode
+        below = self._mvl - 1
+        # Priority transmission state.
+        all_vals = self._vals
+        all_recs = self._recs
+        tw = self._tw
+        slot = self.current_slot
+        arrived = metrics.arrived
+        integral = 0
+        peak = 0
+        txp = metrics.transmitted_packets
+        txv = metrics.transmitted_value
+        hi = lo
+        for s in range(s0, s1):
+            lo = hi
+            hi = offsets[s + 1]
+            if hi > lo:
+                arrived += hi - lo
+                self.current_slot = slot
+                if lwd_stale and not self._kclean:
+                    self._rebuild_kernel(K_LWD)
+                    self._kclean = True
+                if self._n_down:
+                    cp, cw, cv, ca, chi = self._drop_down_arrivals(
+                        ports, works, values, arrivals, lo, hi
+                    )
+                    clo = 0
+                else:
+                    cp, cw, cv, ca, clo, chi = (
+                        ports, works, values, arrivals, lo, hi
+                    )
+                if kind == K_LQD:
+                    self._arrive_lqd_cols(cp, cv, ca, clo, chi)
+                elif kind == K_LWD:
+                    self._arrive_lwd_cols(cp, cv, ca, clo, chi)
+                elif kind == K_BPD:
+                    self._arrive_bpd_cols(cp, cv, ca, clo, chi)
+                elif kind == K_THRESHOLD:
+                    self._arrive_threshold_cols(cp, cw, cv, ca, clo, chi)
+                else:
+                    self._arrive_value_cols(kind, cp, cw, cv, ca, clo, chi)
+            elif not self.occupancy:
+                break
+            if not active:
+                pass
+            elif by_value:
+                # Priority transmission phase (value model). Each active
+                # queue serves its min(C, L) most valuable packets one
+                # cycle each (at C = 1 only the top record is touched),
+                # and completed packets leave from the top.
+                count = 0
+                drained: List[int] = []
+                for p in active:
+                    recs = all_recs[p]
+                    rec = recs[-1]
+                    if cores == 1:
+                        tw[p] -= 1
+                        if rec[3] > 1:
+                            rec[3] -= 1
+                            continue
+                    else:
+                        length = lens[p]
+                        c = cores if cores < length else length
+                        for idx in range(length - c, length):
+                            recs[idx][3] -= 1
+                        tw[p] -= c
+                        if rec[3]:
+                            continue
+                    # The top record completed; those below it may too
+                    # (C > 1).
+                    vals = all_vals[p]
+                    length = lens[p]
+                    nl = length
+                    while True:
+                        recs.pop()
+                        vals.pop()
+                        value = rec[0]
+                        tv[p] -= value
+                        txv += value
+                        txv_by_port[p] += value
+                        arr = rec[1]
+                        if slot >= arr:
+                            delay_sum[p] += slot - arr
+                            delay_count[p] += 1
+                        nl -= 1
+                        if not nl:
+                            break
+                        rec = recs[-1]
+                        if rec[3]:
+                            break
+                    lens[p] = nl
+                    tx_by_port[p] += length - nl
+                    count += length - nl
+                    if not nl:
+                        drained.append(p)
+                if count:
+                    txp += count
+                    self.occupancy -= count
+                    for p in drained:
+                        del active[bisect_left(active, p)]
+                        is_act[p] = False
+                    if kind >= K_LQDV:
+                        # Completions moved the lengths (and value
+                        # totals) every value key is built from:
+                        # re-file them all at once.
+                        self._rebuild_kernel(kind)
+            else:
+                # FIFO transmission phase over the multi-core calendar.
+                # Pops the current tick's bucket: advancing the tick is
+                # the decrement of every armed packet. Entries can be
+                # stale (the packet was pushed out or flushed), so each
+                # port is checked against its live head expiry;
+                # survivors complete in ascending port order like the
+                # reference's active-set walk, heads while their expiry
+                # is this tick (several at C > 1). A completion promotes
+                # the next armed packet and arms the one entering the
+                # first C positions.
+                if lwd_stale:
+                    self._kclean = False
+                tick = self._tick + 1
+                self._tick = tick
+                bucket = sched.pop(tick, None)
+                done: List[int] = []
+                if bucket is None:
+                    pass
+                elif len(bucket) == 1:
+                    p = bucket[0]
+                    if is_act[p] and hexp[p] == tick:
+                        done = bucket
+                else:
+                    bucket.sort()
+                    last = -1
+                    for p in bucket:
+                        if p != last and is_act[p] and hexp[p] == tick:
+                            done.append(p)
+                        last = p
+                if done:
+                    nm = self._nm
+                    drained = []
+                    count = 0
+                    for p in done:
+                        store = stores[p]
+                        nl = lens[p]
+                        while True:
+                            value, arr, _sq = store.popleft()
+                            tv[p] -= value
+                            nl -= 1
+                            count += 1
+                            txv += value
+                            tx_by_port[p] += 1
+                            txv_by_port[p] += value
+                            if slot >= arr:
+                                delay_sum[p] += slot - arr
+                                delay_count[p] += 1
+                            if tkind == K_LQD:
+                                r = rank[p]
+                                masks[nl + 1] ^= bit[r]
+                                if nl:
+                                    masks[nl] |= bit[r]
+                            elif tkind == K_BPD:
+                                if nl == below:
+                                    nm ^= bit[rank[p]]
+                            if not nl:
+                                del active[bisect_left(active, p)]
+                                is_act[p] = False
+                                if tkind == K_LWD:
+                                    drained.append(p)
+                                break
+                            win = wins[p]
+                            if win:
+                                # C > 1: the next armed packet becomes
+                                # the head, and the packet now at
+                                # position C - 1 is armed.
+                                if nl >= cores:
+                                    e = tick + wcol[p]
+                                    win.append(e)
+                                    b = sched.get(e)
+                                    if b is None:
+                                        sched[e] = [p]
+                                    else:
+                                        b.append(p)
+                                e = win.pop(0)
+                                hexp[p] = e
+                                if e == tick:
+                                    continue
+                            else:
+                                e = tick + wcol[p]
+                                hexp[p] = e
+                                b = sched.get(e)
+                                if b is None:
+                                    sched[e] = [p]
+                                else:
+                                    b.append(p)
+                            break
+                        lens[p] = nl
+                    txp += count
+                    self.occupancy -= count
+                    if tkind == K_LQD:
+                        maxl = self._maxl
+                        while maxl and not masks[maxl]:
+                            maxl -= 1
+                        self._maxl = maxl
+                        self._topr = (
+                            masks[maxl].bit_length() - 1 if maxl else -1
+                        )
+                    elif tkind == K_LWD:
+                        for p in drained:
+                            del codes[bisect_left(codes, pcode[p])]
+                    elif tkind == K_BPD:
+                        self._nm = nm
+                if tkind == K_LWD:
+                    self._off += 1
+            occ = self.occupancy
+            integral += occ
+            if occ > peak:
+                peak = occ
+            slot += 1
+        else:
+            s = s1
+        self.current_slot = slot
+        metrics.record_slots(s - s0, integral, peak)
+        metrics.arrived = arrived
+        metrics.transmitted_packets = txp
+        metrics.transmitted_value = txv
+        return s
 
     def _drop_down_arrivals(
         self,
@@ -907,7 +1189,7 @@ class VectorizedSwitch:
 
         Mirrors the reference engine exactly: down flushes the port's
         queue (accounted as flushed) and engine-drops subsequent
-        arrivals (see :meth:`run_slot_columns`); redundant transitions
+        arrivals (see :meth:`run_span`); redundant transitions
         are trace errors. A reclaimed queue invalidates the derived
         kernel structures, which the next slot rebuilds.
         """
@@ -1059,14 +1341,23 @@ class VectorizedSwitch:
                     topr = r
                 elif nl == maxl and r > topr:
                     topr = r
-        for i in range(split, hi):
+        i = split
+        while i < hi:
             p = ports[i]
             r = rank[p]
             ol = lens[p]
             nl = ol + 1
             if nl > maxl or (nl == maxl and r > topr):
-                dropped += 1
-                dropped_by_port[p] += 1
+                # A drop changes nothing this test reads, so the rest
+                # of the arrival's same-port run drops with it. The
+                # scan stays inline in each kernel: a shared helper
+                # costs a call per dropped run, 1.5-4% of a fig5-2 replay.
+                j = i + 1
+                while j < hi and ports[j] == p:
+                    j += 1
+                dropped += j - i
+                dropped_by_port[p] += j - i
+                i = j
                 continue
             # Push out the tail of the max-key queue. The own queue
             # cannot be the victim here: had (nl, r) matched
@@ -1114,6 +1405,7 @@ class VectorizedSwitch:
             while not masks[maxl]:
                 maxl -= 1
             topr = masks[maxl].bit_length() - 1
+            i += 1
         self.occupancy = occ
         self._maxl = maxl
         self._topr = topr
@@ -1206,7 +1498,8 @@ class VectorizedSwitch:
                 )
                 tv[p] += values[i]
                 lens[p] = ol + 1
-        for i in range(split, hi):
+        i = split
+        while i < hi:
             p = ports[i]
             ol = lens[p]
             if ol:
@@ -1215,8 +1508,13 @@ class VectorizedSwitch:
                 nc = (works[p] + off) * nr + rank[p]
             top = codes[-1]
             if nc > top:
-                dropped += 1
-                dropped_by_port[p] += 1
+                # The same-port run drops as one (see the LQD kernel).
+                j = i + 1
+                while j < hi and ports[j] == p:
+                    j += 1
+                dropped += j - i
+                dropped_by_port[p] += j - i
+                i = j
                 continue
             t = porder[top % nr]
             codes.pop()
@@ -1269,6 +1567,7 @@ class VectorizedSwitch:
             tv[p] += values[i]
             lens[p] = ol + 1
             accepted += 1
+            i += 1
         self.occupancy = occ
         metrics.accepted += accepted
         metrics.dropped += dropped
@@ -1355,13 +1654,19 @@ class VectorizedSwitch:
                         sched[e] = [p]
                     else:
                         b.append(p)
-        for i in range(split, hi):
+        i = split
+        while i < hi:
             p = ports[i]
             r = rank[p]
             vr = nm.bit_length() - 1
             if r > vr:
-                dropped += 1
-                dropped_by_port[p] += 1
+                # The same-port run drops as one (see the LQD kernel).
+                j = i + 1
+                while j < hi and ports[j] == p:
+                    j += 1
+                dropped += j - i
+                dropped_by_port[p] += j - i
+                i = j
                 continue
             t = porder[vr]
             vl = lens[t] - 1
@@ -1405,6 +1710,7 @@ class VectorizedSwitch:
                     sched[e] = [p]
                 else:
                     b.append(p)
+            i += 1
         self.occupancy = occ
         self._nm = nm
         metrics.accepted += accepted
@@ -1581,7 +1887,8 @@ class VectorizedSwitch:
             else []
         )
         ok: Optional[bool]
-        for i in range(lo, hi):
+        i = lo
+        while i < hi:
             p = ports[i]
             if occ < cap:
                 own = lens[p]
@@ -1629,244 +1936,20 @@ class VectorizedSwitch:
                     )
                     occ += 1
                     accepted += 1
+                    i += 1
                     continue
-            dropped += 1
-            dropped_by_port[p] += 1
+            # A drop changes nothing the rule reads (the own length,
+            # the statistic, the occupancy), so the rest of the
+            # arrival's same-port run drops with it.
+            j = i + 1
+            while j < hi and ports[j] == p:
+                j += 1
+            dropped += j - i
+            dropped_by_port[p] += j - i
+            i = j
         self.occupancy = occ
         metrics.accepted += accepted
         metrics.dropped += dropped
-
-    # ------------------------------------------------------------------
-    # Transmission phases
-    # ------------------------------------------------------------------
-
-    @hot_path
-    def _transmit_fifo(self) -> None:
-        """FIFO transmission phase over the multi-core calendar.
-
-        Pops the current tick's calendar bucket: the phase costs
-        O(completions), because advancing the tick *is* the decrement
-        of every armed packet. Bucket entries can be stale (the packet
-        they were armed for was pushed out or flushed), so each port is
-        validated against its live head expiry; survivors are processed
-        once each, in ascending port order exactly like the reference's
-        active-set walk, completing heads while the head's expiry is
-        this tick (same-tick completions happen at ``C > 1``). Each
-        completion promotes the next armed packet to the head and arms
-        the packet that enters the first ``C`` positions.
-        """
-        active = self._active
-        if not active:
-            return
-        kind = self._kkind if self._kclean else _UNBOUND
-        cores = self._cores
-        if kind == K_LWD and cores > 1:
-            # The uniform decrement behind LWD's offset holds at C = 1
-            # only: every queue loses min(C, L) work here, so the code
-            # list is rebuilt before the next arrival phase instead.
-            self._kclean = False
-            kind = _UNBOUND
-        sched = self._sched
-        hexp = self._hexp
-        is_act = self._is_act
-        tick = self._tick + 1
-        self._tick = tick
-        bucket = sched.pop(tick, None)
-        done: List[int]
-        if bucket is None:
-            done = []
-        elif len(bucket) == 1:
-            p = bucket[0]
-            if is_act[p] and hexp[p] == tick:
-                done = bucket
-            else:
-                done = []
-        else:
-            bucket.sort()
-            done = []
-            last = -1
-            for p in bucket:
-                if p != last and is_act[p] and hexp[p] == tick:
-                    done.append(p)
-                last = p
-        if not done:
-            if kind == K_LWD:
-                self._off += 1
-            return
-        metrics = self.metrics
-        slot = self.current_slot
-        stores = self._stores
-        wins = self._wins
-        lens = self._lens
-        tv = self._tv
-        works = self._works
-        rank = self._rank
-        bit = self._bit
-        masks = self._masks
-        tx_by_port = metrics.transmitted_by_port
-        txv_by_port = metrics.transmitted_value_by_port
-        delay_sum = metrics.delay_sum_by_port
-        delay_count = metrics.delay_count_by_port
-        nm = self._nm
-        below = self._mvl - 1
-        drained: List[int] = []
-        count = 0
-        for p in done:
-            store = stores[p]
-            nl = lens[p]
-            while True:
-                value, arr, _sq = store.popleft()
-                tv[p] -= value
-                nl -= 1
-                count += 1
-                metrics.transmitted_value += value
-                tx_by_port[p] += 1
-                txv_by_port[p] += value
-                if slot >= arr:
-                    delay_sum[p] += slot - arr
-                    delay_count[p] += 1
-                if kind == K_LQD:
-                    r = rank[p]
-                    masks[nl + 1] ^= bit[r]
-                    if nl:
-                        masks[nl] |= bit[r]
-                elif kind == K_BPD:
-                    if nl == below:
-                        nm ^= bit[rank[p]]
-                if not nl:
-                    del active[bisect_left(active, p)]
-                    is_act[p] = False
-                    if kind == K_LWD:
-                        drained.append(p)
-                    break
-                win = wins[p]
-                if win:
-                    # C > 1: the next armed packet becomes the head, and
-                    # the packet now at position C - 1 is armed.
-                    if nl >= cores:
-                        e = tick + works[p]
-                        win.append(e)
-                        b = sched.get(e)
-                        if b is None:
-                            sched[e] = [p]
-                        else:
-                            b.append(p)
-                    e = win.pop(0)
-                    hexp[p] = e
-                    if e == tick:
-                        continue
-                else:
-                    e = tick + works[p]
-                    hexp[p] = e
-                    b = sched.get(e)
-                    if b is None:
-                        sched[e] = [p]
-                    else:
-                        b.append(p)
-                break
-            lens[p] = nl
-        metrics.transmitted_packets += count
-        self.occupancy -= count
-        if kind == K_LQD:
-            maxl = self._maxl
-            while maxl and not masks[maxl]:
-                maxl -= 1
-            self._maxl = maxl
-            self._topr = (
-                masks[maxl].bit_length() - 1 if maxl else -1
-            )
-        elif kind == K_LWD:
-            codes = self._codes
-            pcode = self._pcode
-            for p in drained:
-                del codes[bisect_left(codes, pcode[p])]
-            self._off += 1
-        elif kind == K_BPD:
-            self._nm = nm
-
-    @hot_path
-    def _transmit_priority(self) -> None:
-        """Priority-queue transmission phase (value model).
-
-        Each active queue serves its ``min(C, L)`` most valuable packets
-        one cycle each (at ``C = 1`` only the top record is touched),
-        and completed packets leave from the top. Float accumulators
-        are updated per packet in the reference's order; integer
-        counters once per port and per phase.
-        """
-        active = self._active
-        if not active:
-            return
-        metrics = self.metrics
-        slot = self.current_slot
-        cores = self._cores
-        all_vals = self._vals
-        all_recs = self._recs
-        lens = self._lens
-        tv = self._tv
-        tw = self._tw
-        tx_by_port = metrics.transmitted_by_port
-        txv_by_port = metrics.transmitted_value_by_port
-        delay_sum = metrics.delay_sum_by_port
-        delay_count = metrics.delay_count_by_port
-        txv = metrics.transmitted_value
-        count = 0
-        drained: List[int] = []
-        for p in active:
-            recs = all_recs[p]
-            rec = recs[-1]
-            if cores == 1:
-                tw[p] -= 1
-                if rec[3] > 1:
-                    rec[3] -= 1
-                    continue
-            else:
-                length = lens[p]
-                c = cores if cores < length else length
-                for idx in range(length - c, length):
-                    recs[idx][3] -= 1
-                tw[p] -= c
-                if rec[3]:
-                    continue
-            # The top record completed; those below it may too (C > 1).
-            vals = all_vals[p]
-            length = lens[p]
-            nl = length
-            while True:
-                recs.pop()
-                vals.pop()
-                value = rec[0]
-                tv[p] -= value
-                txv += value
-                txv_by_port[p] += value
-                arr = rec[1]
-                if slot >= arr:
-                    delay_sum[p] += slot - arr
-                    delay_count[p] += 1
-                nl -= 1
-                if not nl:
-                    break
-                rec = recs[-1]
-                if rec[3]:
-                    break
-            lens[p] = nl
-            tx_by_port[p] += length - nl
-            count += length - nl
-            if not nl:
-                drained.append(p)
-        metrics.transmitted_value = txv
-        if not count:
-            return
-        metrics.transmitted_packets += count
-        self.occupancy -= count
-        is_act = self._is_act
-        for p in drained:
-            del active[bisect_left(active, p)]
-            is_act[p] = False
-        if self._kclean and self._kkind >= K_LQDV:
-            # Completions moved the lengths (and value totals) every
-            # value key is built from: re-file them all at once.
-            self._rebuild_kernel(self._kkind)
 
     # ------------------------------------------------------------------
     # Diagnostics

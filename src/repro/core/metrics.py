@@ -104,6 +104,18 @@ class SwitchMetrics:
         self.occupancy_integral += occupancy
         self.occupancy_peak = max(self.occupancy_peak, occupancy)
 
+    def record_slots(self, n: int, occupancy_sum: int, peak: int) -> None:
+        """Account for ``n`` consecutive slots in one step.
+
+        Equivalent to ``n`` calls of ``record_slot`` whose end-of-slot
+        occupancies sum to ``occupancy_sum`` and peak at ``peak``. Used
+        by the vectorized engine, which records a whole slot span at once.
+        """
+        self.slots_elapsed += n
+        self.occupancy_integral += occupancy_sum
+        if peak > self.occupancy_peak:
+            self.occupancy_peak = peak
+
     def record_idle_slots(self, n: int) -> None:
         """Account for ``n`` consecutive empty-buffer slots in one step.
 

@@ -24,13 +24,15 @@ with O(completions) bookkeeping:
   the tail — no packet objects, no key lambdas.
 
 Both are selected through ``make_surrogate(..., engine="vectorized")``
-and expose the same :class:`~repro.opt.surrogate.System` surface plus a
-``run_slot_columns`` entry point that ingests
-:class:`~repro.traffic.columnar.ColumnarTrace` spans without packet
-materialization. Like :class:`~repro.core.columnar.
-VectorizedSwitch`, ``run_slot`` returns ``[]``: transmissions are
-accounted in metrics only (the competitive runner ignores the return
-value), and admitted entries carry no sequence numbers. All
+and expose the same :class:`~repro.opt.surrogate.System` surface plus
+``run_slot_columns``, which ingests one slot of a
+:class:`~repro.traffic.columnar.ColumnarTrace` without packet
+materialization, and the base class's ``run_span`` over it, the
+protocol :func:`repro.analysis.competitive.run_system` drives. Like
+:class:`~repro.core.columnar.VectorizedSwitch`, ``run_slot`` returns
+``[]``: transmissions are accounted in metrics only (the competitive
+runner ignores the return value), and admitted entries carry no
+sequence numbers. All
 decision-relevant and metrics-relevant quantities — counters, per-port
 drop/transmit splits, the float accumulation order of
 ``transmitted_value`` — are identical to the reference, which the
@@ -68,7 +70,7 @@ class _ColumnSurrogate:
     """Shared surface of the two vectorized surrogate variants."""
 
     #: Handshake read by :func:`repro.analysis.competitive.run_system`:
-    #: when set, ``run_slot_columns`` is fed the trace's cached
+    #: when set, ``run_span`` is fed the trace's cached
     #: int64/float64 arrays (:meth:`~repro.traffic.columnar.
     #: ColumnarTrace.array_columns`) instead of the canonical lists,
     #: which enables the batched congested-path filter below.
@@ -135,6 +137,42 @@ class _ColumnSurrogate:
     def _reclaim_port(self, port: int) -> int:
         """Remove every buffered packet for ``port``; return the count."""
         raise NotImplementedError
+
+    def run_slot_columns(
+        self,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        lo: int,
+        hi: int,
+    ) -> List[Packet]:
+        raise NotImplementedError
+
+    def run_span(
+        self,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        offsets: Sequence[int],
+        s0: int,
+        s1: int,
+    ) -> int:
+        """Run the trace slots ``[s0, s1)``, slot ``s`` being the column
+        span ``[offsets[s], offsets[s + 1])``; returns the first slot
+        not run. Like :meth:`repro.core.columnar.VectorizedSwitch.
+        run_span` it stops at an arrival-free slot that starts on an
+        empty buffer, which the caller fast-forwards."""
+        run_slot_columns = self.run_slot_columns
+        hi = offsets[s0]
+        for s in range(s0, s1):
+            lo = hi
+            hi = offsets[s + 1]
+            if lo == hi and not self.backlog:
+                return s
+            run_slot_columns(ports, works, values, arrivals, lo, hi)
+        return s1
 
 
 class VectorizedSrptSurrogate(_ColumnSurrogate):

@@ -11,7 +11,7 @@ burst is the column span ``offsets[s]:offsets[s + 1]``.
 The canonical column representation is plain Python lists — the one
 buffer type both column backends share and the fastest thing the
 ingestion loops (:meth:`repro.core.columnar.VectorizedSwitch.
-run_slot_columns`, the vectorized OPT surrogates) can index packet by
+run_span`, the vectorized OPT surrogates) can index packet by
 packet. The :mod:`repro.core.columns` backend seam is used where arrays
 pay: the batched numpy sampling of the generators, whose per-slot
 :data:`Chunk` arrays :meth:`ColumnarTrace.from_chunks` concatenates.

@@ -635,6 +635,7 @@ def test_unserved_pair_runs_on_reference(config_factory, policy_factory):
     assert system.engine == "reference"
     assert isinstance(system.switch, SharedMemorySwitch)
     assert not hasattr(system, "run_slot_columns")
+    assert not hasattr(system, "run_span")
     trace = _tagged_trace(config)
     reference = PolicySystem(config, policy_factory(), engine="reference")
     assert (
@@ -676,3 +677,52 @@ def test_port_down_keeps_kernel_bound(policy_name, kind):
         vec.check_invariants()
     assert vec.metrics.flushed > 0
     _assert_matches_reference(vec, ref)
+
+
+@pytest.mark.parametrize("policy_name", ["MRD", "LQD-V"])
+def test_idle_stretch_skips_flushouts_exactly(policy_name):
+    """An idle stretch is fast-forwarded over its flushout boundaries on
+    both engines alike.
+
+    Two queues of 0.1, 0.2 and 0.7 drain to a float residue in their
+    value totals. A flush would zero it, but ``run_system`` skips the
+    flushout at slot 10 because the buffer is empty and nothing
+    arrives, and the residue carries into the value totals (which
+    MRD's key reads) when traffic returns. The vectorized span path
+    must keep the reference object path's totals bit for bit.
+    """
+    config = SwitchConfig.value_contiguous(2, 6)
+    slots = [
+        [
+            Packet(port=port, work=1, value=value, arrival_slot=0)
+            for port, values in ((0, (0.1, 0.2, 0.7)), (1, (0.2, 0.7, 0.1)))
+            for value in values
+        ]
+    ]
+    slots += [[] for _ in range(12)]
+    for slot, burst in (
+        (13, ((0, 0.1), (1, 0.1), (0, 0.2), (1, 0.2), (0, 0.7), (1, 0.7))),
+        (14, ((0, 0.2), (1, 0.1), (0, 0.7), (1, 0.2))),
+    ):
+        slots.append(
+            [
+                Packet(port=port, work=1, value=value, arrival_slot=slot)
+                for port, value in burst
+            ]
+        )
+    trace = Trace(slots)
+    reference = PolicySystem(config, make_policy(policy_name))
+    vectorized = PolicySystem(
+        config, make_policy(policy_name), engine="vectorized"
+    )
+    assert vectorized.engine == "vectorized"
+    expect = run_system(reference, trace, flush_every=10)
+    got = run_system(vectorized, trace, flush_every=10)
+    assert expect.flushed == 0
+    # The residue survived: a total summed afresh differs.
+    queues = reference.switch.queues
+    fresh = [sum(pk.value for pk in queue) for queue in queues]
+    totals = [queue.total_value for queue in queues]
+    assert fresh != totals
+    assert vectorized.switch._tv == totals
+    assert got.snapshot() == expect.snapshot()

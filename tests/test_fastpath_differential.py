@@ -32,12 +32,14 @@ legs against the reference's resulting state.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, List, Sequence, Tuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.competitive import PolicySystem, run_system
 from repro.core.columnar import VectorizedSwitch
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.decisions import DROP, Decision, push_out
@@ -589,3 +591,161 @@ def test_wide_switch_lockstep(model, policy_name, n, speedup):
         # The threshold rule was read from the memo far more often than
         # it was evaluated.
         assert 0 < len(vec._tmemo) < vec.metrics.arrived // 4
+
+
+# ----------------------------------------------------------------------
+# Span replay: the vectorized engine runs whole slot spans between the
+# cuts of ``run_system`` (flushouts, invariant checks, churn events)
+# ----------------------------------------------------------------------
+
+SPAN_SLOTS = 260
+#: Coprime cadences, so spans end on either grid and on neither.
+SPAN_FLUSH_EVERY = 50
+SPAN_CHECK_EVERY = 7
+#: Idle stretches: the first crosses the flushout at slot 150 and
+#: holds a churn event; the second crosses only invariant checks.
+SPAN_IDLE = (range(140, 166), range(230, 246))
+#: (slot, port, up) churn, none on a flushout or check boundary.
+SPAN_EVENTS = (
+    (23, 1, False), (61, 1, True), (88, 2, False), (131, 2, True),
+    (155, 3, False), (172, 3, True),
+)
+
+
+def _span_trace(config: SwitchConfig, by_value: bool, seed: int) -> Trace:
+    """A congested trace of same-port runs with idle stretches and
+    churn events. Values come from the tie-prone alphabet."""
+    rng = random.Random(seed)
+    n = config.n_ports
+    trace = Trace()
+    for slot in range(SPAN_SLOTS):
+        burst: List[Packet] = []
+        if not any(slot in idle for idle in SPAN_IDLE) and rng.random() > 0.1:
+            for _ in range(rng.randint(1, 4)):
+                port = rng.randrange(n)
+                for _ in range(rng.randint(1, 4)):
+                    burst.append(
+                        Packet(
+                            port=port,
+                            work=1 if by_value else config.work_of(port),
+                            value=rng.choice(TIE_VALUES),
+                            arrival_slot=slot,
+                        )
+                    )
+        trace.append_slot(burst)
+    for slot, port, up in SPAN_EVENTS:
+        trace.add_port_event(slot, port, up)
+    return trace
+
+
+SPAN_CASES = [("processing", name) for name in PROC_POLICIES] + [
+    ("value", name) for name in VALUE_POLICIES
+]
+
+
+@pytest.mark.parametrize("speedup", [1, 2])
+@pytest.mark.parametrize(
+    "model, policy_name", SPAN_CASES,
+    ids=[f"{model}-{name}" for model, name in SPAN_CASES],
+)
+def test_span_replay_matches_reference(
+    monkeypatch, model, policy_name, speedup
+):
+    """``run_system`` over the span path equals the reference's object
+    loop: same metrics and final queues, with the periodic audit
+    (``REPRO_CHECK_INVARIANTS``) running on both, and each replay on a
+    fresh switch, so a kernel parameter read before the first binding
+    (BPD₁'s and MVD₁'s minimum victim length) is caught."""
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", str(SPAN_CHECK_EVERY))
+    by_value = model == "value"
+    if by_value:
+        config = SwitchConfig.value_contiguous(4, 8, speedup=speedup)
+    else:
+        config = SwitchConfig.contiguous(4, 8, speedup=speedup)
+    trace = _span_trace(config, by_value, seed=speedup)
+    reference = PolicySystem(config, make_policy(policy_name))
+    vectorized = PolicySystem(
+        config, make_policy(policy_name), engine="vectorized"
+    )
+    assert vectorized.engine == "vectorized"
+    expect = run_system(reference, trace, flush_every=SPAN_FLUSH_EVERY)
+    got = run_system(vectorized, trace, flush_every=SPAN_FLUSH_EVERY)
+    assert got.snapshot() == expect.snapshot()
+    assert expect.dropped + expect.pushed_out > 0
+    naive = reference.switch
+    assert isinstance(naive, SharedMemorySwitch)
+    _assert_fast_legs_match(naive, (vectorized.switch,), "after the replay")
+
+
+#: The same-port run kernels: the threshold rules and the FIFO push-out
+#: policies, whose drop tests read no arrival field but the port.
+RUN_POLICIES = (
+    "NHST", "NEST", "NHDT", "Harmonic", "DT", "Greedy",
+    "LQD", "LWD", "BPD", "BPD1",
+)
+
+
+def _run_bursts(config: SwitchConfig, seed: int) -> List[List[Packet]]:
+    """Slots made of same-port runs, on a buffer of 8.
+
+    The first three slots are engineered: a run that fills the buffer
+    midway (an accepted prefix, then a dropped rest), a run broken by
+    another port and then resumed (two runs, not one), and runs at
+    both ends of a slot. The rest are seeded, up to five runs a slot
+    of up to six packets each.
+    """
+    rng = random.Random(seed)
+    n = config.n_ports
+    shapes: List[List[Tuple[int, int]]] = [
+        [(0, 12)],
+        [(1, 3), (0, 2), (1, 4)],
+        [(2, 5), (3, 1), (1, 2), (2, 5)],
+    ]
+    for _ in range(60):
+        shapes.append(
+            [
+                (rng.randrange(n), rng.randint(1, 6))
+                for _ in range(rng.randint(0, 5))
+            ]
+        )
+    return [
+        [
+            Packet(port=port, work=config.work_of(port), arrival_slot=slot)
+            for port, length in shape
+            for _ in range(length)
+        ]
+        for slot, shape in enumerate(shapes)
+    ]
+
+
+@pytest.mark.parametrize("speedup", [1, 2])
+@pytest.mark.parametrize("policy_name", RUN_POLICIES)
+def test_same_port_runs_drop_as_one(policy_name, speedup):
+    """A dropped arrival's same-port run is counted in one step: the
+    per-port drop counts equal the reference's after every slot."""
+    config = SwitchConfig.contiguous(4, 8, speedup=speedup)
+    bursts = _run_bursts(config, seed=speedup)
+    trace = ColumnarTrace.from_trace(Trace([list(b) for b in bursts]))
+    naive = SharedMemorySwitch(config)
+    vec = VectorizedSwitch(config)
+    naive_policy = make_policy(policy_name)
+    vec_policy = make_policy(policy_name)
+    run_drops = 0
+    for slot, burst in enumerate(bursts):
+        before = list(naive.metrics.dropped_by_port)
+        naive.run_slot(burst, naive_policy)
+        lo, hi = trace.slot_bounds(slot)
+        vec.run_slot_columns(
+            vec_policy, trace.ports, trace.works, trace.values, None, lo, hi
+        )
+        assert (
+            vec.metrics.dropped_by_port == naive.metrics.dropped_by_port
+        ), f"drops per port diverged at slot {slot}"
+        vec.check_invariants()
+        _assert_fast_legs_match(naive, (vec,), f"at slot {slot}")
+        run_drops += any(
+            after - prior >= 2
+            for after, prior in zip(naive.metrics.dropped_by_port, before)
+        )
+    naive.check_invariants()
+    assert run_drops >= 10, f"only {run_drops} slots dropped a run"
