@@ -2,11 +2,11 @@
 
 Prepending ``ci/no-numpy-stub`` to ``PYTHONPATH`` shadows the real
 package with this module, which refuses to import. The no-numpy CI leg
-uses it to prove the pure-python fallbacks actually engage: the column
-backend must fall back to ``array``-based columns, and every feature
-that genuinely needs numpy (adversarial trace generation, the Random
-policy) must fail with its explicit ``ConfigError`` instead of an
-accidental crash.
+uses it to prove the package runs without numpy: the engines and the
+OPT surrogates work on plain-list columns, and every feature that
+genuinely needs numpy (adversarial trace generation, the Random policy)
+must fail with its explicit ``ConfigError`` instead of an accidental
+crash.
 """
 
 raise ImportError(

@@ -264,14 +264,6 @@ def run_system(
         ports = trace.ports
         works = trace.works
         values = trace.values
-        if getattr(system, "prefers_array_columns", False):
-            arrays = trace.array_columns()
-            if arrays is not None:
-                # Array-batching consumers (the vectorized OPT
-                # surrogates) get the trace's cached ndarray view;
-                # the per-packet kernels keep the faster-to-index
-                # lists. Same packets either way.
-                ports, works, values = arrays
         arrs = trace.arrivals
         n_slots = trace.n_slots
         event_slots = sorted(port_events) if port_events is not None else []

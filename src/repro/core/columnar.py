@@ -166,7 +166,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core import columns as _columns
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError, PolicyError, TraceError
 from repro.core.hotpath import hot_path
@@ -277,6 +276,41 @@ def _new_packet(
     return packet
 
 
+def drop_down_arrivals(
+    port_up: Sequence[bool],
+    metrics: SwitchMetrics,
+    ports: Sequence[int],
+    works: Sequence[int],
+    values: Sequence[float],
+    arrivals: Optional[Sequence[int]],
+    lo: int,
+    hi: int,
+) -> Tuple[List[int], List[int], List[float], Optional[List[int]], int]:
+    """Drop a slot's arrivals to admin-down ports up front.
+
+    The reference drops them before its policy (or the OPT surrogate's
+    admission rule) sees them, and a down port changes no admission
+    predicate of the purely shared model, so only the arrival order of
+    the survivors matters: they come back as fresh columns spanning
+    ``[0, hi')``. The drops are counted in ``metrics``.
+    """
+    dropped_by_port = metrics.dropped_by_port
+    keep = []
+    for i in range(lo, hi):
+        if port_up[ports[i]]:
+            keep.append(i)
+        else:
+            dropped_by_port[ports[i]] += 1
+    metrics.dropped += hi - lo - len(keep)
+    return (
+        [ports[i] for i in keep],
+        [works[i] for i in keep],
+        [values[i] for i in keep],
+        None if arrivals is None else [arrivals[i] for i in keep],
+        len(keep),
+    )
+
+
 class VectorizedSwitch:
     """Columnar batch-slot engine, decision-identical to the reference.
 
@@ -326,19 +360,19 @@ class VectorizedSwitch:
         self._by_value = config.discipline is QueueDiscipline.PRIORITY
         self._cores = config.speedup
         self._works: List[int] = list(config.works)
-        self._lens: List[int] = _columns.scalar_int_column(n)
-        self._tv: List[float] = _columns.scalar_float_column(n)
+        self._lens: List[int] = [0] * n
+        self._tv: List[float] = [0.0] * n
         self._active: List[int] = []
         self._is_act: List[bool] = [False] * n
 
         # FIFO queues keep their armed packets on the expiry-tick
         # calendar; priority queues keep explicit work totals instead.
         self._tick = 0
-        self._hexp: List[int] = _columns.scalar_int_column(n)
+        self._hexp: List[int] = [0] * n
         self._sched: Dict[int, List[int]] = {}
 
         if self._by_value:
-            self._tw: List[int] = _columns.scalar_int_column(n)
+            self._tw: List[int] = [0] * n
             self._vals: List[List[float]] = [[] for _ in range(n)]
             self._recs: List[List[List[Any]]] = [[] for _ in range(n)]
             self._stores: List[Deque[Any]] = []
@@ -354,7 +388,7 @@ class VectorizedSwitch:
         # comparing ranks compares the paper's (w_j, j) tie-break.
         order = sorted(range(n), key=lambda p: (self._works[p], p))
         self._porder: List[int] = order
-        self._rank: List[int] = _columns.scalar_int_column(n)
+        self._rank: List[int] = [0] * n
         for r, p in enumerate(order):
             self._rank[p] = r
         self._bit: List[int] = [1 << r for r in range(n)]
@@ -376,8 +410,8 @@ class VectorizedSwitch:
         # packet (pcode + w*n), so the congested drop test is a single
         # column read.
         self._codes: List[int] = []
-        self._pcode: List[int] = _columns.scalar_int_column(n)
-        self._ncode: List[int] = _columns.scalar_int_column(n)
+        self._pcode: List[int] = [0] * n
+        self._ncode: List[int] = [0] * n
         self._off = 0
         # BPD kernel state: the rank bitmask of victim candidates.
         self._nm = 0
@@ -905,8 +939,9 @@ class VectorizedSwitch:
                     self._rebuild_kernel(K_LWD)
                     self._kclean = True
                 if self._n_down:
-                    cp, cw, cv, ca, chi = self._drop_down_arrivals(
-                        ports, works, values, arrivals, lo, hi
+                    cp, cw, cv, ca, chi = drop_down_arrivals(
+                        self._port_up, self.metrics,
+                        ports, works, values, arrivals, lo, hi,
                     )
                     clo = 0
                 else:
@@ -1107,41 +1142,6 @@ class VectorizedSwitch:
         metrics.transmitted_packets = txp
         metrics.transmitted_value = txv
         return s
-
-    def _drop_down_arrivals(
-        self,
-        ports: Sequence[int],
-        works: Sequence[int],
-        values: Sequence[float],
-        arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> Tuple[
-        List[int], List[int], List[float], Optional[List[int]], int
-    ]:
-        """Drop a slot's arrivals to admin-down ports up front.
-
-        The reference drops them before its policy sees them, and a
-        down port changes no admission predicate of the purely shared
-        model, so only the arrival order of the survivors matters: they
-        come back as fresh columns spanning ``[0, hi')``.
-        """
-        port_up = self._port_up
-        dropped_by_port = self.metrics.dropped_by_port
-        keep = []
-        for i in range(lo, hi):
-            if port_up[ports[i]]:
-                keep.append(i)
-            else:
-                dropped_by_port[ports[i]] += 1
-        self.metrics.dropped += hi - lo - len(keep)
-        return (
-            [ports[i] for i in keep],
-            [works[i] for i in keep],
-            [values[i] for i in keep],
-            None if arrivals is None else [arrivals[i] for i in keep],
-            len(keep),
-        )
 
     def fast_forward(self, n_slots: int) -> None:
         """Advance over ``n_slots`` idle slots (empty buffer required)."""
@@ -2141,4 +2141,4 @@ class VectorizedSwitch:
         )
 
 
-__all__ = ["VectorizedSwitch"]
+__all__ = ["VectorizedSwitch", "drop_down_arrivals"]

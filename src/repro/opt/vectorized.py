@@ -23,12 +23,16 @@ with O(completions) bookkeeping:
   with a head pointer; eviction consumes the head, transmission pops
   the tail — no packet objects, no key lambdas.
 
+Each variant admits a slot in one loop, ``run_slot_columns``, over the
+list columns of a :class:`~repro.traffic.columnar.ColumnarTrace` span:
+arrivals to admin-down ports are dropped up front, and the rest fill
+the buffer, push out its worst packet, or drop against a live eviction
+threshold. The base class's ``run_span`` runs it slot after slot (the
+protocol :func:`repro.analysis.competitive.run_system` drives), and its
+``run_slot`` turns a burst of packet objects into three columns for it.
+
 Both are selected through ``make_surrogate(..., engine="vectorized")``
-and expose the same :class:`~repro.opt.surrogate.System` surface plus
-``run_slot_columns``, which ingests one slot of a
-:class:`~repro.traffic.columnar.ColumnarTrace` without packet
-materialization, and the base class's ``run_span`` over it, the
-protocol :func:`repro.analysis.competitive.run_system` drives. Like
+and expose the same :class:`~repro.opt.surrogate.System` surface. Like
 :class:`~repro.core.columnar.VectorizedSwitch`, ``run_slot`` returns
 ``[]``: transmissions are accounted in metrics only (the competitive
 runner ignores the return value), and admitted entries carry no
@@ -44,11 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple
 
-try:  # pure-stdlib installs fall back to the per-packet loop
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy leg
-    np = None  # type: ignore[assignment]
-
+from repro.core.columnar import drop_down_arrivals
 from repro.core.config import SwitchConfig
 from repro.core.errors import TraceError
 from repro.core.hotpath import hot_path
@@ -60,21 +60,11 @@ __all__ = ["VectorizedSrptSurrogate", "VectorizedMaxValueSurrogate"]
 #: Head regions shorter than this are not worth compacting away.
 _COMPACT_MIN = 512
 
-#: Bursts at or below this size skip the vector filter: slicing,
-#: comparing, and bincounting a handful of packets costs more than the
-#: per-packet loop it replaces.
-_BATCH_MIN = 32
+_INF = float("inf")
 
 
 class _ColumnSurrogate:
     """Shared surface of the two vectorized surrogate variants."""
-
-    #: Handshake read by :func:`repro.analysis.competitive.run_system`:
-    #: when set, ``run_span`` is fed the trace's cached
-    #: int64/float64 arrays (:meth:`~repro.traffic.columnar.
-    #: ColumnarTrace.array_columns`) instead of the canonical lists,
-    #: which enables the batched congested-path filter below.
-    prefers_array_columns = True
 
     def __init__(
         self, config: SwitchConfig, cores: Optional[int] = None
@@ -137,6 +127,21 @@ class _ColumnSurrogate:
     def _reclaim_port(self, port: int) -> int:
         """Remove every buffered packet for ``port``; return the count."""
         raise NotImplementedError
+
+    def run_slot(self, arrivals: Sequence[Packet]) -> List[Packet]:
+        """One slot over packet objects; returns ``[]`` (fast mode).
+
+        A thin adapter over :meth:`run_slot_columns`: the burst becomes
+        one column span.
+        """
+        return self.run_slot_columns(
+            [pk.port for pk in arrivals],
+            [pk.work for pk in arrivals],
+            [pk.value for pk in arrivals],
+            None,
+            0,
+            len(arrivals),
+        )
 
     def run_slot_columns(
         self,
@@ -273,79 +278,6 @@ class VectorizedSrptSurrogate(_ColumnSurrogate):
         return removed
 
     @hot_path
-    def _insert(self, residual: int, port: int, value: float) -> None:
-        """Place one packet where the reference's ``insort`` would.
-
-        ``bisect_right`` over the active ticks mirrors ``insort`` over
-        the global residual list: when the key ties across the
-        active/waiting boundary the active-side probe lands past the
-        active tail, deferring to the waiting-side probe — exactly the
-        reference's after-all-equals placement.
-        """
-        act_exp = self._act_exp
-        ah = self._ah
-        key = self._tick + residual
-        if len(act_exp) - ah < self.cores:
-            pos = bisect_right(act_exp, key, ah)
-            act_exp.insert(pos, key)
-            self._act_rec.insert(pos, (port, value))
-            return
-        pos = bisect_right(act_exp, key, ah)
-        if pos < len(act_exp):
-            # Belongs inside the active window: the previous active
-            # tail (the largest active residual) demotes to the front
-            # of the waiting pool, preserving the global order.
-            act_exp.insert(pos, key)
-            self._act_rec.insert(pos, (port, value))
-            demoted_res = act_exp.pop() - self._tick
-            demoted_rec = self._act_rec.pop()
-            wh = self._wh
-            if wh > 0:
-                wh -= 1
-                self._wait_res[wh] = demoted_res
-                self._wait_rec[wh] = demoted_rec
-                self._wh = wh
-            else:
-                self._wait_res.insert(0, demoted_res)
-                self._wait_rec.insert(0, demoted_rec)
-        else:
-            wpos = bisect_right(self._wait_res, residual, self._wh)
-            self._wait_res.insert(wpos, residual)
-            self._wait_rec.insert(wpos, (port, value))
-
-    @hot_path
-    def _admit_fields(self, port: int, work: int, value: float) -> None:
-        metrics = self.metrics
-        if self._size < self.buffer_size:
-            self._insert(work, port, value)
-            self._size += 1
-            metrics.accepted += 1
-            return
-        # Push out the largest-residual packet when the arrival is
-        # strictly smaller; the global tail is the waiting tail when
-        # the waiting pool is non-empty, else the active tail.
-        lw = len(self._wait_res) - self._wh
-        if self._size:
-            if lw:
-                victim_res = self._wait_res[-1]
-            else:
-                victim_res = self._act_exp[-1] - self._tick
-            if victim_res > work:
-                if lw:
-                    self._wait_res.pop()
-                    victim_port = self._wait_rec.pop()[0]
-                else:
-                    self._act_exp.pop()
-                    victim_port = self._act_rec.pop()[0]
-                metrics.pushed_out += 1
-                metrics.dropped_by_port[victim_port] += 1
-                self._insert(work, port, value)
-                metrics.accepted += 1
-                return
-        metrics.dropped += 1
-        metrics.dropped_by_port[port] += 1
-
-    @hot_path
     def _transmit(self) -> None:
         """One phase: advance the tick, complete, refill from waiting.
 
@@ -401,27 +333,6 @@ class VectorizedSrptSurrogate(_ColumnSurrogate):
                 del wait_rec[:wh]
                 self._wh = 0
 
-    def run_slot(self, arrivals: Sequence[Packet]) -> List[Packet]:
-        """One slot over packet objects; returns ``[]`` (fast mode)."""
-        metrics = self.metrics
-        if self._n_down:
-            port_up = self._port_up
-            dbp = metrics.dropped_by_port
-            for packet in arrivals:
-                metrics.arrived += 1
-                if not port_up[packet.port]:
-                    metrics.dropped += 1
-                    dbp[packet.port] += 1
-                    continue
-                self._admit_fields(packet.port, packet.work, packet.value)
-        else:
-            for packet in arrivals:
-                metrics.arrived += 1
-                self._admit_fields(packet.port, packet.work, packet.value)
-        self._transmit()
-        metrics.record_slot(self.backlog)
-        return []
-
     @hot_path
     def run_slot_columns(
         self,
@@ -434,45 +345,29 @@ class VectorizedSrptSurrogate(_ColumnSurrogate):
     ) -> List[Packet]:
         """One slot straight from trace columns (span ``[lo, hi)``).
 
-        While any port is down the span takes the exact per-packet
-        admit loop with the down filter in front: churn slots are rare
-        and the batch filter's full-buffer monotonicity argument does
-        not account for engine-level drops.
+        Admission is the reference's: accept while there is room, else
+        push out the largest-residual packet when it is strictly larger
+        than the arrival's work, else drop. Once the buffer is full the
+        threshold (that largest residual) is kept in a local: a drop
+        leaves it unchanged, and it is re-read after each accept that
+        leaves the buffer full.
 
-        With ndarray columns the congested case is batch-filtered.
-        Once the buffer is full, the eviction threshold (the largest
-        buffered residual) can only *decrease* during a slot's
-        admission phase — an accept replaces the maximum with something
-        strictly smaller, a drop changes nothing — so any arrival whose
-        work is already ``>=`` the threshold at the start of the
-        congested stretch is dead on arrival no matter what happens in
-        between. Those are counted with one vector compare plus a
-        bincount; only the arrivals below the threshold (the ones that
-        can actually displace somebody) run the exact sequential admit.
-        Every counter lands exactly where the per-packet loop puts it.
+        Each accept is placed where the reference's ``insort`` over the
+        global residual list would put it. ``bisect_right`` over the
+        active ticks lands past the active tail when the key ties across
+        the active/waiting boundary, deferring to the waiting-side
+        probe: the reference's after-all-equals placement. A packet that
+        belongs inside a full active window demotes the active tail (the
+        largest active residual) to the front of the waiting pool.
         """
         metrics = self.metrics
-        m = hi - lo
-        metrics.arrived += m
+        metrics.arrived += hi - lo
         if self._n_down:
-            kp = ports[lo:hi]
-            kw = works[lo:hi]
-            kv = values[lo:hi]
-            if np is not None and isinstance(kw, np.ndarray):
-                kp = kp.tolist()
-                kw = kw.tolist()
-                kv = kv.tolist()
-            port_up = self._port_up
-            dbp = metrics.dropped_by_port
-            for port, work, value in zip(kp, kw, kv):
-                if not port_up[port]:
-                    metrics.dropped += 1
-                    dbp[port] += 1
-                    continue
-                self._admit_fields(port, work, value)
-        elif m and np is not None and isinstance(works, np.ndarray):
-            # The whole slot runs on hoisted pool locals: one attribute
-            # load per slot instead of several per packet.
+            ports, works, values, _, hi = drop_down_arrivals(
+                self._port_up, metrics, ports, works, values, None, lo, hi
+            )
+            lo = 0
+        if lo < hi:
             act_exp = self._act_exp
             act_rec = self._act_rec
             wait_res = self._wait_res
@@ -481,142 +376,70 @@ class VectorizedSrptSurrogate(_ColumnSurrogate):
             wh = self._wh
             tick = self._tick
             cores = self.cores
+            buffer_size = self.buffer_size
+            size = self._size
+            dbp = metrics.dropped_by_port
             insort = bisect_right
-            i = lo
-            free = self.buffer_size - self._size
-            if free > 0:
-                # Room left: the reference accepts unconditionally.
-                stop = hi if m <= free else lo + free
-                kp = ports[i:stop].tolist()
-                kw = works[i:stop].tolist()
-                kv = values[i:stop].tolist()
-                for port, work, value in zip(kp, kw, kv):
-                    # Same branch structure as ``_insert``, on locals.
-                    key = tick + work
-                    if len(act_exp) - ah < cores:
-                        pos = insort(act_exp, key, ah)
-                        act_exp.insert(pos, key)
-                        act_rec.insert(pos, (port, value))
+            # B == 0 keeps the buffer full and empty: no work is < 0.
+            thr = 0
+            if size and size == buffer_size:
+                thr = (
+                    wait_res[-1] if len(wait_res) - wh
+                    else act_exp[-1] - tick
+                )
+            accepted = 0
+            pushed = 0
+            dropped = 0
+            for i in range(lo, hi):
+                work = works[i]
+                if size < buffer_size:
+                    size += 1
+                elif work < thr:
+                    # Push out the buffered maximum: the waiting tail,
+                    # else the active tail.
+                    if len(wait_res) - wh:
+                        wait_res.pop()
+                        dbp[wait_rec.pop()[0]] += 1
                     else:
-                        pos = insort(act_exp, key, ah)
-                        if pos < len(act_exp):
-                            act_exp.insert(pos, key)
-                            act_rec.insert(pos, (port, value))
-                            demoted_res = act_exp.pop() - tick
-                            demoted_rec = act_rec.pop()
-                            if wh > 0:
-                                wh -= 1
-                                wait_res[wh] = demoted_res
-                                wait_rec[wh] = demoted_rec
-                            else:
-                                wait_res.insert(0, demoted_res)
-                                wait_rec.insert(0, demoted_rec)
+                        act_exp.pop()
+                        dbp[act_rec.pop()[0]] += 1
+                    pushed += 1
+                else:
+                    dropped += 1
+                    dbp[ports[i]] += 1
+                    continue
+                accepted += 1
+                key = tick + work
+                pos = insort(act_exp, key, ah)
+                if pos < len(act_exp) or len(act_exp) - ah < cores:
+                    act_exp.insert(pos, key)
+                    act_rec.insert(pos, (ports[i], values[i]))
+                    if len(act_exp) - ah > cores:
+                        demoted_res = act_exp.pop() - tick
+                        demoted_rec = act_rec.pop()
+                        if wh > 0:
+                            wh -= 1
+                            wait_res[wh] = demoted_res
+                            wait_rec[wh] = demoted_rec
                         else:
-                            wpos = insort(wait_res, work, wh)
-                            wait_res.insert(wpos, work)
-                            wait_rec.insert(wpos, (port, value))
-                metrics.accepted += stop - lo
-                self._size += stop - lo
-                i = stop
-            if i < hi:
-                n_rest = hi - i
-                dbp = metrics.dropped_by_port
-                if self._size:
-                    # Congested stretch: the buffer stays exactly full
-                    # (every accept evicts), no completions interleave,
-                    # so the whole admit/evict state machine runs on
-                    # the hoisted locals with a live threshold.
+                            wait_res.insert(0, demoted_res)
+                            wait_rec.insert(0, demoted_rec)
+                else:
+                    wpos = insort(wait_res, work, wh)
+                    wait_res.insert(wpos, work)
+                    wait_rec.insert(wpos, (ports[i], values[i]))
+                if size == buffer_size:
                     thr = (
-                        wait_res[-1]
-                        if len(wait_res) - wh
+                        wait_res[-1] if len(wait_res) - wh
                         else act_exp[-1] - tick
                     )
-                    if n_rest > _BATCH_MIN:
-                        w = works[i:hi]
-                        keep = w < thr
-                        kept = np.flatnonzero(keep)
-                        nk = len(kept)
-                        if nk < n_rest:
-                            metrics.dropped += n_rest - nk
-                            counts = np.bincount(
-                                ports[i:hi][~keep], minlength=len(dbp)
-                            )
-                            for port in np.flatnonzero(counts).tolist():
-                                dbp[port] += int(counts[port])
-                        if nk:
-                            kp = ports[i:hi][keep].tolist()
-                            kw = w[keep].tolist()
-                            kv = values[i:hi][keep].tolist()
-                        else:
-                            kp = kw = kv = ()
-                    else:
-                        # Small rest: the vector setup costs more than
-                        # it saves; the live-threshold loop below is
-                        # already exact for unfiltered arrivals.
-                        kp = ports[i:hi].tolist()
-                        kw = works[i:hi].tolist()
-                        kv = values[i:hi].tolist()
-                    accepted = 0
-                    dropped = 0
-                    for port, work, value in zip(kp, kw, kv):
-                        if work >= thr:
-                            dropped += 1
-                            dbp[port] += 1
-                            continue
-                        # Evict the buffered maximum (strictly
-                        # larger): waiting tail, else active tail.
-                        if len(wait_res) - wh:
-                            wait_res.pop()
-                            dbp[wait_rec.pop()[0]] += 1
-                        else:
-                            act_exp.pop()
-                            dbp[act_rec.pop()[0]] += 1
-                        accepted += 1
-                        # Insert where the reference insort would
-                        # (same branch structure as ``_insert``).
-                        key = tick + work
-                        if len(act_exp) - ah < cores:
-                            pos = insort(act_exp, key, ah)
-                            act_exp.insert(pos, key)
-                            act_rec.insert(pos, (port, value))
-                        else:
-                            pos = insort(act_exp, key, ah)
-                            if pos < len(act_exp):
-                                act_exp.insert(pos, key)
-                                act_rec.insert(pos, (port, value))
-                                demoted_res = act_exp.pop() - tick
-                                demoted_rec = act_rec.pop()
-                                if wh > 0:
-                                    wh -= 1
-                                    wait_res[wh] = demoted_res
-                                    wait_rec[wh] = demoted_rec
-                                else:
-                                    wait_res.insert(0, demoted_res)
-                                    wait_rec.insert(0, demoted_rec)
-                            else:
-                                wpos = insort(wait_res, work, wh)
-                                wait_res.insert(wpos, work)
-                                wait_rec.insert(wpos, (port, value))
-                        thr = (
-                            wait_res[-1]
-                            if len(wait_res) - wh
-                            else act_exp[-1] - tick
-                        )
-                    metrics.accepted += accepted
-                    metrics.pushed_out += accepted
-                    metrics.dropped += dropped
-                else:
-                    # B == 0: nothing is ever admitted.
-                    metrics.dropped += n_rest
-                    counts = np.bincount(ports[i:hi], minlength=len(dbp))
-                    for port in np.flatnonzero(counts).tolist():
-                        dbp[port] += int(counts[port])
             self._wh = wh
-        else:
-            for i in range(lo, hi):
-                self._admit_fields(ports[i], works[i], values[i])
+            self._size = size
+            metrics.accepted += accepted
+            metrics.pushed_out += pushed
+            metrics.dropped += dropped
         self._transmit()
-        metrics.record_slot(self.backlog)
+        metrics.record_slot(self._size)
         return []
 
 
@@ -663,30 +486,6 @@ class VectorizedMaxValueSurrogate(_ColumnSurrogate):
         return removed
 
     @hot_path
-    def _admit_fields(self, port: int, value: float) -> None:
-        metrics = self.metrics
-        vals = self._vals
-        h = self._h
-        if len(vals) - h < self.buffer_size:
-            pos = bisect_right(vals, value, h)
-            vals.insert(pos, value)
-            self._ports.insert(pos, port)
-            metrics.accepted += 1
-            return
-        if len(vals) - h and vals[h] < value:
-            metrics.pushed_out += 1
-            metrics.dropped_by_port[self._ports[h]] += 1
-            h += 1
-            self._h = h
-            pos = bisect_right(vals, value, h)
-            vals.insert(pos, value)
-            self._ports.insert(pos, port)
-            metrics.accepted += 1
-            return
-        metrics.dropped += 1
-        metrics.dropped_by_port[port] += 1
-
-    @hot_path
     def _transmit(self) -> None:
         vals = self._vals
         ports = self._ports
@@ -709,27 +508,6 @@ class VectorizedMaxValueSurrogate(_ColumnSurrogate):
             del ports[:h]
             self._h = 0
 
-    def run_slot(self, arrivals: Sequence[Packet]) -> List[Packet]:
-        """One slot over packet objects; returns ``[]`` (fast mode)."""
-        metrics = self.metrics
-        if self._n_down:
-            port_up = self._port_up
-            dbp = metrics.dropped_by_port
-            for packet in arrivals:
-                metrics.arrived += 1
-                if not port_up[packet.port]:
-                    metrics.dropped += 1
-                    dbp[packet.port] += 1
-                    continue
-                self._admit_fields(packet.port, packet.value)
-        else:
-            for packet in arrivals:
-                metrics.arrived += 1
-                self._admit_fields(packet.port, packet.value)
-        self._transmit()
-        metrics.record_slot(self.backlog)
-        return []
-
     @hot_path
     def run_slot_columns(
         self,
@@ -742,105 +520,55 @@ class VectorizedMaxValueSurrogate(_ColumnSurrogate):
     ) -> List[Packet]:
         """One slot straight from trace columns (span ``[lo, hi)``).
 
-        Mirror image of the SRPT batch filter: once the buffer is full
-        the eviction threshold (the *smallest* buffered value) can only
-        *increase* during a slot's admission phase, so any arrival
-        whose value is already ``<=`` the threshold at the start of the
-        congested stretch is dead on arrival. See
-        :meth:`VectorizedSrptSurrogate.run_slot_columns`.
+        Mirror image of :meth:`VectorizedSrptSurrogate.
+        run_slot_columns`: once the buffer is full an arrival pushes out
+        the head (the least valuable packet, the live threshold) when
+        its value is strictly larger, else it is dropped.
         """
         metrics = self.metrics
-        m = hi - lo
-        metrics.arrived += m
+        metrics.arrived += hi - lo
         if self._n_down:
-            # Churn fallback: see the SRPT twin.
-            kp = ports[lo:hi]
-            kv = values[lo:hi]
-            if np is not None and isinstance(kv, np.ndarray):
-                kp = kp.tolist()
-                kv = kv.tolist()
-            port_up = self._port_up
-            dbp = metrics.dropped_by_port
-            for port, value in zip(kp, kv):
-                if not port_up[port]:
-                    metrics.dropped += 1
-                    dbp[port] += 1
-                    continue
-                self._admit_fields(port, value)
-        elif m and np is not None and isinstance(values, np.ndarray):
-            i = lo
+            ports, works, values, _, hi = drop_down_arrivals(
+                self._port_up, metrics, ports, works, values, None, lo, hi
+            )
+            lo = 0
+        if lo < hi:
             vals = self._vals
             port_col = self._ports
             h = self._h
-            free = self.buffer_size - (len(vals) - h)
+            buffer_size = self.buffer_size
+            size = len(vals) - h
+            dbp = metrics.dropped_by_port
             insort = bisect_right
-            if free > 0:
-                stop = hi if m <= free else lo + free
-                kp = ports[i:stop].tolist()
-                kv = values[i:stop].tolist()
-                for port, value in zip(kp, kv):
-                    pos = insort(vals, value, h)
-                    vals.insert(pos, value)
-                    port_col.insert(pos, port)
-                metrics.accepted += stop - lo
-                i = stop
-            if i < hi:
-                n_rest = hi - i
-                dbp = metrics.dropped_by_port
-                if len(vals) - h:
-                    # Congested stretch, mirrored from the SRPT path:
-                    # the buffer stays full, the head (the eviction
-                    # threshold) only moves up, everything runs on
-                    # hoisted locals.
-                    thr = vals[h]
-                    if n_rest > _BATCH_MIN:
-                        v = values[i:hi]
-                        keep = v > thr
-                        kept = np.flatnonzero(keep)
-                        nk = len(kept)
-                        if nk < n_rest:
-                            metrics.dropped += n_rest - nk
-                            counts = np.bincount(
-                                ports[i:hi][~keep], minlength=len(dbp)
-                            )
-                            for port in np.flatnonzero(counts).tolist():
-                                dbp[port] += int(counts[port])
-                        if nk:
-                            kp = ports[i:hi][keep].tolist()
-                            kv = v[keep].tolist()
-                        else:
-                            kp = kv = ()
-                    else:
-                        # Small rest: see the SRPT twin.
-                        kp = ports[i:hi].tolist()
-                        kv = values[i:hi].tolist()
-                    accepted = 0
-                    dropped = 0
-                    for port, value in zip(kp, kv):
-                        if value <= thr:
-                            dropped += 1
-                            dbp[port] += 1
-                            continue
-                        dbp[port_col[h]] += 1
-                        h += 1
-                        pos = insort(vals, value, h)
-                        vals.insert(pos, value)
-                        port_col.insert(pos, port)
-                        accepted += 1
-                        thr = vals[h]
-                    metrics.accepted += accepted
-                    metrics.pushed_out += accepted
-                    metrics.dropped += dropped
-                    self._h = h
-                else:
-                    # B == 0: nothing is ever admitted.
-                    metrics.dropped += n_rest
-                    counts = np.bincount(ports[i:hi], minlength=len(dbp))
-                    for port in np.flatnonzero(counts).tolist():
-                        dbp[port] += int(counts[port])
-        else:
+            # B == 0 keeps the buffer full and empty: nothing exceeds inf.
+            thr = _INF
+            if size and size == buffer_size:
+                thr = vals[h]
+            accepted = 0
+            pushed = 0
+            dropped = 0
             for i in range(lo, hi):
-                self._admit_fields(ports[i], values[i])
+                value = values[i]
+                if size < buffer_size:
+                    size += 1
+                elif value > thr:
+                    dbp[port_col[h]] += 1
+                    h += 1
+                    pushed += 1
+                else:
+                    dropped += 1
+                    dbp[ports[i]] += 1
+                    continue
+                accepted += 1
+                pos = insort(vals, value, h)
+                vals.insert(pos, value)
+                port_col.insert(pos, ports[i])
+                if size == buffer_size:
+                    thr = vals[h]
+            self._h = h
+            metrics.accepted += accepted
+            metrics.pushed_out += pushed
+            metrics.dropped += dropped
         self._transmit()
         metrics.record_slot(self.backlog)
         return []

@@ -8,13 +8,12 @@ A :class:`ColumnarTrace` stores the same arrival sequence as
 out-of-line arrival slots (repeated adversarial rounds). Slot ``s``'s
 burst is the column span ``offsets[s]:offsets[s + 1]``.
 
-The canonical column representation is plain Python lists — the one
-buffer type both column backends share and the fastest thing the
-ingestion loops (:meth:`repro.core.columnar.VectorizedSwitch.
-run_span`, the vectorized OPT surrogates) can index packet by
-packet. The :mod:`repro.core.columns` backend seam is used where arrays
-pay: the batched numpy sampling of the generators, whose per-slot
-:data:`Chunk` arrays :meth:`ColumnarTrace.from_chunks` concatenates.
+The column representation is plain Python lists, the fastest thing
+the ingestion loops (:meth:`repro.core.columnar.VectorizedSwitch.
+run_span`, the vectorized OPT surrogates) can index packet by packet.
+Arrays pay only in the generators' batched numpy sampling, whose
+per-slot :data:`Chunk` arrays :meth:`ColumnarTrace.from_chunks`
+concatenates into those lists.
 
 The synthetic generators (:mod:`repro.traffic.workloads`,
 :func:`repro.traffic.patterns.poisson_workload` /
@@ -98,7 +97,6 @@ class ColumnarTrace:
         "port_events",
         "validated",
         "_trace",
-        "_arrays",
     )
 
     def __init__(
@@ -139,7 +137,6 @@ class ColumnarTrace:
         #: the trace.
         self.validated: Set[Tuple[Any, ...]] = set()
         self._trace: Optional[Trace] = None
-        self._arrays: Optional[Tuple[Any, Any, Any]] = None
 
     # ------------------------------------------------------------------
     # Shape
@@ -205,12 +202,7 @@ class ColumnarTrace:
 
     @classmethod
     def from_chunks(cls, chunks: Iterable[Chunk]) -> "ColumnarTrace":
-        """Concatenate per-slot column chunks, one chunk per slot.
-
-        The concatenated arrays *are* the array view, so they are
-        donated to :meth:`array_columns` and array-preferring consumers
-        skip the list -> ndarray round trip.
-        """
+        """Concatenate per-slot column chunks, one chunk per slot."""
         offsets = [0]
         kept: List[Chunk] = []
         total = 0
@@ -228,9 +220,7 @@ class ColumnarTrace:
                 np.empty(0, np.float64),
             )
         ports, works, values = arrays
-        trace = cls(offsets, ports.tolist(), works.tolist(), values.tolist())
-        trace._arrays = (ports, works, values)
-        return trace
+        return cls(offsets, ports.tolist(), works.tolist(), values.tolist())
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "ColumnarTrace":
@@ -323,33 +313,6 @@ class ColumnarTrace:
     def packets(self) -> Iterator[Packet]:
         """All packets in arrival order (materializes)."""
         return self.to_trace().packets()
-
-    def array_columns(self) -> Optional[Tuple[Any, Any, Any]]:
-        """Cached ``(ports, works, values)`` as numpy arrays.
-
-        Consumers that batch whole slot spans (the vectorized OPT
-        surrogates — see their ``prefers_array_columns`` handshake in
-        :func:`repro.analysis.competitive.run_system`) want contiguous
-        int64/float64 arrays instead of the canonical lists. The
-        conversion is cached on the trace, so a trace reused across
-        sweep cells pays it once. Returns ``None`` without numpy or
-        under ``REPRO_VECTOR_BACKEND=python`` — callers fall back to
-        the list columns, which keeps the forced-python leg honest
-        end to end.
-        """
-        from repro.core.columns import numpy_module
-
-        if np is None or numpy_module() is None:
-            return None
-        cached = self._arrays
-        if cached is None:
-            cached = (
-                np.asarray(self.ports, dtype=np.int64),
-                np.asarray(self.works, dtype=np.int64),
-                np.asarray(self.values, dtype=np.float64),
-            )
-            self._arrays = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Inspection / validation (Trace-compatible)

@@ -9,9 +9,8 @@ derived kernel structures and the transmission calendar), and
 audit has teeth: a deliberately corrupted column must be caught, from a
 direct call and from the periodic driver alike.
 
-The suite also pins the engine at the edges of its environment: under
-``REPRO_VECTOR_BACKEND=python`` it must still match the reference, and
-a switch far wider than any Fig. 5 panel must too, on the same
+The suite also pins the engine at the edge of its shape: a switch far
+wider than any Fig. 5 panel must match the reference, on the same
 expiry-tick transmission calendar every width uses. Last, it pins which
 engine runs what: every Fig. 5 cell binds a kernel, port churn keeps
 the kernel bound, and every pair with no kernel is built on the
@@ -27,7 +26,6 @@ import sys
 import pytest
 
 from repro.analysis.competitive import PolicySystem, run_system
-from repro.core import columns as columns_mod
 from repro.core.columnar import (
     K_BPD,
     K_LQD,
@@ -465,7 +463,7 @@ def test_cached_view_is_reused_and_invisible():
 
 
 # ----------------------------------------------------------------------
-# Backend forcing: REPRO_VECTOR_BACKEND=python
+# Every width transmits on the expiry-tick calendar
 # ----------------------------------------------------------------------
 
 
@@ -488,39 +486,6 @@ def _assert_matches_reference(
         ref_state = [(p.port, p.value, p.residual) for p in ref.queues[port]]
         assert vec.queue_state(port) == ref_state
     assert vec.metrics.snapshot() == ref.metrics.snapshot()
-
-
-def test_python_backend_forced(monkeypatch):
-    monkeypatch.setenv(columns_mod.BACKEND_ENV, "python")
-    columns_mod.reset_backend_cache()
-    try:
-        assert columns_mod.backend() == "python"
-        assert columns_mod.numpy_module() is None
-        config = SwitchConfig.contiguous(5, 12)
-        trace = _congested_trace(config, 40, seed=21, per_slot=12)
-        vec, ref = _drive_both(config, trace, "LWD")
-        _assert_matches_reference(vec, ref)
-    finally:
-        monkeypatch.delenv(columns_mod.BACKEND_ENV, raising=False)
-        columns_mod.reset_backend_cache()
-
-
-def test_backend_env_validation(monkeypatch):
-    from repro.core.errors import ConfigError
-
-    monkeypatch.setenv(columns_mod.BACKEND_ENV, "cupy")
-    columns_mod.reset_backend_cache()
-    try:
-        with pytest.raises(ConfigError):
-            columns_mod.backend()
-    finally:
-        monkeypatch.delenv(columns_mod.BACKEND_ENV, raising=False)
-        columns_mod.reset_backend_cache()
-
-
-# ----------------------------------------------------------------------
-# Every width transmits on the expiry-tick calendar
-# ----------------------------------------------------------------------
 
 
 def test_wide_switch_runs_calendar_and_matches_reference():

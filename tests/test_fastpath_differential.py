@@ -16,7 +16,7 @@ traces for every registered policy the vectorized engine serves, in
 both disciplines and at speedups C from 1 to 4: the push-out policies'
 victim kernels and the threshold policies' admission kernel. Those
 traces are narrow and short, so a seeded lock-step on 16 and 64 ports
-adds long congested MMPP runs: many queues of equal length at once,
+adds long congested on/off runs: many queues of equal length at once,
 and threshold rules decided again and again for the same statistic.
 Policies with no kernel run on the reference engine only (see the
 engine selection tests in ``tests/test_columnar_engine.py``).
@@ -49,7 +49,6 @@ from repro.core.switch import SharedMemorySwitch
 from repro.policies import available_policies, make_policy
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
-from repro.traffic.workloads import processing_workload, value_uniform_workload
 
 
 def _policy_names(model: str) -> List[str]:
@@ -516,7 +515,7 @@ def test_dynamic_policies_decision_identical(factory, scenario):
 
 
 # ----------------------------------------------------------------------
-# Wide switches under long congested MMPP runs
+# Wide switches under long congested on/off runs
 # ----------------------------------------------------------------------
 
 #: The value-model policies with a kernel whose cost grows with the
@@ -535,23 +534,44 @@ WIDE_PORT_EVENTS = {120: False, 150: True}
 def _wide_case(
     model: str, n: int, speedup: int
 ) -> Tuple[SwitchConfig, ColumnarTrace]:
-    """An ``n``-port switch and a congested MMPP trace. The value model
+    """An ``n``-port switch and a congested on/off trace from seeded
+    ``random`` (no numpy, so the case runs where numpy is absent).
+
+    Each slot offers a uniform number of arrivals, three in four of
+    them to a pair of hot ports redrawn every 20 slots. The value model
     runs Fig. 5 panel 4's regime (``B = 96``, 48 arrivals a slot on
-    average); the processing model has ``B = n`` and works ``1..n``."""
+    average, values uniform on ``1..8``); the processing model has
+    ``B = n``, works ``1..n`` and three times the switch's processing
+    capacity.
+    """
+    rng = random.Random(n + speedup)
     if model == "value":
         config = SwitchConfig.uniform(
             n, 96, speedup=speedup, discipline=QueueDiscipline.PRIORITY
         )
-        trace = value_uniform_workload(
-            config, WIDE_SLOTS, max_value=8, absolute_rate=48.0,
-            seed=n + speedup,
-        )
+        rate = 48.0
     else:
         config = SwitchConfig.contiguous(n, n, speedup=speedup)
-        trace = processing_workload(
-            config, WIDE_SLOTS, load=3.0, seed=n + speedup
-        )
-    return config, trace
+        rate = 3.0 * sum(speedup / work for work in config.works)
+    by_value = model == "value"
+    trace = Trace()
+    hot: List[int] = []
+    for slot in range(WIDE_SLOTS):
+        if slot % 20 == 0:
+            hot = rng.sample(range(n), 2)
+        burst: List[Packet] = []
+        for _ in range(rng.randint(0, round(2 * rate))):
+            port = rng.choice(hot) if rng.random() < 0.75 else rng.randrange(n)
+            burst.append(
+                Packet(
+                    port=port,
+                    work=1 if by_value else config.work_of(port),
+                    value=float(rng.randint(1, 8)) if by_value else 1.0,
+                    arrival_slot=slot,
+                )
+            )
+        trace.append_slot(burst)
+    return config, ColumnarTrace.from_trace(trace)
 
 
 @pytest.mark.parametrize("speedup", [1, 2])

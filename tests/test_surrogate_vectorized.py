@@ -5,13 +5,14 @@ The array-backed surrogates of :mod:`repro.opt.vectorized` must be
 :mod:`repro.opt.surrogate` — every admit, push-out, drop (exact ties
 included), completion count, per-port split, and the float accumulation
 order of ``transmitted_value``. Hypothesis drives both through the same
-arrival streams across burst sizes straddling the ``_BATCH_MIN``
-vector-filter cutoff, congested and uncongested regimes, mid-run
-flushes, and both ingestion shapes (ndarray columns and plain lists).
-Engineered regressions pin the exact-tie eviction semantics the batch
-filter depends on: an SRPT arrival whose work *equals* the threshold
-and a MaxValue arrival whose value *equals* the threshold are both
-guaranteed drops.
+arrival streams, fed to the vectorized side as list columns, across
+small and long bursts, congested and uncongested regimes, mid-run
+flushes, and port down/up events applied to both sides before a slot's
+arrivals (a down port's arrivals are dropped up front on the vectorized
+side, in arrival order on the reference). Engineered regressions pin
+the exact-tie eviction semantics the live threshold depends on: an
+SRPT arrival whose work *equals* the threshold and a MaxValue arrival
+whose value *equals* the threshold are both guaranteed drops.
 
 Delay statistics are excluded from the comparison: fast-mode
 surrogates account transmissions in aggregate (like the fast-mode
@@ -20,7 +21,8 @@ switch engine) and do not model per-packet delay.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import random
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -31,14 +33,14 @@ from repro.core.errors import TraceError
 from repro.core.packet import Packet
 from repro.opt.surrogate import make_surrogate
 from repro.opt.vectorized import (
-    _BATCH_MIN,
     VectorizedMaxValueSurrogate,
     VectorizedSrptSurrogate,
-    np,
 )
 
 #: (port, work, value) triples per slot.
 Burst = List[Tuple[int, int, float]]
+#: (port, up) port-state events per slot, applied before its arrivals.
+Events = List[List[Tuple[int, bool]]]
 
 
 def _snapshot(system) -> dict:
@@ -55,7 +57,7 @@ def _drive_pair(
     bursts: Sequence[Burst],
     *,
     flush_every: int = 0,
-    columns: str = "array",
+    events: Optional[Events] = None,
 ) -> None:
     """Run reference and vectorized side by side, asserting lock-step."""
     ref = make_surrogate(config, by_value=by_value, engine="reference")
@@ -76,16 +78,12 @@ def _drive_pair(
             works.append(work)
             values.append(value)
         spans.append((lo, len(ports)))
-    if columns == "array":
-        if np is None:
-            pytest.skip("ndarray ingestion requires numpy")
-        col_ports = np.asarray(ports, dtype=np.int64)
-        col_works = np.asarray(works, dtype=np.int64)
-        col_values = np.asarray(values, dtype=np.float64)
-    else:
-        col_ports, col_works, col_values = ports, works, values
 
     for slot, (lo, hi) in enumerate(spans):
+        for port, up in events[slot] if events else ():
+            assert vec.set_port_state(port, up) == ref.set_port_state(
+                port, up
+            ), f"reclaim diverged at slot {slot}"
         ref.run_slot(
             [
                 Packet(
@@ -97,7 +95,7 @@ def _drive_pair(
                 for j in range(lo, hi)
             ]
         )
-        vec.run_slot_columns(col_ports, col_works, col_values, None, lo, hi)
+        vec.run_slot_columns(ports, works, values, None, lo, hi)
         assert vec.backlog == ref.backlog, f"backlog diverged at slot {slot}"
         if flush_every and (slot + 1) % flush_every == 0:
             assert vec.flush() == ref.flush()
@@ -116,12 +114,24 @@ def _cases(draw):
     )
     n_slots = draw(st.integers(1, 10))
     bursts: List[Burst] = []
+    events: Events = []
+    port_up = [True] * n_ports
     for _ in range(n_slots):
-        size = draw(
-            st.sampled_from(
-                [0, 1, 3, _BATCH_MIN - 1, _BATCH_MIN, _BATCH_MIN + 1, 60]
+        # Mostly no churn; otherwise toggle one or two ports.
+        toggles = draw(
+            st.one_of(
+                st.just([]),
+                st.lists(
+                    st.integers(0, n_ports - 1), max_size=2, unique=True
+                ),
             )
         )
+        slot_events = []
+        for port in toggles:
+            port_up[port] = not port_up[port]
+            slot_events.append((port, port_up[port]))
+        events.append(slot_events)
+        size = draw(st.sampled_from([0, 1, 3, 8, 33, 60]))
         burst = [
             (
                 draw(st.integers(0, n_ports - 1)),
@@ -133,44 +143,37 @@ def _cases(draw):
         ]
         bursts.append(burst)
     flush_every = draw(st.sampled_from([0, 0, 0, 3]))
-    return config, bursts, flush_every
+    return config, bursts, flush_every, events
 
 
 class TestDifferential:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(case=_cases())
     def test_srpt_matches_reference(self, case):
-        config, bursts, flush_every = case
-        _drive_pair(False, config, bursts, flush_every=flush_every)
+        config, bursts, flush_every, events = case
+        _drive_pair(
+            False, config, bursts, flush_every=flush_every, events=events
+        )
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(case=_cases())
     def test_maxvalue_matches_reference(self, case):
-        config, bursts, flush_every = case
-        _drive_pair(True, config, bursts, flush_every=flush_every)
-
-    @settings(max_examples=15, deadline=None)
-    @given(case=_cases())
-    def test_list_columns_match_reference(self, case):
-        config, bursts, flush_every = case
+        config, bursts, flush_every, events = case
         _drive_pair(
-            False, config, bursts, flush_every=flush_every, columns="list"
-        )
-        _drive_pair(
-            True, config, bursts, flush_every=flush_every, columns="list"
+            True, config, bursts, flush_every=flush_every, events=events
         )
 
 
 class TestBatchCutoff:
-    """Bursts straddling the vector-filter cutoff take both paths."""
+    """Long congested bursts run the live threshold many times a slot.
 
-    @pytest.mark.parametrize(
-        "size", [_BATCH_MIN - 1, _BATCH_MIN, _BATCH_MIN + 1, 3 * _BATCH_MIN]
-    )
+    The sizes straddle 32, the cutoff of a since-deleted vector filter;
+    they stay as plain burst lengths.
+    """
+
+    @pytest.mark.parametrize("size", [31, 32, 33, 96])
     @pytest.mark.parametrize("by_value", [False, True])
     def test_straddling_bursts(self, size, by_value):
-        import random
-
         rnd = random.Random(size * 2 + by_value)
         config = SwitchConfig.from_works([1, 2, 3], buffer_size=6)
         bursts = [
@@ -183,8 +186,41 @@ class TestBatchCutoff:
         _drive_pair(by_value, config, bursts)
 
 
+class TestChurn:
+    """A down port keeps receiving arrivals in congested slots."""
+
+    @pytest.mark.parametrize("by_value", [False, True])
+    def test_down_port_arrivals_in_congested_slot(self, by_value):
+        config = SwitchConfig.from_works([2, 3, 1], buffer_size=6)
+        # Slot 0 fills the buffer; port 1 goes down before slot 1, and
+        # the bursts of slots 1 and 2 over-fill it, port 1 included;
+        # port 1 comes back up before slot 3, congested again.
+        bursts: List[Burst] = [
+            [(j % 3, 1 + j % 3, float(1 + j % 4)) for j in range(9)],
+            [(j % 3, 1 + j % 2, float(4 - j % 4)) for j in range(12)],
+            [(j % 3, 1 + j % 3, float(1 + j % 2)) for j in range(12)],
+            [(j % 3, 1, float(1 + j % 3)) for j in range(10)],
+        ]
+        events: Events = [[], [(1, False)], [], [(1, True)]]
+        _drive_pair(by_value, config, bursts, events=events)
+        vec = make_surrogate(config, by_value=by_value, engine="vectorized")
+        for slot, burst in enumerate(bursts):
+            for port, up in events[slot]:
+                vec.set_port_state(port, up)
+            ports = [port for port, _, _ in burst]
+            works = [work for _, work, _ in burst]
+            values = [value for _, _, value in burst]
+            dropped = vec.metrics.dropped
+            vec.run_slot_columns(ports, works, values, None, 0, len(burst))
+            if slot in (1, 2):
+                # Every port-1 arrival is dropped, and so is something
+                # else: the slot is congested.
+                assert vec.metrics.dropped - dropped > ports.count(1)
+        assert vec.metrics.flushed > 0
+
+
 class TestExactTies:
-    """The monotone-threshold batch drop hinges on tie semantics."""
+    """A tie with the live threshold is a drop, not a push-out."""
 
     def test_srpt_tie_with_threshold_is_dropped(self):
         config = SwitchConfig.from_works([5, 5], buffer_size=8)
@@ -200,10 +236,6 @@ class TestExactTies:
         ports = [j % 2 for j in range(10)] + [0, 1]
         works = [5] * 10 + [5, 4]
         values = [1.0] * 12
-        if np is not None:
-            ports = np.asarray(ports, dtype=np.int64)
-            works = np.asarray(works, dtype=np.int64)
-            values = np.asarray(values, dtype=np.float64)
         vec.run_slot_columns(ports, works, values, None, 0, 10)
         vec.run_slot_columns(ports, works, values, None, 10, 12)
         assert vec.metrics.accepted == 9
@@ -225,10 +257,6 @@ class TestExactTies:
         ports = [j % 2 for j in range(10)] + [0, 1, 0, 1]
         works = [1] * 14
         values = [5.0] * 10 + [9.0, 9.0, 5.0, 6.0]
-        if np is not None:
-            ports = np.asarray(ports, dtype=np.int64)
-            works = np.asarray(works, dtype=np.int64)
-            values = np.asarray(values, dtype=np.float64)
         vec.run_slot_columns(ports, works, values, None, 0, 10)
         vec.run_slot_columns(ports, works, values, None, 10, 14)
         assert vec.metrics.accepted == 11
@@ -249,8 +277,6 @@ class TestSurface:
         )
 
     def test_object_run_slot_matches_reference(self):
-        import random
-
         rnd = random.Random(9)
         config = SwitchConfig.from_works([2, 3], buffer_size=5)
         for by_value in (False, True):

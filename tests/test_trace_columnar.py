@@ -249,42 +249,6 @@ def test_generator_digest_pinned(build, digest):
 
 
 # ----------------------------------------------------------------------
-# Array-column view
-# ----------------------------------------------------------------------
-
-
-@needs_numpy
-class TestArrayColumns:
-    def test_matches_lists_and_caches(self):
-        from repro.core import columns as columns_mod
-        from repro.traffic.workloads import processing_workload
-
-        if columns_mod.backend() != "numpy":
-            pytest.skip("array view requires the numpy backend")
-        trace = processing_workload(_proc_config(), 40, seed=1)
-        arrays = trace.array_columns()
-        assert arrays is not None
-        ports, works, values = arrays
-        assert ports.tolist() == trace.ports
-        assert works.tolist() == trace.works
-        assert values.tolist() == trace.values
-        assert trace.array_columns() is arrays
-
-    def test_python_backend_disables_array_view(self, monkeypatch):
-        from repro.core import columns as columns_mod
-        from repro.traffic.workloads import processing_workload
-
-        trace = processing_workload(_proc_config(), 10, seed=1)
-        monkeypatch.setenv(columns_mod.BACKEND_ENV, "python")
-        columns_mod.reset_backend_cache()
-        try:
-            assert trace.array_columns() is None
-        finally:
-            monkeypatch.delenv(columns_mod.BACKEND_ENV, raising=False)
-            columns_mod.reset_backend_cache()
-
-
-# ----------------------------------------------------------------------
 # TraceStore: use-counted, plan-scoped memo
 # ----------------------------------------------------------------------
 
