@@ -30,11 +30,7 @@ from repro.core.switch import AdmissionPolicy, SharedMemorySwitch
 from repro.obs.observer import SlotObserver
 from repro.opt.scripted import ScriptedPolicy
 from repro.opt.surrogate import System, make_surrogate
-from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
-
-#: Any replayable arrival sequence: object slots or CSR columns.
-AnyTrace = Union[Trace, ColumnarTrace]
 
 
 #: Engine identifiers accepted by the ``engine=`` seam. ``reference``
@@ -98,9 +94,9 @@ class PolicySystem:
             self.switch: Union[SharedMemorySwitch, VectorizedSwitch] = switch
             # Advertised as instance attributes only on the engine that
             # has a columnar span path, so the runner's ``getattr``
-            # probes route reference systems through the materialized
-            # object loop. Both refer to the switch, never to this
-            # system, so no reference cycle keeps a replayed switch
+            # probes route reference systems through the packet-view
+            # loop. Both refer to the switch, never to this system, so
+            # no reference cycle keeps a replayed switch
             # alive until the next cyclic garbage collection.
             self.run_span = partial(switch.run_span, policy)
             self.bind_columns = switch.bind_columns
@@ -191,7 +187,7 @@ def invariant_check_interval() -> int:
 
 def run_system(
     system: System,
-    trace: AnyTrace,
+    trace: Trace,
     *,
     flush_every: Optional[int] = None,
     drain_slots: int = 0,
@@ -210,21 +206,19 @@ def run_system(
     ``attach_observer`` (reference-engine systems do; vectorized ones
     and the OPT surrogates do not).
 
-    A system that exposes ``run_span`` (the vectorized engines) always
-    replays columns: a :class:`~repro.traffic.columnar.ColumnarTrace`
-    as it is, an object :class:`Trace` through its cached
-    :meth:`~Trace.to_columnar` view, after ``bind_columns`` (where
-    exposed) has validated the columns for the system. It gets whole
-    spans of slots: the trace is cut at the flushout and invariant-check
-    boundaries and at churn-event slots, and ``run_span(ports, works,
-    values, arrivals, offsets, s0, s1)`` runs each piece and returns
-    the first slot it did not run. It stops early at an arrival-free
-    slot that starts on an empty buffer, and that idle stretch is
-    fast-forwarded exactly as on the object path, flushout boundaries
-    inside it included. Every other system replays packet objects,
-    materialized once for a columnar trace, slot by slot. Flushout
-    cadence, idle fast-forward, drain, and invariant checks are
-    identical on both paths, so the produced metrics are too.
+    A system that exposes ``run_span`` (the vectorized engines) replays
+    the trace's columns, after ``bind_columns`` (where exposed) has
+    validated them for the system. It gets whole spans of slots: the
+    trace is cut at the flushout and invariant-check boundaries and at
+    churn-event slots, and ``run_span(ports, works, values, arrivals,
+    offsets, s0, s1)`` runs each piece and returns the first slot it
+    did not run. It stops early at an arrival-free slot that starts on
+    an empty buffer, and that idle stretch is fast-forwarded exactly as
+    on the packet path, flushout boundaries inside it included. Every
+    other system replays the trace's cached packet view
+    (:attr:`Trace.slots`), slot by slot. Flushout cadence, idle
+    fast-forward, drain, and invariant checks are identical on both
+    paths, so the produced metrics are too.
     """
     if flush_every is not None and flush_every < 1:
         raise ConfigError(f"flush_every must be >= 1, got {flush_every}")
@@ -243,7 +237,7 @@ def run_system(
     # Port churn: events apply at the start of their slot, before that
     # slot's arrivals, on systems that support them. ``or None``
     # normalizes an empty mapping so static traces skip the machinery.
-    port_events = getattr(trace, "port_events", None) or None
+    port_events = trace.port_events or None
     set_port_state = None
     if port_events is not None:
         set_port_state = getattr(system, "set_port_state", None)
@@ -255,8 +249,6 @@ def run_system(
 
     run_span = getattr(system, "run_span", None)
     if run_span is not None:
-        if not isinstance(trace, ColumnarTrace):
-            trace = trace.to_columnar()
         bind = getattr(system, "bind_columns", None)
         if bind is not None:
             bind(trace)
@@ -290,7 +282,7 @@ def run_system(
                 # An arrival-free slot on an empty buffer: skip the
                 # idle stretch up to the next slot with arrivals or
                 # churn events, flushout boundaries inside it included,
-                # exactly like the object loop below.
+                # exactly like the packet loop below.
                 slot = stop + 1
                 while (
                     slot < n_slots
@@ -359,7 +351,7 @@ def _drain(
 
 def measure_competitive_ratio(
     policy: AdmissionPolicy,
-    trace: AnyTrace,
+    trace: Trace,
     config: SwitchConfig,
     *,
     by_value: Optional[bool] = None,
@@ -389,7 +381,7 @@ def measure_competitive_ratio(
 
 def measure_policies(
     policies: Sequence[AdmissionPolicy],
-    trace: AnyTrace,
+    trace: Trace,
     config: SwitchConfig,
     *,
     by_value: Optional[bool] = None,

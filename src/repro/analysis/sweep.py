@@ -62,7 +62,6 @@ from repro.analysis.cache import SweepCache
 from repro.analysis.competitive import (
     DEFAULT_ENGINE,
     ENGINES,
-    AnyTrace,
     measure_policies,
 )
 from repro.analysis.tracestore import TraceKeyFn, TraceStore
@@ -79,8 +78,10 @@ from repro.resilience.supervisor import (
     SupervisedExecutor,
     SupervisorOptions,
 )
+from repro.traffic.trace import Trace
+
 ConfigFactory = Callable[[float], SwitchConfig]
-TraceFactory = Callable[[SwitchConfig, float, int], AnyTrace]
+TraceFactory = Callable[[SwitchConfig, float, int], Trace]
 ProgressCallback = Callable[[str], None]
 
 

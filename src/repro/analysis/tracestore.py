@@ -1,4 +1,4 @@
-"""Cross-cell trace reuse: a plan-scoped store of columnar traces.
+"""Cross-cell trace reuse: a plan-scoped store of traces.
 
 Many sweep cells share one arrival trace. A Fig. 5 buffer sweep (panels
 2, 5, 8) varies only ``B``, which no MMPP generator consumes — every
@@ -33,11 +33,10 @@ trace (pinned by the tier-1 suite, serial and parallel).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Mapping, Optional, Union
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
-from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
 
 __all__ = ["TraceKeyFn", "TraceStore"]
@@ -48,7 +47,7 @@ TraceKeyFn = Callable[[SwitchConfig, float, int], Optional[str]]
 
 
 class TraceStore:
-    """Use-counted memo of columnar traces for one execution plan.
+    """Use-counted memo of traces for one execution plan.
 
     ``uses`` maps each content key to the number of
     :meth:`get_or_build` calls the plan will make with it; keys it does
@@ -57,35 +56,20 @@ class TraceStore:
 
     def __init__(self, uses: Mapping[str, int]) -> None:
         self._uses = Counter(uses)
-        self._held: Dict[str, ColumnarTrace] = {}
+        self._held: Dict[str, Trace] = {}
 
     def __len__(self) -> int:
         """Traces held right now."""
         return len(self._held)
 
-    def get_or_build(
-        self,
-        key: str,
-        builder: Callable[[], Union[Trace, ColumnarTrace]],
-    ) -> ColumnarTrace:
+    def get_or_build(self, key: str, builder: Callable[[], Trace]) -> Trace:
         """Spend one use of ``key``; return its trace, building it if
-        it is not held.
-
-        Object :class:`Trace` results are converted via
-        :meth:`ColumnarTrace.from_trace` (packet order and content
-        preserved), so both engines replay the stored trace identically
-        to the freshly generated one.
-        """
+        it is not held."""
         if not key:
             raise ConfigError("trace store key must be a non-empty string")
         trace = self._held.pop(key, None)
         if trace is None:
-            built = builder()
-            trace = (
-                built
-                if isinstance(built, ColumnarTrace)
-                else ColumnarTrace.from_trace(built)
-            )
+            trace = builder()
         self._uses[key] -= 1
         if self._uses[key] > 0:
             self._held[key] = trace

@@ -47,11 +47,10 @@ try:  # pure-stdlib installs can still load the module and its gates
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     np = None  # type: ignore[assignment]
 
-from repro.analysis.competitive import AnyTrace, PolicySystem, run_system
+from repro.analysis.competitive import PolicySystem, run_system
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
-from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.patterns import poisson_workload, saturating_workload
 from repro.traffic.trace import Trace
 from repro.traffic.workloads import processing_workload, value_uniform_workload
@@ -114,9 +113,8 @@ class BenchPanel:
             buffer_model=model,
         )
 
-    def trace(self, slots_scale: float = 1.0) -> AnyTrace:
-        """The panel's pinned trace: columns for the generated
-        recipes, packet objects for the dynamic (churn) ones."""
+    def trace(self, slots_scale: float = 1.0) -> Trace:
+        """The panel's pinned trace."""
         n_slots = max(1, int(round(self.n_slots * slots_scale)))
         config = self.config()
         if self.workload == "uniform":
@@ -414,14 +412,16 @@ def run_panel_bench(
 ) -> PanelResult:
     """Time every pinned policy of one panel over its pinned trace.
 
-    Trace generation, packet materialization included, is excluded
-    from the timed region; the timer wraps exactly the slot loop
-    (:func:`repro.analysis.competitive.run_system`) over object traces.
-    In vectorized mode the first policy's replay also converts the trace
-    to its cached columnar view and validates it; the other policies
-    reuse both.
+    Trace generation is excluded from the timed region, and so is, in
+    naive mode, building the packet view the reference engine reads;
+    the timer wraps exactly the slot loop
+    (:func:`repro.analysis.competitive.run_system`). In vectorized mode
+    every replay reads the trace's columns, and the first one also
+    validates them; the other policies reuse that check.
     """
-    trace = _object_trace(panel.trace(slots_scale))
+    trace = panel.trace(slots_scale)
+    if mode == "naive":
+        _ = trace.slots
     config = panel.config()
     by_value = config.discipline is QueueDiscipline.PRIORITY
     result = PanelResult(panel=panel, total_packets=trace.total_packets)
@@ -442,11 +442,6 @@ def run_panel_bench(
             )
         )
     return result
-
-
-def _object_trace(trace: AnyTrace) -> Trace:
-    """``trace`` as packet objects (materialized outside any timer)."""
-    return trace.to_trace() if isinstance(trace, ColumnarTrace) else trace
 
 
 def _make_system(config: SwitchConfig, policy, mode: str) -> PolicySystem:
@@ -550,14 +545,14 @@ def run_pipeline_panel_bench(
     and every cell pays its own OPT run, as the real sweep does.
 
     ``accelerated=False`` is the tracked baseline: traces regenerated
-    per cell and materialized to packet objects (what ``run_sweep``
-    did before the trace store existed), the vectorized ALG engine (the
-    pre-pipeline state of the repo), and the reference ``bisect`` OPT
-    surrogate. ``accelerated=True`` swaps in the columnar trace
-    pipeline: cross-cell reuse through a
+    per cell (what ``run_sweep`` did before the trace store existed),
+    the vectorized ALG engine (the pre-pipeline state of the repo), and
+    the reference ``bisect`` OPT surrogate, which replays each trace's
+    packet view, built inside the timer. ``accelerated=True`` swaps in
+    cross-cell reuse through a
     :class:`~repro.analysis.tracestore.TraceStore` planned for the
-    panel's own cells (its one trace is dropped after the last),
-    zero-copy columnar ingestion, and the vectorized OPT surrogate.
+    panel's own cells (its one trace is dropped after the last) and
+    the vectorized OPT surrogate, so every replay reads the columns.
     Per-cell objectives (ALG and OPT) are recorded so any decision
     drift between the two modes shows up as a diff, not a silent wrong
     speedup.
@@ -584,13 +579,12 @@ def run_pipeline_panel_bench(
         cell_panel = replace(panel, buffer_size=buffer_size)
         config = cell_panel.config()
         for policy_name in panel.policies:
-            trace: AnyTrace
             if store is not None:
                 trace = store.get_or_build(
                     trace_key, lambda: cell_panel.trace(slots_scale)
                 )
             else:
-                trace = _object_trace(cell_panel.trace(slots_scale))
+                trace = cell_panel.trace(slots_scale)
             system = PolicySystem(
                 config, make_policy(policy_name), engine="vectorized"
             )

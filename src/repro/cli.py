@@ -895,8 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--pipeline-mode", choices=("accelerated", "baseline"),
         default="accelerated",
         help=(
-            "accelerated: columnar traces + reuse + vectorized OPT; "
-            "baseline: object traces regenerated per cell + reference "
+            "accelerated: trace reuse + vectorized OPT; "
+            "baseline: traces regenerated per cell + reference "
             "OPT (the tracked pre-pipeline state)"
         ),
     )

@@ -13,19 +13,19 @@ enforce.
 Batching structure
 ------------------
 The engine has one way to run slots, :meth:`VectorizedSwitch.run_span`,
-which runs consecutive slots of a
-:class:`~repro.traffic.columnar.ColumnarTrace`, each slot a column span
-of the trace. :func:`repro.analysis.competitive.run_system` cuts a
-replay into spans at its flushouts, its invariant checks and its
-churn-event slots; an object ``Trace`` goes in through its cached
-columnar view. A span binds the policy's kernel, then the transmission
-state, once, and keeps the per-slot metrics in locals until it ends.
-It stops early at an arrival-free slot that starts on an empty buffer,
-which ``run_system`` fast-forwards, skipping any flushout inside the idle
+which runs consecutive slots of a :class:`~repro.traffic.trace.Trace`,
+each slot a column span of the trace.
+:func:`repro.analysis.competitive.run_system` cuts a replay into spans
+at its flushouts, its invariant checks and its churn-event slots. A
+span binds the policy's kernel, then the transmission state, once, and
+keeps the per-slot metrics in locals until it ends. It stops early at
+an arrival-free slot that starts on an empty buffer, which
+``run_system`` fast-forwards, skipping any flushout inside the idle
 stretch exactly as the reference replay does.
 :meth:`VectorizedSwitch.run_slot_columns` and
-:meth:`VectorizedSwitch.run_slot` (a single burst) are one-slot spans,
-so every policy binds the same kernels whichever trace form it is fed.
+:meth:`VectorizedSwitch.run_slot` (a single burst of packet objects)
+are one-slot spans, so every policy binds the same kernels whether it
+is fed a trace or one burst.
 
 The arrival phase is processed per slot as one batch. While the buffer
 has free space every push-out policy is greedy (``PushOutPolicy.admit``
@@ -174,7 +174,7 @@ from repro.core.packet import Packet
 from repro.core.switch import STAT_AT_LEAST, STAT_CAP, STAT_FREE, STAT_LONGER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.traffic.columnar import ColumnarTrace
+    from repro.traffic.trace import Trace
 
 #: Kernel identifiers. Kinds from ``K_LQDV`` up are the value-model
 #: kernels (priority queues); ``_UNBOUND`` marks a switch whose derived
@@ -544,7 +544,7 @@ class VectorizedSwitch:
     # Validation and kernel binding
     # ------------------------------------------------------------------
 
-    def bind_columns(self, trace: "ColumnarTrace") -> None:
+    def bind_columns(self, trace: "Trace") -> None:
         """Validate ``trace`` for this switch before its replay.
 
         The check runs once per (trace, config shape): the trace keeps
@@ -862,12 +862,11 @@ class VectorizedSwitch:
         """Run the trace slots ``[s0, s1)`` straight from flat columns.
 
         Slot ``s`` is the column span ``[offsets[s], offsets[s + 1])``
-        of a :class:`repro.traffic.columnar.ColumnarTrace`: no
-        ``Packet`` objects are constructed. ``arrivals`` is ``None``
-        when every packet's arrival slot is the slot it arrives in.
-        This is the engine's one way to run slots;
-        :meth:`run_slot_columns` and :meth:`run_slot` are one-slot
-        spans.
+        of a :class:`repro.traffic.trace.Trace`: no ``Packet`` objects
+        are constructed. ``arrivals`` is ``None`` when every packet's
+        arrival slot is the slot it arrives in. This is the engine's one
+        way to run slots; :meth:`run_slot_columns` and :meth:`run_slot`
+        are one-slot spans.
 
         Returns the first slot not run. The loop stops early at an
         arrival-free slot that starts on an empty buffer: the caller

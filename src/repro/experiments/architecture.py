@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.competitive import AnyTrace, PolicySystem, run_system
+from repro.analysis.competitive import PolicySystem, run_system
 from repro.core.config import SwitchConfig
 from repro.core.metrics import SwitchMetrics
 from repro.policies import make_policy
 from repro.singlequeue import SingleQueueSystem
+from repro.traffic.trace import Trace
 from repro.traffic.workloads import processing_workload
 
 
@@ -120,7 +121,7 @@ def run_architecture_comparison(
     load: float = 3.0,
     seed: int = 0,
     flush_every: Optional[int] = None,
-    trace: Optional[AnyTrace] = None,
+    trace: Optional[Trace] = None,
 ) -> ArchitectureResult:
     """Compare single-queue PQ/FIFO against shared-memory LWD.
 

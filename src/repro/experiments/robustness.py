@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.competitive import AnyTrace, measure_policies
+from repro.analysis.competitive import measure_policies
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.policies import make_policy
@@ -28,6 +28,7 @@ from repro.traffic.patterns import (
     periodic_burst_workload,
     poisson_workload,
 )
+from repro.traffic.trace import Trace
 from repro.traffic.workloads import processing_workload
 
 #: Default policy line-up (the paper's processing-model policies).
@@ -38,7 +39,7 @@ DEFAULT_POLICIES: Tuple[str, ...] = (
 
 def _traffic_families(
     config: SwitchConfig, n_slots: int, load: float, seed: int
-) -> Dict[str, AnyTrace]:
+) -> Dict[str, Trace]:
     return {
         "mmpp": processing_workload(
             config, n_slots, load=load, seed=seed

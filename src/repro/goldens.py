@@ -39,6 +39,7 @@ from repro.core.errors import ConfigError
 from repro.core.metrics import SwitchMetrics
 from repro.obs.observer import PacketEvent, SlotObserver
 from repro.policies import make_policy
+from repro.traffic.trace import Trace
 
 #: Committed fixture location (repo-relative).
 DEFAULT_GOLDEN_PATH = Path("benchmarks") / "GOLDEN_streams.json"
@@ -122,15 +123,12 @@ class DecisionStreamHasher(SlotObserver):
         self._feed(f"E {slot} {occupancy}\n")
 
 
-def trace_digest(trace: object) -> str:
+def trace_digest(trace: Trace) -> str:
     """sha256 over canonical packet tokens, one line per packet.
 
-    Works on both trace shapes without materializing anything: a
-    :class:`~repro.traffic.trace.Trace` feeds its packet objects, a
-    :class:`~repro.traffic.columnar.ColumnarTrace` walks its columns
-    directly, and both shapes of one packet stream digest alike. A
-    generator's output is unchanged exactly when its digest is — the
-    per-panel ``trace_sha256`` and the generator digest table in
+    Walks the trace's columns; nothing is materialized. A generator's
+    output is unchanged exactly when its digest is — the per-panel
+    ``trace_sha256`` and the generator digest table in
     ``tests/test_trace_columnar.py`` pin it. Tokens carry slot index,
     port, work, ``repr`` of the value, arrival slot, and the scripted-OPT
     tag canonicalized to ``-1``/``0``/``1``; port churn events (when the
@@ -139,48 +137,22 @@ def trace_digest(trace: object) -> str:
     """
     hasher = hashlib.sha256()
     feed = hasher.update
-
-    def feed_events() -> None:
-        events = getattr(trace, "port_events", None)
-        if not events:
-            return
-        for slot in sorted(events):
-            for event in events[slot]:
-                feed(
-                    f"E {slot} {event.port} {int(event.up)}\n".encode(
-                        "ascii"
-                    )
-                )
-
-    offsets = getattr(trace, "offsets", None)
-    if offsets is not None:
-        ports = trace.ports  # type: ignore[attr-defined]
-        works = trace.works  # type: ignore[attr-defined]
-        values = trace.values  # type: ignore[attr-defined]
-        opts = trace.opts  # type: ignore[attr-defined]
-        arrivals = trace.arrivals  # type: ignore[attr-defined]
-        n_slots = len(offsets) - 1
-        feed(f"slots={n_slots}\n".encode("ascii"))
-        for slot in range(n_slots):
-            for j in range(offsets[slot], offsets[slot + 1]):
-                arrival = arrivals[j] if arrivals is not None else slot
-                opt = opts[j] if opts is not None else -1
-                feed(
-                    f"{slot} {ports[j]},{works[j]},{values[j]!r},"
-                    f"{arrival},{opt}\n".encode("ascii")
-                )
-        feed_events()
-        return hasher.hexdigest()
-    slots = trace.slots  # type: ignore[attr-defined]
-    feed(f"slots={len(slots)}\n".encode("ascii"))
-    for slot, packets in enumerate(slots):
-        for p in packets:
-            opt = -1 if p.opt_accept is None else int(p.opt_accept)
+    offsets, opts, arrivals = trace.offsets, trace.opts, trace.arrivals
+    ports, works, values = trace.ports, trace.works, trace.values
+    n_slots = trace.n_slots
+    feed(f"slots={n_slots}\n".encode("ascii"))
+    for slot in range(n_slots):
+        for j in range(offsets[slot], offsets[slot + 1]):
+            arrival = arrivals[j] if arrivals is not None else slot
+            opt = opts[j] if opts is not None else -1
             feed(
-                f"{slot} {p.port},{p.work},{p.value!r},"
-                f"{p.arrival_slot},{opt}\n".encode("ascii")
+                f"{slot} {ports[j]},{works[j]},{values[j]!r},"
+                f"{arrival},{opt}\n".encode("ascii")
             )
-    feed_events()
+    events = trace.port_events
+    for slot in sorted(events):
+        for event in events[slot]:
+            feed(f"E {slot} {event.port} {int(event.up)}\n".encode("ascii"))
     return hasher.hexdigest()
 
 

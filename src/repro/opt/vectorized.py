@@ -24,7 +24,7 @@ with O(completions) bookkeeping:
   the tail — no packet objects, no key lambdas.
 
 Each variant admits a slot in one loop, ``run_slot_columns``, over the
-list columns of a :class:`~repro.traffic.columnar.ColumnarTrace` span:
+list columns of a :class:`~repro.traffic.trace.Trace` span:
 arrivals to admin-down ports are dropped up front, and the rest fill
 the buffer, push out its worst packet, or drop against a live eviction
 threshold. The base class's ``run_span`` runs it slot after slot (the

@@ -35,8 +35,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError, TraceError
 from repro.core.packet import Packet
-from repro.traffic.columnar import Chunk, ColumnarTrace
-from repro.traffic.trace import Trace
+from repro.traffic.trace import Chunk, Trace
 from repro.traffic.workloads import (
     _recipe_rng,
     _require_numpy,
@@ -50,7 +49,7 @@ def poisson_workload(
     *,
     load: float = 2.0,
     seed: int = 0,
-) -> ColumnarTrace:
+) -> Trace:
     """Memoryless arrivals: each slot each port draws an independent
     Poisson count; total mean rate = ``load x`` service capacity."""
     rng = _recipe_rng(n_slots, seed)
@@ -68,12 +67,12 @@ def poisson_workload(
                 ones.repeat(counts),
             )
 
-    return ColumnarTrace.from_chunks(chunks())
+    return Trace.from_chunks(chunks())
 
 
 def saturating_workload(
     config: SwitchConfig, n_slots: int, *, seed: int = 0
-) -> ColumnarTrace:
+) -> Trace:
     """Adversarial congestion: ~1.5n uniformly-addressed packets per slot.
 
     Offered load is far above any service rate, so after a couple of
@@ -100,7 +99,7 @@ def saturating_workload(
             else:
                 yield ports, works[ports], values[ports]
 
-    return ColumnarTrace.from_chunks(chunks())
+    return Trace.from_chunks(chunks())
 
 
 def periodic_burst_workload(
@@ -191,7 +190,8 @@ def heavy_tailed_workload(
 
 
 def mixed_trace(traces: Sequence[Trace]) -> Trace:
-    """Superimpose traces slot-wise (bursts concatenate in list order).
+    """Superimpose traces slot-wise: bursts, and each slot's churn
+    events, concatenate in list order.
 
     Useful for overlaying an adversarial construction onto background
     traffic, or combining traffic classes generated separately.
@@ -206,7 +206,16 @@ def mixed_trace(traces: Sequence[Trace]) -> Trace:
             if slot < trace.n_slots:
                 burst.extend(trace.slots[slot])
         result.append_slot(burst)
+    for trace in traces:
+        _copy_port_events(trace, result)
     return result
+
+
+def _copy_port_events(source: Trace, target: Trace) -> None:
+    """Append ``source``'s churn events to ``target``, slot for slot."""
+    for slot, events in source.port_events.items():
+        for event in events:
+            target.add_port_event(slot, event.port, event.up)
 
 
 def thin_trace(
@@ -214,7 +223,7 @@ def thin_trace(
 ) -> Trace:
     """Drop each packet independently with ``1 - keep_probability`` —
     a quick way to derive lighter-load variants of one trace while
-    preserving its burst structure."""
+    preserving its burst structure and its churn events."""
     if not 0.0 <= keep_probability <= 1.0:
         raise TraceError(
             f"keep probability must be in [0, 1], got {keep_probability}"
@@ -225,4 +234,5 @@ def thin_trace(
     for burst in trace:
         kept = [p for p in burst if rng.random() < keep_probability]
         result.append_slot(kept)
+    _copy_port_events(trace, result)
     return result

@@ -14,7 +14,7 @@ private column core, so with the same seed and parameters they produce
 the same arrival sequence and reject the same inputs. The stream maps
 each slot's column chunk to a burst of packets; the materializing
 function concatenates the chunks into a
-:class:`~repro.traffic.columnar.ColumnarTrace`. Both forms are pinned to
+:class:`~repro.traffic.trace.Trace`. Both forms are pinned to
 the same absolute trace digests (``tests/test_trace_columnar.py``).
 """
 
@@ -24,7 +24,7 @@ from typing import Iterator, List, Optional
 
 from repro.core.config import SwitchConfig
 from repro.core.packet import Packet
-from repro.traffic.columnar import Chunk
+from repro.traffic.trace import Chunk
 from repro.traffic.workloads import (
     DEFAULT_SOURCES,
     _processing_chunks,

@@ -1,4 +1,4 @@
-"""Arrival traces: per-slot packet sequences fed to switches.
+"""Arrival traces: per-slot packet bursts fed to switches.
 
 A :class:`Trace` is the linearization of the paper's arrival model: in each
 time slot a burst of packets arrives, ordered by input port (the model
@@ -7,23 +7,66 @@ Traces are plain data — they can be generated (synthetic MMPP workloads,
 adversarial constructions), saved/loaded as JSON lines, concatenated, and
 replayed against any number of systems.
 
-Packets inside a trace are *templates*: the switch admits fresh copies, so
-a trace may be replayed repeatedly without state leaking between runs.
+A trace is stored as CSR columns, one entry per packet: a slot
+``offsets`` list (row pointers, length ``n_slots + 1``) plus flat
+``ports`` / ``works`` / ``values`` columns, and optional ``opts`` /
+``arrivals`` columns for the traces that carry scripted-OPT tags or
+out-of-line arrival slots (repeated adversarial rounds). Slot ``s``'s
+burst is the column span ``offsets[s]:offsets[s + 1]``. The columns are
+plain Python lists, the fastest thing the ingestion loops
+(:meth:`repro.core.columnar.VectorizedSwitch.run_span`, the vectorized
+OPT surrogates) can index packet by packet.
+
+There are two ways to build one. The synthetic generators' column cores
+yield one numpy :data:`Chunk` per slot, which :meth:`Trace.from_chunks`
+concatenates (the only part of this module that needs numpy). The
+hand-built constructions grow a trace through the builder methods
+(:meth:`~Trace.append_slot`, :meth:`~Trace.add_packet`, ...), which
+write the columns.
+
+Packet objects are a view: :attr:`Trace.slots`, iteration and
+:meth:`Trace.packets` build the per-slot :class:`Packet` lists once and
+cache them for the consumers that read objects (the reference engine,
+scripted OPT, the bisect surrogate). The packets are *templates*: the
+switch admits fresh copies, so a trace may be replayed repeatedly
+without state leaking between runs. Every builder method drops the view
+and the validation memo, so grow a trace through them, never by editing
+the view.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+try:  # pure-stdlib installs can still import and build traces
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
+    np = None  # type: ignore[assignment]
 
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import TraceError
 from repro.core.packet import Packet
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.traffic.columnar import ColumnarTrace
+__all__ = ["Chunk", "PortStateEvent", "Trace", "burst"]
+
+#: One slot's packets as equal-length numpy columns: int64 ports,
+#: int64 works, float64 values, in arrival order. The generators'
+#: column cores yield one per slot.
+Chunk = Tuple[Any, Any, Any]
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,47 +83,152 @@ class PortStateEvent:
     up: bool
 
 
-@dataclass
 class Trace:
-    """A sequence of per-slot arrival bursts.
+    """A sequence of per-slot arrival bursts, stored as columns.
 
-    ``port_events`` optionally carries port churn: a mapping from slot
-    index to the :class:`PortStateEvent` list applied at that slot's
-    start. Static traces (the common case) leave it empty, and every
-    consumer treats an absent/empty mapping as "no churn".
+    Parameters
+    ----------
+    bursts:
+        Per-slot packet bursts; their fields are copied into the
+        columns.
+    port_events:
+        Optional port churn: a mapping from slot index to the
+        :class:`PortStateEvent` list applied at that slot's start.
+        Static traces (the common case) leave it empty, and every
+        consumer treats an empty mapping as "no churn".
 
-    :meth:`to_columnar` caches the trace's column form; the mutators
-    below drop that cache, so grow a trace through them rather than by
-    editing ``slots`` in place.
+    Columns
+    -------
+    offsets:
+        CSR row pointers: ``offsets[s]`` is the column index of slot
+        ``s``'s first packet; ``offsets[-1]`` is the packet count.
+    ports / works / values:
+        One entry per packet, in arrival order.
+    opts:
+        Scripted-OPT tag per packet, ``-1`` for untagged
+        (``opt_accept is None``) and ``0``/``1`` for tagged; ``None``
+        while no packet is tagged.
+    arrivals:
+        Explicit ``arrival_slot`` per packet; ``None`` while every
+        packet's arrival slot is its own slot index.
     """
 
-    slots: List[List[Packet]] = field(default_factory=list)
-    port_events: Dict[int, List[PortStateEvent]] = field(default_factory=dict)
-    _columnar: Optional["ColumnarTrace"] = field(
-        default=None, init=False, repr=False, compare=False
+    __slots__ = (
+        "offsets",
+        "ports",
+        "works",
+        "values",
+        "opts",
+        "arrivals",
+        "port_events",
+        "validated",
+        "_slots",
     )
 
+    __hash__ = None  # type: ignore[assignment]  # mutable column data
+
+    def __init__(
+        self,
+        bursts: Iterable[Sequence[Packet]] = (),
+        port_events: Optional[Mapping[int, Sequence[PortStateEvent]]] = None,
+    ) -> None:
+        self.offsets: List[int] = [0]
+        self.ports: List[int] = []
+        self.works: List[int] = []
+        self.values: List[float] = []
+        self.opts: Optional[List[int]] = None
+        self.arrivals: Optional[List[int]] = None
+        self.port_events: Dict[int, List[PortStateEvent]] = (
+            {slot: list(events) for slot, events in port_events.items()}
+            if port_events
+            else {}
+        )
+        #: Switch shapes these columns passed an engine's validation
+        #: for (see ``VectorizedSwitch.bind_columns``): the other
+        #: replays of the trace skip the check. Builder methods clear it.
+        self.validated: Set[Tuple[Any, ...]] = set()
+        self._slots: Optional[List[List[Packet]]] = None
+        for packets in bursts:
+            self.append_slot(packets)
+
+    @classmethod
+    def from_columns(
+        cls,
+        offsets: List[int],
+        ports: List[int],
+        works: List[int],
+        values: List[float],
+        opts: Optional[List[int]] = None,
+        arrivals: Optional[List[int]] = None,
+        port_events: Optional[Mapping[int, Sequence[PortStateEvent]]] = None,
+    ) -> "Trace":
+        """A trace over the given columns (adopted, not copied)."""
+        if not offsets or offsets[0] != 0:
+            raise TraceError("offsets must start at 0")
+        total = offsets[-1]
+        if not (len(ports) == len(works) == len(values) == total):
+            raise TraceError(
+                f"column lengths {len(ports)}/{len(works)}/{len(values)} "
+                f"do not match offsets[-1]={total}"
+            )
+        for extra in (opts, arrivals):
+            if extra is not None and len(extra) != total:
+                raise TraceError(
+                    f"optional column length {len(extra)} != {total}"
+                )
+        trace = cls(port_events=port_events)
+        trace.offsets = offsets
+        trace.ports = ports
+        trace.works = works
+        trace.values = values
+        trace.opts = opts
+        trace.arrivals = arrivals
+        return trace
+
+    @classmethod
+    def from_chunks(cls, chunks: Iterable[Chunk]) -> "Trace":
+        """Concatenate per-slot column chunks, one chunk per slot."""
+        offsets = [0]
+        kept: List[Chunk] = []
+        total = 0
+        for chunk in chunks:
+            if len(chunk[0]):
+                kept.append(chunk)
+                total += len(chunk[0])
+            offsets.append(total)
+        if kept:
+            arrays = tuple(np.concatenate(column) for column in zip(*kept))
+        else:
+            arrays = (
+                np.empty(0, np.int64),
+                np.empty(0, np.int64),
+                np.empty(0, np.float64),
+            )
+        ports, works, values = arrays
+        return cls.from_columns(
+            offsets, ports.tolist(), works.tolist(), values.tolist()
+        )
+
     # ------------------------------------------------------------------
-    # Construction
+    # Building (every method here drops the packet view and the memo)
     # ------------------------------------------------------------------
 
-    def append_slot(self, packets: Sequence[Packet] = ()) -> None:
+    def append_slot(self, packets: Iterable[Packet] = ()) -> None:
         """Append one slot with the given (possibly empty) burst."""
-        self._columnar = None
-        self.slots.append(list(packets))
+        self._insert(len(self.ports), self.n_slots, packets)
+        self.offsets.append(len(self.ports))
 
     def add_packet(self, slot: int, packet: Packet) -> None:
-        """Add a packet to ``slot``, growing the trace as needed."""
-        self._columnar = None
-        while len(self.slots) <= slot:
-            self.slots.append([])
-        self.slots[slot].append(packet)
+        """Add a packet at the end of ``slot``'s burst, growing the
+        trace as needed."""
+        self._grow(slot)
+        offsets = self.offsets
+        self._insert(offsets[slot + 1], slot, (packet,))
+        offsets[slot + 1:] = [end + 1 for end in offsets[slot + 1:]]
 
     def add_port_event(self, slot: int, port: int, up: bool) -> None:
         """Record a churn event at ``slot``, growing the trace as needed."""
-        self._columnar = None
-        while len(self.slots) <= slot:
-            self.slots.append([])
+        self._grow(slot)
         self.port_events.setdefault(slot, []).append(
             PortStateEvent(port=port, up=up)
         )
@@ -88,17 +236,27 @@ class Trace:
     def extend(self, other: "Trace") -> None:
         """Append another trace's slots (and churn events) after this
         one's; the other trace's event slots shift accordingly."""
-        self._columnar = None
-        offset = len(self.slots)
-        for packets in other.slots:
-            self.slots.append(list(packets))
-        for slot, events in other.port_events.items():
-            self.port_events.setdefault(offset + slot, []).extend(events)
+        shift = self.n_slots
+        base = len(self.ports)
+        index = other._slot_index()
+        own = [shift + slot for slot in index]
+        theirs = other.arrivals if other.arrivals is not None else index
+        self._splice(
+            base,
+            other.ports,
+            other.works,
+            other.values,
+            other.opts,
+            None if theirs == own else theirs,
+            own,
+        )
+        self.offsets.extend(base + end for end in other.offsets[1:])
+        for slot, events in list(other.port_events.items()):
+            self.port_events.setdefault(shift + slot, []).extend(events)
 
     def repeated(self, times: int) -> "Trace":
         """A new trace consisting of this one repeated ``times`` times.
 
-        Packet objects are shared between repetitions (they are templates);
         ``arrival_slot`` metadata refers to the slot within the original
         trace and is informational only.
         """
@@ -111,29 +269,78 @@ class Trace:
 
     def padded(self, extra_slots: int) -> "Trace":
         """A new trace with ``extra_slots`` empty slots appended (drain)."""
-        result = Trace(
-            [list(p) for p in self.slots],
-            {slot: list(events) for slot, events in self.port_events.items()},
-        )
-        for _ in range(extra_slots):
-            result.append_slot()
+        result = Trace()
+        result.extend(self)
+        result._grow(self.n_slots + extra_slots - 1)
         return result
 
-    def to_columnar(self) -> "ColumnarTrace":
-        """The trace as CSR columns, converted once and cached.
+    def _grow(self, slot: int) -> None:
+        """Append empty slots until ``slot`` exists."""
+        self._touch()
+        while len(self.offsets) <= slot + 1:
+            self.offsets.append(len(self.ports))
 
-        The mirror of :meth:`ColumnarTrace.to_trace`: the vectorized
-        engines replay an object trace through this view, so the
-        policies of one sweep cell share a single conversion (and a
-        single validation, which the view remembers). The mutators
-        above drop the cache.
-        """
-        view = self._columnar
-        if view is None:
-            from repro.traffic.columnar import ColumnarTrace
+    def _touch(self) -> None:
+        """Drop what was derived from the columns: the packet view and
+        the validation memo."""
+        self._slots = None
+        self.validated.clear()
 
-            view = self._columnar = ColumnarTrace.from_trace(self)
-        return view
+    def _insert(self, at: int, slot: int, packets: Iterable[Packet]) -> None:
+        """Write ``packets`` into the columns at index ``at``, as
+        arrivals in ``slot``; the caller moves the offsets."""
+        burst = list(packets)
+        tags = [p.opt_accept for p in burst]
+        arrived = [p.arrival_slot for p in burst]
+        own = [slot] * len(burst)
+        self._splice(
+            at,
+            [p.port for p in burst],
+            [p.work for p in burst],
+            [p.value for p in burst],
+            (
+                None
+                if all(tag is None for tag in tags)
+                else [-1 if tag is None else int(tag) for tag in tags]
+            ),
+            None if arrived == own else arrived,
+            own,
+        )
+
+    def _splice(
+        self,
+        at: int,
+        ports: List[int],
+        works: List[int],
+        values: List[float],
+        opts: Optional[List[int]],
+        arrivals: Optional[List[int]],
+        own: List[int],
+    ) -> None:
+        """Insert packet columns at column index ``at``. ``opts`` is
+        ``None`` when none of them is tagged, ``arrivals`` when each
+        arrives in its own slot, which ``own`` lists."""
+        self._touch()
+        if opts is not None and self.opts is None:
+            self.opts = [-1] * len(self.ports)
+        if self.opts is not None:
+            self.opts[at:at] = opts if opts is not None else [-1] * len(own)
+        if arrivals is not None and self.arrivals is None:
+            self.arrivals = self._slot_index()
+        if self.arrivals is not None:
+            self.arrivals[at:at] = arrivals if arrivals is not None else own
+        self.ports[at:at] = ports
+        self.works[at:at] = works
+        self.values[at:at] = values
+
+    def _slot_index(self) -> List[int]:
+        """Each packet's slot index, in column order."""
+        offsets = self.offsets
+        return [
+            slot
+            for slot in range(len(offsets) - 1)
+            for _ in range(offsets[slot + 1] - offsets[slot])
+        ]
 
     # ------------------------------------------------------------------
     # Inspection
@@ -141,45 +348,101 @@ class Trace:
 
     @property
     def n_slots(self) -> int:
-        return len(self.slots)
+        return len(self.offsets) - 1
 
     @property
     def total_packets(self) -> int:
-        return sum(len(burst) for burst in self.slots)
+        return self.offsets[-1]
+
+    def __len__(self) -> int:
+        return self.n_slots
+
+    def slot_bounds(self, slot: int) -> Tuple[int, int]:
+        """Column span ``[lo, hi)`` of ``slot``'s burst."""
+        return self.offsets[slot], self.offsets[slot + 1]
+
+    @property
+    def slots(self) -> List[List[Packet]]:
+        """Per-slot packet bursts, built from the columns on first use
+        and cached until the next builder call. Read-only: the trace
+        is its columns."""
+        view = self._slots
+        if view is None:
+            offsets = self.offsets
+            arrivals = (
+                self.arrivals
+                if self.arrivals is not None
+                else self._slot_index()
+            )
+            opts: List[Optional[bool]] = (
+                [None] * self.total_packets
+                if self.opts is None
+                else [None if tag < 0 else bool(tag) for tag in self.opts]
+            )
+            columns = (self.ports, self.works, self.values, arrivals, opts)
+            packets = list(map(Packet, *columns))
+            view = self._slots = [
+                packets[offsets[s]:offsets[s + 1]]
+                for s in range(self.n_slots)
+            ]
+        return view
 
     def __iter__(self) -> Iterator[List[Packet]]:
         return iter(self.slots)
-
-    def __len__(self) -> int:
-        return len(self.slots)
 
     def packets(self) -> Iterator[Packet]:
         """All packets in arrival order."""
         for burst in self.slots:
             yield from burst
 
+    def __eq__(self, other: object) -> bool:
+        """Content equality: same packets in the same slots, same churn."""
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self._canonical() == other._canonical()
+
+    def _canonical(self) -> Tuple[Any, ...]:
+        return (
+            self.offsets,
+            self.ports,
+            self.works,
+            self.values,
+            self.opts if self.opts is not None else [-1] * len(self.ports),
+            (
+                self.arrivals
+                if self.arrivals is not None
+                else self._slot_index()
+            ),
+            self.port_events,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Trace(n_slots={self.n_slots}, "
+            f"total_packets={self.total_packets}, "
+            f"event_slots={len(self.port_events)})"
+        )
+
     def stats(self) -> Dict[str, float]:
         """Aggregate statistics for logging and experiment records."""
         total = self.total_packets
-        works = [p.work for p in self.packets()]
-        values = [p.value for p in self.packets()]
         return {
             "n_slots": self.n_slots,
             "total_packets": total,
             "mean_burst": total / self.n_slots if self.n_slots else 0.0,
-            "max_work": max(works) if works else 0,
-            "total_value": sum(values),
+            "max_work": max(self.works) if total else 0,
+            "total_value": sum(self.values),
         }
 
     def per_port_counts(self, n_ports: int) -> List[int]:
         """Arrival counts per destination port."""
         counts = [0] * n_ports
-        for packet in self.packets():
-            if packet.port >= n_ports:
+        for port in self.ports:
+            if port >= n_ports:
                 raise TraceError(
-                    f"packet for port {packet.port} but n_ports={n_ports}"
+                    f"packet for port {port} but n_ports={n_ports}"
                 )
-            counts[packet.port] += 1
+            counts[port] += 1
         return counts
 
     def validate_for(self, config: SwitchConfig) -> None:
@@ -188,32 +451,29 @@ class Trace:
         Checks port ranges, and the Section III constraint that packets to
         port ``i`` require exactly ``w_i`` cycles (FIFO discipline only).
         """
-        for burst in self.slots:
-            for packet in burst:
-                if not 0 <= packet.port < config.n_ports:
-                    raise TraceError(
-                        f"packet port {packet.port} out of range "
-                        f"0..{config.n_ports - 1}"
-                    )
-                if (
-                    config.discipline is QueueDiscipline.FIFO
-                    and packet.work != config.work_of(packet.port)
-                ):
-                    raise TraceError(
-                        f"packet work {packet.work} != w_{packet.port}="
-                        f"{config.work_of(packet.port)}"
-                    )
+        n_ports = config.n_ports
+        fifo = config.discipline is QueueDiscipline.FIFO
+        works = config.works if fifo else None
+        for port, work in zip(self.ports, self.works):
+            if not 0 <= port < n_ports:
+                raise TraceError(
+                    f"packet port {port} out of range 0..{n_ports - 1}"
+                )
+            if works is not None and work != works[port]:
+                raise TraceError(
+                    f"packet work {work} != w_{port}={works[port]}"
+                )
         for slot, events in self.port_events.items():
-            if not 0 <= slot < len(self.slots):
+            if not 0 <= slot < self.n_slots:
                 raise TraceError(
                     f"port event at slot {slot} outside trace of "
-                    f"{len(self.slots)} slots"
+                    f"{self.n_slots} slots"
                 )
             for event in events:
-                if not 0 <= event.port < config.n_ports:
+                if not 0 <= event.port < n_ports:
                     raise TraceError(
                         f"port event for port {event.port} out of range "
-                        f"0..{config.n_ports - 1}"
+                        f"0..{n_ports - 1}"
                     )
 
     # ------------------------------------------------------------------
@@ -231,21 +491,19 @@ class Trace:
         # resilience package on the path (and this is a cold path).
         from repro.resilience.atomic import atomic_write_text
 
+        offsets, opts = self.offsets, self.opts
         rows = []
-        for burst in self.slots:
-            row = [
-                {
-                    "port": p.port,
-                    "work": p.work,
-                    "value": p.value,
-                    **(
-                        {"opt": p.opt_accept}
-                        if p.opt_accept is not None
-                        else {}
-                    ),
+        for slot in range(self.n_slots):
+            row = []
+            for j in range(offsets[slot], offsets[slot + 1]):
+                item: Dict[str, Any] = {
+                    "port": self.ports[j],
+                    "work": self.works[j],
+                    "value": self.values[j],
                 }
-                for p in burst
-            ]
+                if opts is not None and opts[j] >= 0:
+                    item["opt"] = bool(opts[j])
+                row.append(item)
             rows.append(json.dumps(row))
         if self.port_events:
             # Churn rides as one trailing JSON *object* line; slot lines

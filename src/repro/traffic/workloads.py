@@ -31,7 +31,7 @@ One core, two views: each recipe is written once, as a private column
 core that validates its inputs, builds the fleet, makes the recipe's
 pinned sequence of RNG calls and yields one slot's ``(ports, works,
 values)`` column chunk at a time. The public functions here concatenate
-the chunks into a :class:`~repro.traffic.columnar.ColumnarTrace`;
+the chunks into a :class:`~repro.traffic.trace.Trace`;
 :mod:`repro.traffic.streaming` turns the same chunks into per-slot
 packet bursts for paper-scale runs.
 """
@@ -47,7 +47,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
-from repro.traffic.columnar import Chunk, ColumnarTrace
+from repro.traffic.trace import Chunk, Trace
 from repro.traffic.mmpp import MmppFleet, MmppParams
 
 #: The paper's source count (Section V-A).
@@ -174,7 +174,7 @@ def processing_workload(
     mean_on_slots: float = 20.0,
     mean_off_slots: float = 1980.0,
     seed: int = 0,
-) -> ColumnarTrace:
+) -> Trace:
     """MMPP workload for the heterogeneous-processing model.
 
     Each source is bound to a destination port chosen uniformly at
@@ -182,7 +182,7 @@ def processing_workload(
     each requiring the port's configured work. Within a slot, packets
     arrive in ascending port order.
     """
-    return ColumnarTrace.from_chunks(_processing_chunks(
+    return Trace.from_chunks(_processing_chunks(
         config, n_slots, load=load, absolute_rate=absolute_rate,
         n_sources=n_sources, mean_on_slots=mean_on_slots,
         mean_off_slots=mean_off_slots, seed=seed,
@@ -251,7 +251,7 @@ def value_uniform_workload(
     mean_off_slots: float = 380.0,
     seed: int = 0,
     port_bound_sources: bool = True,
-) -> ColumnarTrace:
+) -> Trace:
     """Value-model workload with uniform port and uniform integer value.
 
     Matches Fig. 5 panels 4-6: "both output port and value chosen uniformly
@@ -266,7 +266,7 @@ def value_uniform_workload(
     which spreads bursts across all queues and (because no port can then
     starve) compresses the differences between policies.
     """
-    return ColumnarTrace.from_chunks(_value_uniform_chunks(
+    return Trace.from_chunks(_value_uniform_chunks(
         config, n_slots, max_value, load=load, absolute_rate=absolute_rate,
         n_sources=n_sources, mean_on_slots=mean_on_slots,
         mean_off_slots=mean_off_slots, seed=seed,
@@ -320,7 +320,7 @@ def value_port_workload(
     mean_off_slots: float = 1980.0,
     seed: int = 0,
     port_weights: Optional[Any] = None,
-) -> ColumnarTrace:
+) -> Trace:
     """Value-model workload where value is determined by the output port.
 
     Matches Fig. 5 panels 7-9. Each source is bound to a port; a packet's
@@ -330,7 +330,7 @@ def value_port_workload(
     "distributions that prioritize certain values at specific queues"
     (Section V-C).
     """
-    return ColumnarTrace.from_chunks(_value_port_chunks(
+    return Trace.from_chunks(_value_port_chunks(
         config, n_slots, load=load, absolute_rate=absolute_rate,
         n_sources=n_sources, mean_on_slots=mean_on_slots,
         mean_off_slots=mean_off_slots, seed=seed, port_weights=port_weights,

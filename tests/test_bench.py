@@ -7,6 +7,7 @@ import pytest
 
 from repro.bench import (
     PANELS,
+    BenchPanel,
     SCHEMA_VERSION,
     compare_reports,
     load_report,
@@ -89,6 +90,28 @@ class TestModes:
         assert {
             t["engine"] for t in result.as_dict()["per_policy"]
         } == {engine}
+
+    @pytest.mark.parametrize(
+        "mode, view_built", [("vectorized", False), ("naive", True)]
+    )
+    def test_trace_shape_work_stays_outside_the_timer(
+        self, monkeypatch, mode, view_built
+    ):
+        # Vectorized replays read the generator's columns, so no packet
+        # view is ever built; naive mode builds it before its timer.
+        built = []
+        original = BenchPanel.trace
+
+        def recording(panel, slots_scale=1.0):
+            built.append(original(panel, slots_scale))
+            return built[-1]
+
+        monkeypatch.setattr(BenchPanel, "trace", recording)
+        run_panel_bench(
+            PANELS["mmpp-proc-small"], mode=mode, slots_scale=SMALL_SCALE
+        )
+        (trace,) = built
+        assert (trace._slots is not None) == view_built
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="naive|vectorized"):

@@ -45,7 +45,6 @@ from repro.opt.scripted import ScriptedPolicy
 from repro.policies import make_policy
 from repro.policies.dynamic import DynamicThreshold
 from repro.policies.processing import LQD
-from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
 
 
@@ -157,12 +156,11 @@ def _warm_value_switch(
     config = SwitchConfig.value_contiguous(4, 8)
     switch = VectorizedSwitch(config)
     policy = make_policy(policy_name)
-    objects = _congested_trace(config, 12, seed=5, per_slot=10)
+    trace = _congested_trace(config, 12, seed=5, per_slot=10)
     if feed == "run_slot":
-        for burst in objects.slots:
+        for burst in trace.slots:
             switch.run_slot(burst, policy)
     else:
-        trace = ColumnarTrace.from_trace(objects)
         for slot in range(trace.n_slots):
             lo, hi = trace.slot_bounds(slot)
             switch.run_slot_columns(
@@ -363,29 +361,21 @@ def test_column_validation_runs_once_per_trace_and_config(monkeypatch):
 
     monkeypatch.setattr(VectorizedSwitch, "_validate_columns", counting)
     config = SwitchConfig.value_contiguous(4, 8)
-    objects = _congested_trace(config, 12, seed=5, per_slot=10)
-    # An object trace is validated through its cached columnar view.
-    for trace in (ColumnarTrace.from_trace(objects), objects):
-        calls.clear()
-        for name in ("LQD-V", "MVD", "MRD", "NEST"):
-            system = PolicySystem(
-                config, make_policy(name), engine="vectorized"
-            )
-            run_system(system, trace)
-        assert calls == [trace.total_packets]
-        wider = SwitchConfig.value_contiguous(5, 8)
-        run_system(
-            PolicySystem(wider, make_policy("MVD"), engine="vectorized"),
-            trace,
-        )
-        assert len(calls) == 2
+    trace = _congested_trace(config, 12, seed=5, per_slot=10)
+    for name in ("LQD-V", "MVD", "MRD", "NEST"):
+        system = PolicySystem(config, make_policy(name), engine="vectorized")
+        run_system(system, trace)
+    assert calls == [trace.total_packets]
+    wider = SwitchConfig.value_contiguous(5, 8)
+    run_system(
+        PolicySystem(wider, make_policy("MVD"), engine="vectorized"), trace
+    )
+    assert len(calls) == 2
 
 
 def test_column_validation_pins_nothing_past_the_replay():
     config = SwitchConfig.value_contiguous(4, 8)
-    trace = ColumnarTrace.from_trace(
-        _congested_trace(config, 12, seed=5, per_slot=10)
-    )
+    trace = _congested_trace(config, 12, seed=5, per_slot=10)
     before = sys.getrefcount(trace.ports)
     run_system(
         PolicySystem(config, make_policy("MRD"), engine="vectorized"), trace
@@ -400,7 +390,7 @@ def test_column_validation_pins_nothing_past_the_replay():
 
 def test_invalid_columns_still_rejected():
     config = SwitchConfig.value_contiguous(2, 4)
-    trace = ColumnarTrace([0, 2], [0, 2], [1, 1], [1.0, 1.0])
+    trace = Trace.from_columns([0, 2], [0, 2], [1, 1], [1.0, 1.0])
     system = PolicySystem(config, make_policy("MVD"), engine="vectorized")
     with pytest.raises(TraceError):
         run_system(system, trace)
@@ -414,13 +404,13 @@ def test_invalid_columns_still_rejected():
 
 
 # ----------------------------------------------------------------------
-# Object traces replay through a cached columnar view
+# Builder methods drop what was derived from the columns
 # ----------------------------------------------------------------------
 
 
 def _replay_both(config: SwitchConfig, trace: Trace, policy_name: str):
-    """Fresh vectorized and reference replays of ``trace``; the
-    vectorized one goes through the trace's columnar view."""
+    """Fresh vectorized and reference replays of ``trace``: the first
+    reads its columns, the second its packet view."""
     vec = PolicySystem(config, make_policy(policy_name), engine="vectorized")
     ref = PolicySystem(config, make_policy(policy_name), engine="reference")
     return run_system(vec, trace), run_system(ref, trace)
@@ -440,26 +430,20 @@ def test_replay_after_mutation_sees_new_content(mutate):
     config = SwitchConfig.contiguous(4, 8)
     trace = _congested_trace(config, 12, seed=5, per_slot=10)
     more = _congested_trace(config, 6, seed=6, per_slot=10)
-    vec_before, _ = _replay_both(config, trace, "LQD")
-    view = trace.to_columnar()
+    twin = Trace(trace.slots)
+    vec_before, ref_before = _replay_both(config, trace, "LQD")
+    assert vec_before.snapshot() == ref_before.snapshot()
+    # Both replays left their caches behind, and neither shows.
+    view = trace.slots
+    assert trace.slots is view and trace.validated
+    assert trace == twin and repr(trace) == repr(twin)
     mutate(trace, more)
-    assert trace.to_columnar() is not view
-    assert trace.to_columnar() == ColumnarTrace.from_trace(trace)
+    assert trace.slots is not view and not trace.validated
+    assert trace != twin
+    assert Trace(trace.slots, trace.port_events) == trace
     vec_after, ref_after = _replay_both(config, trace, "LQD")
     assert vec_after.snapshot() == ref_after.snapshot()
     assert vec_after.snapshot() != vec_before.snapshot()
-
-
-def test_cached_view_is_reused_and_invisible():
-    config = SwitchConfig.contiguous(4, 8)
-    trace = _congested_trace(config, 12, seed=5, per_slot=10)
-    twin = Trace([list(burst) for burst in trace.slots])
-    before = repr(trace)
-    _replay_both(config, trace, "LWD")
-    view = trace.to_columnar()
-    assert trace.to_columnar() is view and view.validated
-    assert trace == twin and twin == trace
-    assert repr(trace) == before == repr(twin)
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ from repro.core.errors import ConfigError
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
 from repro.policies import available_policies, make_policy
-from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.trace import Trace
 
 
@@ -118,7 +117,7 @@ def _drive_lockstep(
     naive_policy = make_policy(policy_name)
     batch_policy = make_policy(policy_name)
     cols_policy = make_policy(policy_name)
-    trace = ColumnarTrace.from_trace(Trace([list(b) for b in slot_bursts]))
+    trace = Trace(slot_bursts)
     assert trace.arrivals is None
     for slot, burst in enumerate(slot_bursts):
         naive.run_slot(burst, naive_policy)
@@ -286,7 +285,7 @@ def _tie_case(
     batch = VectorizedSwitch(config)
     batch.run_slot(list(setup) + [arrival], make_policy(policy_name))
     batch.check_invariants()
-    trace = ColumnarTrace.from_trace(Trace([list(setup) + [arrival]]))
+    trace = Trace([list(setup) + [arrival]])
     cols = VectorizedSwitch(config)
     cols.run_slot_columns(
         make_policy(policy_name), trace.ports, trace.works, trace.values,
@@ -533,7 +532,7 @@ WIDE_PORT_EVENTS = {120: False, 150: True}
 
 def _wide_case(
     model: str, n: int, speedup: int
-) -> Tuple[SwitchConfig, ColumnarTrace]:
+) -> Tuple[SwitchConfig, Trace]:
     """An ``n``-port switch and a congested on/off trace from seeded
     ``random`` (no numpy, so the case runs where numpy is absent).
 
@@ -571,7 +570,7 @@ def _wide_case(
                 )
             )
         trace.append_slot(burst)
-    return config, ColumnarTrace.from_trace(trace)
+    return config, trace
 
 
 @pytest.mark.parametrize("speedup", [1, 2])
@@ -745,7 +744,7 @@ def test_same_port_runs_drop_as_one(policy_name, speedup):
     per-port drop counts equal the reference's after every slot."""
     config = SwitchConfig.contiguous(4, 8, speedup=speedup)
     bursts = _run_bursts(config, seed=speedup)
-    trace = ColumnarTrace.from_trace(Trace([list(b) for b in bursts]))
+    trace = Trace(bursts)
     naive = SharedMemorySwitch(config)
     vec = VectorizedSwitch(config)
     naive_policy = make_policy(policy_name)

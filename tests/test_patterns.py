@@ -12,6 +12,7 @@ from repro.traffic.patterns import (
     poisson_workload,
     thin_trace,
 )
+from repro.traffic.dynamic import port_flap_workload
 from repro.traffic.trace import Trace
 from repro.traffic.workloads import processing_capacity
 
@@ -127,6 +128,20 @@ class TestTraceUtilities:
         thinned = thin_trace(trace, 0.5, seed=1)
         assert thinned.total_packets == pytest.approx(1000, rel=0.15)
         assert thinned.n_slots == 20
+
+    def test_mixed_and_thin_keep_churn(self):
+        flap = port_flap_workload(
+            SwitchConfig.uniform(4, 16), 200, load=1.0, seed=1
+        )
+        assert len(flap.port_events) == 6
+        first = min(flap.port_events)
+        extra = Trace()
+        extra.add_port_event(first, 2, True)
+        # A slot's events concatenate in list order.
+        expected = {slot: list(ev) for slot, ev in flap.port_events.items()}
+        expected[first] += extra.port_events[first]
+        assert mixed_trace([flap, extra]).port_events == expected
+        assert thin_trace(flap, 0.5, seed=3).port_events == flap.port_events
 
     def test_thin_trace_validation(self):
         with pytest.raises(TraceError):

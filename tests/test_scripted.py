@@ -10,7 +10,6 @@ from repro.core.switch import SharedMemorySwitch
 from repro.goldens import DecisionStreamHasher
 from repro.opt.scripted import ScriptedPolicy
 from repro.traffic.adversarial import thm4_lqd, thm9_lqd_value
-from repro.traffic.columnar import ColumnarTrace
 
 
 def tagged(port, accept, work=1):
@@ -73,8 +72,8 @@ TAGGED_SCENARIOS = pytest.mark.parametrize(
 
 class TestVectorizedEngine:
     """Scripted OPT has no vectorized kernel: asking for the vectorized
-    engine builds the reference one, visibly, and the replays of object
-    and column traces match the reference run."""
+    engine builds the reference one, visibly, and its replay matches the
+    reference run."""
 
     @staticmethod
     def _replay(scenario, engine, trace, observer=None):
@@ -96,11 +95,9 @@ class TestVectorizedEngine:
         assert reference["accepted"] > 0
         if hasher is not None:
             assert hasher.events > 0
-        columnar = ColumnarTrace.from_trace(scenario.trace)
-        assert columnar.opts is not None and columnar.arrivals is not None
-        for trace in (scenario.trace, columnar):
-            got = self._replay(scenario, "vectorized", trace)
-            assert got == reference
+        trace = scenario.trace
+        assert trace.opts is not None and trace.arrivals is not None
+        assert self._replay(scenario, "vectorized", trace) == reference
 
     @TAGGED_SCENARIOS
     def test_run_slot_bursts_match_reference(self, scenario):

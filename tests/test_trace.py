@@ -12,6 +12,16 @@ def pkt(port, work=1, value=1.0, slot=0):
     return Packet(port=port, work=work, value=value, arrival_slot=slot)
 
 
+def fields(packet):
+    return (
+        packet.port,
+        packet.work,
+        packet.value,
+        packet.arrival_slot,
+        packet.opt_accept,
+    )
+
+
 class TestConstruction:
     def test_append_and_len(self):
         trace = Trace()
@@ -55,9 +65,25 @@ class TestConstruction:
 
 class TestInspection:
     def test_packets_in_arrival_order(self):
-        a, b, c = pkt(0), pkt(1, 2), pkt(0)
+        a, b, c = pkt(0), pkt(1, 2), pkt(0, slot=1)
         trace = Trace([[a, b], [c]])
-        assert list(trace.packets()) == [a, b, c]
+        # The packets are a view built from the columns: same fields,
+        # new objects.
+        assert list(map(fields, trace.packets())) == list(
+            map(fields, [a, b, c])
+        )
+
+    def test_equality_compares_content(self):
+        assert Trace([[Packet(port=0)]]) == Trace([[Packet(port=0)]])
+        assert Trace([[pkt(0)]]) != Trace([[pkt(1)]])
+        assert Trace([[pkt(0)]]) != Trace([[pkt(0)], []])
+        assert Trace([[pkt(0)]]) != Trace([[pkt(0, slot=3)]])
+        assert Trace([[Packet(port=0, opt_accept=True)]]) != Trace(
+            [[Packet(port=0)]]
+        )
+        churn = Trace([[pkt(0)]])
+        churn.add_port_event(0, 0, False)
+        assert churn != Trace([[pkt(0)]])
 
     def test_stats(self):
         trace = Trace([[pkt(0, 1, 2.0), pkt(1, 3, 1.0)], []])

@@ -195,7 +195,7 @@ class TestValueUniformDrawOracle:
             config, 150, max_value=k, seed=seed, load=3.0
         )
         materialised = [
-            [(p.port, p.value) for p in slot] for slot in trace.to_trace()
+            [(p.port, p.value) for p in slot] for slot in trace
         ]
         streamed = [
             [(p.port, p.value) for p in slot]
