@@ -59,8 +59,8 @@ but the port (a FIFO packet's work is its port's, validated). So when
 an arrival drops, the rest of its same-port run drops with it, counted
 in one step. A run broken by another port's arrival is two runs.
 
-The value model's priority-queue layout has one more kernel, shared by
-its four push-out policies. It keeps a sorted list of per-port victim
+The value model's priority-queue layout has one more kernel for its
+four push-out policies. It keeps a sorted list of per-port victim
 keys, built with the reference's own keys and float operations, whose
 last element is the victim:
 
@@ -73,14 +73,16 @@ last element is the victim:
 * **MRD** — ``(|Q_j| / (V_j / |Q_j|), -min_j, j)``, gated on the global
   buffer minimum, which a sorted list of per-port minima holds.
 
-A push-out re-files two keys (the victim's and the arrival's, one when
-they are the same port) and a drop none. The bulk-accepted run of a
-slot re-files the keys of the ports it touched, and each transmission
-phase that completes a packet rebuilds the list once, so the keys are
-in sync at every slot end. Each congested arrival is decided on its
-own: MVD, MVD₁ and MRD compare its value, and LQD-V, whose test reads
-no arrival field but the port, shares their loop (see
-docs/VECTORIZED.md, "Drop runs").
+Each policy has its own congested loop (MVD and MVD₁ share one). A
+push-out pops the victim's key, which is the list's last element, and
+files the victim's and the arrival's new keys inline (one when they
+are the same port); a drop files none. The keys go stale instead of
+being re-filed when the bulk-accepted run or a transmission phase that
+completes a packet moves them: the arrival phase rebuilds them once,
+right before the slot's first congested arrival, and only in a slot
+that has one. MVD, MVD₁ and MRD decide each congested arrival on its
+own, since they compare its value; LQD-V's test reads no arrival field
+but the port, so its loop drops a same-port run in one step.
 
 The transmission phase is batched as well, inside the span loop. A
 FIFO queue of length ``L`` at speedup ``C`` serves its first
@@ -99,8 +101,9 @@ entry goes stale.
 
 LWD keys on total residual work, which every queue loses uniformly
 (one unit a phase) only at ``C = 1``; there an offset absorbs the
-decrement. At ``C > 1`` its code list is rebuilt before each arrival
-phase instead.
+decrement. At ``C > 1`` a transmission phase leaves the codes stale,
+as it leaves the value keys, and the next arrival phase rebuilds them
+before anything else, since its bulk-accepted run files codes too.
 
 The non-push-out threshold policies (NHST, NEST, NHDT, NHST-V, Greedy,
 NHDT-W, Harmonic, DT) share one more kernel, on every queue layout.
@@ -244,8 +247,8 @@ def _kernel_kind(config: SwitchConfig, policy: Any) -> Optional[int]:
     Kernels assume the purely shared model's full-buffer predicate and
     the queue layout of their model: the push-out kernels of the
     processing model need FIFO queues, the value kernels priority
-    queues. The threshold kernel admits through ``_admit_cols`` and so
-    serves both layouts.
+    queues. The threshold kernel files its admissions on either layout
+    and so serves both.
     """
     if not _purely_shared(config):
         return None
@@ -721,81 +724,39 @@ class VectorizedSwitch:
                 nm |= bit[rank[p]]
         return nm
 
-    def _value_key(self, kind: int, port: int) -> Optional[Tuple[Any, ...]]:
-        """``port``'s victim key under value kernel ``kind`` (``None``
-        when the port is not a candidate), from the primary columns."""
-        length = self._lens[port]
-        if kind == K_MVD:
-            if length < self._mvl:
-                return None
-            return (-self._vals[port][0], length, port)
-        if not length:
-            return None
-        if kind == K_LQDV:
-            return (length, -self._vals[port][0], port)
-        return (
-            length / (self._tv[port] / length),
-            -self._vals[port][0],
-            port,
-        )
-
     def _value_keys(
         self, kind: int
     ) -> Tuple[List[Tuple[Any, ...]], List[Any], List[float]]:
         """From-scratch value-kernel state: the sorted key list, each
-        port's key, and (MRD only) the sorted per-port minima."""
+        port's key (``None`` when the port is not a candidate), and
+        (MRD only) the sorted per-port minima. The congested loops of
+        :meth:`_arrive_value_cols` file the same keys inline, and the
+        kernel audit compares every filed key with this rebuild."""
+        lens = self._lens
+        vals = self._vals
+        active = self._active
+        keys: List[Tuple[Any, ...]]
+        if kind == K_LQDV:
+            keys = [(lens[p], -vals[p][0], p) for p in active]
+        elif kind == K_MVD:
+            mvl = self._mvl
+            keys = [
+                (-vals[p][0], lens[p], p) for p in active if lens[p] >= mvl
+            ]
+        else:
+            tv = self._tv
+            keys = [
+                (lens[p] / (tv[p] / lens[p]), -vals[p][0], p)
+                for p in active
+            ]
         key_of: List[Any] = [None] * self._nr
-        keys = []
-        for p in self._active:
-            key = self._value_key(kind, p)
-            key_of[p] = key
-            if key is not None:
-                keys.append(key)
+        for key in keys:
+            key_of[key[2]] = key
         keys.sort()
         mins: List[float] = []
         if kind == K_MRD:
-            mins = sorted(self._vals[p][0] for p in self._active)
+            mins = sorted(vals[p][0] for p in active)
         return keys, key_of, mins
-
-    def _rekey(self, kind: int, port: int) -> None:
-        """Re-file ``port``'s value-kernel key after its queue changed.
-
-        The key is :meth:`_value_key`'s, built inline: this runs up to
-        twice per push-out, and the saved call measured 3-5% of the
-        value kernels' replay time on fig5-4. The kernel audit compares
-        every filed key with a rebuild through :meth:`_value_key`.
-        """
-        keys = self._vkeys
-        key_of = self._vkey
-        old = key_of[port]
-        if old is not None:
-            del keys[bisect_left(keys, old)]
-            if kind == K_MRD:
-                mins = self._vmins
-                del mins[bisect_left(mins, -old[1])]
-        length = self._lens[port]
-        key: Optional[Tuple[Any, ...]]
-        if kind == K_MVD:
-            key = (
-                (-self._vals[port][0], length, port)
-                if length >= self._mvl
-                else None
-            )
-        elif not length:
-            key = None
-        elif kind == K_LQDV:
-            key = (length, -self._vals[port][0], port)
-        else:
-            key = (
-                length / (self._tv[port] / length),
-                -self._vals[port][0],
-                port,
-            )
-        key_of[port] = key
-        if key is not None:
-            insort(keys, key)
-            if kind == K_MRD:
-                insort(self._vmins, -key[1])
 
     # ------------------------------------------------------------------
     # Whole slots
@@ -875,13 +836,16 @@ class VectorizedSwitch:
 
         The policy's kernel is bound first, which leaves its derived
         structures clean, and only then is the transmission state bound,
-        once per span. Inside a span nothing replaces those structures
-        except the value kernels' per-phase key rebuild, which the
-        arrival kernels re-read; flushes, port events and policy
-        changes fall between spans. LWD at ``C > 1`` is the one kernel
-        whose transmission phase leaves its codes stale: every queue
-        loses ``min(C, L)`` work a phase, so the codes are rebuilt
-        before the next arrival phase instead. The slot count, the
+        once per span; flushes, port events and policy changes fall
+        between spans. Two kernels let a transmission phase leave their
+        structures stale (``_kclean`` false) instead of re-filing them,
+        and their arrival kernels rebuild what they read: the value
+        kernels, whose keys every completion moves, rebuild right before
+        a slot's first congested arrival, and LWD at ``C > 1``, where
+        every queue loses ``min(C, L)`` work a phase, at the start of
+        its next arrival phase. The structures the span binds for its
+        transmission phase (LQD's bitsets, BPD's mask, LWD's codes at
+        ``C = 1``) stay clean for the whole span. The slot count, the
         occupancy integral and peak, ``arrived`` and the transmission
         totals accumulate in locals, in the reference's order, and are
         written once per span (the slot accounting through
@@ -934,9 +898,6 @@ class VectorizedSwitch:
             if hi > lo:
                 arrived += hi - lo
                 self.current_slot = slot
-                if lwd_stale and not self._kclean:
-                    self._rebuild_kernel(K_LWD)
-                    self._kclean = True
                 if self._n_down:
                     cp, cw, cv, ca, chi = drop_down_arrivals(
                         self._port_up, self.metrics,
@@ -1019,9 +980,9 @@ class VectorizedSwitch:
                         is_act[p] = False
                     if kind >= K_LQDV:
                         # Completions moved the lengths (and value
-                        # totals) every value key is built from:
-                        # re-file them all at once.
-                        self._rebuild_kernel(kind)
+                        # totals) the value keys are built from: the
+                        # next congested arrival phase rebuilds them.
+                        self._kclean = False
             else:
                 # FIFO transmission phase over the multi-core calendar.
                 # Pops the current tick's bucket: advancing the tick is
@@ -1217,37 +1178,6 @@ class VectorizedSwitch:
         self.metrics.flushed += count
         return count
 
-    @hot_path
-    def _admit_cols(
-        self,
-        port: int,
-        work: int,
-        value: float,
-        arrival_slot: int,
-    ) -> None:
-        """Enqueue a packet given as column fields (seq 0)."""
-        length = self._lens[port]
-        if self._by_value:
-            vals = self._vals[port]
-            pos = bisect_left(vals, value)
-            vals.insert(pos, value)
-            self._recs[port].insert(
-                pos, [value, arrival_slot, 0, work, work]
-            )
-            self._tw[port] += work
-        else:
-            self._stores[port].append((value, arrival_slot, 0))
-            if length < self._cores:
-                self._arm(port, length)
-        self._tv[port] += value
-        self._lens[port] = length + 1
-        if not length:
-            self._activate(port)
-
-    def _activate(self, port: int) -> None:
-        insort(self._active, port)
-        self._is_act[port] = True
-
     # ------------------------------------------------------------------
     # Arrival kernels (trace columns in, no Packet objects)
     # ------------------------------------------------------------------
@@ -1426,8 +1356,14 @@ class VectorizedSwitch:
         Victim key: ``(W_j + [j = i] w_i, w_j, j)`` argmax. Codes
         ``(W_j + off) * n + r_j`` preserve the lexicographic order
         because ranks are unique below ``n``; ``codes`` stays sorted
-        ascending so its last element is the current victim key.
+        ascending so its last element is the current victim key. At
+        ``C > 1`` a transmission phase leaves the codes stale (see
+        :meth:`run_span`), and they are rebuilt here first, since the
+        bulk-accepted run files codes too.
         """
+        if not self._kclean:
+            self._rebuild_kernel(K_LWD)
+            self._kclean = True
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
@@ -1729,11 +1665,13 @@ class VectorizedSwitch:
     ) -> None:
         """Batched value-model arrival phase over the victim-key list.
 
-        Bulk-accepts the run that fits like the processing kernels and
-        then re-files the keys of the ports it touched. Each congested
-        arrival then reads the top key (and, for MRD, the smallest
-        buffered minimum) to decide, and a push-out re-files the
-        victim's and the arrival's keys. A priority queue's tail is its
+        Bulk-accepts the run that fits like the processing kernels,
+        which leaves the keys stale. Right before the slot's first
+        congested arrival, stale keys are rebuilt once; from there each
+        kernel's own loop reads the top key (and, for MRD, the smallest
+        buffered minimum) to decide, and a push-out files the victim's
+        and the arrival's new keys inline. The victim's key is the top
+        of the list, so it is popped. A priority queue's tail is its
         least valuable packet: index 0 of the ascending per-port
         stores.
         """
@@ -1775,63 +1713,201 @@ class VectorizedSwitch:
                     insort(active, p)
                     is_act[p] = True
                 lens[p] += 1
-            # Re-file each touched port once, in first-arrival order.
-            for p in dict.fromkeys(ports[lo:split]):
-                self._rekey(kind, p)
+            self._kclean = False
+        if split < hi and not self._kclean:
+            # The slot's first congested arrival: file fresh keys once.
+            self._rebuild_kernel(kind)
+            self._kclean = True
         keys = self._vkeys
-        mins = self._vmins
-        rekey = self._rekey
-        for i in range(split, hi):
-            p = ports[i]
-            v = values[i]
-            if kind == K_LQDV:
+        key_of = self._vkey
+        key: Tuple[Any, ...]
+        old: Optional[Tuple[Any, ...]]
+        if kind == K_LQDV:
+            # Victim key (|Q_j|, -tail_j, j), the arrival's own queue
+            # counted one longer. A drop changes nothing the test reads
+            # (it reads no arrival field but the port), so the rest of
+            # the same-port run drops with it, as in the LQD kernel. The
+            # own queue is never the victim: its real key is below its
+            # virtual one.
+            i = split
+            while i < hi:
+                p = ports[i]
                 top = keys[-1]
                 ol = lens[p]
-                own = (ol + 1, -all_vals[p][0] if ol else _NEG_INF, p)
-                if own > top:
-                    dropped += 1
-                    dropped_by_port[p] += 1
+                tl = top[0]
+                # The virtual length decides unless it ties the top's;
+                # only then is the virtual key built (an empty queue's
+                # tail, -inf, never wins the tie).
+                if ol >= tl or (
+                    ol + 1 == tl and ol and (tl, -all_vals[p][0], p) > top
+                ):
+                    j = i + 1
+                    while j < hi and ports[j] == p:
+                        j += 1
+                    dropped += j - i
+                    dropped_by_port[p] += j - i
+                    i = j
                     continue
-            elif kind == K_MVD:
+                keys.pop()
+                t = top[2]
+                tvals = all_vals[t]
+                vv = tvals.pop(0)
+                tw[t] -= all_recs[t].pop(0)[3]
+                tv[t] -= vv
+                vl = tl - 1
+                lens[t] = vl
+                if vl:
+                    key = (vl, -tvals[0], t)
+                    insort(keys, key)
+                    key_of[t] = key
+                else:
+                    key_of[t] = None
+                    del active[bisect_left(active, t)]
+                    is_act[t] = False
+                pushed += 1
+                dropped_by_port[t] += 1
+                if ol:
+                    del keys[bisect_left(keys, key_of[p])]
+                else:
+                    insort(active, p)
+                    is_act[p] = True
+                v = values[i]
+                w = works[i]
+                vals = all_vals[p]
+                pos = bisect_left(vals, v)
+                vals.insert(pos, v)
+                a = arrivals[i] if arrivals is not None else slot
+                all_recs[p].insert(pos, [v, a, 0, w, w])
+                tw[p] += w
+                tv[p] += v
+                lens[p] = ol + 1
+                key = (ol + 1, -vals[0], p)
+                insort(keys, key)
+                key_of[p] = key
+                accepted += 1
+                i += 1
+        elif kind == K_MVD:
+            # Victim key (-min_j, |Q_j|, j) over queues of at least
+            # mvl packets; push out iff the victim's minimum is below
+            # the arrival's value.
+            below = self._mvl - 1
+            for i in range(split, hi):
+                v = values[i]
                 if not keys or -keys[-1][0] >= v:
                     dropped += 1
-                    dropped_by_port[p] += 1
+                    dropped_by_port[ports[i]] += 1
                     continue
-                top = keys[-1]
-            else:
+                p = ports[i]
+                top = keys.pop()
+                t = top[2]
+                tvals = all_vals[t]
+                vv = tvals.pop(0)
+                tw[t] -= all_recs[t].pop(0)[3]
+                tv[t] -= vv
+                vl = top[1] - 1
+                lens[t] = vl
+                if not vl:
+                    del active[bisect_left(active, t)]
+                    is_act[t] = False
+                pushed += 1
+                dropped_by_port[t] += 1
+                if t != p:
+                    # (When t == p the popped key was the arrival's.)
+                    if vl > below:
+                        key = (-tvals[0], vl, t)
+                        insort(keys, key)
+                        key_of[t] = key
+                    else:
+                        key_of[t] = None
+                    old = key_of[p]
+                    if old is not None:
+                        del keys[bisect_left(keys, old)]
+                w = works[i]
+                vals = all_vals[p]
+                pos = bisect_left(vals, v)
+                vals.insert(pos, v)
+                a = arrivals[i] if arrivals is not None else slot
+                all_recs[p].insert(pos, [v, a, 0, w, w])
+                tw[p] += w
+                tv[p] += v
+                ol = lens[p]
+                if not ol:
+                    insort(active, p)
+                    is_act[p] = True
+                lens[p] = ol + 1
+                if ol >= below:
+                    key = (-vals[0], ol + 1, p)
+                    insort(keys, key)
+                    key_of[p] = key
+                else:
+                    key_of[p] = None
+                accepted += 1
+        else:
+            # MRD: victim key (|Q_j| / (V_j / |Q_j|), -min_j, j), gated
+            # on the global buffer minimum mins[0]. The victim's tail
+            # is its minimum, which leaves mins with it.
+            mins = self._vmins
+            for i in range(split, hi):
+                v = values[i]
                 if mins[0] >= v:
                     dropped += 1
-                    dropped_by_port[p] += 1
+                    dropped_by_port[ports[i]] += 1
                     continue
-                top = keys[-1]
-            t = top[2]
-            vv = all_vals[t].pop(0)
-            tw[t] -= all_recs[t].pop(0)[3]
-            tv[t] -= vv
-            vl = lens[t] - 1
-            lens[t] = vl
-            if not vl:
-                del active[bisect_left(active, t)]
-                is_act[t] = False
-            pushed += 1
-            dropped_by_port[t] += 1
-            if t != p:
-                # The arrival's own re-file below covers t == p.
-                rekey(kind, t)
-            w = works[i]
-            vals = all_vals[p]
-            pos = bisect_left(vals, v)
-            vals.insert(pos, v)
-            a = arrivals[i] if arrivals is not None else slot
-            all_recs[p].insert(pos, [v, a, 0, w, w])
-            tw[p] += w
-            tv[p] += v
-            if not lens[p]:
-                insort(active, p)
-                is_act[p] = True
-            lens[p] += 1
-            accepted += 1
-            rekey(kind, p)
+                p = ports[i]
+                top = keys.pop()
+                t = top[2]
+                tvals = all_vals[t]
+                vv = tvals.pop(0)
+                tw[t] -= all_recs[t].pop(0)[3]
+                tv[t] -= vv
+                del mins[bisect_left(mins, vv)]
+                vl = lens[t] - 1
+                lens[t] = vl
+                if not vl:
+                    del active[bisect_left(active, t)]
+                    is_act[t] = False
+                pushed += 1
+                dropped_by_port[t] += 1
+                old = None
+                if t != p:
+                    # (When t == p the popped key and minimum were the
+                    # arrival's.)
+                    if vl:
+                        m = tvals[0]
+                        insort(mins, m)
+                        key = (vl / (tv[t] / vl), -m, t)
+                        insort(keys, key)
+                        key_of[t] = key
+                    else:
+                        key_of[t] = None
+                    old = key_of[p]
+                    if old is not None:
+                        del keys[bisect_left(keys, old)]
+                w = works[i]
+                vals = all_vals[p]
+                pos = bisect_left(vals, v)
+                vals.insert(pos, v)
+                a = arrivals[i] if arrivals is not None else slot
+                all_recs[p].insert(pos, [v, a, 0, w, w])
+                tw[p] += w
+                tv[p] += v
+                ol = lens[p]
+                if not ol:
+                    insort(active, p)
+                    is_act[p] = True
+                nl = ol + 1
+                lens[p] = nl
+                m = vals[0]
+                if old is None:
+                    insort(mins, m)
+                elif not pos:
+                    # The arrival is the queue's new minimum.
+                    del mins[bisect_left(mins, -old[1])]
+                    insort(mins, m)
+                key = (nl / (tv[p] / nl), -m, p)
+                insort(keys, key)
+                key_of[p] = key
+                accepted += 1
         self.occupancy = occ
         metrics.accepted += accepted
         metrics.dropped += dropped
@@ -1859,19 +1935,35 @@ class VectorizedSwitch:
         length, which keeps the copy sorted. Their rule results go
         through the per-bind memo ``_tmemo`` (see :meth:`_bind`). Once
         the buffer is full every later arrival of the slot drops, like
-        ``ThresholdPolicy.admit``'s ``can_accept`` test. Admission goes
-        through ``_admit_cols``, so the kernel serves every queue
-        layout.
+        ``ThresholdPolicy.admit``'s ``can_accept`` test. An admission
+        is filed inline on either queue layout, so the kernel serves
+        both: a priority queue's ascending stores, or a FIFO queue's
+        store and calendar.
         """
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
+        tv = self._tv
+        active = self._active
+        is_act = self._is_act
+        by_value = self._by_value
+        # Priority layout.
+        tw = self._tw
+        all_vals = self._vals
+        all_recs = self._recs
+        # FIFO layout.
+        stores = self._stores
+        sched = self._sched
+        hexp = self._hexp
+        tick = self._tick
+        wcol = self._works
+        cores = self._cores
+        arm = self._arm
         stat = self._tstat
         caps = self._tcaps
         rule = self._trule
         memo = self._tmemo
         config = self.config
-        admit = self._admit_cols
         queue_work = self.queue_work
         n = self._nr
         cap = self._B
@@ -1927,12 +2019,36 @@ class VectorizedSwitch:
                             joint += work
                     ok = rule(config, cap, own, (m, joint))
                 if ok:
-                    admit(
-                        p,
-                        works[i],
-                        values[i],
-                        arrivals[i] if arrivals is not None else slot,
-                    )
+                    v = values[i]
+                    a = arrivals[i] if arrivals is not None else slot
+                    ol = lens[p]
+                    tv[p] += v
+                    lens[p] = ol + 1
+                    if by_value:
+                        w = works[i]
+                        vals = all_vals[p]
+                        pos = bisect_left(vals, v)
+                        vals.insert(pos, v)
+                        all_recs[p].insert(pos, [v, a, 0, w, w])
+                        tw[p] += w
+                        if not ol:
+                            insort(active, p)
+                            is_act[p] = True
+                    else:
+                        stores[p].append((v, a, 0))
+                        if ol:
+                            if ol < cores:
+                                arm(p, ol)
+                        else:
+                            insort(active, p)
+                            is_act[p] = True
+                            e = tick + wcol[p]
+                            hexp[p] = e
+                            b = sched.get(e)
+                            if b is None:
+                                sched[e] = [p]
+                            else:
+                                b.append(p)
                     occ += 1
                     accepted += 1
                     i += 1

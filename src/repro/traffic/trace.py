@@ -483,6 +483,11 @@ class Trace:
     def dump_jsonl(self, path: Path | str) -> None:
         """Write the trace as JSON lines: one array of packet dicts per slot.
 
+        A packet whose arrival slot is not its line's slot (a repeated
+        adversarial round) carries it as ``"aslot"``; every other
+        packet omits it, so traces without out-of-line arrivals keep
+        the original format byte for byte.
+
         The file is published atomically (tmp + fsync + rename): a
         process killed mid-dump leaves the previous trace or none, so a
         saved trace can never be half a trace.
@@ -491,7 +496,7 @@ class Trace:
         # resilience package on the path (and this is a cold path).
         from repro.resilience.atomic import atomic_write_text
 
-        offsets, opts = self.offsets, self.opts
+        offsets, opts, arrivals = self.offsets, self.opts, self.arrivals
         rows = []
         for slot in range(self.n_slots):
             row = []
@@ -503,6 +508,8 @@ class Trace:
                 }
                 if opts is not None and opts[j] >= 0:
                     item["opt"] = bool(opts[j])
+                if arrivals is not None and arrivals[j] != slot:
+                    item["aslot"] = arrivals[j]
                 row.append(item)
             rows.append(json.dumps(row))
         if self.port_events:
@@ -549,7 +556,7 @@ class Trace:
                         port=item["port"],
                         work=item.get("work", 1),
                         value=item.get("value", 1.0),
-                        arrival_slot=slot,
+                        arrival_slot=item.get("aslot", slot),
                         opt_accept=item.get("opt"),
                     )
                     for item in row

@@ -152,7 +152,7 @@ def _warm_value_switch(
     policy_name: str, feed: str = "columns"
 ) -> VectorizedSwitch:
     """A small priority-queue switch after a few congested slots, with
-    its value kernel bound and in sync."""
+    its value kernel bound and its keys brought in sync."""
     config = SwitchConfig.value_contiguous(4, 8)
     switch = VectorizedSwitch(config)
     policy = make_policy(policy_name)
@@ -166,6 +166,10 @@ def _warm_value_switch(
             switch.run_slot_columns(
                 policy, trace.ports, trace.works, trace.values, None, lo, hi
             )
+    # A transmission phase that completes a packet leaves the keys
+    # stale until the next congested arrival: bring them in sync, as
+    # that arrival would.
+    switch._kernel_for(switch._kpolicy)
     assert switch.occupancy > 0 and switch._kclean and switch._vkeys
     switch.check_invariants()
     return switch

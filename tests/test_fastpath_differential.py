@@ -696,16 +696,18 @@ def test_span_replay_matches_reference(
     _assert_fast_legs_match(naive, (vectorized.switch,), "after the replay")
 
 
-#: The same-port run kernels: the threshold rules and the FIFO push-out
-#: policies, whose drop tests read no arrival field but the port.
+#: The same-port run kernels: the threshold rules, the FIFO push-out
+#: policies and LQD-V (on priority queues), whose drop tests read no
+#: arrival field but the port.
 RUN_POLICIES = (
     "NHST", "NEST", "NHDT", "Harmonic", "DT", "Greedy",
-    "LQD", "LWD", "BPD", "BPD1",
+    "LQD", "LWD", "BPD", "BPD1", "LQD-V",
 )
 
 
 def _run_bursts(config: SwitchConfig, seed: int) -> List[List[Packet]]:
-    """Slots made of same-port runs, on a buffer of 8.
+    """Slots made of same-port runs, on a buffer of 8, each packet
+    with its port's work and value.
 
     The first three slots are engineered: a run that fills the buffer
     midway (an accepted prefix, then a dropped rest), a run broken by
@@ -729,7 +731,12 @@ def _run_bursts(config: SwitchConfig, seed: int) -> List[List[Packet]]:
         )
     return [
         [
-            Packet(port=port, work=config.work_of(port), arrival_slot=slot)
+            Packet(
+                port=port,
+                work=config.work_of(port),
+                value=config.value_of(port),
+                arrival_slot=slot,
+            )
             for port, length in shape
             for _ in range(length)
         ]
@@ -742,7 +749,10 @@ def _run_bursts(config: SwitchConfig, seed: int) -> List[List[Packet]]:
 def test_same_port_runs_drop_as_one(policy_name, speedup):
     """A dropped arrival's same-port run is counted in one step: the
     per-port drop counts equal the reference's after every slot."""
-    config = SwitchConfig.contiguous(4, 8, speedup=speedup)
+    if policy_name == "LQD-V":
+        config = SwitchConfig.value_contiguous(4, 8, speedup=speedup)
+    else:
+        config = SwitchConfig.contiguous(4, 8, speedup=speedup)
     bursts = _run_bursts(config, seed=speedup)
     trace = Trace(bursts)
     naive = SharedMemorySwitch(config)
@@ -768,3 +778,65 @@ def test_same_port_runs_drop_as_one(policy_name, speedup):
         )
     naive.check_invariants()
     assert run_drops >= 10, f"only {run_drops} slots dropped a run"
+
+
+# ----------------------------------------------------------------------
+# Value kernels: keys filed inline, audited when in sync
+# ----------------------------------------------------------------------
+
+#: The value-model push-out policies, one per kernel loop (MVD and
+#: MVD1 share one).
+VALUE_KERNEL_POLICIES = ("LQD-V", "MVD", "MVD1", "MRD")
+
+
+@pytest.mark.parametrize("speedup", [1, 2])
+@pytest.mark.parametrize("policy_name", VALUE_KERNEL_POLICIES)
+def test_value_kernel_keys_audited_in_sync(policy_name, speedup):
+    """Lock-step with the reference, ``check_invariants`` every slot.
+
+    A value kernel's keys go stale when a transmission phase completes
+    a packet, and the audit checks only keys in sync. At work 5 many
+    slots complete nothing, so the keys the congested loop filed inline
+    (push-outs included) stay in sync to the slot's end and are
+    audited there against a from-scratch rebuild. Each port's values
+    fall slot by slot, so an arrival is its queue's new minimum (the
+    case where MRD re-files a minimum) and never overtakes a packet in
+    service: with work above 1 and ``C > 1``, a packet overtaken in
+    service can finish below an unfinished head, which the unit-work
+    value model never produces.
+    """
+    config = SwitchConfig.uniform(
+        4, 8, work=5, speedup=speedup, discipline=QueueDiscipline.PRIORITY
+    )
+    rng = random.Random(speedup)
+    trace = Trace()
+    for slot in range(200):
+        ports = [rng.randrange(4) for _ in range(rng.randint(0, 4))]
+        trace.append_slot(
+            [
+                Packet(
+                    port=port,
+                    work=5,
+                    value=float(1000 * (port + 1) - slot),
+                    arrival_slot=slot,
+                )
+                for port in ports
+            ]
+        )
+    naive = SharedMemorySwitch(config)
+    vec = VectorizedSwitch(config)
+    naive_policy = make_policy(policy_name)
+    vec_policy = make_policy(policy_name)
+    audited = 0
+    for slot, burst in enumerate(trace.slots):
+        pushed = vec.metrics.pushed_out
+        naive.run_slot(burst, naive_policy)
+        lo, hi = trace.slot_bounds(slot)
+        vec.run_slot_columns(
+            vec_policy, trace.ports, trace.works, trace.values, None, lo, hi
+        )
+        vec.check_invariants()
+        _assert_fast_legs_match(naive, (vec,), f"at slot {slot}")
+        audited += vec._kclean and vec.metrics.pushed_out > pushed
+    naive.check_invariants()
+    assert audited >= 10, f"only {audited} slots audited after push-outs"

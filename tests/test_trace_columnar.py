@@ -366,6 +366,40 @@ def test_generator_digest_pinned(build, digest):
     assert trace_digest(build(_proc_config(), _value_config())) == digest
 
 
+@needs_numpy
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        pytest.param(build, digest, id=case)
+        for case, build, digest in GENERATOR_DIGESTS
+    ],
+)
+def test_generator_survives_jsonl_round_trip(build, digest, tmp_path):
+    # Every recipe reloads equal, pinned digest included. Only a packet
+    # whose arrival slot is not its line's slot writes one ("aslot"),
+    # so a trace without out-of-line arrivals keeps the old format.
+    trace = build(_proc_config(), _value_config())
+    path = tmp_path / "trace.jsonl"
+    trace.dump_jsonl(path)
+    loaded = Trace.load_jsonl(path)
+    assert loaded == trace
+    assert trace_digest(loaded) == digest
+    if trace.arrivals is None:
+        assert '"aslot"' not in path.read_text(encoding="utf-8")
+
+
+def test_jsonl_keeps_out_of_line_arrival_slots(tmp_path):
+    # Repeated rounds replay round one's arrival slots.
+    trace = adversarial.thm6_lwd(24).trace
+    assert trace.arrivals is not None
+    path = tmp_path / "trace.jsonl"
+    trace.dump_jsonl(path)
+    loaded = Trace.load_jsonl(path)
+    assert loaded.arrivals == trace.arrivals
+    assert loaded == trace
+    assert trace_digest(loaded) == trace_digest(trace)
+
+
 # ----------------------------------------------------------------------
 # TraceStore: use-counted, plan-scoped memo
 # ----------------------------------------------------------------------
