@@ -63,10 +63,16 @@ def test_horizon_convergence(benchmark):
         config, max(4 * BENCH_SLOTS, 3000), load=3.0, seed=1
     )
 
+    step = trace.n_slots // 10
+    windows = [
+        trace.window(s0, min(s0 + step, trace.n_slots))
+        for s0 in range(0, trace.n_slots, step)
+    ]
+
     profile = run_once(
         benchmark,
         lambda: convergence_profile(
-            make_policy("LWD"), trace, config, flush_every=500
+            make_policy("LWD"), windows, config, flush_every=500
         ),
     )
     print("\n=== cumulative ratio vs horizon (LWD) ===")

@@ -2,25 +2,38 @@
 """Run a Fig. 5 measurement at (or toward) the paper's 2*10^6-slot scale.
 
 The default examples use a few thousand slots; this one shows how to go
-all the way. The streaming pipeline (repro.traffic.streaming +
-repro.analysis.streaming) generates each slot's burst on the fly and
-feeds the policy and the OPT surrogate lock-step, so memory stays
-constant regardless of horizon, and checkpoints record the cumulative
-ratio's convergence along the way.
+all the way. The run is cut into windows of one flushout period (500
+slots): each window is built from the recipe's chunk iterator
+(repro.traffic.workloads.processing_chunks) at its first slot and
+replayed through the same policy and OPT-surrogate systems, which carry
+their slot clock from one window to the next. Only one window is in
+memory at a time, so memory stays flat whatever the horizon, and the
+cumulative ratio at each window's end traces its convergence.
 
 Run:  python examples/paper_scale_run.py [n_slots]
-      (default 50,000 — a couple of minutes; pass 2000000 for the full
-       paper horizon if you have the patience)
+      (default 50,000 — seconds; pass 2000000 for the full paper
+       horizon, about 2 minutes per policy)
 """
 
 import sys
 import time
+from itertools import islice
 
-from repro.analysis.streaming import stream_competitive
+from repro.analysis.convergence import convergence_profile
 from repro.core.config import SwitchConfig
 from repro.policies import make_policy
-from repro.traffic.streaming import stream_processing_workload
+from repro.traffic.trace import Trace
+from repro.traffic.workloads import processing_chunks
 from repro.viz import sparkline
+
+WINDOW = 500  # one flushout period
+
+
+def windows(config: SwitchConfig, n_slots: int):
+    """The run's consecutive windows, built one at a time."""
+    chunks = processing_chunks(config, n_slots, load=3.0, seed=7)
+    for first_slot in range(0, n_slots, WINDOW):
+        yield Trace.from_chunks(islice(chunks, WINDOW), first_slot)
 
 
 def main() -> None:
@@ -31,21 +44,20 @@ def main() -> None:
 
     for name in ("LWD", "LQD", "BPD"):
         start = time.perf_counter()
-        result = stream_competitive(
+        profile = convergence_profile(
             make_policy(name),
+            windows(config, n_slots),
             config,
-            stream_processing_workload(
-                config, n_slots, load=3.0, seed=7
-            ),
-            flush_every=500,
-            checkpoint_every=max(n_slots // 20, 1),
+            flush_every=WINDOW,
         )
         elapsed = time.perf_counter() - start
-        ratios = [c.ratio for c in result.checkpoints]
+        # The cumulative ratio at the end of each twentieth of the run.
+        ratios = [point.ratio for point in profile.points]
+        step = max(1, len(ratios) // 20)
         print(
-            f"{name:4s}: ratio {result.ratio:.4f}  "
+            f"{name:4s}: ratio {profile.final_ratio:.4f}  "
             f"({elapsed:6.1f}s, {n_slots / elapsed:,.0f} slots/s)  "
-            f"convergence {sparkline(ratios)}"
+            f"convergence {sparkline(ratios[step - 1::step])}"
         )
 
 

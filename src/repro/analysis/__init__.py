@@ -53,7 +53,6 @@ _LAZY_MODULES = {
     ),
     "occupancy": ("OccupancyProfile", "compare_sharing", "occupancy_profile"),
     "sensitivity": ("OperatingPoint", "SensitivityReport", "run_sensitivity"),
-    "streaming": ("StreamResult", "stream_competitive"),
 }
 _LAZY = {
     name: module
@@ -85,9 +84,7 @@ __all__ = [
     "PolicySystem",
     "SensitivityReport",
     "ProbeResult",
-    "StreamResult",
     "certify_lwd",
-    "stream_competitive",
     "compare_sharing",
     "jain_index",
     "occupancy_profile",

@@ -219,6 +219,15 @@ def run_system(
     (:attr:`Trace.slots`), slot by slot. Flushout cadence, idle
     fast-forward, drain, and invariant checks are identical on both
     paths, so the produced metrics are too.
+
+    A replay continues the system's own slot clock: flushouts and
+    invariant checks fall where the clock (``system.metrics.
+    slots_elapsed``, read once on entry) crosses a multiple of their
+    cadence, so a fresh system counts from the trace's first slot, and
+    consecutive windows of a trace (:meth:`Trace.window`,
+    :meth:`Trace.from_chunks` with the window's first slot) replayed
+    through one system replay exactly like their concatenation,
+    whatever the window length. Drain only the last window.
     """
     if flush_every is not None and flush_every < 1:
         raise ConfigError(f"flush_every must be >= 1, got {flush_every}")
@@ -233,6 +242,9 @@ def run_system(
     if check_every and not hasattr(system, "check_invariants"):
         check_every = 0
     fast_forward = getattr(system, "fast_forward", None)
+    # The system's slot clock on entry: trace slot ``s`` is clock slot
+    # ``base + s``, and the cadences count on the clock.
+    base = system.metrics.slots_elapsed
 
     # Port churn: events apply at the start of their slot, before that
     # slot's arrivals, on systems that support them. ``or None``
@@ -270,10 +282,11 @@ def run_system(
             # The span ends at the next flushout, invariant check or
             # churn-event slot, whichever comes first.
             end = n_slots
+            clock = base + slot
             if flush_every is not None:
-                end = min(end, (slot // flush_every + 1) * flush_every)
+                end = min(end, slot + flush_every - clock % flush_every)
             if check_every:
-                end = min(end, (slot // check_every + 1) * check_every)
+                end = min(end, slot + check_every - clock % check_every)
             k = bisect_right(event_slots, slot)
             if k < len(event_slots):
                 end = min(end, event_slots[k])
@@ -293,9 +306,10 @@ def run_system(
                 system.fast_forward(slot - stop)
                 continue
             slot = end
-            if flush_every is not None and slot % flush_every == 0:
+            clock = base + slot
+            if flush_every is not None and clock % flush_every == 0:
                 system.flush()
-            if check_every and slot % check_every == 0:
+            if check_every and clock % check_every == 0:
                 system.check_invariants()
         return _drain(system, drain_slots, check_every)
 
@@ -328,11 +342,12 @@ def run_system(
             slot = end
             continue
         system.run_slot(arrivals)
-        if flush_every is not None and (slot + 1) % flush_every == 0:
-            system.flush()
-        if check_every and (slot + 1) % check_every == 0:
-            system.check_invariants()
         slot += 1
+        clock = base + slot
+        if flush_every is not None and clock % flush_every == 0:
+            system.flush()
+        if check_every and clock % check_every == 0:
+            system.check_invariants()
     return _drain(system, drain_slots, check_every)
 
 

@@ -25,12 +25,13 @@ try:  # pure-stdlib installs can still import the module
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     np = None  # type: ignore[assignment]
 
-from repro.analysis.competitive import PolicySystem
+from repro.analysis.competitive import PolicySystem, run_system
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
 from repro.opt.exhaustive import TinyInstance, exhaustive_opt
 from repro.policies import make_policy
+from repro.traffic.trace import Trace
 
 #: Arrival lists as stored in TinyInstance: per slot, (port, value) pairs.
 Arrivals = Tuple[Tuple[Tuple[int, float], ...], ...]
@@ -110,22 +111,21 @@ def evaluate_processing_instance(
     instance = TinyInstance(config=config, arrivals=arrivals)
     opt = exhaustive_opt(instance, by_value=False)
 
-    system = PolicySystem(config, make_policy(policy_name))
-    for slot, burst in enumerate(arrivals):
-        packets = [
-            Packet(
-                port=port, work=config.work_of(port), arrival_slot=slot
-            )
+    trace = Trace(
+        [
+            Packet(port=port, work=config.work_of(port), arrival_slot=slot)
             for port, _value in burst
         ]
-        system.run_slot(packets)
-    guard = config.buffer_size * config.max_work + 1
-    while system.backlog > 0 and guard > 0:
-        system.run_slot(())
-        guard -= 1
+        for slot, burst in enumerate(arrivals)
+    )
+    metrics = run_system(
+        PolicySystem(config, make_policy(policy_name)),
+        trace,
+        drain_slots=config.buffer_size * config.max_work + 1,
+    )
     return ProbeResult(
         arrivals=arrivals,
-        alg_objective=float(system.metrics.transmitted_packets),
+        alg_objective=float(metrics.transmitted_packets),
         opt_objective=opt,
     )
 
@@ -223,20 +223,21 @@ def evaluate_instance(
     instance = TinyInstance(config=config, arrivals=arrivals)
     opt = exhaustive_opt(instance, by_value=True)
 
-    system = PolicySystem(config, make_policy(policy_name))
-    for slot, burst in enumerate(arrivals):
-        packets = [
+    trace = Trace(
+        [
             Packet(port=port, work=1, value=value, arrival_slot=slot)
             for port, value in burst
         ]
-        system.run_slot(packets)
-    guard = config.buffer_size + 1
-    while system.backlog > 0 and guard > 0:
-        system.run_slot(())
-        guard -= 1
+        for slot, burst in enumerate(arrivals)
+    )
+    metrics = run_system(
+        PolicySystem(config, make_policy(policy_name)),
+        trace,
+        drain_slots=config.buffer_size + 1,
+    )
     return ProbeResult(
         arrivals=arrivals,
-        alg_objective=system.metrics.transmitted_value,
+        alg_objective=metrics.transmitted_value,
         opt_objective=opt,
     )
 

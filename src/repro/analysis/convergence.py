@@ -2,18 +2,21 @@
 
 The paper simulates 2*10^6 time slots; this repository defaults to a few
 thousand. This module justifies that substitution empirically: it replays
-one trace through ALG and OPT simultaneously, sampling the cumulative
-competitive ratio at checkpoints, so the knee of the convergence curve is
-visible. With periodic flushouts the ratio typically stabilizes within a
-couple of flush periods — far below the paper's horizon.
+a run's consecutive trace windows through one ALG and one OPT system,
+sampling the cumulative competitive ratio at the end of each window, so
+the knee of the convergence curve is visible. With periodic flushouts the
+ratio typically stabilizes within a couple of flush periods — far below
+the paper's horizon. Windows cut from a recipe's chunk iterator
+(:meth:`~repro.traffic.trace.Trace.from_chunks`) keep one window in
+memory at a time, which is how paper-scale horizons run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional
 
-from repro.analysis.competitive import PolicySystem
+from repro.analysis.competitive import DEFAULT_ENGINE, PolicySystem, run_system
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
 from repro.core.switch import AdmissionPolicy
@@ -86,61 +89,53 @@ class ConvergenceProfile:
 
 def convergence_profile(
     policy: AdmissionPolicy,
-    trace: Trace,
+    windows: Iterable[Trace],
     config: SwitchConfig,
     *,
-    checkpoints: Optional[Sequence[int]] = None,
     by_value: Optional[bool] = None,
     flush_every: Optional[int] = None,
     opt: str = "surrogate",
 ) -> ConvergenceProfile:
-    """Cumulative competitive ratio vs an OPT reference over a trace.
+    """Cumulative competitive ratio vs an OPT reference, per window.
 
-    ``checkpoints`` defaults to ten evenly spaced prefixes. ALG and OPT
-    advance slot-locked through the same trace, so each checkpoint is the
-    exact ratio a run truncated there would have reported. ``opt`` is
-    ``"surrogate"`` (the paper's single PQ) or ``"scripted"`` (replay the
-    trace's ``opt_accept`` tags — for adversarial scenarios, where the
-    prefix supremum lower-bounds any charging constant).
+    ``windows`` are consecutive slices of one run (:meth:`Trace.window`
+    of a built trace, or :meth:`Trace.from_chunks` over a recipe's
+    chunk iterator); each is replayed through one ALG and one OPT
+    system with :func:`~repro.analysis.competitive.run_system` on the
+    default engine, and a point is recorded at its end, the exact ratio
+    a run truncated there would have reported. ``opt`` is
+    ``"surrogate"`` (the paper's single PQ) or ``"scripted"`` (replay
+    the trace's ``opt_accept`` tags — for adversarial scenarios, where
+    the prefix supremum lower-bounds any charging constant).
     """
     if by_value is None:
         by_value = config.discipline is QueueDiscipline.PRIORITY
-    n_slots = trace.n_slots
-    if checkpoints is None:
-        step = max(1, n_slots // 10)
-        checkpoints = list(range(step, n_slots + 1, step))
-    marks = sorted(set(int(c) for c in checkpoints))
-    if not marks or marks[0] < 1 or marks[-1] > n_slots:
-        raise ConfigError(
-            f"checkpoints must lie in [1, {n_slots}], got {marks[:3]}..."
-        )
-
-    alg: System = PolicySystem(config, policy)
+    alg: System = PolicySystem(config, policy, engine=DEFAULT_ENGINE)
     if opt == "surrogate":
-        opt_system: System = make_surrogate(config, by_value)
+        opt_system: System = make_surrogate(
+            config, by_value, engine=DEFAULT_ENGINE
+        )
     elif opt == "scripted":
         from repro.opt.scripted import ScriptedPolicy
 
-        opt_system = PolicySystem(config, ScriptedPolicy())
+        opt_system = PolicySystem(
+            config, ScriptedPolicy(), engine=DEFAULT_ENGINE
+        )
     else:
         raise ConfigError(f"unknown OPT reference {opt!r}")
     points: List[ConvergencePoint] = []
-    next_mark = 0
-    for slot, arrivals in enumerate(trace, start=1):
-        alg.run_slot(arrivals)
-        opt_system.run_slot(arrivals)
-        if flush_every is not None and slot % flush_every == 0:
-            alg.flush()
-            opt_system.flush()
-        if next_mark < len(marks) and slot == marks[next_mark]:
-            points.append(
-                ConvergencePoint(
-                    slots=slot,
-                    alg_objective=alg.metrics.objective(by_value),
-                    opt_objective=opt_system.metrics.objective(by_value),
-                )
+    for window in windows:
+        if not window.n_slots:
+            raise ConfigError("convergence windows need >= 1 slot each")
+        run_system(alg, window, flush_every=flush_every)
+        run_system(opt_system, window, flush_every=flush_every)
+        points.append(
+            ConvergencePoint(
+                slots=alg.metrics.slots_elapsed,
+                alg_objective=alg.metrics.objective(by_value),
+                opt_objective=opt_system.metrics.objective(by_value),
             )
-            next_mark += 1
+        )
     return ConvergenceProfile(
         policy_name=getattr(policy, "name", type(policy).__name__),
         points=points,

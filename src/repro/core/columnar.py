@@ -926,7 +926,7 @@ class VectorizedSwitch:
                 # Priority transmission phase (value model). Each active
                 # queue serves its min(C, L) most valuable packets one
                 # cycle each (at C = 1 only the top record is touched),
-                # and completed packets leave from the top.
+                # and completed packets leave, head first.
                 count = 0
                 drained: List[int] = []
                 for p in active:
@@ -938,15 +938,40 @@ class VectorizedSwitch:
                             rec[3] -= 1
                             continue
                     else:
+                        # Every served record that completes leaves,
+                        # head first, like the reference queue: one
+                        # overtaken in service by a more valuable
+                        # arrival can complete below an unfinished head.
                         length = lens[p]
                         c = cores if cores < length else length
-                        for idx in range(length - c, length):
-                            recs[idx][3] -= 1
+                        nl = length
+                        vals = all_vals[p]
+                        for idx in range(length - 1, length - c - 1, -1):
+                            rec = recs[idx]
+                            rec[3] -= 1
+                            if rec[3]:
+                                continue
+                            del recs[idx]
+                            del vals[idx]
+                            value = rec[0]
+                            tv[p] -= value
+                            txv += value
+                            txv_by_port[p] += value
+                            arr = rec[1]
+                            if slot >= arr:
+                                delay_sum[p] += slot - arr
+                                delay_count[p] += 1
+                            nl -= 1
                         tw[p] -= c
-                        if rec[3]:
+                        if nl == length:
                             continue
-                    # The top record completed; those below it may too
-                    # (C > 1).
+                        lens[p] = nl
+                        tx_by_port[p] += length - nl
+                        count += length - nl
+                        if not nl:
+                            drained.append(p)
+                        continue
+                    # The top record completed (C = 1).
                     vals = all_vals[p]
                     length = lens[p]
                     nl = length

@@ -228,18 +228,24 @@ class ValuePriorityQueue(OutputQueue):
     def process(self, cores: int) -> List[Packet]:
         if cores < 1:
             raise PolicyError(f"process() needs cores >= 1, got {cores}")
-        active = min(cores, len(self._items))
+        items = self._items
+        length = len(items)
+        active = min(cores, length)
         if active == 0:
             return []
-        for idx in range(len(self._items) - active, len(self._items)):
-            self._items[idx].residual -= 1
+        for idx in range(length - active, length):
+            items[idx].residual -= 1
         self._total_work -= active
+        # Every served packet that completes leaves, head first: at
+        # C > 1 a packet overtaken in service by a more valuable
+        # arrival can complete below an unfinished head.
         done: List[Packet] = []
-        while self._items and self._items[-1].residual == 0:
-            packet = self._items.pop()
-            self._values.pop()
-            self._total_value -= packet.value
-            done.append(packet)
+        for idx in range(length - 1, length - active - 1, -1):
+            if items[idx].residual == 0:
+                packet = items.pop(idx)
+                self._values.pop(idx)
+                self._total_value -= packet.value
+                done.append(packet)
         return done
 
     def clear(self) -> List[Packet]:

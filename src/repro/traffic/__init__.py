@@ -27,17 +27,16 @@ from repro.traffic.patterns import (
     poisson_workload,
     thin_trace,
 )
-from repro.traffic.streaming import (
-    stream_processing_workload,
-    stream_value_port_workload,
-)
 from repro.traffic.trace import Trace, burst
 from repro.traffic.workloads import (
     DEFAULT_SOURCES,
     processing_capacity,
+    processing_chunks,
     processing_workload,
     value_capacity,
+    value_port_chunks,
     value_port_workload,
+    value_uniform_chunks,
     value_uniform_workload,
 )
 
@@ -60,9 +59,8 @@ __all__ = [
     "poisson_workload",
     "port_flap_workload",
     "processing_capacity",
+    "processing_chunks",
     "processing_workload",
-    "stream_processing_workload",
-    "stream_value_port_workload",
     "thin_trace",
     "thm10_mvd",
     "thm11_mrd",
@@ -73,6 +71,8 @@ __all__ = [
     "thm6_lwd",
     "thm9_lqd_value",
     "value_capacity",
+    "value_port_chunks",
     "value_port_workload",
+    "value_uniform_chunks",
     "value_uniform_workload",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro._math import harmonic_number, harmonic_range
 from repro.core.config import SwitchConfig
@@ -66,7 +66,7 @@ def _require_divisible(b: int, divisor: int, what: str) -> None:
 
 
 def _replenish(
-    trace: Trace,
+    bursts: List[List[Packet]],
     *,
     work_class: int,
     port: int,
@@ -74,23 +74,20 @@ def _replenish(
     value: float = 1.0,
     work: Optional[int] = None,
 ) -> None:
-    """Add one OPT-tagged packet of class ``work_class`` every
-    ``work_class`` slots, stopping early enough that the last one finishes
-    processing before ``period_end``."""
+    """Add one OPT-tagged packet of class ``work_class`` to the per-slot
+    ``bursts`` every ``work_class`` slots, stopping early enough that
+    the last one finishes processing before ``period_end``."""
     w = work_class if work is None else work
-    t = work_class
-    while t <= period_end - work_class:
-        trace.add_packet(
-            t,
+    for t in range(work_class, period_end - work_class + 1, work_class):
+        bursts[t].append(
             Packet(
                 port=port,
                 work=w,
                 value=value,
                 arrival_slot=t,
                 opt_accept=True,
-            ),
+            )
         )
-        t += work_class
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +172,6 @@ def thm3_nhdt(
     config = SwitchConfig.contiguous(k, buffer_size)
     period = buffer_size - h
 
-    round_trace = Trace()
     slot0 = []
     for w in range(k, k - h, -1):  # heaviest first, exactly as the proof
         slot0.extend(
@@ -185,11 +181,10 @@ def thm3_nhdt(
         burst(0, port=0, count=buffer_size, work=1,
               opt_accept_first=buffer_size - h)
     )
-    round_trace.append_slot(slot0)
-    for _ in range(period - 1):
-        round_trace.append_slot()
+    bursts = [slot0] + [[] for _ in range(period - 1)]
     for w in range(k - h + 1, k + 1):
-        _replenish(round_trace, work_class=w, port=w - 1, period_end=period)
+        _replenish(bursts, work_class=w, port=w - 1, period_end=period)
+    round_trace = Trace(bursts)
 
     # Finite-parameter form of the proof's ratio with A = B / ln k:
     # OPT rate 1 + S vs NHDT rate S plus its meagre work-1 allocation,
@@ -239,7 +234,6 @@ def thm4_lqd(
     config = SwitchConfig.contiguous(k, buffer_size)
     period = buffer_size - m
 
-    round_trace = Trace()
     slot0 = list(
         burst(0, port=0, count=buffer_size, work=1,
               opt_accept_first=buffer_size - m)
@@ -248,11 +242,10 @@ def thm4_lqd(
         slot0.extend(
             burst(0, port=w - 1, count=buffer_size, work=w, opt_accept_first=1)
         )
-    round_trace.append_slot(slot0)
-    for _ in range(period - 1):
-        round_trace.append_slot()
+    bursts = [slot0] + [[] for _ in range(period - 1)]
     for w in range(k - m + 1, k + 1):
-        _replenish(round_trace, work_class=w, port=w - 1, period_end=period)
+        _replenish(bursts, work_class=w, port=w - 1, period_end=period)
+    round_trace = Trace(bursts)
 
     beta = harmonic_range(k - m + 1, k)  # beta_{k,m} in the proof
     frac = m / buffer_size
@@ -295,19 +288,17 @@ def thm5_bpd(k: int, buffer_size: int, n_slots: int = 400) -> AdversarialScenari
         )
     config = SwitchConfig.contiguous(k, buffer_size)
 
-    trace = Trace()
     slot0 = list(
         burst(0, port=0, count=buffer_size, work=1, opt_accept_first=1)
     )
     for w in range(2, k + 1):
         slot0.extend(burst(0, port=w - 1, count=1, work=w, opt_accept_first=1))
-    trace.append_slot(slot0)
-    for _ in range(n_slots - 1):
-        trace.append_slot()
+    bursts = [slot0] + [[] for _ in range(n_slots - 1)]
     # Work-1 refills every slot (BPD accepts them greedily; OPT too).
-    _replenish(trace, work_class=1, port=0, period_end=n_slots)
+    _replenish(bursts, work_class=1, port=0, period_end=n_slots)
     for w in range(2, k + 1):
-        _replenish(trace, work_class=w, port=w - 1, period_end=n_slots)
+        _replenish(bursts, work_class=w, port=w - 1, period_end=n_slots)
+    trace = Trace(bursts)
 
     return AdversarialScenario(
         name=f"thm5-bpd-k{k}-B{buffer_size}",
@@ -341,17 +332,15 @@ def thm6_lwd(buffer_size: int, rounds: int = 2) -> AdversarialScenario:
     b = buffer_size
     period = b - 3
 
-    round_trace = Trace()
     slot0 = list(burst(0, port=0, count=b, work=1, opt_accept_first=b - 3))
     slot0.extend(burst(0, port=1, count=b // 4, work=2, opt_accept_first=1))
     slot0.extend(burst(0, port=2, count=b // 6, work=3, opt_accept_first=1))
     slot0.extend(burst(0, port=3, count=b // 12, work=6, opt_accept_first=1))
-    round_trace.append_slot(slot0)
-    for _ in range(period - 1):
-        round_trace.append_slot()
-    _replenish(round_trace, work_class=2, port=1, period_end=period)
-    _replenish(round_trace, work_class=3, port=2, period_end=period)
-    _replenish(round_trace, work_class=6, port=3, period_end=period)
+    bursts = [slot0] + [[] for _ in range(period - 1)]
+    _replenish(bursts, work_class=2, port=1, period_end=period)
+    _replenish(bursts, work_class=3, port=2, period_end=period)
+    _replenish(bursts, work_class=6, port=3, period_end=period)
+    round_trace = Trace(bursts)
 
     predicted = 4.0 / 3.0 - 6.0 / b
     return AdversarialScenario(

@@ -17,12 +17,20 @@ plain Python lists, the fastest thing the ingestion loops
 (:meth:`repro.core.columnar.VectorizedSwitch.run_span`, the vectorized
 OPT surrogates) can index packet by packet.
 
-There are two ways to build one. The synthetic generators' column cores
-yield one numpy :data:`Chunk` per slot, which :meth:`Trace.from_chunks`
-concatenates (the only part of this module that needs numpy). The
-hand-built constructions grow a trace through the builder methods
-(:meth:`~Trace.append_slot`, :meth:`~Trace.add_packet`, ...), which
-write the columns.
+There are two ways to build one. The synthetic generators' chunk
+iterators yield one numpy :data:`Chunk` per slot, which
+:meth:`Trace.from_chunks` concatenates (the only part of this module
+that needs numpy). The hand-built constructions grow a trace through
+the builder methods (:meth:`~Trace.append_slot`,
+:meth:`~Trace.add_port_event`, :meth:`~Trace.extend`, ...), which only
+ever append to the columns.
+
+A long run is replayed in *windows*: :meth:`Trace.from_chunks` with the
+window's first slot, or :meth:`Trace.window` on a built trace, makes a
+trace of consecutive slots that keeps global arrival slots, scripted-OPT
+tags and churn events, and
+:func:`~repro.analysis.competitive.run_system` continues a system's own
+slot clock from one window to the next.
 
 Packet objects are a view: :attr:`Trace.slots`, iteration and
 :meth:`Trace.packets` build the per-slot :class:`Packet` lists once and
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import (
     Any,
@@ -65,7 +74,7 @@ __all__ = ["Chunk", "PortStateEvent", "Trace", "burst"]
 
 #: One slot's packets as equal-length numpy columns: int64 ports,
 #: int64 works, float64 values, in arrival order. The generators'
-#: column cores yield one per slot.
+#: chunk iterators yield one per slot.
 Chunk = Tuple[Any, Any, Any]
 
 
@@ -186,8 +195,17 @@ class Trace:
         return trace
 
     @classmethod
-    def from_chunks(cls, chunks: Iterable[Chunk]) -> "Trace":
-        """Concatenate per-slot column chunks, one chunk per slot."""
+    def from_chunks(
+        cls, chunks: Iterable[Chunk], first_slot: int = 0
+    ) -> "Trace":
+        """Concatenate per-slot column chunks, one chunk per slot.
+
+        ``first_slot`` is the global slot of the first chunk: a window
+        cut from a longer recipe (``islice`` of its chunk iterator)
+        keeps its packets' global arrival slots, so a system replaying
+        consecutive windows stamps the same arrivals as one replaying
+        their concatenation.
+        """
         offsets = [0]
         kept: List[Chunk] = []
         total = 0
@@ -206,7 +224,46 @@ class Trace:
             )
         ports, works, values = arrays
         return cls.from_columns(
-            offsets, ports.tolist(), works.tolist(), values.tolist()
+            offsets,
+            ports.tolist(),
+            works.tolist(),
+            values.tolist(),
+            arrivals=(
+                _global_slots(offsets, first_slot) if first_slot else None
+            ),
+        )
+
+    def window(self, s0: int, s1: int) -> "Trace":
+        """A new trace of the slots ``[s0, s1)``, with their packets'
+        arrival slots, scripted-OPT tags and churn events.
+
+        Arrival slots stay global (slot ``s0 + s`` for the window's
+        slot ``s`` unless the packet carries its own), so one system
+        replaying consecutive windows with :func:`repro.analysis.
+        competitive.run_system` replays exactly their concatenation.
+        """
+        if not 0 <= s0 <= s1 <= self.n_slots:
+            raise TraceError(
+                f"window [{s0}, {s1}) outside trace of {self.n_slots} slots"
+            )
+        lo, hi = self.offsets[s0], self.offsets[s1]
+        offsets = [end - lo for end in self.offsets[s0:s1 + 1]]
+        if self.arrivals is not None:
+            arrivals: Optional[List[int]] = self.arrivals[lo:hi]
+        else:
+            arrivals = _global_slots(offsets, s0) if s0 else None
+        return Trace.from_columns(
+            offsets,
+            self.ports[lo:hi],
+            self.works[lo:hi],
+            self.values[lo:hi],
+            None if self.opts is None else self.opts[lo:hi],
+            arrivals,
+            {
+                slot - s0: events
+                for slot, events in self.port_events.items()
+                if s0 <= slot < s1
+            },
         )
 
     # ------------------------------------------------------------------
@@ -215,16 +272,23 @@ class Trace:
 
     def append_slot(self, packets: Iterable[Packet] = ()) -> None:
         """Append one slot with the given (possibly empty) burst."""
-        self._insert(len(self.ports), self.n_slots, packets)
+        burst = list(packets)
+        tags = [p.opt_accept for p in burst]
+        arrived = [p.arrival_slot for p in burst]
+        own = [self.n_slots] * len(burst)
+        self._append(
+            [p.port for p in burst],
+            [p.work for p in burst],
+            [p.value for p in burst],
+            (
+                None
+                if all(tag is None for tag in tags)
+                else [-1 if tag is None else int(tag) for tag in tags]
+            ),
+            None if arrived == own else arrived,
+            own,
+        )
         self.offsets.append(len(self.ports))
-
-    def add_packet(self, slot: int, packet: Packet) -> None:
-        """Add a packet at the end of ``slot``'s burst, growing the
-        trace as needed."""
-        self._grow(slot)
-        offsets = self.offsets
-        self._insert(offsets[slot + 1], slot, (packet,))
-        offsets[slot + 1:] = [end + 1 for end in offsets[slot + 1:]]
 
     def add_port_event(self, slot: int, port: int, up: bool) -> None:
         """Record a churn event at ``slot``, growing the trace as needed."""
@@ -238,11 +302,13 @@ class Trace:
         one's; the other trace's event slots shift accordingly."""
         shift = self.n_slots
         base = len(self.ports)
-        index = other._slot_index()
-        own = [shift + slot for slot in index]
-        theirs = other.arrivals if other.arrivals is not None else index
-        self._splice(
-            base,
+        own = _global_slots(other.offsets, shift)
+        theirs = (
+            other.arrivals
+            if other.arrivals is not None
+            else _global_slots(other.offsets, 0)
+        )
+        self._append(
             other.ports,
             other.works,
             other.values,
@@ -286,30 +352,8 @@ class Trace:
         self._slots = None
         self.validated.clear()
 
-    def _insert(self, at: int, slot: int, packets: Iterable[Packet]) -> None:
-        """Write ``packets`` into the columns at index ``at``, as
-        arrivals in ``slot``; the caller moves the offsets."""
-        burst = list(packets)
-        tags = [p.opt_accept for p in burst]
-        arrived = [p.arrival_slot for p in burst]
-        own = [slot] * len(burst)
-        self._splice(
-            at,
-            [p.port for p in burst],
-            [p.work for p in burst],
-            [p.value for p in burst],
-            (
-                None
-                if all(tag is None for tag in tags)
-                else [-1 if tag is None else int(tag) for tag in tags]
-            ),
-            None if arrived == own else arrived,
-            own,
-        )
-
-    def _splice(
+    def _append(
         self,
-        at: int,
         ports: List[int],
         works: List[int],
         values: List[float],
@@ -317,30 +361,22 @@ class Trace:
         arrivals: Optional[List[int]],
         own: List[int],
     ) -> None:
-        """Insert packet columns at column index ``at``. ``opts`` is
-        ``None`` when none of them is tagged, ``arrivals`` when each
-        arrives in its own slot, which ``own`` lists."""
+        """Append packet columns at the end: columns only ever grow
+        there. ``opts`` is ``None`` when none of the packets is tagged,
+        ``arrivals`` when each arrives in its own slot, which ``own``
+        lists."""
         self._touch()
         if opts is not None and self.opts is None:
             self.opts = [-1] * len(self.ports)
         if self.opts is not None:
-            self.opts[at:at] = opts if opts is not None else [-1] * len(own)
+            self.opts.extend(opts if opts is not None else [-1] * len(own))
         if arrivals is not None and self.arrivals is None:
-            self.arrivals = self._slot_index()
+            self.arrivals = _global_slots(self.offsets, 0)
         if self.arrivals is not None:
-            self.arrivals[at:at] = arrivals if arrivals is not None else own
-        self.ports[at:at] = ports
-        self.works[at:at] = works
-        self.values[at:at] = values
-
-    def _slot_index(self) -> List[int]:
-        """Each packet's slot index, in column order."""
-        offsets = self.offsets
-        return [
-            slot
-            for slot in range(len(offsets) - 1)
-            for _ in range(offsets[slot + 1] - offsets[slot])
-        ]
+            self.arrivals.extend(arrivals if arrivals is not None else own)
+        self.ports.extend(ports)
+        self.works.extend(works)
+        self.values.extend(values)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -372,7 +408,7 @@ class Trace:
             arrivals = (
                 self.arrivals
                 if self.arrivals is not None
-                else self._slot_index()
+                else _global_slots(offsets, 0)
             )
             opts: List[Optional[bool]] = (
                 [None] * self.total_packets
@@ -411,7 +447,7 @@ class Trace:
             (
                 self.arrivals
                 if self.arrivals is not None
-                else self._slot_index()
+                else _global_slots(self.offsets, 0)
             ),
             self.port_events,
         )
@@ -563,6 +599,17 @@ class Trace:
                 ]
                 trace.append_slot(burst)
         return trace
+
+
+def _global_slots(offsets: Sequence[int], first_slot: int) -> List[int]:
+    """Each packet's slot, ``first_slot`` plus its slot index, in
+    column order (one shared int object per slot)."""
+    return list(
+        chain.from_iterable(
+            repeat(first_slot + slot, offsets[slot + 1] - offsets[slot])
+            for slot in range(len(offsets) - 1)
+        )
+    )
 
 
 def burst(

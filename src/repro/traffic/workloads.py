@@ -27,13 +27,16 @@ policies' buffer-allocation choices decide which ports starve. This regime
 reproduces the orderings of the paper's Fig. 5; smoother settings compress
 all curves towards 1.
 
-One core, two views: each recipe is written once, as a private column
-core that validates its inputs, builds the fleet, makes the recipe's
-pinned sequence of RNG calls and yields one slot's ``(ports, works,
-values)`` column chunk at a time. The public functions here concatenate
-the chunks into a :class:`~repro.traffic.trace.Trace`;
-:mod:`repro.traffic.streaming` turns the same chunks into per-slot
-packet bursts for paper-scale runs.
+One recipe, one chunk iterator: each recipe is written once, as a
+chunk iterator (:func:`processing_chunks`, :func:`value_uniform_chunks`,
+:func:`value_port_chunks`) that validates its inputs, builds the fleet,
+makes the recipe's pinned sequence of RNG calls and yields one slot's
+``(ports, works, values)`` column chunk at a time. The ``*_workload``
+functions concatenate all the chunks into a
+:class:`~repro.traffic.trace.Trace`; a paper-scale run instead cuts the
+iterator into windows (``Trace.from_chunks(islice(chunks, n), s0)``)
+and replays them one after another through one system, so its memory
+is one window, not the whole horizon.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ def _require_numpy() -> None:
 def _recipe_rng(n_slots: int, seed: int) -> np.random.Generator:
     """Validate a recipe's slot count and seed its one RNG stream.
 
-    Every generator in :mod:`repro.traffic` with a per-slot column core
-    starts here, so the materialised and the stream form of a recipe
-    reject the same inputs.
+    Every generator in :mod:`repro.traffic` with a chunk iterator starts
+    here, eagerly: a bad slot count raises when the iterator is made,
+    not when it is first read.
     """
     if n_slots < 1:
         raise ConfigError(f"need >= 1 slot, got {n_slots}")
@@ -137,18 +140,18 @@ def value_capacity(config: SwitchConfig) -> float:
     return float(config.n_ports * config.speedup)
 
 
-def _processing_chunks(
+def processing_chunks(
     config: SwitchConfig,
     n_slots: int,
     *,
-    load: float,
-    absolute_rate: Optional[float],
-    n_sources: int,
-    mean_on_slots: float,
-    mean_off_slots: float,
-    seed: int,
+    load: float = 2.0,
+    absolute_rate: Optional[float] = None,
+    n_sources: int = DEFAULT_SOURCES,
+    mean_on_slots: float = 20.0,
+    mean_off_slots: float = 1980.0,
+    seed: int = 0,
 ) -> Iterator[Chunk]:
-    """Column core of :func:`processing_workload` and its stream form."""
+    """The per-slot chunks of :func:`processing_workload`."""
     rng = _recipe_rng(n_slots, seed)
     ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
     fleet = _fleet(
@@ -182,27 +185,27 @@ def processing_workload(
     each requiring the port's configured work. Within a slot, packets
     arrive in ascending port order.
     """
-    return Trace.from_chunks(_processing_chunks(
+    return Trace.from_chunks(processing_chunks(
         config, n_slots, load=load, absolute_rate=absolute_rate,
         n_sources=n_sources, mean_on_slots=mean_on_slots,
         mean_off_slots=mean_off_slots, seed=seed,
     ))
 
 
-def _value_uniform_chunks(
+def value_uniform_chunks(
     config: SwitchConfig,
     n_slots: int,
     max_value: int,
     *,
-    load: float,
-    absolute_rate: Optional[float],
-    n_sources: int,
-    mean_on_slots: float,
-    mean_off_slots: float,
-    seed: int,
-    port_bound_sources: bool,
+    load: float = 2.0,
+    absolute_rate: Optional[float] = None,
+    n_sources: int = DEFAULT_SOURCES,
+    mean_on_slots: float = 20.0,
+    mean_off_slots: float = 380.0,
+    seed: int = 0,
+    port_bound_sources: bool = True,
 ) -> Iterator[Chunk]:
-    """Column core of :func:`value_uniform_workload` and its stream form."""
+    """The per-slot chunks of :func:`value_uniform_workload`."""
     if max_value < 1:
         raise ConfigError(f"max_value must be >= 1, got {max_value}")
     rng = _recipe_rng(n_slots, seed)
@@ -266,7 +269,7 @@ def value_uniform_workload(
     which spreads bursts across all queues and (because no port can then
     starve) compresses the differences between policies.
     """
-    return Trace.from_chunks(_value_uniform_chunks(
+    return Trace.from_chunks(value_uniform_chunks(
         config, n_slots, max_value, load=load, absolute_rate=absolute_rate,
         n_sources=n_sources, mean_on_slots=mean_on_slots,
         mean_off_slots=mean_off_slots, seed=seed,
@@ -274,19 +277,19 @@ def value_uniform_workload(
     ))
 
 
-def _value_port_chunks(
+def value_port_chunks(
     config: SwitchConfig,
     n_slots: int,
     *,
-    load: float,
-    absolute_rate: Optional[float],
-    n_sources: int,
-    mean_on_slots: float,
-    mean_off_slots: float,
-    seed: int,
-    port_weights: Optional[Any],
+    load: float = 2.0,
+    absolute_rate: Optional[float] = None,
+    n_sources: int = DEFAULT_SOURCES,
+    mean_on_slots: float = 20.0,
+    mean_off_slots: float = 1980.0,
+    seed: int = 0,
+    port_weights: Optional[Any] = None,
 ) -> Iterator[Chunk]:
-    """Column core of :func:`value_port_workload` and its stream form."""
+    """The per-slot chunks of :func:`value_port_workload`."""
     rng = _recipe_rng(n_slots, seed)
     if port_weights is None:
         ports_of_source = rng.integers(0, config.n_ports, size=n_sources)
@@ -330,7 +333,7 @@ def value_port_workload(
     "distributions that prioritize certain values at specific queues"
     (Section V-C).
     """
-    return Trace.from_chunks(_value_port_chunks(
+    return Trace.from_chunks(value_port_chunks(
         config, n_slots, load=load, absolute_rate=absolute_rate,
         n_sources=n_sources, mean_on_slots=mean_on_slots,
         mean_off_slots=mean_off_slots, seed=seed, port_weights=port_weights,

@@ -424,11 +424,10 @@ def _replay_both(config: SwitchConfig, trace: Trace, policy_name: str):
     "mutate",
     [
         lambda trace, more: trace.append_slot(more.slots[0]),
-        lambda trace, more: trace.add_packet(2, more.slots[0][0]),
         lambda trace, more: trace.add_port_event(3, 1, False),
         lambda trace, more: trace.extend(more),
     ],
-    ids=["append_slot", "add_packet", "add_port_event", "extend"],
+    ids=["append_slot", "add_port_event", "extend"],
 )
 def test_replay_after_mutation_sees_new_content(mutate):
     config = SwitchConfig.contiguous(4, 8)

@@ -1,4 +1,9 @@
-"""Tests for the horizon-convergence analysis."""
+"""Tests for the horizon-convergence analysis.
+
+A profile takes the run's consecutive trace windows and records one
+point at each window's end, so the tests cut the trace where they
+want checkpoints.
+"""
 
 import pytest
 
@@ -12,6 +17,17 @@ from repro.policies import make_policy
 from repro.traffic.workloads import processing_workload
 
 
+def _cut(trace, marks):
+    """The windows ending at each of ``marks``."""
+    starts = [0] + list(marks[:-1])
+    return [trace.window(s0, s1) for s0, s1 in zip(starts, marks)]
+
+
+def _tenths(trace):
+    step = trace.n_slots // 10
+    return _cut(trace, list(range(step, trace.n_slots + 1, step)))
+
+
 @pytest.fixture(scope="module")
 def setup():
     config = SwitchConfig.contiguous(6, 48)
@@ -23,10 +39,10 @@ def setup():
 
 
 class TestProfile:
-    def test_checkpoints_default_to_ten(self, setup):
+    def test_one_point_per_window(self, setup):
         config, trace = setup
         profile = convergence_profile(
-            make_policy("LWD"), trace, config, flush_every=300
+            make_policy("LWD"), _tenths(trace), config, flush_every=300
         )
         assert len(profile.points) == 10
         assert profile.points[-1].slots == 1500
@@ -34,13 +50,15 @@ class TestProfile:
     def test_custom_checkpoints(self, setup):
         config, trace = setup
         profile = convergence_profile(
-            make_policy("LWD"), trace, config, checkpoints=(100, 700, 1500)
+            make_policy("LWD"), _cut(trace, (100, 700, 1500)), config
         )
         assert [p.slots for p in profile.points] == [100, 700, 1500]
 
     def test_objectives_monotone_in_horizon(self, setup):
         config, trace = setup
-        profile = convergence_profile(make_policy("LWD"), trace, config)
+        profile = convergence_profile(
+            make_policy("LWD"), _tenths(trace), config
+        )
         algs = [p.alg_objective for p in profile.points]
         opts = [p.opt_objective for p in profile.points]
         assert algs == sorted(algs)
@@ -51,40 +69,43 @@ class TestProfile:
 
         config, trace = setup
         profile = convergence_profile(
-            make_policy("LWD"), trace, config, flush_every=300
+            make_policy("LWD"), _tenths(trace), config, flush_every=300
         )
         direct = measure_competitive_ratio(
             make_policy("LWD"), trace, config,
             by_value=False, flush_every=300,
         )
-        assert profile.final_ratio == pytest.approx(direct.ratio)
+        assert profile.final_ratio == direct.ratio
 
     def test_settles_within_horizon(self, setup):
         """The EXPERIMENTS.md claim: the cumulative ratio settles to
         within a few percent well before the end of a laptop-scale run."""
         config, trace = setup
         profile = convergence_profile(
-            make_policy("LWD"), trace, config, flush_every=300
+            make_policy("LWD"), _tenths(trace), config, flush_every=300
         )
         settled = profile.settled_after(tolerance=0.05)
         assert settled is not None
         assert settled <= 1200
 
     def test_bad_checkpoints_rejected(self, setup):
+        """An empty window would repeat the previous checkpoint."""
         config, trace = setup
         with pytest.raises(ConfigError):
             convergence_profile(
-                make_policy("LWD"), trace, config, checkpoints=(0,)
+                make_policy("LWD"), [trace.window(0, 0)], config
             )
         with pytest.raises(ConfigError):
             convergence_profile(
-                make_policy("LWD"), trace, config, checkpoints=(99_999,)
+                make_policy("LWD"),
+                [trace.window(0, 100), trace.window(100, 100)],
+                config,
             )
 
     def test_format_table(self, setup):
         config, trace = setup
         profile = convergence_profile(
-            make_policy("LWD"), trace, config, checkpoints=(500, 1500)
+            make_policy("LWD"), _cut(trace, (500, 1500)), config
         )
         table = profile.format_table()
         assert "500" in table and "ratio" in table
@@ -94,7 +115,7 @@ class TestPrefixSupremum:
     def test_at_least_final(self, setup):
         config, trace = setup
         profile = convergence_profile(
-            make_policy("LWD"), trace, config, flush_every=300
+            make_policy("LWD"), _tenths(trace), config, flush_every=300
         )
         assert profile.prefix_supremum >= profile.final_ratio
 
@@ -124,9 +145,11 @@ class TestScriptedOptProfiles:
         from repro.traffic.adversarial import thm11_mrd
 
         scenario = thm11_mrd(buffer_size=240, rounds=2)
+        trace = scenario.trace
         profile = convergence_profile(
-            make_policy("MRD"), scenario.trace, scenario.config,
-            checkpoints=range(20, scenario.trace.n_slots + 1, 20),
+            make_policy("MRD"),
+            _cut(trace, list(range(20, trace.n_slots + 1, 20))),
+            scenario.config,
             opt="scripted",
         )
         assert 1.25 <= profile.prefix_supremum <= 1.45
@@ -135,7 +158,7 @@ class TestScriptedOptProfiles:
         config, trace = setup
         with pytest.raises(ConfigError):
             convergence_profile(
-                make_policy("LWD"), trace, config, opt="magic"
+                make_policy("LWD"), [trace], config, opt="magic"
             )
 
 

@@ -840,3 +840,44 @@ def test_value_kernel_keys_audited_in_sync(policy_name, speedup):
         audited += vec._kclean and vec.metrics.pushed_out > pushed
     naive.check_invariants()
     assert audited >= 10, f"only {audited} slots audited after push-outs"
+
+
+@pytest.mark.parametrize("policy_name", VALUE_KERNEL_POLICIES)
+def test_overtaken_packet_completes_below_unfinished_head(policy_name):
+    """At ``C > 1`` with work above 1, a packet overtaken in service by
+    a more valuable arrival can reach residual 0 below an unfinished
+    head; it is transmitted in that slot, on both engines, and nothing
+    is left to fall below residual 0.
+
+    Values 1 and 2 arrive at slot 0 and are both served (C = 2); the
+    value-9 arrival at slot 1 takes over the top, so the value-2
+    packet finishes its third cycle at slot 2 below the value-9 head,
+    and the value-1 packet, served from slot 2 on, after it.
+    """
+    config = SwitchConfig.uniform(
+        2, 8, work=3, speedup=2, discipline=QueueDiscipline.PRIORITY
+    )
+    bursts = [
+        [
+            Packet(port=0, work=3, value=1.0, arrival_slot=0),
+            Packet(port=0, work=3, value=2.0, arrival_slot=0),
+        ],
+        [Packet(port=0, work=3, value=9.0, arrival_slot=1)],
+    ] + [[] for _ in range(6)]
+    trace = Trace(bursts)
+    naive = SharedMemorySwitch(config)
+    vec = VectorizedSwitch(config)
+    naive_policy = make_policy(policy_name)
+    vec_policy = make_policy(policy_name)
+    for slot, burst in enumerate(bursts):
+        naive.run_slot(burst, naive_policy)
+        lo, hi = trace.slot_bounds(slot)
+        vec.run_slot_columns(
+            vec_policy, trace.ports, trace.works, trace.values, None, lo, hi
+        )
+        naive.check_invariants()
+        vec.check_invariants()
+        _assert_fast_legs_match(naive, (vec,), f"at slot {slot}")
+    assert naive.occupancy == 0
+    assert naive.metrics.transmitted_packets == 3
+    assert naive.metrics.transmitted_value == 12.0

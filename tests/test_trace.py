@@ -30,13 +30,6 @@ class TestConstruction:
         assert trace.n_slots == 2
         assert trace.total_packets == 1
 
-    def test_add_packet_grows_trace(self):
-        trace = Trace()
-        trace.add_packet(3, pkt(0))
-        assert trace.n_slots == 4
-        assert trace.slots[3][0].port == 0
-        assert trace.slots[0] == []
-
     def test_extend(self):
         a = Trace([[pkt(0)]])
         b = Trace([[pkt(1, 2)], []])

@@ -6,9 +6,9 @@ Three contracts are pinned here (see docs/PIPELINE.md):
   (empty slots, empty traces, scripted-OPT tags, explicit arrival
   slots) stores them as columns whose packet view reproduces every
   packet field.
-* **Pinned generators** — every traffic recipe, in every mode and in
-  both its materialised and its stream form, and every hand-built
-  construction, reproduces an absolute
+* **Pinned generators** — every traffic recipe, in every mode, both
+  materialised and as consecutive windows of its chunk iterator, and
+  every hand-built construction, reproduces an absolute
   :func:`repro.goldens.trace_digest`: same ports, works, values, order,
   slot framing.
 * **Reuse is not identity** — a :class:`TraceStore` hands back the
@@ -22,6 +22,7 @@ Three contracts are pinned here (see docs/PIPELINE.md):
 from __future__ import annotations
 
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError, TraceError
 from repro.core.packet import Packet
 from repro.goldens import trace_digest
-from repro.traffic import adversarial, dynamic, patterns, streaming, workloads
+from repro.traffic import adversarial, dynamic, patterns, workloads
 from repro.traffic.trace import Trace, np
 
 needs_numpy = pytest.mark.skipif(np is None, reason="requires numpy")
@@ -134,8 +135,13 @@ def _value_config() -> SwitchConfig:
     return SwitchConfig.value_contiguous(4, 12)
 
 
-def _stream_trace(stream) -> Trace:
-    return Trace(list(stream))
+def _windowed(chunks, n_slots: int, length: int = 7) -> Trace:
+    """Consecutive ``length``-slot windows of a chunk iterator, each
+    built at its first slot and appended with :meth:`Trace.extend`."""
+    trace = Trace()
+    for s0 in range(0, n_slots, length):
+        trace.extend(Trace.from_chunks(islice(chunks, length), s0))
+    return trace
 
 
 def _periodic(proc: SwitchConfig) -> Trace:
@@ -157,9 +163,9 @@ def _jsonl_round_trip(trace: Trace) -> Trace:
 
 #: Absolute ``trace_digest`` of every traffic recipe and mode, pinned so
 #: a generator refactor cannot move a single packet. Each entry is
-#: ``(case, builder(proc_config, value_config), sha256)``; the stream
-#: forms fold their bursts into a :class:`Trace` and must match the
-#: materialised form of the same recipe.
+#: ``(case, builder(proc_config, value_config), sha256)``; the windowed
+#: forms concatenate windows of a recipe's chunk iterator and must
+#: match the materialised form of the same recipe.
 GENERATOR_DIGESTS = [
     (
         "processing-load",
@@ -222,24 +228,23 @@ GENERATOR_DIGESTS = [
     ),
     (
         "stream-processing",
-        lambda proc, val: _stream_trace(
-            streaming.stream_processing_workload(proc, 80, load=2.5, seed=3)
+        lambda proc, val: _windowed(
+            workloads.processing_chunks(proc, 80, load=2.5, seed=3), 80
         ),
         "7a107e21b21b4444e871877c3a29acf424f05541cfeee7565bc59a3f81652a1e",
     ),
     (
         "stream-value-uniform",
-        lambda proc, val: _stream_trace(
-            streaming.stream_value_uniform_workload(
-                val, 80, 16, load=2.5, seed=3
-            )
+        lambda proc, val: _windowed(
+            workloads.value_uniform_chunks(val, 80, 16, load=2.5, seed=3),
+            80,
         ),
         "6f34f84cce93a9317c4dd62dc861f32129e45266bc2fc6989150cce3b1ab605b",
     ),
     (
         "stream-value-port",
-        lambda proc, val: _stream_trace(
-            streaming.stream_value_port_workload(val, 60, load=2.0, seed=5)
+        lambda proc, val: _windowed(
+            workloads.value_port_chunks(val, 60, load=2.0, seed=5), 60
         ),
         "205733240b8ab30d7427eb749bc1c421aec4dca0965b97fb9b630e1fec1eb5ac",
     ),

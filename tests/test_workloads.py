@@ -5,16 +5,14 @@ import pytest
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.traffic.patterns import poisson_workload, saturating_workload
-from repro.traffic.streaming import (
-    stream_processing_workload,
-    stream_value_port_workload,
-    stream_value_uniform_workload,
-)
 from repro.traffic.workloads import (
     processing_capacity,
+    processing_chunks,
     processing_workload,
     value_capacity,
+    value_port_chunks,
     value_port_workload,
+    value_uniform_chunks,
     value_uniform_workload,
 )
 
@@ -79,8 +77,9 @@ class TestProcessingWorkload:
         assert [len(s) for s in a.slots] != [len(s) for s in b.slots]
 
     def test_needs_positive_slots(self, proc_config):
-        # Every generator and stream form shares one validated core, so
-        # all of them reject a non-positive slot count the same way.
+        # Every generator and chunk iterator shares one validated core,
+        # so all of them reject a non-positive slot count the same way
+        # (a chunk iterator when it is made, not when it is read).
         value_config = SwitchConfig.value_contiguous(4, 32)
         generators = [
             lambda n: processing_workload(proc_config, n),
@@ -89,11 +88,9 @@ class TestProcessingWorkload:
             lambda n: poisson_workload(proc_config, n),
             lambda n: saturating_workload(proc_config, n),
             lambda n: saturating_workload(value_config, n),
-            lambda n: list(stream_processing_workload(proc_config, n)),
-            lambda n: list(
-                stream_value_uniform_workload(value_config, n, max_value=4)
-            ),
-            lambda n: list(stream_value_port_workload(value_config, n)),
+            lambda n: processing_chunks(proc_config, n),
+            lambda n: value_uniform_chunks(value_config, n, max_value=4),
+            lambda n: value_port_chunks(value_config, n),
         ]
         for index, generate in enumerate(generators):
             for n_slots in (0, -3):
@@ -198,8 +195,8 @@ class TestValueUniformDrawOracle:
             [(p.port, p.value) for p in slot] for slot in trace
         ]
         streamed = [
-            [(p.port, p.value) for p in slot]
-            for slot in stream_value_uniform_workload(
+            list(zip(ports.tolist(), values.tolist()))
+            for ports, _works, values in value_uniform_chunks(
                 config, 150, max_value=k, seed=seed, load=3.0
             )
         ]
