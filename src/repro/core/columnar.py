@@ -18,8 +18,15 @@ each slot a column span of the trace.
 :func:`repro.analysis.competitive.run_system` cuts a replay into spans
 at its flushouts, its invariant checks and its churn-event slots. A
 span binds the policy's kernel, then the transmission state, once, and
-keeps the per-slot metrics in locals until it ends. It stops early at
-an arrival-free slot that starts on an empty buffer, which
+keeps the per-slot metrics in locals until it ends. The arrival
+kernels are generators: a span creates its policy's kernel once,
+which loads the trace columns, the per-port columns and the policy's
+bind-time state, and each slot with arrivals is one ``send`` of the
+slot index, after which the kernel re-reads only the state a slot
+changes (the occupancy, the slot, the calendar tick and its own
+victim structures). Port state holds for a span, so the kernel knows
+once whether it must filter arrivals to down ports. A span stops
+early at an arrival-free slot that starts on an empty buffer, which
 ``run_system`` fast-forwards, skipping any flushout inside the idle
 stretch exactly as the reference replay does.
 :meth:`VectorizedSwitch.run_slot_columns` and
@@ -126,7 +133,8 @@ arrival's same-port run drops in one step here too.
 Every replay runs a kernel. On the purely shared model a down port
 changes no admission predicate (its queue is empty and the buffer
 predicates read only ``B`` and the occupancy), so port churn keeps the
-kernel bound: a slot's arrivals to down ports are dropped up front.
+kernel bound: the kernel drops a slot's arrivals to down ports up
+front, with :func:`drop_down_arrivals`.
 Anything else — a split buffer model, the extensions LWD₁, MRD₁ and
 Random, scripted OPT, a policy subclass the kernel table does not know
 — has no kernel: :meth:`VectorizedSwitch.serves` says so,
@@ -161,8 +169,10 @@ from collections import deque
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Deque,
     Dict,
+    Generator,
     List,
     Optional,
     Sequence,
@@ -312,6 +322,10 @@ def drop_down_arrivals(
         None if arrivals is None else [arrivals[i] for i in keep],
         len(keep),
     )
+
+
+def _no_arrivals(slot: int) -> None:
+    """The arrival kernel of a span without arrivals, never called."""
 
 
 class VectorizedSwitch:
@@ -835,27 +849,36 @@ class VectorizedSwitch:
         run_system` skips the flushouts inside it).
 
         The policy's kernel is bound first, which leaves its derived
-        structures clean, and only then is the transmission state bound,
-        once per span; flushes, port events and policy changes fall
-        between spans. Two kernels let a transmission phase leave their
-        structures stale (``_kclean`` false) instead of re-filing them,
-        and their arrival kernels rebuild what they read: the value
-        kernels, whose keys every completion moves, rebuild right before
-        a slot's first congested arrival, and LWD at ``C > 1``, where
-        every queue loses ``min(C, L)`` work a phase, at the start of
-        its next arrival phase. The structures the span binds for its
-        transmission phase (LQD's bitsets, BPD's mask, LWD's codes at
-        ``C = 1``) stay clean for the whole span. The slot count, the
+        structures clean; a span with arrivals then creates the arrival
+        kernel (see :meth:`_arrival_kernel`), which each slot with
+        arrivals runs with one ``send``, and only then is the
+        transmission state bound, once per span; flushes, port events
+        and policy changes fall between spans. Two kernels let a
+        transmission phase leave their structures stale (``_kclean``
+        false) instead of re-filing them, and their arrival kernels
+        rebuild what they read: the value kernels, whose keys every
+        completion moves, rebuild right before a slot's first congested
+        arrival, and LWD at ``C > 1``, where every queue loses
+        ``min(C, L)`` work a phase, at the start of its next arrival
+        phase. The structures the span binds for its transmission phase
+        (LQD's bitsets, BPD's mask, LWD's codes at ``C = 1``) stay
+        clean for the whole span. The slot count, the
         occupancy integral and peak, ``arrived`` and the transmission
         totals accumulate in locals, in the reference's order, and are
         written once per span (the slot accounting through
         :meth:`SwitchMetrics.record_slots`).
         """
         lo = offsets[s0]
-        if offsets[s1] > lo and ports is not self._valid_ports:
+        busy = offsets[s1] > lo
+        if busy and ports is not self._valid_ports:
             self._validate_columns(ports, works, values)
             self._valid_ports = ports
         kind = self._kernel_for(policy)
+        arrive = (
+            self._arrival_kernel(kind, ports, works, values, arrivals, offsets)
+            if busy
+            else _no_arrivals
+        )
         cores = self._cores
         by_value = self._by_value
         lwd_stale = kind == K_LWD and cores > 1
@@ -898,26 +921,7 @@ class VectorizedSwitch:
             if hi > lo:
                 arrived += hi - lo
                 self.current_slot = slot
-                if self._n_down:
-                    cp, cw, cv, ca, chi = drop_down_arrivals(
-                        self._port_up, self.metrics,
-                        ports, works, values, arrivals, lo, hi,
-                    )
-                    clo = 0
-                else:
-                    cp, cw, cv, ca, clo, chi = (
-                        ports, works, values, arrivals, lo, hi
-                    )
-                if kind == K_LQD:
-                    self._arrive_lqd_cols(cp, cv, ca, clo, chi)
-                elif kind == K_LWD:
-                    self._arrive_lwd_cols(cp, cv, ca, clo, chi)
-                elif kind == K_BPD:
-                    self._arrive_bpd_cols(cp, cv, ca, clo, chi)
-                elif kind == K_THRESHOLD:
-                    self._arrive_threshold_cols(cp, cw, cv, ca, clo, chi)
-                else:
-                    self._arrive_value_cols(kind, cp, cw, cv, ca, clo, chi)
+                arrive(s)
             elif not self.occupancy:
                 break
             if not active:
@@ -1128,6 +1132,42 @@ class VectorizedSwitch:
         metrics.transmitted_value = txv
         return s
 
+    def _arrival_kernel(
+        self,
+        kind: int,
+        ports: Sequence[int],
+        works: Sequence[int],
+        values: Sequence[float],
+        arrivals: Optional[Sequence[int]],
+        offsets: Sequence[int],
+    ) -> Callable[[int], None]:
+        """The arrival kernel of ``kind`` bound to a span's columns: the
+        ``send`` of its primed generator, which runs slot ``s``'s
+        arrival phase per call."""
+        kernel: Generator[None, int, None]
+        if kind == K_LQD:
+            kernel = self._arrive_lqd_cols(
+                ports, works, values, arrivals, offsets
+            )
+        elif kind == K_LWD:
+            kernel = self._arrive_lwd_cols(
+                ports, works, values, arrivals, offsets
+            )
+        elif kind == K_BPD:
+            kernel = self._arrive_bpd_cols(
+                ports, works, values, arrivals, offsets
+            )
+        elif kind == K_THRESHOLD:
+            kernel = self._arrive_threshold_cols(
+                ports, works, values, arrivals, offsets
+            )
+        else:
+            kernel = self._arrive_value_cols(
+                kind, ports, works, values, arrivals, offsets
+            )
+        next(kernel)
+        return kernel.send
+
     def fast_forward(self, n_slots: int) -> None:
         """Advance over ``n_slots`` idle slots (empty buffer required)."""
         if n_slots < 0:
@@ -1174,9 +1214,9 @@ class VectorizedSwitch:
 
         Mirrors the reference engine exactly: down flushes the port's
         queue (accounted as flushed) and engine-drops subsequent
-        arrivals (see :meth:`run_span`); redundant transitions
-        are trace errors. A reclaimed queue invalidates the derived
-        kernel structures, which the next slot rebuilds.
+        arrivals (the arrival kernels drop them up front); redundant
+        transitions are trace errors. A reclaimed queue invalidates the
+        derived kernel structures, which the next span rebuilds.
         """
         if not 0 <= port < self.config.n_ports:
             raise TraceError(
@@ -1211,12 +1251,12 @@ class VectorizedSwitch:
     def _arrive_lqd_cols(
         self,
         ports: Sequence[int],
+        works: Sequence[int],
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Batched LQD arrival phase over the length columns.
+        offsets: Sequence[int],
+    ) -> Generator[None, int, None]:
+        """LQD arrival kernel over the length columns.
 
         Victim key: ``(|Q_j| + [j = i], w_j, j)`` argmax, realized as
         the running maximum ``(maxl, topr)`` over per-length rank
@@ -1231,47 +1271,127 @@ class VectorizedSwitch:
         stores = self._stores
         sched = self._sched
         hexp = self._hexp
-        tick = self._tick
         active = self._active
         is_act = self._is_act
-        works = self._works
+        wcol = self._works
         rank = self._rank
         porder = self._porder
         bit = self._bit
         masks = self._masks
-        maxl = self._maxl
-        topr = self._topr
         wins = self._wins
         cores = self._cores
         arm = self._arm
-        occ = self.occupancy
         cap = self._B
-        slot = self.current_slot
-        accepted = 0
-        dropped = 0
-        pushed = 0
-        # Bulk-accept the leading run that fits in free space: every
-        # push-out policy is greedy below capacity, and a congested
-        # kernel never shrinks occupancy, so the split needs no
-        # per-packet occupancy check in either loop.
-        free = cap - occ
-        split = lo
-        if free > 0:
-            nb = hi - lo
-            take = free if free < nb else nb
-            split = lo + take
-            occ += take
-            accepted += take
-            for i in range(lo, split):
+        # Port state holds for the whole span (run_system cuts spans at
+        # churn-event slots): while a port is down, each slot's arrivals
+        # to down ports are dropped up front, as in every kernel below.
+        port_up = self._port_up if self._n_down else None
+        cols = (ports, works, values, arrivals)
+        while True:
+            s = yield
+            lo = offsets[s]
+            hi = offsets[s + 1]
+            if port_up is not None:
+                ports, works, values, arrivals, hi = drop_down_arrivals(
+                    port_up, metrics, *cols, lo, hi
+                )
+                lo = 0
+            tick = self._tick
+            maxl = self._maxl
+            topr = self._topr
+            occ = self.occupancy
+            slot = self.current_slot
+            accepted = 0
+            dropped = 0
+            pushed = 0
+            # Bulk-accept the leading run that fits in free space: every
+            # push-out policy is greedy below capacity, and a congested
+            # kernel never shrinks occupancy, so the split needs no
+            # per-packet occupancy check in either loop.
+            free = cap - occ
+            split = lo
+            if free > 0:
+                nb = hi - lo
+                take = free if free < nb else nb
+                split = lo + take
+                occ += take
+                accepted += take
+                for i in range(lo, split):
+                    p = ports[i]
+                    v = values[i]
+                    a = arrivals[i] if arrivals is not None else slot
+                    r = rank[p]
+                    ol = lens[p]
+                    nl = ol + 1
+                    stores[p].append((v, a, 0))
+                    tv[p] += v
+                    lens[p] = nl
+                    if ol:
+                        masks[ol] ^= bit[r]
+                        if ol < cores:
+                            arm(p, ol)
+                    else:
+                        insort(active, p)
+                        is_act[p] = True
+                        e = tick + wcol[p]
+                        hexp[p] = e
+                        b = sched.get(e)
+                        if b is None:
+                            sched[e] = [p]
+                        else:
+                            b.append(p)
+                    masks[nl] |= bit[r]
+                    # No queue shrank: the maximum can only move up to nl
+                    # (then the arrival's rank is alone there) or gain the
+                    # arrival's bit at the same level.
+                    if nl > maxl:
+                        maxl = nl
+                        topr = r
+                    elif nl == maxl and r > topr:
+                        topr = r
+            i = split
+            while i < hi:
                 p = ports[i]
-                v = values[i]
-                a = arrivals[i] if arrivals is not None else slot
                 r = rank[p]
                 ol = lens[p]
                 nl = ol + 1
+                if nl > maxl or (nl == maxl and r > topr):
+                    # A drop changes nothing this test reads, so the rest
+                    # of the arrival's same-port run drops with it. The
+                    # scan stays inline in each kernel: a shared helper
+                    # costs a call per dropped run, 1.5-4% of a fig5-2 replay.
+                    j = i + 1
+                    while j < hi and ports[j] == p:
+                        j += 1
+                    dropped += j - i
+                    dropped_by_port[p] += j - i
+                    i = j
+                    continue
+                # Push out the tail of the max-key queue. The own queue
+                # cannot be the victim here: had (nl, r) matched
+                # (maxl, topr) the arrival would have been dropped above.
+                t = porder[topr]
+                masks[maxl] ^= bit[topr]
+                vl = maxl - 1
+                lens[t] = vl
+                vv = stores[t].pop()[0]
+                tv[t] -= vv
+                if vl:
+                    masks[vl] |= bit[topr]
+                    if vl < cores:
+                        # The victim was armed: its calendar entry goes stale.
+                        wins[t].pop()
+                else:
+                    del active[bisect_left(active, t)]
+                    is_act[t] = False
+                pushed += 1
+                dropped_by_port[t] += 1
+                v = values[i]
+                a = arrivals[i] if arrivals is not None else slot
                 stores[p].append((v, a, 0))
                 tv[p] += v
                 lens[p] = nl
+                accepted += 1
                 if ol:
                     masks[ol] ^= bit[r]
                     if ol < cores:
@@ -1279,7 +1399,7 @@ class VectorizedSwitch:
                 else:
                     insort(active, p)
                     is_act[p] = True
-                    e = tick + works[p]
+                    e = tick + wcol[p]
                     hexp[p] = e
                     b = sched.get(e)
                     if b is None:
@@ -1287,108 +1407,39 @@ class VectorizedSwitch:
                     else:
                         b.append(p)
                 masks[nl] |= bit[r]
-                # No queue shrank: the maximum can only move up to nl
-                # (then the arrival's rank is alone there) or gain the
-                # arrival's bit at the same level.
-                if nl > maxl:
-                    maxl = nl
-                    topr = r
-                elif nl == maxl and r > topr:
-                    topr = r
-        i = split
-        while i < hi:
-            p = ports[i]
-            r = rank[p]
-            ol = lens[p]
-            nl = ol + 1
-            if nl > maxl or (nl == maxl and r > topr):
-                # A drop changes nothing this test reads, so the rest
-                # of the arrival's same-port run drops with it. The
-                # scan stays inline in each kernel: a shared helper
-                # costs a call per dropped run, 1.5-4% of a fig5-2 replay.
-                j = i + 1
-                while j < hi and ports[j] == p:
-                    j += 1
-                dropped += j - i
-                dropped_by_port[p] += j - i
-                i = j
-                continue
-            # Push out the tail of the max-key queue. The own queue
-            # cannot be the victim here: had (nl, r) matched
-            # (maxl, topr) the arrival would have been dropped above.
-            t = porder[topr]
-            masks[maxl] ^= bit[topr]
-            vl = maxl - 1
-            lens[t] = vl
-            vv = stores[t].pop()[0]
-            tv[t] -= vv
-            if vl:
-                masks[vl] |= bit[topr]
-                if vl < cores:
-                    # The victim was armed: its calendar entry goes stale.
-                    wins[t].pop()
-            else:
-                del active[bisect_left(active, t)]
-                is_act[t] = False
-            pushed += 1
-            dropped_by_port[t] += 1
-            v = values[i]
-            a = arrivals[i] if arrivals is not None else slot
-            stores[p].append((v, a, 0))
-            tv[p] += v
-            lens[p] = nl
-            accepted += 1
-            if ol:
-                masks[ol] ^= bit[r]
-                if ol < cores:
-                    arm(p, ol)
-            else:
-                insort(active, p)
-                is_act[p] = True
-                e = tick + works[p]
-                hexp[p] = e
-                b = sched.get(e)
-                if b is None:
-                    sched[e] = [p]
-                else:
-                    b.append(p)
-            masks[nl] |= bit[r]
-            # The old maximum lost its top rank and the arrival
-            # entered at nl <= maxl; recompute downward (the own
-            # bit at nl bounds the scan, so maxl stays >= 1).
-            while not masks[maxl]:
-                maxl -= 1
-            topr = masks[maxl].bit_length() - 1
-            i += 1
-        self.occupancy = occ
-        self._maxl = maxl
-        self._topr = topr
-        metrics.accepted += accepted
-        metrics.dropped += dropped
-        metrics.pushed_out += pushed
+                # The old maximum lost its top rank and the arrival
+                # entered at nl <= maxl; recompute downward (the own
+                # bit at nl bounds the scan, so maxl stays >= 1).
+                while not masks[maxl]:
+                    maxl -= 1
+                topr = masks[maxl].bit_length() - 1
+                i += 1
+            self.occupancy = occ
+            self._maxl = maxl
+            self._topr = topr
+            metrics.accepted += accepted
+            metrics.dropped += dropped
+            metrics.pushed_out += pushed
 
     @hot_path
     def _arrive_lwd_cols(
         self,
         ports: Sequence[int],
+        works: Sequence[int],
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Batched LWD arrival phase over integer work codes.
+        offsets: Sequence[int],
+    ) -> Generator[None, int, None]:
+        """LWD arrival kernel over integer work codes.
 
         Victim key: ``(W_j + [j = i] w_i, w_j, j)`` argmax. Codes
         ``(W_j + off) * n + r_j`` preserve the lexicographic order
         because ranks are unique below ``n``; ``codes`` stays sorted
         ascending so its last element is the current victim key. At
         ``C > 1`` a transmission phase leaves the codes stale (see
-        :meth:`run_span`), and they are rebuilt here first, since the
+        :meth:`run_span`), and a slot rebuilds them first, since the
         bulk-accepted run files codes too.
         """
-        if not self._kclean:
-            self._rebuild_kernel(K_LWD)
-            self._kclean = True
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
@@ -1396,47 +1447,130 @@ class VectorizedSwitch:
         stores = self._stores
         sched = self._sched
         hexp = self._hexp
-        tick = self._tick
         active = self._active
         is_act = self._is_act
-        works = self._works
+        wcol = self._works
         rank = self._rank
         porder = self._porder
         codes = self._codes
         pcode = self._pcode
         ncode = self._ncode
-        off = self._off
         nr = self._nr
         wins = self._wins
         cores = self._cores
         arm = self._arm
-        occ = self.occupancy
         cap = self._B
-        slot = self.current_slot
-        accepted = 0
-        dropped = 0
-        pushed = 0
-        # Split exactly like the LQD kernel: greedy bulk-accept of the
-        # run that fits, then a congested loop with no occupancy check.
-        free = cap - occ
-        split = lo
-        if free > 0:
-            nb = hi - lo
-            take = free if free < nb else nb
-            split = lo + take
-            occ += take
-            accepted += take
-            for i in range(lo, split):
+        port_up = self._port_up if self._n_down else None
+        cols = (ports, works, values, arrivals)
+        while True:
+            s = yield
+            lo = offsets[s]
+            hi = offsets[s + 1]
+            if port_up is not None:
+                ports, works, values, arrivals, hi = drop_down_arrivals(
+                    port_up, metrics, *cols, lo, hi
+                )
+                lo = 0
+            if not self._kclean:
+                self._rebuild_kernel(K_LWD)
+                self._kclean = True
+                codes = self._codes
+            off = self._off
+            tick = self._tick
+            occ = self.occupancy
+            slot = self.current_slot
+            accepted = 0
+            dropped = 0
+            pushed = 0
+            # Split exactly like the LQD kernel: greedy bulk-accept of the
+            # run that fits, then a congested loop with no occupancy check.
+            free = cap - occ
+            split = lo
+            if free > 0:
+                nb = hi - lo
+                take = free if free < nb else nb
+                split = lo + take
+                occ += take
+                accepted += take
+                for i in range(lo, split):
+                    p = ports[i]
+                    w = wcol[p]
+                    ol = lens[p]
+                    if ol:
+                        nc = ncode[p]
+                        del codes[bisect_left(codes, pcode[p])]
+                        if ol < cores:
+                            arm(p, ol)
+                    else:
+                        nc = (w + off) * nr + rank[p]
+                        insort(active, p)
+                        is_act[p] = True
+                        e = tick + w
+                        hexp[p] = e
+                        b = sched.get(e)
+                        if b is None:
+                            sched[e] = [p]
+                        else:
+                            b.append(p)
+                    insort(codes, nc)
+                    pcode[p] = nc
+                    ncode[p] = nc + w * nr
+                    stores[p].append(
+                        (
+                            values[i],
+                            arrivals[i] if arrivals is not None else slot,
+                            0,
+                        )
+                    )
+                    tv[p] += values[i]
+                    lens[p] = ol + 1
+            i = split
+            while i < hi:
                 p = ports[i]
-                w = works[p]
                 ol = lens[p]
                 if ol:
                     nc = ncode[p]
+                else:
+                    nc = (wcol[p] + off) * nr + rank[p]
+                top = codes[-1]
+                if nc > top:
+                    # The same-port run drops as one (see the LQD kernel).
+                    j = i + 1
+                    while j < hi and ports[j] == p:
+                        j += 1
+                    dropped += j - i
+                    dropped_by_port[p] += j - i
+                    i = j
+                    continue
+                t = porder[top % nr]
+                codes.pop()
+                vl = lens[t] - 1
+                lens[t] = vl
+                vv = stores[t].pop()[0]
+                tv[t] -= vv
+                if vl:
+                    if vl < cores:
+                        # An armed tail takes only its residual with it.
+                        tc = top - (wins[t].pop() - tick) * nr
+                        ncode[t] = tc + wcol[t] * nr
+                    else:
+                        tc = top - wcol[t] * nr
+                        # tc + wcol[t]*nr == top: the popped key is exactly
+                        # the victim queue's next-accept code.
+                        ncode[t] = top
+                    pcode[t] = tc
+                    insort(codes, tc)
+                else:
+                    del active[bisect_left(active, t)]
+                    is_act[t] = False
+                pushed += 1
+                dropped_by_port[t] += 1
+                w = wcol[p]
+                if ol:
                     del codes[bisect_left(codes, pcode[p])]
                     if ol < cores:
                         arm(p, ol)
                 else:
-                    nc = (w + off) * nr + rank[p]
                     insort(active, p)
                     is_act[p] = True
                     e = tick + w
@@ -1458,91 +1592,23 @@ class VectorizedSwitch:
                 )
                 tv[p] += values[i]
                 lens[p] = ol + 1
-        i = split
-        while i < hi:
-            p = ports[i]
-            ol = lens[p]
-            if ol:
-                nc = ncode[p]
-            else:
-                nc = (works[p] + off) * nr + rank[p]
-            top = codes[-1]
-            if nc > top:
-                # The same-port run drops as one (see the LQD kernel).
-                j = i + 1
-                while j < hi and ports[j] == p:
-                    j += 1
-                dropped += j - i
-                dropped_by_port[p] += j - i
-                i = j
-                continue
-            t = porder[top % nr]
-            codes.pop()
-            vl = lens[t] - 1
-            lens[t] = vl
-            vv = stores[t].pop()[0]
-            tv[t] -= vv
-            if vl:
-                if vl < cores:
-                    # An armed tail takes only its residual with it.
-                    tc = top - (wins[t].pop() - tick) * nr
-                    ncode[t] = tc + works[t] * nr
-                else:
-                    tc = top - works[t] * nr
-                    # tc + works[t]*nr == top: the popped key is exactly
-                    # the victim queue's next-accept code.
-                    ncode[t] = top
-                pcode[t] = tc
-                insort(codes, tc)
-            else:
-                del active[bisect_left(active, t)]
-                is_act[t] = False
-            pushed += 1
-            dropped_by_port[t] += 1
-            w = works[p]
-            if ol:
-                del codes[bisect_left(codes, pcode[p])]
-                if ol < cores:
-                    arm(p, ol)
-            else:
-                insort(active, p)
-                is_act[p] = True
-                e = tick + w
-                hexp[p] = e
-                b = sched.get(e)
-                if b is None:
-                    sched[e] = [p]
-                else:
-                    b.append(p)
-            insort(codes, nc)
-            pcode[p] = nc
-            ncode[p] = nc + w * nr
-            stores[p].append(
-                (
-                    values[i],
-                    arrivals[i] if arrivals is not None else slot,
-                    0,
-                )
-            )
-            tv[p] += values[i]
-            lens[p] = ol + 1
-            accepted += 1
-            i += 1
-        self.occupancy = occ
-        metrics.accepted += accepted
-        metrics.dropped += dropped
-        metrics.pushed_out += pushed
+                accepted += 1
+                i += 1
+            self.occupancy = occ
+            metrics.accepted += accepted
+            metrics.dropped += dropped
+            metrics.pushed_out += pushed
 
     @hot_path
     def _arrive_bpd_cols(
         self,
         ports: Sequence[int],
+        works: Sequence[int],
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Batched BPD/BPD₁ arrival phase over the candidate bitmask.
+        offsets: Sequence[int],
+    ) -> Generator[None, int, None]:
+        """BPD/BPD₁ arrival kernel over the candidate bitmask.
 
         Victim key: ``(w_j, j)`` argmax over the queues holding at least
         ``min_victim_len`` packets (1 for BPD, 2 for BPD₁) — the highest
@@ -1557,38 +1623,104 @@ class VectorizedSwitch:
         stores = self._stores
         sched = self._sched
         hexp = self._hexp
-        tick = self._tick
         active = self._active
         is_act = self._is_act
-        works = self._works
+        wcol = self._works
         rank = self._rank
         porder = self._porder
         bit = self._bit
-        nm = self._nm
         wins = self._wins
         cores = self._cores
         arm = self._arm
         # A queue joins the candidate mask when it grows from ``below``
         # to mvl packets and leaves it when it shrinks back to ``below``.
         below = self._mvl - 1
-        occ = self.occupancy
         cap = self._B
-        slot = self.current_slot
-        accepted = 0
-        dropped = 0
-        pushed = 0
-        # Split exactly like the LQD kernel: greedy bulk-accept of the
-        # run that fits, then a congested loop with no occupancy check.
-        free = cap - occ
-        split = lo
-        if free > 0:
-            nb = hi - lo
-            take = free if free < nb else nb
-            split = lo + take
-            occ += take
-            accepted += take
-            for i in range(lo, split):
+        port_up = self._port_up if self._n_down else None
+        cols = (ports, works, values, arrivals)
+        while True:
+            s = yield
+            lo = offsets[s]
+            hi = offsets[s + 1]
+            if port_up is not None:
+                ports, works, values, arrivals, hi = drop_down_arrivals(
+                    port_up, metrics, *cols, lo, hi
+                )
+                lo = 0
+            tick = self._tick
+            nm = self._nm
+            occ = self.occupancy
+            slot = self.current_slot
+            accepted = 0
+            dropped = 0
+            pushed = 0
+            # Split exactly like the LQD kernel: greedy bulk-accept of the
+            # run that fits, then a congested loop with no occupancy check.
+            free = cap - occ
+            split = lo
+            if free > 0:
+                nb = hi - lo
+                take = free if free < nb else nb
+                split = lo + take
+                occ += take
+                accepted += take
+                for i in range(lo, split):
+                    p = ports[i]
+                    ol = lens[p]
+                    stores[p].append(
+                        (
+                            values[i],
+                            arrivals[i] if arrivals is not None else slot,
+                            0,
+                        )
+                    )
+                    tv[p] += values[i]
+                    lens[p] = ol + 1
+                    if ol == below:
+                        nm |= bit[rank[p]]
+                    if ol:
+                        if ol < cores:
+                            arm(p, ol)
+                    else:
+                        insort(active, p)
+                        is_act[p] = True
+                        e = tick + wcol[p]
+                        hexp[p] = e
+                        b = sched.get(e)
+                        if b is None:
+                            sched[e] = [p]
+                        else:
+                            b.append(p)
+            i = split
+            while i < hi:
                 p = ports[i]
+                r = rank[p]
+                vr = nm.bit_length() - 1
+                if r > vr:
+                    # The same-port run drops as one (see the LQD kernel).
+                    j = i + 1
+                    while j < hi and ports[j] == p:
+                        j += 1
+                    dropped += j - i
+                    dropped_by_port[p] += j - i
+                    i = j
+                    continue
+                t = porder[vr]
+                vl = lens[t] - 1
+                lens[t] = vl
+                vv = stores[t].pop()[0]
+                tv[t] -= vv
+                if vl == below:
+                    nm ^= bit[vr]
+                if not vl:
+                    del active[bisect_left(active, t)]
+                    is_act[t] = False
+                elif vl < cores:
+                    wins[t].pop()
+                pushed += 1
+                dropped_by_port[t] += 1
+                # Read the own length only now: when r == vr the arrival
+                # raided its own queue's tail, shortening it by one.
                 ol = lens[p]
                 stores[p].append(
                     (
@@ -1599,83 +1731,28 @@ class VectorizedSwitch:
                 )
                 tv[p] += values[i]
                 lens[p] = ol + 1
+                accepted += 1
                 if ol == below:
-                    nm |= bit[rank[p]]
+                    nm |= bit[r]
                 if ol:
                     if ol < cores:
                         arm(p, ol)
                 else:
                     insort(active, p)
                     is_act[p] = True
-                    e = tick + works[p]
+                    e = tick + wcol[p]
                     hexp[p] = e
                     b = sched.get(e)
                     if b is None:
                         sched[e] = [p]
                     else:
                         b.append(p)
-        i = split
-        while i < hi:
-            p = ports[i]
-            r = rank[p]
-            vr = nm.bit_length() - 1
-            if r > vr:
-                # The same-port run drops as one (see the LQD kernel).
-                j = i + 1
-                while j < hi and ports[j] == p:
-                    j += 1
-                dropped += j - i
-                dropped_by_port[p] += j - i
-                i = j
-                continue
-            t = porder[vr]
-            vl = lens[t] - 1
-            lens[t] = vl
-            vv = stores[t].pop()[0]
-            tv[t] -= vv
-            if vl == below:
-                nm ^= bit[vr]
-            if not vl:
-                del active[bisect_left(active, t)]
-                is_act[t] = False
-            elif vl < cores:
-                wins[t].pop()
-            pushed += 1
-            dropped_by_port[t] += 1
-            # Read the own length only now: when r == vr the arrival
-            # raided its own queue's tail, shortening it by one.
-            ol = lens[p]
-            stores[p].append(
-                (
-                    values[i],
-                    arrivals[i] if arrivals is not None else slot,
-                    0,
-                )
-            )
-            tv[p] += values[i]
-            lens[p] = ol + 1
-            accepted += 1
-            if ol == below:
-                nm |= bit[r]
-            if ol:
-                if ol < cores:
-                    arm(p, ol)
-            else:
-                insort(active, p)
-                is_act[p] = True
-                e = tick + works[p]
-                hexp[p] = e
-                b = sched.get(e)
-                if b is None:
-                    sched[e] = [p]
-                else:
-                    b.append(p)
-            i += 1
-        self.occupancy = occ
-        self._nm = nm
-        metrics.accepted += accepted
-        metrics.dropped += dropped
-        metrics.pushed_out += pushed
+                i += 1
+            self.occupancy = occ
+            self._nm = nm
+            metrics.accepted += accepted
+            metrics.dropped += dropped
+            metrics.pushed_out += pushed
 
     @hot_path
     def _arrive_value_cols(
@@ -1685,13 +1762,12 @@ class VectorizedSwitch:
         works: Sequence[int],
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Batched value-model arrival phase over the victim-key list.
+        offsets: Sequence[int],
+    ) -> Generator[None, int, None]:
+        """Value-model arrival kernel over the victim-key list.
 
         Bulk-accepts the run that fits like the processing kernels,
-        which leaves the keys stale. Right before the slot's first
+        which leaves the keys stale. Right before a slot's first
         congested arrival, stale keys are rebuilt once; from there each
         kernel's own loop reads the top key (and, for MRD, the smallest
         buffered minimum) to decide, and a push-out files the victim's
@@ -1709,234 +1785,248 @@ class VectorizedSwitch:
         all_recs = self._recs
         active = self._active
         is_act = self._is_act
-        occ = self.occupancy
-        cap = self._B
-        slot = self.current_slot
-        accepted = 0
-        dropped = 0
-        pushed = 0
-        free = cap - occ
-        split = lo
-        if free > 0:
-            nb = hi - lo
-            take = free if free < nb else nb
-            split = lo + take
-            occ += take
-            accepted += take
-            for i in range(lo, split):
-                p = ports[i]
-                v = values[i]
-                w = works[i]
-                vals = all_vals[p]
-                pos = bisect_left(vals, v)
-                vals.insert(pos, v)
-                a = arrivals[i] if arrivals is not None else slot
-                all_recs[p].insert(pos, [v, a, 0, w, w])
-                tw[p] += w
-                tv[p] += v
-                if not lens[p]:
-                    insort(active, p)
-                    is_act[p] = True
-                lens[p] += 1
-            self._kclean = False
-        if split < hi and not self._kclean:
-            # The slot's first congested arrival: file fresh keys once.
-            self._rebuild_kernel(kind)
-            self._kclean = True
         keys = self._vkeys
         key_of = self._vkey
+        mins = self._vmins
+        below = self._mvl - 1
+        cap = self._B
         key: Tuple[Any, ...]
         old: Optional[Tuple[Any, ...]]
-        if kind == K_LQDV:
-            # Victim key (|Q_j|, -tail_j, j), the arrival's own queue
-            # counted one longer. A drop changes nothing the test reads
-            # (it reads no arrival field but the port), so the rest of
-            # the same-port run drops with it, as in the LQD kernel. The
-            # own queue is never the victim: its real key is below its
-            # virtual one.
-            i = split
-            while i < hi:
-                p = ports[i]
-                top = keys[-1]
-                ol = lens[p]
-                tl = top[0]
-                # The virtual length decides unless it ties the top's;
-                # only then is the virtual key built (an empty queue's
-                # tail, -inf, never wins the tie).
-                if ol >= tl or (
-                    ol + 1 == tl and ol and (tl, -all_vals[p][0], p) > top
-                ):
-                    j = i + 1
-                    while j < hi and ports[j] == p:
-                        j += 1
-                    dropped += j - i
-                    dropped_by_port[p] += j - i
-                    i = j
-                    continue
-                keys.pop()
-                t = top[2]
-                tvals = all_vals[t]
-                vv = tvals.pop(0)
-                tw[t] -= all_recs[t].pop(0)[3]
-                tv[t] -= vv
-                vl = tl - 1
-                lens[t] = vl
-                if vl:
-                    key = (vl, -tvals[0], t)
-                    insort(keys, key)
-                    key_of[t] = key
-                else:
-                    key_of[t] = None
-                    del active[bisect_left(active, t)]
-                    is_act[t] = False
-                pushed += 1
-                dropped_by_port[t] += 1
-                if ol:
-                    del keys[bisect_left(keys, key_of[p])]
-                else:
-                    insort(active, p)
-                    is_act[p] = True
-                v = values[i]
-                w = works[i]
-                vals = all_vals[p]
-                pos = bisect_left(vals, v)
-                vals.insert(pos, v)
-                a = arrivals[i] if arrivals is not None else slot
-                all_recs[p].insert(pos, [v, a, 0, w, w])
-                tw[p] += w
-                tv[p] += v
-                lens[p] = ol + 1
-                key = (ol + 1, -vals[0], p)
-                insort(keys, key)
-                key_of[p] = key
-                accepted += 1
-                i += 1
-        elif kind == K_MVD:
-            # Victim key (-min_j, |Q_j|, j) over queues of at least
-            # mvl packets; push out iff the victim's minimum is below
-            # the arrival's value.
-            below = self._mvl - 1
-            for i in range(split, hi):
-                v = values[i]
-                if not keys or -keys[-1][0] >= v:
-                    dropped += 1
-                    dropped_by_port[ports[i]] += 1
-                    continue
-                p = ports[i]
-                top = keys.pop()
-                t = top[2]
-                tvals = all_vals[t]
-                vv = tvals.pop(0)
-                tw[t] -= all_recs[t].pop(0)[3]
-                tv[t] -= vv
-                vl = top[1] - 1
-                lens[t] = vl
-                if not vl:
-                    del active[bisect_left(active, t)]
-                    is_act[t] = False
-                pushed += 1
-                dropped_by_port[t] += 1
-                if t != p:
-                    # (When t == p the popped key was the arrival's.)
-                    if vl > below:
-                        key = (-tvals[0], vl, t)
+        port_up = self._port_up if self._n_down else None
+        cols = (ports, works, values, arrivals)
+        while True:
+            s = yield
+            lo = offsets[s]
+            hi = offsets[s + 1]
+            if port_up is not None:
+                ports, works, values, arrivals, hi = drop_down_arrivals(
+                    port_up, metrics, *cols, lo, hi
+                )
+                lo = 0
+            occ = self.occupancy
+            slot = self.current_slot
+            accepted = 0
+            dropped = 0
+            pushed = 0
+            free = cap - occ
+            split = lo
+            if free > 0:
+                nb = hi - lo
+                take = free if free < nb else nb
+                split = lo + take
+                occ += take
+                accepted += take
+                for i in range(lo, split):
+                    p = ports[i]
+                    v = values[i]
+                    w = works[i]
+                    vals = all_vals[p]
+                    pos = bisect_left(vals, v)
+                    vals.insert(pos, v)
+                    a = arrivals[i] if arrivals is not None else slot
+                    all_recs[p].insert(pos, [v, a, 0, w, w])
+                    tw[p] += w
+                    tv[p] += v
+                    if not lens[p]:
+                        insort(active, p)
+                        is_act[p] = True
+                    lens[p] += 1
+                self._kclean = False
+            if split < hi and not self._kclean:
+                # The slot's first congested arrival: file fresh keys once.
+                self._rebuild_kernel(kind)
+                self._kclean = True
+                keys = self._vkeys
+                key_of = self._vkey
+                mins = self._vmins
+            if kind == K_LQDV:
+                # Victim key (|Q_j|, -tail_j, j), the arrival's own queue
+                # counted one longer. A drop changes nothing the test reads
+                # (it reads no arrival field but the port), so the rest of
+                # the same-port run drops with it, as in the LQD kernel. The
+                # own queue is never the victim: its real key is below its
+                # virtual one.
+                i = split
+                while i < hi:
+                    p = ports[i]
+                    top = keys[-1]
+                    ol = lens[p]
+                    tl = top[0]
+                    # The virtual length decides unless it ties the top's;
+                    # only then is the virtual key built (an empty queue's
+                    # tail, -inf, never wins the tie).
+                    if ol >= tl or (
+                        ol + 1 == tl and ol and (tl, -all_vals[p][0], p) > top
+                    ):
+                        j = i + 1
+                        while j < hi and ports[j] == p:
+                            j += 1
+                        dropped += j - i
+                        dropped_by_port[p] += j - i
+                        i = j
+                        continue
+                    keys.pop()
+                    t = top[2]
+                    tvals = all_vals[t]
+                    vv = tvals.pop(0)
+                    tw[t] -= all_recs[t].pop(0)[3]
+                    tv[t] -= vv
+                    vl = tl - 1
+                    lens[t] = vl
+                    if vl:
+                        key = (vl, -tvals[0], t)
                         insort(keys, key)
                         key_of[t] = key
                     else:
                         key_of[t] = None
-                    old = key_of[p]
-                    if old is not None:
-                        del keys[bisect_left(keys, old)]
-                w = works[i]
-                vals = all_vals[p]
-                pos = bisect_left(vals, v)
-                vals.insert(pos, v)
-                a = arrivals[i] if arrivals is not None else slot
-                all_recs[p].insert(pos, [v, a, 0, w, w])
-                tw[p] += w
-                tv[p] += v
-                ol = lens[p]
-                if not ol:
-                    insort(active, p)
-                    is_act[p] = True
-                lens[p] = ol + 1
-                if ol >= below:
-                    key = (-vals[0], ol + 1, p)
+                        del active[bisect_left(active, t)]
+                        is_act[t] = False
+                    pushed += 1
+                    dropped_by_port[t] += 1
+                    if ol:
+                        del keys[bisect_left(keys, key_of[p])]
+                    else:
+                        insort(active, p)
+                        is_act[p] = True
+                    v = values[i]
+                    w = works[i]
+                    vals = all_vals[p]
+                    pos = bisect_left(vals, v)
+                    vals.insert(pos, v)
+                    a = arrivals[i] if arrivals is not None else slot
+                    all_recs[p].insert(pos, [v, a, 0, w, w])
+                    tw[p] += w
+                    tv[p] += v
+                    lens[p] = ol + 1
+                    key = (ol + 1, -vals[0], p)
                     insort(keys, key)
                     key_of[p] = key
-                else:
-                    key_of[p] = None
-                accepted += 1
-        else:
-            # MRD: victim key (|Q_j| / (V_j / |Q_j|), -min_j, j), gated
-            # on the global buffer minimum mins[0]. The victim's tail
-            # is its minimum, which leaves mins with it.
-            mins = self._vmins
-            for i in range(split, hi):
-                v = values[i]
-                if mins[0] >= v:
-                    dropped += 1
-                    dropped_by_port[ports[i]] += 1
-                    continue
-                p = ports[i]
-                top = keys.pop()
-                t = top[2]
-                tvals = all_vals[t]
-                vv = tvals.pop(0)
-                tw[t] -= all_recs[t].pop(0)[3]
-                tv[t] -= vv
-                del mins[bisect_left(mins, vv)]
-                vl = lens[t] - 1
-                lens[t] = vl
-                if not vl:
-                    del active[bisect_left(active, t)]
-                    is_act[t] = False
-                pushed += 1
-                dropped_by_port[t] += 1
-                old = None
-                if t != p:
-                    # (When t == p the popped key and minimum were the
-                    # arrival's.)
-                    if vl:
-                        m = tvals[0]
-                        insort(mins, m)
-                        key = (vl / (tv[t] / vl), -m, t)
+                    accepted += 1
+                    i += 1
+            elif kind == K_MVD:
+                # Victim key (-min_j, |Q_j|, j) over queues of at least
+                # mvl packets; push out iff the victim's minimum is below
+                # the arrival's value.
+                for i in range(split, hi):
+                    v = values[i]
+                    if not keys or -keys[-1][0] >= v:
+                        dropped += 1
+                        dropped_by_port[ports[i]] += 1
+                        continue
+                    p = ports[i]
+                    top = keys.pop()
+                    t = top[2]
+                    tvals = all_vals[t]
+                    vv = tvals.pop(0)
+                    tw[t] -= all_recs[t].pop(0)[3]
+                    tv[t] -= vv
+                    vl = top[1] - 1
+                    lens[t] = vl
+                    if not vl:
+                        del active[bisect_left(active, t)]
+                        is_act[t] = False
+                    pushed += 1
+                    dropped_by_port[t] += 1
+                    if t != p:
+                        # (When t == p the popped key was the arrival's.)
+                        if vl > below:
+                            key = (-tvals[0], vl, t)
+                            insort(keys, key)
+                            key_of[t] = key
+                        else:
+                            key_of[t] = None
+                        old = key_of[p]
+                        if old is not None:
+                            del keys[bisect_left(keys, old)]
+                    w = works[i]
+                    vals = all_vals[p]
+                    pos = bisect_left(vals, v)
+                    vals.insert(pos, v)
+                    a = arrivals[i] if arrivals is not None else slot
+                    all_recs[p].insert(pos, [v, a, 0, w, w])
+                    tw[p] += w
+                    tv[p] += v
+                    ol = lens[p]
+                    if not ol:
+                        insort(active, p)
+                        is_act[p] = True
+                    lens[p] = ol + 1
+                    if ol >= below:
+                        key = (-vals[0], ol + 1, p)
                         insort(keys, key)
-                        key_of[t] = key
+                        key_of[p] = key
                     else:
-                        key_of[t] = None
-                    old = key_of[p]
-                    if old is not None:
-                        del keys[bisect_left(keys, old)]
-                w = works[i]
-                vals = all_vals[p]
-                pos = bisect_left(vals, v)
-                vals.insert(pos, v)
-                a = arrivals[i] if arrivals is not None else slot
-                all_recs[p].insert(pos, [v, a, 0, w, w])
-                tw[p] += w
-                tv[p] += v
-                ol = lens[p]
-                if not ol:
-                    insort(active, p)
-                    is_act[p] = True
-                nl = ol + 1
-                lens[p] = nl
-                m = vals[0]
-                if old is None:
-                    insort(mins, m)
-                elif not pos:
-                    # The arrival is the queue's new minimum.
-                    del mins[bisect_left(mins, -old[1])]
-                    insort(mins, m)
-                key = (nl / (tv[p] / nl), -m, p)
-                insort(keys, key)
-                key_of[p] = key
-                accepted += 1
-        self.occupancy = occ
-        metrics.accepted += accepted
-        metrics.dropped += dropped
-        metrics.pushed_out += pushed
+                        key_of[p] = None
+                    accepted += 1
+            else:
+                # MRD: victim key (|Q_j| / (V_j / |Q_j|), -min_j, j), gated
+                # on the global buffer minimum mins[0]. The victim's tail
+                # is its minimum, which leaves mins with it.
+                for i in range(split, hi):
+                    v = values[i]
+                    if mins[0] >= v:
+                        dropped += 1
+                        dropped_by_port[ports[i]] += 1
+                        continue
+                    p = ports[i]
+                    top = keys.pop()
+                    t = top[2]
+                    tvals = all_vals[t]
+                    vv = tvals.pop(0)
+                    tw[t] -= all_recs[t].pop(0)[3]
+                    tv[t] -= vv
+                    del mins[bisect_left(mins, vv)]
+                    vl = lens[t] - 1
+                    lens[t] = vl
+                    if not vl:
+                        del active[bisect_left(active, t)]
+                        is_act[t] = False
+                    pushed += 1
+                    dropped_by_port[t] += 1
+                    old = None
+                    if t != p:
+                        # (When t == p the popped key and minimum were the
+                        # arrival's.)
+                        if vl:
+                            m = tvals[0]
+                            insort(mins, m)
+                            key = (vl / (tv[t] / vl), -m, t)
+                            insort(keys, key)
+                            key_of[t] = key
+                        else:
+                            key_of[t] = None
+                        old = key_of[p]
+                        if old is not None:
+                            del keys[bisect_left(keys, old)]
+                    w = works[i]
+                    vals = all_vals[p]
+                    pos = bisect_left(vals, v)
+                    vals.insert(pos, v)
+                    a = arrivals[i] if arrivals is not None else slot
+                    all_recs[p].insert(pos, [v, a, 0, w, w])
+                    tw[p] += w
+                    tv[p] += v
+                    ol = lens[p]
+                    if not ol:
+                        insort(active, p)
+                        is_act[p] = True
+                    nl = ol + 1
+                    lens[p] = nl
+                    m = vals[0]
+                    if old is None:
+                        insort(mins, m)
+                    elif not pos:
+                        # The arrival is the queue's new minimum.
+                        del mins[bisect_left(mins, -old[1])]
+                        insort(mins, m)
+                    key = (nl / (tv[p] / nl), -m, p)
+                    insort(keys, key)
+                    key_of[p] = key
+                    accepted += 1
+            self.occupancy = occ
+            metrics.accepted += accepted
+            metrics.dropped += dropped
+            metrics.pushed_out += pushed
 
     @hot_path
     def _arrive_threshold_cols(
@@ -1945,17 +2035,16 @@ class VectorizedSwitch:
         works: Sequence[int],
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Batched arrival phase for the non-push-out threshold policies.
+        offsets: Sequence[int],
+    ) -> Generator[None, int, None]:
+        """Arrival kernel for the non-push-out threshold policies.
 
         While the buffer has space, each arrival reads its own queue
         length and the one statistic the policy's rule names, and the
         policy's own ``admits`` decides; a static-cap policy reads the
         ``cap`` table built at bind time instead. The length statistics
         come from a sorted copy of the length column taken at the start
-        of the phase: no queue shrinks in a non-push-out arrival phase,
+        of each slot: no queue shrinks in a non-push-out arrival phase,
         and an admission bumps the last copy entry equal to the old
         length, which keeps the copy sorted. Their rule results go
         through the per-bind memo ``_tmemo`` (see :meth:`_bind`). Once
@@ -1980,7 +2069,6 @@ class VectorizedSwitch:
         stores = self._stores
         sched = self._sched
         hexp = self._hexp
-        tick = self._tick
         wcol = self._works
         cores = self._cores
         arm = self._arm
@@ -1993,103 +2081,114 @@ class VectorizedSwitch:
         n = self._nr
         cap = self._B
         radix = cap + 1
-        occ = self.occupancy
-        slot = self.current_slot
-        accepted = 0
-        dropped = 0
-        srt = (
-            sorted(lens)
-            if stat == STAT_LONGER or stat == STAT_AT_LEAST
-            else []
-        )
+        sorts = stat == STAT_LONGER or stat == STAT_AT_LEAST
+        srt: List[int] = []
         ok: Optional[bool]
-        i = lo
-        while i < hi:
-            p = ports[i]
-            if occ < cap:
-                own = lens[p]
-                if stat == STAT_CAP:
-                    ok = own < caps[p]
-                elif stat == STAT_FREE:
-                    ok = rule(config, cap, own, cap - occ)
-                elif stat == STAT_LONGER:
-                    j = bisect_right(srt, own)
-                    key = own * n + n - j
-                    ok = memo.get(key)
-                    if ok is None:
-                        ok = memo[key] = rule(config, cap, own, n - j)
+        port_up = self._port_up if self._n_down else None
+        cols = (ports, works, values, arrivals)
+        while True:
+            s = yield
+            lo = offsets[s]
+            hi = offsets[s + 1]
+            if port_up is not None:
+                ports, works, values, arrivals, hi = drop_down_arrivals(
+                    port_up, metrics, *cols, lo, hi
+                )
+                lo = 0
+            tick = self._tick
+            occ = self.occupancy
+            slot = self.current_slot
+            accepted = 0
+            dropped = 0
+            if sorts:
+                srt = sorted(lens)
+            i = lo
+            while i < hi:
+                p = ports[i]
+                if occ < cap:
+                    own = lens[p]
+                    if stat == STAT_CAP:
+                        ok = own < caps[p]
+                    elif stat == STAT_FREE:
+                        ok = rule(config, cap, own, cap - occ)
+                    elif stat == STAT_LONGER:
+                        j = bisect_right(srt, own)
+                        key = own * n + n - j
+                        ok = memo.get(key)
+                        if ok is None:
+                            ok = memo[key] = rule(config, cap, own, n - j)
+                        if ok:
+                            # The admission below: bump the last entry
+                            # equal to own.
+                            srt[j - 1] += 1
+                    elif stat == STAT_AT_LEAST:
+                        j = bisect_left(srt, own)
+                        joint = sum(srt[j:])
+                        key = (own * n + n - 1 - j) * radix + joint
+                        ok = memo.get(key)
+                        if ok is None:
+                            ok = memo[key] = rule(
+                                config, cap, own, (n - j, joint)
+                            )
+                        if ok:
+                            srt[bisect_right(srt, own) - 1] += 1
+                    else:  # STAT_WORK_AT_LEAST
+                        own = queue_work(p)
+                        m = 0
+                        joint = 0
+                        for q in range(n):
+                            work = queue_work(q)
+                            if work >= own:
+                                m += 1
+                                joint += work
+                        ok = rule(config, cap, own, (m, joint))
                     if ok:
-                        # The admission below: bump the last entry
-                        # equal to own.
-                        srt[j - 1] += 1
-                elif stat == STAT_AT_LEAST:
-                    j = bisect_left(srt, own)
-                    joint = sum(srt[j:])
-                    key = (own * n + n - 1 - j) * radix + joint
-                    ok = memo.get(key)
-                    if ok is None:
-                        ok = memo[key] = rule(
-                            config, cap, own, (n - j, joint)
-                        )
-                    if ok:
-                        srt[bisect_right(srt, own) - 1] += 1
-                else:  # STAT_WORK_AT_LEAST
-                    own = queue_work(p)
-                    m = 0
-                    joint = 0
-                    for q in range(n):
-                        work = queue_work(q)
-                        if work >= own:
-                            m += 1
-                            joint += work
-                    ok = rule(config, cap, own, (m, joint))
-                if ok:
-                    v = values[i]
-                    a = arrivals[i] if arrivals is not None else slot
-                    ol = lens[p]
-                    tv[p] += v
-                    lens[p] = ol + 1
-                    if by_value:
-                        w = works[i]
-                        vals = all_vals[p]
-                        pos = bisect_left(vals, v)
-                        vals.insert(pos, v)
-                        all_recs[p].insert(pos, [v, a, 0, w, w])
-                        tw[p] += w
-                        if not ol:
-                            insort(active, p)
-                            is_act[p] = True
-                    else:
-                        stores[p].append((v, a, 0))
-                        if ol:
-                            if ol < cores:
-                                arm(p, ol)
+                        v = values[i]
+                        a = arrivals[i] if arrivals is not None else slot
+                        ol = lens[p]
+                        tv[p] += v
+                        lens[p] = ol + 1
+                        if by_value:
+                            w = works[i]
+                            vals = all_vals[p]
+                            pos = bisect_left(vals, v)
+                            vals.insert(pos, v)
+                            all_recs[p].insert(pos, [v, a, 0, w, w])
+                            tw[p] += w
+                            if not ol:
+                                insort(active, p)
+                                is_act[p] = True
                         else:
-                            insort(active, p)
-                            is_act[p] = True
-                            e = tick + wcol[p]
-                            hexp[p] = e
-                            b = sched.get(e)
-                            if b is None:
-                                sched[e] = [p]
+                            stores[p].append((v, a, 0))
+                            if ol:
+                                if ol < cores:
+                                    arm(p, ol)
                             else:
-                                b.append(p)
-                    occ += 1
-                    accepted += 1
-                    i += 1
-                    continue
-            # A drop changes nothing the rule reads (the own length,
-            # the statistic, the occupancy), so the rest of the
-            # arrival's same-port run drops with it.
-            j = i + 1
-            while j < hi and ports[j] == p:
-                j += 1
-            dropped += j - i
-            dropped_by_port[p] += j - i
-            i = j
-        self.occupancy = occ
-        metrics.accepted += accepted
-        metrics.dropped += dropped
+                                insort(active, p)
+                                is_act[p] = True
+                                e = tick + wcol[p]
+                                hexp[p] = e
+                                b = sched.get(e)
+                                if b is None:
+                                    sched[e] = [p]
+                                else:
+                                    b.append(p)
+                        occ += 1
+                        accepted += 1
+                        i += 1
+                        continue
+                # A drop changes nothing the rule reads (the own length,
+                # the statistic, the occupancy), so the rest of the
+                # arrival's same-port run drops with it.
+                j = i + 1
+                while j < hi and ports[j] == p:
+                    j += 1
+                dropped += j - i
+                dropped_by_port[p] += j - i
+                i = j
+            self.occupancy = occ
+            metrics.accepted += accepted
+            metrics.dropped += dropped
 
     # ------------------------------------------------------------------
     # Diagnostics

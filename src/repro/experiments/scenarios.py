@@ -160,8 +160,10 @@ def run_dynamic_suite(
     """Run the dynamic scenario family and cross-check both engines.
 
     Every (workload, buffer model, policy) cell is measured once per
-    engine in ``engines``; the runs must agree on the objective exactly
-    (they are decision-identical by contract) or the suite raises
+    engine in ``engines`` (the policy's switch and the OPT surrogate
+    both on that engine); the runs must agree on the objective and the
+    ratio exactly (they are decision-identical by contract) or the
+    suite raises
     :class:`~repro.core.errors.ExperimentError`.
     """
     if n_slots < 1:
@@ -218,10 +220,14 @@ def run_dynamic_suite(
                     )
                     ratios[engine] = measured.ratio
                     objectives[engine] = measured.alg_objective
-                if len(set(objectives.values())) != 1:
+                if (
+                    len(set(objectives.values())) != 1
+                    or len(set(ratios.values())) != 1
+                ):
                     raise ExperimentError(
                         f"engines disagree on {wname}/{mname}/"
-                        f"{policy_name}: {objectives}"
+                        f"{policy_name}: objectives {objectives}, "
+                        f"ratios {ratios}"
                     )
                 first = next(iter(ratios))
                 result.cells.append(

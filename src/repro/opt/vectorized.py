@@ -23,13 +23,15 @@ with O(completions) bookkeeping:
   with a head pointer; eviction consumes the head, transmission pops
   the tail — no packet objects, no key lambdas.
 
-Each variant admits a slot in one loop, ``run_slot_columns``, over the
-list columns of a :class:`~repro.traffic.trace.Trace` span:
+Each variant runs a span of slots in one loop, ``run_span`` (the
+protocol :func:`repro.analysis.competitive.run_system` drives), over
+the list columns of a :class:`~repro.traffic.trace.Trace`. Per slot,
 arrivals to admin-down ports are dropped up front, and the rest fill
 the buffer, push out its worst packet, or drop against a live eviction
-threshold. The base class's ``run_span`` runs it slot after slot (the
-protocol :func:`repro.analysis.competitive.run_system` drives), and its
-``run_slot`` turns a burst of packet objects into three columns for it.
+threshold; the transmission phase follows inline. The pools, the
+counters and the slot accounting stay in locals and are written once
+per span. ``run_slot_columns`` is a one-slot span, and ``run_slot``
+turns a burst of packet objects into three columns for it.
 
 Both are selected through ``make_surrogate(..., engine="vectorized")``
 and expose the same :class:`~repro.opt.surrogate.System` surface. Like
@@ -152,7 +154,14 @@ class _ColumnSurrogate:
         lo: int,
         hi: int,
     ) -> List[Packet]:
-        raise NotImplementedError
+        """One slot from the column span ``[lo, hi)``: a one-slot
+        :meth:`run_span`, whose idle slot on an empty buffer is
+        fast-forwarded here."""
+        if not self.run_span(
+            ports, works, values, arrivals, (lo, hi), 0, 1
+        ):
+            self.fast_forward(1)
+        return []
 
     def run_span(
         self,
@@ -169,15 +178,7 @@ class _ColumnSurrogate:
         not run. Like :meth:`repro.core.columnar.VectorizedSwitch.
         run_span` it stops at an arrival-free slot that starts on an
         empty buffer, which the caller fast-forwards."""
-        run_slot_columns = self.run_slot_columns
-        hi = offsets[s0]
-        for s in range(s0, s1):
-            lo = hi
-            hi = offsets[s + 1]
-            if lo == hi and not self.backlog:
-                return s
-            run_slot_columns(ports, works, values, arrivals, lo, hi)
-        return s1
+        raise NotImplementedError
 
 
 class VectorizedSrptSurrogate(_ColumnSurrogate):
@@ -278,72 +279,17 @@ class VectorizedSrptSurrogate(_ColumnSurrogate):
         return removed
 
     @hot_path
-    def _transmit(self) -> None:
-        """One phase: advance the tick, complete, refill from waiting.
-
-        Completions pop from the active head in pool order — the same
-        order the reference pops zero-residual heads — so the float
-        accumulation order of ``transmitted_value`` matches exactly.
-        Promoted packets enter with their full residual: the reference
-        decrements only the first ``cores`` positions, and a promotion
-        happens only after a completion freed one of those positions.
-        """
-        tick = self._tick + 1
-        self._tick = tick
-        act_exp = self._act_exp
-        act_rec = self._act_rec
-        ah = self._ah
-        metrics = self.metrics
-        end = len(act_exp)
-        if ah < end and act_exp[ah] == tick:
-            tx_by_port = metrics.transmitted_by_port
-            txv_by_port = metrics.transmitted_value_by_port
-            done = 0
-            while ah < end and act_exp[ah] == tick:
-                port, value = act_rec[ah]
-                metrics.transmitted_value += value
-                tx_by_port[port] += 1
-                txv_by_port[port] += value
-                ah += 1
-                done += 1
-            metrics.transmitted_packets += done
-            self._size -= done
-            self._ah = ah
-            # Refill the freed active positions from the waiting head;
-            # appending keeps the pool sorted (every waiting residual
-            # is >= every active one, and the waiting pool ascends).
-            wait_res = self._wait_res
-            wait_rec = self._wait_rec
-            wh = self._wh
-            wend = len(wait_res)
-            cores = self.cores
-            live = len(act_exp) - ah
-            while wh < wend and live < cores:
-                act_exp.append(tick + wait_res[wh])
-                act_rec.append(wait_rec[wh])
-                wh += 1
-                live += 1
-            self._wh = wh
-            if ah > _COMPACT_MIN and ah * 2 > len(act_exp):
-                del act_exp[:ah]
-                del act_rec[:ah]
-                self._ah = 0
-            if wh > _COMPACT_MIN and wh * 2 > len(wait_res):
-                del wait_res[:wh]
-                del wait_rec[:wh]
-                self._wh = 0
-
-    @hot_path
-    def run_slot_columns(
+    def run_span(
         self,
         ports: Sequence[int],
         works: Sequence[int],
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> List[Packet]:
-        """One slot straight from trace columns (span ``[lo, hi)``).
+        offsets: Sequence[int],
+        s0: int,
+        s1: int,
+    ) -> int:
+        """Run the trace slots ``[s0, s1)`` straight from trace columns.
 
         Admission is the reference's: accept while there is room, else
         push out the largest-residual packet when it is strictly larger
@@ -359,88 +305,159 @@ class VectorizedSrptSurrogate(_ColumnSurrogate):
         probe: the reference's after-all-equals placement. A packet that
         belongs inside a full active window demotes the active tail (the
         largest active residual) to the front of the waiting pool.
+
+        A transmission phase advances the tick and completes the active
+        heads whose tick arrived, in pool order (the order the reference
+        pops zero-residual heads, so ``transmitted_value`` accumulates
+        in the same float order). Promoted packets enter with their full
+        residual: the reference decrements only the first ``cores``
+        positions, and a promotion happens only after a completion freed
+        one of those positions. The pools, the counters and the slot
+        accounting stay in locals and are written once per span.
         """
         metrics = self.metrics
-        metrics.arrived += hi - lo
-        if self._n_down:
-            ports, works, values, _, hi = drop_down_arrivals(
-                self._port_up, metrics, ports, works, values, None, lo, hi
-            )
-            lo = 0
-        if lo < hi:
-            act_exp = self._act_exp
-            act_rec = self._act_rec
-            wait_res = self._wait_res
-            wait_rec = self._wait_rec
-            ah = self._ah
-            wh = self._wh
-            tick = self._tick
-            cores = self.cores
-            buffer_size = self.buffer_size
-            size = self._size
-            dbp = metrics.dropped_by_port
-            insort = bisect_right
-            # B == 0 keeps the buffer full and empty: no work is < 0.
-            thr = 0
-            if size and size == buffer_size:
-                thr = (
-                    wait_res[-1] if len(wait_res) - wh
-                    else act_exp[-1] - tick
-                )
-            accepted = 0
-            pushed = 0
-            dropped = 0
-            for i in range(lo, hi):
-                work = works[i]
-                if size < buffer_size:
-                    size += 1
-                elif work < thr:
-                    # Push out the buffered maximum: the waiting tail,
-                    # else the active tail.
-                    if len(wait_res) - wh:
-                        wait_res.pop()
-                        dbp[wait_rec.pop()[0]] += 1
-                    else:
-                        act_exp.pop()
-                        dbp[act_rec.pop()[0]] += 1
-                    pushed += 1
-                else:
-                    dropped += 1
-                    dbp[ports[i]] += 1
-                    continue
-                accepted += 1
-                key = tick + work
-                pos = insort(act_exp, key, ah)
-                if pos < len(act_exp) or len(act_exp) - ah < cores:
-                    act_exp.insert(pos, key)
-                    act_rec.insert(pos, (ports[i], values[i]))
-                    if len(act_exp) - ah > cores:
-                        demoted_res = act_exp.pop() - tick
-                        demoted_rec = act_rec.pop()
-                        if wh > 0:
-                            wh -= 1
-                            wait_res[wh] = demoted_res
-                            wait_rec[wh] = demoted_rec
-                        else:
-                            wait_res.insert(0, demoted_res)
-                            wait_rec.insert(0, demoted_rec)
-                else:
-                    wpos = insort(wait_res, work, wh)
-                    wait_res.insert(wpos, work)
-                    wait_rec.insert(wpos, (ports[i], values[i]))
-                if size == buffer_size:
+        dbp = metrics.dropped_by_port
+        tx_by_port = metrics.transmitted_by_port
+        txv_by_port = metrics.transmitted_value_by_port
+        # Port state holds for the whole span: run_system cuts spans at
+        # churn-event slots.
+        port_up = self._port_up if self._n_down else None
+        act_exp = self._act_exp
+        act_rec = self._act_rec
+        wait_res = self._wait_res
+        wait_rec = self._wait_rec
+        ah = self._ah
+        wh = self._wh
+        tick = self._tick
+        cores = self.cores
+        buffer_size = self.buffer_size
+        size = self._size
+        insort = bisect_right
+        arrived = 0
+        accepted = 0
+        pushed = 0
+        dropped = 0
+        txp = 0
+        txv = metrics.transmitted_value
+        integral = 0
+        peak = 0
+        hi = offsets[s0]
+        for s in range(s0, s1):
+            lo = hi
+            hi = offsets[s + 1]
+            if hi > lo:
+                arrived += hi - lo
+                cp = ports
+                cw = works
+                cv = values
+                first = lo
+                end = hi
+                if port_up is not None:
+                    cp, cw, cv, _, end = drop_down_arrivals(
+                        port_up, metrics, ports, works, values, None, lo, hi
+                    )
+                    first = 0
+                # B == 0 keeps the buffer full and empty: no work is < 0.
+                thr = 0
+                if size and size == buffer_size:
                     thr = (
                         wait_res[-1] if len(wait_res) - wh
                         else act_exp[-1] - tick
                     )
-            self._wh = wh
-            self._size = size
-            metrics.accepted += accepted
-            metrics.pushed_out += pushed
-            metrics.dropped += dropped
-        self._transmit()
-        metrics.record_slot(self._size)
-        return []
+                for i in range(first, end):
+                    work = cw[i]
+                    if size < buffer_size:
+                        size += 1
+                    elif work < thr:
+                        # Push out the buffered maximum: the waiting
+                        # tail, else the active tail.
+                        if len(wait_res) - wh:
+                            wait_res.pop()
+                            dbp[wait_rec.pop()[0]] += 1
+                        else:
+                            act_exp.pop()
+                            dbp[act_rec.pop()[0]] += 1
+                        pushed += 1
+                    else:
+                        dropped += 1
+                        dbp[cp[i]] += 1
+                        continue
+                    accepted += 1
+                    key = tick + work
+                    pos = insort(act_exp, key, ah)
+                    if pos < len(act_exp) or len(act_exp) - ah < cores:
+                        act_exp.insert(pos, key)
+                        act_rec.insert(pos, (cp[i], cv[i]))
+                        if len(act_exp) - ah > cores:
+                            demoted_res = act_exp.pop() - tick
+                            demoted_rec = act_rec.pop()
+                            if wh > 0:
+                                wh -= 1
+                                wait_res[wh] = demoted_res
+                                wait_rec[wh] = demoted_rec
+                            else:
+                                wait_res.insert(0, demoted_res)
+                                wait_rec.insert(0, demoted_rec)
+                    else:
+                        wpos = insort(wait_res, work, wh)
+                        wait_res.insert(wpos, work)
+                        wait_rec.insert(wpos, (cp[i], cv[i]))
+                    if size == buffer_size:
+                        thr = (
+                            wait_res[-1] if len(wait_res) - wh
+                            else act_exp[-1] - tick
+                        )
+            elif not size:
+                break
+            # Transmission phase: advance the tick, complete, refill the
+            # freed active positions from the waiting head; appending
+            # keeps the pool sorted (every waiting residual is >= every
+            # active one, and the waiting pool ascends).
+            tick += 1
+            end = len(act_exp)
+            if ah < end and act_exp[ah] == tick:
+                done = 0
+                while ah < end and act_exp[ah] == tick:
+                    port, value = act_rec[ah]
+                    txv += value
+                    tx_by_port[port] += 1
+                    txv_by_port[port] += value
+                    ah += 1
+                    done += 1
+                txp += done
+                size -= done
+                wend = len(wait_res)
+                live = end - ah
+                while wh < wend and live < cores:
+                    act_exp.append(tick + wait_res[wh])
+                    act_rec.append(wait_rec[wh])
+                    wh += 1
+                    live += 1
+                if ah > _COMPACT_MIN and ah * 2 > len(act_exp):
+                    del act_exp[:ah]
+                    del act_rec[:ah]
+                    ah = 0
+                if wh > _COMPACT_MIN and wh * 2 > len(wait_res):
+                    del wait_res[:wh]
+                    del wait_rec[:wh]
+                    wh = 0
+            integral += size
+            if size > peak:
+                peak = size
+        else:
+            s = s1
+        self._ah = ah
+        self._wh = wh
+        self._tick = tick
+        self._size = size
+        metrics.record_slots(s - s0, integral, peak)
+        metrics.arrived += arrived
+        metrics.accepted += accepted
+        metrics.pushed_out += pushed
+        metrics.dropped += dropped
+        metrics.transmitted_packets += txp
+        metrics.transmitted_value = txv
+        return s
 
 
 class VectorizedMaxValueSurrogate(_ColumnSurrogate):
@@ -486,89 +503,112 @@ class VectorizedMaxValueSurrogate(_ColumnSurrogate):
         return removed
 
     @hot_path
-    def _transmit(self) -> None:
-        vals = self._vals
-        ports = self._ports
-        h = self._h
-        metrics = self.metrics
-        count = len(vals) - h
-        active = self.cores if self.cores < count else count
-        if active:
-            tx_by_port = metrics.transmitted_by_port
-            txv_by_port = metrics.transmitted_value_by_port
-            for _ in range(active):
-                value = vals.pop()
-                port = ports.pop()
-                metrics.transmitted_value += value
-                tx_by_port[port] += 1
-                txv_by_port[port] += value
-            metrics.transmitted_packets += active
-        if h > _COMPACT_MIN and h * 2 > len(vals):
-            del vals[:h]
-            del ports[:h]
-            self._h = 0
-
-    @hot_path
-    def run_slot_columns(
+    def run_span(
         self,
         ports: Sequence[int],
         works: Sequence[int],
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> List[Packet]:
-        """One slot straight from trace columns (span ``[lo, hi)``).
+        offsets: Sequence[int],
+        s0: int,
+        s1: int,
+    ) -> int:
+        """Run the trace slots ``[s0, s1)`` straight from trace columns.
 
-        Mirror image of :meth:`VectorizedSrptSurrogate.
-        run_slot_columns`: once the buffer is full an arrival pushes out
-        the head (the least valuable packet, the live threshold) when
-        its value is strictly larger, else it is dropped.
+        Mirror image of :meth:`VectorizedSrptSurrogate.run_span`: once
+        the buffer is full an arrival pushes out the head (the least
+        valuable packet, the live threshold) when its value is strictly
+        larger, else it is dropped. A transmission phase pops the
+        ``min(cores, backlog)`` most valuable packets off the tail.
         """
         metrics = self.metrics
-        metrics.arrived += hi - lo
-        if self._n_down:
-            ports, works, values, _, hi = drop_down_arrivals(
-                self._port_up, metrics, ports, works, values, None, lo, hi
-            )
-            lo = 0
-        if lo < hi:
-            vals = self._vals
-            port_col = self._ports
-            h = self._h
-            buffer_size = self.buffer_size
-            size = len(vals) - h
-            dbp = metrics.dropped_by_port
-            insort = bisect_right
-            # B == 0 keeps the buffer full and empty: nothing exceeds inf.
-            thr = _INF
-            if size and size == buffer_size:
-                thr = vals[h]
-            accepted = 0
-            pushed = 0
-            dropped = 0
-            for i in range(lo, hi):
-                value = values[i]
-                if size < buffer_size:
-                    size += 1
-                elif value > thr:
-                    dbp[port_col[h]] += 1
-                    h += 1
-                    pushed += 1
-                else:
-                    dropped += 1
-                    dbp[ports[i]] += 1
-                    continue
-                accepted += 1
-                pos = insort(vals, value, h)
-                vals.insert(pos, value)
-                port_col.insert(pos, ports[i])
-                if size == buffer_size:
+        dbp = metrics.dropped_by_port
+        tx_by_port = metrics.transmitted_by_port
+        txv_by_port = metrics.transmitted_value_by_port
+        # Port state holds for the whole span: run_system cuts spans at
+        # churn-event slots.
+        port_up = self._port_up if self._n_down else None
+        vals = self._vals
+        port_col = self._ports
+        h = self._h
+        cores = self.cores
+        buffer_size = self.buffer_size
+        insort = bisect_right
+        arrived = 0
+        accepted = 0
+        pushed = 0
+        dropped = 0
+        txp = 0
+        txv = metrics.transmitted_value
+        integral = 0
+        peak = 0
+        size = len(vals) - h
+        hi = offsets[s0]
+        for s in range(s0, s1):
+            lo = hi
+            hi = offsets[s + 1]
+            if hi > lo:
+                arrived += hi - lo
+                cp = ports
+                cv = values
+                first = lo
+                end = hi
+                if port_up is not None:
+                    cp, _w, cv, _, end = drop_down_arrivals(
+                        port_up, metrics, ports, works, values, None, lo, hi
+                    )
+                    first = 0
+                # B == 0 keeps the buffer full and empty: nothing
+                # exceeds inf.
+                thr = _INF
+                if size and size == buffer_size:
                     thr = vals[h]
-            self._h = h
-            metrics.accepted += accepted
-            metrics.pushed_out += pushed
-            metrics.dropped += dropped
-        self._transmit()
-        metrics.record_slot(self.backlog)
-        return []
+                for i in range(first, end):
+                    value = cv[i]
+                    if size < buffer_size:
+                        size += 1
+                    elif value > thr:
+                        dbp[port_col[h]] += 1
+                        h += 1
+                        pushed += 1
+                    else:
+                        dropped += 1
+                        dbp[cp[i]] += 1
+                        continue
+                    accepted += 1
+                    pos = insort(vals, value, h)
+                    vals.insert(pos, value)
+                    port_col.insert(pos, cp[i])
+                    if size == buffer_size:
+                        thr = vals[h]
+            elif not size:
+                break
+            # Transmission phase: the min(cores, size) most valuable
+            # packets leave, tail first.
+            served = cores if cores < size else size
+            for _ in range(served):
+                value = vals.pop()
+                port = port_col.pop()
+                txv += value
+                tx_by_port[port] += 1
+                txv_by_port[port] += value
+            txp += served
+            size -= served
+            if h > _COMPACT_MIN and h * 2 > len(vals):
+                del vals[:h]
+                del port_col[:h]
+                h = 0
+            integral += size
+            if size > peak:
+                peak = size
+        else:
+            s = s1
+        self._h = h
+        metrics.record_slots(s - s0, integral, peak)
+        metrics.arrived += arrived
+        metrics.accepted += accepted
+        metrics.pushed_out += pushed
+        metrics.dropped += dropped
+        metrics.transmitted_packets += txp
+        metrics.transmitted_value = txv
+        return s

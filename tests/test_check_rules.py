@@ -273,15 +273,22 @@ class TestDeterminismRules:
 
 HOT = "from repro.core.hotpath import hot_path\n"
 
+#: The engine's arrival kernels are generators that run one slot per
+#: ``send``: their ``while True`` body is the loop the rules audit.
+GENERATOR_KERNEL = "@hot_path\ndef f(xs, rows, s, n):\n    while True:\n"
+
 
 class TestHotPathRules:
     def test_closure_flagged(self):
-        report = check_snippet(
-            HOT + "@hot_path\ndef f(xs):\n"
+        for source in (
+            "@hot_path\ndef f(xs):\n"
             "    return sorted(xs, key=lambda x: x.v)\n",
-            "repro.core.x",
-        )
-        assert "RC201" in codes_of(report)
+            GENERATOR_KERNEL
+            + "        k = yield\n"
+            "        xs.sort(key=lambda x: x.v + k)\n",
+        ):
+            report = check_snippet(HOT + source, "repro.core.x")
+            assert "RC201" in codes_of(report)
 
     def test_closure_ok_off_hot_path(self):
         report = check_snippet(
@@ -291,15 +298,18 @@ class TestHotPathRules:
         assert report.clean
 
     def test_loop_comprehension_flagged(self):
-        report = check_snippet(
-            HOT + "@hot_path\ndef f(rows):\n"
+        for source in (
+            "@hot_path\ndef f(rows):\n"
             "    out = []\n"
             "    for row in rows:\n"
             "        out.append([c * 2 for c in row])\n"
             "    return out\n",
-            "repro.core.x",
-        )
-        assert "RC202" in codes_of(report)
+            GENERATOR_KERNEL
+            + "        k = yield\n"
+            "        xs.append([c * 2 for c in rows[k]])\n",
+        ):
+            report = check_snippet(HOT + source, "repro.core.x")
+            assert "RC202" in codes_of(report)
 
     def test_loop_iter_comprehension_exempt(self):
         # The iterable itself evaluates once per loop entry, not per
@@ -332,17 +342,22 @@ class TestHotPathRules:
         assert report.clean
 
     def test_attr_chain_flagged_at_threshold(self):
-        report = check_snippet(
-            HOT + "@hot_path\ndef f(s, n):\n"
+        for source in (
+            "@hot_path\ndef f(s, n):\n"
             "    t = 0\n"
             "    for _ in range(n):\n"
             "        t += s.buf.occ\n"
             "        t += s.buf.occ\n"
             "        t += s.buf.occ\n"
             "    return t\n",
-            "repro.core.x",
-        )
-        assert codes_of(report).count("RC204") == 1
+            GENERATOR_KERNEL
+            + "        k = yield\n"
+            "        n[k] += s.buf.occ\n"
+            "        n[k] += s.buf.occ\n"
+            "        n[k] += s.buf.occ\n",
+        ):
+            report = check_snippet(HOT + source, "repro.core.x")
+            assert codes_of(report).count("RC204") == 1
 
     def test_attr_chain_below_threshold_ok(self):
         report = check_snippet(
