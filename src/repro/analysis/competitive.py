@@ -15,12 +15,12 @@ transient backlog cannot dominate long runs.
 
 from __future__ import annotations
 
-import contextlib
 import os
+import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
@@ -373,7 +373,7 @@ def measure_competitive_ratio(
     opt: Union[str, System] = "surrogate",
     flush_every: Optional[int] = None,
     drain: bool = False,
-    registry=None,
+    stage_seconds: Optional[Dict[str, float]] = None,
     engine: str = "reference",
 ) -> CompetitiveResult:
     """Replay ``trace`` through ``policy`` and an OPT reference.
@@ -389,7 +389,7 @@ def measure_competitive_ratio(
         opt=opt,
         flush_every=flush_every,
         drain=drain,
-        registry=registry,
+        stage_seconds=stage_seconds,
         engine=engine,
     )[0]
 
@@ -403,7 +403,7 @@ def measure_policies(
     opt: Union[str, System] = "surrogate",
     flush_every: Optional[int] = None,
     drain: bool = False,
-    registry=None,
+    stage_seconds: Optional[Dict[str, float]] = None,
     engine: str = "reference",
 ) -> List[CompetitiveResult]:
     """Replay ``trace`` through each of ``policies`` and, once, through
@@ -435,11 +435,11 @@ def measure_policies(
     drain:
         After the trace, run empty slots until both systems empty (bounded
         by ``B * k`` slots), crediting buffered packets.
-    registry:
-        Optional :class:`~repro.obs.counters.CounterRegistry`; when
-        given, the ALG replays are charged to the ``policy_run`` stage
-        and the OPT replay to ``opt_run`` — the split the sweep engine
-        surfaces through :class:`~repro.analysis.sweep.SweepStats`.
+    stage_seconds:
+        Optional ``{stage: seconds}`` mapping; when given, the
+        wall-clock of the ALG replays is added to its ``policy_run``
+        entry and that of the OPT replay to ``opt_run`` — the split
+        :class:`~repro.analysis.sweep.SweepStats` reports.
     engine:
         Simulation engine (``"reference"`` or ``"vectorized"``) for the
         ALG side *and* the OPT-PQ surrogate (which has an array-backed
@@ -470,21 +470,25 @@ def measure_policies(
 
     drain_slots = config.buffer_size * config.max_work if drain else 0
 
-    alg_metrics: List[SwitchMetrics] = []
-    for policy in policies:
-        alg_system = PolicySystem(config, policy, engine=engine)
-        with _stage(registry, "policy_run"):
-            alg_metrics.append(
-                run_system(
-                    alg_system, trace,
-                    flush_every=flush_every, drain_slots=drain_slots,
-                )
-            )
-    with _stage(registry, "opt_run"):
-        opt_metrics = run_system(
-            opt_system, trace,
+    started = time.perf_counter()
+    alg_metrics: List[SwitchMetrics] = [
+        run_system(
+            PolicySystem(config, policy, engine=engine), trace,
             flush_every=flush_every, drain_slots=drain_slots,
         )
+        for policy in policies
+    ]
+    alg_done = time.perf_counter()
+    opt_metrics = run_system(
+        opt_system, trace,
+        flush_every=flush_every, drain_slots=drain_slots,
+    )
+    if stage_seconds is not None:
+        for stage, seconds in (
+            ("policy_run", alg_done - started),
+            ("opt_run", time.perf_counter() - alg_done),
+        ):
+            stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
     opt_objective = opt_metrics.objective(by_value)
     return [
         CompetitiveResult(
@@ -498,13 +502,6 @@ def measure_policies(
         )
         for policy, metrics in zip(policies, alg_metrics)
     ]
-
-
-def _stage(registry, name: str):
-    """``registry``'s timer for stage ``name``, or a no-op without one."""
-    if registry is None:
-        return contextlib.nullcontext()
-    return registry.timer(name)
 
 
 def run_scenario(scenario, drain: bool = False) -> CompetitiveResult:

@@ -65,7 +65,6 @@ from repro.analysis.competitive import (
     measure_policies,
 )
 from repro.analysis.tracestore import TraceKeyFn, TraceStore
-from repro.obs.counters import CounterRegistry
 from repro.analysis.stats import Summary, summarize
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError, SweepExecutionError
@@ -99,7 +98,13 @@ class SweepPoint:
 
 @dataclass
 class SweepStats:
-    """Execution telemetry of one :func:`run_sweep` call.
+    """The one ledger of a :func:`run_sweep` call's telemetry.
+
+    Its fields are the schema: cells, cache lookups, elapsed time,
+    jobs, per-stage seconds and what the supervised executor absorbed.
+    :meth:`summary` (CLI footers, report panels), ``repro profile`` and
+    report.md's throughput table all render it, the last two through
+    :meth:`ranked_stages`.
 
     ``cells_total`` counts (value, seed) pairs; a cell is *executed* when
     at least one of its policies had to be simulated (as opposed to all
@@ -115,14 +120,15 @@ class SweepStats:
     elapsed_seconds: float = 0.0
     jobs: int = 1
     #: Accumulated wall-clock per pipeline stage across executed cells
-    #: (``trace_gen`` / ``policy_run`` / ``opt_run``), collected through
-    #: the :class:`~repro.obs.counters.CounterRegistry` façade. With
-    #: ``jobs > 1`` the stages sum worker time, which can exceed
-    #: ``elapsed_seconds``. Cached cells contribute nothing.
+    #: (``trace_gen`` / ``policy_run`` / ``opt_run``): each cell times
+    #: its own stages and the runner folds them in as the cell
+    #: completes. With ``jobs > 1`` the stages sum worker time, which
+    #: can exceed ``elapsed_seconds``. Cached and journal-resumed cells
+    #: contribute nothing.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: What the supervised executor had to absorb (retries, timeouts,
-    #: pool rebuilds, journal-resumed cells, ...). All zero on a clean
-    #: run.
+    #: pool rebuilds, journal-resumed cells, ...): the executor's own
+    #: counter sink, kept here as is. All zero on a clean run.
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
 
     @property
@@ -138,6 +144,22 @@ class SweepStats:
             return 0.0
         return self.cache_hits / lookups
 
+    def ranked_stages(self) -> List[Tuple[str, float, float]]:
+        """``(stage, seconds, share)`` per stage, hottest first.
+
+        The first entry is the dominant stage. A share is the stage's
+        fraction of the summed stage seconds (0.0 while that sum is 0).
+        """
+        total = sum(self.stage_seconds.values())
+        return [
+            (name, seconds, seconds / total if total > 0 else 0.0)
+            for name, seconds in sorted(
+                self.stage_seconds.items(),
+                key=lambda item: item[1],
+                reverse=True,
+            )
+        ]
+
     def summary(self) -> str:
         """One line for CLI footers and report appendices."""
         text = (
@@ -150,20 +172,15 @@ class SweepStats:
                 f", cache {self.cache_hits}/{lookups} hits "
                 f"({100 * self.cache_hit_rate:.0f}%)"
             )
-        if self.stage_seconds:
-            ranked = sorted(
-                self.stage_seconds.items(),
-                key=lambda item: item[1],
-                reverse=True,
-            )
-            total = sum(seconds for _name, seconds in ranked)
+        ranked = self.ranked_stages()
+        if ranked:
+            timed = ranked[0][1] > 0
             stages = ", ".join(
-                f"{name} {seconds:.2f}s"
-                + (f" ({seconds / total:.0%})" if total > 0 else "")
-                for name, seconds in ranked
+                f"{name} {seconds:.2f}s" + (f" ({share:.0%})" if timed else "")
+                for name, seconds, share in ranked
             )
             text += f"; stages: {stages}"
-            if total > 0:
+            if timed:
                 text += f"; dominant: {ranked[0][0]}"
         if self.resilience.any():
             text += f"; resilience: {self.resilience.summary()}"
@@ -331,18 +348,18 @@ def _execute_cell(
     """
     if ctx.injector is not None:
         ctx.injector.fire_in_cell(cell_index, attempt, allow_exit=in_worker)
-    registry = CounterRegistry()
     config = ctx.config_factory(value)
-    with registry.timer("trace_gen"):
-        store, key = ctx.trace_store, None
-        if store is not None and ctx.trace_key is not None:
-            key = ctx.trace_key(config, value, seed)
-        if store is None or key is None:
-            trace = ctx.trace_factory(config, value, seed)
-        else:
-            trace = store.get_or_build(
-                key, lambda: ctx.trace_factory(config, value, seed)
-            )
+    started = time.perf_counter()
+    store, key = ctx.trace_store, None
+    if store is not None and ctx.trace_key is not None:
+        key = ctx.trace_key(config, value, seed)
+    if store is None or key is None:
+        trace = ctx.trace_factory(config, value, seed)
+    else:
+        trace = store.get_or_build(
+            key, lambda: ctx.trace_factory(config, value, seed)
+        )
+    stage_seconds = {"trace_gen": time.perf_counter() - started}
     outcomes = measure_policies(
         [make_policy(name) for name in policy_names],
         trace,
@@ -351,7 +368,7 @@ def _execute_cell(
         opt="surrogate",
         flush_every=ctx.flush_every,
         drain=ctx.drain,
-        registry=registry,
+        stage_seconds=stage_seconds,
         engine=ctx.engine,
     )
     points = [
@@ -375,7 +392,7 @@ def _execute_cell(
 
         points[0] = replace(points[0], ratio=float("nan"))
         points = points[:-1] if len(points) > 1 else points
-    return points, registry.stage_seconds()
+    return points, stage_seconds
 
 
 #: Cell context inherited by forked pool workers. Submitted arguments
@@ -725,8 +742,7 @@ def run_sweep(
     to_run = [plan for plan in plans if plan.missing]
 
     computed: Dict[Tuple[float, int], Dict[str, SweepPoint]] = {}
-    stage_registry = CounterRegistry()
-    res_stats = ResilienceStats()
+    stats = SweepStats(cells_total=len(plans))
 
     # The identity pins everything that determines cell results;
     # resuming against a journal from a different sweep raises.
@@ -772,7 +788,7 @@ def run_sweep(
                         cache.put(
                             plan.keys[policy], _point_to_payload(point)
                         )
-                res_stats.resumed_cells += 1
+                stats.resilience.resumed_cells += 1
             to_run = remaining
 
         ctx = _CellContext(
@@ -793,7 +809,10 @@ def run_sweep(
             done: int,
         ) -> None:
             points, stage_seconds = cell_result
-            stage_registry.merge_seconds(stage_seconds)
+            for stage, seconds in stage_seconds.items():
+                stats.stage_seconds[stage] = (
+                    stats.stage_seconds.get(stage, 0.0) + seconds
+                )
             by_policy = {point.policy: point for point in points}
             computed[(plan.value, plan.seed)] = by_policy
             if cache is not None:
@@ -807,7 +826,6 @@ def run_sweep(
                         policy: _point_to_payload(point)
                         for policy, point in by_policy.items()
                     },
-                    stage_seconds,
                 )
             if progress is not None:
                 elapsed = time.perf_counter() - started
@@ -858,7 +876,7 @@ def run_sweep(
             n_jobs=n_jobs,
             mp_context=mp_context,
             options=resilience,
-            stats=res_stats,
+            stats=stats.resilience,
             validate=lambda task, result: _validate_cell_result(
                 plan_by_key[task.key], result
             ),
@@ -897,19 +915,13 @@ def run_sweep(
                 continue
             result.points.append(point)
 
-    res_stats.merge_into(stage_registry)
-    result.stats = SweepStats(
-        cells_total=len(plans),
-        cells_executed=len(to_run),
-        cache_hits=(cache.hits - hits_before) if cache is not None else 0,
-        cache_misses=(
-            cache.misses - misses_before if cache is not None else 0
-        ),
-        elapsed_seconds=time.perf_counter() - started,
-        jobs=n_jobs,
-        stage_seconds=stage_registry.stage_seconds(),
-        resilience=res_stats,
-    )
+    stats.cells_executed = len(to_run)
+    stats.jobs = n_jobs
+    if cache is not None:
+        stats.cache_hits = cache.hits - hits_before
+        stats.cache_misses = cache.misses - misses_before
+    stats.elapsed_seconds = time.perf_counter() - started
+    result.stats = stats
     if failures:
         preview = "; ".join(str(failure) for failure in failures[:3])
         if len(failures) > 3:

@@ -560,17 +560,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     stats = result.stats
     print(f"# {args.experiment}: {describe_experiment(args.experiment)}")
     print(f"# {stats.summary()}")
-    total = sum(stats.stage_seconds.values())
-    ranked = sorted(
-        stats.stage_seconds.items(), key=lambda item: item[1], reverse=True
-    )
+    ranked = stats.ranked_stages()
     print(f"{'stage':12s} {'seconds':>10s} {'share':>7s}")
-    for index, (name, seconds) in enumerate(ranked):
-        share = seconds / total if total > 0 else 0.0
-        flag = "  <- dominant" if index == 0 and total > 0 else ""
+    for index, (name, seconds, share) in enumerate(ranked):
+        flag = "  <- dominant" if index == 0 and seconds > 0 else ""
         print(f"{name:12s} {seconds:10.4f} {share:6.1%}{flag}")
-    overhead = stats.elapsed_seconds - total
-    print(f"{'other':12s} {max(overhead, 0.0):10.4f}")
+    if stats.jobs == 1:
+        other = stats.elapsed_seconds - sum(s for _, s, _ in ranked)
+        print(f"{'other':12s} {max(other, 0.0):10.4f}")
+    else:
+        # Workers overlap, so stage seconds may exceed the wall clock
+        # and elapsed minus their sum means nothing.
+        print(
+            f"# stage seconds are worker seconds summed over "
+            f"{stats.jobs} jobs; the wall clock is in the summary line"
+        )
     return 0
 
 

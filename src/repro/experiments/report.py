@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -111,16 +112,13 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
         )
         out.write("|---|---|---|---|---|---|---|---|---|\n")
         for panel, stats in panel_stats:
-            stages = stats.stage_seconds
-            total = sum(stages.values())
-            cells = []
-            for stage in ("trace_gen", "policy_run", "opt_run"):
-                seconds = stages.get(stage, 0.0)
-                share = seconds / total if total > 0 else 0.0
-                cells.append(f"{seconds:.2f}s ({share:.0%})")
-            dominant = (
-                max(stages, key=stages.__getitem__) if stages else "-"
-            )
+            ranked = stats.ranked_stages()
+            by_stage = {name: (s, share) for name, s, share in ranked}
+            cells = [
+                "{:.2f}s ({:.0%})".format(*by_stage.get(stage, (0.0, 0.0)))
+                for stage in ("trace_gen", "policy_run", "opt_run")
+            ]
+            dominant = ranked[0][0] if ranked else "-"
             out.write(
                 f"| {panel} | {stats.cells_total} | {stats.cells_executed} "
                 f"| {stats.cells_per_second:.2f} "
@@ -136,10 +134,10 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
         )
         # Resilience totals across all panels — only worth a line when
         # the supervised executor actually had to absorb something.
-        totals = ResilienceStats()
+        counts: Counter[str] = Counter()
         for _, stats in panel_stats:
-            for name, amount in stats.resilience.as_dict().items():
-                setattr(totals, name, getattr(totals, name) + amount)
+            counts.update(stats.resilience.as_dict())
+        totals = ResilienceStats(**counts)
         if totals.any():
             out.write(
                 f"Resilience: {totals.summary()} across "

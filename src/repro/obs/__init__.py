@@ -1,6 +1,6 @@
-"""Observability layer: event tracing, trace replay, stage profiling.
+"""Observability layer: event tracing and trace replay.
 
-Three cooperating pieces (see ``docs/OBSERVABILITY.md``):
+Two cooperating pieces (see ``docs/OBSERVABILITY.md``):
 
 * :class:`SlotObserver` / :class:`PacketEvent` — the read-only event
   protocol a :class:`~repro.core.switch.SharedMemorySwitch` drives when
@@ -8,11 +8,8 @@ Three cooperating pieces (see ``docs/OBSERVABILITY.md``):
 * :class:`JsonlTraceWriter` / :class:`TraceReplayer` — record a run as
   a versioned JSONL event stream; re-derive its metrics purely from the
   stream and check conservation laws, byte-equal to the live run.
-* :class:`CounterRegistry` — named counters and stage timers behind the
-  sweep engine's per-stage cost breakdown (``repro profile``).
 """
 
-from repro.obs.counters import CounterRegistry
 from repro.obs.observer import PacketEvent, SlotObserver
 from repro.obs.replay import (
     ConservationError,
@@ -29,7 +26,6 @@ from repro.obs.trace_io import (
 
 __all__ = [
     "ConservationError",
-    "CounterRegistry",
     "EVENT_SCHEMA_VERSION",
     "JsonlTraceWriter",
     "PacketEvent",

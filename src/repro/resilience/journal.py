@@ -12,8 +12,12 @@ Layout::
 
     {"t": "header", "schema": 1, "sweep": {<identity>}}
     {"t": "cell", "value": 2.0, "seed": 0,
-     "points": {"LWD": {"ratio": ..., ...}, ...}, "stages": {...}}
+     "points": {"LWD": {"ratio": ..., ...}, ...}}
     ...
+
+A cell line holds its points only. Journals written by older versions
+also carried a ``"stages"`` timing object per cell; the loader ignores
+it, so they still resume.
 
 The ``sweep`` identity embeds everything that determines cell results
 (name, parameter grid, seeds, policies, measurement knobs, and the
@@ -143,7 +147,7 @@ class RunJournal:
         return len(self._entries)
 
     def get(self, value: float, seed: int) -> Optional[Dict[str, Any]]:
-        """The journaled entry for one cell: ``{"points", "stages"}``."""
+        """The journaled entry for one cell: ``{"points": ...}``."""
         return self._entries.get((float(value), int(seed)))
 
     def record(
@@ -151,7 +155,6 @@ class RunJournal:
         value: float,
         seed: int,
         points: Mapping[str, Mapping[str, float]],
-        stages: Mapping[str, float],
     ) -> None:
         """Append one completed cell and flush it to disk immediately."""
         if self._handle is None:
@@ -163,12 +166,8 @@ class RunJournal:
             "value": float(value),
             "seed": int(seed),
             "points": {name: dict(p) for name, p in points.items()},
-            "stages": dict(stages),
         }
-        self._entries[(float(value), int(seed))] = {
-            "points": entry["points"],
-            "stages": entry["stages"],
-        }
+        self._entries[(float(value), int(seed))] = {"points": entry["points"]}
         self._append(entry)
 
     def _append(self, event: Mapping[str, Any]) -> None:
@@ -230,10 +229,7 @@ def _parse_journal(
                     points = dict(event["points"])
                 except (KeyError, TypeError, ValueError):
                     break  # torn / malformed: stop trusting the tail
-                entries[key] = {
-                    "points": points,
-                    "stages": dict(event.get("stages", {})),
-                }
+                entries[key] = {"points": points}
     return header, entries
 
 
@@ -264,8 +260,7 @@ def canonical_journal_lines(
 ) -> List[str]:
     """The canonical projection of a journal: deterministic bytes.
 
-    Header first, then cells sorted by ``(value, seed)``, with the
-    wall-clock ``stages`` timings excluded — everything left is a pure
+    Header first, then cells sorted by ``(value, seed)`` — a pure
     function of the sweep identity, so two journals for the same sweep
     (serial vs pooled, faulted vs clean, resumed vs one-shot) project
     to identical lines.

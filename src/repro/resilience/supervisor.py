@@ -101,9 +101,8 @@ class SupervisorOptions:
 class ResilienceStats:
     """Counters of everything the supervisor had to absorb.
 
-    Carried on :class:`~repro.analysis.sweep.SweepStats` and folded
-    into the sweep's :class:`~repro.obs.counters.CounterRegistry`
-    under ``resilience.*`` names.
+    The executor's counter sink; a sweep keeps it as
+    :attr:`SweepStats.resilience <repro.analysis.sweep.SweepStats>`.
     """
 
     retries: int = 0          # attempts rescheduled after a failure
@@ -120,13 +119,6 @@ class ResilienceStats:
 
     def as_dict(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge_into(self, registry) -> None:
-        """Fold nonzero counters into a CounterRegistry as
-        ``resilience.<name>``."""
-        for name, amount in self.as_dict().items():
-            if amount:
-                registry.incr(f"resilience.{name}", amount)
 
     def summary(self) -> str:
         """Compact one-liner, e.g. ``2 retries, 1 timeout, 1 rebuild``."""

@@ -45,14 +45,12 @@ class TestJournalUnit:
         path = tmp_path / "run.jsonl"
         with RunJournal(path) as journal:
             assert journal.open(self.IDENTITY) == 0
-            journal.record(
-                1.0, 0, {"LWD": {"ratio": 1.25}}, {"trace_gen": 0.5}
-            )
-            journal.record(2.0, 0, {"LWD": {"ratio": 1.5}}, {})
+            journal.record(1.0, 0, {"LWD": {"ratio": 1.25}})
+            journal.record(2.0, 0, {"LWD": {"ratio": 1.5}})
         reloaded = RunJournal(path)
         assert reloaded.open(self.IDENTITY) == 2
         assert reloaded.get(1.0, 0)["points"]["LWD"]["ratio"] == 1.25
-        assert reloaded.get(2.0, 0)["stages"] == {}
+        assert reloaded.get(2.0, 0) == {"points": {"LWD": {"ratio": 1.5}}}
         assert reloaded.get(3.0, 0) is None
         reloaded.close()
 
@@ -67,7 +65,7 @@ class TestJournalUnit:
         path = tmp_path / "run.jsonl"
         with RunJournal(path) as journal:
             journal.open(self.IDENTITY)
-            journal.record(1.0, 0, {"LWD": {"ratio": 1.25}}, {})
+            journal.record(1.0, 0, {"LWD": {"ratio": 1.25}})
         # Simulate a writer killed mid-append: a truncated last line.
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"t":"cell","value":2.0,"se')
@@ -85,7 +83,7 @@ class TestJournalUnit:
         path = tmp_path / "run.jsonl"
         with RunJournal(path) as journal:
             journal.open(self.IDENTITY)
-            journal.record(1.0, 0, {"LWD": {"ratio": 1.25}}, {})
+            journal.record(1.0, 0, {"LWD": {"ratio": 1.25}})
         data = path.read_bytes()
         header_end = data.index(b"\n")
         # Truncate mid-byte through the header line itself.
@@ -93,7 +91,7 @@ class TestJournalUnit:
 
         with RunJournal(path) as journal:
             assert journal.open(self.IDENTITY) == 0
-            journal.record(2.0, 0, {"LWD": {"ratio": 1.5}}, {})
+            journal.record(2.0, 0, {"LWD": {"ratio": 1.5}})
 
         # The salvage rewrote from scratch: exactly one valid header,
         # no remnant of the torn bytes, and resuming trusts it again.
@@ -111,7 +109,7 @@ class TestJournalUnit:
         path = tmp_path / "run.jsonl"
         with RunJournal(path) as journal:
             journal.open(self.IDENTITY)
-            journal.record(1.0, 0, {"LWD": {"ratio": ugly}}, {})
+            journal.record(1.0, 0, {"LWD": {"ratio": ugly}})
         reloaded = RunJournal(path)
         reloaded.open(self.IDENTITY)
         assert reloaded.get(1.0, 0)["points"]["LWD"]["ratio"] == ugly
@@ -120,7 +118,7 @@ class TestJournalUnit:
     def test_record_requires_open(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl")
         with pytest.raises(ResilienceError, match="not open"):
-            journal.record(1.0, 0, {}, {})
+            journal.record(1.0, 0, {})
 
     def test_manifest_round_trip(self, tmp_path):
         journal = tmp_path / "run.jsonl"
@@ -203,6 +201,54 @@ class TestInterruptAndResume:
         assert canonical_journal_digest(
             *read_journal(one_shot)
         ) == canonical_journal_digest(*read_journal(resumed))
+
+    def test_journal_with_stage_timings_resumes(self, tmp_path):
+        """Older journals carried a ``"stages"`` timing object on every
+        cell line. Such a journal still opens and resumes to the same
+        bytes, and projects to the same canonical digest as one
+        without them."""
+        from repro.resilience.journal import (
+            canonical_journal_digest,
+            read_journal,
+        )
+
+        def with_stages(path):
+            lines = []
+            for line in path.read_text().splitlines():
+                event = json.loads(line)
+                if event["t"] == "cell":
+                    event["stages"] = {
+                        "trace_gen": 0.01, "policy_run": 0.2, "opt_run": 0.03,
+                    }
+                lines.append(json.dumps(event, separators=(",", ":")))
+            path.write_text("\n".join(lines) + "\n")
+
+        one_shot = tmp_path / "one-shot.jsonl"
+        clean = run_panel(4, **PANEL_KW, journal=RunJournal(one_shot))
+        assert '"stages"' not in one_shot.read_text()
+        digest = canonical_journal_digest(*read_journal(one_shot))
+        legacy_full = tmp_path / "legacy-full.jsonl"
+        legacy_full.write_text(one_shot.read_text())
+        with_stages(legacy_full)
+        assert canonical_journal_digest(*read_journal(legacy_full)) == digest
+
+        legacy = tmp_path / "legacy.jsonl"
+        with pytest.raises(SweepInterrupted):
+            run_panel(
+                4,
+                **PANEL_KW,
+                journal=RunJournal(legacy),
+                fault_injector=FaultInjector.parse("interrupt@2"),
+            )
+        with_stages(legacy)
+        resumed = run_panel(4, **PANEL_KW, journal=RunJournal(legacy))
+        assert resumed.stats.resilience.resumed_cells == 2
+        clean_csv = tmp_path / "clean.csv"
+        resumed_csv = tmp_path / "resumed.csv"
+        clean.to_csv(clean_csv)
+        resumed.to_csv(resumed_csv)
+        assert clean_csv.read_bytes() == resumed_csv.read_bytes()
+        assert canonical_journal_digest(*read_journal(legacy)) == digest
 
     def test_fully_journaled_sweep_recomputes_nothing(self, tmp_path):
         journal_path = tmp_path / "run.jsonl"
