@@ -29,7 +29,7 @@ import pytest
 
 from repro.bench import (
     PANELS,
-    compare_reports,
+    compare_speedup,
     load_report,
     run_bench,
     run_obs_bench,
@@ -84,7 +84,9 @@ def test_no_regression_vs_seed_on_small_panels(benchmark, seed_report):
             select_panels(["small"]), tag="gate", mode="vectorized"
         ),
     )
-    regressions = compare_reports(report, seed_report, max_regression=0.25)
+    regressions = compare_speedup(
+        report, seed_report, min_speedup=1.0, tolerance=0.25
+    )
     assert not regressions, "; ".join(str(r) for r in regressions)
 
 

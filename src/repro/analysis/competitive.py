@@ -20,7 +20,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
@@ -61,8 +61,11 @@ class PolicySystem:
     purely shared buffer model with a policy that has a kernel
     (:meth:`VectorizedSwitch.serves`); any other pair is built on the
     reference engine, which makes the same decisions by contract, and
-    :attr:`engine` names the engine actually built. Observers attach
-    to the reference engine only: passing ``observer`` with
+    :attr:`engine` names the engine actually built. A system exposes
+    the slot entry point of its engine only: ``run_slot`` (and
+    ``attach_observer``) on the reference engine, ``run_span`` (and
+    ``bind_columns``) on the vectorized one. Observers attach to the
+    reference engine only: passing ``observer`` with
     ``engine="vectorized"`` raises :class:`ConfigError`.
     """
 
@@ -92,10 +95,10 @@ class PolicySystem:
         if engine == "vectorized":
             switch = VectorizedSwitch(config)
             self.switch: Union[SharedMemorySwitch, VectorizedSwitch] = switch
-            # Advertised as instance attributes only on the engine that
-            # has a columnar span path, so the runner's ``getattr``
-            # probes route reference systems through the packet-view
-            # loop. Both refer to the switch, never to this system, so
+            # Each engine advertises only its own slot entry point, as
+            # an instance attribute, so the runner's ``getattr`` probe
+            # picks the columnar span path here and the packet view
+            # below. They refer to the switch, never to this system, so
             # no reference cycle keeps a replayed switch
             # alive until the next cyclic garbage collection.
             self.run_span = partial(switch.run_span, policy)
@@ -103,6 +106,7 @@ class PolicySystem:
         else:
             reference = SharedMemorySwitch(config, observer=observer)
             self.switch = reference
+            self.run_slot = partial(reference.run_slot, policy=policy)
             # Only the per-packet engine emits observer events, so only
             # reference systems advertise ``attach_observer``;
             # ``run_system`` rejects an observer for any other system.
@@ -118,9 +122,6 @@ class PolicySystem:
     @property
     def backlog(self) -> int:
         return self.switch.occupancy
-
-    def run_slot(self, arrivals: Sequence[Packet]) -> List[Packet]:
-        return self.switch.run_slot(arrivals, self.policy)
 
     def fast_forward(self, n_slots: int) -> None:
         self.switch.fast_forward(n_slots)
@@ -195,30 +196,23 @@ def run_system(
 ) -> SwitchMetrics:
     """Replay a trace through one system, with optional flushouts/drain.
 
-    Stretches of slots with no arrivals while the buffer is empty are
-    fast-forwarded in one step on systems that support it (the switch is
-    a fixed point of such slots, so the replay is observably identical;
-    an attached observer sees the stretch as one explicit idle event).
+    Every system is driven in spans of slots (see :func:`_span_runner`):
+    the trace is cut at the flushout and invariant-check boundaries and
+    at churn-event slots, and each piece runs as one span. Systems with
+    a ``run_span`` (the vectorized engines) replay the trace's columns,
+    ``run_span(ports, works, values, arrivals, offsets, s0, s1)``; every
+    other system replays the trace's cached packet view through its
+    ``run_slot``. A span stops early at an arrival-free slot that starts
+    on an empty buffer, and that idle stretch is fast-forwarded in one
+    step (the switch is a fixed point of such slots, so the replay is
+    observably identical; an attached observer sees the stretch as one
+    explicit idle event). The drain runs through the same spans.
     Setting ``REPRO_CHECK_INVARIANTS`` runs the system's self-checks
     every K slots (see :func:`invariant_check_interval`). Passing
     ``observer`` attaches a :class:`~repro.obs.observer.SlotObserver`
     for the duration of the run; the system must expose
     ``attach_observer`` (reference-engine systems do; vectorized ones
     and the OPT surrogates do not).
-
-    A system that exposes ``run_span`` (the vectorized engines) replays
-    the trace's columns, after ``bind_columns`` (where exposed) has
-    validated them for the system. It gets whole spans of slots: the
-    trace is cut at the flushout and invariant-check boundaries and at
-    churn-event slots, and ``run_span(ports, works, values, arrivals,
-    offsets, s0, s1)`` runs each piece and returns the first slot it
-    did not run. It stops early at an arrival-free slot that starts on
-    an empty buffer, and that idle stretch is fast-forwarded exactly as
-    on the packet path, flushout boundaries inside it included. Every
-    other system replays the trace's cached packet view
-    (:attr:`Trace.slots`), slot by slot. Flushout cadence, idle
-    fast-forward, drain, and invariant checks are identical on both
-    paths, so the produced metrics are too.
 
     A replay continues the system's own slot clock: flushouts and
     invariant checks fall where the clock (``system.metrics.
@@ -241,7 +235,6 @@ def run_system(
     check_every = invariant_check_interval()
     if check_every and not hasattr(system, "check_invariants"):
         check_every = 0
-    fast_forward = getattr(system, "fast_forward", None)
     # The system's slot clock on entry: trace slot ``s`` is clock slot
     # ``base + s``, and the cadences count on the clock.
     base = system.metrics.slots_elapsed
@@ -259,62 +252,10 @@ def run_system(
                 "(trace carries port_events)"
             )
 
-    run_span = getattr(system, "run_span", None)
-    if run_span is not None:
-        bind = getattr(system, "bind_columns", None)
-        if bind is not None:
-            bind(trace)
-        offsets = trace.offsets
-        ports = trace.ports
-        works = trace.works
-        values = trace.values
-        arrs = trace.arrivals
-        n_slots = trace.n_slots
-        event_slots = sorted(port_events) if port_events is not None else []
-        slot = 0
-        while slot < n_slots:
-            if port_events is not None:
-                events = port_events.get(slot)
-                if events is not None:
-                    assert set_port_state is not None
-                    for event in events:
-                        set_port_state(event.port, event.up)
-            # The span ends at the next flushout, invariant check or
-            # churn-event slot, whichever comes first.
-            end = n_slots
-            clock = base + slot
-            if flush_every is not None:
-                end = min(end, slot + flush_every - clock % flush_every)
-            if check_every:
-                end = min(end, slot + check_every - clock % check_every)
-            k = bisect_right(event_slots, slot)
-            if k < len(event_slots):
-                end = min(end, event_slots[k])
-            stop = run_span(ports, works, values, arrs, offsets, slot, end)
-            if stop < end:
-                # An arrival-free slot on an empty buffer: skip the
-                # idle stretch up to the next slot with arrivals or
-                # churn events, flushout boundaries inside it included,
-                # exactly like the packet loop below.
-                slot = stop + 1
-                while (
-                    slot < n_slots
-                    and offsets[slot + 1] == offsets[slot]
-                    and (port_events is None or slot not in port_events)
-                ):
-                    slot += 1
-                system.fast_forward(slot - stop)
-                continue
-            slot = end
-            clock = base + slot
-            if flush_every is not None and clock % flush_every == 0:
-                system.flush()
-            if check_every and clock % check_every == 0:
-                system.check_invariants()
-        return _drain(system, drain_slots, check_every)
-
-    slots = trace.slots
-    n_slots = len(slots)
+    span = _span_runner(system, trace)
+    offsets = trace.offsets
+    n_slots = trace.n_slots
+    event_slots = sorted(port_events) if port_events is not None else []
     slot = 0
     while slot < n_slots:
         if port_events is not None:
@@ -323,26 +264,36 @@ def run_system(
                 assert set_port_state is not None
                 for event in events:
                     set_port_state(event.port, event.up)
-        arrivals = slots[slot]
-        if not arrivals and fast_forward is not None and system.backlog == 0:
-            # Skip the whole idle stretch at once, and the flushouts
-            # inside it: they would clear an empty buffer, which counts
-            # nothing, though it would zero the float rounding residue
-            # a drained queue's value total keeps (MRD's key reads it).
-            # Both engines skip the same boundaries, so they agree. The
-            # scan stops short of the next churn-event slot.
-            end = slot + 1
+        # The span ends at the next flushout, invariant check or
+        # churn-event slot, whichever comes first.
+        end = n_slots
+        clock = base + slot
+        if flush_every is not None:
+            end = min(end, slot + flush_every - clock % flush_every)
+        if check_every:
+            end = min(end, slot + check_every - clock % check_every)
+        k = bisect_right(event_slots, slot)
+        if k < len(event_slots):
+            end = min(end, event_slots[k])
+        stop = span(slot, end)
+        if stop < end:
+            # An arrival-free slot on an empty buffer: skip the whole
+            # idle stretch at once, up to the next slot with arrivals
+            # or churn events, and the flushouts inside it. They would
+            # clear an empty buffer, which counts nothing, though it
+            # would zero the float rounding residue a drained queue's
+            # value total keeps (MRD's key reads it); every system
+            # skips the same boundaries, so the engines agree.
+            slot = stop + 1
             while (
-                end < n_slots
-                and not slots[end]
-                and (port_events is None or end not in port_events)
+                slot < n_slots
+                and offsets[slot + 1] == offsets[slot]
+                and (port_events is None or slot not in port_events)
             ):
-                end += 1
-            fast_forward(end - slot)
-            slot = end
+                slot += 1
+            system.fast_forward(slot - stop)
             continue
-        system.run_slot(arrivals)
-        slot += 1
+        slot = end
         clock = base + slot
         if flush_every is not None and clock % flush_every == 0:
             system.flush()
@@ -351,16 +302,69 @@ def run_system(
     return _drain(system, drain_slots, check_every)
 
 
+def _span_runner(system: System, trace: Trace) -> Callable[[int, int], int]:
+    """``span(s0, s1)``: run the trace slots ``[s0, s1)`` through
+    ``system`` and return the first slot not run.
+
+    A span stops early at an arrival-free slot that starts on an empty
+    buffer, which the caller fast-forwards. Systems with a ``run_span``
+    replay the trace's columns, after ``bind_columns`` (where exposed)
+    has validated them; every other system replays the trace's cached
+    packet view (:attr:`Trace.slots`) through its ``run_slot``.
+    """
+    run_span = getattr(system, "run_span", None)
+    if run_span is None:
+        return partial(_packet_span, system, trace.slots)
+    bind = getattr(system, "bind_columns", None)
+    if bind is not None:
+        bind(trace)
+    return partial(
+        run_span,
+        trace.ports,
+        trace.works,
+        trace.values,
+        trace.arrivals,
+        trace.offsets,
+    )
+
+
+def _packet_span(
+    system: Any, slots: Sequence[Sequence[Packet]], s0: int, s1: int
+) -> int:
+    """:func:`_span_runner`'s span over packet bursts, slot by slot,
+    for a system whose slot entry point is ``run_slot``."""
+    run_slot = system.run_slot
+    for slot in range(s0, s1):
+        arrivals = slots[slot]
+        if not arrivals and not system.backlog:
+            return slot
+        run_slot(arrivals)
+    return s1
+
+
 def _drain(
     system: System, drain_slots: int, check_every: int
 ) -> SwitchMetrics:
-    """Run empty slots until the buffer empties (bounded), then report."""
-    drained = 0
-    while system.backlog > 0 and drained < drain_slots:
-        system.run_slot(())
-        drained += 1
-        if check_every and drained % check_every == 0:
-            system.check_invariants()
+    """Run empty slots until the buffer empties (at most
+    ``drain_slots``), then report.
+
+    The drain is a trace of empty slots, run in spans cut at the
+    invariant-check cadence, counted from the drain's start.
+    """
+    if drain_slots and system.backlog:
+        span = _span_runner(
+            system, Trace.from_columns([0] * (drain_slots + 1), [], [], [])
+        )
+        drained = 0
+        while drained < drain_slots:
+            end = drain_slots
+            if check_every:
+                end = min(end, drained + check_every - drained % check_every)
+            if span(drained, end) < end:
+                break
+            drained = end
+            if check_every and drained % check_every == 0:
+                system.check_invariants()
     return system.metrics
 
 

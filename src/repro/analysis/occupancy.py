@@ -24,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.analysis.competitive import PolicySystem, run_system
 from repro.analysis.fairness import jain_index
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.core.switch import AdmissionPolicy, SharedMemorySwitch
+from repro.obs.observer import SlotObserver
 from repro.traffic.trace import Trace
 
 
@@ -70,6 +72,19 @@ class OccupancyProfile:
         )
 
 
+class _QueueLengthSums(SlotObserver):
+    """Sums each queue's length at every slot end (idle slots add 0)."""
+
+    def __init__(self, switch: SharedMemorySwitch) -> None:
+        self.queues = switch.queues
+        self.sums = [0.0] * len(switch.queues)
+
+    def on_slot_end(self, slot: int, occupancy: int) -> None:
+        sums = self.sums
+        for port, queue in enumerate(self.queues):
+            sums[port] += len(queue)
+
+
 def occupancy_profile(
     policy: AdmissionPolicy,
     trace: Trace,
@@ -77,22 +92,22 @@ def occupancy_profile(
     *,
     flush_every: Optional[int] = None,
 ) -> OccupancyProfile:
-    """Replay a trace, sampling per-port occupancy at every slot end."""
+    """Replay a trace, sampling per-port occupancy at every slot end.
+
+    The replay is :func:`~repro.analysis.competitive.run_system` on a
+    reference-engine switch, so flushouts and port churn apply exactly
+    as in every other measurement.
+    """
     if trace.n_slots == 0:
         raise ConfigError("occupancy profile of an empty trace")
-    switch = SharedMemorySwitch(config)
-    sums = [0.0] * config.n_ports
-    for slot, arrivals in enumerate(trace):
-        switch.run_slot(arrivals, policy)
-        for port in range(config.n_ports):
-            sums[port] += len(switch.queues[port])
-        if flush_every is not None and (slot + 1) % flush_every == 0:
-            switch.flush()
+    system = PolicySystem(config, policy)
+    sums = _QueueLengthSums(system.switch)
+    run_system(system, trace, flush_every=flush_every, observer=sums)
     return OccupancyProfile(
         policy_name=getattr(policy, "name", type(policy).__name__),
         buffer_size=config.buffer_size,
         slots=trace.n_slots,
-        mean_occupancy_by_port=[s / trace.n_slots for s in sums],
+        mean_occupancy_by_port=[s / trace.n_slots for s in sums.sums],
     )
 
 

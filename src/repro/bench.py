@@ -27,8 +27,9 @@ simulated different decisions, i.e. a determinism bug, not a perf delta.
 Two modes are timed: ``vectorized``, the columnar engine every
 ``repro run`` uses, and ``naive``, the reference engine whose policies
 scan all queues per arrival (the oracle). ``BENCH_seed.json``
-(committed) was recorded in naive mode; :func:`compare_reports`
-implements the regression gate. See ``repro bench --help`` for the CLI.
+(committed) was recorded in naive mode; :func:`compare_speedup`
+implements the regression gate (a speedup floor of 1). See
+``repro bench --help`` for the CLI.
 """
 
 from __future__ import annotations
@@ -631,9 +632,9 @@ def run_pipeline_bench(
     """Assemble an end-to-end pipeline report (``kind: "pipeline"``).
 
     The headline rate is ``cells_per_s`` — end-to-end sweep cells per
-    second — which :func:`compare_reports` / :func:`compare_speedup`
-    pick up automatically for pipeline reports. ``repeats`` keeps each
-    panel's best run, like :func:`run_bench`.
+    second — which :func:`compare_speedup` picks up automatically for
+    pipeline reports. ``repeats`` keeps each panel's best run, like
+    :func:`run_bench`.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
@@ -823,62 +824,6 @@ def _panel_rate(panel: Mapping[str, object]) -> float:
 
 
 @dataclass(frozen=True)
-class Regression:
-    """One panel whose throughput fell below the allowed fraction."""
-
-    panel: str
-    current: float
-    baseline: float
-    allowed: float
-
-    def __str__(self) -> str:
-        return (
-            f"{self.panel}: {self.current:.1f} slots/s < "
-            f"{self.allowed:.1f} allowed "
-            f"(baseline {self.baseline:.1f}, "
-            f"{self.current / self.baseline:.2f}x)"
-        )
-
-
-def compare_reports(
-    current: Mapping[str, object],
-    baseline: Mapping[str, object],
-    *,
-    max_regression: float = 0.25,
-) -> List[Regression]:
-    """Panels in ``current`` slower than ``(1 - max_regression) x`` baseline.
-
-    Only panels present in both reports are compared, on the aggregate
-    ``slots_per_s``; normalizes away ``slots_scale`` differences (slots/s
-    is already a rate, so no normalization is actually needed — scaling a
-    run changes duration, not throughput).
-    """
-    if not 0 <= max_regression < 1:
-        raise ConfigError(
-            f"max_regression must be in [0, 1), got {max_regression}"
-        )
-    regressions: List[Regression] = []
-    base_panels: Mapping[str, Mapping] = baseline.get("panels", {})
-    for name, panel in current.get("panels", {}).items():
-        base = base_panels.get(name)
-        if base is None:
-            continue
-        base_rate = _panel_rate(base)
-        rate = _panel_rate(panel)
-        allowed = (1.0 - max_regression) * base_rate
-        if rate < allowed:
-            regressions.append(
-                Regression(
-                    panel=name,
-                    current=rate,
-                    baseline=base_rate,
-                    allowed=allowed,
-                )
-            )
-    return regressions
-
-
-@dataclass(frozen=True)
 class SpeedupShortfall:
     """One panel whose speedup over the baseline missed the floor."""
 
@@ -909,11 +854,12 @@ def compare_speedup(
 ) -> List[SpeedupShortfall]:
     """Panels whose aggregate throughput gain misses ``min_speedup``.
 
-    The vectorized-engine acceptance gate: ``current`` (a vectorized
-    report) must be at least ``min_speedup * (1 - tolerance)`` times the
-    ``baseline`` (a naive-mode report, measured on the same runner for
-    the CI gates) on every selected panel. The tolerance term is the
-    same 25%-fence style as :func:`compare_reports`, absorbing run-to-run
+    The one bench gate: ``current`` must be at least ``min_speedup *
+    (1 - tolerance)`` times the ``baseline`` on every selected panel.
+    ``min_speedup=1.0`` is the regression gate (no panel more than
+    ``tolerance`` slower); a larger floor is the vectorized-engine
+    acceptance gate against a naive-mode baseline measured on the same
+    runner. The tolerance is a fractional fence absorbing run-to-run
     noise rather than gating on scheduler luck.
 
     With ``panels=None`` every panel present in both reports is gated.

@@ -35,6 +35,8 @@ _ENGINE_MUTATORS = {
     "clear",
     "flush",
     "run_slot",
+    "run_span",
+    "set_port_state",
     "offer",
     "apply",
     "arrival_phase",

@@ -294,7 +294,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Run pinned perf panels; write and optionally gate a report."""
     from repro.bench import (
         PANELS,
-        compare_reports,
         compare_speedup,
         format_obs_report,
         format_report,
@@ -339,112 +338,68 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             progress=lambda line: print(line, file=sys.stderr),
         )
         print(format_pipeline_report(report))
-        path = write_report(report, args.out_dir)
-        print(f"# wrote {path}")
-        if args.baseline:
-            baseline = load_report(args.baseline)
-            if args.min_speedup is not None:
-                shortfalls = compare_speedup(
-                    report,
-                    baseline,
-                    min_speedup=args.min_speedup,
-                    panels=args.speedup_panels,
-                    tolerance=args.max_regression,
-                )
-                if shortfalls:
-                    print(
-                        f"# SPEEDUP SHORTFALL vs {args.baseline} "
-                        f"(floor {args.min_speedup:g}x - "
-                        f"{args.max_regression:.0%}):",
-                        file=sys.stderr,
-                    )
-                    for shortfall in shortfalls:
-                        print(f"#   {shortfall}", file=sys.stderr)
-                    return 1
-                print(
-                    f"# pipeline speedup >= {args.min_speedup:g}x "
-                    f"(-{args.max_regression:.0%} fence) vs "
-                    f"{args.baseline}"
-                )
-                return 0
-            regressions = compare_reports(
-                report, baseline, max_regression=args.max_regression
+    else:
+        panels = select_panels(args.panels)
+        if args.obs_overhead:
+            report = run_obs_bench(
+                panels,
+                tag=args.tag if args.tag != "local" else "obs",
+                slots_scale=args.slots_scale,
+                progress=lambda line: print(line, file=sys.stderr),
             )
-            if regressions:
-                print(
-                    f"# REGRESSION vs {args.baseline}:", file=sys.stderr
-                )
-                for regression in regressions:
-                    print(f"#   {regression}", file=sys.stderr)
-                return 1
-            print(f"# no regression vs {args.baseline}")
-        return 0
-
-    panels = select_panels(args.panels)
-    if args.obs_overhead:
-        report = run_obs_bench(
+            print(format_obs_report(report))
+            path = write_report(report, args.out_dir)
+            print(f"# wrote {path}")
+            return 0
+        report = run_bench(
             panels,
-            tag=args.tag if args.tag != "local" else "obs",
+            tag=args.tag,
+            mode=args.mode,
             slots_scale=args.slots_scale,
+            repeats=args.repeats,
             progress=lambda line: print(line, file=sys.stderr),
         )
-        print(format_obs_report(report))
-        path = write_report(report, args.out_dir)
-        print(f"# wrote {path}")
-        return 0
-    report = run_bench(
-        panels,
-        tag=args.tag,
-        mode=args.mode,
-        slots_scale=args.slots_scale,
-        repeats=args.repeats,
-        progress=lambda line: print(line, file=sys.stderr),
-    )
-    print(format_report(report))
+        print(format_report(report))
     path = write_report(report, args.out_dir)
     print(f"# wrote {path}")
+    if not args.baseline:
+        return 0
 
-    if args.baseline:
-        baseline = load_report(args.baseline)
-        if args.min_speedup is not None:
-            # Speedup floor (vectorized-engine acceptance): every gated
-            # panel must beat the baseline by min_speedup, with the
-            # same fractional fence as the regression gate.
-            shortfalls = compare_speedup(
-                report,
-                baseline,
-                min_speedup=args.min_speedup,
-                panels=args.speedup_panels,
-                tolerance=args.max_regression,
-            )
-            if shortfalls:
-                print(
-                    f"# SPEEDUP SHORTFALL vs {args.baseline} "
-                    f"(floor {args.min_speedup:g}x - "
-                    f"{args.max_regression:.0%}):",
-                    file=sys.stderr,
-                )
-                for shortfall in shortfalls:
-                    print(f"#   {shortfall}", file=sys.stderr)
-                return 1
-            print(
-                f"# speedup >= {args.min_speedup:g}x "
-                f"(-{args.max_regression:.0%} fence) vs {args.baseline}"
-            )
-            return 0
-        regressions = compare_reports(
-            report, baseline, max_regression=args.max_regression
-        )
-        if regressions:
-            print(
+    # One gate: without --min-speedup it is the regression gate, a
+    # speedup floor of 1 over every panel both reports hold; with it,
+    # the vectorized-engine acceptance floor over --speedup-panels. The
+    # same fractional fence applies to both.
+    baseline = load_report(args.baseline)
+    floor = args.min_speedup
+    shortfalls = compare_speedup(
+        report,
+        baseline,
+        min_speedup=1.0 if floor is None else floor,
+        panels=None if floor is None else args.speedup_panels,
+        tolerance=args.max_regression,
+    )
+    if shortfalls:
+        if floor is None:
+            header = (
                 f"# REGRESSION vs {args.baseline} "
-                f"(>{args.max_regression:.0%} slower):",
-                file=sys.stderr,
+                f"(>{args.max_regression:.0%} slower):"
             )
-            for regression in regressions:
-                print(f"#   {regression}", file=sys.stderr)
-            return 1
+        else:
+            header = (
+                f"# SPEEDUP SHORTFALL vs {args.baseline} "
+                f"(floor {floor:g}x - {args.max_regression:.0%}):"
+            )
+        print(header, file=sys.stderr)
+        for shortfall in shortfalls:
+            print(f"#   {shortfall}", file=sys.stderr)
+        return 1
+    if floor is None:
         print(f"# no regression vs {args.baseline}")
+    else:
+        print(
+            f"# speedup >= {floor:g}x "
+            f"(-{args.max_regression:.0%} fence) vs {args.baseline}"
+        )
     return 0
 
 

@@ -29,10 +29,6 @@ once whether it must filter arrivals to down ports. A span stops
 early at an arrival-free slot that starts on an empty buffer, which
 ``run_system`` fast-forwards, skipping any flushout inside the idle
 stretch exactly as the reference replay does.
-:meth:`VectorizedSwitch.run_slot_columns` and
-:meth:`VectorizedSwitch.run_slot` (a single burst of packet objects)
-are one-slot spans, so every policy binds the same kernels whether it
-is fed a trace or one burst.
 
 The arrival phase is processed per slot as one batch. While the buffer
 has free space every push-out policy is greedy (``PushOutPolicy.admit``
@@ -149,13 +145,13 @@ and buffer contents. It runs whole slots only and emits no per-packet
 events; a per-packet stream comes from the reference engine, which is
 the one that accepts an observer. Documented deviations:
 
-* ``run_slot`` returns ``[]``: transmitted packets are accounted in
-  metrics but not materialized as objects.
-  ``repro.analysis.competitive.run_system`` ignores the return value.
+* Transmitted packets are accounted in metrics but not materialized
+  as objects: ``run_span`` returns the first slot it did not run, not
+  the transmissions.
 * Trace validation is batched per whole trace (once per trace and
-  switch shape, see :meth:`VectorizedSwitch.bind_columns`), or per
-  burst through ``run_slot``, so an *invalid* trace raises before any
-  of its packets is processed, whereas the reference raises mid-burst.
+  switch shape, see :meth:`VectorizedSwitch.bind_columns`), so an
+  *invalid* trace raises before any of its packets is processed,
+  whereas the reference raises mid-burst.
   Valid traces are unaffected.
 * Admissions draw no global packet sequence numbers (store entries
   carry ``seq 0``). Sequence numbers are debugging identity only:
@@ -776,52 +772,6 @@ class VectorizedSwitch:
     # Whole slots
     # ------------------------------------------------------------------
 
-    def run_slot(
-        self, arrivals: Sequence[Packet], policy: Any
-    ) -> List[Packet]:
-        """One full time slot from a burst of packet objects.
-
-        A thin adapter over :meth:`run_slot_columns`: the burst becomes
-        one validated column span. Replaying a whole trace through
-        :func:`repro.analysis.competitive.run_system` converts it once
-        instead of once per burst.
-        """
-        ports = [pk.port for pk in arrivals]
-        works = [pk.work for pk in arrivals]
-        values = [pk.value for pk in arrivals]
-        if ports:
-            self._validate_columns(ports, works, values)
-            self._valid_ports = ports
-        return self.run_slot_columns(
-            policy,
-            ports,
-            works,
-            values,
-            [pk.arrival_slot for pk in arrivals],
-            0,
-            len(ports),
-        )
-
-    def run_slot_columns(
-        self,
-        policy: Any,
-        ports: Sequence[int],
-        works: Sequence[int],
-        values: Sequence[float],
-        arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> List[Packet]:
-        """One full slot from the column span ``[lo, hi)``: a one-slot
-        :meth:`run_span`. The arrival-free slot on an empty buffer that
-        the span loop leaves to its caller is one idle slot, so it is
-        fast-forwarded here."""
-        if not self.run_span(
-            policy, ports, works, values, arrivals, (lo, hi), 0, 1
-        ):
-            self.fast_forward(1)
-        return []
-
     @hot_path
     def run_span(
         self,
@@ -840,8 +790,7 @@ class VectorizedSwitch:
         of a :class:`repro.traffic.trace.Trace`: no ``Packet`` objects
         are constructed. ``arrivals`` is ``None`` when every packet's
         arrival slot is the slot it arrives in. This is the engine's one
-        way to run slots; :meth:`run_slot_columns` and :meth:`run_slot`
-        are one-slot spans.
+        way to run slots.
 
         Returns the first slot not run. The loop stops early at an
         arrival-free slot that starts on an empty buffer: the caller

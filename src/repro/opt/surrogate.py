@@ -19,9 +19,10 @@ Two variants implement the two models:
   valuable; each slot the ``n*C`` most valuable packets transmit (unit
   work).
 
-Both expose the :class:`System` interface (``run_slot`` / ``flush`` /
-``metrics``) shared with policy-driven switches, so the competitive runner
-treats them interchangeably.
+Both expose the :class:`System` interface (``run_slot`` /
+``fast_forward`` / ``flush`` / ``metrics`` / ``backlog``) shared with
+policy-driven switches, so the competitive runner treats them
+interchangeably.
 """
 
 from __future__ import annotations
@@ -36,21 +37,33 @@ from repro.core.packet import Packet
 
 
 class System(Protocol):
-    """Anything that can be driven slot-by-slot over a trace."""
+    """What :func:`repro.analysis.competitive.run_system` drives.
+
+    Besides these members, a system exposes one slot entry point:
+    ``run_span(ports, works, values, arrivals, offsets, s0, s1)`` over
+    a trace's columns (the vectorized engines), or ``run_slot(arrivals)``
+    over one slot's packet burst (the reference engine, the bisect
+    surrogates, the single-queue system). The runner fast-forwards
+    every arrival-free slot that starts on an empty buffer instead of
+    running it (``run_span`` returns at such a slot). The members
+    ``set_port_state``, ``check_invariants`` and ``attach_observer``
+    are optional: the runner uses them where a trace carries churn,
+    where self-checks are on, and where an observer is passed.
+    """
 
     metrics: SwitchMetrics
 
-    def run_slot(self, arrivals: Sequence[Packet]) -> List[Packet]:
-        """Consume one slot's arrivals, transmit, return transmissions."""
+    @property
+    def backlog(self) -> int:
+        """Number of currently buffered packets."""
         ...
 
     def flush(self) -> int:
         """Drop all buffered packets without credit; return the count."""
         ...
 
-    @property
-    def backlog(self) -> int:
-        """Number of currently buffered packets."""
+    def fast_forward(self, n_slots: int) -> None:
+        """Advance over ``n_slots`` idle slots (empty buffer required)."""
         ...
 
 

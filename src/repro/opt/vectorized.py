@@ -30,15 +30,13 @@ arrivals to admin-down ports are dropped up front, and the rest fill
 the buffer, push out its worst packet, or drop against a live eviction
 threshold; the transmission phase follows inline. The pools, the
 counters and the slot accounting stay in locals and are written once
-per span. ``run_slot_columns`` is a one-slot span, and ``run_slot``
-turns a burst of packet objects into three columns for it.
+per span. ``run_span`` is the variants' one slot entry point.
 
 Both are selected through ``make_surrogate(..., engine="vectorized")``
 and expose the same :class:`~repro.opt.surrogate.System` surface. Like
-:class:`~repro.core.columnar.VectorizedSwitch`, ``run_slot`` returns
-``[]``: transmissions are accounted in metrics only (the competitive
-runner ignores the return value), and admitted entries carry no
-sequence numbers. All
+:class:`~repro.core.columnar.VectorizedSwitch`, they account
+transmissions in metrics only, and admitted entries carry no sequence
+numbers. All
 decision-relevant and metrics-relevant quantities — counters, per-port
 drop/transmit splits, the float accumulation order of
 ``transmitted_value`` — are identical to the reference, which the
@@ -55,7 +53,6 @@ from repro.core.config import SwitchConfig
 from repro.core.errors import TraceError
 from repro.core.hotpath import hot_path
 from repro.core.metrics import SwitchMetrics
-from repro.core.packet import Packet
 
 __all__ = ["VectorizedSrptSurrogate", "VectorizedMaxValueSurrogate"]
 
@@ -129,39 +126,6 @@ class _ColumnSurrogate:
     def _reclaim_port(self, port: int) -> int:
         """Remove every buffered packet for ``port``; return the count."""
         raise NotImplementedError
-
-    def run_slot(self, arrivals: Sequence[Packet]) -> List[Packet]:
-        """One slot over packet objects; returns ``[]`` (fast mode).
-
-        A thin adapter over :meth:`run_slot_columns`: the burst becomes
-        one column span.
-        """
-        return self.run_slot_columns(
-            [pk.port for pk in arrivals],
-            [pk.work for pk in arrivals],
-            [pk.value for pk in arrivals],
-            None,
-            0,
-            len(arrivals),
-        )
-
-    def run_slot_columns(
-        self,
-        ports: Sequence[int],
-        works: Sequence[int],
-        values: Sequence[float],
-        arrivals: Optional[Sequence[int]],
-        lo: int,
-        hi: int,
-    ) -> List[Packet]:
-        """One slot from the column span ``[lo, hi)``: a one-slot
-        :meth:`run_span`, whose idle slot on an empty buffer is
-        fast-forwarded here."""
-        if not self.run_span(
-            ports, works, values, arrivals, (lo, hi), 0, 1
-        ):
-            self.fast_forward(1)
-        return []
 
     def run_span(
         self,

@@ -45,8 +45,9 @@ class SingleQueueSystem:
     """One shared buffer, ``m`` identical run-to-completion cores.
 
     Implements the :class:`repro.opt.surrogate.System` protocol
-    (``run_slot`` / ``flush`` / ``metrics`` / ``backlog``) so it can be
-    driven by the same runners as the shared-memory switch.
+    (``run_slot`` / ``fast_forward`` / ``flush`` / ``metrics`` /
+    ``backlog``) so it can be driven by the same runners as the
+    shared-memory switch.
 
     Parameters
     ----------
@@ -108,6 +109,15 @@ class SingleQueueSystem:
         self.metrics.record_slot(self.backlog)
         self.current_slot += 1
         return done
+
+    def fast_forward(self, n_slots: int) -> None:
+        """Advance over ``n_slots`` idle slots (empty buffer required)."""
+        if self.backlog:
+            raise ConfigError(
+                f"fast_forward with {self.backlog} buffered packets"
+            )
+        self.metrics.record_idle_slots(n_slots)
+        self.current_slot += n_slots
 
     # ------------------------------------------------------------------
 

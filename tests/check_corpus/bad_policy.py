@@ -25,6 +25,8 @@ class GreedyCheater:
 
     def meddle(self, switch, victim):
         switch.transmission_phase()  # RC303
+        switch.set_port_state(victim.port, False)  # RC303
+        switch.run_span(self, [], [], [], None, [0, 0], 0, 1)  # RC303
         del victim.port  # RC302
         return switch._buffer_used  # RC301
 

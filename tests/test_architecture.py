@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.analysis.competitive import run_system
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
 from repro.experiments.architecture import run_architecture_comparison
 from repro.singlequeue import SingleQueueSystem
+from repro.traffic.trace import Trace
 
 
 def pkt(port=0, work=1, slot=0):
@@ -94,6 +96,72 @@ class TestFlushSemantics:
         flushed = system.flush()
         assert flushed == 4  # 2 on cores survive
         assert system.backlog == 2
+
+
+class TestRunSystem:
+    """``run_system`` drives the single queue like any other system:
+    idle stretches are fast-forwarded, flushouts inside them skipped,
+    and the drain runs empty slots until the buffer empties."""
+
+    FLUSH_EVERY = 7
+    DRAIN_SLOTS = 40
+
+    @pytest.mark.parametrize("discipline", ["pq", "fifo"])
+    def test_replay_equals_hand_stepped_loop(self, config, discipline):
+        # Each burst empties within a few slots, so the flushouts at
+        # slots 14, 35 and 42 fall inside idle stretches on an empty
+        # buffer; the last burst leaves a backlog for the drain.
+        bursts = {
+            0: [pkt(3, 4), pkt(1, 2), pkt(0, 1)] * 3,
+            1: [pkt(2, 3)] * 4,
+            20: [pkt(3, 4)] * 6 + [pkt(0, 1)] * 4,
+            27: [pkt(1, 2)] * 3,
+            45: [pkt(3, 4)] * 5 + [pkt(2, 3)] * 5,
+        }
+        trace = Trace(
+            [
+                [pkt(p.port, p.work, slot) for p in bursts.get(slot, [])]
+                for slot in range(48)
+            ]
+        )
+        replayed = SingleQueueSystem(config, discipline=discipline, cores=2)
+        skipped = []
+        fast_forward = replayed.fast_forward
+
+        def spy(n_slots):
+            skipped.append(n_slots)
+            fast_forward(n_slots)
+
+        replayed.fast_forward = spy
+        run_system(
+            replayed,
+            trace,
+            flush_every=self.FLUSH_EVERY,
+            drain_slots=self.DRAIN_SLOTS,
+        )
+
+        stepped = SingleQueueSystem(config, discipline=discipline, cores=2)
+        for slot, burst in enumerate(trace.slots):
+            stepped.run_slot(burst)
+            if (slot + 1) % self.FLUSH_EVERY == 0:
+                stepped.flush()
+        drained = 0
+        while stepped.backlog and drained < self.DRAIN_SLOTS:
+            stepped.run_slot([])
+            drained += 1
+
+        assert sum(skipped) > 20, "idle stretches should be skipped"
+        assert drained > 0 and replayed.backlog == stepped.backlog == 0
+        assert replayed.current_slot == stepped.current_slot
+        assert replayed.metrics.snapshot() == stepped.metrics.snapshot()
+
+    def test_fast_forward_requires_empty_buffer(self, config):
+        system = SingleQueueSystem(config, discipline="pq", cores=1)
+        system.fast_forward(3)
+        assert system.current_slot == system.metrics.slots_elapsed == 3
+        system.run_slot([pkt(3, 4)])
+        with pytest.raises(ConfigError):
+            system.fast_forward(1)
 
 
 class TestArchitectureComparison:

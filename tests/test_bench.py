@@ -9,7 +9,7 @@ from repro.bench import (
     PANELS,
     BenchPanel,
     SCHEMA_VERSION,
-    compare_reports,
+    compare_speedup,
     load_report,
     run_bench,
     run_panel_bench,
@@ -155,8 +155,8 @@ class TestReports:
         assert "engine" in fresh["panels"]["adversarial-proc-small"][
             "per_policy"
         ][0]
-        assert compare_reports(committed, committed) == []
-        compare_reports(fresh, committed, max_regression=0.99)
+        assert compare_speedup(committed, committed, min_speedup=1.0) == []
+        compare_speedup(fresh, committed, min_speedup=1.0, tolerance=0.99)
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "BENCH_bad.json"
@@ -165,19 +165,25 @@ class TestReports:
             load_report(path)
 
     def test_regression_gate(self):
+        # The regression gate is the speedup gate at a floor of 1.
         current = {"panels": {"p": {"slots_per_s": 70.0}}}
         baseline = {"panels": {"p": {"slots_per_s": 100.0}}}
-        found = compare_reports(current, baseline, max_regression=0.25)
+        found = compare_speedup(
+            current, baseline, min_speedup=1.0, tolerance=0.25
+        )
         assert len(found) == 1 and found[0].panel == "p"
-        assert not compare_reports(
-            current, baseline, max_regression=0.35
+        assert not compare_speedup(
+            current, baseline, min_speedup=1.0, tolerance=0.35
         )
         # Panels missing from the baseline are not compared.
-        assert not compare_reports(
-            {"panels": {"new": {"slots_per_s": 1.0}}}, baseline
+        assert not compare_speedup(
+            {"panels": {"new": {"slots_per_s": 1.0}}}, baseline,
+            min_speedup=1.0,
         )
-        with pytest.raises(ConfigError, match="max_regression"):
-            compare_reports(current, baseline, max_regression=1.5)
+        with pytest.raises(ConfigError, match="tolerance"):
+            compare_speedup(
+                current, baseline, min_speedup=1.0, tolerance=1.5
+            )
 
 
 class TestCli:

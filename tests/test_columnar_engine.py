@@ -79,11 +79,11 @@ def _warm_switch(
         buffer_size=8,
         speedup=speedup,
     )
-    switch = VectorizedSwitch(config)
-    policy = make_policy(policy_name)
-    trace = _congested_trace(config, 12, seed=5, per_slot=10)
-    for burst in trace.slots:
-        switch.run_slot(burst, policy)
+    system = PolicySystem(
+        config, make_policy(policy_name), engine="vectorized"
+    )
+    run_system(system, _congested_trace(config, 12, seed=5, per_slot=10))
+    switch = system.switch
     assert switch.occupancy > 0
     switch.check_invariants()
     return switch
@@ -143,9 +143,9 @@ def test_corrupt_transmission_calendar_caught():
         switch.check_invariants()
 
 
-#: How a warm-up trace reaches the switch: as trace column spans, or
-#: as packet bursts through the ``run_slot`` adapter.
-FEEDS = ("columns", "run_slot")
+#: How a warm-up trace reaches the switch: as one replay of the
+#: trace's columns, or as packet bursts, each a one-slot trace.
+FEEDS = ("columns", "bursts")
 
 
 def _warm_value_switch(
@@ -154,18 +154,16 @@ def _warm_value_switch(
     """A small priority-queue switch after a few congested slots, with
     its value kernel bound and its keys brought in sync."""
     config = SwitchConfig.value_contiguous(4, 8)
-    switch = VectorizedSwitch(config)
-    policy = make_policy(policy_name)
+    system = PolicySystem(
+        config, make_policy(policy_name), engine="vectorized"
+    )
     trace = _congested_trace(config, 12, seed=5, per_slot=10)
-    if feed == "run_slot":
+    if feed == "bursts":
         for burst in trace.slots:
-            switch.run_slot(burst, policy)
+            run_system(system, Trace([burst]))
     else:
-        for slot in range(trace.n_slots):
-            lo, hi = trace.slot_bounds(slot)
-            switch.run_slot_columns(
-                policy, trace.ports, trace.works, trace.values, None, lo, hi
-            )
+        run_system(system, trace)
+    switch = system.switch
     # A transmission phase that completes a packet leaves the keys
     # stale until the next congested arrival: bring them in sync, as
     # that arrival would.
@@ -179,10 +177,14 @@ def _armed_switch() -> VectorizedSwitch:
     """C = 3, work 4: one packet a slot to port 0 for three slots, so
     the head and two packets behind it are armed at distinct ticks."""
     config = SwitchConfig.from_works([4, 1], buffer_size=8, speedup=3)
-    switch = VectorizedSwitch(config)
-    policy = make_policy("LWD")
-    for slot in range(3):
-        switch.run_slot([Packet(port=0, work=4, arrival_slot=slot)], policy)
+    system = PolicySystem(config, make_policy("LWD"), engine="vectorized")
+    run_system(
+        system,
+        Trace(
+            [[Packet(port=0, work=4, arrival_slot=s)] for s in range(3)]
+        ),
+    )
+    switch = system.switch
     assert switch._hexp[0] == 4 and switch._wins[0] == [5, 6]
     switch.check_invariants()
     return switch
@@ -245,15 +247,20 @@ def test_corrupt_kernel_structures_caught(policy_name):
 
 
 def test_threshold_memo_dies_with_its_binding():
-    # One switch replays five threshold policies in turn, so each
-    # replay starts from the last one's buffer, and each must match the
-    # reference. DT and NHDT-W call their rules directly, so their
-    # memo must be empty; NHDT and Harmonic pack (own, statistic) into
-    # int keys of one key space, which their rules read differently, so
-    # an NHDT entry that outlived its binding fails the audit of
-    # check_invariants after the Harmonic replay.
+    # One switch replays five threshold policies in turn, each as one
+    # span of the trace's columns, so each replay starts from the last
+    # one's buffer, and each must match the reference. DT and NHDT-W
+    # call their rules directly, so their memo must be empty; NHDT and
+    # Harmonic pack (own, statistic) into int keys of one key space,
+    # which their rules read differently, so an NHDT entry that
+    # outlived its binding fails the audit of check_invariants after
+    # the Harmonic replay.
     config = SwitchConfig.from_works([2] * 8, buffer_size=16)
     trace = _congested_trace(config, 40, seed=9, per_slot=12)
+    # Each replay stamps the trace's own arrival slots, as the
+    # reference's packets carry them.
+    arrivals = [pk.arrival_slot for pk in trace.packets()]
+    columns = (trace.ports, trace.works, trace.values, arrivals, trace.offsets)
     vec = VectorizedSwitch(config)
     ref = SharedMemorySwitch(config)
     for make, memoized in (
@@ -265,8 +272,12 @@ def test_threshold_memo_dies_with_its_binding():
     ):
         vec_policy = make()
         ref_policy = make()
+        # No slot of the trace finds the buffer empty and idle, so the
+        # span runs to its end.
+        assert vec.run_span(vec_policy, *columns, 0, trace.n_slots) == (
+            trace.n_slots
+        )
         for burst in trace.slots:
-            vec.run_slot(burst, vec_policy)
             ref.run_slot(burst, ref_policy)
         assert vec._kpolicy is vec_policy
         assert bool(vec._tmemo) == memoized
@@ -280,9 +291,9 @@ def test_threshold_memo_dies_with_its_binding():
     ids=["LQD-V", "MVD", "MRD"],
 )
 def test_object_bursts_bind_value_kernel(policy_name, kind):
-    # run_slot is an adapter over the column path, so packet bursts
-    # reach the value kernels too (no generic-dispatch fallback).
-    switch = _warm_value_switch(policy_name, "run_slot")
+    # Packet bursts replayed as one-slot traces reach the value kernels
+    # too (no generic-dispatch fallback).
+    switch = _warm_value_switch(policy_name, "bursts")
     assert switch._kkind == kind
 
 
@@ -399,11 +410,12 @@ def test_invalid_columns_still_rejected():
     with pytest.raises(TraceError):
         run_system(system, trace)
     assert not trace.validated
+    # run_span checks columns it was not bound to on first sight.
     switch = VectorizedSwitch(config)
     with pytest.raises(TraceError):
-        switch.run_slot_columns(
+        switch.run_span(
             make_policy("MVD"), trace.ports, trace.works, trace.values,
-            None, 0, 2,
+            None, trace.offsets, 0, 1,
         )
 
 
@@ -455,15 +467,12 @@ def test_replay_after_mutation_sees_new_content(mutate):
 
 
 def _drive_both(config: SwitchConfig, trace: Trace, policy_name: str):
-    vec = VectorizedSwitch(config)
-    ref = SharedMemorySwitch(config)
-    vec_policy = make_policy(policy_name)
-    ref_policy = make_policy(policy_name)
-    for burst in trace.slots:
-        vec.run_slot(burst, vec_policy)
-        ref.run_slot(burst, ref_policy)
+    vec = PolicySystem(config, make_policy(policy_name), engine="vectorized")
+    ref = PolicySystem(config, make_policy(policy_name))
+    run_system(vec, trace)
+    run_system(ref, trace)
     vec.check_invariants()
-    return vec, ref
+    return vec.switch, ref.switch
 
 
 def _assert_matches_reference(
@@ -490,8 +499,9 @@ def test_wide_switch_runs_calendar_and_matches_reference():
 
 def test_narrow_switch_uses_calendar():
     config = SwitchConfig.contiguous(8, 32)
-    switch = VectorizedSwitch(config)
-    switch.run_slot([Packet(port=3, work=4)], make_policy("LQD"))
+    system = PolicySystem(config, make_policy("LQD"), engine="vectorized")
+    run_system(system, Trace([[Packet(port=3, work=4)]]))
+    switch = system.switch
     # Work 4, one phase done: the head is armed three ticks ahead.
     assert switch._head_residual(3) == 3
     assert 3 in switch._sched[switch._hexp[3]]
@@ -586,7 +596,6 @@ def test_unserved_pair_runs_on_reference(config_factory, policy_factory):
     system = PolicySystem(config, policy, engine="vectorized")
     assert system.engine == "reference"
     assert isinstance(system.switch, SharedMemorySwitch)
-    assert not hasattr(system, "run_slot_columns")
     assert not hasattr(system, "run_span")
     trace = _tagged_trace(config)
     reference = PolicySystem(config, policy_factory(), engine="reference")
@@ -596,13 +605,13 @@ def test_unserved_pair_runs_on_reference(config_factory, policy_factory):
     )
     # A bare vectorized switch refuses the pair instead of running a
     # slow path: at construction for a split model, else at binding,
-    # before any of the slot's packets is counted.
+    # before any of the span's packets is counted.
     with pytest.raises(ConfigError, match="reference"):
         switch = VectorizedSwitch(config)
         try:
-            switch.run_slot(
-                next(burst for burst in trace.slots if burst),
-                policy_factory(),
+            switch.run_span(
+                policy_factory(), trace.ports, trace.works, trace.values,
+                None, trace.offsets, 0, trace.n_slots,
             )
         finally:
             assert switch.metrics.arrived == 0
@@ -614,16 +623,17 @@ def test_unserved_pair_runs_on_reference(config_factory, policy_factory):
 def test_port_down_keeps_kernel_bound(policy_name, kind):
     config = SwitchConfig.contiguous(4, 8)
     trace = _congested_trace(config, 24, seed=14, per_slot=10)
-    vec = VectorizedSwitch(config)
-    ref = SharedMemorySwitch(config)
     vec_policy = make_policy(policy_name)
+    system = PolicySystem(config, vec_policy, engine="vectorized")
+    vec = system.switch
+    ref = SharedMemorySwitch(config)
     ref_policy = make_policy(policy_name)
     for slot, burst in enumerate(trace.slots):
         if slot in (4, 12):
             assert vec.set_port_state(3, False) == ref.set_port_state(3, False)
         elif slot in (8, 16):
             assert vec.set_port_state(3, True) == ref.set_port_state(3, True)
-        vec.run_slot(burst, vec_policy)
+        run_system(system, trace.window(slot, slot + 1))
         ref.run_slot(burst, ref_policy)
         assert vec._kkind == kind and vec._kpolicy is vec_policy
         vec.check_invariants()

@@ -5,11 +5,12 @@ policies select victims with the naive O(n) scans of their
 definitions, is the oracle. The columnar batch-slot engine of
 :mod:`repro.core.columnar` must make the same decisions (the vectorized
 oracle contract, see docs/VECTORIZED.md). It runs whole slots only and
-emits no per-decision stream, so two instances of it, one fed each
-slot as a burst and one as a column span, are compared to the
-reference after *every* slot on their queue contents and the full
-metrics snapshot: a single divergent decision changes a queue or a
-counter in the slot it is made.
+emits no per-decision stream, so it is fed each slot as a one-slot
+window of the trace and compared to the reference after *every* slot
+on its queue contents and the full metrics snapshot: a single
+divergent decision changes a queue or a counter in the slot it is
+made. A second instance replays the whole trace in multi-slot spans
+and must end in the same state.
 
 This suite drives the engines in lock-step over hypothesis-generated
 traces for every registered policy the vectorized engine serves, in
@@ -26,8 +27,8 @@ and processing-model configs flip between distinct and *uniform* works
 every congested arrival, which is exactly where victim tie-breaking
 order is the whole behavior. Dedicated regression tests additionally
 pin the engineered tie cases from the paper's definitions: the
-reference's decision against the expected one, and both vectorized
-legs against the reference's resulting state.
+reference's decision against the expected one, and the vectorized
+engine against the reference's resulting state.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.core.decisions import DROP, Decision, push_out
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
+from repro.opt.surrogate import make_surrogate
 from repro.policies import available_policies, make_policy
 from repro.traffic.trace import Trace
 
@@ -97,6 +99,15 @@ def _assert_fast_legs_match(
         )
 
 
+def _vectorized(config: SwitchConfig, policy_name: str) -> PolicySystem:
+    """A fresh vectorized-engine system for ``policy_name``."""
+    system = PolicySystem(
+        config, make_policy(policy_name), engine="vectorized"
+    )
+    assert system.engine == "vectorized"
+    return system
+
+
 def _drive_lockstep(
     policy_name: str,
     config: SwitchConfig,
@@ -105,35 +116,29 @@ def _drive_lockstep(
 ) -> Tuple[SharedMemorySwitch, VectorizedSwitch, VectorizedSwitch]:
     """Run the engines in lock-step, comparing them after every slot.
 
-    The naive reference runs each slot packet by packet. Two vectorized
-    instances run the same slot: one consumes the burst through
-    ``run_slot`` (the adapter that turns a burst into columns), the
-    other the slot's column span of the trace through
-    ``run_slot_columns``, the engine's one way to run a slot.
+    The naive reference runs each slot packet by packet. A vectorized
+    system runs the same slot as a one-slot window of the trace through
+    ``run_system``. A second one replays the whole trace through
+    ``run_system`` in multi-slot spans; it is returned for the caller
+    to compare at the end.
     """
     naive = SharedMemorySwitch(config)
-    batch = VectorizedSwitch(config)
-    cols = VectorizedSwitch(config)
     naive_policy = make_policy(policy_name)
-    batch_policy = make_policy(policy_name)
-    cols_policy = make_policy(policy_name)
+    stepped = _vectorized(config, policy_name)
     trace = Trace(slot_bursts)
     assert trace.arrivals is None
     for slot, burst in enumerate(slot_bursts):
         naive.run_slot(burst, naive_policy)
-        batch.run_slot(burst, batch_policy)
-        lo, hi = trace.slot_bounds(slot)
-        cols.run_slot_columns(
-            cols_policy, trace.ports, trace.works, trace.values, None, lo, hi
-        )
+        run_system(stepped, trace.window(slot, slot + 1))
         _assert_fast_legs_match(
-            naive, (batch, cols), f"under {policy_name} at slot {slot}"
+            naive, (stepped.switch,), f"under {policy_name} at slot {slot}"
         )
         if flush_every is not None and (slot + 1) % flush_every == 0:
             naive.flush()
-            batch.flush()
-            cols.flush()
-    return naive, batch, cols
+            stepped.flush()
+    whole = _vectorized(config, policy_name)
+    run_system(whole, trace, flush_every=flush_every)
+    return naive, stepped.switch, whole.switch
 
 
 def _assert_same_outcome(
@@ -269,31 +274,23 @@ def _tie_case(
 ) -> None:
     """The engineered tie must resolve to ``expected`` on the naive
     reference, and the vectorized engine, given the whole scenario as
-    one slot (as a burst and as a column span), must end that slot in
-    the reference's state."""
+    one slot, must end that slot in the reference's state."""
     naive = SharedMemorySwitch(config)
     policy = make_policy(policy_name)
     _fill(naive, policy, setup)
     assert naive.view.is_full
     assert naive.offer(arrival, policy) == expected
     naive.check_invariants()
-    # Close the slot by hand, as ``run_slot`` does on the fast legs.
+    # Close the slot by hand, as ``run_slot`` does.
     naive.transmission_phase()
     naive.metrics.record_slot(naive.occupancy)
     naive.current_slot += 1
 
-    batch = VectorizedSwitch(config)
-    batch.run_slot(list(setup) + [arrival], make_policy(policy_name))
-    batch.check_invariants()
-    trace = Trace([list(setup) + [arrival]])
-    cols = VectorizedSwitch(config)
-    cols.run_slot_columns(
-        make_policy(policy_name), trace.ports, trace.works, trace.values,
-        None, 0, trace.total_packets,
-    )
-    cols.check_invariants()
+    vec = _vectorized(config, policy_name)
+    run_system(vec, Trace([list(setup) + [arrival]]))
+    vec.check_invariants()
     _assert_fast_legs_match(
-        naive, (batch, cols), f"in the {policy_name} tie case"
+        naive, (vec.switch,), f"in the {policy_name} tie case"
     )
 
 
@@ -417,9 +414,10 @@ def _drive_dynamic(
     are compared after every slot.
     """
     naive = SharedMemorySwitch(config)
-    batch = VectorizedSwitch(config)
     naive_policy = policy_factory()
-    batch_policy = policy_factory()
+    system = PolicySystem(config, policy_factory(), engine="vectorized")
+    batch = system.switch
+    assert isinstance(batch, VectorizedSwitch)
     for slot, burst in enumerate(slot_bursts):
         for port, up in events_by_slot[slot]:
             r_naive = naive.set_port_state(port, up)
@@ -429,7 +427,7 @@ def _drive_dynamic(
                 f"{r_naive}/{r_batch}"
             )
         naive.run_slot(burst, naive_policy)
-        batch.run_slot(burst, batch_policy)
+        run_system(system, Trace([burst]))
         _assert_fast_legs_match(naive, (batch,), f"at slot {slot}")
     return naive, batch
 
@@ -582,10 +580,9 @@ def _wide_case(
 def test_wide_switch_lockstep(model, policy_name, n, speedup):
     config, trace = _wide_case(model, n, speedup)
     naive = SharedMemorySwitch(config)
-    vec = VectorizedSwitch(config)
     naive_policy = make_policy(policy_name)
-    vec_policy = make_policy(policy_name)
-    vec.bind_columns(trace)
+    system = _vectorized(config, policy_name)
+    vec = system.switch
     congested = 0
     for slot, burst in enumerate(trace.slots):
         up = WIDE_PORT_EVENTS.get(slot)
@@ -593,11 +590,7 @@ def test_wide_switch_lockstep(model, policy_name, n, speedup):
             assert vec.set_port_state(1, up) == naive.set_port_state(1, up)
         before = naive.metrics.dropped + naive.metrics.pushed_out
         naive.run_slot(burst, naive_policy)
-        lo, hi = trace.slot_bounds(slot)
-        vec.run_slot_columns(
-            vec_policy, trace.ports, trace.works, trace.values,
-            trace.arrivals, lo, hi,
-        )
+        run_system(system, trace.window(slot, slot + 1))
         vec.check_invariants()
         _assert_fast_legs_match(naive, (vec,), f"at slot {slot}")
         if naive.metrics.dropped + naive.metrics.pushed_out > before:
@@ -696,6 +689,105 @@ def test_span_replay_matches_reference(
     _assert_fast_legs_match(naive, (vectorized.switch,), "after the replay")
 
 
+# ----------------------------------------------------------------------
+# Drain: spans of empty slots, cut at the invariant-check cadence
+# ----------------------------------------------------------------------
+
+#: A cadence short enough to cut every drain below more than once.
+DRAIN_CHECK_EVERY = 3
+
+
+def _drain_case(by_value: bool) -> Tuple[SwitchConfig, Trace, int]:
+    """A congested trace that ends on six arrivals to every port, so
+    the buffer is loaded, and a drain budget long enough to empty it."""
+    if by_value:
+        config = SwitchConfig.value_contiguous(4, 24)
+    else:
+        config = SwitchConfig.contiguous(4, 24)
+    trace = _span_trace(config, by_value, seed=7).window(0, 100)
+    trace.append_slot(
+        [
+            Packet(
+                port=port,
+                work=config.work_of(port),
+                value=config.value_of(port),
+                arrival_slot=100,
+            )
+            for port in range(4)
+            for _ in range(6)
+        ]
+    )
+    return config, trace, config.buffer_size * config.max_work
+
+
+@pytest.mark.parametrize(
+    "model, policy_name", SPAN_CASES,
+    ids=[f"{model}-{name}" for model, name in SPAN_CASES],
+)
+def test_drained_replay_matches_reference(monkeypatch, model, policy_name):
+    """A drained vectorized replay ends in the reference's state, with
+    ``REPRO_CHECK_INVARIANTS`` cutting the drain into spans."""
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", str(DRAIN_CHECK_EVERY))
+    config, trace, drain = _drain_case(model == "value")
+    reference = PolicySystem(config, make_policy(policy_name))
+    vectorized = _vectorized(config, policy_name)
+    expect = run_system(reference, trace, drain_slots=drain)
+    got = run_system(vectorized, trace, drain_slots=drain)
+    assert expect.slots_elapsed > trace.n_slots + DRAIN_CHECK_EVERY
+    assert reference.backlog == vectorized.backlog == 0
+    assert got.snapshot() == expect.snapshot()
+
+
+@pytest.mark.parametrize("by_value", [False, True])
+def test_drained_surrogate_replay_matches_reference(monkeypatch, by_value):
+    """Both vectorized surrogates drain like the bisect oracle. They
+    run no self-checks, so the cadence leaves their drain one span."""
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", str(DRAIN_CHECK_EVERY))
+    config, trace, drain = _drain_case(by_value)
+    reference = make_surrogate(config, by_value)
+    vectorized = make_surrogate(config, by_value, engine="vectorized")
+    expect = run_system(reference, trace, drain_slots=drain).snapshot()
+    got = run_system(vectorized, trace, drain_slots=drain).snapshot()
+    assert expect["slots_elapsed"] > trace.n_slots + 1
+    assert reference.backlog == vectorized.backlog == 0
+    # The vectorized surrogates keep no per-packet delays.
+    assert {k: v for k, v in got.items() if "delay" not in k} == {
+        k: v for k, v in expect.items() if "delay" not in k
+    }
+
+
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+@pytest.mark.parametrize(
+    "check_every, checked_at", [(2, [3]), (3, [4])],
+    ids=["mid-drain", "on-boundary"],
+)
+def test_drain_checks_count_from_its_start(
+    monkeypatch, engine, check_every, checked_at
+):
+    """One work-4 packet leaves three drain slots after the trace's one
+    slot. The drain's checks count from its own first slot: at cadence
+    2 one falls mid-drain; at cadence 3 the buffer empties exactly on
+    the boundary, which is checked, and the drain ends there."""
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", str(check_every))
+    config = SwitchConfig.from_works([4, 1], buffer_size=4)
+    system = PolicySystem(config, make_policy("LQD"), engine=engine)
+    assert system.engine == engine
+    checked: List[int] = []
+    check = system.check_invariants
+
+    def spy() -> None:
+        checked.append(system.metrics.slots_elapsed)
+        check()
+
+    system.check_invariants = spy  # type: ignore[method-assign]
+    metrics = run_system(
+        system, Trace([[Packet(port=0, work=4)]]), drain_slots=10
+    )
+    assert checked == checked_at
+    assert metrics.slots_elapsed == 4
+    assert metrics.transmitted_packets == 1 and system.backlog == 0
+
+
 #: The same-port run kernels: the threshold rules, the FIFO push-out
 #: policies and LQD-V (on priority queues), whose drop tests read no
 #: arrival field but the port.
@@ -756,17 +848,14 @@ def test_same_port_runs_drop_as_one(policy_name, speedup):
     bursts = _run_bursts(config, seed=speedup)
     trace = Trace(bursts)
     naive = SharedMemorySwitch(config)
-    vec = VectorizedSwitch(config)
     naive_policy = make_policy(policy_name)
-    vec_policy = make_policy(policy_name)
+    system = _vectorized(config, policy_name)
+    vec = system.switch
     run_drops = 0
     for slot, burst in enumerate(bursts):
         before = list(naive.metrics.dropped_by_port)
         naive.run_slot(burst, naive_policy)
-        lo, hi = trace.slot_bounds(slot)
-        vec.run_slot_columns(
-            vec_policy, trace.ports, trace.works, trace.values, None, lo, hi
-        )
+        run_system(system, trace.window(slot, slot + 1))
         assert (
             vec.metrics.dropped_by_port == naive.metrics.dropped_by_port
         ), f"drops per port diverged at slot {slot}"
@@ -824,17 +913,14 @@ def test_value_kernel_keys_audited_in_sync(policy_name, speedup):
             ]
         )
     naive = SharedMemorySwitch(config)
-    vec = VectorizedSwitch(config)
     naive_policy = make_policy(policy_name)
-    vec_policy = make_policy(policy_name)
+    system = _vectorized(config, policy_name)
+    vec = system.switch
     audited = 0
     for slot, burst in enumerate(trace.slots):
         pushed = vec.metrics.pushed_out
         naive.run_slot(burst, naive_policy)
-        lo, hi = trace.slot_bounds(slot)
-        vec.run_slot_columns(
-            vec_policy, trace.ports, trace.works, trace.values, None, lo, hi
-        )
+        run_system(system, trace.window(slot, slot + 1))
         vec.check_invariants()
         _assert_fast_legs_match(naive, (vec,), f"at slot {slot}")
         audited += vec._kclean and vec.metrics.pushed_out > pushed
@@ -866,15 +952,12 @@ def test_overtaken_packet_completes_below_unfinished_head(policy_name):
     ] + [[] for _ in range(6)]
     trace = Trace(bursts)
     naive = SharedMemorySwitch(config)
-    vec = VectorizedSwitch(config)
     naive_policy = make_policy(policy_name)
-    vec_policy = make_policy(policy_name)
+    system = _vectorized(config, policy_name)
+    vec = system.switch
     for slot, burst in enumerate(bursts):
         naive.run_slot(burst, naive_policy)
-        lo, hi = trace.slot_bounds(slot)
-        vec.run_slot_columns(
-            vec_policy, trace.ports, trace.works, trace.values, None, lo, hi
-        )
+        run_system(system, trace.window(slot, slot + 1))
         naive.check_invariants()
         vec.check_invariants()
         _assert_fast_legs_match(naive, (vec,), f"at slot {slot}")

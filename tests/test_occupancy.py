@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.competitive import PolicySystem, run_system
 from repro.analysis.occupancy import compare_sharing, occupancy_profile
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
@@ -39,6 +40,22 @@ class TestProfileMechanics:
         profile = occupancy_profile(make_policy("LWD"), trace, config)
         assert 0.0 <= profile.utilization <= 1.0
         assert profile.slots == trace.n_slots
+
+    def test_port_churn_applies(self):
+        # Port 1 goes down at slot 2: its buffered packets are
+        # reclaimed and its later arrivals dropped, so the profile
+        # agrees with the replay's own occupancy integral.
+        config = SwitchConfig.contiguous(2, 8)
+        trace = Trace(
+            [burst(slot, port=1, count=3, work=2) for slot in range(10)]
+        )
+        trace.add_port_event(2, 1, False)
+        policy = make_policy("LQD")
+        profile = occupancy_profile(policy, trace, config)
+        metrics = run_system(PolicySystem(config, make_policy("LQD")), trace)
+        assert (metrics.accepted, metrics.dropped) == (6, 24)
+        assert profile.mean_occupancy_by_port == [0.0, 0.8]
+        assert profile.mean_total_occupancy == metrics.mean_occupancy
 
     def test_summary(self, setup):
         config, trace = setup

@@ -5,7 +5,7 @@ The array-backed surrogates of :mod:`repro.opt.vectorized` must be
 :mod:`repro.opt.surrogate` — every admit, push-out, drop (exact ties
 included), completion count, per-port split, and the float accumulation
 order of ``transmitted_value``. Hypothesis drives both through the same
-arrival streams, fed to the vectorized side as list columns, across
+arrival streams, one slot a ``run_system`` replay, across
 small and long bursts, congested and uncongested regimes, mid-run
 flushes, and port down/up events applied to both sides before a slot's
 arrivals (a down port's arrivals are dropped up front on the vectorized
@@ -64,43 +64,23 @@ def _drive_pair(
     flush_every: int = 0,
     events: Optional[Events] = None,
 ) -> None:
-    """Run reference and vectorized side by side, asserting lock-step."""
+    """Run reference and vectorized side by side, each slot a one-slot
+    window of the trace through ``run_system``, asserting lock-step."""
     ref = make_surrogate(config, by_value=by_value, engine="reference")
     vec = make_surrogate(config, by_value=by_value, engine="vectorized")
     expected = (
         VectorizedMaxValueSurrogate if by_value else VectorizedSrptSurrogate
     )
     assert isinstance(vec, expected)
-
-    ports: List[int] = []
-    works: List[int] = []
-    values: List[float] = []
-    spans = []
-    for burst in bursts:
-        lo = len(ports)
-        for port, work, value in burst:
-            ports.append(port)
-            works.append(work)
-            values.append(value)
-        spans.append((lo, len(ports)))
-
-    for slot, (lo, hi) in enumerate(spans):
+    trace = _trace(bursts, [])
+    for slot in range(trace.n_slots):
         for port, up in events[slot] if events else ():
             assert vec.set_port_state(port, up) == ref.set_port_state(
                 port, up
             ), f"reclaim diverged at slot {slot}"
-        ref.run_slot(
-            [
-                Packet(
-                    port=ports[j],
-                    work=works[j],
-                    value=values[j],
-                    arrival_slot=slot,
-                )
-                for j in range(lo, hi)
-            ]
-        )
-        vec.run_slot_columns(ports, works, values, None, lo, hi)
+        window = trace.window(slot, slot + 1)
+        run_system(ref, window)
+        run_system(vec, window)
         assert vec.backlog == ref.backlog, f"backlog diverged at slot {slot}"
         if flush_every and (slot + 1) % flush_every == 0:
             assert vec.flush() == ref.flush()
@@ -282,18 +262,15 @@ class TestChurn:
         events: Events = [[], [(1, False)], [], [(1, True)]]
         _drive_pair(by_value, config, bursts, events=events)
         vec = make_surrogate(config, by_value=by_value, engine="vectorized")
-        for slot, burst in enumerate(bursts):
-            for port, up in events[slot]:
-                vec.set_port_state(port, up)
-            ports = [port for port, _, _ in burst]
-            works = [work for _, work, _ in burst]
-            values = [value for _, _, value in burst]
+        trace = _trace(bursts, events)
+        for slot in range(trace.n_slots):
+            window = trace.window(slot, slot + 1)
             dropped = vec.metrics.dropped
-            vec.run_slot_columns(ports, works, values, None, 0, len(burst))
+            run_system(vec, window)
             if slot in (1, 2):
                 # Every port-1 arrival is dropped, and so is something
                 # else: the slot is congested.
-                assert vec.metrics.dropped - dropped > ports.count(1)
+                assert vec.metrics.dropped - dropped > window.ports.count(1)
         assert vec.metrics.flushed > 0
 
 
@@ -314,8 +291,7 @@ class TestExactTies:
         ports = [j % 2 for j in range(10)] + [0, 1]
         works = [5] * 10 + [5, 4]
         values = [1.0] * 12
-        vec.run_slot_columns(ports, works, values, None, 0, 10)
-        vec.run_slot_columns(ports, works, values, None, 10, 12)
+        run_system(vec, Trace.from_columns([0, 10, 12], ports, works, values))
         assert vec.metrics.accepted == 9
         assert vec.metrics.pushed_out == 1
         assert vec.metrics.dropped == 3  # two slot-0 ties + one slot-1 tie
@@ -335,8 +311,7 @@ class TestExactTies:
         ports = [j % 2 for j in range(10)] + [0, 1, 0, 1]
         works = [1] * 14
         values = [5.0] * 10 + [9.0, 9.0, 5.0, 6.0]
-        vec.run_slot_columns(ports, works, values, None, 0, 10)
-        vec.run_slot_columns(ports, works, values, None, 10, 14)
+        run_system(vec, Trace.from_columns([0, 10, 14], ports, works, values))
         assert vec.metrics.accepted == 11
         assert vec.metrics.pushed_out == 1
         assert vec.metrics.dropped == 3
@@ -354,7 +329,8 @@ class TestSurface:
             VectorizedMaxValueSurrogate,
         )
 
-    def test_object_run_slot_matches_reference(self):
+    def test_object_bursts_match_reference(self):
+        # Packet bursts, each replayed as a one-slot trace.
         rnd = random.Random(9)
         config = SwitchConfig.from_works([2, 3], buffer_size=5)
         for by_value in (False, True):
@@ -372,17 +348,15 @@ class TestSurface:
                     )
                     for _ in range(rnd.choice([0, 1, 4, 9]))
                 ]
-                ref.run_slot(burst)
-                vec.run_slot(burst)
+                run_system(ref, Trace([burst]))
+                run_system(vec, Trace([burst]))
                 assert vec.backlog == ref.backlog
             assert _snapshot(vec) == _snapshot(ref)
 
     def test_fast_forward_requires_empty_buffer(self):
         config = SwitchConfig.from_works([3, 3], buffer_size=4)
         vec = make_surrogate(config, by_value=False, engine="vectorized")
-        vec.run_slot(
-            [Packet(port=0, work=3, value=1.0, arrival_slot=0)]
-        )
+        run_system(vec, Trace([[Packet(port=0, work=3, value=1.0)]]))
         with pytest.raises(TraceError):
             vec.fast_forward(5)
 
@@ -394,14 +368,10 @@ class TestSurface:
             )
             # Four packets against two cores: something stays buffered
             # after the slot's transmissions on both models.
-            vec.run_slot(
-                [
-                    Packet(
-                        port=j % 2, work=4, value=2.0 + j, arrival_slot=0
-                    )
-                    for j in range(4)
-                ]
-            )
+            burst = [
+                Packet(port=j % 2, work=4, value=2.0 + j) for j in range(4)
+            ]
+            run_system(vec, Trace([burst]))
             assert vec.backlog > 0
             assert vec.flush() == vec.metrics.flushed
             assert vec.backlog == 0
