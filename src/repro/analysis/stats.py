@@ -8,10 +8,19 @@ from typing import Sequence
 
 from repro.core.errors import ConfigError
 
+#: Two-sided 95% Student-t quantiles (the 97.5% point) for 1..30
+#: degrees of freedom; beyond 30 the normal 1.96 is used.
+_T975 = (
+    12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
+    2.2622, 2.2281, 2.2010, 2.1788, 2.1604, 2.1448, 2.1314, 2.1199,
+    2.1098, 2.1009, 2.0930, 2.0860, 2.0796, 2.0739, 2.0687, 2.0639,
+    2.0595, 2.0555, 2.0518, 2.0484, 2.0452, 2.0423,
+)
+
 
 @dataclass(frozen=True)
 class Summary:
-    """Mean, spread, and a normal-approximation 95% confidence interval."""
+    """Mean, spread, and a Student-t 95% confidence interval."""
 
     n: int
     mean: float
@@ -31,7 +40,13 @@ class Summary:
 
 
 def summarize(samples: Sequence[float]) -> Summary:
-    """Summarize replicated measurements (e.g. ratios across seeds)."""
+    """Summarize replicated measurements (e.g. ratios across seeds).
+
+    The 95% interval is ``t * std / sqrt(n)`` with ``t`` the two-sided
+    97.5% Student-t quantile for ``n - 1`` degrees of freedom, from a
+    table for 1..30 degrees of freedom and the normal 1.96 beyond. A
+    single sample has a zero-width interval.
+    """
     if not samples:
         raise ConfigError("cannot summarize an empty sample set")
     n = len(samples)
@@ -40,7 +55,8 @@ def summarize(samples: Sequence[float]) -> Summary:
         return Summary(n=1, mean=mean, std=0.0, ci95_half_width=0.0)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     std = math.sqrt(variance)
-    half_width = 1.96 * std / math.sqrt(n)
+    t = _T975[n - 2] if n - 1 <= len(_T975) else 1.96
+    half_width = t * std / math.sqrt(n)
     return Summary(n=n, mean=mean, std=std, ci95_half_width=half_width)
 
 

@@ -3,12 +3,12 @@
 :class:`VectorizedSwitch` replaces
 :class:`repro.core.switch.SharedMemorySwitch` for unobserved replays. It
 keeps switch state as struct-of-arrays columns indexed by output port
-(queue length, head residual, value total, static work) instead of
-per-packet objects in per-queue containers. The reference engine stays
-the *oracle*: for every valid trace the two engines make the same
-decisions, tie-breaks included, and reach identical metrics and buffer
-contents, which the differential suite and the golden metrics digests
-enforce.
+(queue length, head residual, static work, and on priority queues a
+value total) instead of per-packet objects in per-queue containers. The
+reference engine stays the *oracle*: for every valid trace the two
+engines make the same decisions, tie-breaks included, and reach
+identical metrics and buffer contents, which the differential suite
+and the golden metrics digests enforce.
 
 Batching structure
 ------------------
@@ -338,11 +338,14 @@ class VectorizedSwitch:
       armed packets behind it (always empty at ``C = 1``). Advancing
       ``_tick`` serves every armed packet at once, so a phase costs
       O(completions).
-    * ``_tv`` — per-port buffered value totals, maintained with the
-      reference float operation order.
+    * ``_tv`` — per-port buffered value totals of the priority queues,
+      maintained with the reference float operation order (MRD's keys
+      read them, float residue included); FIFO queues keep none.
     * ``_works`` — static per-port work requirements.
-    * ``_tw`` — per-port residual work totals of the priority queues
-      (FIFO totals derive from the calendar).
+
+    A queue's residual work total is derived, never stored: from the
+    calendar on FIFO queues, as the sum of the record residuals on
+    priority queues (see :meth:`queue_work`).
 
     Packet payloads (value, arrival slot, sequence number, and — on
     priority queues — residual) live in flat per-port record stores,
@@ -374,24 +377,23 @@ class VectorizedSwitch:
         self._cores = config.speedup
         self._works: List[int] = list(config.works)
         self._lens: List[int] = [0] * n
-        self._tv: List[float] = [0.0] * n
         self._active: List[int] = []
         self._is_act: List[bool] = [False] * n
 
         # FIFO queues keep their armed packets on the expiry-tick
-        # calendar; priority queues keep explicit work totals instead.
+        # calendar; priority queues keep residuals in their records.
         self._tick = 0
         self._hexp: List[int] = [0] * n
         self._sched: Dict[int, List[int]] = {}
 
         if self._by_value:
-            self._tw: List[int] = [0] * n
+            self._tv: List[float] = [0.0] * n
             self._vals: List[List[float]] = [[] for _ in range(n)]
             self._recs: List[List[List[Any]]] = [[] for _ in range(n)]
             self._stores: List[Deque[Any]] = []
             self._wins: List[List[int]] = []
         else:
-            self._tw = []
+            self._tv = []
             self._vals = []
             self._recs = []
             self._stores = [deque() for _ in range(n)]
@@ -503,11 +505,11 @@ class VectorizedSwitch:
         """The paper's ``W_i`` for ``port``, from columns.
 
         A FIFO total derives from the calendar: the armed packets'
-        residuals plus the full work of the unarmed rest. Priority
-        queues maintain an explicit total.
+        residuals plus the full work of the unarmed rest; a priority
+        total is the sum of its records' residuals.
         """
         if self._by_value:
-            return self._tw[port]
+            return sum(rec[3] for rec in self._recs[port])
         length = self._lens[port]
         if length == 0:
             return 0
@@ -856,7 +858,6 @@ class VectorizedSwitch:
         # Priority transmission state.
         all_vals = self._vals
         all_recs = self._recs
-        tw = self._tw
         slot = self.current_slot
         arrived = metrics.arrived
         integral = 0
@@ -878,23 +879,42 @@ class VectorizedSwitch:
             elif by_value:
                 # Priority transmission phase (value model). Each active
                 # queue serves its min(C, L) most valuable packets one
-                # cycle each (at C = 1 only the top record is touched),
-                # and completed packets leave, head first.
+                # cycle each, and completed packets leave.
                 count = 0
                 drained: List[int] = []
-                for p in active:
-                    recs = all_recs[p]
-                    rec = recs[-1]
-                    if cores == 1:
-                        tw[p] -= 1
+                if cores == 1:
+                    # Only the top record is ever served, so no record
+                    # below it can reach residual 0: a queue sends at
+                    # most its top.
+                    for p in active:
+                        recs = all_recs[p]
+                        rec = recs[-1]
                         if rec[3] > 1:
                             rec[3] -= 1
                             continue
-                    else:
+                        recs.pop()
+                        all_vals[p].pop()
+                        value = rec[0]
+                        tv[p] -= value
+                        txv += value
+                        txv_by_port[p] += value
+                        arr = rec[1]
+                        if slot >= arr:
+                            delay_sum[p] += slot - arr
+                            delay_count[p] += 1
+                        nl = lens[p] - 1
+                        lens[p] = nl
+                        tx_by_port[p] += 1
+                        count += 1
+                        if not nl:
+                            drained.append(p)
+                else:
+                    for p in active:
                         # Every served record that completes leaves,
                         # head first, like the reference queue: one
                         # overtaken in service by a more valuable
                         # arrival can complete below an unfinished head.
+                        recs = all_recs[p]
                         length = lens[p]
                         c = cores if cores < length else length
                         nl = length
@@ -915,7 +935,6 @@ class VectorizedSwitch:
                                 delay_sum[p] += slot - arr
                                 delay_count[p] += 1
                             nl -= 1
-                        tw[p] -= c
                         if nl == length:
                             continue
                         lens[p] = nl
@@ -923,33 +942,6 @@ class VectorizedSwitch:
                         count += length - nl
                         if not nl:
                             drained.append(p)
-                        continue
-                    # The top record completed (C = 1).
-                    vals = all_vals[p]
-                    length = lens[p]
-                    nl = length
-                    while True:
-                        recs.pop()
-                        vals.pop()
-                        value = rec[0]
-                        tv[p] -= value
-                        txv += value
-                        txv_by_port[p] += value
-                        arr = rec[1]
-                        if slot >= arr:
-                            delay_sum[p] += slot - arr
-                            delay_count[p] += 1
-                        nl -= 1
-                        if not nl:
-                            break
-                        rec = recs[-1]
-                        if rec[3]:
-                            break
-                    lens[p] = nl
-                    tx_by_port[p] += length - nl
-                    count += length - nl
-                    if not nl:
-                        drained.append(p)
                 if count:
                     txp += count
                     self.occupancy -= count
@@ -1000,7 +992,6 @@ class VectorizedSwitch:
                         nl = lens[p]
                         while True:
                             value, arr, _sq = store.popleft()
-                            tv[p] -= value
                             nl -= 1
                             count += 1
                             txv += value
@@ -1148,10 +1139,9 @@ class VectorizedSwitch:
 
     def _clear_port(self, port: int) -> None:
         self._lens[port] = 0
-        self._tv[port] = 0.0
         self._is_act[port] = False
         if self._by_value:
-            self._tw[port] = 0
+            self._tv[port] = 0.0
             self._vals[port].clear()
             self._recs[port].clear()
         else:
@@ -1216,7 +1206,6 @@ class VectorizedSwitch:
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
-        tv = self._tv
         stores = self._stores
         sched = self._sched
         hexp = self._hexp
@@ -1273,7 +1262,6 @@ class VectorizedSwitch:
                     ol = lens[p]
                     nl = ol + 1
                     stores[p].append((v, a, 0))
-                    tv[p] += v
                     lens[p] = nl
                     if ol:
                         masks[ol] ^= bit[r]
@@ -1323,8 +1311,7 @@ class VectorizedSwitch:
                 masks[maxl] ^= bit[topr]
                 vl = maxl - 1
                 lens[t] = vl
-                vv = stores[t].pop()[0]
-                tv[t] -= vv
+                stores[t].pop()
                 if vl:
                     masks[vl] |= bit[topr]
                     if vl < cores:
@@ -1338,7 +1325,6 @@ class VectorizedSwitch:
                 v = values[i]
                 a = arrivals[i] if arrivals is not None else slot
                 stores[p].append((v, a, 0))
-                tv[p] += v
                 lens[p] = nl
                 accepted += 1
                 if ol:
@@ -1392,7 +1378,6 @@ class VectorizedSwitch:
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
-        tv = self._tv
         stores = self._stores
         sched = self._sched
         hexp = self._hexp
@@ -1471,7 +1456,6 @@ class VectorizedSwitch:
                             0,
                         )
                     )
-                    tv[p] += values[i]
                     lens[p] = ol + 1
             i = split
             while i < hi:
@@ -1495,8 +1479,7 @@ class VectorizedSwitch:
                 codes.pop()
                 vl = lens[t] - 1
                 lens[t] = vl
-                vv = stores[t].pop()[0]
-                tv[t] -= vv
+                stores[t].pop()
                 if vl:
                     if vl < cores:
                         # An armed tail takes only its residual with it.
@@ -1539,7 +1522,6 @@ class VectorizedSwitch:
                         0,
                     )
                 )
-                tv[p] += values[i]
                 lens[p] = ol + 1
                 accepted += 1
                 i += 1
@@ -1568,7 +1550,6 @@ class VectorizedSwitch:
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
-        tv = self._tv
         stores = self._stores
         sched = self._sched
         hexp = self._hexp
@@ -1623,7 +1604,6 @@ class VectorizedSwitch:
                             0,
                         )
                     )
-                    tv[p] += values[i]
                     lens[p] = ol + 1
                     if ol == below:
                         nm |= bit[rank[p]]
@@ -1657,8 +1637,7 @@ class VectorizedSwitch:
                 t = porder[vr]
                 vl = lens[t] - 1
                 lens[t] = vl
-                vv = stores[t].pop()[0]
-                tv[t] -= vv
+                stores[t].pop()
                 if vl == below:
                     nm ^= bit[vr]
                 if not vl:
@@ -1678,7 +1657,6 @@ class VectorizedSwitch:
                         0,
                     )
                 )
-                tv[p] += values[i]
                 lens[p] = ol + 1
                 accepted += 1
                 if ol == below:
@@ -1729,7 +1707,6 @@ class VectorizedSwitch:
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
         tv = self._tv
-        tw = self._tw
         all_vals = self._vals
         all_recs = self._recs
         active = self._active
@@ -1774,7 +1751,6 @@ class VectorizedSwitch:
                     vals.insert(pos, v)
                     a = arrivals[i] if arrivals is not None else slot
                     all_recs[p].insert(pos, [v, a, 0, w, w])
-                    tw[p] += w
                     tv[p] += v
                     if not lens[p]:
                         insort(active, p)
@@ -1818,7 +1794,7 @@ class VectorizedSwitch:
                     t = top[2]
                     tvals = all_vals[t]
                     vv = tvals.pop(0)
-                    tw[t] -= all_recs[t].pop(0)[3]
+                    del all_recs[t][0]
                     tv[t] -= vv
                     vl = tl - 1
                     lens[t] = vl
@@ -1844,7 +1820,6 @@ class VectorizedSwitch:
                     vals.insert(pos, v)
                     a = arrivals[i] if arrivals is not None else slot
                     all_recs[p].insert(pos, [v, a, 0, w, w])
-                    tw[p] += w
                     tv[p] += v
                     lens[p] = ol + 1
                     key = (ol + 1, -vals[0], p)
@@ -1867,7 +1842,7 @@ class VectorizedSwitch:
                     t = top[2]
                     tvals = all_vals[t]
                     vv = tvals.pop(0)
-                    tw[t] -= all_recs[t].pop(0)[3]
+                    del all_recs[t][0]
                     tv[t] -= vv
                     vl = top[1] - 1
                     lens[t] = vl
@@ -1893,7 +1868,6 @@ class VectorizedSwitch:
                     vals.insert(pos, v)
                     a = arrivals[i] if arrivals is not None else slot
                     all_recs[p].insert(pos, [v, a, 0, w, w])
-                    tw[p] += w
                     tv[p] += v
                     ol = lens[p]
                     if not ol:
@@ -1922,7 +1896,7 @@ class VectorizedSwitch:
                     t = top[2]
                     tvals = all_vals[t]
                     vv = tvals.pop(0)
-                    tw[t] -= all_recs[t].pop(0)[3]
+                    del all_recs[t][0]
                     tv[t] -= vv
                     del mins[bisect_left(mins, vv)]
                     vl = lens[t] - 1
@@ -1953,7 +1927,6 @@ class VectorizedSwitch:
                     vals.insert(pos, v)
                     a = arrivals[i] if arrivals is not None else slot
                     all_recs[p].insert(pos, [v, a, 0, w, w])
-                    tw[p] += w
                     tv[p] += v
                     ol = lens[p]
                     if not ol:
@@ -2006,12 +1979,11 @@ class VectorizedSwitch:
         metrics = self.metrics
         dropped_by_port = metrics.dropped_by_port
         lens = self._lens
-        tv = self._tv
         active = self._active
         is_act = self._is_act
         by_value = self._by_value
         # Priority layout.
-        tw = self._tw
+        tv = self._tv
         all_vals = self._vals
         all_recs = self._recs
         # FIFO layout.
@@ -2095,7 +2067,6 @@ class VectorizedSwitch:
                         v = values[i]
                         a = arrivals[i] if arrivals is not None else slot
                         ol = lens[p]
-                        tv[p] += v
                         lens[p] = ol + 1
                         if by_value:
                             w = works[i]
@@ -2103,7 +2074,7 @@ class VectorizedSwitch:
                             pos = bisect_left(vals, v)
                             vals.insert(pos, v)
                             all_recs[p].insert(pos, [v, a, 0, w, w])
-                            tw[p] += w
+                            tv[p] += v
                             if not ol:
                                 insort(active, p)
                                 is_act[p] = True
@@ -2147,11 +2118,11 @@ class VectorizedSwitch:
         """Raise ``AssertionError`` on any column/store inconsistency.
 
         Validates the columnar state against the per-packet record
-        stores (the object view): lengths, occupancy, value and work
-        totals, active-set/mask coherence, the calendar's armed windows,
-        priority ordering — and, when a kernel is bound and clean, the
-        derived victim-selection structures against a from-scratch
-        rebuild. This is the check that ``REPRO_CHECK_INVARIANTS`` runs
+        stores (the object view): lengths, occupancy, the priority
+        queues' value totals, active-set/mask coherence, the calendar's
+        armed windows, priority ordering — and, when a kernel is bound
+        and clean, the derived victim-selection structures against a
+        from-scratch rebuild. This is the check that ``REPRO_CHECK_INVARIANTS`` runs
         periodically through ``run_system``.
         """
         config = self.config
@@ -2169,13 +2140,15 @@ class VectorizedSwitch:
                     f"{len(recs)}/{len(vals)}"
                 )
                 assert vals == sorted(vals), f"port {port}: values unsorted"
-                expect_work = 0
                 expect_value = 0.0
                 for value, rec in zip(vals, recs):
                     assert rec[0] == value, f"port {port}: vals/recs skew"
                     assert rec[3] >= 1, f"port {port}: residual < 1"
-                    expect_work += rec[3]
                     expect_value += value
+                assert abs(expect_value - self._tv[port]) < 1e-9, (
+                    f"port {port}: tracked value {self._tv[port]} != "
+                    f"{expect_value}"
+                )
             else:
                 store = self._stores[port]
                 assert len(store) == length, (
@@ -2183,19 +2156,6 @@ class VectorizedSwitch:
                     f"{len(store)}"
                 )
                 self._check_window(port)
-                expect_work = sum(self._fifo_residuals(port))
-                expect_value = 0.0
-                for rec in store:
-                    expect_value += rec[0]
-            tracked_work = self.queue_work(port)
-            assert tracked_work == expect_work, (
-                f"port {port}: tracked work {tracked_work} != "
-                f"{expect_work}"
-            )
-            assert abs(expect_value - self._tv[port]) < 1e-9, (
-                f"port {port}: tracked value {self._tv[port]} != "
-                f"{expect_value}"
-            )
         assert total == self.occupancy, (
             f"occupancy {self.occupancy} != column total {total}"
         )

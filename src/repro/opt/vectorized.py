@@ -30,7 +30,9 @@ arrivals to admin-down ports are dropped up front, and the rest fill
 the buffer, push out its worst packet, or drop against a live eviction
 threshold; the transmission phase follows inline. The pools, the
 counters and the slot accounting stay in locals and are written once
-per span. ``run_span`` is the variants' one slot entry point.
+per span. ``run_span`` is the variants' one slot entry point, and
+``check_invariants`` audits the columns between spans, at the
+``REPRO_CHECK_INVARIANTS`` cadence of ``run_system``.
 
 Both are selected through ``make_surrogate(..., engine="vectorized")``
 and expose the same :class:`~repro.opt.surrogate.System` surface. Like
@@ -126,6 +128,19 @@ class _ColumnSurrogate:
     def _reclaim_port(self, port: int) -> int:
         """Remove every buffered packet for ``port``; return the count."""
         raise NotImplementedError
+
+    def _check_ports(self, ports: Sequence[int]) -> None:
+        """Churn accounting, and every buffered packet (``ports`` are
+        their destinations) bound for a valid port that is up."""
+        port_up = self._port_up
+        assert self._n_down == port_up.count(False), (
+            f"down-port count {self._n_down} != {port_up.count(False)}"
+        )
+        n = len(port_up)
+        for port in ports:
+            assert 0 <= port < n and port_up[port], (
+                f"buffered packet for invalid or admin-down port {port}"
+            )
 
     def run_span(
         self,
@@ -241,6 +256,54 @@ class VectorizedSrptSurrogate(_ColumnSurrogate):
         self._wh = 0
         self._size -= removed
         return removed
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` on any pool inconsistency.
+
+        The head pointers lie within their columns and each column pair
+        has equal lengths; the live active ticks do not decrease and all
+        lie past the phase tick; the live waiting residuals do not
+        decrease and none is below the largest active residual; the
+        waiting pool holds packets only while ``cores`` are active;
+        ``_size`` counts the live packets, at most ``B``; no packet of a
+        down port is buffered. ``REPRO_CHECK_INVARIANTS`` runs this
+        audit periodically through ``run_system``.
+        """
+        act_exp = self._act_exp
+        wait_res = self._wait_res
+        assert len(act_exp) == len(self._act_rec), "active columns skew"
+        assert len(wait_res) == len(self._wait_rec), "waiting columns skew"
+        assert 0 <= self._ah <= len(act_exp), (
+            f"active head {self._ah} outside 0..{len(act_exp)}"
+        )
+        assert 0 <= self._wh <= len(wait_res), (
+            f"waiting head {self._wh} outside 0..{len(wait_res)}"
+        )
+        active = act_exp[self._ah:]
+        waiting = wait_res[self._wh:]
+        assert active == sorted(active), "active ticks decrease"
+        assert not active or active[0] > self._tick, (
+            f"active tick {active[0]} not past the phase tick {self._tick}"
+        )
+        assert waiting == sorted(waiting), "waiting residuals decrease"
+        if waiting:
+            assert len(active) == self.cores, (
+                f"{len(waiting)} packets wait while only {len(active)} "
+                f"of {self.cores} cores are busy"
+            )
+            assert waiting[0] >= active[-1] - self._tick, (
+                f"waiting residual {waiting[0]} below the largest active "
+                f"residual {active[-1] - self._tick}"
+            )
+        size = len(active) + len(waiting)
+        assert self._size == size, f"size counter {self._size} != {size}"
+        assert size <= self.buffer_size, (
+            f"{size} packets buffered, B = {self.buffer_size}"
+        )
+        self._check_ports(
+            [rec[0] for rec in self._act_rec[self._ah:]]
+            + [rec[0] for rec in self._wait_rec[self._wh:]]
+        )
 
     @hot_path
     def run_span(
@@ -465,6 +528,27 @@ class VectorizedMaxValueSurrogate(_ColumnSurrogate):
             self._ports = [port_col[j] for j in keep]
             self._h = 0
         return removed
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` on any column inconsistency.
+
+        The head pointer lies within the value column, the live values
+        ascend, the port column runs parallel to them, the backlog is
+        at most ``B``, and no packet of a down port is buffered.
+        ``REPRO_CHECK_INVARIANTS`` runs this audit periodically through
+        ``run_system``.
+        """
+        vals = self._vals
+        assert len(self._ports) == len(vals), "value/port columns skew"
+        assert 0 <= self._h <= len(vals), (
+            f"head {self._h} outside 0..{len(vals)}"
+        )
+        live = vals[self._h:]
+        assert live == sorted(live), "live values do not ascend"
+        assert len(live) <= self.buffer_size, (
+            f"{len(live)} packets buffered, B = {self.buffer_size}"
+        )
+        self._check_ports(self._ports[self._h:])
 
     @hot_path
     def run_span(

@@ -107,7 +107,8 @@ def test_corrupt_length_column_caught():
 
 
 def test_corrupt_value_total_caught():
-    switch = _warm_switch()
+    # Only priority queues keep value totals (MRD's keys read them).
+    switch = _warm_value_switch("MRD")
     port = max(range(4), key=lambda p: switch._lens[p])
     switch._tv[port] += 0.5
     with pytest.raises(AssertionError):
@@ -342,8 +343,8 @@ def test_periodic_check_catches_corruption(monkeypatch):
     trace = _congested_trace(config, 20, seed=9, per_slot=8)
     # Pre-corrupt a column: the run itself proceeds (fast kernels do not
     # audit per slot) until the periodic check fires at slot 3.
-    system.switch._tv[0] += 1.0
-    with pytest.raises(AssertionError):
+    system.switch._lens[0] += 1
+    with pytest.raises(AssertionError, match="length column"):
         run_system(system, trace)
 
 

@@ -141,6 +141,31 @@ def _drive_lockstep(
     return naive, stepped.switch, whole.switch
 
 
+def _lockstep_audited(
+    policy_name: str, config: SwitchConfig, bursts: Sequence[Sequence[Packet]]
+) -> Tuple[SharedMemorySwitch, List[List[List[Packet]]]]:
+    """Lock-step with the reference, auditing both engines and
+    comparing ``queue_state``, the metrics snapshot and every queue's
+    ``queue_work`` after each slot; returns the reference switch and
+    its queues as they stood after each slot."""
+    naive = SharedMemorySwitch(config)
+    naive_policy = make_policy(policy_name)
+    system = _vectorized(config, policy_name)
+    vec = system.switch
+    trace = Trace(bursts)
+    seen = []
+    for slot, burst in enumerate(bursts):
+        naive.run_slot(burst, naive_policy)
+        run_system(system, trace.window(slot, slot + 1))
+        naive.check_invariants()
+        vec.check_invariants()
+        _assert_fast_legs_match(naive, (vec,), f"at slot {slot}")
+        for port, queue in enumerate(naive.queues):
+            assert vec.queue_work(port) == sum(p.residual for p in queue)
+        seen.append([list(queue) for queue in naive.queues])
+    return naive, seen
+
+
 def _assert_same_outcome(
     naive: SharedMemorySwitch, *vectorized: VectorizedSwitch
 ) -> None:
@@ -740,8 +765,8 @@ def test_drained_replay_matches_reference(monkeypatch, model, policy_name):
 
 @pytest.mark.parametrize("by_value", [False, True])
 def test_drained_surrogate_replay_matches_reference(monkeypatch, by_value):
-    """Both vectorized surrogates drain like the bisect oracle. They
-    run no self-checks, so the cadence leaves their drain one span."""
+    """Both vectorized surrogates drain like the bisect oracle, their
+    drain cut into spans at the self-check cadence."""
     monkeypatch.setenv("REPRO_CHECK_INVARIANTS", str(DRAIN_CHECK_EVERY))
     config, trace, drain = _drain_case(by_value)
     reference = make_surrogate(config, by_value)
@@ -950,17 +975,107 @@ def test_overtaken_packet_completes_below_unfinished_head(policy_name):
         ],
         [Packet(port=0, work=3, value=9.0, arrival_slot=1)],
     ] + [[] for _ in range(6)]
-    trace = Trace(bursts)
-    naive = SharedMemorySwitch(config)
-    naive_policy = make_policy(policy_name)
-    system = _vectorized(config, policy_name)
-    vec = system.switch
-    for slot, burst in enumerate(bursts):
-        naive.run_slot(burst, naive_policy)
-        run_system(system, trace.window(slot, slot + 1))
-        naive.check_invariants()
-        vec.check_invariants()
-        _assert_fast_legs_match(naive, (vec,), f"at slot {slot}")
+    naive, _ = _lockstep_audited(policy_name, config, bursts)
     assert naive.occupancy == 0
     assert naive.metrics.transmitted_packets == 3
     assert naive.metrics.transmitted_value == 12.0
+
+
+# ----------------------------------------------------------------------
+# Priority queues: one served record at C = 1, derived queue work
+# ----------------------------------------------------------------------
+
+
+def _rising_value_bursts(
+    n: int, work: int, n_slots: int, seed: int
+) -> List[List[Packet]]:
+    """Congested bursts whose values rise slot by slot, with ties: most
+    arrivals are worth more than the packet in service at their queue's
+    top, so they overtake it, partly served, and it resumes later."""
+    rng = random.Random(seed)
+    return [
+        [
+            Packet(
+                port=rng.randrange(n),
+                work=work,
+                value=float(slot // 3 + rng.randint(1, 3)),
+                arrival_slot=slot,
+            )
+            for _ in range(rng.choice([0, 1, 1, 2, 4]))
+        ]
+        for slot in range(n_slots)
+    ]
+
+
+@pytest.mark.parametrize("policy_name", ["LQD-V", "MVD", "MRD", "NEST"])
+def test_overtaken_top_resumes_at_one_core(policy_name):
+    """At ``C = 1`` with work 3, a more valuable arrival overtakes a
+    partly served top record; the overtaken record waits below with
+    its residual and resumes once it is the top again. Only the top is
+    ever served, so a record below it never completes."""
+    config = SwitchConfig.uniform(
+        3, 6, work=3, discipline=QueueDiscipline.PRIORITY
+    )
+    _, seen = _lockstep_audited(
+        policy_name, config, _rising_value_bursts(3, 3, 120, seed=4)
+    )
+    # A partly served record below the top of its queue (the head of
+    # the reference's queue is its top).
+    overtaken = sum(
+        any(pk.residual < 3 for pk in queue[1:])
+        for queues in seen
+        for queue in queues
+    )
+    assert overtaken >= 10, f"only {overtaken} overtaken tops"
+
+
+@pytest.mark.parametrize("speedup", [1, 2])
+def test_nhdtw_on_priority_queues(speedup):
+    """NHDT-W reads every queue's work, on priority queues the sum of
+    its records' residuals, which service and overtaking move."""
+    config = SwitchConfig.uniform(
+        4, 8, work=3, speedup=speedup, discipline=QueueDiscipline.PRIORITY
+    )
+    bursts = _rising_value_bursts(4, 3, 120, seed=5 + speedup)
+    _, seen = _lockstep_audited("NHDT-W", config, bursts)
+    assert any(len(queue) > 1 for queues in seen for queue in queues)
+
+
+@pytest.mark.parametrize("speedup", [1, 2, 3])
+@pytest.mark.parametrize("by_value", [False, True])
+def test_queue_work_is_the_residual_sum(by_value, speedup):
+    """After random replays, each queue's ``queue_work`` is the sum of
+    the residuals of the reference queue's packets, in both layouts."""
+    rng = random.Random(speedup + 10 * by_value)
+    for policy_name in (VALUE_POLICIES if by_value else PROC_POLICIES):
+        if by_value:
+            config = SwitchConfig.uniform(
+                3, 7, work=3, speedup=speedup,
+                discipline=QueueDiscipline.PRIORITY,
+            )
+        else:
+            config = SwitchConfig.from_works(
+                [2, 3, 4], buffer_size=7, speedup=speedup
+            )
+        bursts = [
+            [
+                Packet(
+                    port=(p := rng.randrange(3)),
+                    work=config.work_of(p),
+                    value=float(rng.randint(1, 4)),
+                    arrival_slot=slot,
+                )
+                for _ in range(rng.choice([0, 1, 3, 6]))
+            ]
+            for slot in range(40)
+        ]
+        trace = Trace(bursts)
+        reference = PolicySystem(config, make_policy(policy_name))
+        vec = _vectorized(config, policy_name)
+        run_system(reference, trace)
+        run_system(vec, trace)
+        assert vec.switch.occupancy > 0
+        for port, queue in enumerate(reference.switch.queues):
+            assert vec.switch.queue_work(port) == sum(
+                pk.residual for pk in queue
+            ), f"{policy_name}: port {port}"

@@ -28,6 +28,25 @@ class TestSummarize:
         )
         assert summary.ci_high > summary.ci_low
 
+    @pytest.mark.parametrize(
+        "samples, t",
+        [([1.0, 2.0], 12.7062), ([1.0, 2.0, 3.0], 4.3027)],
+    )
+    def test_small_samples_use_student_t(self, samples, t):
+        # Two and three samples: 1 and 2 degrees of freedom, whose
+        # 97.5% quantiles are 6.5x and 2.2x the normal 1.96.
+        summary = summarize(samples)
+        assert summary.ci95_half_width == pytest.approx(
+            t * summary.std / math.sqrt(len(samples)), rel=1e-9
+        )
+
+    def test_large_samples_use_normal_quantile(self):
+        samples = [1.0, 2.0] * 16
+        summary = summarize(samples)
+        assert summary.ci95_half_width == pytest.approx(
+            1.96 * summary.std / math.sqrt(32)
+        )
+
     def test_ci_narrows_with_samples(self):
         narrow = summarize([1.0, 2.0] * 50)
         wide = summarize([1.0, 2.0])

@@ -15,7 +15,9 @@ vectorized side runs multi-slot spans between flushouts and churn
 events, across idle stretches and at ``B = 0``. Engineered regressions pin
 the exact-tie eviction semantics the live threshold depends on: an
 SRPT arrival whose work *equals* the threshold and a MaxValue arrival
-whose value *equals* the threshold are both guaranteed drops.
+whose value *equals* the threshold are both guaranteed drops. Last,
+each surrogate's ``check_invariants`` must catch every corrupted field
+and run at the ``REPRO_CHECK_INVARIANTS`` cadence, drains included.
 
 Delay statistics are excluded from the comparison: fast-mode
 surrogates account transmissions in aggregate (like the fast-mode
@@ -375,3 +377,173 @@ class TestSurface:
             assert vec.backlog > 0
             assert vec.flush() == vec.metrics.flushed
             assert vec.backlog == 0
+
+
+def _loaded(by_value: bool):
+    """A vectorized surrogate with two cores (two ports, ``C = 1``)
+    after a congested slot: SRPT holds two active packets of distinct
+    ticks and five waiting ones of distinct residuals, MaxValue seven
+    distinct values."""
+    config = SwitchConfig.from_works([6, 6], buffer_size=8)
+    vec = make_surrogate(config, by_value=by_value, engine="vectorized")
+    burst = [
+        Packet(port=j % 2, work=j + 1, value=float(j + 1)) for j in range(8)
+    ]
+    run_system(vec, Trace([burst]))
+    vec.check_invariants()
+    if by_value:
+        assert vec.backlog == 6
+    else:
+        active = vec._act_exp[vec._ah:]
+        waiting = vec._wait_res[vec._wh:]
+        assert len(active) == 2 and active[0] < active[1]
+        assert len(waiting) == 5 and waiting == sorted(set(waiting))
+    return vec
+
+
+def _corrupt_srpt(vec, field: str) -> None:
+    ah, wh = vec._ah, vec._wh
+    if field == "active-head":
+        vec._ah = len(vec._act_exp) + 1
+    elif field == "waiting-head":
+        vec._wh = -1
+    elif field == "active-columns":
+        vec._act_rec.append((0, 1.0))
+    elif field == "waiting-columns":
+        vec._wait_rec.pop()
+    elif field == "active-order":
+        vec._act_exp[ah] = vec._act_exp[-1] + 1
+    elif field == "active-expired":
+        vec._act_exp[ah] = vec._tick
+    elif field == "waiting-order":
+        vec._wait_res[-1] = vec._wait_res[-2] - 1
+    elif field == "waiting-below-active":
+        vec._wait_res[wh] = vec._act_exp[-1] - vec._tick - 1
+    elif field == "idle-core":
+        # An active packet vanishes while others still wait.
+        vec._act_exp.pop()
+        vec._act_rec.pop()
+        vec._size -= 1
+    elif field == "size":
+        vec._size += 1
+    else:
+        raise AssertionError(field)
+
+
+def _corrupt_maxvalue(vec, field: str) -> None:
+    if field == "head":
+        vec._h = len(vec._vals) + 1
+    elif field == "order":
+        vec._vals[vec._h] = vec._vals[-1] + 1.0
+    elif field == "columns":
+        vec._ports.pop()
+    else:
+        raise AssertionError(field)
+
+
+class TestAudit:
+    """``check_invariants`` on the vectorized surrogates: a corrupted
+    field raises, and ``run_system`` runs the audit at the
+    ``REPRO_CHECK_INVARIANTS`` cadence, drains included."""
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("active-head", "active head"),
+            ("waiting-head", "waiting head"),
+            ("active-columns", "active columns skew"),
+            ("waiting-columns", "waiting columns skew"),
+            ("active-order", "active ticks decrease"),
+            ("active-expired", "not past the phase tick"),
+            ("waiting-order", "waiting residuals decrease"),
+            ("waiting-below-active", "below the largest active"),
+            ("idle-core", "cores are busy"),
+            ("size", "size counter"),
+        ],
+    )
+    def test_corrupt_srpt_caught(self, field, message):
+        vec = _loaded(by_value=False)
+        _corrupt_srpt(vec, field)
+        with pytest.raises(AssertionError, match=message):
+            vec.check_invariants()
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("head", "head"),
+            ("order", "do not ascend"),
+            ("columns", "columns skew"),
+        ],
+    )
+    def test_corrupt_maxvalue_caught(self, field, message):
+        vec = _loaded(by_value=True)
+        _corrupt_maxvalue(vec, field)
+        with pytest.raises(AssertionError, match=message):
+            vec.check_invariants()
+
+    @pytest.mark.parametrize("by_value", [False, True])
+    def test_over_capacity_caught(self, by_value):
+        vec = _loaded(by_value)
+        vec.buffer_size = vec.backlog - 1
+        with pytest.raises(AssertionError, match="packets buffered"):
+            vec.check_invariants()
+
+    @pytest.mark.parametrize("by_value", [False, True])
+    def test_down_port_packet_caught(self, by_value):
+        vec = _loaded(by_value)
+        port = vec._ports[vec._h] if by_value else vec._act_rec[vec._ah][0]
+        vec._port_up[port] = False
+        vec._n_down += 1
+        with pytest.raises(AssertionError, match="admin-down port"):
+            vec.check_invariants()
+
+    @pytest.mark.parametrize("by_value", [False, True])
+    def test_down_count_caught(self, by_value):
+        vec = _loaded(by_value)
+        vec._n_down += 1
+        with pytest.raises(AssertionError, match="down-port count"):
+            vec.check_invariants()
+
+    @pytest.mark.parametrize("by_value", [False, True])
+    def test_clean_replay_audited_through_drain(self, monkeypatch, by_value):
+        """A congested replay with churn and a long drain passes the
+        audit every 3 slots; the drain is cut into spans at that
+        cadence, so it is audited too, and still matches the oracle."""
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "3")
+        rnd = random.Random(11 + by_value)
+        config = SwitchConfig.from_works([5, 6, 4], buffer_size=30)
+        # The last slot fills the buffer: the drain lasts at least ten
+        # slots with three cores.
+        bursts: List[Burst] = [
+            [
+                (rnd.randrange(3), rnd.randint(3, 6), float(rnd.randint(1, 4)))
+                for _ in range(40 if slot == 19 else rnd.choice([0, 2, 7]))
+            ]
+            for slot in range(20)
+        ]
+        events: Events = [[] for _ in range(20)]
+        events[6] = [(2, False)]
+        events[13] = [(2, True)]
+        trace = _trace(bursts, events)
+        ref = make_surrogate(config, by_value=by_value, engine="reference")
+        vec = make_surrogate(config, by_value=by_value, engine="vectorized")
+        checked: List[int] = []
+        check = vec.check_invariants
+
+        def spy() -> None:
+            checked.append(vec.metrics.slots_elapsed)
+            check()
+
+        vec.check_invariants = spy  # type: ignore[method-assign]
+        run_system(ref, trace, drain_slots=100)
+        run_system(vec, trace, drain_slots=100)
+        assert vec.backlog == ref.backlog == 0
+        assert _snapshot(vec) == _snapshot(ref)
+        # The replay's checks fall on the cadence (idle stretches are
+        # fast-forwarded over theirs); the drain's count from its start.
+        replayed = [slot for slot in checked if slot <= trace.n_slots]
+        drained = [slot - trace.n_slots for slot in checked[len(replayed):]]
+        assert len(replayed) >= 4
+        assert all(slot % 3 == 0 for slot in replayed)
+        assert len(drained) >= 2
+        assert drained == [3 * k for k in range(1, len(drained) + 1)]
