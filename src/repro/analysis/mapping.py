@@ -3,8 +3,8 @@
 The paper's main proof (Fig. 3 + Lemma 8) charges every packet the
 clairvoyant OPT transmits to a packet LWD transmits, with at most two OPT
 packets per LWD packet. The argument only uses one property of OPT — it
-never pushes out — so the same mapping certifies ``REF <= 2 * LWD`` for
-*any* non-push-out reference schedule REF.
+never pushes out — so the same mapping is meant to certify ``REF <= 2 *
+LWD`` for *any* non-push-out reference schedule REF.
 
 This module runs LWD and a non-push-out reference policy in lock-step over
 a trace and maintains the proof's mapping *online*, exactly following the
@@ -29,22 +29,26 @@ Every violation the checker can raise corresponds to a step of Lemma 8
 that would not go through on this run. Two severities are reported
 separately:
 
-* *accounting* — the theorem's conclusion itself fails (an LWD packet
-  charged three REF packets, an uncredited REF transmission, cumulative
-  ``REF > 2 * LWD``). **Never observed**, on any trace, against any
-  reference.
+* *accounting* — the online charging fails (an LWD packet charged three
+  REF packets, an uncredited REF transmission, cumulative ``REF > 2 *
+  LWD``). It does occur against an *optimal* reference: on a four-port
+  instance an optimal schedule transmits a packet the mapping has no
+  LWD image to charge, although OPT = LWD there
+  (``tests/test_mapping.py::TestAgainstTrueOptima``). The cumulative
+  ``REF <= 2 * LWD`` bound has held on every run.
 * *lemma* — an intermediate latency invariant of Lemma 8 fails under our
-  reading. Against the proofs' own clairvoyant OPT strategies the lemma
-  verifies completely; against *other* non-push-out references (e.g.
-  NEST) latency inversions do occur. The mechanism: LWD may push out a
-  partially-processed packet (a singleton queue whose residual work still
-  tops every other queue), then later re-admit a fresh full-work packet
-  to that port, while the reference kept — and kept processing — its old
-  copy; the re-established A0 pair then has ``lat(REF) < lat(LWD)``,
-  which the proof's case (4) asserts cannot happen. The 2x accounting
-  survives these inversions in every run we have tried, so the finding
-  concerns the written proof's invariant, not (as far as our experiments
-  can see) the theorem. EXPERIMENTS.md discusses this in detail.
+  reading. Against the adversarial constructions' scripted OPT
+  strategies the lemma verifies completely; against other non-push-out
+  references (e.g. NEST) and against some optimal schedules of tiny
+  instances latency inversions do occur. The mechanism seen against the
+  heuristics: LWD may push out a partially-processed packet (a singleton
+  queue whose residual work still tops every other queue), then later
+  re-admit a fresh full-work packet to that port, while the reference
+  kept — and kept processing — its old copy; the re-established A0 pair
+  then has ``lat(REF) < lat(LWD)``, which the proof's case (4) asserts
+  cannot happen. Whether the checker misreads a rule of Fig. 3 or the
+  written proof has a gap is open; no run has broken the theorem's
+  conclusion. EXPERIMENTS.md discusses this in detail.
 
 Restrictions inherited from the proof's setting: FIFO discipline and
 speedup ``C = 1`` (one processing cycle per port per slot).
@@ -72,11 +76,14 @@ class MappingViolation:
     ``severity`` distinguishes the two layers of the proof:
 
     * ``"lemma"`` — a latency invariant of Lemma 8 did not hold at this
-      step under our reading (observed only against *non-OPT* reference
-      schedules; see :class:`MappingReport.lemma_clean`);
+      step under our reading (observed against non-push-out heuristics
+      and against some optimal schedules; see
+      :class:`MappingReport.lemma_clean`);
     * ``"accounting"`` — the 2x charging itself failed (an LWD packet
       charged three REF packets, a REF transmission with no image to
-      charge, or the cumulative bound broken). Never observed.
+      charge, or the cumulative bound broken). Observed against an
+      optimal schedule as an uncharged REF transmission; the cumulative
+      bound has never broken.
     """
 
     slot: int

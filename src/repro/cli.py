@@ -11,11 +11,6 @@ Subcommands
     a theorem validation (prints measured vs. predicted ratio).
 ``scenario THM``
     Run an adversarial construction with custom ``--k/--buffer`` sizes.
-``bench``
-    Run the pinned performance panels, write ``BENCH_<tag>.json``, and
-    optionally gate against a baseline report (``--baseline`` alone
-    gates on regression; with ``--min-speedup`` it gates on a speedup
-    floor instead — the vectorized-engine acceptance check).
 ``golden``
     Check the committed golden fixture (``--check``, the default):
     decision streams on the reference engine, metrics on both engines.
@@ -287,119 +282,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     write_report(args.out, options)
     print(f"# wrote {args.out}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run pinned perf panels; write and optionally gate a report."""
-    from repro.bench import (
-        PANELS,
-        compare_speedup,
-        format_obs_report,
-        format_report,
-        load_report,
-        run_bench,
-        run_obs_bench,
-        select_panels,
-        write_report,
-    )
-
-    if args.min_speedup is not None and not args.baseline:
-        print("--min-speedup requires --baseline", file=sys.stderr)
-        return 2
-
-    if args.list:
-        for name, panel in PANELS.items():
-            print(
-                f"{name:26s} {panel.model:10s} {panel.workload:11s} "
-                f"n={panel.n_ports:<3d} B={panel.buffer_size:<4d} "
-                f"slots={panel.n_slots}"
-            )
-        return 0
-
-    if args.pipeline:
-        from repro.bench import (
-            PIPELINE_PANELS,
-            format_pipeline_report,
-            run_pipeline_bench,
-        )
-
-        panels = select_panels(args.panels or list(PIPELINE_PANELS))
-        accelerated = args.pipeline_mode != "baseline"
-        tag = args.tag
-        if tag == "local":
-            tag = "pipeline" if accelerated else "pipeline_base"
-        report = run_pipeline_bench(
-            panels,
-            tag=tag,
-            accelerated=accelerated,
-            slots_scale=args.slots_scale,
-            repeats=args.repeats,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-        print(format_pipeline_report(report))
-    else:
-        panels = select_panels(args.panels)
-        if args.obs_overhead:
-            report = run_obs_bench(
-                panels,
-                tag=args.tag if args.tag != "local" else "obs",
-                slots_scale=args.slots_scale,
-                progress=lambda line: print(line, file=sys.stderr),
-            )
-            print(format_obs_report(report))
-            path = write_report(report, args.out_dir)
-            print(f"# wrote {path}")
-            return 0
-        report = run_bench(
-            panels,
-            tag=args.tag,
-            mode=args.mode,
-            slots_scale=args.slots_scale,
-            repeats=args.repeats,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-        print(format_report(report))
-    path = write_report(report, args.out_dir)
-    print(f"# wrote {path}")
-    if not args.baseline:
-        return 0
-
-    # One gate: without --min-speedup it is the regression gate, a
-    # speedup floor of 1 over every panel both reports hold; with it,
-    # the vectorized-engine acceptance floor over --speedup-panels. The
-    # same fractional fence applies to both.
-    baseline = load_report(args.baseline)
-    floor = args.min_speedup
-    shortfalls = compare_speedup(
-        report,
-        baseline,
-        min_speedup=1.0 if floor is None else floor,
-        panels=None if floor is None else args.speedup_panels,
-        tolerance=args.max_regression,
-    )
-    if shortfalls:
-        if floor is None:
-            header = (
-                f"# REGRESSION vs {args.baseline} "
-                f"(>{args.max_regression:.0%} slower):"
-            )
-        else:
-            header = (
-                f"# SPEEDUP SHORTFALL vs {args.baseline} "
-                f"(floor {floor:g}x - {args.max_regression:.0%}):"
-            )
-        print(header, file=sys.stderr)
-        for shortfall in shortfalls:
-            print(f"#   {shortfall}", file=sys.stderr)
-        return 1
-    if floor is None:
-        print(f"# no regression vs {args.baseline}")
-    else:
-        print(
-            f"# speedup >= {floor:g}x "
-            f"(-{args.max_regression:.0%} fence) vs {args.baseline}"
-        )
     return 0
 
 
@@ -780,94 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_engine_flags(report_parser)
     report_parser.set_defaults(func=_cmd_report)
 
-    bench_parser = sub.add_parser(
-        "bench",
-        help="run pinned performance panels and write BENCH_<tag>.json",
-    )
-    bench_parser.add_argument(
-        "--tag", default="local",
-        help="report tag; output file is BENCH_<tag>.json (default local)",
-    )
-    bench_parser.add_argument(
-        "--out-dir", default="benchmarks",
-        help="directory for the report (default benchmarks/)",
-    )
-    bench_parser.add_argument(
-        "--panels", nargs="*", default=None,
-        help="panel names, or small / large / all (default all)",
-    )
-    bench_parser.add_argument(
-        "--mode", choices=("naive", "vectorized"), default="vectorized",
-        help=(
-            "engine to time: the columnar vectorized engine that "
-            "'repro run' uses, or the naive reference oracle "
-            "(default vectorized)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--slots-scale", type=float, default=1.0,
-        help="multiply every panel's slot count (recorded in the report)",
-    )
-    bench_parser.add_argument(
-        "--repeats", type=int, default=1,
-        help=(
-            "run each panel this many times and report the best "
-            "throughput (default 1; CI gates should use >= 3)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--baseline", default=None,
-        help="gate against this BENCH_*.json; exit 1 on regression",
-    )
-    bench_parser.add_argument(
-        "--max-regression", type=float, default=0.25,
-        help="allowed fractional slots/s drop vs baseline (default 0.25)",
-    )
-    bench_parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help=(
-            "require every gated panel to beat the --baseline report "
-            "by this factor (25%%-fence style: the effective floor is "
-            "MIN_SPEEDUP * (1 - --max-regression)); exit 1 on shortfall"
-        ),
-    )
-    bench_parser.add_argument(
-        "--speedup-panels", nargs="*", default=None,
-        help=(
-            "restrict the --min-speedup gate to these panels "
-            "(default: every panel present in both reports)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--list", action="store_true",
-        help="list the pinned panels and exit",
-    )
-    bench_parser.add_argument(
-        "--pipeline", action="store_true",
-        help=(
-            "measure end-to-end sweep cells (trace gen + policies + "
-            "OPT surrogate) instead of the raw slot loop; default "
-            "panels are the large-n pipeline set"
-        ),
-    )
-    bench_parser.add_argument(
-        "--pipeline-mode", choices=("accelerated", "baseline"),
-        default="accelerated",
-        help=(
-            "accelerated: trace reuse + vectorized OPT; "
-            "baseline: traces regenerated per cell + reference "
-            "OPT (the tracked pre-pipeline state)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--obs-overhead", action="store_true",
-        help=(
-            "measure JSONL event-recording overhead instead of raw "
-            "throughput (writes BENCH_obs.json by default)"
-        ),
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
-
     golden_parser = sub.add_parser(
         "golden",
         help=(
@@ -904,9 +698,16 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="record a bench panel as a JSONL event trace, or verify one",
     )
+    # The panel names are spelled out rather than read from
+    # repro.bench.PANELS, which would import the panel module on every
+    # CLI start; an unknown name is answered with the full list.
     trace_parser.add_argument(
         "--scenario", default=None,
-        help="bench panel to record (see `repro bench --list`)",
+        help=(
+            "bench panel to record: {uniform,mmpp,adversarial}-proc-"
+            "{small,large}, adversarial-value-{small,large}, "
+            "dynamic-flap-small or dynamic-split-small"
+        ),
     )
     trace_parser.add_argument(
         "--policy", default=None,

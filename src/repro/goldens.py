@@ -45,7 +45,7 @@ from repro.traffic.trace import Trace
 DEFAULT_GOLDEN_PATH = Path("benchmarks") / "GOLDEN_streams.json"
 
 #: The committed scale: panels shrink to this fraction of their pinned
-#: slot count, keeping a full eight-panel golden pass in CI-smoke
+#: slot count, keeping a full ten-panel golden pass in CI-smoke
 #: territory while still exercising congestion on every panel.
 GOLDEN_SLOTS_SCALE = 0.1
 

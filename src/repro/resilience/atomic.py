@@ -4,8 +4,8 @@ The sweep cache has always written entries as *temp file + fsync +
 ``os.replace``* so a process killed mid-write can never leave a
 truncated entry behind — readers see either the old content or the new
 content, never half a file. This module makes that pattern a shared
-primitive so every durable artifact the repo produces (``BENCH_*.json``
-reports, JSONL event traces, reproduction reports, resume manifests)
+primitive so every durable artifact the repo produces (the golden
+fixture, JSONL event traces, reproduction reports, resume manifests)
 carries the same guarantee.
 
 The temp file lives in the *same directory* as the target (``rename``

@@ -1,9 +1,9 @@
 """Durable-artifact tests: every published file is whole or absent.
 
-Covers the shared atomic-write primitive, the bench report writer, the
-reproduction report writer, and the JSONL trace writer — including a
-subprocess that is SIGKILLed mid-write, which must never leave a torn
-file at the target path.
+Covers the shared atomic-write primitive, the reproduction report
+writer, and the JSONL trace writer — including a subprocess that is
+SIGKILLed mid-write, which must never leave a torn file at the target
+path.
 """
 
 from __future__ import annotations
@@ -99,17 +99,6 @@ class TestKillMidWrite:
         leftover = tmp_path_for(target)
         if leftover.exists():
             assert leftover.name.endswith(".tmp")
-
-
-class TestBenchReportAtomicity:
-    def test_write_report_is_atomic_and_valid(self, tmp_path):
-        from repro.bench import write_report
-
-        report = {"schema": 1, "tag": "unit", "results": []}
-        path = write_report(report, tmp_path)
-        assert path == tmp_path / "BENCH_unit.json"
-        assert json.loads(path.read_text()) == report
-        assert not tmp_path_for(path).exists()
 
 
 class TestReproductionReportAtomicity:

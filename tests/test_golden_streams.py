@@ -3,15 +3,17 @@
 ``benchmarks/GOLDEN_streams.json`` pins a sha256 per bench panel and
 policy over the full observer event stream plus the final metrics
 snapshot. These tests recompute a subset on both engines (a full
-eight-panel double-engine pass belongs to ``repro golden --check`` in
-CI, not the unit suite) and sanity-check the hasher itself.
+ten-panel double-engine pass belongs to ``repro golden --check`` in
+CI, not the unit suite) and sanity-check the hasher itself. The
+fixture pins 0.1-scale runs; :data:`FULL_SCALE_OBJECTIVES` pins the
+full-horizon objectives of the eight shared-buffer panels.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import PANELS
+from repro.bench import PANELS, run_panel_bench
 from repro.core.errors import ConfigError
 from repro.goldens import (
     DEFAULT_GOLDEN_PATH,
@@ -32,6 +34,25 @@ except ImportError:
 #: One cheap panel per traffic model keeps the unit-suite pass fast;
 #: adversarial needs numpy so it is split out below.
 FAST_PANELS = ("uniform-proc-small", "mmpp-proc-small")
+
+#: Per-policy objectives of each shared-buffer panel at scale 1.0, as
+#: the reference engine recorded them before the vectorized engine
+#: existed. Transmitted packets on the processing panels, transmitted
+#: value on the value panels.
+FULL_SCALE_OBJECTIVES = {
+    "uniform-proc-small": {"LQD": 4287.0, "LWD": 4290.0, "BPD": 2916.0},
+    "uniform-proc-large": {"LQD": 773.0, "LWD": 777.0, "BPD": 661.0},
+    "mmpp-proc-small": {"LQD": 3555.0, "LWD": 3687.0, "BPD": 2627.0},
+    "mmpp-proc-large": {"LQD": 331.0, "LWD": 370.0, "BPD": 247.0},
+    "adversarial-proc-small": {"LQD": 4062.0, "LWD": 4073.0, "BPD": 1707.0},
+    "adversarial-proc-large": {"LQD": 1230.0, "LWD": 1094.0, "BPD": 453.0},
+    "adversarial-value-small": {
+        "LQD-V": 120997.0, "MVD": 128243.0, "MRD": 130661.0,
+    },
+    "adversarial-value-large": {
+        "LQD-V": 234413.0, "MVD": 234627.0, "MRD": 246602.0,
+    },
+}
 
 
 def _fixture_path():
@@ -68,6 +89,15 @@ def test_goldens_hold_on_adversarial_panel():
         engines=("reference", "vectorized"),
     )
     assert problems == [], "\n".join(problems)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="panel traces need numpy")
+@pytest.mark.parametrize("name", sorted(FULL_SCALE_OBJECTIVES))
+def test_full_scale_objectives_hold_on_vectorized_engine(name):
+    # The production engine over each panel's full horizon: equal
+    # objectives mean the same decisions as the recorded reference run.
+    result = run_panel_bench(PANELS[name], "vectorized")
+    assert result.objectives() == FULL_SCALE_OBJECTIVES[name]
 
 
 def test_compute_goldens_rejects_unknown_panel():

@@ -5,6 +5,8 @@ import pytest
 from repro.analysis.mapping import MappingChecker, certify_lwd
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
+from repro.core.packet import Packet
+from repro.opt.exhaustive import TinyInstance, exhaustive_opt
 from repro.opt.scripted import ScriptedPolicy
 from repro.policies import make_policy
 from repro.traffic.adversarial import thm1_nhst, thm4_lqd, thm5_bpd, thm6_lwd
@@ -87,6 +89,81 @@ class TestAgainstArbitraryReferences:
                         v.severity == "lemma" for v in report.violations
                     )
         assert warned
+
+
+def _scripted_trace(config, slot_ports, accepted):
+    """A trace with one packet per listed port per slot (work set by
+    the port), where ``accepted(i)`` tags the i-th arrival for OPT."""
+    trace = Trace()
+    index = 0
+    for slot, ports in enumerate(slot_ports):
+        packets = []
+        for port in ports:
+            packets.append(
+                Packet(
+                    port=port,
+                    work=config.ports[port].work,
+                    arrival_slot=slot,
+                    opt_accept=accepted(index),
+                )
+            )
+            index += 1
+        trace.append_slot(packets)
+    return trace
+
+
+def _true_opt(config, slot_ports):
+    return exhaustive_opt(
+        TinyInstance(
+            config=config,
+            arrivals=tuple(
+                tuple((port, 1.0) for port in ports) for ports in slot_ports
+            ),
+        )
+    )
+
+
+class TestAgainstTrueOptima:
+    """Optimal schedules on which the online mapping does not go
+    through. Whether the checker misreads Fig. 3 or the written proof
+    has a gap is open; these pin the reproducers."""
+
+    def test_accounting_violation_against_an_optimal_schedule(self):
+        # REF accepts the first four arrivals and drops the rest; that
+        # is optimal (OPT = LWD = 4), yet one REF transmission finds no
+        # LWD image to charge.
+        config = SwitchConfig.contiguous(4, 4)
+        slot_ports = [[], [2, 2], [3, 3], [0, 1, 2, 1]]
+        trace = _scripted_trace(config, slot_ports, lambda i: i < 4)
+        report = certify_lwd(trace, config, ScriptedPolicy())
+        assert report.ref_transmitted == report.lwd_transmitted == 4
+        assert _true_opt(config, slot_ports) == 4
+        accounting = [
+            str(v) for v in report.violations if v.severity == "accounting"
+        ]
+        assert len(accounting) == 1
+        assert accounting[0].startswith("slot 9: [T0/accounting] REF packet ")
+        assert accounting[0].endswith(" transmitted with no image to charge")
+        assert not report.certified
+
+    def test_lemma_inversion_against_an_optimal_schedule(self):
+        # One of the 16 optimal scripts of this instance (bit i of the
+        # mask accepts the i-th arrival); all 16 break Lemma 8's
+        # latency invariant the same way, while the accounting holds.
+        config = SwitchConfig.contiguous(2, 2)
+        slot_ports = [[1, 0, 0], [0], [1, 0, 1], [1, 0, 1], [1]]
+        mask = 0b10010111011
+        trace = _scripted_trace(
+            config, slot_ports, lambda i: bool(mask >> i & 1)
+        )
+        report = certify_lwd(trace, config, ScriptedPolicy())
+        assert report.ref_transmitted == _true_opt(config, slot_ports) == 7
+        assert report.lwd_transmitted == 6
+        assert report.certified
+        assert [str(v) for v in report.violations] == [
+            "slot 3: [A0/lemma] queue 1 position 0: "
+            "REF latency 1 < LWD latency 2"
+        ]
 
 
 class TestReportMechanics:

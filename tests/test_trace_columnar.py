@@ -29,7 +29,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import bench
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError, TraceError
 from repro.core.packet import Packet
@@ -218,12 +217,12 @@ GENERATOR_DIGESTS = [
     ),
     (
         "saturating-fifo",
-        lambda proc, val: bench.saturating_workload(proc, 40, seed=2),
+        lambda proc, val: patterns.saturating_workload(proc, 40, seed=2),
         "677f2db2579f2e961bf663c496daf7a46549013fb281eeae604fb1b3c4452dbf",
     ),
     (
         "saturating-priority",
-        lambda proc, val: bench.saturating_workload(val, 40, seed=2),
+        lambda proc, val: patterns.saturating_workload(val, 40, seed=2),
         "aa1589c8cba057caefe3bb8225693b20b1b80edfdc2363f7d986a021e94aa9d1",
     ),
     (
