@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 #: Default simulated slots per benchmark run; override via environment.
 BENCH_SLOTS = int(os.environ.get("SHMEM_BENCH_SLOTS", "800"))
 

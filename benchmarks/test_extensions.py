@@ -6,8 +6,6 @@ paper: NHDT-W's improvement on the open NHDT-generalization problem, the
 exact-OPT conjecture probe for MRD.
 """
 
-import pytest
-
 from repro.analysis.competitive import measure_competitive_ratio
 from repro.analysis.conjecture import adversarial_search, probe_policy
 from repro.core.config import SwitchConfig

@@ -11,13 +11,15 @@ Each floor also asserts that the two engines reach equal per-policy
 objectives, so a fast engine that decides differently fails too.
 
 * Engine floors (:func:`repro.bench.run_panel_bench`): every ``-small``
-  panel at floor 1, so it holds 75% of the reference engine's rate
-  (``dynamic-split-small`` has no kernel and runs the reference engine
-  on both sides), and the large-``n`` panels at the margin the column
+  panel at floor 1, so it holds 75% of the reference engine's rate,
+  and the large-``n`` panels at the margin the column
   kernels buy, 98x, 27x and 7x, at 10x their pinned slot counts so the
   runs clear timer granularity. A large-panel floor below its fence
   means a kernel stopped binding and the engine fell back to
-  per-arrival scans.
+  per-arrival scans. ``dynamic-split-small`` has no floor: a split
+  buffer has no kernel, so both sides would run the reference engine
+  (``tests/test_bench.py`` pins that fallback, and the golden fixture
+  its metrics on both engines).
 * OPT-surrogate floors (``make_surrogate``): the array-backed
   surrogate must keep 2x over the ``bisect`` oracle on the large
   panels, which every Fig. 5 cell replays once per trace.
@@ -39,7 +41,12 @@ from conftest import run_once
 #: Fractional fence under every floor.
 FENCE = 0.25
 
-SMALL_PANELS = tuple(name for name in PANELS if name.endswith("-small"))
+#: The small panels the vectorized engine serves (no reserved slots).
+SMALL_PANELS = tuple(
+    name
+    for name, panel in PANELS.items()
+    if name.endswith("-small") and not panel.reserved_per_port
+)
 
 LARGE_PANELS = (
     "adversarial-proc-large",

@@ -8,8 +8,6 @@ and where each policy lands on the complete-sharing-to-partitioning
 spectrum the paper's introduction discusses.
 """
 
-import pytest
-
 from repro.analysis.convergence import convergence_profile
 from repro.analysis.occupancy import compare_sharing
 from repro.core.config import SwitchConfig

@@ -39,13 +39,6 @@ from repro.traffic.trace import Trace
 #: identical by contract (see docs/VECTORIZED.md).
 ENGINES = ("reference", "vectorized")
 
-#: The engine the Fig. 5 sweep path runs when none is named: ``run_sweep``,
-#: ``run_panel``, ``ReportOptions`` and ``repro run/report/profile``
-#: all read it. Oracle constructors
-#: (:class:`PolicySystem`, ``make_surrogate``, the golden fixtures) keep
-#: an explicit ``"reference"`` default.
-DEFAULT_ENGINE = "vectorized"
-
 
 class PolicySystem:
     """A shared-memory switch driven by a buffer-management policy.

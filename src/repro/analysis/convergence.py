@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from repro.analysis.competitive import DEFAULT_ENGINE, PolicySystem, run_system
+from repro.analysis.competitive import PolicySystem, run_system
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
 from repro.core.switch import AdmissionPolicy
@@ -102,24 +102,25 @@ def convergence_profile(
     of a built trace, or :meth:`Trace.from_chunks` over a recipe's
     chunk iterator); each is replayed through one ALG and one OPT
     system with :func:`~repro.analysis.competitive.run_system` on the
-    default engine, and a point is recorded at its end, the exact ratio
-    a run truncated there would have reported. ``opt`` is
+    vectorized engine where it serves the pair, and a point is recorded
+    at its end, the exact ratio a run truncated there would have
+    reported. ``opt`` is
     ``"surrogate"`` (the paper's single PQ) or ``"scripted"`` (replay
     the trace's ``opt_accept`` tags — for adversarial scenarios, where
     the prefix supremum lower-bounds any charging constant).
     """
     if by_value is None:
         by_value = config.discipline is QueueDiscipline.PRIORITY
-    alg: System = PolicySystem(config, policy, engine=DEFAULT_ENGINE)
+    alg: System = PolicySystem(config, policy, engine="vectorized")
     if opt == "surrogate":
         opt_system: System = make_surrogate(
-            config, by_value, engine=DEFAULT_ENGINE
+            config, by_value, engine="vectorized"
         )
     elif opt == "scripted":
         from repro.opt.scripted import ScriptedPolicy
 
         opt_system = PolicySystem(
-            config, ScriptedPolicy(), engine=DEFAULT_ENGINE
+            config, ScriptedPolicy(), engine="vectorized"
         )
     else:
         raise ConfigError(f"unknown OPT reference {opt!r}")

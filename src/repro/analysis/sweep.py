@@ -59,11 +59,7 @@ from typing import (
 )
 
 from repro.analysis.cache import SweepCache
-from repro.analysis.competitive import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    measure_policies,
-)
+from repro.analysis.competitive import measure_policies
 from repro.analysis.tracestore import TraceKeyFn, TraceStore
 from repro.analysis.stats import Summary, summarize
 from repro.core.config import SwitchConfig
@@ -301,17 +297,11 @@ class _CellContext:
     #: Optional deterministic fault injector; inherited by forked pool
     #: workers along with the rest of the context.
     injector: Optional[FaultInjector] = None
-    #: Simulation engine for the ALG side of every cell. Deliberately
-    #: *not* part of the cache key or journal identity: the engines are
-    #: decision-identical by contract (docs/VECTORIZED.md), so a cached
-    #: reference measurement is a valid vectorized measurement and
-    #: vice versa.
-    engine: str = DEFAULT_ENGINE
     #: Cross-cell trace reuse (docs/PIPELINE.md): the content-key
-    #: function and the store :func:`run_sweep` plans from it. Like the
-    #: engine, reuse is pure execution mechanics — it changes *when* a
-    #: trace is generated, never *what* it contains — so neither field
-    #: joins any cache key or journal identity.
+    #: function and the store :func:`run_sweep` plans from it. Reuse
+    #: is pure execution mechanics — it changes *when* a trace is
+    #: generated, never *what* it contains — so neither field joins any
+    #: cache key or journal identity.
     trace_key: Optional[TraceKeyFn] = None
     trace_store: Optional[TraceStore] = None
 
@@ -332,9 +322,11 @@ def _execute_cell(
     generated exactly once, so every policy in the cell sees identical
     arrivals — the invariant all ratio comparisons rest on. The OPT
     surrogate depends on the trace and config only, so it is replayed
-    once per cell and every policy is scored against it. Serial and
-    parallel runs both funnel through this function, which is what makes
-    their outputs bit-for-bit identical.
+    once per cell and every policy is scored against it. Both sides run
+    on the vectorized engine wherever it serves the pair (the reference
+    engine is the oracle, checked in ``benchmarks/test_engine_parity.py``).
+    Serial and parallel runs both funnel through this function, which is
+    what makes their outputs bit-for-bit identical.
 
     ``cell_index``/``attempt`` exist for the fault injector: crash,
     death, and hang faults fire at the top of the cell, corrupt faults
@@ -369,7 +361,7 @@ def _execute_cell(
         flush_every=ctx.flush_every,
         drain=ctx.drain,
         stage_seconds=stage_seconds,
-        engine=ctx.engine,
+        engine="vectorized",
     )
     points = [
         SweepPoint(
@@ -624,7 +616,6 @@ def run_sweep(
     resilience: Optional[SupervisorOptions] = None,
     journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
-    engine: str = DEFAULT_ENGINE,
     trace_key: Optional[TraceKeyFn] = None,
 ) -> SweepResult:
     """Measure every policy at every parameter value over every seed.
@@ -670,14 +661,6 @@ def run_sweep(
         job; falls back to the ``REPRO_FAULTS`` environment spec when
         omitted. Injected faults are absorbed by the supervision layer,
         so a chaos run's output is byte-identical to a clean run's.
-    engine:
-        Simulation engine for the ALG side of every cell
-        (``"reference"`` or ``"vectorized"``, by default
-        :data:`repro.analysis.competitive.DEFAULT_ENGINE`). Excluded
-        from the cache key and the journal identity on purpose: the
-        engines are decision-identical by contract, so measurements
-        interchange — switching engines must not invalidate a cache or
-        block a journal resume.
     trace_key:
         Cross-cell trace reuse (:mod:`repro.analysis.tracestore`).
         ``trace_key`` maps each cell's ``(config, value, seed)`` to a
@@ -691,20 +674,16 @@ def run_sweep(
         single-use key is never held. A cell retried after its key's
         last use rebuilds the trace. Forked ``jobs=N`` workers inherit
         the whole plan and count down their own copy, so a worker may
-        hold a shared trace until it exits. Like ``engine``, reuse is
-        excluded from cache keys and journal identity: it cannot
-        change any cell's arrivals, only skip regenerating them —
-        output is byte-identical to regenerating every trace, serial
-        or parallel.
+        hold a shared trace until it exits. Reuse is excluded from
+        cache keys and journal identity: it cannot change any cell's
+        arrivals, only skip regenerating them — output is
+        byte-identical to regenerating every trace, serial or
+        parallel.
     """
     if not param_values:
         raise ConfigError("sweep needs at least one parameter value")
     if not policy_names:
         raise ConfigError("sweep needs at least one policy")
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
     if cache is not None and cache_token is None:
         raise ConfigError(
             "caching a sweep requires a cache_token describing the "
@@ -798,7 +777,6 @@ def run_sweep(
             flush_every=flush_every,
             drain=drain,
             injector=injector,
-            engine=engine,
             trace_key=trace_key,
             trace_store=_plan_trace_store(to_run, config_factory, trace_key),
         )

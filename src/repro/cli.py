@@ -42,7 +42,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.competitive import DEFAULT_ENGINE, ENGINES, run_scenario
+from repro.analysis.competitive import run_scenario
 from repro.analysis.sweep import SweepResult
 from repro.core.errors import (
     ConfigError,
@@ -149,7 +149,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             resilience=_resilience_options(args),
             journal=journal,
             fault_injector=injector,
-            engine=args.engine,
         )
     except SweepInterrupted as exc:
         print(f"# interrupted: {exc}", file=sys.stderr)
@@ -278,7 +277,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             if args.progress
             else None
         ),
-        engine=args.engine or DEFAULT_ENGINE,
     )
     write_report(args.out, options)
     print(f"# wrote {args.out}")
@@ -299,20 +297,15 @@ def _cmd_golden(args: argparse.Namespace) -> int:
         path = update_goldens(args.path, panel_names=args.panels)
         print(f"# wrote {path}")
         return 0
-    engines = ENGINES
-    if args.engine:
-        engines = (args.engine,)
-    problems = check_goldens(
-        args.path, panel_names=args.panels, engines=engines
-    )
+    problems = check_goldens(args.path, panel_names=args.panels)
     if problems:
         print(f"# GOLDEN MISMATCH vs {args.path}:", file=sys.stderr)
         for problem in problems:
             print(f"#   {problem}", file=sys.stderr)
         return 1
     print(
-        f"# goldens hold: streams on reference, metrics on "
-        f"{'/'.join(engines)} (fixture {args.path})"
+        "# goldens hold: streams on reference, metrics on "
+        f"reference/vectorized (fixture {args.path})"
     )
     return 0
 
@@ -385,7 +378,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=None,  # caching would hide the cost being measured
         progress=progress,
-        engine=args.engine,
     )
     if not isinstance(result, SweepResult):
         print(
@@ -532,13 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot", action="store_true",
         help="render the sweep as an ASCII chart after the table",
     )
-    run_parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help=(
-            "ALG-side simulation engine for Fig. 5 panels "
-            f"(decision-identical by contract; default {DEFAULT_ENGINE})"
-        ),
-    )
     _add_sweep_engine_flags(run_parser)
     _add_resilience_flags(run_parser)
     run_parser.set_defaults(func=_cmd_run)
@@ -652,13 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--panels", type=int, nargs="*", default=None,
         help="restrict to these Fig. 5 panels (default: all nine)",
     )
-    report_parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help=(
-            "ALG-side simulation engine for the Fig. 5 panels "
-            f"(default {DEFAULT_ENGINE})"
-        ),
-    )
     _add_sweep_engine_flags(report_parser)
     report_parser.set_defaults(func=_cmd_report)
 
@@ -675,7 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     golden_parser.add_argument(
         "--update", action="store_true",
-        help="recompute the fixture on the reference engine and write it",
+        help=(
+            "recompute the fixture on the reference engine and write "
+            "it (with --panels: replace only those panels)"
+        ),
     )
     golden_parser.add_argument(
         "--path", default=None,
@@ -684,13 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     golden_parser.add_argument(
         "--panels", nargs="*", default=None,
         help="restrict to these bench panels (default: all committed)",
-    )
-    golden_parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help=(
-            "check metrics on a single engine instead of both "
-            "(streams are always rendered on the reference engine)"
-        ),
     )
     golden_parser.set_defaults(func=_cmd_golden)
 
@@ -749,10 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument(
         "--progress", action="store_true",
         help="report per-cell progress on stderr",
-    )
-    profile_parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help=f"ALG-side simulation engine (default {DEFAULT_ENGINE})",
     )
     profile_parser.set_defaults(func=_cmd_profile)
 

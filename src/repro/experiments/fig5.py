@@ -30,7 +30,6 @@ from typing import (
 )
 
 from repro.analysis.cache import SweepCache
-from repro.analysis.competitive import DEFAULT_ENGINE
 from repro.analysis.sweep import ProgressCallback, SweepResult, run_sweep
 from repro.analysis.tracestore import TraceKeyFn
 from repro.core.config import QueueDiscipline, SwitchConfig
@@ -382,7 +381,6 @@ def run_panel(
     resilience: Optional[SupervisorOptions] = None,
     journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> SweepResult:
     """Execute one Fig. 5 panel and return its sweep result.
 
@@ -394,17 +392,12 @@ def run_panel(
     :mod:`repro.analysis.sweep`). ``param_values``/``policies`` restrict
     the sweep grid, e.g. for smoke tests. ``resilience``/``journal``/
     ``fault_injector`` configure the supervised executor — see
-    :mod:`repro.resilience` and ``docs/RESILIENCE.md``. ``engine``
-    selects the ALG-side simulation engine (``"reference"`` or
-    ``"vectorized"``, by default
-    :data:`~repro.analysis.competitive.DEFAULT_ENGINE`); the engines
-    are decision-identical by contract, so the panel's numbers do not
-    depend on the choice. The panel always passes its ``trace_key``, so
-    the sweep generates each distinct trace once and drops it after
-    the last cell that shares it — a B- or C-sweep row costs one
-    generation per seed. Like the engine, reuse changes no output byte
-    and is part of no cache key or journal identity
-    (docs/PIPELINE.md).
+    :mod:`repro.resilience` and ``docs/RESILIENCE.md``. The panel
+    always passes its ``trace_key``, so the sweep generates each
+    distinct trace once and drops it after the last cell that shares
+    it — a B- or C-sweep row costs one generation per seed. Reuse
+    changes no output byte and is part of no cache key or journal
+    identity (docs/PIPELINE.md).
     """
     spec = PANELS.get(panel)
     if spec is None:
@@ -445,6 +438,5 @@ def run_panel(
         resilience=resilience,
         journal=journal,
         fault_injector=fault_injector,
-        engine=engine,
         trace_key=trace_key,
     )

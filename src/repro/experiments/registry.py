@@ -104,7 +104,7 @@ EXTRA_EXPERIMENTS = {
     "dynamic": (
         "dynamic shared-buffer scenarios: churn/oversubscription "
         "adversaries plus the Harmonic and DT policies across spike "
-        "and port-flap workloads on both engines"
+        "and port-flap workloads on shared and split buffers"
     ),
 }
 
@@ -148,7 +148,6 @@ def run_experiment(
     resilience=None,
     journal=None,
     fault_injector=None,
-    engine: Optional[str] = None,
 ):
     """Run an experiment by id.
 
@@ -159,9 +158,6 @@ def run_experiment(
     supervision layer (see :mod:`repro.resilience`). All of these apply
     to Fig. 5 panels only (theorem replays are single deterministic
     traces — there is nothing to fan out, memoize, or resume).
-    ``engine`` selects the ALG-side simulation engine for Fig. 5 panels
-    (``"reference"``/``"vectorized"``; decision-identical by contract)
-    — an execution-only knob (docs/PIPELINE.md), Fig. 5 panels only.
     """
     if experiment_id.startswith("fig5-"):
         panel = _panel_number(experiment_id)
@@ -182,8 +178,6 @@ def run_experiment(
             kwargs["journal"] = journal
         if fault_injector is not None:
             kwargs["fault_injector"] = fault_injector
-        if engine is not None:
-            kwargs["engine"] = engine
         return run_panel(panel, **kwargs)
     if experiment_id == "skew":
         from repro.experiments.skewed import run_skew_sweep
@@ -222,8 +216,6 @@ def run_experiment(
             kwargs["n_slots"] = n_slots
         if seeds:
             kwargs["seed"] = seeds[0]
-        if engine is not None:
-            kwargs["engines"] = (engine,)
         return run_dynamic_suite(**kwargs)
     theorem = THEOREM_EXPERIMENTS.get(experiment_id)
     if theorem is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.cache import SweepCache
-from repro.analysis.competitive import DEFAULT_ENGINE, run_scenario
+from repro.analysis.competitive import run_scenario
 from repro.resilience import ResilienceStats, atomic_write_text
 from repro.experiments.architecture import run_architecture_comparison
 from repro.experiments.fig5 import PANELS, run_panel
@@ -33,9 +33,7 @@ class ReportOptions:
     ``jobs`` and ``cache_dir`` configure the parallel sweep engine for
     the Fig. 5 panels (see :mod:`repro.analysis.sweep`); one cache is
     shared across all panels so an interrupted report resumes where it
-    stopped. ``engine`` picks the simulation engine — see
-    docs/PIPELINE.md. None of these changes a single output byte of the
-    tables.
+    stopped. Neither changes a single output byte of the tables.
     """
 
     n_slots: int = 1000
@@ -46,7 +44,6 @@ class ReportOptions:
     jobs: Optional[int] = None
     cache_dir: Optional[str] = None
     progress: Optional[Callable[[str], None]] = None
-    engine: str = DEFAULT_ENGINE
 
 
 def generate_report(options: Optional[ReportOptions] = None) -> str:
@@ -98,7 +95,6 @@ def generate_report(options: Optional[ReportOptions] = None) -> str:
                 jobs=options.jobs,
                 cache=cache,
                 progress=options.progress,
-                engine=options.engine,
             )
             panel_stats.append((panel, result.stats))
             out.write(f"### Panel ({panel}): {spec.title}\n\n")

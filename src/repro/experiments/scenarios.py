@@ -17,10 +17,11 @@ Two layers:
    against the scripted clairvoyant OPT and reports predicted vs
    measured ratios, exactly like the theorem experiments.
 2. The stochastic layer sweeps the policy line-up over the spike and
-   flap workloads on *both* engines against the OPT surrogate. The two
-   engines are contract-equal (docs/PIPELINE.md), so the suite asserts
-   their measured objectives agree to the byte and reports a single
-   ratio per cell.
+   flap workloads against the OPT surrogate, one ratio per cell, on the
+   vectorized engine where it serves the pair (the split buffer model
+   falls back to the reference engine).
+   ``benchmarks/test_engine_parity.py`` replays the same cells on the
+   reference engine and requires equal objectives.
 
 ``repro run dynamic`` renders the result table; the CI smoke job runs a
 scaled-down version of the same suite.
@@ -29,13 +30,9 @@ scaled-down version of the same suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.analysis.competitive import (
-    ENGINES,
-    measure_competitive_ratio,
-    run_scenario,
-)
+from repro.analysis.competitive import measure_policies, run_scenario
 from repro.core.config import BufferModel, SwitchConfig
 from repro.core.errors import ConfigError, ExperimentError
 from repro.policies import make_policy
@@ -44,6 +41,7 @@ from repro.traffic.dynamic import (
     oversubscription_spike_workload,
     port_flap_workload,
 )
+from repro.traffic.trace import Trace
 
 #: Default line-up: the paper's strongest push-out policy plus the two
 #: dynamic-threshold policies this family exists to exercise.
@@ -65,8 +63,7 @@ class ScenarioCell:
     """One (workload, buffer model, policy) measurement.
 
     ``ratio`` is against the OPT surrogate; ``objective`` is the raw
-    policy throughput, identical across engines by contract (the suite
-    verifies this before building the cell).
+    policy throughput.
     """
 
     workload: str
@@ -82,7 +79,6 @@ class DynamicScenarioResult:
 
     adversarial: List[AdversarialRow] = field(default_factory=list)
     cells: List[ScenarioCell] = field(default_factory=list)
-    engines: Tuple[str, ...] = ENGINES
 
     def cell(
         self, workload: str, buffer_model: str, policy: str
@@ -109,11 +105,7 @@ class DynamicScenarioResult:
                     f"measured={row.measured_ratio:7.4f}"
                 )
         if self.cells:
-            lines.append(
-                "workload matrix (OPT surrogate; engines "
-                + "/".join(self.engines)
-                + " agree byte-for-byte):"
-            )
+            lines.append("workload matrix (OPT surrogate):")
             header = f"  {'workload':<10} {'buffer':<8}"
             policies = sorted({c.policy for c in self.cells})
             for name in policies:
@@ -145,6 +137,43 @@ def _split_model(config: SwitchConfig, reserved_per_port: int) -> BufferModel:
     return BufferModel.split((reserved_per_port,) * n, pool)
 
 
+def workload_matrix(
+    *,
+    n_ports: int = 8,
+    buffer_size: int = 64,
+    n_slots: int = 600,
+    load: float = 0.8,
+    seed: int = 0,
+    reserved_per_port: int = 2,
+) -> List[Tuple[str, str, SwitchConfig, Trace]]:
+    """The stochastic layer's ``(workload, buffer model, config,
+    trace)`` rows: the spike and the flap trace, each replayed on a
+    purely shared buffer and on one with ``reserved_per_port`` slots
+    reserved per port."""
+    if n_slots < 1:
+        raise ConfigError(f"n_slots must be positive, got {n_slots}")
+    shared_config = SwitchConfig.uniform(n_ports, buffer_size)
+    split_config = SwitchConfig.uniform(
+        n_ports,
+        buffer_size,
+        buffer_model=_split_model(shared_config, reserved_per_port),
+    )
+    workloads = {
+        "spike": oversubscription_spike_workload(
+            shared_config, n_slots, load=load, seed=seed
+        ),
+        "flap": port_flap_workload(
+            shared_config, n_slots, load=load, seed=seed
+        ),
+    }
+    models = {"shared": shared_config, "split": split_config}
+    return [
+        (wname, mname, config, trace)
+        for wname, trace in workloads.items()
+        for mname, config in models.items()
+    ]
+
+
 def run_dynamic_suite(
     *,
     n_ports: int = 8,
@@ -153,26 +182,18 @@ def run_dynamic_suite(
     load: float = 0.8,
     seed: int = 0,
     policies: Sequence[str] = DEFAULT_POLICIES,
-    engines: Sequence[str] = ENGINES,
     reserved_per_port: int = 2,
     include_adversarial: bool = True,
 ) -> DynamicScenarioResult:
-    """Run the dynamic scenario family and cross-check both engines.
+    """Run the dynamic scenario family.
 
-    Every (workload, buffer model, policy) cell is measured once per
-    engine in ``engines`` (the policy's switch and the OPT surrogate
-    both on that engine); the runs must agree on the objective and the
-    ratio exactly (they are decision-identical by contract) or the
-    suite raises
-    :class:`~repro.core.errors.ExperimentError`.
+    Every row of :func:`workload_matrix` replays the OPT surrogate once
+    and each policy once, on the vectorized engine where it serves the
+    pair.
     """
-    if n_slots < 1:
-        raise ConfigError(f"n_slots must be positive, got {n_slots}")
     if not policies:
         raise ConfigError("dynamic suite needs at least one policy")
-    if not engines:
-        raise ConfigError("dynamic suite needs at least one engine")
-    result = DynamicScenarioResult(engines=tuple(engines))
+    result = DynamicScenarioResult()
 
     if include_adversarial:
         for label, builder in DYNAMIC_SCENARIOS.items():
@@ -187,56 +208,30 @@ def run_dynamic_suite(
                 )
             )
 
-    shared_config = SwitchConfig.uniform(n_ports, buffer_size)
-    split_config = SwitchConfig.uniform(
-        n_ports,
-        buffer_size,
-        buffer_model=_split_model(
-            SwitchConfig.uniform(n_ports, buffer_size), reserved_per_port
-        ),
+    rows = workload_matrix(
+        n_ports=n_ports,
+        buffer_size=buffer_size,
+        n_slots=n_slots,
+        load=load,
+        seed=seed,
+        reserved_per_port=reserved_per_port,
     )
-    workloads = {
-        "spike": oversubscription_spike_workload(
-            shared_config, n_slots, load=load, seed=seed
-        ),
-        "flap": port_flap_workload(
-            shared_config, n_slots, load=load, seed=seed
-        ),
-    }
-    models = {"shared": shared_config, "split": split_config}
-    for wname, trace in workloads.items():
-        for mname, config in models.items():
-            for policy_name in policies:
-                ratios: Dict[str, float] = {}
-                objectives: Dict[str, float] = {}
-                for engine in engines:
-                    measured = measure_competitive_ratio(
-                        make_policy(policy_name),
-                        trace,
-                        config,
-                        by_value=False,
-                        opt="surrogate",
-                        engine=engine,
-                    )
-                    ratios[engine] = measured.ratio
-                    objectives[engine] = measured.alg_objective
-                if (
-                    len(set(objectives.values())) != 1
-                    or len(set(ratios.values())) != 1
-                ):
-                    raise ExperimentError(
-                        f"engines disagree on {wname}/{mname}/"
-                        f"{policy_name}: objectives {objectives}, "
-                        f"ratios {ratios}"
-                    )
-                first = next(iter(ratios))
-                result.cells.append(
-                    ScenarioCell(
-                        workload=wname,
-                        buffer_model=mname,
-                        policy=policy_name,
-                        ratio=ratios[first],
-                        objective=objectives[first],
-                    )
+    for wname, mname, config, trace in rows:
+        outcomes = measure_policies(
+            [make_policy(name) for name in policies],
+            trace,
+            config,
+            by_value=False,
+            engine="vectorized",
+        )
+        for policy_name, measured in zip(policies, outcomes):
+            result.cells.append(
+                ScenarioCell(
+                    workload=wname,
+                    buffer_model=mname,
+                    policy=policy_name,
+                    ratio=measured.ratio,
+                    objective=measured.alg_objective,
                 )
+            )
     return result

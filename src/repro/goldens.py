@@ -34,7 +34,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.competitive import PolicySystem, run_system
+from repro.analysis.competitive import ENGINES, PolicySystem, run_system
 from repro.core.errors import ConfigError
 from repro.core.metrics import SwitchMetrics
 from repro.obs.observer import PacketEvent, SlotObserver
@@ -256,23 +256,21 @@ def check_goldens(
     path: Path | str = DEFAULT_GOLDEN_PATH,
     *,
     panel_names: Optional[Sequence[str]] = None,
-    engines: Sequence[str] = ("reference", "vectorized"),
 ) -> List[str]:
     """Recompute digests and diff them against the fixture.
 
     Returns human-readable mismatch lines (empty means the fixture
     holds). The trace and decision-stream digests are checked once, as
-    rendered on the reference engine; every engine in ``engines`` must
-    reproduce the committed metrics digests exactly. This is the
-    absolute half of the oracle contract (the differential suites are
-    the relative half).
+    rendered on the reference engine; both engines must reproduce the
+    committed metrics digests exactly. This is the absolute half of the
+    oracle contract (the differential suites are the relative half).
     """
     committed = load_goldens(path)
     scale = float(committed["slots_scale"])
     want_panels: Mapping[str, Mapping] = committed["panels"]
     names = list(want_panels) if panel_names is None else list(panel_names)
     problems: List[str] = []
-    for index, engine in enumerate(engines):
+    for index, engine in enumerate(ENGINES):
         # Streams (and traces) do not depend on ``engine``: compare
         # them on the first pass only.
         first = index == 0
@@ -334,8 +332,28 @@ def update_goldens(
     panel_names: Optional[Sequence[str]] = None,
     slots_scale: float = GOLDEN_SLOTS_SCALE,
 ) -> Path:
-    """Recompute the fixture on the reference engine and write it."""
+    """Recompute the fixture on the reference engine and write it.
+
+    With ``panel_names``, an existing fixture keeps every other panel:
+    the recomputed panels replace their own entries in place. Merging
+    needs the fixture's schema and ``slots_scale`` to match this run's,
+    else :class:`ConfigError` (regenerate every panel instead).
+    """
     from repro.resilience import atomic_write_json
 
+    path = Path(path)
+    panels: Dict[str, object] = {}
+    if panel_names is not None and path.exists():
+        committed = load_goldens(path)
+        if float(committed["slots_scale"]) != slots_scale:
+            raise ConfigError(
+                f"golden fixture {path} has slots_scale "
+                f"{committed['slots_scale']!r}, not {slots_scale!r}; "
+                "update every panel to change the scale"
+            )
+        panels = committed["panels"]  # type: ignore[assignment]
     doc = compute_goldens(panel_names, slots_scale=slots_scale)
-    return atomic_write_json(Path(path), doc, indent=2)
+    fresh: Dict[str, object] = doc["panels"]  # type: ignore[assignment]
+    panels.update(fresh)
+    doc["panels"] = panels
+    return atomic_write_json(path, doc, indent=2)

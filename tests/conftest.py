@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import QueueDiscipline, SwitchConfig
+from repro.core.config import SwitchConfig
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
 

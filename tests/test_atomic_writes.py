@@ -9,7 +9,6 @@ path.
 from __future__ import annotations
 
 import json
-import os
 import signal
 import subprocess
 import sys

@@ -12,7 +12,8 @@ Two contracts are pinned for the dynamic scenario family:
 * **Sweeps over churn workloads stay deterministic.** ``run_sweep``
   over port-flap traces must produce byte-identical rows and CSV output
   serial vs parallel, with no cache, a cold cache, and a warm cache —
-  and the reference and vectorized engines must agree on every cell.
+  and the reference engine must reproduce every cell the sweep measured
+  on the vectorized engine.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import pytest
 
 from repro.analysis.cache import SweepCache
+from repro.analysis.competitive import measure_policies
 from repro.analysis.sweep import run_sweep
 from repro.core.config import SwitchConfig
 from repro.obs import ConservationError, record_trace, replay_trace
@@ -143,17 +145,29 @@ class TestChurnReplay:
 # ----------------------------------------------------------------------
 
 
-def _churn_sweep(*, jobs=None, cache=None, engine="reference"):
+CHURN_LOADS = (0.8, 1.4)
+CHURN_SEEDS = (0, 1)
+
+
+def _churn_config(load):
+    return SwitchConfig.uniform(4, 24, work=4)
+
+
+def _churn_trace(config, load, seed):
+    return port_flap_workload(
+        config, 120, load=load, flap_period=30, down_time=8, seed=seed
+    )
+
+
+def _churn_sweep(*, jobs=None, cache=None):
     return run_sweep(
         "churn-chaos",
         "load",
-        (0.8, 1.4),
-        config_factory=lambda v: SwitchConfig.uniform(4, 24, work=4),
-        trace_factory=lambda config, v, seed: port_flap_workload(
-            config, 120, load=v, flap_period=30, down_time=8, seed=seed
-        ),
+        CHURN_LOADS,
+        config_factory=_churn_config,
+        trace_factory=_churn_trace,
         policy_names=CHURN_POLICIES,
-        seeds=(0, 1),
+        seeds=CHURN_SEEDS,
         by_value=False,
         jobs=jobs,
         cache=cache,
@@ -163,7 +177,6 @@ def _churn_sweep(*, jobs=None, cache=None, engine="reference"):
             "flap_period": 30,
             "down_time": 8,
         },
-        engine=engine,
     )
 
 
@@ -204,5 +217,27 @@ class TestChurnSweepDeterminism:
         )
 
     def test_engines_agree_cell_for_cell(self, serial):
-        vectorized = _churn_sweep(engine="vectorized")
-        assert vectorized.points == serial.points
+        # The sweep measures on the vectorized engine; the reference
+        # engine (the oracle) must reproduce every point exactly.
+        points = {(p.param_value, p.seed, p.policy): p for p in serial.points}
+        for load in CHURN_LOADS:
+            for seed in CHURN_SEEDS:
+                config = _churn_config(load)
+                outcomes = measure_policies(
+                    [make_policy(name) for name in CHURN_POLICIES],
+                    _churn_trace(config, load, seed),
+                    config,
+                    by_value=False,
+                    engine="reference",
+                )
+                for name, outcome in zip(CHURN_POLICIES, outcomes):
+                    point = points[(load, seed, name)]
+                    assert (
+                        outcome.alg_objective,
+                        outcome.opt_objective,
+                        outcome.ratio,
+                    ) == (
+                        point.alg_objective,
+                        point.opt_objective,
+                        point.ratio,
+                    )

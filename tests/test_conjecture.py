@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.conjecture import (
-    ProbeResult,
     adversarial_search,
     evaluate_instance,
     probe_policy,
@@ -106,10 +105,7 @@ class TestProcessingProbe:
         assert 1.0 <= report.worst_ratio <= 2.0
 
     def test_hill_climb_finds_bpd_suboptimality(self):
-        from repro.analysis.conjecture import (
-            probe_processing_policy,
-            processing_adversarial_search,
-        )
+        from repro.analysis.conjecture import processing_adversarial_search
 
         bpd = processing_adversarial_search(
             "BPD", restarts=3, steps_per_restart=40, seed=2,

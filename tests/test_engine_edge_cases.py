@@ -5,7 +5,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.config import QueueDiscipline, SwitchConfig
+from repro.core.config import SwitchConfig
 from repro.core.errors import TraceError
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch
@@ -77,7 +77,6 @@ class TestArrivalValidation:
 class TestScriptedFeasibilityThroughRunner:
     def test_infeasible_plan_surfaces_from_measure(self):
         from repro.analysis.competitive import measure_competitive_ratio
-        from repro.opt.scripted import ScriptedPolicy
         from repro.traffic.trace import Trace, burst
 
         config = SwitchConfig.contiguous(2, 2)

@@ -1,7 +1,5 @@
 """Consistency checks on the declarative Fig. 5 panel specifications."""
 
-import pytest
-
 from repro.experiments.fig5 import (
     PANELS,
     PROCESSING_POLICIES,

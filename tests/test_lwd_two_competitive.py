@@ -10,7 +10,7 @@ packet mid-processing).
 
 import pytest
 
-from repro.analysis.competitive import PolicySystem, run_system
+from repro.analysis.competitive import PolicySystem
 from repro.core.config import SwitchConfig
 from repro.core.packet import Packet
 from repro.opt.exhaustive import TinyInstance, exhaustive_opt

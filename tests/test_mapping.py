@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.mapping import MappingChecker, certify_lwd
-from repro.core.config import QueueDiscipline, SwitchConfig
+from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
 from repro.opt.exhaustive import TinyInstance, exhaustive_opt

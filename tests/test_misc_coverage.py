@@ -4,7 +4,7 @@ single-queue parameterization, and harmonic-policy generality."""
 import pytest
 
 from repro.core import errors
-from repro.core.config import QueueDiscipline, SwitchConfig
+from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch

@@ -1,7 +1,5 @@
 """Tests for the extension policies (NHDT-W, LWD1, MRD1, Random)."""
 
-import pytest
-
 from repro.core.config import SwitchConfig
 from repro.core.packet import Packet
 from repro.core.switch import SharedMemorySwitch

@@ -1,7 +1,5 @@
 """Tests for the processing-model push-out policies (LQD, BPD, BPD1, LWD)."""
 
-import pytest
-
 from repro.core.config import SwitchConfig
 from repro.core.switch import SharedMemorySwitch
 from repro.policies.processing import BPD, BPD1, LQD, LWD

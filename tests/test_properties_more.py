@@ -6,7 +6,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.config import QueueDiscipline, SwitchConfig
+from repro.core.config import SwitchConfig
 from repro.core.packet import Packet
 from repro.opt.surrogate import MaxValueSurrogate, SrptSurrogate
 from repro.policies import make_policy

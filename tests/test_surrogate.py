@@ -1,7 +1,5 @@
 """Tests for the single-PQ OPT surrogates."""
 
-import pytest
-
 from repro.core.config import SwitchConfig
 from repro.core.packet import Packet
 from repro.opt.surrogate import MaxValueSurrogate, SrptSurrogate, make_surrogate
