@@ -20,147 +20,170 @@ Quickstart
 >>> result = measure_competitive_ratio(LWD(), trace, config)
 >>> result.ratio >= 1.0
 True
+
+Every name below is served on first access: ``import repro`` imports no
+subpackage, and reading a name imports only the modules that define it.
 """
 
-from repro.analysis import (
-    CompetitiveResult,
-    PolicySystem,
-    SweepResult,
-    measure_competitive_ratio,
-    run_scenario,
-    run_sweep,
-    run_system,
-)
-from repro.core import (
-    ACCEPT,
-    DROP,
-    Action,
-    ConfigError,
-    Decision,
-    Packet,
-    PolicyError,
-    PortSpec,
-    QueueDiscipline,
-    ReproError,
-    ResilienceError,
-    SharedMemorySwitch,
-    SweepExecutionError,
-    SweepInterrupted,
-    SwitchConfig,
-    SwitchMetrics,
-    SwitchView,
-    TraceError,
-    push_out,
-)
-from repro.opt import (
-    MaxValueSurrogate,
-    ScriptedPolicy,
-    SrptSurrogate,
-    TinyInstance,
-    exhaustive_opt,
-    make_surrogate,
-)
-from repro.policies import (
-    BPD,
-    BPD1,
-    LQD,
-    LWD,
-    MRD,
-    MVD,
-    MVD1,
-    NEST,
-    NHDT,
-    NHST,
-    GreedyNonPushOut,
-    LQDValue,
-    NHSTValue,
-    Policy,
-    available_policies,
-    make_policy,
-)
-from repro.resilience import (
-    FaultInjector,
-    InjectedFault,
-    ResilienceStats,
-    RunJournal,
-    SupervisorOptions,
-)
-from repro.traffic import (
-    AdversarialScenario,
-    MmppFleet,
-    MmppParams,
-    MmppSource,
-    Trace,
-    burst,
-    processing_workload,
-    value_port_workload,
-    value_uniform_workload,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis import (
+        CompetitiveResult,
+        PolicySystem,
+        SweepResult,
+        measure_competitive_ratio,
+        run_scenario,
+        run_sweep,
+        run_system,
+    )
+    from repro.core import (
+        ACCEPT,
+        DROP,
+        Action,
+        ConfigError,
+        Decision,
+        Packet,
+        PolicyError,
+        PortSpec,
+        QueueDiscipline,
+        ReproError,
+        ResilienceError,
+        SharedMemorySwitch,
+        SweepExecutionError,
+        SweepInterrupted,
+        SwitchConfig,
+        SwitchMetrics,
+        SwitchView,
+        TraceError,
+        push_out,
+    )
+    from repro.opt import (
+        MaxValueSurrogate,
+        ScriptedPolicy,
+        SrptSurrogate,
+        TinyInstance,
+        exhaustive_opt,
+        make_surrogate,
+    )
+    from repro.policies import (
+        BPD,
+        BPD1,
+        LQD,
+        LWD,
+        MRD,
+        MVD,
+        MVD1,
+        NEST,
+        NHDT,
+        NHST,
+        GreedyNonPushOut,
+        LQDValue,
+        NHSTValue,
+        Policy,
+        available_policies,
+        make_policy,
+    )
+    from repro.resilience import (
+        FaultInjector,
+        InjectedFault,
+        ResilienceStats,
+        RunJournal,
+        SupervisorOptions,
+    )
+    from repro.traffic import (
+        AdversarialScenario,
+        MmppFleet,
+        MmppParams,
+        MmppSource,
+        Trace,
+        burst,
+        processing_workload,
+        value_port_workload,
+        value_uniform_workload,
+    )
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ACCEPT",
-    "AdversarialScenario",
-    "Action",
-    "BPD",
-    "BPD1",
-    "CompetitiveResult",
-    "ConfigError",
-    "DROP",
-    "Decision",
-    "FaultInjector",
-    "GreedyNonPushOut",
-    "InjectedFault",
-    "LQD",
-    "LQDValue",
-    "LWD",
-    "MRD",
-    "MVD",
-    "MVD1",
-    "MaxValueSurrogate",
-    "MmppFleet",
-    "MmppParams",
-    "MmppSource",
-    "NEST",
-    "NHDT",
-    "NHST",
-    "NHSTValue",
-    "Packet",
-    "Policy",
-    "PolicyError",
-    "PolicySystem",
-    "PortSpec",
-    "QueueDiscipline",
-    "ReproError",
-    "ResilienceError",
-    "ResilienceStats",
-    "RunJournal",
-    "ScriptedPolicy",
-    "SharedMemorySwitch",
-    "SrptSurrogate",
-    "SupervisorOptions",
-    "SweepExecutionError",
-    "SweepInterrupted",
-    "SweepResult",
-    "SwitchConfig",
-    "SwitchMetrics",
-    "SwitchView",
-    "TinyInstance",
-    "Trace",
-    "TraceError",
-    "available_policies",
-    "burst",
-    "exhaustive_opt",
-    "make_policy",
-    "make_surrogate",
-    "measure_competitive_ratio",
-    "processing_workload",
-    "push_out",
-    "run_scenario",
-    "run_sweep",
-    "run_system",
-    "value_port_workload",
-    "value_uniform_workload",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "analysis": (
+            "CompetitiveResult",
+            "PolicySystem",
+            "SweepResult",
+            "measure_competitive_ratio",
+            "run_scenario",
+            "run_sweep",
+            "run_system",
+        ),
+        "core": (
+            "ACCEPT",
+            "DROP",
+            "Action",
+            "ConfigError",
+            "Decision",
+            "Packet",
+            "PolicyError",
+            "PortSpec",
+            "QueueDiscipline",
+            "ReproError",
+            "ResilienceError",
+            "SharedMemorySwitch",
+            "SweepExecutionError",
+            "SweepInterrupted",
+            "SwitchConfig",
+            "SwitchMetrics",
+            "SwitchView",
+            "TraceError",
+            "push_out",
+        ),
+        "opt": (
+            "MaxValueSurrogate",
+            "ScriptedPolicy",
+            "SrptSurrogate",
+            "TinyInstance",
+            "exhaustive_opt",
+            "make_surrogate",
+        ),
+        "policies": (
+            "BPD",
+            "BPD1",
+            "LQD",
+            "LWD",
+            "MRD",
+            "MVD",
+            "MVD1",
+            "NEST",
+            "NHDT",
+            "NHST",
+            "GreedyNonPushOut",
+            "LQDValue",
+            "NHSTValue",
+            "Policy",
+            "available_policies",
+            "make_policy",
+        ),
+        "resilience": (
+            "FaultInjector",
+            "InjectedFault",
+            "ResilienceStats",
+            "RunJournal",
+            "SupervisorOptions",
+        ),
+        "traffic": (
+            "AdversarialScenario",
+            "MmppFleet",
+            "MmppParams",
+            "MmppSource",
+            "Trace",
+            "burst",
+            "processing_workload",
+            "value_port_workload",
+            "value_uniform_workload",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -20,17 +20,27 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ConfigError
 from repro.core.metrics import SwitchMetrics
 from repro.core.packet import Packet
-from repro.core.switch import AdmissionPolicy, SharedMemorySwitch
-from repro.obs.observer import SlotObserver
-from repro.opt.scripted import ScriptedPolicy
 from repro.opt.surrogate import System, make_surrogate
 from repro.traffic.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.core.switch import AdmissionPolicy, SharedMemorySwitch
+    from repro.obs.observer import SlotObserver
 
 
 #: Engine identifiers accepted by the ``engine=`` seam. ``reference``
@@ -97,6 +107,8 @@ class PolicySystem:
             self.run_span = partial(switch.run_span, policy)
             self.bind_columns = switch.bind_columns
         else:
+            from repro.core.switch import SharedMemorySwitch
+
             reference = SharedMemorySwitch(config, observer=observer)
             self.switch = reference
             self.run_slot = partial(reference.run_slot, policy=policy)
@@ -457,6 +469,8 @@ def measure_policies(
             )
             opt_name = "OPT-PQ"
         elif opt == "scripted":
+            from repro.opt.scripted import ScriptedPolicy
+
             opt_system = PolicySystem(config, ScriptedPolicy())
             opt_name = "Scripted-OPT"
         else:

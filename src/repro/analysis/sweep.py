@@ -41,13 +41,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import multiprocessing
 import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -58,7 +58,6 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.cache import SweepCache
 from repro.analysis.competitive import measure_policies
 from repro.analysis.tracestore import TraceKeyFn, TraceStore
 from repro.analysis.stats import Summary, summarize
@@ -66,7 +65,6 @@ from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError, SweepExecutionError
 from repro.policies import make_policy
 from repro.resilience.faults import FaultInjector
-from repro.resilience.journal import RunJournal
 from repro.resilience.supervisor import (
     CellTask,
     ResilienceStats,
@@ -74,6 +72,12 @@ from repro.resilience.supervisor import (
     SupervisorOptions,
 )
 from repro.traffic.trace import Trace
+
+if TYPE_CHECKING:
+    import multiprocessing.context
+
+    from repro.analysis.cache import SweepCache
+    from repro.resilience.journal import RunJournal
 
 ConfigFactory = Callable[[float], SwitchConfig]
 TraceFactory = Callable[[SwitchConfig, float, int], Trace]
@@ -421,7 +425,13 @@ def _run_cell_in_worker(
 
 
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
-    """The ``fork`` multiprocessing context, or ``None`` where absent."""
+    """The ``fork`` multiprocessing context, or ``None`` where absent.
+
+    :mod:`multiprocessing` is imported here, so a serial sweep never
+    loads it.
+    """
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -435,6 +445,8 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs < 0:
         raise ConfigError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:
+        import multiprocessing
+
         return multiprocessing.cpu_count()
     return jobs
 

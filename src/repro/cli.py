@@ -56,7 +56,6 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.policies import available_policies
-from repro.traffic.adversarial import ALL_SCENARIOS
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -96,16 +95,12 @@ def _resilience_options(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.resilience import (
-        FaultInjector,
-        RunJournal,
-        default_manifest_path,
-        load_manifest,
-        write_manifest,
-    )
+    from repro.resilience import FaultInjector
 
     experiment = args.experiment
     if args.resume:
+        from repro.resilience.journal import load_manifest
+
         # The manifest restores the run's identity (experiment, scale,
         # journal, cache); execution knobs (--jobs/--timeout/--retries)
         # come from *this* invocation, so a resume may change them.
@@ -132,7 +127,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     progress = None
     if args.progress:
         progress = lambda line: print(line, file=sys.stderr)  # noqa: E731
-    journal = RunJournal(args.journal) if args.journal else None
+    journal = None
+    if args.journal:
+        from repro.resilience.journal import RunJournal
+
+        journal = RunJournal(args.journal)
     injector = (
         FaultInjector.parse(args.inject_faults)
         if args.inject_faults
@@ -153,6 +152,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except SweepInterrupted as exc:
         print(f"# interrupted: {exc}", file=sys.stderr)
         if args.journal:
+            from repro.resilience.journal import (
+                default_manifest_path,
+                write_manifest,
+            )
+
             manifest_path = default_manifest_path(args.journal)
             write_manifest(
                 manifest_path,
@@ -212,6 +216,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     """Run the Theorem 7 mapping certificate on an adversarial trace."""
     from repro.analysis.mapping import certify_lwd
     from repro.opt.scripted import ScriptedPolicy
+    from repro.traffic.adversarial import ALL_SCENARIOS
 
     builder = ALL_SCENARIOS.get(args.theorem)
     if builder is None:
@@ -465,6 +470,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.traffic.adversarial import ALL_SCENARIOS
+
     builder = ALL_SCENARIOS.get(args.theorem)
     if builder is None:
         print(

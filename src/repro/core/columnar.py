@@ -176,11 +176,11 @@ from typing import (
 )
 
 from repro.core.config import QueueDiscipline, SwitchConfig
+from repro.core.decisions import STAT_AT_LEAST, STAT_CAP, STAT_FREE, STAT_LONGER
 from repro.core.errors import ConfigError, PolicyError, TraceError
 from repro.core.hotpath import hot_path
 from repro.core.metrics import SwitchMetrics
 from repro.core.packet import Packet
-from repro.core.switch import STAT_AT_LEAST, STAT_CAP, STAT_FREE, STAT_LONGER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traffic.trace import Trace

@@ -11,6 +11,9 @@ arriving packet; the answer is a :class:`Decision`:
   the paper's terminology the tail packet is "the last packet" of the
   victim queue: the most recent arrival for FIFO queues, the lowest-value
   packet for value-model priority queues.
+
+The ``STAT_*`` names say which switch statistic a threshold policy's
+rule reads; the vectorized engine dispatches on them.
 """
 
 from __future__ import annotations
@@ -56,3 +59,21 @@ DROP = Decision(Action.DROP)
 def push_out(victim_port: int) -> Decision:
     """Decision: drop the tail of ``victim_port``'s queue, then accept."""
     return Decision(Action.PUSH_OUT, victim_port)
+
+
+#: The switch statistic a :class:`~repro.policies.base.ThresholdPolicy`
+#: rule reads besides the arrival's own queue length ``own``:
+#:
+#: * ``STAT_CAP`` — none: a static per-port cap
+#:   (:class:`~repro.policies.base.StaticThresholdPolicy`).
+#: * ``STAT_FREE`` — the free (shared) buffer space.
+#: * ``STAT_LONGER`` — how many queues are strictly longer than ``own``.
+#: * ``STAT_AT_LEAST`` — ``(count, total length)`` of the queues at least
+#:   ``own`` long, the arrival's own included.
+#: * ``STAT_WORK_AT_LEAST`` — the same over total residual work, with
+#:   ``own`` the arrival's queue work.
+STAT_CAP = "cap"
+STAT_FREE = "free"
+STAT_LONGER = "longer"
+STAT_AT_LEAST = "at_least"
+STAT_WORK_AT_LEAST = "work_at_least"

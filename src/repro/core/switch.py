@@ -49,31 +49,25 @@ from bisect import bisect_left, insort
 from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.config import QueueDiscipline, SwitchConfig
-from repro.core.decisions import DROP, Action, Decision
+# The STAT_* statistics live with the decisions, where policies and the
+# vectorized engine read them without loading this engine; they stay
+# importable from here.
+from repro.core.decisions import (  # noqa: F401
+    DROP,
+    STAT_AT_LEAST,
+    STAT_CAP,
+    STAT_FREE,
+    STAT_LONGER,
+    STAT_WORK_AT_LEAST,
+    Action,
+    Decision,
+)
 from repro.core.errors import PolicyError, TraceError
 from repro.core.hotpath import hot_path
 from repro.core.metrics import SwitchMetrics
 from repro.core.packet import Packet
 from repro.core.queues import FifoQueue, OutputQueue, ValuePriorityQueue
 from repro.obs.observer import PacketEvent, SlotObserver
-
-
-#: The switch statistic a :class:`~repro.policies.base.ThresholdPolicy`
-#: rule reads besides the arrival's own queue length ``own``:
-#:
-#: * ``STAT_CAP`` — none: a static per-port cap
-#:   (:class:`~repro.policies.base.StaticThresholdPolicy`).
-#: * ``STAT_FREE`` — the free (shared) buffer space.
-#: * ``STAT_LONGER`` — how many queues are strictly longer than ``own``.
-#: * ``STAT_AT_LEAST`` — ``(count, total length)`` of the queues at least
-#:   ``own`` long, the arrival's own included.
-#: * ``STAT_WORK_AT_LEAST`` — the same over total residual work, with
-#:   ``own`` the arrival's queue work.
-STAT_CAP = "cap"
-STAT_FREE = "free"
-STAT_LONGER = "longer"
-STAT_AT_LEAST = "at_least"
-STAT_WORK_AT_LEAST = "work_at_least"
 
 
 class SwitchView:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Optional,
@@ -29,12 +30,12 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.cache import SweepCache
 from repro.analysis.sweep import ProgressCallback, SweepResult, run_sweep
 from repro.analysis.tracestore import TraceKeyFn
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import ExperimentError
-from repro.resilience import FaultInjector, RunJournal, SupervisorOptions
+from repro.resilience.faults import FaultInjector
+from repro.resilience.supervisor import SupervisorOptions
 from repro.traffic.workloads import (
     processing_capacity,
     processing_workload,
@@ -42,6 +43,11 @@ from repro.traffic.workloads import (
     value_port_workload,
     value_uniform_workload,
 )
+
+if TYPE_CHECKING:
+    from repro.analysis.cache import SweepCache
+    from repro.resilience.journal import RunJournal
+
 
 #: Policy line-ups per traffic regime, mirroring the paper's legends,
 #: plus the two dynamic-threshold buffer-sharing policies (Harmonic,
@@ -407,6 +413,8 @@ def run_panel(
     )
     by_value = spec.model != "processing"
     if cache is None and cache_dir is not None:
+        from repro.analysis.cache import SweepCache
+
         cache = SweepCache(cache_dir)
     values = (
         tuple(param_values) if param_values is not None else spec.param_values

@@ -12,22 +12,22 @@ Two experiment families exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.analysis.competitive import CompetitiveResult, run_scenario
 from repro.core.errors import ExperimentError
 from repro.experiments.fig5 import PANELS, run_panel
-from repro.traffic.adversarial import (
-    AdversarialScenario,
-    thm1_nhst,
-    thm3_nhdt,
-    thm4_lqd,
-    thm5_bpd,
-    thm6_lwd,
-    thm9_lqd_value,
-    thm10_mvd,
-    thm11_mrd,
-)
+
+if TYPE_CHECKING:
+    from repro.traffic.adversarial import AdversarialScenario
+
+
+def _adversarial():
+    """:mod:`repro.traffic.adversarial`, imported when a theorem scenario
+    is built rather than with the registry."""
+    from repro.traffic import adversarial
+
+    return adversarial
 
 
 @dataclass(frozen=True)
@@ -47,42 +47,42 @@ THEOREM_EXPERIMENTS: Dict[str, TheoremExperiment] = {
     "thm1": TheoremExperiment(
         "thm1",
         "Theorem 1: NHST >= kZ (contiguous: k*H_k)",
-        lambda: thm1_nhst(k=8, buffer_size=240),
+        lambda: _adversarial().thm1_nhst(k=8, buffer_size=240),
     ),
     "thm3": TheoremExperiment(
         "thm3",
         "Theorem 3: NHDT >= ~(1/2) sqrt(k ln k)",
-        lambda: thm3_nhdt(k=16, buffer_size=480),
+        lambda: _adversarial().thm3_nhdt(k=16, buffer_size=480),
     ),
     "thm4": TheoremExperiment(
         "thm4",
         "Theorem 4: LQD >= ~sqrt(k)",
-        lambda: thm4_lqd(k=16, buffer_size=480),
+        lambda: _adversarial().thm4_lqd(k=16, buffer_size=480),
     ),
     "thm5": TheoremExperiment(
         "thm5",
         "Theorem 5: BPD >= H_k >= ln k + gamma",
-        lambda: thm5_bpd(k=8, buffer_size=120, n_slots=400),
+        lambda: _adversarial().thm5_bpd(k=8, buffer_size=120, n_slots=400),
     ),
     "thm6": TheoremExperiment(
         "thm6",
         "Theorem 6: LWD >= 4/3 - 6/B (contiguous case)",
-        lambda: thm6_lwd(buffer_size=240),
+        lambda: _adversarial().thm6_lwd(buffer_size=240),
     ),
     "thm9": TheoremExperiment(
         "thm9",
         "Theorem 9: value-model LQD >= ~cbrt(k)",
-        lambda: thm9_lqd_value(k=27, buffer_size=300),
+        lambda: _adversarial().thm9_lqd_value(k=27, buffer_size=300),
     ),
     "thm10": TheoremExperiment(
         "thm10",
         "Theorem 10: MVD >= (m-1)/2",
-        lambda: thm10_mvd(k=12, buffer_size=120, n_slots=300),
+        lambda: _adversarial().thm10_mvd(k=12, buffer_size=120, n_slots=300),
     ),
     "thm11": TheoremExperiment(
         "thm11",
         "Theorem 11: MRD >= ~4/3 (value = port)",
-        lambda: thm11_mrd(buffer_size=240),
+        lambda: _adversarial().thm11_mrd(buffer_size=240),
     ),
 }
 

@@ -1,7 +1,12 @@
-"""Reference algorithms the online policies are measured against."""
+"""Reference algorithms the online policies are measured against.
 
-from repro.opt.exhaustive import TinyInstance, exhaustive_opt
-from repro.opt.scripted import ScriptedPolicy
+The exhaustive search and the scripted clairvoyant OPT are oracles:
+they are imported when one of their names is first read.
+"""
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.opt.surrogate import (
     MaxValueSurrogate,
     SrptSurrogate,
@@ -9,12 +14,20 @@ from repro.opt.surrogate import (
     make_surrogate,
 )
 
-__all__ = [
-    "MaxValueSurrogate",
-    "ScriptedPolicy",
-    "SrptSurrogate",
-    "System",
-    "TinyInstance",
-    "exhaustive_opt",
-    "make_surrogate",
-]
+if TYPE_CHECKING:
+    from repro.opt.exhaustive import TinyInstance, exhaustive_opt
+    from repro.opt.scripted import ScriptedPolicy
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "exhaustive": ("TinyInstance", "exhaustive_opt"),
+        "scripted": ("ScriptedPolicy",),
+        "surrogate": (
+            "MaxValueSurrogate",
+            "SrptSurrogate",
+            "System",
+            "make_surrogate",
+        ),
+    },
+)

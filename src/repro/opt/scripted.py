@@ -15,11 +15,15 @@ accepts or drops.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.decisions import ACCEPT, DROP, Decision
 from repro.core.errors import TraceError
 from repro.core.packet import Packet
-from repro.core.switch import SwitchView
 from repro.policies.base import Policy
+
+if TYPE_CHECKING:
+    from repro.core.switch import SwitchView
 
 
 class ScriptedPolicy(Policy):

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro.core.config import SwitchConfig
-from repro.core.decisions import ACCEPT, DROP, Decision
+from repro.core.decisions import ACCEPT, DROP, STAT_CAP, Decision
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
-from repro.core.switch import STAT_CAP, SwitchView
+
+if TYPE_CHECKING:
+    from repro.core.switch import SwitchView
 
 
 class Policy(ABC):
@@ -112,7 +114,8 @@ class ThresholdPolicy(Policy):
     is_push_out = False
 
     #: Which statistic the rule reads, one of the ``STAT_*`` names of
-    #: :mod:`repro.core.switch`; every registered threshold policy sets it.
+    #: :mod:`repro.core.decisions`; every registered threshold policy
+    #: sets it.
     statistic: str
 
     def admit(self, view: SwitchView, packet: Packet) -> Decision:

@@ -34,12 +34,17 @@ quantities degenerate to plain queue lengths and free space.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro._math import harmonic_number
 from repro.core.config import SwitchConfig
+from repro.core.decisions import STAT_FREE, STAT_LONGER
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
-from repro.core.switch import STAT_FREE, STAT_LONGER, SwitchView
 from repro.policies.base import ThresholdPolicy
+
+if TYPE_CHECKING:
+    from repro.core.switch import SwitchView
 
 
 class DynamicThreshold(ThresholdPolicy):

@@ -28,17 +28,19 @@ summaries) so experiments can sweep them alongside the originals.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro._math import harmonic_number
 from repro.core.config import SwitchConfig
-from repro.core.decisions import DROP, Decision, push_out
+from repro.core.decisions import DROP, STAT_WORK_AT_LEAST, Decision, push_out
 from repro.core.errors import ConfigError
 from repro.core.packet import Packet
-from repro.core.switch import STAT_WORK_AT_LEAST, SwitchView
 from repro.policies.base import PushOutPolicy, ThresholdPolicy
 from repro.policies.processing import LWD
 from repro.policies.value import MRD
+
+if TYPE_CHECKING:
+    from repro.core.switch import SwitchView
 
 
 class NHDTW(ThresholdPolicy):

@@ -27,13 +27,16 @@ reversed thresholds (Section V-C) is :class:`NHSTValue`.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro._math import harmonic_number
 from repro.core.config import SwitchConfig
+from repro.core.decisions import STAT_AT_LEAST
 from repro.core.packet import Packet
-from repro.core.switch import STAT_AT_LEAST, SwitchView
 from repro.policies.base import StaticThresholdPolicy, ThresholdPolicy
+
+if TYPE_CHECKING:
+    from repro.core.switch import SwitchView
 
 
 class NHST(StaticThresholdPolicy):

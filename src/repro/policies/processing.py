@@ -34,12 +34,14 @@ match decision for decision (``tests/test_fastpath_differential.py``).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.decisions import DROP, Decision, push_out
 from repro.core.packet import Packet
-from repro.core.switch import SwitchView
 from repro.policies.base import PushOutPolicy
+
+if TYPE_CHECKING:
+    from repro.core.switch import SwitchView
 
 
 class LQD(PushOutPolicy):

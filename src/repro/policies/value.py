@@ -36,12 +36,14 @@ these scans decision for decision (the differential test suite).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.decisions import ACCEPT, DROP, Decision, push_out
 from repro.core.packet import Packet
-from repro.core.switch import SwitchView
 from repro.policies.base import PushOutPolicy
+
+if TYPE_CHECKING:
+    from repro.core.switch import SwitchView
 
 
 class LQDValue(PushOutPolicy):

@@ -19,52 +19,64 @@ view.
   ``repro run --resume``.
 """
 
-from repro.resilience.atomic import (
-    atomic_write_json,
-    atomic_write_text,
-    tmp_path_for,
-)
-from repro.resilience.faults import (
-    FAULT_MODES,
-    FAULTS_ENV,
-    FaultClause,
-    FaultInjector,
-    InjectedFault,
-)
-from repro.resilience.journal import (
-    JOURNAL_SCHEMA_VERSION,
-    MANIFEST_SCHEMA_VERSION,
-    RunJournal,
-    default_manifest_path,
-    load_manifest,
-    write_manifest,
-)
-from repro.resilience.supervisor import (
-    CellFailure,
-    CellTask,
-    ResilienceStats,
-    SupervisedExecutor,
-    SupervisorOptions,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "FAULT_MODES",
-    "FAULTS_ENV",
-    "CellFailure",
-    "CellTask",
-    "FaultClause",
-    "FaultInjector",
-    "InjectedFault",
-    "JOURNAL_SCHEMA_VERSION",
-    "MANIFEST_SCHEMA_VERSION",
-    "ResilienceStats",
-    "RunJournal",
-    "SupervisedExecutor",
-    "SupervisorOptions",
-    "atomic_write_json",
-    "atomic_write_text",
-    "default_manifest_path",
-    "load_manifest",
-    "tmp_path_for",
-    "write_manifest",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.resilience.atomic import (
+        atomic_write_json,
+        atomic_write_text,
+        tmp_path_for,
+    )
+    from repro.resilience.faults import (
+        FAULT_MODES,
+        FAULTS_ENV,
+        FaultClause,
+        FaultInjector,
+        InjectedFault,
+    )
+    from repro.resilience.journal import (
+        JOURNAL_SCHEMA_VERSION,
+        MANIFEST_SCHEMA_VERSION,
+        RunJournal,
+        default_manifest_path,
+        load_manifest,
+        write_manifest,
+    )
+    from repro.resilience.supervisor import (
+        CellFailure,
+        CellTask,
+        ResilienceStats,
+        SupervisedExecutor,
+        SupervisorOptions,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "atomic": ("atomic_write_json", "atomic_write_text", "tmp_path_for"),
+        "faults": (
+            "FAULT_MODES",
+            "FAULTS_ENV",
+            "FaultClause",
+            "FaultInjector",
+            "InjectedFault",
+        ),
+        "journal": (
+            "JOURNAL_SCHEMA_VERSION",
+            "MANIFEST_SCHEMA_VERSION",
+            "RunJournal",
+            "default_manifest_path",
+            "load_manifest",
+            "write_manifest",
+        ),
+        "supervisor": (
+            "CellFailure",
+            "CellTask",
+            "ResilienceStats",
+            "SupervisedExecutor",
+            "SupervisorOptions",
+        ),
+    },
+)

@@ -43,10 +43,9 @@ import heapq
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -58,6 +57,9 @@ from typing import (
 
 from repro.core.errors import SweepInterrupted
 from repro.resilience.faults import FaultInjector, _hash01
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 
 @dataclass
@@ -389,6 +391,15 @@ class SupervisedExecutor:
         pool or a timeout kill); unfinished tasks are pushed back onto
         ``queue`` first, so the caller can simply loop.
         """
+        # The process-pool stack is imported here, so a serial run
+        # never loads it.
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            BrokenExecutor,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         options = self.options
         max_workers = min(self._n_jobs, max(len(queue), 1))
         pool = ProcessPoolExecutor(

@@ -275,6 +275,46 @@ class TestChurn:
                 assert vec.metrics.dropped - dropped > window.ports.count(1)
         assert vec.metrics.flushed > 0
 
+    @pytest.mark.parametrize("by_value", [False, True])
+    def test_flaps_tear_down_an_occupied_surrogate(self, by_value):
+        """Ports flap under a load the n-core surrogate cannot drain.
+
+        One to two arrivals per port and slot outrun the n cores, so
+        the buffer stays full and every down event removes buffered
+        packets. With flushouts off, ``flushed`` counts those removals
+        alone; the vectorized surrogate must match the oracle on every
+        counter and keep its occupancy count exact.
+        """
+        n_ports, n_slots = 4, 120
+        rnd = random.Random(7 + by_value)
+        config = SwitchConfig.from_works([1, 2, 3, 4], buffer_size=24)
+        bursts: List[Burst] = [
+            [
+                (
+                    rnd.randrange(n_ports),
+                    rnd.randint(1, 4),
+                    float(rnd.randint(1, 8)),
+                )
+                for _ in range(rnd.randint(n_ports, 2 * n_ports))
+            ]
+            for _ in range(n_slots)
+        ]
+        # Every 10 slots the next port goes down for 4 slots.
+        events: Events = [[] for _ in range(n_slots)]
+        for start in range(5, n_slots - 5, 10):
+            port = start // 10 % n_ports
+            events[start].append((port, False))
+            events[start + 4].append((port, True))
+        trace = _trace(bursts, events)
+        ref = make_surrogate(config, by_value=by_value, engine="reference")
+        vec = make_surrogate(config, by_value=by_value, engine="vectorized")
+        for system in (ref, vec):
+            run_system(system, trace, flush_every=None)
+        assert ref.metrics.flushed > 0
+        assert vec.backlog == ref.backlog
+        assert _snapshot(vec) == _snapshot(ref)
+        vec.check_invariants()
+
 
 class TestExactTies:
     """A tie with the live threshold is a drop, not a push-out."""
