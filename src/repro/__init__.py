@@ -90,7 +90,6 @@ if TYPE_CHECKING:
         FaultInjector,
         InjectedFault,
         ResilienceStats,
-        RunJournal,
         SupervisorOptions,
     )
     from repro.traffic import (
@@ -170,7 +169,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FaultInjector",
             "InjectedFault",
             "ResilienceStats",
-            "RunJournal",
             "SupervisorOptions",
         ),
         "traffic": (

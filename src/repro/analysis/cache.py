@@ -19,8 +19,9 @@ Because simulations are deterministic given that payload, a hit can be
 substituted for a fresh run without changing a single output byte — the
 parallel/serial/cached determinism contract that
 :mod:`repro.analysis.sweep` tests rely on. Entries are written atomically
-(temp file + ``os.replace``) so concurrent sweeps sharing a cache
-directory cannot observe torn files.
+through :func:`repro.resilience.atomic.atomic_write_text` (temp file +
+fsync + ``os.replace``) so concurrent sweeps sharing a cache directory
+cannot observe torn files.
 
 Integrity hardening (schema v2): every entry embeds the SHA-256 of its
 measurement payload, verified on *every* read. An entry that fails the
@@ -42,6 +43,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.core.config import SwitchConfig
 from repro.core.errors import ConfigError
+from repro.resilience.atomic import atomic_write_text
 
 #: Bump when the cached payload layout or engine semantics change in a
 #: way that invalidates previously stored measurements. v2 added the
@@ -248,12 +250,16 @@ class SweepCache:
     def put(self, key: str, point: Mapping[str, Any]) -> None:
         """Atomically store a measurement dict under ``key``.
 
+        The entry is published through
+        :func:`~repro.resilience.atomic.atomic_write_text` (sibling temp
+        file, fsync, ``os.replace``); ``repro cache gc`` reaps temp
+        files a killed writer left behind.
+
         Raises :class:`~repro.core.errors.ConfigError` when the cache
         root is unusable (e.g. it names an existing file) so the CLI
         reports a clean error instead of a traceback.
         """
         path = self._path(key)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         payload = dict(point)
         body = json.dumps(
             {
@@ -282,20 +288,11 @@ class SweepCache:
                 ) from exc
             return
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # repro: allow[RC403] -- this IS the atomic protocol: sibling tmp + fsync + os.replace two lines down
-            with tmp.open("w", encoding="utf-8") as handle:
-                handle.write(body)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            atomic_write_text(path, body)
         except OSError as exc:
             raise ConfigError(
                 f"cannot write sweep cache entry under {self.root}: {exc}"
             ) from exc
-        finally:
-            if tmp.exists():  # pragma: no cover - only on write failure
-                tmp.unlink()
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside (best effort) and count it."""

@@ -455,7 +455,7 @@ def measure_policies(
         variant with the same decisions). The scripted replay stays on
         the reference engine. Decision parity between engines means the
         measured ratio is engine-independent by contract, so ``engine``
-        is deliberately excluded from cache keys and journal identity.
+        is deliberately excluded from cache keys.
     """
     if not policies:
         return []

@@ -41,6 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import time
 import warnings
 from collections import Counter
@@ -77,7 +78,6 @@ if TYPE_CHECKING:
     import multiprocessing.context
 
     from repro.analysis.cache import SweepCache
-    from repro.resilience.journal import RunJournal
 
 ConfigFactory = Callable[[float], SwitchConfig]
 TraceFactory = Callable[[SwitchConfig, float, int], Trace]
@@ -123,11 +123,10 @@ class SweepStats:
     #: (``trace_gen`` / ``policy_run`` / ``opt_run``): each cell times
     #: its own stages and the runner folds them in as the cell
     #: completes. With ``jobs > 1`` the stages sum worker time, which
-    #: can exceed ``elapsed_seconds``. Cached and journal-resumed cells
-    #: contribute nothing.
+    #: can exceed ``elapsed_seconds``. Cached cells contribute nothing.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: What the supervised executor had to absorb (retries, timeouts,
-    #: pool rebuilds, journal-resumed cells, ...): the executor's own
+    #: pool rebuilds, quarantined cells, ...): the executor's own
     #: counter sink, kept here as is. All zero on a clean run.
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
 
@@ -305,7 +304,7 @@ class _CellContext:
     #: function and the store :func:`run_sweep` plans from it. Reuse
     #: is pure execution mechanics — it changes *when* a trace is
     #: generated, never *what* it contains — so neither field joins any
-    #: cache key or journal identity.
+    #: cache key.
     trace_key: Optional[TraceKeyFn] = None
     trace_store: Optional[TraceStore] = None
 
@@ -439,15 +438,21 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` request: ``None``/1 serial, 0 = all cores."""
+    """Normalize a ``--jobs`` request: ``None``/1 serial, 0 = one per CPU.
+
+    ``0`` counts the CPUs this process may run on (its affinity mask,
+    so a ``taskset``- or cpuset-limited run is not oversubscribed),
+    falling back to ``os.cpu_count()`` where the platform has no
+    affinity call.
+    """
     if jobs is None:
         return 1
     if jobs < 0:
         raise ConfigError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:
-        import multiprocessing
-
-        return multiprocessing.cpu_count()
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     return jobs
 
 
@@ -626,7 +631,6 @@ def run_sweep(
     cache_token: Optional[Mapping[str, object]] = None,
     progress: Optional[ProgressCallback] = None,
     resilience: Optional[SupervisorOptions] = None,
-    journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
     trace_key: Optional[TraceKeyFn] = None,
 ) -> SweepResult:
@@ -645,7 +649,12 @@ def run_sweep(
     cache:
         Optional :class:`~repro.analysis.cache.SweepCache`; completed
         (cell, policy) measurements are reused, newly computed ones
-        stored. Requires ``cache_token``.
+        stored as each cell completes. Requires ``cache_token``. This
+        is what makes an interrupted run resumable: SIGINT/SIGTERM
+        surface as :class:`~repro.core.errors.SweepInterrupted` *after*
+        completed cells were stored, and rerunning the same sweep on
+        the same cache recomputes only the cells that had not
+        finished.
     cache_token:
         JSON-serializable description of the workload generator behind
         ``trace_factory`` (experiment id, model, ``n_slots``, load, ...).
@@ -660,14 +669,6 @@ def run_sweep(
         beyond the retry budget quarantine the cell and surface as
         :class:`~repro.core.errors.SweepExecutionError` carrying the
         partial result — completed cells are never discarded.
-    journal:
-        Optional :class:`~repro.resilience.journal.RunJournal`. The
-        runner opens it against this sweep's identity, restores any
-        previously journaled cells (skipping their recomputation), and
-        appends each newly completed cell — which is what makes an
-        interrupted run resumable. SIGINT/SIGTERM surface as
-        :class:`~repro.core.errors.SweepInterrupted` *after* completed
-        cells were journaled.
     fault_injector:
         Deterministic chaos source for tests and the CI chaos-smoke
         job; falls back to the ``REPRO_FAULTS`` environment spec when
@@ -680,14 +681,14 @@ def run_sweep(
         ``None`` key opts the cell out); cells sharing a key generate
         their trace once and replay the stored columns. The sweep owns
         its :class:`~repro.analysis.tracestore.TraceStore`: after the
-        cache and journal skips it counts each key's uses over the
+        cache skips it counts each key's uses over the
         cells that will run, and the store drops a trace at its key's
         last use, so no trace outlives the cells that share it and a
         single-use key is never held. A cell retried after its key's
         last use rebuilds the trace. Forked ``jobs=N`` workers inherit
         the whole plan and count down their own copy, so a worker may
         hold a shared trace until it exits. Reuse is excluded from
-        cache keys and journal identity: it cannot change any cell's
+        cache keys: it cannot change any cell's
         arrivals, only skip regenerating them — output is
         byte-identical to regenerating every trace, serial or
         parallel.
@@ -735,158 +736,99 @@ def run_sweep(
     computed: Dict[Tuple[float, int], Dict[str, SweepPoint]] = {}
     stats = SweepStats(cells_total=len(plans))
 
-    # The identity pins everything that determines cell results;
-    # resuming against a journal from a different sweep raises.
-    identity = {
-        "name": name,
-        "param_name": param_name,
-        "param_values": [float(v) for v in param_values],
-        "seeds": [int(s) for s in seeds],
-        "policies": list(policy_names),
-        "by_value": by_value,
-        "flush_every": flush_every,
-        "drain": bool(drain),
-        "cache_token": (
-            dict(cache_token) if cache_token is not None else None
+    ctx = _CellContext(
+        config_factory=config_factory,
+        trace_factory=trace_factory,
+        by_value=by_value,
+        flush_every=flush_every,
+        drain=drain,
+        injector=injector,
+        trace_key=trace_key,
+        trace_store=_plan_trace_store(to_run, config_factory, trace_key),
+    )
+
+    def finish_cell(
+        plan: _CellPlan,
+        cell_result: Tuple[Sequence[SweepPoint], Mapping[str, float]],
+        done: int,
+    ) -> None:
+        points, stage_seconds = cell_result
+        for stage, seconds in stage_seconds.items():
+            stats.stage_seconds[stage] = (
+                stats.stage_seconds.get(stage, 0.0) + seconds
+            )
+        by_policy = {point.policy: point for point in points}
+        computed[(plan.value, plan.seed)] = by_policy
+        if cache is not None:
+            for policy, point in by_policy.items():
+                cache.put(plan.keys[policy], _point_to_payload(point))
+        if progress is not None:
+            elapsed = time.perf_counter() - started
+            rate = done / elapsed if elapsed > 0 else 0.0
+            progress(
+                f"{name}: cell {done}/{len(to_run)} "
+                f"({param_name}={plan.value:g}, seed={plan.seed}) "
+                f"[{rate:.2f} cells/s]"
+            )
+
+    mp_context = None
+    if to_run and n_jobs > 1:
+        mp_context = _fork_context()
+        if mp_context is None:  # pragma: no cover - non-POSIX
+            warnings.warn(
+                "parallel sweeps need the 'fork' start method; "
+                "falling back to serial execution",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            n_jobs = 1
+
+    plan_by_key = {(plan.value, plan.seed): plan for plan in to_run}
+    tasks = [
+        CellTask(
+            index=index,
+            key=(plan.value, plan.seed),
+            args=(plan.value, plan.seed, plan.missing),
+        )
+        for index, plan in enumerate(to_run)
+    ]
+
+    def local_fn(
+        index: int,
+        attempt: int,
+        value: float,
+        seed: int,
+        missing: Tuple[str, ...],
+    ) -> Tuple[List[SweepPoint], Dict[str, float]]:
+        return _execute_cell(
+            ctx, value, seed, missing,
+            cell_index=index, attempt=attempt, in_worker=False,
+        )
+
+    executor = SupervisedExecutor(
+        _run_cell_in_worker,
+        local_fn,
+        n_jobs=n_jobs,
+        mp_context=mp_context,
+        options=resilience,
+        stats=stats.resilience,
+        validate=lambda task, result: _validate_cell_result(
+            plan_by_key[task.key], result
         ),
-    }
-    journal_open = False
-    try:
-        if journal is not None:
-            journal.open(identity)
-            journal_open = True
-            remaining: List[_CellPlan] = []
-            for plan in to_run:
-                entry = journal.get(plan.value, plan.seed)
-                if entry is None or not all(
-                    policy in entry["points"] for policy in plan.missing
-                ):
-                    remaining.append(plan)
-                    continue
-                # Journaled payloads are the exact floats the original
-                # run computed (JSON round-trips them losslessly), so a
-                # resumed sweep's output is byte-identical.
-                by_policy = {
-                    policy: _point_from_payload(
-                        entry["points"][policy], plan.value, plan.seed,
-                        policy,
-                    )
-                    for policy in plan.missing
-                }
-                computed[(plan.value, plan.seed)] = by_policy
-                if cache is not None:
-                    for policy, point in by_policy.items():
-                        cache.put(
-                            plan.keys[policy], _point_to_payload(point)
-                        )
-                stats.resilience.resumed_cells += 1
-            to_run = remaining
+        on_complete=lambda task, result, done: finish_cell(
+            plan_by_key[task.key], result, done
+        ),
+        injector=injector,
+    )
 
-        ctx = _CellContext(
-            config_factory=config_factory,
-            trace_factory=trace_factory,
-            by_value=by_value,
-            flush_every=flush_every,
-            drain=drain,
-            injector=injector,
-            trace_key=trace_key,
-            trace_store=_plan_trace_store(to_run, config_factory, trace_key),
-        )
-
-        def finish_cell(
-            plan: _CellPlan,
-            cell_result: Tuple[Sequence[SweepPoint], Mapping[str, float]],
-            done: int,
-        ) -> None:
-            points, stage_seconds = cell_result
-            for stage, seconds in stage_seconds.items():
-                stats.stage_seconds[stage] = (
-                    stats.stage_seconds.get(stage, 0.0) + seconds
-                )
-            by_policy = {point.policy: point for point in points}
-            computed[(plan.value, plan.seed)] = by_policy
-            if cache is not None:
-                for policy, point in by_policy.items():
-                    cache.put(plan.keys[policy], _point_to_payload(point))
-            if journal is not None:
-                journal.record(
-                    plan.value,
-                    plan.seed,
-                    {
-                        policy: _point_to_payload(point)
-                        for policy, point in by_policy.items()
-                    },
-                )
-            if progress is not None:
-                elapsed = time.perf_counter() - started
-                rate = done / elapsed if elapsed > 0 else 0.0
-                progress(
-                    f"{name}: cell {done}/{len(to_run)} "
-                    f"({param_name}={plan.value:g}, seed={plan.seed}) "
-                    f"[{rate:.2f} cells/s]"
-                )
-
-        mp_context = None
-        if to_run and n_jobs > 1:
-            mp_context = _fork_context()
-            if mp_context is None:  # pragma: no cover - non-POSIX
-                warnings.warn(
-                    "parallel sweeps need the 'fork' start method; "
-                    "falling back to serial execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                n_jobs = 1
-
-        plan_by_key = {(plan.value, plan.seed): plan for plan in to_run}
-        tasks = [
-            CellTask(
-                index=index,
-                key=(plan.value, plan.seed),
-                args=(plan.value, plan.seed, plan.missing),
-            )
-            for index, plan in enumerate(to_run)
-        ]
-
-        def local_fn(
-            index: int,
-            attempt: int,
-            value: float,
-            seed: int,
-            missing: Tuple[str, ...],
-        ) -> Tuple[List[SweepPoint], Dict[str, float]]:
-            return _execute_cell(
-                ctx, value, seed, missing,
-                cell_index=index, attempt=attempt, in_worker=False,
-            )
-
-        executor = SupervisedExecutor(
-            _run_cell_in_worker,
-            local_fn,
-            n_jobs=n_jobs,
-            mp_context=mp_context,
-            options=resilience,
-            stats=stats.resilience,
-            validate=lambda task, result: _validate_cell_result(
-                plan_by_key[task.key], result
-            ),
-            on_complete=lambda task, result, done: finish_cell(
-                plan_by_key[task.key], result, done
-            ),
-            injector=injector,
-        )
-
-        failures: List = []
-        if tasks:
-            global _WORKER_CONTEXT
-            _WORKER_CONTEXT = ctx
-            try:
-                _, failures = executor.run(tasks)
-            finally:
-                _WORKER_CONTEXT = None
-    finally:
-        if journal_open:
-            journal.close()
+    failures: List = []
+    if tasks:
+        global _WORKER_CONTEXT
+        _WORKER_CONTEXT = ctx
+        try:
+            _, failures = executor.run(tasks)
+        finally:
+            _WORKER_CONTEXT = None
 
     # Reassemble in the canonical serial order regardless of completion
     # order or cache state, so output bytes never depend on scheduling.

@@ -25,7 +25,7 @@ live trace per shared key. A use beyond the plan (a cell retried after
 its key's last use) just rebuilds the trace.
 
 Reuse is an execution optimization, never an identity: store and key
-appear in **no** cache key and **no** journal identity, and a sweep
+appear in **no** cache key, and a sweep
 with reuse is ``cmp``-identical to the same sweep regenerating every
 trace (pinned by the tier-1 suite, serial and parallel).
 """

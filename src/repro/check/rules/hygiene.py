@@ -11,13 +11,13 @@ hard enough to earn rules:
   ``repro.resilience.supervisor`` may catch ``BaseException`` without
   re-raising: catching worker death in all forms is its job.
 
-* **Torn writes.** Every durable artifact (reports, benches, traces,
-  CSV) must go through :mod:`repro.resilience.atomic` so a crash
-  mid-write leaves the previous file, never half a file. Writers that
-  implement the tmp+fsync+replace protocol themselves (the cache, the
-  JSONL trace writer, the append-mode journal) carry justified inline
-  suppressions — which is exactly what the suppression mechanism is
-  for.
+* **Torn writes.** Every durable artifact (reports, traces, cache
+  entries, CSV) must go through :mod:`repro.resilience.atomic` so a
+  crash mid-write leaves the previous file, never half a file. The
+  JSONL trace writer, which streams to the atomic module's temp path
+  and publishes it itself, and the cache's deliberately torn chaos
+  write carry justified inline suppressions — which is exactly what
+  the suppression mechanism is for.
 """
 
 from __future__ import annotations

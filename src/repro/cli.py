@@ -30,10 +30,11 @@ Subcommands
     paths. See ``docs/STATIC_ANALYSIS.md``.
 
 Resilience (see ``docs/RESILIENCE.md``): ``run`` accepts
-``--timeout/--retries`` (supervised worker execution), ``--journal``
-(checkpointed progress; an interrupted run exits 130 and drops a
-resume manifest), ``--resume MANIFEST`` (continue where it stopped),
-and ``--inject-faults SPEC`` (deterministic chaos for testing).
+``--timeout/--retries`` (supervised worker execution) and
+``--inject-faults SPEC`` (deterministic chaos for testing). An
+interrupted run (SIGINT/SIGTERM) exits 130; every cell it completed is
+in the sweep cache, so rerunning the same command continues where it
+stopped.
 """
 
 from __future__ import annotations
@@ -98,81 +99,39 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.resilience import FaultInjector
 
     experiment = args.experiment
-    if args.resume:
-        from repro.resilience.journal import load_manifest
-
-        # The manifest restores the run's identity (experiment, scale,
-        # journal, cache); execution knobs (--jobs/--timeout/--retries)
-        # come from *this* invocation, so a resume may change them.
-        manifest = load_manifest(args.resume)
-        experiment = manifest["experiment"]
-        saved = manifest.get("options", {})
-        if args.slots is None:
-            args.slots = saved.get("slots")
-        if args.seeds is None:
-            args.seeds = saved.get("seeds")
-        if not args.journal:
-            args.journal = manifest["journal"]
-        if not args.cache_dir and saved.get("cache_dir"):
-            args.cache_dir = saved["cache_dir"]
-        if saved.get("no_cache"):
-            args.no_cache = True
-    if experiment is None:
-        print(
-            "run needs an experiment id (or --resume MANIFEST)",
-            file=sys.stderr,
-        )
-        return 2
-
     progress = None
     if args.progress:
         progress = lambda line: print(line, file=sys.stderr)  # noqa: E731
-    journal = None
-    if args.journal:
-        from repro.resilience.journal import RunJournal
-
-        journal = RunJournal(args.journal)
     injector = (
         FaultInjector.parse(args.inject_faults)
         if args.inject_faults
         else None
     )
+    cache_dir = _sweep_cache_dir(args)
     try:
         result = run_experiment(
             experiment,
             n_slots=args.slots,
             seeds=args.seeds,
             jobs=args.jobs,
-            cache_dir=_sweep_cache_dir(args),
+            cache_dir=cache_dir,
             progress=progress,
             resilience=_resilience_options(args),
-            journal=journal,
             fault_injector=injector,
         )
     except SweepInterrupted as exc:
         print(f"# interrupted: {exc}", file=sys.stderr)
-        if args.journal:
-            from repro.resilience.journal import (
-                default_manifest_path,
-                write_manifest,
-            )
-
-            manifest_path = default_manifest_path(args.journal)
-            write_manifest(
-                manifest_path,
-                experiment=experiment,
-                journal=args.journal,
-                options={
-                    "slots": args.slots,
-                    "seeds": list(args.seeds) if args.seeds else None,
-                    "cache_dir": args.cache_dir,
-                    "no_cache": bool(args.no_cache),
-                },
-                completed=exc.completed,
-                total=exc.total,
-            )
+        if cache_dir is None:
             print(
-                f"# resume with: repro run --resume {manifest_path}",
+                "# --no-cache: nothing was kept; rerunning the same "
+                "command starts over",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                f"# {exc.completed} cells completed by this run are in "
+                f"the cache at {cache_dir}; rerun the same command to "
+                f"continue",
                 file=sys.stderr,
             )
         return 130
@@ -514,10 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run_parser = sub.add_parser("run", help="run an experiment by id")
-    run_parser.add_argument(
-        "experiment", nargs="?", default=None,
-        help="e.g. fig5-1 or thm6 (optional with --resume)",
-    )
+    run_parser.add_argument("experiment", help="e.g. fig5-1 or thm6")
     run_parser.add_argument(
         "--slots", type=int, default=None,
         help="simulation length in slots (Fig. 5 panels)",
@@ -745,12 +701,16 @@ def _add_sweep_engine_flags(parser: argparse.ArgumentParser) -> None:
     """
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for sweep cells (0 = all cores; default 1)",
+        help=(
+            "worker processes for sweep cells (0 = one per CPU this "
+            "process may run on; default 1)"
+        ),
     )
     parser.add_argument(
         "--cache-dir", default=None,
         help=(
-            "sweep result cache directory (default: $SHMEM_CACHE_DIR or "
+            "sweep result cache directory, which an interrupted run "
+            "resumes from (default: $SHMEM_CACHE_DIR or "
             "results/sweep-cache)"
         ),
     )
@@ -765,7 +725,7 @@ def _add_sweep_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    """Supervision/checkpoint knobs of ``run`` (docs/RESILIENCE.md).
+    """Supervision knobs of ``run`` (docs/RESILIENCE.md).
 
     Like the sweep-engine flags they apply to Fig. 5 panels only; none
     of them changes the sweep's output bytes.
@@ -782,21 +742,6 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
         help=(
             "extra attempts per cell before it is quarantined "
             "(default 2)"
-        ),
-    )
-    parser.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help=(
-            "append completed cells to this JSONL journal; an "
-            "interrupted run (SIGINT/SIGTERM) exits 130 and writes "
-            "FILE.manifest.json for --resume"
-        ),
-    )
-    parser.add_argument(
-        "--resume", default=None, metavar="MANIFEST",
-        help=(
-            "resume an interrupted run from its manifest, skipping "
-            "every journaled cell"
         ),
     )
     parser.add_argument(

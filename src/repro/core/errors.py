@@ -42,15 +42,16 @@ class ExperimentError(ReproError):
 
 
 class ResilienceError(ReproError):
-    """A malformed fault-injection spec, journal, or resume manifest."""
+    """A malformed fault-injection spec."""
 
 
 class SweepInterrupted(ReproError):
     """A sweep was stopped by SIGINT/SIGTERM (or an injected interrupt).
 
-    Completed cells were flushed to the cache/journal before this was
-    raised, so the run is resumable; ``completed``/``total`` report how
-    far it got (over the cells that actually needed executing).
+    Completed cells were stored in the sweep cache (when the run has
+    one) before this was raised, so rerunning the same sweep resumes;
+    ``completed``/``total`` report how far it got (over the cells that
+    actually needed executing).
     """
 
     def __init__(self, message: str, *, completed: int = 0,
@@ -65,7 +66,7 @@ class SweepExecutionError(ReproError):
 
     Unlike a raw worker exception, this error reaches the caller only
     *after* every other cell finished and all completed measurements
-    were flushed to the cache/journal. ``failures`` lists the
+    were stored in the sweep cache. ``failures`` lists the
     quarantined cells; ``result`` carries the partial
     :class:`~repro.analysis.sweep.SweepResult` (quarantined cells'
     points are missing from it).

@@ -46,7 +46,6 @@ from repro.traffic.workloads import (
 
 if TYPE_CHECKING:
     from repro.analysis.cache import SweepCache
-    from repro.resilience.journal import RunJournal
 
 
 #: Policy line-ups per traffic regime, mirroring the paper's legends,
@@ -385,7 +384,6 @@ def run_panel(
     cache_dir: Optional[Path | str] = None,
     progress: Optional[ProgressCallback] = None,
     resilience: Optional[SupervisorOptions] = None,
-    journal: Optional[RunJournal] = None,
     fault_injector: Optional[FaultInjector] = None,
 ) -> SweepResult:
     """Execute one Fig. 5 panel and return its sweep result.
@@ -393,17 +391,19 @@ def run_panel(
     ``n_slots=2000`` gives a quick but already-converged picture; pass the
     paper's ``2_000_000`` to match Section V-A exactly. At that scale use
     ``jobs`` to fan the panel's (value, seed) cells out over worker
-    processes and ``cache``/``cache_dir`` to make the run resumable —
-    both preserve byte-identical output (see
+    processes and ``cache``/``cache_dir`` to make the run resumable:
+    each completed cell is stored as it finishes, so rerunning an
+    interrupted panel on the same cache recomputes only the cells that
+    had not finished. Both preserve byte-identical output (see
     :mod:`repro.analysis.sweep`). ``param_values``/``policies`` restrict
-    the sweep grid, e.g. for smoke tests. ``resilience``/``journal``/
+    the sweep grid, e.g. for smoke tests. ``resilience``/
     ``fault_injector`` configure the supervised executor — see
     :mod:`repro.resilience` and ``docs/RESILIENCE.md``. The panel
     always passes its ``trace_key``, so the sweep generates each
     distinct trace once and drops it after the last cell that shares
     it — a B- or C-sweep row costs one generation per seed. Reuse
-    changes no output byte and is part of no cache key or journal
-    identity (docs/PIPELINE.md).
+    changes no output byte and is part of no cache key
+    (docs/PIPELINE.md).
     """
     spec = PANELS.get(panel)
     if spec is None:
@@ -444,7 +444,6 @@ def run_panel(
         ),
         progress=progress,
         resilience=resilience,
-        journal=journal,
         fault_injector=fault_injector,
         trace_key=trace_key,
     )

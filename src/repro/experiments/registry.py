@@ -146,7 +146,6 @@ def run_experiment(
     cache_dir=None,
     progress=None,
     resilience=None,
-    journal=None,
     fault_injector=None,
 ):
     """Run an experiment by id.
@@ -154,7 +153,8 @@ def run_experiment(
     Returns a :class:`~repro.analysis.sweep.SweepResult` for Fig. 5 panels
     or an ``(scenario, CompetitiveResult)`` pair for theorem experiments.
     ``jobs``, ``cache_dir``, and ``progress`` configure the parallel sweep
-    engine; ``resilience``, ``journal``, and ``fault_injector`` its
+    engine, and ``cache_dir`` is also what an interrupted panel resumes
+    from; ``resilience`` and ``fault_injector`` configure its
     supervision layer (see :mod:`repro.resilience`). All of these apply
     to Fig. 5 panels only (theorem replays are single deterministic
     traces — there is nothing to fan out, memoize, or resume).
@@ -174,8 +174,6 @@ def run_experiment(
             kwargs["progress"] = progress
         if resilience is not None:
             kwargs["resilience"] = resilience
-        if journal is not None:
-            kwargs["journal"] = journal
         if fault_injector is not None:
             kwargs["fault_injector"] = fault_injector
         return run_panel(panel, **kwargs)

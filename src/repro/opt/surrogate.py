@@ -233,7 +233,7 @@ def make_surrogate(
     array-backed variant of :mod:`repro.opt.vectorized`, decision- and
     metrics-identical by contract (see docs/PIPELINE.md). Measured
     objectives are therefore engine-independent, which is why the
-    engine is not part of any cache or journal identity.
+    engine is not part of any cache key.
     """
     if engine == "vectorized":
         from repro.opt.vectorized import (

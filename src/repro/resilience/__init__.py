@@ -1,4 +1,4 @@
-"""Resilient execution layer: faults, supervision, checkpointed resume.
+"""Resilient execution layer: faults, supervision, atomic publication.
 
 Paper-scale sweeps run unattended for hours; this package is what lets
 them survive crashes, hangs, preemption, and Ctrl-C without losing
@@ -13,10 +13,11 @@ view.
 * :mod:`repro.resilience.supervisor` — the
   :class:`SupervisedExecutor`: retries with deterministic backoff,
   per-cell timeouts, transparent pool rebuilds, quarantine, and
-  graceful degradation to serial execution;
-* :mod:`repro.resilience.journal` — the incremental
-  :class:`RunJournal` and the resume manifests behind
-  ``repro run --resume``.
+  graceful degradation to serial execution.
+
+An interrupted sweep resumes from the content-addressed sweep cache
+(:mod:`repro.analysis.cache`): rerunning the same command reuses every
+cell that completed before the interrupt.
 """
 
 from typing import TYPE_CHECKING
@@ -36,14 +37,6 @@ if TYPE_CHECKING:
         FaultInjector,
         InjectedFault,
     )
-    from repro.resilience.journal import (
-        JOURNAL_SCHEMA_VERSION,
-        MANIFEST_SCHEMA_VERSION,
-        RunJournal,
-        default_manifest_path,
-        load_manifest,
-        write_manifest,
-    )
     from repro.resilience.supervisor import (
         CellFailure,
         CellTask,
@@ -62,14 +55,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FaultClause",
             "FaultInjector",
             "InjectedFault",
-        ),
-        "journal": (
-            "JOURNAL_SCHEMA_VERSION",
-            "MANIFEST_SCHEMA_VERSION",
-            "RunJournal",
-            "default_manifest_path",
-            "load_manifest",
-            "write_manifest",
         ),
         "supervisor": (
             "CellFailure",

@@ -5,7 +5,7 @@ The sweep cache has always written entries as *temp file + fsync +
 truncated entry behind — readers see either the old content or the new
 content, never half a file. This module makes that pattern a shared
 primitive so every durable artifact the repo produces (the golden
-fixture, JSONL event traces, reproduction reports, resume manifests)
+fixture, JSONL event traces, reproduction reports, cache entries)
 carries the same guarantee.
 
 The temp file lives in the *same directory* as the target (``rename``

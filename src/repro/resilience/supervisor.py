@@ -23,7 +23,7 @@ the pool loop of :func:`repro.analysis.sweep.run_sweep` with:
   ``KeyboardInterrupt``, and both are converted to
   :class:`~repro.core.errors.SweepInterrupted` *after* completed work
   has been handed to the caller's ``on_complete`` hook (which is what
-  flushes cells to the cache/journal), making Ctrl-C a clean,
+  stores cells in the sweep cache), making Ctrl-C a clean,
   resumable exit instead of a pile of lost work.
 
 Failure classification: :class:`~repro.core.errors.ReproError` and
@@ -114,7 +114,6 @@ class ResilienceStats:
     pool_rebuilds: int = 0    # pools torn down (broken or timeout-killed)
     quarantined: int = 0      # cells that exhausted every attempt
     serial_fallbacks: int = 0 # 1 if execution degraded to serial
-    resumed_cells: int = 0    # cells restored from a run journal
 
     def any(self) -> bool:
         return any(getattr(self, f.name) for f in fields(self))
@@ -126,7 +125,6 @@ class ResilienceStats:
         """Compact one-liner, e.g. ``2 retries, 1 timeout, 1 rebuild``."""
         parts = []
         for name, label in (
-            ("resumed_cells", "resumed"),
             ("retries", "retries"),
             ("timeouts", "timeouts"),
             ("corrupt_results", "corrupt results"),
@@ -206,7 +204,7 @@ class SupervisedExecutor:
     on_complete:
         ``on_complete(task, result, done_count)`` — invoked exactly once
         per task, in completion order, *before* any interrupt can
-        surface; this is where callers flush to cache/journal.
+        surface; this is where callers store to the sweep cache.
     injector:
         Optional :class:`FaultInjector`; consulted for parent-side
         ``interrupt`` faults (worker-side faults fire inside the cell).
@@ -566,7 +564,7 @@ class _term_as_interrupt:
     Installed only in the main thread (signal handlers cannot be set
     elsewhere); restores the previous handler on exit. This is what
     turns a supervisor-level preemption (SLURM, Kubernetes, systemd)
-    into the same clean, journaled exit as Ctrl-C.
+    into the same clean, resumable exit as Ctrl-C.
     """
 
     def __enter__(self) -> "_term_as_interrupt":

@@ -177,6 +177,33 @@ class TestVerifyAndGc:
         assert report.removed_quarantined == 1
         assert cache.verify().clean
 
+    def test_put_publishes_through_the_atomic_writer(
+        self, tmp_path, monkeypatch
+    ):
+        """``put`` writes through the shared atomic primitive, and the
+        temp file a killed ``put`` would leave is one ``gc`` reaps."""
+        import repro.analysis.cache as cache_module
+        from repro.resilience.atomic import atomic_write_text, tmp_path_for
+
+        written = []
+
+        def recording_write(path, text):
+            written.append(Path(path))
+            return atomic_write_text(path, text)
+
+        monkeypatch.setattr(cache_module, "atomic_write_text", recording_write)
+        cache = SweepCache(tmp_path / "cache")
+        cache.put(_key(cache), POINT)
+        final = cache._path(_key(cache))
+        assert written == [final]
+        assert cache.get(_key(cache)) == POINT
+        assert list(final.parent.glob(".*.tmp")) == []
+
+        tmp_path_for(final).write_text("partial")
+        report = cache.gc()
+        assert report.removed_tmp == 1
+        assert report.removed == 1
+
 
 class TestCacheCli:
     def test_verify_exit_codes_and_gc(self, tmp_path, capsys):

@@ -3,9 +3,9 @@
 Each check starts a fresh interpreter and reads ``sys.modules`` after
 the work is done. A Fig. 5 run must not load the reference engine, the
 observers, the theorem constructions and other traffic families, the
-oracles, the other experiment families, the run journal or the process
-pool; those load when something constructs or calls them, which the
-same interpreter then does.
+oracles, the other experiment families or the process pool; those load
+when something constructs or calls them, which the same interpreter
+then does.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ OFF_PATH = (
     "repro.experiments.robustness",
     "repro.experiments.skewed",
     "repro.experiments.scenarios",
-    "repro.resilience.journal",
     "concurrent.futures.process",
 )
 

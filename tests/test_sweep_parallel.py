@@ -10,9 +10,11 @@ round-trip) is a correctness bug, not a tolerance issue.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro.analysis import sweep as sweep_module
 from repro.analysis.cache import SweepCache, config_payload
 from repro.analysis.sweep import resolve_jobs, run_sweep
 from repro.core.config import SwitchConfig
@@ -91,13 +93,38 @@ class TestParallelDifferential:
         assert full.stats.cells_executed == 4
 
     def test_jobs_zero_means_all_cores(self):
-        import multiprocessing
-
-        assert resolve_jobs(0) == multiprocessing.cpu_count()
+        usable = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        )
+        assert resolve_jobs(0) == usable
         assert resolve_jobs(None) == 1
         assert resolve_jobs(3) == 3
         with pytest.raises(ConfigError):
             resolve_jobs(-1)
+
+    def test_jobs_zero_counts_the_affinity_mask(self, monkeypatch):
+        """A run pinned to one CPU gets one worker however many the
+        machine has, so ``jobs=0`` runs serially and starts no pool."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+
+        def no_pool():
+            raise AssertionError("a one-CPU run built a process pool")
+
+        monkeypatch.setattr(sweep_module, "_fork_context", no_pool)
+        assert resolve_jobs(0) == 1
+        result = run_panel(4, **PANEL_KW, jobs=0)
+        assert result.stats.jobs == 1
+        assert result.stats.cells_executed == 4
+
+    def test_jobs_zero_without_affinity_counts_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_jobs(0) == 3
 
 
 class TestCache:
