@@ -59,8 +59,22 @@ faces an unresolved tie.
 A slot's arrivals come in same-port runs, and a drop changes nothing
 these three kernels' drop tests read; the tests read no packet field
 but the port (a FIFO packet's work is its port's, validated). So when
-an arrival drops, the rest of its same-port run drops with it, counted
-in one step. A run broken by another port's arrival is two runs.
+an arrival drops, the rest of its same-port run drops with it: the
+kernel skips to ``i + runs[i]``, where ``runs`` is the trace's
+:class:`~repro.traffic.trace.RunIndex` (per packet, the packets left in
+its same-port run within its slot). A run broken by another port's
+arrival is two runs.
+
+No kernel counts a drop. The paper's model conserves packets per port:
+arrived = accepted + rejected, and accepted = transmitted + pushed out
++ flushed + backlog. So :meth:`VectorizedSwitch.run_span` derives the
+drop ledger once per span, from counted terms:
+``dropped_by_port[p] = arrived_p - transmitted_p - |Q_p| - flushed_p``
+(rejected and pushed-out packets of port ``p``) and ``dropped =
+arrived - accepted``. The kernels count admissions and push-outs, the
+transmission phase its completions, and ``flush`` and
+``set_port_state`` the flushed packets per port; the span's arrivals
+per port are one count over its column slice.
 
 The value model's priority-queue layout has one more kernel for its
 four push-out policies. It keeps a sorted list of per-port victim
@@ -85,7 +99,7 @@ completes a packet moves them: the arrival phase rebuilds them once,
 right before the slot's first congested arrival, and only in a slot
 that has one. MVD, MVD₁ and MRD decide each congested arrival on its
 own, since they compare its value; LQD-V's test reads no arrival field
-but the port, so its loop drops a same-port run in one step.
+but the port, so its loop skips a dropped same-port run.
 
 The transmission phase is batched as well, inside the span loop. A
 FIFO queue of length ``L`` at speedup ``C`` serves its first
@@ -124,7 +138,8 @@ the function is pure and its capacity is the constant ``B`` here. DT
 directly, and a static cap is read from the per-port table built at
 bind time. No threshold formula is restated here. A drop moves neither
 the own length, the statistic nor the occupancy, so a dropped
-arrival's same-port run drops in one step here too.
+arrival's same-port run is skipped here too, and once an admission
+fills the buffer the rest of the slot drops without a test.
 
 Every replay runs a kernel. On the purely shared model a down port
 changes no admission predicate (its queue is empty and the buffer
@@ -156,6 +171,9 @@ the one that accepts an observer. Documented deviations:
 * Admissions draw no global packet sequence numbers (store entries
   carry ``seq 0``). Sequence numbers are debugging identity only:
   every decision-relevant and metrics-relevant quantity is seq-free.
+* ``dropped`` and ``dropped_by_port`` are derived at the end of each
+  span, not counted per drop, so they are exact between spans, which
+  is where every caller reads them.
 """
 
 from __future__ import annotations
@@ -181,6 +199,7 @@ from repro.core.errors import ConfigError, PolicyError, TraceError
 from repro.core.hotpath import hot_path
 from repro.core.metrics import SwitchMetrics
 from repro.core.packet import Packet
+from repro.traffic.trace import RunIndex, port_runs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traffic.trace import Trace
@@ -287,7 +306,7 @@ def _new_packet(
 
 def drop_down_arrivals(
     port_up: Sequence[bool],
-    metrics: SwitchMetrics,
+    metrics: Optional[SwitchMetrics],
     ports: Sequence[int],
     works: Sequence[int],
     values: Sequence[float],
@@ -301,16 +320,18 @@ def drop_down_arrivals(
     admission rule) sees them, and a down port changes no admission
     predicate of the purely shared model, so only the arrival order of
     the survivors matters: they come back as fresh columns spanning
-    ``[0, hi')``. The drops are counted in ``metrics``.
+    ``[0, hi')``. The vectorized OPT surrogates pass their ``metrics``,
+    where the drops are counted; the arrival kernels pass ``None``,
+    since their switch derives its drop ledger at span end.
     """
-    dropped_by_port = metrics.dropped_by_port
     keep = []
     for i in range(lo, hi):
         if port_up[ports[i]]:
             keep.append(i)
-        else:
-            dropped_by_port[ports[i]] += 1
-    metrics.dropped += hi - lo - len(keep)
+        elif metrics is not None:
+            metrics.dropped_by_port[ports[i]] += 1
+    if metrics is not None:
+        metrics.dropped += hi - lo - len(keep)
     return (
         [ports[i] for i in keep],
         [works[i] for i in keep],
@@ -342,6 +363,9 @@ class VectorizedSwitch:
       maintained with the reference float operation order (MRD's keys
       read them, float residue included); FIFO queues keep none.
     * ``_works`` — static per-port work requirements.
+    * ``_arrived_by_port`` / ``_flushed_by_port`` — per-port arrivals
+      and flushed packets, the two counted terms of the derived drop
+      ledger that the metrics do not keep (see :meth:`run_span`).
 
     A queue's residual work total is derived, never stored: from the
     calendar on FIFO queues, as the sum of the record residuals on
@@ -446,8 +470,15 @@ class VectorizedSwitch:
         self._vmins: List[float] = []
         # BPD's and MVD's minimum victim-queue length (2 for BPD1/MVD1).
         self._mvl = 1
-        # The ports column last validated for this switch (identity).
+        # The ports column last validated for this switch (identity),
+        # and the run index of its columns.
         self._valid_ports: Optional[Sequence[int]] = None
+        self._index: Optional[RunIndex] = None
+        # The counted terms the drop ledger derives from, besides the
+        # metrics' own (see run_span): arrivals and flushed packets
+        # per port.
+        self._arrived_by_port: List[int] = [0] * n
+        self._flushed_by_port: List[int] = [0] * n
 
         # Churn state. On the purely shared model a down port changes
         # no admission predicate: its arrivals are dropped before the
@@ -566,13 +597,15 @@ class VectorizedSwitch:
         the shapes it passed in its ``validated`` set, so the other
         replays of one sweep cell skip it, and the memo dies with the
         trace. The switch then trusts ``trace.ports`` in
-        :meth:`run_span` for its own lifetime only.
+        :meth:`run_span`, with the trace's run index, for its own
+        lifetime only.
         """
         shape = (self._by_value, tuple(self._works))
         if shape not in trace.validated:
             self._validate_columns(trace.ports, trace.works, trace.values)
             trace.validated.add(shape)
         self._valid_ports = trace.ports
+        self._index = trace.run_index
 
     @hot_path
     def _validate_columns(
@@ -818,16 +851,38 @@ class VectorizedSwitch:
         totals accumulate in locals, in the reference's order, and are
         written once per span (the slot accounting through
         :meth:`SwitchMetrics.record_slots`).
+
+        No kernel counts a drop; a span with arrivals derives the drop
+        ledger in its epilogue, from per-port conservation:
+        ``dropped_by_port[p] = arrived_p - transmitted_p - |Q_p| -
+        flushed_p`` and ``dropped = arrived - accepted``. The span's
+        arrivals per port are one count over its column slice
+        (:meth:`~repro.traffic.trace.RunIndex.port_counts`), and
+        :meth:`flush` and :meth:`set_port_state` count the flushed
+        packets per port. Between spans the ledger stays exact: a
+        flush moves a queue's packets to its flushed count, and a
+        transmission phase to its transmitted count.
         """
-        lo = offsets[s0]
-        busy = offsets[s1] > lo
-        if busy and ports is not self._valid_ports:
-            self._validate_columns(ports, works, values)
-            self._valid_ports = ports
+        first = offsets[s0]
+        index: Optional[RunIndex] = None
+        if offsets[s1] > first:
+            index = self._index
+            if (
+                ports is not self._valid_ports
+                or index is None
+                or len(index.runs) != len(ports)
+            ):
+                # Columns not bound to this switch, or grown since:
+                # validate them and index their runs.
+                self._validate_columns(ports, works, values)
+                self._valid_ports = ports
+                index = self._index = RunIndex(ports, offsets)
         kind = self._kernel_for(policy)
         arrive = (
-            self._arrival_kernel(kind, ports, works, values, arrivals, offsets)
-            if busy
+            self._arrival_kernel(
+                kind, ports, works, values, arrivals, offsets, index.runs
+            )
+            if index is not None
             else _no_arrivals
         )
         cores = self._cores
@@ -864,7 +919,7 @@ class VectorizedSwitch:
         peak = 0
         txp = metrics.transmitted_packets
         txv = metrics.transmitted_value
-        hi = lo
+        hi = first
         for s in range(s0, s1):
             lo = hi
             hi = offsets[s + 1]
@@ -1070,6 +1125,21 @@ class VectorizedSwitch:
         metrics.arrived = arrived
         metrics.transmitted_packets = txp
         metrics.transmitted_value = txv
+        end = offsets[s]
+        if index is not None and end > first:
+            # The drop ledger, derived from conservation (see above).
+            n = self._nr
+            counts = index.port_counts(first, end, n)
+            arrived_by_port = self._arrived_by_port
+            flushed_by_port = self._flushed_by_port
+            dropped_by_port = metrics.dropped_by_port
+            for p in range(n):
+                a = arrived_by_port[p] + counts[p]
+                arrived_by_port[p] = a
+                dropped_by_port[p] = (
+                    a - tx_by_port[p] - lens[p] - flushed_by_port[p]
+                )
+            metrics.dropped = arrived - metrics.accepted
         return s
 
     def _arrival_kernel(
@@ -1080,31 +1150,23 @@ class VectorizedSwitch:
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
         offsets: Sequence[int],
+        runs: Sequence[int],
     ) -> Callable[[int], None]:
-        """The arrival kernel of ``kind`` bound to a span's columns: the
-        ``send`` of its primed generator, which runs slot ``s``'s
-        arrival phase per call."""
+        """The arrival kernel of ``kind`` bound to a span's columns and
+        their run index: the ``send`` of its primed generator, which
+        runs slot ``s``'s arrival phase per call."""
         kernel: Generator[None, int, None]
+        cols = (ports, works, values, arrivals, offsets, runs)
         if kind == K_LQD:
-            kernel = self._arrive_lqd_cols(
-                ports, works, values, arrivals, offsets
-            )
+            kernel = self._arrive_lqd_cols(*cols)
         elif kind == K_LWD:
-            kernel = self._arrive_lwd_cols(
-                ports, works, values, arrivals, offsets
-            )
+            kernel = self._arrive_lwd_cols(*cols)
         elif kind == K_BPD:
-            kernel = self._arrive_bpd_cols(
-                ports, works, values, arrivals, offsets
-            )
+            kernel = self._arrive_bpd_cols(*cols)
         elif kind == K_THRESHOLD:
-            kernel = self._arrive_threshold_cols(
-                ports, works, values, arrivals, offsets
-            )
+            kernel = self._arrive_threshold_cols(*cols)
         else:
-            kernel = self._arrive_value_cols(
-                kind, ports, works, values, arrivals, offsets
-            )
+            kernel = self._arrive_value_cols(kind, *cols)
         next(kernel)
         return kernel.send
 
@@ -1123,10 +1185,12 @@ class VectorizedSwitch:
     def flush(self) -> int:
         """Clear all queues without transmission credit; returns count."""
         count = self.occupancy
+        flushed_by_port = self._flushed_by_port
         # Reset every port, not just active ones: the reference flush
         # clears all queues, zeroing float value totals exactly even on
         # queues that drained earlier and carry rounding residue.
         for port in range(self.config.n_ports):
+            flushed_by_port[port] += self._lens[port]
             self._clear_port(port)
         # Calendar entries are left in place: every flushed port is
         # now inactive, so its entries fail the validity check when
@@ -1180,6 +1244,7 @@ class VectorizedSwitch:
             del self._active[bisect_left(self._active, port)]
             self.occupancy -= count
         self.metrics.flushed += count
+        self._flushed_by_port[port] += count
         return count
 
     # ------------------------------------------------------------------
@@ -1194,6 +1259,7 @@ class VectorizedSwitch:
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
         offsets: Sequence[int],
+        runs: Sequence[int],
     ) -> Generator[None, int, None]:
         """LQD arrival kernel over the length columns.
 
@@ -1204,7 +1270,6 @@ class VectorizedSwitch:
         the naive first-strict-max scan agrees exactly).
         """
         metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
         lens = self._lens
         stores = self._stores
         sched = self._sched
@@ -1231,8 +1296,9 @@ class VectorizedSwitch:
             hi = offsets[s + 1]
             if port_up is not None:
                 ports, works, values, arrivals, hi = drop_down_arrivals(
-                    port_up, metrics, *cols, lo, hi
+                    port_up, None, *cols, lo, hi
                 )
+                runs = port_runs(ports, (0, hi))
                 lo = 0
             tick = self._tick
             maxl = self._maxl
@@ -1240,7 +1306,6 @@ class VectorizedSwitch:
             occ = self.occupancy
             slot = self.current_slot
             accepted = 0
-            dropped = 0
             pushed = 0
             # Bulk-accept the leading run that fits in free space: every
             # push-out policy is greedy below capacity, and a congested
@@ -1294,15 +1359,8 @@ class VectorizedSwitch:
                 nl = ol + 1
                 if nl > maxl or (nl == maxl and r > topr):
                     # A drop changes nothing this test reads, so the rest
-                    # of the arrival's same-port run drops with it. The
-                    # scan stays inline in each kernel: a shared helper
-                    # costs a call per dropped run, 1.5-4% of a fig5-2 replay.
-                    j = i + 1
-                    while j < hi and ports[j] == p:
-                        j += 1
-                    dropped += j - i
-                    dropped_by_port[p] += j - i
-                    i = j
+                    # of the arrival's same-port run drops with it.
+                    i += runs[i]
                     continue
                 # Push out the tail of the max-key queue. The own queue
                 # cannot be the victim here: had (nl, r) matched
@@ -1321,7 +1379,6 @@ class VectorizedSwitch:
                     del active[bisect_left(active, t)]
                     is_act[t] = False
                 pushed += 1
-                dropped_by_port[t] += 1
                 v = values[i]
                 a = arrivals[i] if arrivals is not None else slot
                 stores[p].append((v, a, 0))
@@ -1353,7 +1410,6 @@ class VectorizedSwitch:
             self._maxl = maxl
             self._topr = topr
             metrics.accepted += accepted
-            metrics.dropped += dropped
             metrics.pushed_out += pushed
 
     @hot_path
@@ -1364,6 +1420,7 @@ class VectorizedSwitch:
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
         offsets: Sequence[int],
+        runs: Sequence[int],
     ) -> Generator[None, int, None]:
         """LWD arrival kernel over integer work codes.
 
@@ -1376,7 +1433,6 @@ class VectorizedSwitch:
         bulk-accepted run files codes too.
         """
         metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
         lens = self._lens
         stores = self._stores
         sched = self._sched
@@ -1402,8 +1458,9 @@ class VectorizedSwitch:
             hi = offsets[s + 1]
             if port_up is not None:
                 ports, works, values, arrivals, hi = drop_down_arrivals(
-                    port_up, metrics, *cols, lo, hi
+                    port_up, None, *cols, lo, hi
                 )
+                runs = port_runs(ports, (0, hi))
                 lo = 0
             if not self._kclean:
                 self._rebuild_kernel(K_LWD)
@@ -1414,7 +1471,6 @@ class VectorizedSwitch:
             occ = self.occupancy
             slot = self.current_slot
             accepted = 0
-            dropped = 0
             pushed = 0
             # Split exactly like the LQD kernel: greedy bulk-accept of the
             # run that fits, then a congested loop with no occupancy check.
@@ -1468,12 +1524,7 @@ class VectorizedSwitch:
                 top = codes[-1]
                 if nc > top:
                     # The same-port run drops as one (see the LQD kernel).
-                    j = i + 1
-                    while j < hi and ports[j] == p:
-                        j += 1
-                    dropped += j - i
-                    dropped_by_port[p] += j - i
-                    i = j
+                    i += runs[i]
                     continue
                 t = porder[top % nr]
                 codes.pop()
@@ -1496,7 +1547,6 @@ class VectorizedSwitch:
                     del active[bisect_left(active, t)]
                     is_act[t] = False
                 pushed += 1
-                dropped_by_port[t] += 1
                 w = wcol[p]
                 if ol:
                     del codes[bisect_left(codes, pcode[p])]
@@ -1527,7 +1577,6 @@ class VectorizedSwitch:
                 i += 1
             self.occupancy = occ
             metrics.accepted += accepted
-            metrics.dropped += dropped
             metrics.pushed_out += pushed
 
     @hot_path
@@ -1538,6 +1587,7 @@ class VectorizedSwitch:
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
         offsets: Sequence[int],
+        runs: Sequence[int],
     ) -> Generator[None, int, None]:
         """BPD/BPD₁ arrival kernel over the candidate bitmask.
 
@@ -1548,7 +1598,6 @@ class VectorizedSwitch:
         exactly like the reference); no candidate at all means DROP.
         """
         metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
         lens = self._lens
         stores = self._stores
         sched = self._sched
@@ -1574,15 +1623,15 @@ class VectorizedSwitch:
             hi = offsets[s + 1]
             if port_up is not None:
                 ports, works, values, arrivals, hi = drop_down_arrivals(
-                    port_up, metrics, *cols, lo, hi
+                    port_up, None, *cols, lo, hi
                 )
+                runs = port_runs(ports, (0, hi))
                 lo = 0
             tick = self._tick
             nm = self._nm
             occ = self.occupancy
             slot = self.current_slot
             accepted = 0
-            dropped = 0
             pushed = 0
             # Split exactly like the LQD kernel: greedy bulk-accept of the
             # run that fits, then a congested loop with no occupancy check.
@@ -1627,12 +1676,7 @@ class VectorizedSwitch:
                 vr = nm.bit_length() - 1
                 if r > vr:
                     # The same-port run drops as one (see the LQD kernel).
-                    j = i + 1
-                    while j < hi and ports[j] == p:
-                        j += 1
-                    dropped += j - i
-                    dropped_by_port[p] += j - i
-                    i = j
+                    i += runs[i]
                     continue
                 t = porder[vr]
                 vl = lens[t] - 1
@@ -1646,7 +1690,6 @@ class VectorizedSwitch:
                 elif vl < cores:
                     wins[t].pop()
                 pushed += 1
-                dropped_by_port[t] += 1
                 # Read the own length only now: when r == vr the arrival
                 # raided its own queue's tail, shortening it by one.
                 ol = lens[p]
@@ -1678,7 +1721,6 @@ class VectorizedSwitch:
             self.occupancy = occ
             self._nm = nm
             metrics.accepted += accepted
-            metrics.dropped += dropped
             metrics.pushed_out += pushed
 
     @hot_path
@@ -1690,6 +1732,7 @@ class VectorizedSwitch:
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
         offsets: Sequence[int],
+        runs: Sequence[int],
     ) -> Generator[None, int, None]:
         """Value-model arrival kernel over the victim-key list.
 
@@ -1704,7 +1747,6 @@ class VectorizedSwitch:
         stores.
         """
         metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
         lens = self._lens
         tv = self._tv
         all_vals = self._vals
@@ -1726,13 +1768,13 @@ class VectorizedSwitch:
             hi = offsets[s + 1]
             if port_up is not None:
                 ports, works, values, arrivals, hi = drop_down_arrivals(
-                    port_up, metrics, *cols, lo, hi
+                    port_up, None, *cols, lo, hi
                 )
+                runs = port_runs(ports, (0, hi))
                 lo = 0
             occ = self.occupancy
             slot = self.current_slot
             accepted = 0
-            dropped = 0
             pushed = 0
             free = cap - occ
             split = lo
@@ -1783,12 +1825,7 @@ class VectorizedSwitch:
                     if ol >= tl or (
                         ol + 1 == tl and ol and (tl, -all_vals[p][0], p) > top
                     ):
-                        j = i + 1
-                        while j < hi and ports[j] == p:
-                            j += 1
-                        dropped += j - i
-                        dropped_by_port[p] += j - i
-                        i = j
+                        i += runs[i]
                         continue
                     keys.pop()
                     t = top[2]
@@ -1807,7 +1844,6 @@ class VectorizedSwitch:
                         del active[bisect_left(active, t)]
                         is_act[t] = False
                     pushed += 1
-                    dropped_by_port[t] += 1
                     if ol:
                         del keys[bisect_left(keys, key_of[p])]
                     else:
@@ -1834,8 +1870,6 @@ class VectorizedSwitch:
                 for i in range(split, hi):
                     v = values[i]
                     if not keys or -keys[-1][0] >= v:
-                        dropped += 1
-                        dropped_by_port[ports[i]] += 1
                         continue
                     p = ports[i]
                     top = keys.pop()
@@ -1850,7 +1884,6 @@ class VectorizedSwitch:
                         del active[bisect_left(active, t)]
                         is_act[t] = False
                     pushed += 1
-                    dropped_by_port[t] += 1
                     if t != p:
                         # (When t == p the popped key was the arrival's.)
                         if vl > below:
@@ -1888,8 +1921,6 @@ class VectorizedSwitch:
                 for i in range(split, hi):
                     v = values[i]
                     if mins[0] >= v:
-                        dropped += 1
-                        dropped_by_port[ports[i]] += 1
                         continue
                     p = ports[i]
                     top = keys.pop()
@@ -1905,7 +1936,6 @@ class VectorizedSwitch:
                         del active[bisect_left(active, t)]
                         is_act[t] = False
                     pushed += 1
-                    dropped_by_port[t] += 1
                     old = None
                     if t != p:
                         # (When t == p the popped key and minimum were the
@@ -1947,7 +1977,6 @@ class VectorizedSwitch:
                     accepted += 1
             self.occupancy = occ
             metrics.accepted += accepted
-            metrics.dropped += dropped
             metrics.pushed_out += pushed
 
     @hot_path
@@ -1958,6 +1987,7 @@ class VectorizedSwitch:
         values: Sequence[float],
         arrivals: Optional[Sequence[int]],
         offsets: Sequence[int],
+        runs: Sequence[int],
     ) -> Generator[None, int, None]:
         """Arrival kernel for the non-push-out threshold policies.
 
@@ -1977,7 +2007,6 @@ class VectorizedSwitch:
         store and calendar.
         """
         metrics = self.metrics
-        dropped_by_port = metrics.dropped_by_port
         lens = self._lens
         active = self._active
         is_act = self._is_act
@@ -2013,102 +2042,100 @@ class VectorizedSwitch:
             hi = offsets[s + 1]
             if port_up is not None:
                 ports, works, values, arrivals, hi = drop_down_arrivals(
-                    port_up, metrics, *cols, lo, hi
+                    port_up, None, *cols, lo, hi
                 )
+                runs = port_runs(ports, (0, hi))
                 lo = 0
             tick = self._tick
             occ = self.occupancy
             slot = self.current_slot
             accepted = 0
-            dropped = 0
             if sorts:
                 srt = sorted(lens)
-            i = lo
+            # The loop runs while the buffer has space: every rule
+            # below reads a buffer that is not full.
+            i = lo if occ < cap else hi
             while i < hi:
                 p = ports[i]
-                if occ < cap:
-                    own = lens[p]
-                    if stat == STAT_CAP:
-                        ok = own < caps[p]
-                    elif stat == STAT_FREE:
-                        ok = rule(config, cap, own, cap - occ)
-                    elif stat == STAT_LONGER:
-                        j = bisect_right(srt, own)
-                        key = own * n + n - j
-                        ok = memo.get(key)
-                        if ok is None:
-                            ok = memo[key] = rule(config, cap, own, n - j)
-                        if ok:
-                            # The admission below: bump the last entry
-                            # equal to own.
-                            srt[j - 1] += 1
-                    elif stat == STAT_AT_LEAST:
-                        j = bisect_left(srt, own)
-                        joint = sum(srt[j:])
-                        key = (own * n + n - 1 - j) * radix + joint
-                        ok = memo.get(key)
-                        if ok is None:
-                            ok = memo[key] = rule(
-                                config, cap, own, (n - j, joint)
-                            )
-                        if ok:
-                            srt[bisect_right(srt, own) - 1] += 1
-                    else:  # STAT_WORK_AT_LEAST
-                        own = queue_work(p)
-                        m = 0
-                        joint = 0
-                        for q in range(n):
-                            work = queue_work(q)
-                            if work >= own:
-                                m += 1
-                                joint += work
-                        ok = rule(config, cap, own, (m, joint))
+                own = lens[p]
+                if stat == STAT_CAP:
+                    ok = own < caps[p]
+                elif stat == STAT_FREE:
+                    ok = rule(config, cap, own, cap - occ)
+                elif stat == STAT_LONGER:
+                    j = bisect_right(srt, own)
+                    key = own * n + n - j
+                    ok = memo.get(key)
+                    if ok is None:
+                        ok = memo[key] = rule(config, cap, own, n - j)
                     if ok:
-                        v = values[i]
-                        a = arrivals[i] if arrivals is not None else slot
-                        ol = lens[p]
-                        lens[p] = ol + 1
-                        if by_value:
-                            w = works[i]
-                            vals = all_vals[p]
-                            pos = bisect_left(vals, v)
-                            vals.insert(pos, v)
-                            all_recs[p].insert(pos, [v, a, 0, w, w])
-                            tv[p] += v
-                            if not ol:
-                                insort(active, p)
-                                is_act[p] = True
+                        # The admission below: bump the last entry
+                        # equal to own.
+                        srt[j - 1] += 1
+                elif stat == STAT_AT_LEAST:
+                    j = bisect_left(srt, own)
+                    joint = sum(srt[j:])
+                    key = (own * n + n - 1 - j) * radix + joint
+                    ok = memo.get(key)
+                    if ok is None:
+                        ok = memo[key] = rule(config, cap, own, (n - j, joint))
+                    if ok:
+                        srt[bisect_right(srt, own) - 1] += 1
+                else:  # STAT_WORK_AT_LEAST
+                    own = queue_work(p)
+                    m = 0
+                    joint = 0
+                    for q in range(n):
+                        work = queue_work(q)
+                        if work >= own:
+                            m += 1
+                            joint += work
+                    ok = rule(config, cap, own, (m, joint))
+                if ok:
+                    v = values[i]
+                    a = arrivals[i] if arrivals is not None else slot
+                    ol = lens[p]
+                    lens[p] = ol + 1
+                    if by_value:
+                        w = works[i]
+                        vals = all_vals[p]
+                        pos = bisect_left(vals, v)
+                        vals.insert(pos, v)
+                        all_recs[p].insert(pos, [v, a, 0, w, w])
+                        tv[p] += v
+                        if not ol:
+                            insort(active, p)
+                            is_act[p] = True
+                    else:
+                        stores[p].append((v, a, 0))
+                        if ol:
+                            if ol < cores:
+                                arm(p, ol)
                         else:
-                            stores[p].append((v, a, 0))
-                            if ol:
-                                if ol < cores:
-                                    arm(p, ol)
+                            insort(active, p)
+                            is_act[p] = True
+                            e = tick + wcol[p]
+                            hexp[p] = e
+                            b = sched.get(e)
+                            if b is None:
+                                sched[e] = [p]
                             else:
-                                insort(active, p)
-                                is_act[p] = True
-                                e = tick + wcol[p]
-                                hexp[p] = e
-                                b = sched.get(e)
-                                if b is None:
-                                    sched[e] = [p]
-                                else:
-                                    b.append(p)
-                        occ += 1
-                        accepted += 1
-                        i += 1
-                        continue
+                                b.append(p)
+                    occ += 1
+                    accepted += 1
+                    if occ == cap:
+                        # A full buffer admits nothing: the rest of the
+                        # slot drops, like ThresholdPolicy.admit's
+                        # can_accept test.
+                        break
+                    i += 1
+                    continue
                 # A drop changes nothing the rule reads (the own length,
                 # the statistic, the occupancy), so the rest of the
                 # arrival's same-port run drops with it.
-                j = i + 1
-                while j < hi and ports[j] == p:
-                    j += 1
-                dropped += j - i
-                dropped_by_port[p] += j - i
-                i = j
+                i += runs[i]
             self.occupancy = occ
             metrics.accepted += accepted
-            metrics.dropped += dropped
 
     # ------------------------------------------------------------------
     # Diagnostics
@@ -2120,9 +2147,10 @@ class VectorizedSwitch:
         Validates the columnar state against the per-packet record
         stores (the object view): lengths, occupancy, the priority
         queues' value totals, active-set/mask coherence, the calendar's
-        armed windows, priority ordering — and, when a kernel is bound
-        and clean, the derived victim-selection structures against a
-        from-scratch rebuild. This is the check that ``REPRO_CHECK_INVARIANTS`` runs
+        armed windows, priority ordering, the packet ledger (see
+        :meth:`_check_ledger`) — and, when a kernel is bound and clean,
+        the derived victim-selection structures against a from-scratch
+        rebuild. This is the check that ``REPRO_CHECK_INVARIANTS`` runs
         periodically through ``run_system``.
         """
         config = self.config
@@ -2172,8 +2200,37 @@ class VectorizedSwitch:
                 assert self._lens[port] == 0, (
                     f"admin-down port {port} has buffered packets"
                 )
+        self._check_ledger()
         if self._kclean:
             self._check_kernel_invariants()
+
+    def _check_ledger(self) -> None:
+        """Packet conservation over the metrics.
+
+        Every arrival was accepted or dropped, and every accepted
+        packet was transmitted, pushed out, flushed or is buffered.
+        The drop ledger is derived from these terms (see
+        :meth:`run_span`), so the counted ones (admissions, push-outs,
+        transmissions, flushes) are checked against each other: a
+        miscounted flush or push-out fails here rather than passing
+        into the per-port drops.
+        """
+        m = self.metrics
+        assert m.arrived == m.accepted + m.dropped, (
+            f"arrived {m.arrived} != accepted {m.accepted} + dropped "
+            f"{m.dropped}"
+        )
+        held = m.transmitted_packets + m.pushed_out + m.flushed
+        assert m.accepted == held + self.occupancy, (
+            f"accepted {m.accepted} != transmitted, pushed out and "
+            f"flushed {held} + occupancy {self.occupancy}"
+        )
+        assert sum(m.dropped_by_port) == m.dropped + m.pushed_out, (
+            f"per-port drops {m.dropped_by_port} do not sum to dropped "
+            f"{m.dropped} + pushed out {m.pushed_out}"
+        )
+        for port, drops in enumerate(m.dropped_by_port):
+            assert drops >= 0, f"port {port}: {drops} drops"
 
     def _check_window(self, port: int) -> None:
         """A FIFO queue's armed packets: ``min(C, L)`` of them, head

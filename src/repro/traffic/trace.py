@@ -37,14 +37,21 @@ Packet objects are a view: :attr:`Trace.slots`, iteration and
 cache them for the consumers that read objects (the reference engine,
 scripted OPT, the bisect surrogate). The packets are *templates*: the
 switch admits fresh copies, so a trace may be replayed repeatedly
-without state leaking between runs. Every builder method drops the view
-and the validation memo, so grow a trace through them, never by editing
-the view.
+without state leaking between runs.
+
+The vectorized engine reads one more derived column, the
+:class:`RunIndex` (:attr:`Trace.run_index`): per packet, how many
+packets remain in its same-port run within its slot, so an arrival
+kernel skips a rejected run in one step, and per-port arrival counts
+of column spans, from which a span derives its drop ledger. Every
+builder method drops the view, the run index and the validation memo,
+so grow a trace through them, never by editing the view.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -70,7 +77,15 @@ from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.errors import TraceError
 from repro.core.packet import Packet
 
-__all__ = ["Chunk", "PortStateEvent", "Trace", "burst"]
+__all__ = [
+    "Chunk",
+    "PortStateEvent",
+    "RUN_CAP",
+    "RunIndex",
+    "Trace",
+    "burst",
+    "port_runs",
+]
 
 #: One slot's packets as equal-length numpy columns: int64 ports,
 #: int64 works, float64 values, in arrival order. The generators'
@@ -132,6 +147,7 @@ class Trace:
         "port_events",
         "validated",
         "_slots",
+        "_index",
     )
 
     __hash__ = None  # type: ignore[assignment]  # mutable column data
@@ -157,6 +173,7 @@ class Trace:
         #: replays of the trace skip the check. Builder methods clear it.
         self.validated: Set[Tuple[Any, ...]] = set()
         self._slots: Optional[List[List[Packet]]] = None
+        self._index: Optional[RunIndex] = None
         for packets in bursts:
             self.append_slot(packets)
 
@@ -267,7 +284,7 @@ class Trace:
         )
 
     # ------------------------------------------------------------------
-    # Building (every method here drops the packet view and the memo)
+    # Building (every method here drops what was derived from the columns)
     # ------------------------------------------------------------------
 
     def append_slot(self, packets: Iterable[Packet] = ()) -> None:
@@ -347,9 +364,10 @@ class Trace:
             self.offsets.append(len(self.ports))
 
     def _touch(self) -> None:
-        """Drop what was derived from the columns: the packet view and
-        the validation memo."""
+        """Drop what was derived from the columns: the packet view, the
+        run index and the validation memo."""
         self._slots = None
+        self._index = None
         self.validated.clear()
 
     def _append(
@@ -422,6 +440,16 @@ class Trace:
                 for s in range(self.n_slots)
             ]
         return view
+
+    @property
+    def run_index(self) -> "RunIndex":
+        """The same-port run index of the columns (see
+        :class:`RunIndex`), built on first use and cached until the
+        next builder call."""
+        index = self._index
+        if index is None:
+            index = self._index = RunIndex(self.ports, self.offsets)
+        return index
 
     def __iter__(self) -> Iterator[List[Packet]]:
         return iter(self.slots)
@@ -599,6 +627,116 @@ class Trace:
                 ]
                 trace.append_slot(burst)
         return trace
+
+
+#: The longest run a run-index entry records. A longer run reads as
+#: several back to back, so every entry is one byte and a cached int.
+RUN_CAP = 255
+
+#: Packets per block of the numpy run-index build.
+_RUN_BLOCK = 4096
+
+
+def port_runs(ports: Sequence[int], offsets: Sequence[int]) -> bytes:
+    """Per packet, how many packets remain in its same-port run within
+    its slot, itself included, capped at :data:`RUN_CAP`.
+
+    A run ends where the port changes or the slot ends, so packet ``i``
+    and the next ``runs[i] - 1`` ones share a port and a slot. This is
+    the pure-Python build, for installs without numpy and for the
+    one-slot columns of :func:`repro.core.columnar.drop_down_arrivals`
+    (``offsets`` ``(0, n)``).
+    """
+    runs = bytearray(len(ports))
+    for s in range(len(offsets) - 1):
+        rem = 0
+        last = -1
+        for i in range(offsets[s + 1] - 1, offsets[s] - 1, -1):
+            p = ports[i]
+            rem = rem + 1 if p == last else 1
+            last = p
+            runs[i] = rem if rem < RUN_CAP else RUN_CAP
+    return bytes(runs)
+
+
+def _port_runs_np(ports: Any, offsets: Sequence[int]) -> bytes:
+    """:func:`port_runs` with numpy, over a one-byte ports copy (a
+    ``bytes`` object) or a list, a block of whole slots at a time. A
+    packet's run ends before the first run start after it, so a suffix
+    minimum over the start positions gives every packet its run's end.
+    Blocks of about :data:`_RUN_BLOCK` packets keep the temporaries
+    small."""
+    if isinstance(ports, bytes):
+        col = np.frombuffer(ports, np.uint8)
+    else:
+        col = np.asarray(ports, np.int64)
+    runs = np.empty(len(col), np.uint8)
+    n_slots = len(offsets) - 1
+    s = 0
+    while s < n_slots:
+        lo = offsets[s]
+        e = min(bisect_left(offsets, lo + _RUN_BLOCK, s + 1), n_slots)
+        hi = offsets[e]
+        m = hi - lo
+        block = col[lo:hi]
+        start = np.empty(m + 1, bool)
+        start[0] = start[m] = True
+        np.not_equal(block[1:], block[:-1], out=start[1:m])
+        start[np.asarray(offsets[s + 1:e], np.int64) - lo] = True
+        ends = np.arange(m + 1)
+        ends[~start] = m
+        np.minimum.accumulate(ends[::-1], out=ends[::-1])
+        rem = ends[1:]
+        rem -= np.arange(m)
+        np.minimum(rem, RUN_CAP, out=runs[lo:hi], casting="unsafe")
+        s = e
+    out: bytes = runs.tobytes()
+    return out
+
+
+class RunIndex:
+    """Same-port runs of a trace's columns, and per-port arrival
+    counts of their spans.
+
+    ``runs`` is :func:`port_runs` of the columns: an arrival kernel
+    that rejects packet ``i`` skips to ``i + runs[i]``, since a
+    rejection changes nothing its test reads. :meth:`port_counts`
+    counts a column span's arrivals per port, which the vectorized
+    engine derives its drop ledger from. The index keeps a one-byte
+    copy of the ports column (a list copy when a port is above 255),
+    never the trace's own columns, and uses numpy for both where it
+    is installed.
+    """
+
+    __slots__ = ("runs", "_ports")
+
+    def __init__(self, ports: Sequence[int], offsets: Sequence[int]) -> None:
+        narrow: Any
+        try:
+            narrow = bytes(ports)
+        except (TypeError, ValueError):
+            narrow = None
+        if narrow is None or len(narrow) != len(ports):
+            # A port above 255, or a column with a buffer of wider items.
+            narrow = list(ports)
+        self._ports = narrow
+        if np is None or not narrow:
+            self.runs = port_runs(narrow, offsets)
+        else:
+            self.runs = _port_runs_np(narrow, offsets)
+
+    def port_counts(self, lo: int, hi: int, n_ports: int) -> List[int]:
+        """Arrivals per port, ``0 .. n_ports - 1``, in the column span
+        ``[lo, hi)``; every port in it must be below ``n_ports``."""
+        ports = self._ports
+        if np is not None and isinstance(ports, bytes):
+            col = np.frombuffer(ports, np.uint8, hi - lo, lo)
+            counts: List[int] = np.bincount(col, minlength=n_ports).tolist()
+            return counts
+        counts = [0] * n_ports
+        for p in ports[lo:hi]:
+            counts[p] += 1
+        return counts
 
 
 def _global_slots(offsets: Sequence[int], first_slot: int) -> List[int]:

@@ -331,6 +331,43 @@ def test_corrupt_occupancy_caught():
         switch.check_invariants()
 
 
+def _bump(counter: str):
+    """Corrupt one metrics counter by one."""
+
+    def corrupt(switch: VectorizedSwitch) -> None:
+        setattr(switch.metrics, counter, getattr(switch.metrics, counter) + 1)
+
+    return corrupt
+
+
+def _miscount_port_flush(switch: VectorizedSwitch) -> None:
+    switch._flushed_by_port[0] += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _bump("accepted"),
+        _bump("pushed_out"),
+        _bump("flushed"),
+        _miscount_port_flush,
+    ],
+    ids=["accepted", "pushed_out", "flushed", "flushed_by_port"],
+)
+def test_corrupt_packet_ledger_caught(corrupt):
+    """A miscounted term of the packet ledger fails the conservation
+    audit, at once or after the next span derives the drops from it."""
+    switch = _warm_switch()
+    corrupt(switch)
+    more = _congested_trace(switch.config, 1, seed=6, per_slot=10)
+    switch.run_span(
+        make_policy("LQD"), more.ports, more.works, more.values,
+        [switch.current_slot] * more.total_packets, more.offsets, 0, 1,
+    )
+    with pytest.raises(AssertionError):
+        switch.check_invariants()
+
+
 # ----------------------------------------------------------------------
 # The periodic driver must run the audit
 # ----------------------------------------------------------------------
@@ -451,10 +488,13 @@ def test_replay_after_mutation_sees_new_content(mutate):
     assert vec_before.snapshot() == ref_before.snapshot()
     # Both replays left their caches behind, and neither shows.
     view = trace.slots
+    index = trace.run_index
     assert trace.slots is view and trace.validated
+    assert trace.run_index is index
     assert trace == twin and repr(trace) == repr(twin)
     mutate(trace, more)
     assert trace.slots is not view and not trace.validated
+    assert trace.run_index is not index
     assert trace != twin
     assert Trace(trace.slots, trace.port_events) == trace
     vec_after, ref_after = _replay_both(config, trace, "LQD")

@@ -41,7 +41,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.competitive import PolicySystem, run_system
-from repro.core.columnar import VectorizedSwitch
+from repro.core.columnar import K_THRESHOLD, VectorizedSwitch
 from repro.core.config import QueueDiscipline, SwitchConfig
 from repro.core.decisions import DROP, Decision, push_out
 from repro.core.errors import ConfigError
@@ -813,6 +813,192 @@ def test_drain_checks_count_from_its_start(
     assert metrics.transmitted_packets == 1 and system.backlog == 0
 
 
+# ----------------------------------------------------------------------
+# The derived drop ledger: no kernel counts a drop, and each span
+# derives the per-port drops from conservation (see
+# VectorizedSwitch.run_span)
+# ----------------------------------------------------------------------
+
+#: (queue layout, policy): every kernel kind, and the threshold
+#: kernel's five statistics (cap, free space, longer queues, queues at
+#: least as long, and their work) on both layouts.
+LEDGER_CASES = [
+    ("fifo", name)
+    for name in (
+        "LQD", "LWD", "BPD", "BPD1",
+        "NHST", "DT", "Harmonic", "NHDT", "NHDT-W",
+    )
+] + [
+    ("priority", name)
+    for name in (
+        "LQD-V", "MVD", "MVD1", "MRD",
+        "Greedy", "DT", "Harmonic", "NHDT", "NHDT-W",
+    )
+]
+LEDGER_FLUSH_EVERY = 40
+LEDGER_CHECK_EVERY = 3
+#: A same-port run longer than two run-index entries can record.
+LONG_RUN = 600
+
+
+def _ledger_trace(config: SwitchConfig, by_value: bool) -> Trace:
+    """:func:`_span_trace`'s churned, congested trace with idle
+    stretches; then a down event that reclaims port 3's queue, with
+    arrivals to it while down; a slot holding a :data:`LONG_RUN`-packet
+    run to port 0 between two other ports' packets; and a burst to
+    port 3 for the drain."""
+    trace = _span_trace(config, by_value, seed=config.speedup)
+
+    def packets(port: int, count: int) -> List[Packet]:
+        slot = trace.n_slots
+        return [
+            Packet(
+                port=port,
+                work=config.work_of(port),
+                value=TIE_VALUES[port % len(TIE_VALUES)],
+                arrival_slot=slot,
+            )
+            for _ in range(count)
+        ]
+
+    # After a lull, port 3's queue fills, is reclaimed by a down
+    # event, and takes arrivals while down.
+    for _ in range(8):
+        trace.append_slot()
+    trace.append_slot(packets(3, 12))
+    trace.add_port_event(trace.n_slots, 3, False)
+    trace.append_slot(packets(3, 2) + packets(1, 2) + packets(3, 2))
+    trace.add_port_event(trace.n_slots + 1, 3, True)
+    trace.append_slot(packets(1, 2) + packets(0, LONG_RUN) + packets(2, 3))
+    trace.append_slot(packets(3, 12))
+    return trace
+
+
+@pytest.mark.parametrize("speedup", [1, 2])
+@pytest.mark.parametrize(
+    "layout, policy_name", LEDGER_CASES,
+    ids=[f"{layout}-{name}" for layout, name in LEDGER_CASES],
+)
+def test_derived_ledger_matches_reference_span_by_span(
+    monkeypatch, layout, policy_name, speedup
+):
+    """After every span, the vectorized metrics snapshot, whose drops
+    are derived, equals the reference's counted one at the same slot.
+
+    The trace is replayed as consecutive windows of one to five slots
+    on one system per engine, so every window but the first carries an
+    explicit ``arrivals`` column; the replay runs through flushouts,
+    ``REPRO_CHECK_INVARIANTS`` audits (the conservation audit
+    included), churn with arrivals to down ports and queues reclaimed
+    by a down event, a run longer than the run index records, and a
+    drain. The reference's snapshot is taken after each of its slots;
+    each vectorized span that runs a slot is compared at its end,
+    before the flushout that may follow."""
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", str(LEDGER_CHECK_EVERY))
+    by_value = layout == "priority"
+    if by_value:
+        config = SwitchConfig.value_contiguous(4, 8, speedup=speedup)
+    else:
+        config = SwitchConfig.contiguous(4, 8, speedup=speedup)
+    trace = _ledger_trace(config, by_value)
+    reference = PolicySystem(config, make_policy(policy_name))
+    vectorized = _vectorized(config, policy_name)
+
+    after_slot = {}
+    reference_slot = reference.run_slot
+
+    def record_slot(arrivals):
+        reference_slot(arrivals)
+        metrics = reference.metrics
+        after_slot[metrics.slots_elapsed] = metrics.snapshot()
+
+    reclaimed = []
+    reference_event = reference.set_port_state
+
+    def record_event(port, up):
+        count = reference_event(port, up)
+        reclaimed.append(count)
+        return count
+
+    vectorized_span = vectorized.run_span
+    compared = []
+
+    def compare_span(*args):
+        stop = vectorized_span(*args)
+        if stop > args[-2]:
+            metrics = vectorized.metrics
+            clock = metrics.slots_elapsed
+            assert metrics.snapshot() == after_slot[clock], (
+                f"{policy_name}: ledger diverged at slot {clock}"
+            )
+            compared.append(clock)
+        return stop
+
+    reference.run_slot = record_slot
+    reference.set_port_state = record_event
+    vectorized.run_span = compare_span
+    rng = random.Random(speedup)
+    s0 = 0
+    while s0 < trace.n_slots:
+        s1 = min(trace.n_slots, s0 + rng.randint(1, 5))
+        window = trace.window(s0, s1)
+        assert (window.arrivals is None) == (s0 == 0)
+        drain = 4 * config.buffer_size if s1 == trace.n_slots else 0
+        expect = run_system(
+            reference, window, flush_every=LEDGER_FLUSH_EVERY,
+            drain_slots=drain,
+        )
+        got = run_system(
+            vectorized, window, flush_every=LEDGER_FLUSH_EVERY,
+            drain_slots=drain,
+        )
+        assert got.snapshot() == expect.snapshot()
+        s0 = s1
+    vectorized.check_invariants()
+    assert reference.backlog == vectorized.backlog == 0
+    assert expect.slots_elapsed > trace.n_slots
+    assert len(compared) > trace.n_slots // 3
+    # The down event after the lull reclaimed port 3's queue, and the
+    # flushouts flushed packets too.
+    assert reclaimed[-2] > 0
+    assert expect.flushed > sum(reclaimed)
+    assert expect.dropped_by_port[0] > LONG_RUN - config.buffer_size
+    if vectorized.switch._kkind != K_THRESHOLD:
+        assert expect.pushed_out > 0
+
+
+#: Threshold policies on each statistic a full buffer can cut short.
+FULL_BUFFER_POLICIES = ("Greedy", "NHST-V", "DT", "Harmonic", "NHDT")
+
+
+@pytest.mark.parametrize("policy_name", FULL_BUFFER_POLICIES)
+def test_threshold_slot_ends_on_a_full_buffer(policy_name):
+    """Once an admission fills the buffer, the threshold kernel drops
+    the rest of the slot without a test, as the reference's
+    ``can_accept`` does packet by packet. Each slot fills the buffer of
+    four midway, then offers packets to ports whose queues are empty
+    or short, which a static cap of ``B`` (Greedy) would admit; the
+    second slot starts on the full buffer."""
+    config = SwitchConfig.value_contiguous(4, 4)
+
+    def burst(slot: int, ports: Sequence[int]) -> List[Packet]:
+        return [
+            Packet(port=p, work=1, value=float(p + 1), arrival_slot=slot)
+            for p in ports
+        ]
+
+    bursts = [
+        burst(0, [0, 1, 2, 3, 0, 1, 2, 3, 3]),
+        burst(1, [3, 3, 2, 1, 0]),
+        burst(2, [2, 2, 2, 2, 1, 1, 0, 0, 3]),
+    ]
+    naive, seen = _lockstep_audited(policy_name, config, bursts)
+    assert naive.metrics.dropped >= 5
+    assert all(
+        sum(map(len, queues)) <= config.buffer_size for queues in seen
+    )
+
+
 #: The same-port run kernels: the threshold rules, the FIFO push-out
 #: policies and LQD-V (on priority queues), whose drop tests read no
 #: arrival field but the port.
@@ -864,8 +1050,9 @@ def _run_bursts(config: SwitchConfig, seed: int) -> List[List[Packet]]:
 @pytest.mark.parametrize("speedup", [1, 2])
 @pytest.mark.parametrize("policy_name", RUN_POLICIES)
 def test_same_port_runs_drop_as_one(policy_name, speedup):
-    """A dropped arrival's same-port run is counted in one step: the
-    per-port drop counts equal the reference's after every slot."""
+    """A dropped arrival's same-port run is skipped in one step: the
+    derived per-port drop counts equal the reference's after every
+    slot."""
     if policy_name == "LQD-V":
         config = SwitchConfig.value_contiguous(4, 8, speedup=speedup)
     else:

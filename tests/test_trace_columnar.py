@@ -34,7 +34,7 @@ from repro.core.errors import ConfigError, TraceError
 from repro.core.packet import Packet
 from repro.goldens import trace_digest
 from repro.traffic import adversarial, dynamic, patterns, workloads
-from repro.traffic.trace import Trace, np
+from repro.traffic.trace import RUN_CAP, RunIndex, Trace, np, port_runs
 
 needs_numpy = pytest.mark.skipif(np is None, reason="requires numpy")
 
@@ -119,6 +119,129 @@ class TestShapeEquivalence:
         assert trace.slot_bounds(0) == (0, 2)
         assert trace.slot_bounds(1) == (2, 2)
         assert trace.slot_bounds(2) == (2, 3)
+
+
+# ----------------------------------------------------------------------
+# Run index: same-port runs per slot, and per-port span counts
+# ----------------------------------------------------------------------
+
+
+def _columns(slots):
+    """Trace columns of slots given as ``(port, run length)`` lists."""
+    offsets = [0]
+    ports = []
+    for runs in slots:
+        for port, length in runs:
+            ports.extend([port] * length)
+        offsets.append(len(ports))
+    return Trace.from_columns(
+        offsets, ports, [1] * len(ports), [1.0] * len(ports)
+    )
+
+
+def _expected_runs(trace: Trace):
+    """Each packet's remaining run within its slot, by a plain scan."""
+    ports, offsets = trace.ports, trace.offsets
+    runs = []
+    for s in range(trace.n_slots):
+        hi = offsets[s + 1]
+        for i in range(offsets[s], hi):
+            j = i
+            while j < hi and ports[j] == ports[i]:
+                j += 1
+            runs.append(min(j - i, RUN_CAP))
+    return runs
+
+
+@st.composite
+def _run_slots(draw):
+    """Slots of same-port runs, some empty, some runs past RUN_CAP, and
+    now and then a port above 255 (no one-byte copy)."""
+    ports = draw(st.sampled_from([[0, 1, 2], [0, 1, 300]]))
+    run = st.tuples(
+        st.sampled_from(ports),
+        st.sampled_from([1, 1, 2, 3, RUN_CAP, RUN_CAP + 7]),
+    )
+    return draw(st.lists(st.lists(run, max_size=4), max_size=6))
+
+
+class TestRunIndex:
+    def test_run_is_cut_at_the_slot_boundary(self):
+        # Port 0's packets run on across the slot boundary: two runs.
+        trace = _columns([[(1, 1), (0, 2)], [(0, 2), (1, 1)]])
+        assert list(trace.run_index.runs) == [1, 2, 1, 2, 1, 1]
+
+    def test_empty_and_single_packet_slots(self):
+        trace = _columns([[], [(2, 1)], [], [], [(0, 1)], []])
+        assert list(trace.run_index.runs) == [1, 1]
+        assert trace.run_index.port_counts(0, 2, 3) == [1, 0, 1]
+        empty = Trace([[], []])
+        assert empty.run_index.runs == b""
+        assert empty.run_index.port_counts(0, 0, 2) == [0, 0]
+
+    def test_long_run_reads_as_capped_runs(self):
+        trace = _columns([[(0, 600), (1, 1)]])
+        runs = trace.run_index.runs
+        assert runs[0] == runs[600 - RUN_CAP] == RUN_CAP
+        assert runs[599] == runs[600] == 1
+        # A kernel skipping a rejected run lands on the next port.
+        i, steps = 0, 0
+        while trace.ports[i] == 0:
+            i += runs[i]
+            steps += 1
+        assert (i, steps) == (600, 3)
+
+    def test_builders_rebuild_the_index(self):
+        trace = _columns([[(0, 2)]])
+        index = trace.run_index
+        assert trace.run_index is index
+        assert list(index.runs) == [2, 1]
+        trace.append_slot([Packet(port=0, work=1), Packet(port=0, work=1)])
+        assert trace.run_index is not index
+        assert list(trace.run_index.runs) == [2, 1, 2, 1]
+        index = trace.run_index
+        trace.extend(_columns([[(0, 1), (1, 2)]]))
+        assert trace.run_index is not index
+        assert list(trace.run_index.runs) == [2, 1, 2, 1, 1, 2, 1]
+        assert trace.run_index.port_counts(0, 7, 2) == [5, 2]
+
+    def test_window_indexes_its_own_slots(self):
+        trace = _columns([[(0, 3)], [(0, 2), (1, 2)], [(1, 4)], [(0, 1)]])
+        lo, hi = trace.slot_bounds(1)[0], trace.slot_bounds(2)[1]
+        window = trace.window(1, 3)
+        assert window.run_index.runs == trace.run_index.runs[lo:hi]
+        assert window.run_index.port_counts(0, hi - lo, 2) == [2, 6]
+
+    @settings(max_examples=60, deadline=None)
+    @given(slots=_run_slots())
+    def test_pure_python_build(self, slots):
+        trace = _columns(slots)
+        expect = _expected_runs(trace)
+        assert list(port_runs(trace.ports, trace.offsets)) == expect
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.traffic.trace.np", None)
+            index = RunIndex(trace.ports, trace.offsets)
+        assert list(index.runs) == expect
+        n = trace.total_packets
+        assert index.port_counts(0, n, 301) == [
+            trace.ports.count(p) for p in range(301)
+        ]
+
+    @needs_numpy
+    @settings(max_examples=60, deadline=None)
+    @given(slots=_run_slots())
+    def test_numpy_and_pure_python_builds_agree(self, slots):
+        trace = _columns(slots)
+        index = trace.run_index
+        assert index.runs == port_runs(trace.ports, trace.offsets)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.traffic.trace.np", None)
+            pure = RunIndex(trace.ports, trace.offsets)
+        n = trace.total_packets
+        for lo, hi in ((0, n), (n // 3, n - n // 3)):
+            assert index.port_counts(lo, hi, 301) == pure.port_counts(
+                lo, hi, 301
+            )
 
 
 # ----------------------------------------------------------------------
