@@ -73,7 +73,7 @@ class Packet:
             raise TraceError(f"packet port must be >= 0, got {self.port}")
         if self.work < 1:
             raise TraceError(f"packet work must be >= 1, got {self.work}")
-        if self.value <= 0:
+        if not self.value > 0:
             raise TraceError(f"packet value must be > 0, got {self.value}")
         if self.residual < 0:
             self.residual = self.work

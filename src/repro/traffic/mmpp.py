@@ -19,6 +19,7 @@ paper-scale runs (500 sources, 10^5+ slots) practical in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 try:  # pure-stdlib installs can still import the module
     import numpy as np
@@ -123,7 +124,8 @@ class MmppFleet:
     """``n`` independent MMPP sources advanced together (vectorized).
 
     Semantically equivalent to ``n`` :class:`MmppSource` objects; the fleet
-    draws per-source Poisson counts and state flips as numpy vectors.
+    draws the ON sources' Poisson counts and every source's state flip
+    as numpy vectors.
     """
 
     def __init__(
@@ -140,19 +142,26 @@ class MmppFleet:
         self._rng = rng
         self.on = rng.random(n_sources) < params.initial_on_probability()
 
-    def step(self) -> np.ndarray:
-        """Advance one slot; return per-source emission counts."""
-        counts = np.zeros(self.n_sources, dtype=np.int64)
-        on_idx = np.nonzero(self.on)[0]
+    def step(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Advance one slot; return the indices of the sources ON
+        during it, ascending, and their emission counts.
+
+        A source OFF during the slot emits nothing, so the pair is the
+        whole emission vector: ``counts[on_idx] = emitted`` rebuilds it.
+        The RNG calls are pinned: one Poisson draw per ON source (no
+        call when none is ON), then one uniform per source, which flips
+        an ON source below ``p_off`` and an OFF one below ``p_on``.
+        """
+        on = self.on
+        on_idx = on.nonzero()[0]
+        emitted = on_idx
         if on_idx.size:
-            counts[on_idx] = self._rng.poisson(
-                self.params.rate_on, size=on_idx.size
-            )
+            emitted = self._rng.poisson(self.params.rate_on, on_idx.size)
         flips = self._rng.random(self.n_sources)
-        leaving_on = self.on & (flips < self.params.p_off)
-        leaving_off = (~self.on) & (flips < self.params.p_on)
-        self.on = (self.on & ~leaving_on) | leaving_off
-        return counts
+        self.on = np.where(
+            on, flips >= self.params.p_off, flips < self.params.p_on
+        )
+        return on_idx, emitted
 
     @property
     def fraction_on(self) -> float:

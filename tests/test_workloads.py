@@ -164,11 +164,13 @@ def _per_source_value_draws(config, n_slots, max_value, *, seed, load):
     )
     slots, burst_sizes = [], []
     for _slot in range(n_slots):
-        counts = fleet.step()
+        on_idx, emitted = fleet.step()
         burst = []
-        for src in np.nonzero(counts)[0]:
-            burst_sizes.append(int(counts[src]))
-            drawn = rng.integers(1, max_value + 1, size=int(counts[src]))
+        for src, count in zip(on_idx.tolist(), emitted.tolist()):
+            if not count:
+                continue
+            burst_sizes.append(count)
+            drawn = rng.integers(1, max_value + 1, size=count)
             burst += [(int(ports_of_source[src]), float(v)) for v in drawn]
         slots.append(burst)
     return slots, burst_sizes
