@@ -74,17 +74,20 @@ def test_sensitivity_tornado(benchmark):
 def test_sweep_serial_vs_parallel(benchmark):
     """Serial vs parallel Fig. 5 sweep: identical rows, cells/s speedup.
 
-    Times one panel slice serially, then fans the same cells out over
-    worker processes (timed under the benchmark fixture). The engine's
-    contract makes the comparison meaningful: both runs must produce
-    identical ``SweepPoint`` rows, so the only difference *is* the
-    wall-clock. On a multi-core runner the parallel run must win; on a
-    single core the determinism assertions still run and the speedup
-    check is skipped (process fan-out cannot beat one busy core).
-    Both sides run warm: the parallel sweep runs once untimed first, as
-    on a shared VM a vCPU that was idle runs at about half speed for
-    its first second of work, and the timed sweep holds 24 cells, so
-    pool start-up is a small share of either run.
+    Runs one panel slice serially and fanned out over worker processes,
+    three times each, alternating, and compares the best serial time
+    with the best parallel time (the last parallel run is timed under
+    the benchmark fixture): on a shared VM one contention spell then
+    slows one run of a side, not the verdict. The engine's contract
+    makes the comparison meaningful: every run must produce identical
+    ``SweepPoint`` rows, so the only difference *is* the wall-clock. On
+    a multi-core runner the parallel runs must win; on a single core
+    the determinism assertions still run and the speedup check is
+    skipped (process fan-out cannot beat one busy core). Both sides run
+    warm: the parallel sweep runs once untimed first, as on a shared VM
+    a vCPU that was idle runs at about half speed for its first second
+    of work, and each sweep holds 24 cells, so pool start-up is a small
+    share of either run.
     """
     jobs = min(4, os.cpu_count() or 1)
     kwargs = dict(
@@ -95,25 +98,28 @@ def test_sweep_serial_vs_parallel(benchmark):
     )
     run_panel(1, **kwargs, jobs=jobs)
 
-    t_serial = time.perf_counter()
-    serial = run_panel(1, **kwargs)
-    t_serial = time.perf_counter() - t_serial
-
-    parallel = run_once(benchmark, lambda: run_panel(1, **kwargs, jobs=jobs))
-
-    assert parallel.points == serial.points  # the determinism contract
-    speedup = t_serial / parallel.stats.elapsed_seconds
+    serial_times, parallel_times = [], []
+    for rep in range(3):
+        t_serial = time.perf_counter()
+        serial = run_panel(1, **kwargs)
+        serial_times.append(time.perf_counter() - t_serial)
+        if rep < 2:
+            parallel = run_panel(1, **kwargs, jobs=jobs)
+        else:
+            parallel = run_once(
+                benchmark, lambda: run_panel(1, **kwargs, jobs=jobs)
+            )
+        parallel_times.append(parallel.stats.elapsed_seconds)
+        assert parallel.points == serial.points  # the determinism contract
+    t_serial = min(serial_times)
+    t_parallel = min(parallel_times)
+    speedup = t_serial / t_parallel
     print(
-        f"\n=== sweep engine: serial {t_serial:.2f}s "
-        f"({serial.stats.cells_per_second:.2f} cells/s) vs jobs={jobs} "
-        f"{parallel.stats.elapsed_seconds:.2f}s "
-        f"({parallel.stats.cells_per_second:.2f} cells/s), "
-        f"speedup {speedup:.2f}x ==="
+        f"\n=== sweep engine, best of 3: serial {t_serial:.2f}s vs "
+        f"jobs={jobs} {t_parallel:.2f}s, speedup {speedup:.2f}x ==="
     )
     benchmark.extra_info["serial_seconds"] = round(t_serial, 3)
-    benchmark.extra_info["parallel_seconds"] = round(
-        parallel.stats.elapsed_seconds, 3
-    )
+    benchmark.extra_info["parallel_seconds"] = round(t_parallel, 3)
     benchmark.extra_info["jobs"] = jobs
     benchmark.extra_info["speedup"] = round(speedup, 2)
     if jobs > 1 and (os.cpu_count() or 1) > 1:
