@@ -39,6 +39,8 @@ class TestConstruction:
             Packet(port=0, value=0.0)
         with pytest.raises(TraceError):
             Packet(port=0, value=-1.0)
+        with pytest.raises(TraceError):
+            Packet(port=0, value=float("nan"))
 
 
 class TestLifecycle:
